@@ -17,6 +17,7 @@ import logging
 import os
 import shlex
 import sys
+from dataclasses import replace
 
 from . import formats
 from .core import Belief, ModelError, Pomdp, SafeReachObjective
@@ -76,8 +77,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         help="per-check timeout in seconds")
     parser.add_argument("--no-incremental", action="store_true",
                         help="fresh solver process per check instead of push/pop")
-    parser.add_argument("--memoize", action="store_true",
-                        help="cache recursive synthesis results by (belief, budget)")
 
 
 def _build_problem(args) -> tuple[Pomdp, Belief, SafeReachObjective, str, int, int]:
@@ -121,7 +120,6 @@ def cmd_synthesize(args) -> int:
         backend=args.backend,
         solver=_solver_config(args),
         validate=args.validate,
-        memoize=args.memoize,
     )
     if args.out_model:
         formats.dump_json(formats.model_to_json(model, b_init), args.out_model)
@@ -198,9 +196,11 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     rows = [formats.stats_csv_header()]
     failures = 0
+    solver = _solver_config(args)
+    modes = (True, False) if args.compare_incremental else (solver.incremental,)
     for obstacles in args.obstacle_counts:
         for horizon in args.horizons:
-            for incremental in (True, False) if args.compare_incremental else (True,):
+            for incremental in modes:
                 model, b_init, objective = build_kitchen(
                     args.kitchen_width, args.kitchen_height, args.kitchen_shadow,
                     args.kitchen_storage, args.kitchen_start, obstacles,
@@ -208,11 +208,7 @@ def cmd_bench(args) -> int:
                 config = SynthesisConfig(
                     horizon=horizon,
                     backend=args.backend,
-                    solver=SolverConfig(
-                        command=tuple(shlex.split(args.solver_cmd)) if args.solver_cmd else None,
-                        check_timeout=args.check_timeout,
-                        incremental=incremental,
-                    ),
+                    solver=replace(solver, incremental=incremental),
                 )
                 result = synthesis_run(model, b_init, objective, config)
                 if result.verdict not in (VERDICT_VALID, VERDICT_NO_POLICY):

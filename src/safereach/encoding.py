@@ -1,16 +1,18 @@
 """Symbolic encoding of the bounded goal-constrained search space.
 
-The builders here turn a model, an initial belief and an objective into a
-backend-independent constraint AST over step variables: belief components as
-reals, the action and observation choice at each step as bounded integers.
+A constraint is plain, immutable data saying what it asserts: the belief at
+the start step, the belief transition into one step, the bounded
+safe-reachability goal over a span of steps, or a blocked plan prefix.  The
+builders check their arguments and return that data; the enumerative backend
+interprets it directly.
+
+:func:`lower` turns one constraint into a term of the constraint AST over
+step variables, for the SMT-LIB backend: belief components as reals, the
+action and observation choice at each step as bounded integers.
 Normalization is encoded division-free (``b_i * denom_i = u_i``,
 ``denom_i > 0``) so the whole theory stays in polynomial arithmetic.
-
-Every builder is deterministic: identical inputs produce structurally
-identical terms with stable variable names, which keeps solver behaviour
-reproducible.  Each produced constraint carries both the AST (for the
-external solver backend) and a structured payload that the enumerative
-backend interprets directly.
+Lowering is deterministic: identical inputs produce structurally identical
+terms with stable variable names, which keeps solver behaviour reproducible.
 """
 
 from __future__ import annotations
@@ -199,48 +201,94 @@ def step_vars(step: int, n_states: int, start: bool = False) -> StepVars:
 
 
 # --------------------------------------------------------------------------
-# Structured payloads mirroring each constraint for the enumerative backend
+# Constraints: plain data, and builders that check their arguments
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InitialInfo:
+class Initial:
+    """The belief at the start step ``step`` is ``belief``."""
+
     step: int
     belief: Belief
 
 
 @dataclass(frozen=True)
-class TransitionInfo:
+class Transition:
+    """The belief at ``step`` is the exact update of the belief at
+    ``step - 1`` under the action and observation chosen at ``step``."""
+
     step: int
 
 
 @dataclass(frozen=True)
-class GoalInfo:
+class Goal:
+    """Some step in ``start_step..end_step`` holds a goal belief and every
+    belief before it is safe."""
+
     start_step: int
     end_step: int
     objective: SafeReachObjective
 
 
 @dataclass(frozen=True)
-class BlockingInfo:
+class Blocking:
+    """Negated prefix of a candidate whose branch completion failed: no plan
+    starts from the same belief, repeats the same action/observation/belief
+    sequence up to step ``fail_step - 1`` and then chooses the same action
+    at ``fail_step``."""
+
     plan: CandidatePlan
     fail_step: int
 
 
-@dataclass(frozen=True)
-class EncodedConstraint:
-    kind: str  # "initial" | "transition" | "goal" | "blocking"
-    term: Term
-    payload: Union[InitialInfo, TransitionInfo, GoalInfo, BlockingInfo]
+Constraint = Union[Initial, Transition, Goal, Blocking]
+
+
+def initial_constraint(step: int, b_init: Belief) -> Initial:
+    return Initial(step, b_init)
+
+
+def transition_constraint(prev_step: int, step: int) -> Transition:
+    if step != prev_step + 1:
+        raise ValueError("transition steps must be consecutive")
+    return Transition(step)
+
+
+def goal_constraint(start_step: int, end_step: int, objective: SafeReachObjective) -> Goal:
+    if end_step < start_step:
+        raise ValueError("goal steps must cover a contiguous, non-empty range")
+    return Goal(start_step, end_step, objective)
+
+
+def blocking_constraint(plan: CandidatePlan, fail_step: int) -> Blocking:
+    s = plan.start_step
+    if not s + 1 <= fail_step <= plan.end_step:
+        raise ValueError(f"fail step {fail_step} outside plan span {s + 1}..{plan.end_step}")
+    return Blocking(plan, fail_step)
 
 
 # --------------------------------------------------------------------------
-# Builders
+# Lowering to the constraint AST
 # --------------------------------------------------------------------------
 
-def initial_constraint(vars_s: StepVars, b_init: Belief) -> EncodedConstraint:
-    """Pin the start-step belief variables to the initial belief."""
-    eqs = [Eq(v, RConst(b_init[j])) for j, v in enumerate(vars_s.belief_vars)]
-    return EncodedConstraint("initial", conj(eqs), InitialInfo(vars_s.step, b_init))
+def lower(constraint: Constraint, model: Pomdp) -> Term:
+    """The constraint as one term over the step variables of ``model``."""
+    n = len(model.states)
+    if isinstance(constraint, Initial):
+        vars_s = step_vars(constraint.step, n, start=True)
+        eqs = [Eq(v, RConst(constraint.belief[j])) for j, v in enumerate(vars_s.belief_vars)]
+        return conj(eqs)
+    if isinstance(constraint, Transition):
+        # Only the belief variables of the previous step are read.
+        prev = step_vars(constraint.step - 1, n, start=True)
+        return _transition_term(prev, step_vars(constraint.step, n), model)
+    if isinstance(constraint, Goal):
+        all_vars = [step_vars(i, n, start=i == constraint.start_step)
+                    for i in range(constraint.start_step, constraint.end_step + 1)]
+        return _goal_term(all_vars, constraint.objective)
+    if isinstance(constraint, Blocking):
+        return _blocking_term(constraint.plan, constraint.fail_step)
+    raise TypeError(f"cannot lower {constraint!r}")
 
 
 def _action_select(action_var: IVar, entries: dict[int, Fraction]) -> Term:
@@ -262,7 +310,7 @@ def _obs_select(
     return term
 
 
-def transition_constraint(prev: StepVars, cur: StepVars, model: Pomdp) -> EncodedConstraint:
+def _transition_term(prev: StepVars, cur: StepVars, model: Pomdp) -> Term:
     """Division-free unfolding of the belief transition at step ``cur``.
 
     Encodes u_i(s') = Z(s', a_i, o_i) * sum_s T(s, a_i, s') * b_{i-1}(s),
@@ -270,8 +318,6 @@ def transition_constraint(prev: StepVars, cur: StepVars, model: Pomdp) -> Encode
     selector domains, per-action availability and the (redundant but
     solver-friendly) simplex constraints on b_i.
     """
-    if cur.step != prev.step + 1:
-        raise ValueError("transition steps must be consecutive")
     assert cur.action_var and cur.observation_var and cur.unnorm_vars and cur.denom_var
     n = len(model.states)
     a_var, o_var = cur.action_var, cur.observation_var
@@ -326,7 +372,7 @@ def transition_constraint(prev: StepVars, cur: StepVars, model: Pomdp) -> Encode
     for s2 in range(n):
         parts.append(Le(RConst(Fraction(0)), cur.belief_vars[s2]))
 
-    return EncodedConstraint("transition", conj(parts), TransitionInfo(cur.step))
+    return conj(parts)
 
 
 def predicate_term(pred: LinearBeliefPredicate, belief_vars: Sequence[RVar]) -> Term:
@@ -343,38 +389,22 @@ def predicate_term(pred: LinearBeliefPredicate, belief_vars: Sequence[RVar]) -> 
     return Le(mass, threshold)
 
 
-def goal_constraint(
-    all_vars: Sequence[StepVars], objective: SafeReachObjective
-) -> EncodedConstraint:
-    """The bounded safe-reachability disjunction over steps s..k.
-
-    One disjunct per step i: the step-i belief is a goal belief and every
-    belief strictly before i is safe.
-    """
-    steps = [v.step for v in all_vars]
-    if steps != list(range(steps[0], steps[-1] + 1)):
-        raise ValueError("step variables must cover a contiguous range")
+def _goal_term(all_vars: Sequence[StepVars], objective: SafeReachObjective) -> Term:
+    """One disjunct per step i: the step-i belief is a goal belief and every
+    belief strictly before i is safe."""
     disjuncts: list[Term] = []
     for i, vars_i in enumerate(all_vars):
         clauses = [predicate_term(p, vars_i.belief_vars) for p in objective.goal]
         for vars_j in all_vars[:i]:
             clauses.extend(predicate_term(p, vars_j.belief_vars) for p in objective.safe)
         disjuncts.append(conj(clauses))
-    return EncodedConstraint(
-        "goal", disj(disjuncts), GoalInfo(steps[0], steps[-1], objective))
+    return disj(disjuncts)
 
 
-def blocking_constraint(plan: CandidatePlan, fail_step: int) -> EncodedConstraint:
-    """Negated prefix of a candidate whose branch completion failed.
-
-    Blocks every plan that starts from the same belief, repeats the same
-    action/observation/belief sequence up to step ``fail_step - 1`` and then
-    chooses the same action at ``fail_step``.  Belief equality is kept even
-    though beliefs are determined by the prefix; it is redundant but exact.
-    """
+def _blocking_term(plan: CandidatePlan, fail_step: int) -> Term:
+    """Belief equality is kept even though beliefs are determined by the
+    prefix; it is redundant but exact."""
     s = plan.start_step
-    if not s + 1 <= fail_step <= plan.end_step:
-        raise ValueError(f"fail step {fail_step} outside plan span {s + 1}..{plan.end_step}")
     n = len(plan.beliefs[0])
     clauses: list[Term] = [
         Eq(RVar(belief_var_name(s, j)), RConst(plan.beliefs[0][j])) for j in range(n)
@@ -388,5 +418,4 @@ def blocking_constraint(plan: CandidatePlan, fail_step: int) -> EncodedConstrain
             Eq(RVar(belief_var_name(m_step, j)), RConst(belief[j])) for j in range(n))
     clauses.append(
         Eq(IVar(action_var_name(fail_step)), IConst(plan.actions[fail_step - s - 1])))
-    return EncodedConstraint(
-        "blocking", Not(conj(clauses)), BlockingInfo(plan, fail_step))
+    return Not(conj(clauses))

@@ -2,8 +2,8 @@
 
 Two interchangeable session kinds sit behind one interface: an external
 SMT-LIB v2 process driven over a pipe with push/pop scopes, and a built-in
-exact enumerative backend that interprets the encoded step structure
-directly and doubles as an independent oracle.
+exact enumerative backend that interprets the constraints directly and
+doubles as an independent oracle.
 """
 
 from .session import (

@@ -1,16 +1,19 @@
 """Built-in exact enumerative backend.
 
-Interprets the encoded step structure directly — no constraint AST, no
-external process — by depth-first search over action/observation sequences
-with exact belief updates.  It serves as the independent oracle for the
-symbolic pipeline and as a fast default backend.
+Interprets the constraints as the plain data they are — it never lowers them
+to terms and starts no external process — by depth-first search over
+action/observation sequences with exact belief updates.  A satisfying model
+assigns the belief, action and observation variables of every step, which
+is all :func:`~.session.extract_plan` reads.  It serves as the independent
+oracle for the symbolic pipeline and as a fast default backend.
 
 Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
 lexicographically smallest one.  An internal memo of fruitless
 (belief, steps-remaining) pairs prunes repeated subtrees; entries are only
 recorded on blocking-free subtrees, which keeps them sound to reuse under
-any blocking set, and they stay valid across horizons within one session.
+any blocking set, and they stay valid across horizons, so sessions over the
+same model may share one memo (the ``fruitless`` constructor argument).
 """
 
 from __future__ import annotations
@@ -25,80 +28,41 @@ from ..core import (
     SynthesisStats,
     available_actions,
     belief_update,
-    unnormalized_update,
 )
 from ..encoding import (
-    BlockingInfo,
-    EncodedConstraint,
-    GoalInfo,
-    InitialInfo,
-    TransitionInfo,
+    Blocking,
+    Goal,
+    Initial,
+    Transition,
     action_var_name,
     belief_var_name,
-    denom_var_name,
+    goal_constraint,
+    initial_constraint,
     observation_var_name,
-    unnorm_var_name,
+    transition_constraint,
 )
-from .session import (
-    Sat,
-    SatResult,
-    SolverSession,
-    SolverUsageError,
-    Unsat,
-    _record,
-)
+from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat, _record
+
+# (objective, belief probs, steps remaining) proven to admit no
+# goal-satisfying completion; see the module docstring for soundness.
+FruitlessCache = set[tuple[SafeReachObjective, tuple[Fraction, ...], int]]
 
 
 class EnumerativeSession(SolverSession):
-    def __init__(self, model: Pomdp, stats: Optional[SynthesisStats] = None) -> None:
-        self.model = model
-        self.stats = stats
-        self._frames: list[list[EncodedConstraint]] = [[]]
-        self._closed = False
-        # (objective, belief probs, steps remaining) proven to admit no
-        # goal-satisfying completion; see the module docstring for soundness.
-        self._fruitless: set[tuple[SafeReachObjective, tuple[Fraction, ...], int]] = set()
+    """Searches the bounded structure its constraints describe."""
 
-    def add(self, constraint: EncodedConstraint) -> None:
-        self._guard()
-        if constraint.kind not in ("initial", "transition", "goal", "blocking"):
-            raise SolverUsageError(f"unsupported constraint kind {constraint.kind!r}")
-        self._frames[-1].append(constraint)
-
-    def push(self) -> None:
-        self._guard()
-        self._frames.append([])
-
-    def pop(self) -> None:
-        self._guard()
-        if len(self._frames) <= 1:
-            raise SolverUsageError("pop with no matching push")
-        self._frames.pop()
-
-    def close(self) -> None:
-        self._closed = True
-
-    def _guard(self) -> None:
-        if self._closed:
-            raise SolverUsageError("session is closed")
+    def __init__(self, model: Pomdp, stats: Optional[SynthesisStats] = None,
+                 fruitless: Optional[FruitlessCache] = None) -> None:
+        super().__init__(model, stats)
+        self._fruitless: FruitlessCache = set() if fruitless is None else fruitless
 
     # -- structure assembly --------------------------------------------------
 
     def _assemble(self):
-        initials: list[InitialInfo] = []
-        transitions: list[TransitionInfo] = []
-        goals: list[GoalInfo] = []
-        blocks: list[BlockingInfo] = []
-        for frame in self._frames:
-            for c in frame:
-                if isinstance(c.payload, InitialInfo):
-                    initials.append(c.payload)
-                elif isinstance(c.payload, TransitionInfo):
-                    transitions.append(c.payload)
-                elif isinstance(c.payload, GoalInfo):
-                    goals.append(c.payload)
-                elif isinstance(c.payload, BlockingInfo):
-                    blocks.append(c.payload)
+        by_type: dict[type, list] = {Initial: [], Transition: [], Goal: [], Blocking: []}
+        for c in self._live():
+            by_type[type(c)].append(c)
+        initials, transitions, goals, blocks = by_type.values()
         if len(initials) != 1:
             raise SolverUsageError("exactly one initial-belief constraint is required")
         start = initials[0].step
@@ -127,7 +91,7 @@ class EnumerativeSession(SolverSession):
         return Sat(self._to_model(belief, start, trail))
 
     def _search(self, b0: Belief, start: int, horizon: int,
-                goals: Sequence[GoalInfo], blocks: Sequence[BlockingInfo]):
+                goals: Sequence[Goal], blocks: Sequence[Blocking]):
         model = self.model
         n_obs = len(model.observations)
         fired0 = []
@@ -193,18 +157,12 @@ class EnumerativeSession(SolverSession):
         out: dict[str, Union[Fraction, int]] = {}
         for j, p in enumerate(b0.probs):
             out[belief_var_name(start, j)] = p
-        prev = b0
         for offset, (a, o, b2) in enumerate(trail):
             step = start + offset + 1
             out[action_var_name(step)] = a
             out[observation_var_name(step)] = o
-            unnorm, denom = unnormalized_update(prev, a, o, self.model)
-            for j, u in enumerate(unnorm):
-                out[unnorm_var_name(step, j)] = u
-            out[denom_var_name(step)] = denom
             for j, p in enumerate(b2.probs):
                 out[belief_var_name(step, j)] = p
-            prev = b2
         return out
 
 
@@ -214,18 +172,14 @@ def enumerative_check(
     start: int,
     horizon: int,
     objective: SafeReachObjective,
-    blocks: Sequence[BlockingInfo] = (),
+    blocks: Sequence[Blocking] = (),
 ) -> SatResult:
     """One-shot satisfiability of the bounded structure, for tests and tools."""
-    from .. import encoding
-
     session = EnumerativeSession(model)
-    all_vars = [encoding.step_vars(start, len(model.states), start=True)]
-    session.add(encoding.initial_constraint(all_vars[0], b_init))
+    session.add(initial_constraint(start, b_init))
     for step in range(start + 1, horizon + 1):
-        all_vars.append(encoding.step_vars(step, len(model.states)))
-        session.add(encoding.transition_constraint(all_vars[-2], all_vars[-1], model))
-    session.add(encoding.goal_constraint(all_vars, objective))
+        session.add(transition_constraint(step - 1, step))
+    session.add(goal_constraint(start, horizon, objective))
     for bl in blocks:
-        session.add(encoding.blocking_constraint(bl.plan, bl.fail_step))
+        session.add(bl)
     return session.check()

@@ -5,10 +5,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Union, get_args
 
 from ..core import Belief, CandidatePlan, ModelError, Pomdp, SynthesisStats, belief_update
-from ..encoding import EncodedConstraint, StepVars
+from ..encoding import Constraint, action_var_name, belief_var_name, observation_var_name
 
 
 class SolverError(RuntimeError):
@@ -52,31 +52,70 @@ class SolverConfig:
 
 
 class SolverSession(ABC):
-    """An incremental satisfiability session with a stack of assertion scopes.
+    """An incremental satisfiability session over one model, with a stack of
+    assertion scopes.
+
+    The scope stack lives here.  A backend keeps, per added constraint,
+    whatever :meth:`_admit` returns and hears of every push and pop through
+    :meth:`_pushed` and :meth:`_popped`.
 
     Sessions are single-owner: never share one across threads.  Distinct
     sessions may run concurrently.
     """
 
-    @abstractmethod
-    def add(self, constraint: EncodedConstraint) -> None:
-        """Assert a constraint into the current (top) scope."""
+    def __init__(self, model: Pomdp, stats: Optional[SynthesisStats] = None) -> None:
+        self.model = model
+        self.stats = stats
+        self._frames: list[list] = [[]]
+        self._closed = False
 
-    @abstractmethod
+    def add(self, constraint: Constraint) -> None:
+        """Assert a constraint into the current (top) scope."""
+        self._guard()
+        if not isinstance(constraint, get_args(Constraint)):
+            raise SolverUsageError(f"unsupported constraint {constraint!r}")
+        self._frames[-1].append(self._admit(constraint))
+
     def push(self) -> None:
         """Open a new scope."""
+        self._guard()
+        self._frames.append([])
+        self._pushed()
 
-    @abstractmethod
     def pop(self) -> None:
         """Discard the top scope and everything asserted inside it."""
+        self._guard()
+        if len(self._frames) <= 1:
+            raise SolverUsageError("pop with no matching push")
+        self._frames.pop()
+        self._popped()
 
     @abstractmethod
     def check(self) -> SatResult:
         """Decide satisfiability of all live assertions."""
 
-    @abstractmethod
     def close(self) -> None:
         """Release backend resources; the session is unusable afterwards."""
+        self._closed = True
+
+    def _guard(self) -> None:
+        if self._closed:
+            raise SolverUsageError("session is closed")
+
+    def _live(self) -> Iterator:
+        """What the live scopes keep, oldest first."""
+        for frame in self._frames:
+            yield from frame
+
+    def _admit(self, constraint: Constraint):
+        """What the top scope keeps for ``constraint``: by default, itself."""
+        return constraint
+
+    def _pushed(self) -> None:
+        """Called after a scope opens."""
+
+    def _popped(self) -> None:
+        """Called after a scope closes."""
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -93,31 +132,32 @@ def _record(stats: Optional[SynthesisStats], start: int, horizon: int, kind: str
 
 def extract_plan(
     model: Mapping[str, Union[Fraction, int]],
-    all_vars: Sequence[StepVars],
+    start_step: int,
+    end_step: int,
     pomdp: Pomdp,
 ) -> CandidatePlan:
-    """Decode a satisfying model into a candidate plan and re-verify it.
+    """Decode a satisfying model into the plan over ``start_step..end_step``
+    and re-verify it.
 
     Beliefs are read as exact rationals and each step is re-checked against
     the belief transition; any mismatch means the solver's model violates
     the encoding (or returned non-rational values) and is a hard error.
     """
+    n = len(pomdp.states)
     try:
         beliefs = []
-        for sv in all_vars:
-            values = tuple(Fraction(model[v.name]) for v in sv.belief_vars)
+        for step in range(start_step, end_step + 1):
+            values = tuple(Fraction(model[belief_var_name(step, j)]) for j in range(n))
             try:
                 beliefs.append(Belief(values))
             except ModelError as exc:
-                raise PlanDecodeError(f"step {sv.step}: {exc}") from None
+                raise PlanDecodeError(f"step {step}: {exc}") from None
         actions, observations = [], []
-        for sv in all_vars[1:]:
-            assert sv.action_var is not None and sv.observation_var is not None
-            actions.append(int(model[sv.action_var.name]))
-            observations.append(int(model[sv.observation_var.name]))
+        for step in range(start_step + 1, end_step + 1):
+            actions.append(int(model[action_var_name(step)]))
+            observations.append(int(model[observation_var_name(step)]))
     except KeyError as exc:
         raise PlanDecodeError(f"model is missing variable {exc.args[0]!r}") from None
-    start = all_vars[0].step
     for a in actions:
         if not 0 <= a < len(pomdp.actions):
             raise PlanDecodeError(f"action selector out of range: {a}")
@@ -128,8 +168,8 @@ def extract_plan(
         expected = belief_update(beliefs[i], a, o, pomdp)
         if expected is None:
             raise PlanDecodeError(
-                f"step {start + i + 1}: model chose an impossible observation")
+                f"step {start_step + i + 1}: model chose an impossible observation")
         if expected != beliefs[i + 1]:
             raise PlanDecodeError(
-                f"step {start + i + 1}: model belief disagrees with the exact update")
-    return CandidatePlan(start, tuple(beliefs), tuple(actions), tuple(observations))
+                f"step {start_step + i + 1}: model belief disagrees with the exact update")
+    return CandidatePlan(start_step, tuple(beliefs), tuple(actions), tuple(observations))

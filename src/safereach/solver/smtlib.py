@@ -1,10 +1,12 @@
 """External SMT backend: SMT-LIB v2 over a subprocess pipe.
 
-Serializes the constraint AST, drives any conforming solver binary
+The only backend that speaks SMT: each added constraint is lowered to a term
+(:func:`safereach.encoding.lower`) and serialized once, into its
+``declare-const`` and ``assert`` lines.  Drives any conforming solver binary
 (``z3 -in`` works; the default is the bundled reference solver) with
-``push``/``pop`` scopes, and parses models back into exact rationals.
-In non-incremental mode every check re-serializes all live assertions
-into a fresh solver process, for the from-scratch comparison.
+``push``/``pop`` scopes, and parses models back into exact rationals.  In
+non-incremental mode every check replays the kept lines of all live
+assertions into a fresh solver process, for the from-scratch comparison.
 """
 
 from __future__ import annotations
@@ -14,18 +16,19 @@ import select
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from ..core import SynthesisStats
+from ..core import Pomdp, SynthesisStats
 from ..encoding import (
     Add,
     And,
     BoolConst,
-    EncodedConstraint,
+    Constraint,
     Eq,
     IConst,
-    InitialInfo,
+    Initial,
     Ite,
     IVar,
     Le,
@@ -36,7 +39,8 @@ from ..encoding import (
     RConst,
     RVar,
     Term,
-    TransitionInfo,
+    Transition,
+    lower,
     term_variables,
 )
 from .session import (
@@ -45,7 +49,6 @@ from .session import (
     SolverConfig,
     SolverError,
     SolverSession,
-    SolverUsageError,
     Unknown,
     Unsat,
     _record,
@@ -291,30 +294,33 @@ class _SmtProcess:
 # The session
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Asserted:
+    """A constraint as the solver sees it, serialized once when added."""
+
+    constraint: Constraint
+    # Variable name -> its ``declare-const`` line, for names first seen here.
+    declarations: dict[str, str]
+    assertion: str
+
+
 class SmtLibSession(SolverSession):
     """Drives one solver process incrementally, or one process per check."""
 
-    def __init__(self, config: SolverConfig = SolverConfig(),
+    def __init__(self, model: Pomdp, config: SolverConfig = SolverConfig(),
                  stats: Optional[SynthesisStats] = None) -> None:
+        super().__init__(model, stats)
         self.config = config
-        self.stats = stats
         self.command = tuple(config.command) if config.command else default_solver_command()
-        self._frames: list[list[EncodedConstraint]] = [[]]
-        self._declared: list[dict[str, str]] = [{}]
         self._proc: Optional[_SmtProcess] = None
         self._dead = False
-        self._closed = False
 
     # -- bookkeeping -------------------------------------------------------
 
     def _guard(self) -> None:
-        if self._closed:
-            raise SolverUsageError("session is closed")
+        super()._guard()
         if self._dead:
             raise SolverError("session is dead after a backend failure")
-
-    def _known(self, name: str) -> bool:
-        return any(name in frame for frame in self._declared)
 
     def _header_lines(self) -> list[str]:
         return ["(set-option :produce-models true)", f"(set-logic {self.config.logic})"]
@@ -335,59 +341,40 @@ class SmtLibSession(SolverSession):
             return exc
         return SolverError(str(exc))
 
-    # -- SolverSession -----------------------------------------------------
-
-    def add(self, constraint: EncodedConstraint) -> None:
-        self._guard()
-        self._frames[-1].append(constraint)
-        fresh = {
-            name: sort
-            for name, sort in sorted(term_variables(constraint.term).items())
-            if not self._known(name)
-        }
-        self._declared[-1].update(fresh)
+    def _send_incremental(self, lines: Iterable[str]) -> None:
         if self.config.incremental:
             try:
                 proc = self._ensure_process()
-                for name, sort in fresh.items():
-                    proc.send(f"(declare-const {name} {sort})")
-                proc.send(f"(assert {serialize(constraint.term)})")
+                for line in lines:
+                    proc.send(line)
             except SolverError as exc:
                 raise self._fail(exc) from None
 
-    def push(self) -> None:
-        self._guard()
-        self._frames.append([])
-        self._declared.append({})
-        if self.config.incremental:
-            try:
-                self._ensure_process().send("(push 1)")
-            except SolverError as exc:
-                raise self._fail(exc) from None
+    # -- SolverSession hooks -----------------------------------------------
 
-    def pop(self) -> None:
-        self._guard()
-        if len(self._frames) <= 1:
-            raise SolverUsageError("pop with no matching push")
-        self._frames.pop()
-        self._declared.pop()
-        if self.config.incremental:
-            try:
-                self._ensure_process().send("(pop 1)")
-            except SolverError as exc:
-                raise self._fail(exc) from None
+    def _admit(self, constraint: Constraint) -> _Asserted:
+        term = lower(constraint, self.model)
+        known = {name for entry in self._live() for name in entry.declarations}
+        declarations = {
+            name: f"(declare-const {name} {sort})"
+            for name, sort in sorted(term_variables(term).items())
+            if name not in known
+        }
+        entry = _Asserted(constraint, declarations, f"(assert {serialize(term)})")
+        self._send_incremental([*declarations.values(), entry.assertion])
+        return entry
+
+    def _pushed(self) -> None:
+        self._send_incremental(["(push 1)"])
+
+    def _popped(self) -> None:
+        self._send_incremental(["(pop 1)"])
 
     def _span(self) -> tuple[int, int]:
-        start = 0
-        steps = [0]
-        for frame in self._frames:
-            for c in frame:
-                if isinstance(c.payload, InitialInfo):
-                    start = c.payload.step
-                    steps.append(start)
-                elif isinstance(c.payload, TransitionInfo):
-                    steps.append(c.payload.step)
-        return start, max(steps)
+        constraints = [entry.constraint for entry in self._live()]
+        start = next((c.step for c in constraints if isinstance(c, Initial)), 0)
+        steps = [c.step for c in constraints if isinstance(c, (Initial, Transition))]
+        return start, max(steps, default=0)
 
     def check(self) -> SatResult:
         self._guard()
@@ -401,12 +388,11 @@ class SmtLibSession(SolverSession):
                 try:
                     for line in self._header_lines():
                         proc.send(line)
-                    for frame_decls in self._declared:
-                        for name, sort in frame_decls.items():
-                            proc.send(f"(declare-const {name} {sort})")
-                    for frame in self._frames:
-                        for c in frame:
-                            proc.send(f"(assert {serialize(c.term)})")
+                    for entry in self._live():
+                        for line in entry.declarations.values():
+                            proc.send(line)
+                    for entry in self._live():
+                        proc.send(entry.assertion)
                     result = self._check_on(proc, deadline)
                 finally:
                     proc.close()
@@ -440,7 +426,7 @@ class SmtLibSession(SolverSession):
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        super().close()
         if self._proc is not None:
             try:
                 self._proc.send("(exit)")

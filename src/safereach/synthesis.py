@@ -51,8 +51,6 @@ log = logging.getLogger(__name__)
 
 SessionFactory = Callable[[], SolverSession]
 
-_MISS = object()
-
 
 class SynthesisError(RuntimeError):
     """Synthesis could not finish; distinct from "no policy within the bound"."""
@@ -68,7 +66,6 @@ class SynthesisConfig:
     backend: str = "enum"  # "enum" or "smtlib"
     solver: SolverConfig = field(default_factory=SolverConfig)
     validate: bool = True
-    memoize: bool = False
 
 
 VERDICT_VALID = "valid"
@@ -110,16 +107,10 @@ def make_session_factory(
         # Fresh sessions per recursion level, but one shared cache of
         # fruitless subtrees: the cached facts are horizon- and
         # blocking-independent, so sharing is sound and saves repeated work.
-        shared_cache: set = set()
-
-        def make_enum() -> SolverSession:
-            session = EnumerativeSession(model, stats)
-            session._fruitless = shared_cache
-            return session
-
-        return make_enum
+        fruitless: set = set()
+        return lambda: EnumerativeSession(model, stats, fruitless)
     if config.backend == "smtlib":
-        return lambda: SmtLibSession(config.solver, stats)
+        return lambda: SmtLibSession(model, config.solver, stats)
     raise ValueError(f"unknown backend {config.backend!r}")
 
 
@@ -145,35 +136,31 @@ def bps(
     horizon_bound: int,
     session_factory: SessionFactory,
     stats: SynthesisStats,
-    memo: Optional[dict] = None,
+    memo: dict,
 ) -> Optional[PolicyTree]:
     """Search for a valid policy from ``b_init`` within the step budget.
 
     Returns a policy tree valid from ``b_init`` using at most
     ``horizon_bound - start_step`` steps, or ``None`` when no valid policy
     exists within the bound.  Unknown solver verdicts and backend failures
-    raise :class:`SynthesisError`.
+    raise :class:`SynthesisError`.  ``memo`` keeps every answer by
+    (belief, remaining budget) for the rest of the run.
     """
     if start_step > horizon_bound:
         return None
     memo_key = (b_init.probs, horizon_bound - start_step)
-    if memo is not None:
-        hit = memo.get(memo_key, _MISS)
-        if hit is not _MISS:
-            return hit
+    if memo_key in memo:
+        return memo[memo_key]
 
     session = session_factory()
     try:
-        n = len(model.states)
-        all_vars = [encoding.step_vars(start_step, n, start=True)]
-        session.add(encoding.initial_constraint(all_vars[0], b_init))
+        session.add(encoding.initial_constraint(start_step, b_init))
         k = start_step
         while k <= horizon_bound:
             if k > start_step:
-                all_vars.append(encoding.step_vars(k, n))
-                session.add(encoding.transition_constraint(all_vars[-2], all_vars[-1], model))
+                session.add(encoding.transition_constraint(k - 1, k))
             session.push()
-            session.add(encoding.goal_constraint(all_vars, objective))
+            session.add(encoding.goal_constraint(start_step, k, objective))
             while True:
                 outcome = session.check()
                 if isinstance(outcome, Unsat):
@@ -183,7 +170,7 @@ def bps(
                         f"solver returned unknown at horizon {k}: {outcome.reason}")
                 assert isinstance(outcome, Sat)
                 stats.plans_checked += 1
-                plan = extract_plan(outcome.model, all_vars, model)
+                plan = extract_plan(outcome.model, start_step, k, model)
                 if plan.beliefs[0] != b_init:
                     raise EncodingSoundnessError("model start belief differs from b_init")
                 plan = _truncate_at_goal(plan, objective)
@@ -193,8 +180,7 @@ def bps(
                     session_factory, stats, memo)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
-                    if memo is not None:
-                        memo[memo_key] = tree
+                    memo[memo_key] = tree
                     return tree
                 assert failure is not None
                 session.add(
@@ -205,8 +191,7 @@ def bps(
             session.pop()
             stats.final_horizon = max(stats.final_horizon, k)
             k += 1
-        if memo is not None:
-            memo[memo_key] = None
+        memo[memo_key] = None
         return None
     finally:
         session.close()
@@ -220,7 +205,7 @@ def policy_generation(
     bound: int,
     session_factory: SessionFactory,
     stats: SynthesisStats,
-    memo: Optional[dict] = None,
+    memo: dict,
 ) -> tuple[Optional[PolicyTree], Optional[Failure]]:
     """Complete a candidate plan into a policy tree, or report where it fails.
 
@@ -272,10 +257,9 @@ def synthesis_run(
 
     stats = SynthesisStats()
     factory = make_session_factory(model, config, stats)
-    memo: Optional[dict] = {} if config.memoize else None
     started = time.monotonic()
     try:
-        policy = bps(model, b_init, objective, 0, config.horizon, factory, stats, memo)
+        policy = bps(model, b_init, objective, 0, config.horizon, factory, stats, {})
     except (SynthesisError, SolverError) as exc:
         stats.wall_time = time.monotonic() - started
         return SynthesisResult(VERDICT_ERROR, None, stats, error=str(exc))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -149,21 +150,18 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
 
 
 def _sample(rng: random.Random, dist: dict) -> int:
-    # Exact-rational CDF walk; the float draw only selects, never rounds model
-    # probabilities.
-    draw = rng.random()
-    acc = 0.0
-    last = None
-    for key in sorted(dist):
-        p = dist[key]
-        if p == 0:
-            continue
-        acc += float(p)
-        last = key
-        if draw < acc:
+    # Exact CDF walk: a uniform integer below the row's common denominator
+    # against the exact cumulative numerators, so no float decides anything.
+    keys = [key for key in sorted(dist) if dist[key] > 0]
+    assert keys, "cannot sample from an empty distribution"
+    scale = math.lcm(*(Fraction(dist[key]).denominator for key in keys))
+    draw = rng.randrange(scale)
+    cumulative = 0
+    for key in keys:
+        cumulative += dist[key] * scale
+        if draw < cumulative:
             return key
-    assert last is not None, "cannot sample from an empty distribution"
-    return last
+    raise ValueError("distribution does not sum to 1")
 
 
 def simulate(

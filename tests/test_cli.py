@@ -122,6 +122,20 @@ def test_bench_sweep_writes_csv(tmp_path, capsys):
     assert all(line.split(",")[6] == "valid" for line in lines[1:])
 
 
+def test_bench_honours_no_incremental(capsys):
+    code = run_cli(
+        "bench", "--kitchen-width", "2", "--kitchen-height", "2",
+        "--kitchen-shadow", "0,1;1,1", "--kitchen-storage", "1,0",
+        "--kitchen-start", "0,0", "--p-fail", "0", "--p-fp", "0", "--p-fn", "0",
+        "--obstacle-counts", "1", "--horizons", "2", "--backend", "smtlib",
+        "--no-incremental")
+    assert code == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("kitchen,")]
+    assert len(rows) == 1
+    assert rows[0].split(",")[5] == "no"
+
+
 def test_cli_synth_pickup_smtlib_backend(capsys):
     code = run_cli("synth", "--domain", "pickup", "--horizon", "3",
                    "--backend", "smtlib")

@@ -21,25 +21,18 @@ from oracles import (
 )
 
 
-def build_step_vars(model, start, horizon):
-    out = [enc.step_vars(start, len(model.states), start=True)]
-    for step in range(start + 1, horizon + 1):
-        out.append(enc.step_vars(step, len(model.states)))
-    return out
-
-
 # --------------------------------------------------------------------------
 # Determinism and naming
 # --------------------------------------------------------------------------
 
 def test_identical_inputs_give_identical_terms(pickup):
     model, b_init, objective = pickup
-    sv = build_step_vars(model, 0, 1)
-    first = enc.transition_constraint(sv[0], sv[1], model)
-    second = enc.transition_constraint(sv[0], sv[1], model)
-    assert first.term == second.term
-    assert serialize(first.term) == serialize(second.term)
-    assert enc.goal_constraint(sv, objective).term == enc.goal_constraint(sv, objective).term
+    first = enc.lower(enc.transition_constraint(0, 1), model)
+    second = enc.lower(enc.transition_constraint(0, 1), model)
+    assert first == second
+    assert serialize(first) == serialize(second)
+    goal = enc.goal_constraint(0, 1, objective)
+    assert enc.lower(goal, model) == enc.lower(goal, model)
 
 
 def test_variable_names_are_step_and_index_functions():
@@ -59,20 +52,22 @@ def test_variable_names_are_step_and_index_functions():
 
 def test_initial_constraint_pins_point_mass(pickup):
     model, b_init, _ = pickup
-    sv = enc.step_vars(0, 3, start=True)
-    constraint = enc.initial_constraint(sv, b_init)
-    assert constraint.kind == "initial"
+    constraint = enc.initial_constraint(0, b_init)
+    assert constraint == enc.Initial(0, b_init)
+    term = enc.lower(constraint, model)
     env = {f"b_0_{j}": b_init[j] for j in range(3)}
-    assert eval_term(constraint.term, env)
+    assert eval_term(term, env)
     env["b_0_0"] = F(1, 2)
     env["b_0_1"] = F(1, 2)
-    assert not eval_term(constraint.term, env)
+    assert not eval_term(term, env)
 
 
 def test_initial_constraint_uniform_two_states():
-    sv = enc.step_vars(0, 2, start=True)
-    constraint = enc.initial_constraint(sv, Belief((F(1, 2), F(1, 2))))
-    assert eval_term(constraint.term, {"b_0_0": F(1, 2), "b_0_1": F(1, 2)})
+    model = Pomdp(("s", "t"), ("a",), ("o",),
+                  transition={(0, 0): {0: F(1)}, (1, 0): {1: F(1)}},
+                  observe={(0, 0): {0: F(1)}, (1, 0): {0: F(1)}})
+    constraint = enc.initial_constraint(0, Belief((F(1, 2), F(1, 2))))
+    assert eval_term(enc.lower(constraint, model), {"b_0_0": F(1, 2), "b_0_1": F(1, 2)})
 
 
 def test_kitchen_initial_constraint_uniform_over_placements():
@@ -84,10 +79,9 @@ def test_kitchen_initial_constraint_uniform_over_placements():
     expected_share = F(1, len(placements))
     positive = [p for p in b_init.probs if p]
     assert positive == [expected_share] * len(placements)
-    sv = enc.step_vars(0, len(model.states), start=True)
-    constraint = enc.initial_constraint(sv, b_init)
+    term = enc.lower(enc.initial_constraint(0, b_init), model)
     env = {enc.belief_var_name(0, j): b_init[j] for j in range(len(model.states))}
-    assert eval_term(constraint.term, env)
+    assert eval_term(term, env)
 
 
 # --------------------------------------------------------------------------
@@ -96,61 +90,56 @@ def test_kitchen_initial_constraint_uniform_over_placements():
 
 def test_transition_forces_left_hand_negative_posterior(pickup):
     model, b_init, _ = pickup
-    sv = build_step_vars(model, 0, 1)
-    constraint = enc.transition_constraint(sv[0], sv[1], model)
-    assert constraint.kind == "transition"
+    constraint = enc.transition_constraint(0, 1)
+    assert constraint == enc.Transition(1)
+    term = enc.lower(constraint, model)
     expected = belief_update(b_init, 0, 1, model)
     assert expected.probs == (F(0), F(7, 25), F(18, 25))
     good = transition_env(b_init, expected, 0, 1, model, 0, 1)
-    assert eval_term(constraint.term, good)
+    assert eval_term(term, good)
     for wrong in (Belief((F(0), F(1, 25), F(24, 25))), Belief((F(1), F(0), F(0)))):
         env = transition_env(b_init, expected, 0, 1, model, 0, 1)
         for j in range(3):
             env[enc.belief_var_name(1, j)] = wrong[j]
-        assert not eval_term(constraint.term, env)
+        assert not eval_term(term, env)
 
 
 def test_transition_one_state_model():
     model = Pomdp(("s",), ("a",), ("o",),
                   transition={(0, 0): {0: F(1)}},
                   observe={(0, 0): {0: F(1)}})
-    sv = build_step_vars(model, 0, 1)
-    constraint = enc.transition_constraint(sv[0], sv[1], model)
+    term = enc.lower(enc.transition_constraint(0, 1), model)
     b = Belief.point(0, 1)
     env = transition_env(b, b, 0, 0, model, 0, 1)
     assert env[enc.denom_var_name(1)] == 1
-    assert eval_term(constraint.term, env)
+    assert eval_term(term, env)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_transition_agrees_with_update_oracle_on_random_models(seed):
     model, b_init, _, _ = random_instance(random.Random(seed), max_states=3)
-    sv = build_step_vars(model, 0, 1)
-    constraint = enc.transition_constraint(sv[0], sv[1], model)
+    term = enc.lower(enc.transition_constraint(0, 1), model)
     for action in range(len(model.actions)):
         for obs in range(len(model.observations)):
             posterior = belief_update(b_init, action, obs, model)
             if posterior is None:
                 continue
             env = transition_env(b_init, posterior, action, obs, model, 0, 1)
-            assert eval_term(constraint.term, env), (action, obs)
+            assert eval_term(term, env), (action, obs)
 
 
 def test_transition_rejects_impossible_observation(pickup):
     # denom > 0 rules out observations with zero probability
     model, b_init, _ = pickup
-    sv = build_step_vars(model, 0, 1)
-    constraint = enc.transition_constraint(sv[0], sv[1], model)
+    term = enc.lower(enc.transition_constraint(0, 1), model)
     env = transition_env(b_init, b_init, 0, 2, model, 0, 1)
     assert env[enc.denom_var_name(1)] == 0
-    assert not eval_term(constraint.term, env)
+    assert not eval_term(term, env)
 
 
-def test_transition_requires_consecutive_steps(pickup):
-    model, _, _ = pickup
+def test_transition_requires_consecutive_steps():
     with pytest.raises(ValueError):
-        enc.transition_constraint(enc.step_vars(0, 3, start=True),
-                                  enc.step_vars(2, 3), model)
+        enc.transition_constraint(0, 2)
 
 
 def test_availability_encoded_as_support_implication():
@@ -162,8 +151,7 @@ def test_availability_encoded_as_support_implication():
         observe={(1, 0): {0: F(1)}, (0, 1): {0: F(1)}},
         availability={0: frozenset({0, 1}), 1: frozenset({0})},
     )
-    sv = build_step_vars(model, 0, 1)
-    term = enc.transition_constraint(sv[0], sv[1], model).term
+    term = enc.lower(enc.transition_constraint(0, 1), model)
     mixed = Belief((F(1, 2), F(1, 2)))
     posterior = belief_update(mixed, 0, 0, model)
     ok = transition_env(mixed, posterior, 0, 0, model, 0, 1)
@@ -179,26 +167,24 @@ def test_availability_encoded_as_support_implication():
 
 def test_goal_at_start_step_is_single_membership(pickup):
     model, _, objective = pickup
-    sv = [enc.step_vars(0, 3, start=True)]
-    constraint = enc.goal_constraint(sv, objective)
+    term = enc.lower(enc.goal_constraint(0, 0, objective), model)
     in_goal = {enc.belief_var_name(0, j): p for j, p in enumerate((F(0), F(0), F(1)))}
     out_goal = {enc.belief_var_name(0, j): p for j, p in enumerate((F(1), F(0), F(0)))}
-    assert eval_term(constraint.term, in_goal)
-    assert not eval_term(constraint.term, out_goal)
+    assert eval_term(term, in_goal)
+    assert not eval_term(term, out_goal)
 
 
 def test_goal_two_step_structure_and_models(pickup):
     model, b_init, objective = pickup
-    sv = build_step_vars(model, 0, 1)
-    constraint = enc.goal_constraint(sv, objective)
-    assert isinstance(constraint.term, enc.Or)
-    assert len(constraint.term.args) == 2
+    term = enc.lower(enc.goal_constraint(0, 1, objective), model)
+    assert isinstance(term, enc.Or)
+    assert len(term.args) == 2
     # oracle: enumerate all four (action, observation) assignments
     satisfying = []
     for actions, observations, beliefs in enumerate_plans(model, b_init, 1):
         env = {enc.belief_var_name(0, j): beliefs[0][j] for j in range(3)}
         env.update({enc.belief_var_name(1, j): beliefs[1][j] for j in range(3)})
-        if eval_term(constraint.term, env):
+        if eval_term(term, env):
             satisfying.append((actions[0], observations[0]))
             assert satisfies_bounded(beliefs, objective)
         else:
@@ -207,10 +193,9 @@ def test_goal_two_step_structure_and_models(pickup):
 
 
 def test_goal_requires_contiguous_steps(pickup):
-    model, _, objective = pickup
+    _, _, objective = pickup
     with pytest.raises(ValueError):
-        enc.goal_constraint([enc.step_vars(0, 3, start=True), enc.step_vars(2, 3)],
-                            objective)
+        enc.goal_constraint(2, 0, objective)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -231,14 +216,15 @@ def test_blocking_first_action_has_empty_middle(pickup):
     model, b_init, _ = pickup
     plan = CandidatePlan(0, (b_init, belief_update(b_init, 0, 0, model)), (0,), (0,))
     constraint = enc.blocking_constraint(plan, 1)
-    assert constraint.kind == "blocking"
-    assert isinstance(constraint.term, enc.Not)
+    assert constraint == enc.Blocking(plan, 1)
+    term = enc.lower(constraint, model)
+    assert isinstance(term, enc.Not)
     # blocked: same start belief, same first action
     env = {enc.belief_var_name(0, j): b_init[j] for j in range(3)}
     env[enc.action_var_name(1)] = 0
-    assert not eval_term(constraint.term, env)
+    assert not eval_term(term, env)
     env[enc.action_var_name(1)] = 1
-    assert eval_term(constraint.term, env)
+    assert eval_term(term, env)
 
 
 def test_blocking_middle_pins_actions_observations_and_beliefs(pickup):
@@ -246,7 +232,7 @@ def test_blocking_middle_pins_actions_observations_and_beliefs(pickup):
     b1 = belief_update(b_init, 1, 0, model)
     b2 = belief_update(b1, 1, 0, model)
     plan = CandidatePlan(0, (b_init, b1, b2), (1, 1), (0, 0))
-    term = enc.blocking_constraint(plan, 2).term
+    term = enc.lower(enc.blocking_constraint(plan, 2), model)
     env = {enc.belief_var_name(0, j): b_init[j] for j in range(3)}
     env.update({enc.belief_var_name(1, j): b1[j] for j in range(3)})
     env[enc.action_var_name(1)] = 1
@@ -268,18 +254,15 @@ def test_blocking_fail_step_must_lie_in_span(pickup):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_blocked_prefixes_never_reappear(seed):
-    from safereach.encoding import BlockingInfo
-
     model, b_init, objective, _ = random_instance(random.Random(seed), max_states=3)
     result = enumerative_check(model, b_init, 0, 2, objective)
     if not isinstance(result, Sat):
         return
     from safereach.solver import extract_plan
 
-    sv = build_step_vars(model, 0, 2)
-    plan = extract_plan(result.model, sv, model)
-    blocks = [BlockingInfo(plan, 1)]
+    plan = extract_plan(result.model, 0, 2, model)
+    blocks = [enc.Blocking(plan, 1)]
     again = enumerative_check(model, b_init, 0, 2, objective, blocks=blocks)
     if isinstance(again, Sat):
-        other = extract_plan(again.model, sv, model)
+        other = extract_plan(again.model, 0, 2, model)
         assert other.actions[0] != plan.actions[0]

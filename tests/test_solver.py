@@ -8,7 +8,6 @@ import pytest
 
 from safereach import encoding as enc
 from safereach.core import Belief, SynthesisStats
-from safereach.encoding import BlockingInfo
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -22,26 +21,18 @@ from safereach.solver import (
     enumerative_check,
     extract_plan,
 )
+from safereach.solver import smtlib
 from safereach.solver.smtlib import ModelValueError, parse_model, serialize
 
 from oracles import random_instance
 
 
-def build_step_vars(model, start, horizon):
-    out = [enc.step_vars(start, len(model.states), start=True)]
-    for step in range(start + 1, horizon + 1):
-        out.append(enc.step_vars(step, len(model.states)))
-    return out
-
-
-def load_session(session, model, b_init, horizon, objective=None):
-    sv = build_step_vars(model, 0, horizon)
-    session.add(enc.initial_constraint(sv[0], b_init))
+def load_session(session, b_init, horizon, objective=None):
+    session.add(enc.initial_constraint(0, b_init))
     for i in range(1, horizon + 1):
-        session.add(enc.transition_constraint(sv[i - 1], sv[i], model))
+        session.add(enc.transition_constraint(i - 1, i))
     if objective is not None:
-        session.add(enc.goal_constraint(sv, objective))
-    return sv
+        session.add(enc.goal_constraint(0, horizon, objective))
 
 
 # --------------------------------------------------------------------------
@@ -52,19 +43,19 @@ def load_session(session, model, b_init, horizon, objective=None):
 def test_popped_scope_leaves_no_trace(pickup, backend):
     model, b_init, objective = pickup
     session = (EnumerativeSession(model) if backend == "enum"
-               else SmtLibSession(SolverConfig()))
+               else SmtLibSession(model, SolverConfig()))
     with session:
-        sv = load_session(session, model, b_init, 1)
+        load_session(session, b_init, 1)
         session.push()
-        session.add(enc.goal_constraint(sv, objective))
-        plan = extract_plan(session.check().model, sv, model)
+        session.add(enc.goal_constraint(0, 1, objective))
+        plan = extract_plan(session.check().model, 0, 1, model)
         session.add(enc.blocking_constraint(plan, 1))
-        blocked = extract_plan(session.check().model, sv, model)
+        blocked = extract_plan(session.check().model, 0, 1, model)
         assert blocked.actions[0] != plan.actions[0]
         session.pop()
         session.push()
-        session.add(enc.goal_constraint(sv, objective))
-        fresh = extract_plan(session.check().model, sv, model)
+        session.add(enc.goal_constraint(0, 1, objective))
+        fresh = extract_plan(session.check().model, 0, 1, model)
         assert fresh == plan  # the block is gone with its scope
         session.pop()
 
@@ -74,7 +65,7 @@ def test_pop_on_empty_stack_is_usage_error(pickup):
     session = EnumerativeSession(model)
     with pytest.raises(SolverUsageError):
         session.pop()
-    smt = SmtLibSession(SolverConfig())
+    smt = SmtLibSession(model, SolverConfig())
     with pytest.raises(SolverUsageError):
         smt.pop()
     smt.close()
@@ -84,15 +75,14 @@ def test_transition_outside_scope_persists_across_horizons(pickup):
     # the outer loop relies on transitions surviving goal-scope pops
     model, b_init, objective = pickup
     with EnumerativeSession(model) as session:
-        sv = build_step_vars(model, 0, 1)
-        session.add(enc.initial_constraint(sv[0], b_init))
+        session.add(enc.initial_constraint(0, b_init))
         session.push()
-        session.add(enc.goal_constraint(sv[:1], objective))
+        session.add(enc.goal_constraint(0, 0, objective))
         assert isinstance(session.check(), Unsat)
         session.pop()
-        session.add(enc.transition_constraint(sv[0], sv[1], model))
+        session.add(enc.transition_constraint(0, 1))
         session.push()
-        session.add(enc.goal_constraint(sv, objective))
+        session.add(enc.goal_constraint(0, 1, objective))
         assert isinstance(session.check(), Sat)
         session.pop()
 
@@ -105,10 +95,9 @@ def test_random_scope_sequences_agree_across_backends():
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
         horizon = 2
         enum = EnumerativeSession(model)
-        smt = SmtLibSession(SolverConfig())
-        sv = build_step_vars(model, 0, horizon)
+        smt = SmtLibSession(model, SolverConfig())
         for session in (enum, smt):
-            load_session(session, model, b_init, horizon)
+            load_session(session, b_init, horizon)
         depth = 0
         plan = None
         for _ in range(8):
@@ -120,7 +109,7 @@ def test_random_scope_sequences_agree_across_backends():
                 enum.pop(), smt.pop()
                 depth -= 1
             elif op == "goal" and depth:
-                c = enc.goal_constraint(sv, objective)
+                c = enc.goal_constraint(0, horizon, objective)
                 enum.add(c), smt.add(c)
             elif op == "block" and depth and plan is not None:
                 c = enc.blocking_constraint(plan, rng.randint(1, plan.end_step))
@@ -129,11 +118,74 @@ def test_random_scope_sequences_agree_across_backends():
                 a, b = enum.check(), smt.check()
                 assert type(a) is type(b), f"seed {seed}: {a} vs {b}"
                 if isinstance(a, Sat):
-                    pa = extract_plan(a.model, sv, model)
-                    pb = extract_plan(b.model, sv, model)
+                    pa = extract_plan(a.model, 0, horizon, model)
+                    pb = extract_plan(b.model, 0, horizon, model)
                     assert pa == pb, f"seed {seed}"
                     plan = pa
         enum.close(), smt.close()
+
+
+def _scoped_text(lines):
+    """The declare-const and assert lines live at each check-sat, in order."""
+    stack, live = [[]], []
+    for line in lines:
+        if line == "(push 1)":
+            stack.append([])
+        elif line == "(pop 1)":
+            stack.pop()
+        elif line.startswith(("(declare-const", "(assert")):
+            stack[-1].append(line)
+        elif line == "(check-sat)":
+            text = [entry for frame in stack for entry in frame]
+            live.append(([t for t in text if t.startswith("(declare-const")],
+                         [t for t in text if t.startswith("(assert")]))
+    return live
+
+
+def test_from_scratch_replays_incremental_text(pickup, monkeypatch):
+    model, b_init, objective = pickup
+    processes = []
+    spawn, send = smtlib._SmtProcess.__init__, smtlib._SmtProcess.send
+
+    def recording_spawn(proc, command):
+        spawn(proc, command)
+        proc.lines = []
+        processes.append(proc)
+
+    def recording_send(proc, line):
+        proc.lines.append(line)
+        send(proc, line)
+
+    monkeypatch.setattr(smtlib._SmtProcess, "__init__", recording_spawn)
+    monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
+    serialized = []
+    monkeypatch.setattr(smtlib, "serialize",
+                        lambda term: serialized.append(term) or serialize(term))
+
+    def drive(incremental):
+        processes.clear()
+        serialized.clear()
+        config = SolverConfig(incremental=incremental)
+        with SmtLibSession(model, config) as session:
+            session.add(enc.initial_constraint(0, b_init))
+            session.push()
+            session.add(enc.goal_constraint(0, 0, objective))
+            assert isinstance(session.check(), Unsat)
+            session.pop()
+            session.add(enc.transition_constraint(0, 1))
+            session.push()
+            session.add(enc.goal_constraint(0, 1, objective))
+            plan = extract_plan(session.check().model, 0, 1, model)
+            session.add(enc.blocking_constraint(plan, 1))
+            assert isinstance(session.check(), Sat)
+        assert len(serialized) == 5  # once per add, never on replay
+        return [live for proc in processes for live in _scoped_text(proc.lines)]
+
+    incremental = drive(True)
+    from_scratch = drive(False)
+    assert len(processes) == 3
+    assert len(incremental) == 3
+    assert from_scratch == incremental
 
 
 # --------------------------------------------------------------------------
@@ -148,19 +200,18 @@ def test_unsat_at_horizon_zero_outside_goal(pickup):
 def test_enumerative_first_plan_is_lexicographic(pickup):
     model, b_init, objective = pickup
     result = enumerative_check(model, b_init, 0, 1, objective)
-    plan = extract_plan(result.model, build_step_vars(model, 0, 1), model)
+    plan = extract_plan(result.model, 0, 1, model)
     assert (plan.actions, plan.observations) == ((0,), (0,))
     assert plan.beliefs[1].probs == (F(0), F(1, 25), F(24, 25))
 
 
 def test_enumerative_after_block_picks_right_hand(pickup):
     model, b_init, objective = pickup
-    sv = build_step_vars(model, 0, 1)
     first = extract_plan(
-        enumerative_check(model, b_init, 0, 1, objective).model, sv, model)
+        enumerative_check(model, b_init, 0, 1, objective).model, 0, 1, model)
     result = enumerative_check(model, b_init, 0, 1, objective,
-                               blocks=[BlockingInfo(first, 1)])
-    plan = extract_plan(result.model, sv, model)
+                               blocks=[enc.Blocking(first, 1)])
+    plan = extract_plan(result.model, 0, 1, model)
     assert (plan.actions, plan.observations) == ((1,), (0,))
 
 
@@ -180,32 +231,29 @@ def test_unreachable_goal_stays_unsat():
 
 def test_sat_model_covers_all_plan_variables(pickup):
     model, b_init, objective = pickup
-    sv = build_step_vars(model, 0, 1)
-    for session in (EnumerativeSession(model), SmtLibSession(SolverConfig())):
+    for session in (EnumerativeSession(model), SmtLibSession(model, SolverConfig())):
         with session:
-            load_session(session, model, b_init, 1, objective)
+            load_session(session, b_init, 1, objective)
             result = session.check()
             assert isinstance(result, Sat)
-            for step_vars in sv:
-                for v in step_vars.belief_vars:
-                    assert v.name in result.model
-                if step_vars.action_var is not None:
-                    assert step_vars.action_var.name in result.model
-                    assert step_vars.observation_var.name in result.model
+            for step in (0, 1):
+                for j in range(len(model.states)):
+                    assert enc.belief_var_name(step, j) in result.model
+            assert enc.action_var_name(1) in result.model
+            assert enc.observation_var_name(1) in result.model
 
 
 def test_extract_plan_rejects_inconsistent_model(pickup):
     model, b_init, objective = pickup
-    sv = build_step_vars(model, 0, 1)
     result = enumerative_check(model, b_init, 0, 1, objective)
     corrupted = dict(result.model)
     corrupted[enc.belief_var_name(1, 0)] = F(1, 3)
     with pytest.raises(PlanDecodeError, match="step 1"):
-        extract_plan(corrupted, sv, model)
+        extract_plan(corrupted, 0, 1, model)
     missing = dict(result.model)
     del missing[enc.action_var_name(1)]
     with pytest.raises(PlanDecodeError, match="missing"):
-        extract_plan(missing, sv, model)
+        extract_plan(missing, 0, 1, model)
 
 
 def test_model_parser_accepts_solver_shapes():
@@ -232,8 +280,7 @@ def test_model_parser_rejects_algebraic_values():
 
 def test_serializer_rational_and_boolean_forms(pickup):
     model, b_init, _ = pickup
-    sv = enc.step_vars(0, 3, start=True)
-    text = serialize(enc.initial_constraint(sv, b_init).term)
+    text = serialize(enc.lower(enc.initial_constraint(0, b_init), model))
     assert text == "(and (= b_0_0 1.0) (= b_0_1 0.0) (= b_0_2 0.0))"
     assert serialize(enc.RConst(F(2, 7))) == "(/ 2.0 7.0)"
     assert serialize(enc.BoolConst(True)) == "true"
@@ -251,8 +298,8 @@ def test_check_timeout_yields_unknown_and_dead_session(pickup):
         command=(sys.executable, "-c", "import time; time.sleep(30)"),
         check_timeout=0.2,
     )
-    session = SmtLibSession(config)
-    load_session(session, model, b_init, 1, objective)
+    session = SmtLibSession(model, config)
+    load_session(session, b_init, 1, objective)
     result = session.check()
     assert isinstance(result, Unknown)
     assert "timed out" in result.reason
@@ -268,9 +315,9 @@ def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
                  "import sys; sys.stderr.write('boom\\n'); sys.exit(3)"),
         check_timeout=5.0,
     )
-    session = SmtLibSession(config)
+    session = SmtLibSession(model, config)
     try:
-        load_session(session, model, b_init, 1, objective)
+        load_session(session, b_init, 1, objective)
         result = session.check()
     except SolverError as exc:
         assert "boom" in str(exc) or "closed" in str(exc)
@@ -283,7 +330,7 @@ def test_stats_hooks_count_checks(pickup):
     model, b_init, objective = pickup
     stats = SynthesisStats()
     with EnumerativeSession(model, stats) as session:
-        load_session(session, model, b_init, 1, objective)
+        load_session(session, b_init, 1, objective)
         session.check()
         session.check()
     assert stats.solver_calls == 2

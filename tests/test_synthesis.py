@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from typing import get_args
 
 import pytest
 
+from safereach import encoding
 from safereach.core import (
     Belief,
     LinearBeliefPredicate,
@@ -13,6 +15,7 @@ from safereach.core import (
     SynthesisStats,
     belief_update,
 )
+from safereach.domains import build_kitchen
 from safereach.synthesis import (
     SynthesisConfig,
     VERDICT_NO_POLICY,
@@ -198,7 +201,7 @@ def test_policy_generation_reports_failing_branch(pickup):
     left, pos = 0, 0
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, left, pos, model)), (left,), (pos,))
-    tree, failure = policy_generation(model, objective, plan, 1, 1, factory, stats)
+    tree, failure = policy_generation(model, objective, plan, 1, 1, factory, stats, {})
     assert tree is None
     assert failure.fail_step == 1
     assert failure.plan.actions[:1] == (left,)
@@ -213,7 +216,7 @@ def test_policy_generation_requires_matching_start(pickup):
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, 1, 0, model)), (1,), (0,))
     with pytest.raises(ValueError):
-        policy_generation(model, objective, plan, 2, 1, factory, stats)
+        policy_generation(model, objective, plan, 2, 1, factory, stats, {})
 
 
 def test_zero_probability_branches_are_skipped_and_counted():
@@ -229,17 +232,33 @@ def test_zero_probability_branches_are_skipped_and_counted():
 
 
 # --------------------------------------------------------------------------
-# Memoization and equivalence with the brute-force oracle
+# Memoization, term-free enum runs and equivalence with the brute-force oracle
 # --------------------------------------------------------------------------
 
-def test_memoization_preserves_results(pickup):
-    model, b_init, objective = pickup
-    plain = run(model, b_init, objective, 3)
-    memoized = run(model, b_init, objective, 3, memoize=True)
-    assert memoized.verdict == plain.verdict
-    assert memoized.policy == plain.policy
-    report = validate_policy(memoized.policy, model, objective, 3)
-    assert report.valid
+def kitchen_3x2_det():
+    return build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), obstacles=1,
+                         p_fail=0, p_fp=0, p_fn=0)
+
+
+def test_memoized_synthesis_reuses_branch_results():
+    # Each (belief, budget) pair is synthesized once per run; without reuse
+    # this instance takes 83 checks and 30 plans.
+    model, b_init, objective = kitchen_3x2_det()
+    result = run(model, b_init, objective, 6)
+    assert result.verdict == VERDICT_VALID
+    assert (result.stats.solver_calls, result.stats.plans_checked) == (43, 22)
+    assert validate_policy(result.policy, model, objective, 6).valid
+
+
+def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
+    def no_terms(*args, **kwargs):
+        raise AssertionError("the enum backend built a term")
+
+    monkeypatch.setattr(encoding, "lower", no_terms)
+    for cls in get_args(encoding.Term):
+        monkeypatch.setattr(cls, "__init__", no_terms)
+    for (model, b_init, objective), horizon in ((pickup, 3), (kitchen_3x2_det(), 6)):
+        assert run(model, b_init, objective, horizon).verdict == VERDICT_VALID
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -13,7 +13,7 @@ from safereach.core import (
     belief_update,
 )
 from safereach.synthesis import SynthesisConfig, synthesis_run
-from safereach.validate import simulate, validate_policy, wilson_interval
+from safereach.validate import _sample, simulate, validate_policy, wilson_interval
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,25 @@ def test_wilson_interval_bounds():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo0, hi0 = wilson_interval(0, 50)
     assert lo0 == 0.0 and hi0 > 0
+
+
+class _FixedDraw:
+    """Stands in for ``random.Random``: ``randrange(n)`` returns ``pick(n)``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def randrange(self, n):
+        return self.pick(n)
+
+
+def test_sample_walks_exact_cumulative_numerators():
+    dist = {0: F(0), 1: F(1, 3), 2: F(0), 3: F(1, 6), 4: F(1, 2), 5: F(0)}
+    assert _sample(_FixedDraw(lambda n: 0), dist) == 1
+    assert _sample(_FixedDraw(lambda n: n - 1), dist) == 4
+    # the common denominator is 6: draws 0-1 pick 1, 2 picks 3, 3-5 pick 4
+    assert [_sample(_FixedDraw(lambda n, d=d: d), dist) for d in range(6)] \
+        == [1, 1, 3, 4, 4, 4]
 
 
 def test_simulation_requires_episodes(pickup, right_hand_policy):
