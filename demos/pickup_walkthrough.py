@@ -11,10 +11,9 @@ policy can start with it.
 from safereach import (
     SolverConfig,
     SynthesisConfig,
-    belief_update,
     build_pickup_example,
-    observation_probability,
     simulate,
+    successors,
     synthesis_run,
     validate_policy,
 )
@@ -28,14 +27,12 @@ print("observations:", model.observations)
 print("initial belief:", tuple(str(p) for p in b_init.probs))
 print()
 
-# The one-step belief tree: every action/observation pair and its posterior.
+# The one-step belief tree: every action and each possible observation with
+# its probability and posterior, from one push-forward per action.
 print("one-step belief transitions")
 for a, action in enumerate(model.actions):
-    for o, obs in enumerate(model.observations):
-        p = observation_probability(b_init, a, o, model)
-        if p == 0:
-            continue
-        posterior = belief_update(b_init, a, o, model)
+    for o, (p, posterior) in successors(b_init, a, model).items():
+        obs = model.observations[o]
         marks = []
         if objective.is_goal(posterior):
             marks.append("goal")

@@ -23,6 +23,7 @@ from .core import (
     goal_step,
     observation_probability,
     plan_satisfies,
+    successors,
 )
 from .domains import build_kitchen, build_pickup_example
 from .solver import SolverConfig
@@ -69,6 +70,7 @@ __all__ = [
     "plan_satisfies",
     "policy_generation",
     "simulate",
+    "successors",
     "synthesis_run",
     "validate_policy",
 ]

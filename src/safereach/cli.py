@@ -76,7 +76,7 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         default=float(os.environ.get("SAFEREACH_CHECK_TIMEOUT", "60")),
                         help="per-check timeout in seconds")
     parser.add_argument("--no-incremental", action="store_true",
-                        help="fresh solver process per check instead of push/pop")
+                        help="smtlib: fresh solver process per check instead of push/pop")
 
 
 def _build_problem(args) -> tuple[Pomdp, Belief, SafeReachObjective, str, int, int]:
@@ -197,7 +197,8 @@ def cmd_bench(args) -> int:
     rows = [formats.stats_csv_header()]
     failures = 0
     solver = _solver_config(args)
-    modes = (True, False) if args.compare_incremental else (solver.incremental,)
+    compare = args.compare_incremental and args.backend != "enum"  # enum has no such mode
+    modes = (True, False) if compare else (solver.incremental,)
     for obstacles in args.obstacle_counts:
         for horizon in args.horizons:
             for incremental in modes:
@@ -272,7 +273,7 @@ def make_parser() -> argparse.ArgumentParser:
                        metavar="M1,M2", help="obstacle counts to sweep")
     bench.add_argument("--horizons", type=_int_list, default=[6], metavar="H1,H2")
     bench.add_argument("--compare-incremental", action="store_true",
-                       help="run each point with and without incremental solving")
+                       help="smtlib: run each point with and without incremental solving")
     bench.add_argument("--stats-out", help="write the CSV here")
     bench.set_defaults(func=cmd_bench)
     return parser

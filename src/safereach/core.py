@@ -226,48 +226,49 @@ def available_actions(model: Pomdp, belief: Belief) -> list[int]:
     return out
 
 
+def successors(belief: Belief, action: int, model: Pomdp) -> dict[int, tuple[Fraction, Belief]]:
+    """Each possible observation after ``action``, with its probability and posterior.
+
+    Pushes the belief through T once and splits the result by observation
+    likelihood; only positive-probability observations appear, ascending.
+    """
+    n = len(model.states)
+    pushed = [Fraction(0)] * n
+    for s in belief.support():
+        for s2, p in model.trans_dist(s, action).items():
+            if p:
+                pushed[s2] += p * belief[s]
+    split: dict[int, list[Fraction]] = {}
+    for s2, mass in enumerate(pushed):
+        if mass:
+            for o, z in model.obs_dist(s2, action).items():
+                if z:
+                    split.setdefault(o, [Fraction(0)] * n)[s2] = z * mass
+    totals = {o: sum(split[o], Fraction(0)) for o in sorted(split)}
+    return {o: (t, Belief(tuple(u / t for u in split[o]))) for o, t in totals.items()}
+
+
 def unnormalized_update(
     belief: Belief, action: int, observation: int, model: Pomdp
 ) -> tuple[list[Fraction], Fraction]:
     """The pre-normalization posterior vector and its total mass."""
-    n = len(model.states)
-    pushed = [Fraction(0)] * n
-    for s in belief.support():
-        bs = belief[s]
-        for s2, p in model.trans_dist(s, action).items():
-            if p:
-                pushed[s2] += p * bs
-    unnorm = [Fraction(0)] * n
-    for s2 in range(n):
-        if pushed[s2]:
-            z = model.obs_dist(s2, action).get(observation, Fraction(0))
-            if z:
-                unnorm[s2] = z * pushed[s2]
-    return unnorm, sum(unnorm, Fraction(0))
+    branch = successors(belief, action, model).get(observation)
+    if branch is None:
+        return [Fraction(0)] * len(model.states), Fraction(0)
+    return [branch[0] * p for p in branch[1].probs], branch[0]
 
 
-def belief_update(
-    belief: Belief, action: int, observation: int, model: Pomdp
-) -> Optional[Belief]:
-    """Deterministic belief transition; ``None`` when the observation is impossible.
-
-    The posterior assigns each successor state the observation likelihood
-    times the pushed-forward transition mass, renormalized.  A zero
-    normalizer means the observation cannot occur after this action from
-    this belief, and the caller must skip that branch.
-    """
-    unnorm, denom = unnormalized_update(belief, action, observation, model)
-    if denom == 0:
-        return None
-    return Belief(tuple(u / denom for u in unnorm))
+def belief_update(belief: Belief, action: int, observation: int,
+                  model: Pomdp) -> Optional[Belief]:
+    """The posterior after ``action`` and ``observation``; ``None`` when impossible."""
+    branch = successors(belief, action, model).get(observation)
+    return None if branch is None else branch[1]
 
 
-def observation_probability(
-    belief: Belief, action: int, observation: int, model: Pomdp
-) -> Fraction:
+def observation_probability(belief: Belief, action: int, observation: int,
+                            model: Pomdp) -> Fraction:
     """Probability of observing ``observation`` after ``action`` from ``belief``."""
-    _, denom = unnormalized_update(belief, action, observation, model)
-    return denom
+    return successors(belief, action, model).get(observation, (Fraction(0), None))[0]
 
 
 def eval_predicate(predicate: LinearBeliefPredicate, belief: Belief) -> bool:

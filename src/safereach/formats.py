@@ -329,10 +329,11 @@ def stats_csv_row(
     incremental: bool,
     verdict: str,
 ) -> str:
+    """One stats row; ``incremental`` reads n/a for the enum backend, which has no such mode."""
     out = io.StringIO()
     csv.writer(out).writerow([
         domain, obstacles, n_cells, horizon, backend,
-        "yes" if incremental else "no", verdict,
+        "n/a" if backend == "enum" else "yes" if incremental else "no", verdict,
         stats.solver_calls, stats.plans_checked, stats.interactions,
         stats.final_horizon, f"{stats.wall_time:.6f}",
     ])

@@ -27,7 +27,7 @@ from ..core import (
     SafeReachObjective,
     SynthesisStats,
     available_actions,
-    belief_update,
+    successors,
 )
 from ..encoding import (
     Blocking,
@@ -93,7 +93,6 @@ class EnumerativeSession(SolverSession):
     def _search(self, b0: Belief, start: int, horizon: int,
                 goals: Sequence[Goal], blocks: Sequence[Blocking]):
         model = self.model
-        n_obs = len(model.observations)
         fired0 = []
         for g in goals:
             if g.objective.is_goal(b0):
@@ -116,10 +115,7 @@ class EnumerativeSession(SolverSession):
                        and bl.plan.actions[step - bl.plan.start_step] == a
                        for bl in live):
                     continue  # the blocked prefix ends exactly here
-                for o in range(n_obs):
-                    b2 = belief_update(belief, a, o, model)
-                    if b2 is None:
-                        continue
+                for o, (_, b2) in successors(belief, a, model).items():
                     new_fired = []
                     dead = False
                     for g, was_fired in zip(goals, fired):

@@ -48,7 +48,6 @@ class SolverConfig:
     command: Optional[tuple[str, ...]] = None
     check_timeout: float = 60.0
     incremental: bool = True
-    logic: str = "QF_NIRA"
 
 
 class SolverSession(ABC):

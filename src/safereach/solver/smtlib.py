@@ -55,6 +55,9 @@ from .session import (
 )
 
 
+LOGIC = "QF_NIRA"
+
+
 class ModelValueError(SolverError):
     """The solver returned a model value that is not an exact rational."""
 
@@ -323,7 +326,7 @@ class SmtLibSession(SolverSession):
             raise SolverError("session is dead after a backend failure")
 
     def _header_lines(self) -> list[str]:
-        return ["(set-option :produce-models true)", f"(set-logic {self.config.logic})"]
+        return ["(set-option :produce-models true)", f"(set-logic {LOGIC})"]
 
     def _ensure_process(self) -> _SmtProcess:
         if self._proc is None:

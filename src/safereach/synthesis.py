@@ -31,9 +31,8 @@ from .core import (
     Pomdp,
     SafeReachObjective,
     SynthesisStats,
-    belief_update,
     goal_step,
-    observation_probability,
+    successors,
 )
 from .solver import (
     EnumerativeSession,
@@ -210,12 +209,13 @@ def policy_generation(
     """Complete a candidate plan into a policy tree, or report where it fails.
 
     Walks the plan from its last step down to ``first_step``; at each step
-    every other positive-probability observation spawns a recursive
-    synthesis problem from the resulting belief, bounded by the current
-    horizon.  On the first branch that cannot be completed, returns the
-    failing step so the caller can assert the matching blocking constraint.
-    Zero-probability observations get no branch (the belief update is
-    undefined there); each skip is counted and logged.
+    the belief is pushed forward once (:func:`~.core.successors`) and every
+    other possible observation spawns a recursive synthesis problem from its
+    posterior, bounded by the current horizon.  On the first branch that
+    cannot be completed, returns the failing step so the caller can assert
+    the matching blocking constraint.  Zero-probability observations get no
+    branch (the belief update is undefined there); each one the walk passes
+    is counted, and each completed step logs its count.
     """
     if first_step != plan.start_step + 1:
         raise ValueError("policy generation must start right after the plan's start step")
@@ -226,22 +226,19 @@ def policy_generation(
         prev_belief = plan.beliefs[idx]
         action = plan.actions[idx]
         on_plan_obs = plan.observations[idx]
+        branches = successors(prev_belief, action, model)
         children = {on_plan_obs: subtree}
-        for obs in range(n_obs):
+        for rank, (obs, (_, branch_belief)) in enumerate(branches.items()):
             if obs == on_plan_obs:
                 continue
-            if observation_probability(prev_belief, action, obs, model) == 0:
-                stats.zero_probability_skips += 1
-                log.debug("step %d: observation %s impossible, no branch",
-                          i, model.observations[obs])
-                continue
-            branch_belief = belief_update(prev_belief, action, obs, model)
-            assert branch_belief is not None
             branch = bps(model, branch_belief, objective, i, bound,
                          session_factory, stats, memo)
             if branch is None:
+                stats.zero_probability_skips += obs - rank  # the impossible ones below obs
                 return None, Failure(plan, i, bound)
             children[obs] = branch
+        stats.zero_probability_skips += n_obs - len(branches)
+        log.debug("step %d: %d impossible observation(s), no branch", i, n_obs - len(branches))
         subtree = PolicyTree(prev_belief, action, children, False)
     return subtree, None
 

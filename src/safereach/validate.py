@@ -27,9 +27,8 @@ from .core import (
     Pomdp,
     SafeReachObjective,
     available_actions,
-    belief_update,
-    observation_probability,
     plan_satisfies,
+    successors,
 )
 
 
@@ -86,10 +85,8 @@ def validate_policy(
             return fail(
                 f"action {model.actions[node.action]} unavailable on the node belief",
                 beliefs, actions, observations)
-        required = {
-            o for o in range(len(model.observations))
-            if observation_probability(node.belief, node.action, o, model) > 0
-        }
+        branches = successors(node.belief, node.action, model)
+        required = set(branches)
         present = set(node.children)
         if required - present:
             missing = ", ".join(model.observations[o] for o in sorted(required - present))
@@ -99,10 +96,8 @@ def validate_policy(
             extra = ", ".join(model.observations[o] for o in sorted(present - required))
             return fail(f"branch for impossible observation(s) {extra}",
                         beliefs, actions, observations)
-        for o in sorted(node.children):
+        for o, (_, derived) in branches.items():
             child = node.children[o]
-            derived = belief_update(node.belief, node.action, o, model)
-            assert derived is not None  # o is in the required set
             if derived != child.belief:
                 return fail(
                     f"stored child belief differs from the exact update on "

@@ -27,7 +27,7 @@ def test_synth_pickup_writes_policy_and_stats(tmp_path, capsys):
     assert dot_path.read_text().startswith("digraph")
     lines = stats_path.read_text().splitlines()
     assert lines[0].split(",") == list(formats.STATS_COLUMNS)
-    assert lines[1].startswith("pickup,0,0,3,enum,yes,valid,5,3,3,1,")
+    assert lines[1].startswith("pickup,0,0,3,enum,n/a,valid,5,3,3,1,")
 
 
 def test_synth_horizon_zero_reports_no_policy(capsys):
@@ -107,19 +107,29 @@ def test_simulate_command(tmp_path, capsys):
     assert "Wilson" in out
 
 
-def test_bench_sweep_writes_csv(tmp_path, capsys):
+def bench_sweep(tmp_path, backend):
     stats_path = tmp_path / "bench.csv"
     code = run_cli(
         "bench", "--kitchen-width", "2", "--kitchen-height", "2",
         "--kitchen-shadow", "0,1;1,1", "--kitchen-storage", "1,0",
         "--kitchen-start", "0,0", "--p-fail", "0", "--p-fp", "0", "--p-fn", "0",
-        "--obstacle-counts", "1", "--horizons", "3,4",
+        "--obstacle-counts", "1", "--horizons", "3,4", "--backend", backend,
         "--compare-incremental", "--stats-out", str(stats_path))
     assert code == 0
     lines = stats_path.read_text().splitlines()
     assert lines[0].split(",") == list(formats.STATS_COLUMNS)
-    assert len(lines) == 1 + 2 * 2  # two horizons x (incremental, from-scratch)
     assert all(line.split(",")[6] == "valid" for line in lines[1:])
+    return [line.split(",")[5] for line in lines[1:]]
+
+
+def test_bench_sweep_writes_csv(tmp_path, capsys):
+    # two horizons x (incremental, from-scratch)
+    assert bench_sweep(tmp_path, "smtlib") == ["yes", "no", "yes", "no"]
+
+
+def test_enum_bench_runs_each_point_once(tmp_path, capsys):
+    # the enum backend has no incremental mode to compare
+    assert bench_sweep(tmp_path, "enum") == ["n/a", "n/a"]
 
 
 def test_bench_honours_no_incremental(capsys):

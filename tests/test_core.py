@@ -19,6 +19,7 @@ from safereach.core import (
     goal_step,
     observation_probability,
     plan_satisfies,
+    successors,
 )
 
 from oracles import dense_matrix_update, random_instance
@@ -195,6 +196,13 @@ def test_update_matches_matrix_form_and_probs_sum(seed):
                 assert sum(mine.probs) == 1
                 assert all(x >= 0 for x in mine.probs)
         assert total == 1
+        # the kernel: one push-forward, split by observation, matches the oracle
+        branches = successors(belief, action, model)
+        oracle = {o: dense_matrix_update(belief, action, o, model)
+                  for o in range(len(model.observations))}
+        assert list(branches) == [o for o, b in oracle.items() if b is not None]
+        assert all(posterior == oracle[o] for o, (_, posterior) in branches.items())
+        assert sum(p for p, _ in branches.values()) == 1
 
 
 @settings(max_examples=40, deadline=None)

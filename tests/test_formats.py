@@ -120,8 +120,11 @@ def test_stats_csv_shape(pickup):
     assert header == list(formats.STATS_COLUMNS)
     stats = SynthesisStats(solver_calls=5, plans_checked=3, interactions=3,
                            final_horizon=1, wall_time=0.25)
-    row = formats.stats_csv_row(stats, "pickup", 0, 0, 3, "enum", True, "valid")
+    row = formats.stats_csv_row(stats, "pickup", 0, 0, 3, "smtlib", True, "valid")
     fields = row.strip().split(",")
     assert len(fields) == len(header)
-    assert fields[:7] == ["pickup", "0", "0", "3", "enum", "yes", "valid"]
+    assert fields[:7] == ["pickup", "0", "0", "3", "smtlib", "yes", "valid"]
     assert fields[7:11] == ["5", "3", "3", "1"]
+    for incremental in (True, False):  # the enum backend has no incremental mode
+        row = formats.stats_csv_row(stats, "pickup", 0, 0, 3, "enum", incremental, "valid")
+        assert row.split(",")[5] == "n/a"

@@ -6,7 +6,7 @@ from typing import get_args
 
 import pytest
 
-from safereach import encoding
+from safereach import core, encoding, synthesis, validate
 from safereach.core import (
     Belief,
     LinearBeliefPredicate,
@@ -248,6 +248,40 @@ def test_memoized_synthesis_reuses_branch_results():
     assert result.verdict == VERDICT_VALID
     assert (result.stats.solver_calls, result.stats.plans_checked) == (43, 22)
     assert validate_policy(result.policy, model, objective, 6).valid
+
+
+def test_each_belief_is_pushed_forward_once(monkeypatch):
+    # One successors() call per plan step policy generation walks and per
+    # internal node the validator checks, however many observations exist.
+    calls = {synthesis: 0, validate: 0}
+    walked = 0
+
+    def counting(module):
+        def wrapper(*args):
+            calls[module] += 1
+            return core.successors(*args)
+        return wrapper
+
+    def walking(model, objective, plan, *rest):
+        nonlocal walked
+        tree, failure = generate(model, objective, plan, *rest)
+        last = plan.start_step if failure is None else failure.fail_step - 1
+        walked += plan.end_step - last
+        return tree, failure
+
+    generate = synthesis.policy_generation
+    for module in calls:
+        monkeypatch.setattr(module, "successors", counting(module))
+    monkeypatch.setattr(synthesis, "policy_generation", walking)
+    model, b_init, objective = kitchen_3x2_det()
+    result = run(model, b_init, objective, 6)
+    assert result.verdict == VERDICT_VALID
+
+    def internal_nodes(node):
+        return (not node.is_leaf()) + sum(map(internal_nodes, node.children.values()))
+
+    assert calls[synthesis] == walked > 0
+    assert calls[validate] == internal_nodes(result.policy) > 0
 
 
 def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
