@@ -5,15 +5,17 @@ Subcommands: ``synth`` (run synthesis, write policy/DOT/stats),
 and ``bench`` (kitchen parameter sweep, one CSV row per run).
 
 Exit codes for ``synth``: 0 = valid policy, 2 = no policy within the bound,
-1 = error.  Defaults for ``--solver-cmd`` and ``--check-timeout`` can also
+1 = error.  Every subcommand exits 1 on a usage error (argparse's own code
+would be 2).  Defaults for ``--solver-cmd`` and ``--check-timeout`` can also
 be set through the environment as SAFEREACH_SOLVER_CMD and
-SAFEREACH_CHECK_TIMEOUT.
+SAFEREACH_CHECK_TIMEOUT; the latter is checked like the option itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import shlex
 import sys
@@ -38,6 +40,20 @@ EXIT_NO_POLICY = 2
 log = logging.getLogger("safereach")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def _parse_cell(text: str) -> tuple[int, int]:
     x, y = text.split(",")
     return (int(x), int(y))
@@ -59,7 +75,7 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
                          metavar="X,Y;X,Y", help="cells that may hold obstacles")
     kitchen.add_argument("--kitchen-storage", type=_parse_cell, default=(2, 0), metavar="X,Y")
     kitchen.add_argument("--kitchen-start", type=_parse_cell, default=(0, 0), metavar="X,Y")
-    kitchen.add_argument("--obstacles", "-M", type=int, default=1)
+    kitchen.add_argument("--obstacles", "-M", type=_non_negative_int, default=1)
     kitchen.add_argument("--p-fail", default="0", help="move failure probability (exact)")
     kitchen.add_argument("--p-fp", default="0", help="look false-positive probability")
     kitchen.add_argument("--p-fn", default="0", help="look false-negative probability")
@@ -72,9 +88,10 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver-cmd", default=os.environ.get("SAFEREACH_SOLVER_CMD"),
                         help="external solver command line, e.g. 'z3 -in' "
                              "(default: bundled reference solver)")
-    parser.add_argument("--check-timeout", type=float,
-                        default=float(os.environ.get("SAFEREACH_CHECK_TIMEOUT", "60")),
-                        help="per-check timeout in seconds")
+    parser.add_argument("--check-timeout", type=_positive_float,
+                        default=os.environ.get("SAFEREACH_CHECK_TIMEOUT", "60"),
+                        help="per-check timeout in seconds "
+                             "(default: $SAFEREACH_CHECK_TIMEOUT, else 60)")
     parser.add_argument("--no-incremental", action="store_true",
                         help="smtlib: fresh solver process per check instead of push/pop")
 
@@ -119,7 +136,6 @@ def cmd_synthesize(args) -> int:
         horizon=args.horizon,
         backend=args.backend,
         solver=_solver_config(args),
-        validate=args.validate,
     )
     if args.out_model:
         formats.dump_json(formats.model_to_json(model, b_init), args.out_model)
@@ -227,8 +243,8 @@ def cmd_bench(args) -> int:
     return EXIT_ERROR if failures else EXIT_VALID
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _count_list(text: str) -> list[int]:
+    return [_non_negative_int(part) for part in text.split(",") if part]
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -242,20 +258,19 @@ def make_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="synthesize a policy")
     _add_problem_args(synth)
     _add_solver_args(synth)
-    synth.add_argument("--horizon", type=int, required=True, help="horizon bound h")
+    synth.add_argument("--horizon", type=_non_negative_int, required=True,
+                       help="horizon bound h")
     synth.add_argument("--out-policy", help="write the policy JSON here")
     synth.add_argument("--out-dot", help="write a Graphviz rendering here")
     synth.add_argument("--out-model", help="write the (possibly generated) model JSON here")
     synth.add_argument("--out-objective", help="write the objective JSON here")
     synth.add_argument("--stats-out", help="append a stats CSV row here")
-    synth.add_argument("--validate", action=argparse.BooleanOptionalAction, default=True,
-                       help="exhaustively validate the policy (default on)")
     synth.set_defaults(func=cmd_synthesize)
 
     val = sub.add_parser("validate", help="check a policy file exhaustively")
     _add_problem_args(val)
     val.add_argument("--policy", required=True, help="policy JSON file")
-    val.add_argument("--horizon", type=int, required=True)
+    val.add_argument("--horizon", type=_non_negative_int, required=True)
     val.add_argument("--out-counterexample", help="write the violating plan here")
     val.set_defaults(func=cmd_validate)
 
@@ -269,9 +284,9 @@ def make_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="kitchen parameter sweep")
     _add_problem_args(bench)
     _add_solver_args(bench)
-    bench.add_argument("--obstacle-counts", type=_int_list, default=[1],
+    bench.add_argument("--obstacle-counts", type=_count_list, default=[1],
                        metavar="M1,M2", help="obstacle counts to sweep")
-    bench.add_argument("--horizons", type=_int_list, default=[6], metavar="H1,H2")
+    bench.add_argument("--horizons", type=_count_list, default=[6], metavar="H1,H2")
     bench.add_argument("--compare-incremental", action="store_true",
                        help="smtlib: run each point with and without incremental solving")
     bench.add_argument("--stats-out", help="write the CSV here")
@@ -280,7 +295,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error; argparse's 2 would read as "no policy"
+            return EXIT_ERROR
+        raise
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

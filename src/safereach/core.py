@@ -372,26 +372,39 @@ class BlockEvent:
 
 @dataclass
 class SynthesisStats:
-    """Counters accumulated across one synthesis run, recursion included."""
+    """What one synthesis run did, recursion included.
 
-    solver_calls: int = 0
-    plans_checked: int = 0
+    ``check_trace`` holds one ``(start step, horizon, verdict)`` entry per
+    solver check and ``blocking_events`` one entry per blocked candidate;
+    the check, plan and per-horizon counts are read off these two lists.
+    """
+
     interactions: int = 0
     final_horizon: int = 0
     wall_time: float = 0.0
     zero_probability_skips: int = 0
-    per_horizon: dict[int, dict[str, int]] = field(default_factory=dict)
     blocking_events: list[BlockEvent] = field(default_factory=list)
     check_trace: list[tuple[int, int, str]] = field(default_factory=list)
 
-    def record_check(self, start_step: int, horizon: int, kind: str) -> None:
-        self.check_trace.append((start_step, horizon, kind))
-        bucket = self.per_horizon.setdefault(horizon, {"checks": 0, "sat": 0, "blocks": 0})
-        bucket["checks"] += 1
-        if kind == "sat":
-            bucket["sat"] += 1
+    @property
+    def solver_calls(self) -> int:
+        return len(self.check_trace)
 
-    def record_block(self, event: BlockEvent) -> None:
-        self.blocking_events.append(event)
-        bucket = self.per_horizon.setdefault(event.horizon, {"checks": 0, "sat": 0, "blocks": 0})
-        bucket["blocks"] += 1
+    @property
+    def plans_checked(self) -> int:
+        """Satisfiable checks: each one yields a candidate plan."""
+        return sum(1 for _, _, kind in self.check_trace if kind == "sat")
+
+    @property
+    def per_horizon(self) -> dict[int, dict[str, int]]:
+        """Checks, satisfiable checks and blocks per horizon, in the order
+        the horizons were first checked."""
+        out: dict[int, dict[str, int]] = {}
+        for _, horizon, kind in self.check_trace:
+            bucket = out.setdefault(horizon, {"checks": 0, "sat": 0, "blocks": 0})
+            bucket["checks"] += 1
+            if kind == "sat":
+                bucket["sat"] += 1
+        for event in self.blocking_events:
+            out.setdefault(event.horizon, {"checks": 0, "sat": 0, "blocks": 0})["blocks"] += 1
+        return out

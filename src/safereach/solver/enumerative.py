@@ -25,7 +25,6 @@ from ..core import (
     Belief,
     Pomdp,
     SafeReachObjective,
-    SynthesisStats,
     available_actions,
     successors,
 )
@@ -41,7 +40,7 @@ from ..encoding import (
     observation_var_name,
     transition_constraint,
 )
-from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat, _record
+from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 
 # (objective, belief probs, steps remaining) proven to admit no
 # goal-satisfying completion; see the module docstring for soundness.
@@ -51,9 +50,8 @@ FruitlessCache = set[tuple[SafeReachObjective, tuple[Fraction, ...], int]]
 class EnumerativeSession(SolverSession):
     """Searches the bounded structure its constraints describe."""
 
-    def __init__(self, model: Pomdp, stats: Optional[SynthesisStats] = None,
-                 fruitless: Optional[FruitlessCache] = None) -> None:
-        super().__init__(model, stats)
+    def __init__(self, model: Pomdp, fruitless: Optional[FruitlessCache] = None) -> None:
+        super().__init__(model)
         self._fruitless: FruitlessCache = set() if fruitless is None else fruitless
 
     # -- structure assembly --------------------------------------------------
@@ -84,8 +82,6 @@ class EnumerativeSession(SolverSession):
         self._guard()
         belief, start, horizon, goals, blocks = self._assemble()
         trail = self._search(belief, start, horizon, goals, blocks)
-        kind = "sat" if trail is not None else "unsat"
-        _record(self.stats, start, horizon, kind)
         if trail is None:
             return Unsat()
         return Sat(self._to_model(belief, start, trail))

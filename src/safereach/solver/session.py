@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union, get_args
 
-from ..core import Belief, CandidatePlan, ModelError, Pomdp, SynthesisStats, belief_update
+from ..core import Belief, CandidatePlan, ModelError, Pomdp, belief_update
 from ..encoding import Constraint, action_var_name, belief_var_name, observation_var_name
 
 
@@ -62,9 +62,8 @@ class SolverSession(ABC):
     sessions may run concurrently.
     """
 
-    def __init__(self, model: Pomdp, stats: Optional[SynthesisStats] = None) -> None:
+    def __init__(self, model: Pomdp) -> None:
         self.model = model
-        self.stats = stats
         self._frames: list[list] = [[]]
         self._closed = False
 
@@ -121,12 +120,6 @@ class SolverSession(ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _record(stats: Optional[SynthesisStats], start: int, horizon: int, kind: str) -> None:
-    if stats is not None:
-        stats.solver_calls += 1
-        stats.record_check(start, horizon, kind)
 
 
 def extract_plan(

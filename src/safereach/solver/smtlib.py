@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ..core import Pomdp, SynthesisStats
+from ..core import Pomdp
 from ..encoding import (
     Add,
     And,
@@ -28,7 +28,6 @@ from ..encoding import (
     Constraint,
     Eq,
     IConst,
-    Initial,
     Ite,
     IVar,
     Le,
@@ -39,7 +38,6 @@ from ..encoding import (
     RConst,
     RVar,
     Term,
-    Transition,
     lower,
     term_variables,
 )
@@ -51,7 +49,6 @@ from .session import (
     SolverSession,
     Unknown,
     Unsat,
-    _record,
 )
 
 
@@ -301,7 +298,6 @@ class _SmtProcess:
 class _Asserted:
     """A constraint as the solver sees it, serialized once when added."""
 
-    constraint: Constraint
     # Variable name -> its ``declare-const`` line, for names first seen here.
     declarations: dict[str, str]
     assertion: str
@@ -310,9 +306,8 @@ class _Asserted:
 class SmtLibSession(SolverSession):
     """Drives one solver process incrementally, or one process per check."""
 
-    def __init__(self, model: Pomdp, config: SolverConfig = SolverConfig(),
-                 stats: Optional[SynthesisStats] = None) -> None:
-        super().__init__(model, stats)
+    def __init__(self, model: Pomdp, config: SolverConfig = SolverConfig()) -> None:
+        super().__init__(model)
         self.config = config
         self.command = tuple(config.command) if config.command else default_solver_command()
         self._proc: Optional[_SmtProcess] = None
@@ -363,7 +358,7 @@ class SmtLibSession(SolverSession):
             for name, sort in sorted(term_variables(term).items())
             if name not in known
         }
-        entry = _Asserted(constraint, declarations, f"(assert {serialize(term)})")
+        entry = _Asserted(declarations, f"(assert {serialize(term)})")
         self._send_incremental([*declarations.values(), entry.assertion])
         return entry
 
@@ -373,41 +368,30 @@ class SmtLibSession(SolverSession):
     def _popped(self) -> None:
         self._send_incremental(["(pop 1)"])
 
-    def _span(self) -> tuple[int, int]:
-        constraints = [entry.constraint for entry in self._live()]
-        start = next((c.step for c in constraints if isinstance(c, Initial)), 0)
-        steps = [c.step for c in constraints if isinstance(c, (Initial, Transition))]
-        return start, max(steps, default=0)
-
     def check(self) -> SatResult:
         self._guard()
-        start, end = self._span()
         deadline = time.monotonic() + self.config.check_timeout
         try:
             if self.config.incremental:
-                result = self._check_on(self._ensure_process(), deadline)
-            else:
-                proc = _SmtProcess(self.command)
-                try:
-                    for line in self._header_lines():
+                return self._check_on(self._ensure_process(), deadline)
+            proc = _SmtProcess(self.command)
+            try:
+                for line in self._header_lines():
+                    proc.send(line)
+                for entry in self._live():
+                    for line in entry.declarations.values():
                         proc.send(line)
-                    for entry in self._live():
-                        for line in entry.declarations.values():
-                            proc.send(line)
-                    for entry in self._live():
-                        proc.send(entry.assertion)
-                    result = self._check_on(proc, deadline)
-                finally:
-                    proc.close()
+                for entry in self._live():
+                    proc.send(entry.assertion)
+                return self._check_on(proc, deadline)
+            finally:
+                proc.close()
         except TimeoutError:
             self._fail(SolverError("timeout"))
-            result = Unknown(f"check timed out after {self.config.check_timeout}s")
+            return Unknown(f"check timed out after {self.config.check_timeout}s")
         except SolverError as exc:
             self._fail(exc)
-            result = Unknown(f"solver failure: {exc}")
-        kind = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}[type(result)]
-        _record(self.stats, start, end, kind)
-        return result
+            return Unknown(f"solver failure: {exc}")
 
     def _check_on(self, proc: _SmtProcess, deadline: float) -> SatResult:
         proc.send("(check-sat)")

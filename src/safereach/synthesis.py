@@ -64,7 +64,10 @@ class SynthesisConfig:
     horizon: int
     backend: str = "enum"  # "enum" or "smtlib"
     solver: SolverConfig = field(default_factory=SolverConfig)
-    validate: bool = True
+
+    def __post_init__(self) -> None:
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
 
 
 VERDICT_VALID = "valid"
@@ -80,36 +83,18 @@ class SynthesisResult:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Failure:
-    """Where policy generation gave up on a candidate plan."""
-
-    plan: CandidatePlan
-    fail_step: int
-    horizon: int
-
-    def to_event(self) -> BlockEvent:
-        cut = self.fail_step - self.plan.start_step
-        return BlockEvent(
-            horizon=self.horizon,
-            fail_step=self.fail_step,
-            start_belief=self.plan.beliefs[0],
-            actions=self.plan.actions[:cut],
-            observations=self.plan.observations[: cut - 1],
-        )
+_VERDICT_KIND = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
 
 
-def make_session_factory(
-    model: Pomdp, config: SynthesisConfig, stats: SynthesisStats
-) -> SessionFactory:
+def make_session_factory(model: Pomdp, config: SynthesisConfig) -> SessionFactory:
     if config.backend == "enum":
         # Fresh sessions per recursion level, but one shared cache of
         # fruitless subtrees: the cached facts are horizon- and
         # blocking-independent, so sharing is sound and saves repeated work.
         fruitless: set = set()
-        return lambda: EnumerativeSession(model, stats, fruitless)
+        return lambda: EnumerativeSession(model, fruitless)
     if config.backend == "smtlib":
-        return lambda: SmtLibSession(model, config.solver, stats)
+        return lambda: SmtLibSession(model, config.solver)
     raise ValueError(f"unknown backend {config.backend!r}")
 
 
@@ -143,7 +128,8 @@ def bps(
     ``horizon_bound - start_step`` steps, or ``None`` when no valid policy
     exists within the bound.  Unknown solver verdicts and backend failures
     raise :class:`SynthesisError`.  ``memo`` keeps every answer by
-    (belief, remaining budget) for the rest of the run.
+    (belief, remaining budget) for the rest of the run.  Every check and
+    every block is recorded in ``stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
         return None
@@ -162,31 +148,32 @@ def bps(
             session.add(encoding.goal_constraint(start_step, k, objective))
             while True:
                 outcome = session.check()
+                stats.check_trace.append((start_step, k, _VERDICT_KIND[type(outcome)]))
                 if isinstance(outcome, Unsat):
                     break
                 if isinstance(outcome, Unknown):
                     raise SynthesisError(
                         f"solver returned unknown at horizon {k}: {outcome.reason}")
                 assert isinstance(outcome, Sat)
-                stats.plans_checked += 1
                 plan = extract_plan(outcome.model, start_step, k, model)
                 if plan.beliefs[0] != b_init:
                     raise EncodingSoundnessError("model start belief differs from b_init")
                 plan = _truncate_at_goal(plan, objective)
                 stats.interactions += 1
-                tree, failure = policy_generation(
+                tree, blocking = policy_generation(
                     model, objective, plan, start_step + 1, k,
                     session_factory, stats, memo)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
                     memo[memo_key] = tree
                     return tree
-                assert failure is not None
-                session.add(
-                    encoding.blocking_constraint(failure.plan, failure.fail_step))
-                stats.record_block(failure.to_event())
-                log.debug("blocked prefix at horizon %d, fail step %d",
-                          k, failure.fail_step)
+                assert blocking is not None
+                session.add(blocking)
+                cut = blocking.fail_step - start_step
+                stats.blocking_events.append(BlockEvent(
+                    horizon=k, fail_step=blocking.fail_step, start_belief=b_init,
+                    actions=plan.actions[:cut], observations=plan.observations[:cut - 1]))
+                log.debug("blocked prefix at horizon %d, fail step %d", k, blocking.fail_step)
             session.pop()
             stats.final_horizon = max(stats.final_horizon, k)
             k += 1
@@ -205,17 +192,17 @@ def policy_generation(
     session_factory: SessionFactory,
     stats: SynthesisStats,
     memo: dict,
-) -> tuple[Optional[PolicyTree], Optional[Failure]]:
-    """Complete a candidate plan into a policy tree, or report where it fails.
+) -> tuple[Optional[PolicyTree], Optional[encoding.Blocking]]:
+    """Complete a candidate plan into a policy tree, or say where it fails.
 
     Walks the plan from its last step down to ``first_step``; at each step
     the belief is pushed forward once (:func:`~.core.successors`) and every
     other possible observation spawns a recursive synthesis problem from its
     posterior, bounded by the current horizon.  On the first branch that
-    cannot be completed, returns the failing step so the caller can assert
-    the matching blocking constraint.  Zero-probability observations get no
-    branch (the belief update is undefined there); each one the walk passes
-    is counted, and each completed step logs its count.
+    cannot be completed, returns the blocking constraint for the failing
+    step, for the caller to assert.  Zero-probability observations get no
+    branch (the belief update is undefined there); every one of each walked
+    step is counted and logged.
     """
     if first_step != plan.start_step + 1:
         raise ValueError("policy generation must start right after the plan's start step")
@@ -227,18 +214,17 @@ def policy_generation(
         action = plan.actions[idx]
         on_plan_obs = plan.observations[idx]
         branches = successors(prev_belief, action, model)
+        stats.zero_probability_skips += n_obs - len(branches)
+        log.debug("step %d: %d impossible observation(s), no branch", i, n_obs - len(branches))
         children = {on_plan_obs: subtree}
-        for rank, (obs, (_, branch_belief)) in enumerate(branches.items()):
+        for obs, (_, branch_belief) in branches.items():
             if obs == on_plan_obs:
                 continue
             branch = bps(model, branch_belief, objective, i, bound,
                          session_factory, stats, memo)
             if branch is None:
-                stats.zero_probability_skips += obs - rank  # the impossible ones below obs
-                return None, Failure(plan, i, bound)
+                return None, encoding.blocking_constraint(plan, i)
             children[obs] = branch
-        stats.zero_probability_skips += n_obs - len(branches)
-        log.debug("step %d: %d impossible observation(s), no branch", i, n_obs - len(branches))
         subtree = PolicyTree(prev_belief, action, children, False)
     return subtree, None
 
@@ -253,7 +239,7 @@ def synthesis_run(
     from .validate import validate_policy
 
     stats = SynthesisStats()
-    factory = make_session_factory(model, config, stats)
+    factory = make_session_factory(model, config)
     started = time.monotonic()
     try:
         policy = bps(model, b_init, objective, 0, config.horizon, factory, stats, {})
@@ -263,10 +249,9 @@ def synthesis_run(
     stats.wall_time = time.monotonic() - started
     if policy is None:
         return SynthesisResult(VERDICT_NO_POLICY, None, stats)
-    if config.validate:
-        report = validate_policy(policy, model, objective, config.horizon)
-        if not report.valid:
-            return SynthesisResult(
-                VERDICT_ERROR, policy, stats,
-                error=f"synthesized policy failed validation: {report.reason}")
+    report = validate_policy(policy, model, objective, config.horizon)
+    if not report.valid:
+        return SynthesisResult(
+            VERDICT_ERROR, policy, stats,
+            error=f"synthesized policy failed validation: {report.reason}")
     return SynthesisResult(VERDICT_VALID, policy, stats)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from safereach import formats
 from safereach.cli import main
 
@@ -37,6 +39,40 @@ def test_synth_horizon_zero_reports_no_policy(capsys):
 
 def test_synth_missing_inputs_is_an_error(capsys):
     assert run_cli("synth", "--horizon", "3") == 1
+
+
+def test_usage_error_exits_1_not_2(capsys):
+    # 2 is reserved for "no policy within the bound"
+    assert run_cli("synth", "--domain", "pickup") == 1
+    assert "--horizon" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--help")
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--horizon", "-1"), "--horizon: must be non-negative"),
+    (("validate", "--policy", "p.json", "--horizon", "-1"), "--horizon: must be non-negative"),
+    (("bench", "--horizons", "3,-1"), "--horizons: must be non-negative"),
+    (("synth", "--horizon", "3", "-M", "-1"), "--obstacles/-M: must be non-negative"),
+    (("synth", "--horizon", "3", "--check-timeout", "0"), "--check-timeout: must be a positive number"),
+    (("synth", "--horizon", "3", "--check-timeout", "nan"), "--check-timeout: must be a positive number"),
+])
+def test_bad_numeric_input_is_a_named_error(argv, message, capsys):
+    assert run_cli(*argv, "--domain", "pickup") == 1
+    assert message in capsys.readouterr().err
+
+
+def test_bad_check_timeout_environment_is_a_named_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("SAFEREACH_CHECK_TIMEOUT", "soon")
+    assert run_cli("synth", "--domain", "pickup", "--horizon", "3") == 1
+    assert "--check-timeout" in capsys.readouterr().err
+    # an explicit --check-timeout replaces the bad default; validate has no such option
+    policy_path = tmp_path / "policy.json"
+    assert run_cli("synth", "--domain", "pickup", "--horizon", "3", "--check-timeout", "5",
+                   "--out-policy", str(policy_path)) == 0
+    assert run_cli("validate", "--domain", "pickup", "--horizon", "3",
+                   "--policy", str(policy_path)) == 0
 
 
 def test_emitted_policy_passes_validate_command(tmp_path, capsys):

@@ -118,8 +118,8 @@ def test_stats_csv_shape(pickup):
 
     header = formats.stats_csv_header().strip().split(",")
     assert header == list(formats.STATS_COLUMNS)
-    stats = SynthesisStats(solver_calls=5, plans_checked=3, interactions=3,
-                           final_horizon=1, wall_time=0.25)
+    trace = [(0, 0, "unsat"), (0, 1, "sat"), (0, 1, "unsat"), (0, 2, "sat"), (0, 2, "sat")]
+    stats = SynthesisStats(interactions=3, final_horizon=1, wall_time=0.25, check_trace=trace)
     row = formats.stats_csv_row(stats, "pickup", 0, 0, 3, "smtlib", True, "valid")
     fields = row.strip().split(",")
     assert len(fields) == len(header)

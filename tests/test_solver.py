@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from safereach import encoding as enc
-from safereach.core import Belief, SynthesisStats
+from safereach.core import Belief
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -325,13 +325,3 @@ def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
     assert isinstance(result, Unknown)
     assert "boom" in result.reason or "closed" in result.reason
 
-
-def test_stats_hooks_count_checks(pickup):
-    model, b_init, objective = pickup
-    stats = SynthesisStats()
-    with EnumerativeSession(model, stats) as session:
-        load_session(session, b_init, 1, objective)
-        session.check()
-        session.check()
-    assert stats.solver_calls == 2
-    assert [kind for (_, _, kind) in stats.check_trace] == ["sat", "sat"]

@@ -138,6 +138,11 @@ def test_initial_belief_already_at_goal(pickup):
     assert result.stats.final_horizon == 0
 
 
+def test_negative_horizon_is_rejected():
+    with pytest.raises(ValueError, match="horizon must be non-negative"):
+        SynthesisConfig(horizon=-3)
+
+
 def test_unreachable_goal_checks_every_horizon():
     model, b_init, objective = absorbing_trap_model()
     result = run(model, b_init, objective, 3)
@@ -195,22 +200,21 @@ def test_blocks_are_not_reproposed_within_a_horizon(pickup):
 def test_policy_generation_reports_failing_branch(pickup):
     model, b_init, objective = pickup
     stats = SynthesisStats()
-    factory = make_session_factory(model, SynthesisConfig(horizon=1), stats)
+    factory = make_session_factory(model, SynthesisConfig(horizon=1))
     from safereach.core import CandidatePlan
 
     left, pos = 0, 0
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, left, pos, model)), (left,), (pos,))
-    tree, failure = policy_generation(model, objective, plan, 1, 1, factory, stats, {})
+    tree, blocking = policy_generation(model, objective, plan, 1, 1, factory, stats, {})
     assert tree is None
-    assert failure.fail_step == 1
-    assert failure.plan.actions[:1] == (left,)
+    assert blocking == encoding.blocking_constraint(plan, 1)
 
 
 def test_policy_generation_requires_matching_start(pickup):
     model, b_init, objective = pickup
     stats = SynthesisStats()
-    factory = make_session_factory(model, SynthesisConfig(horizon=1), stats)
+    factory = make_session_factory(model, SynthesisConfig(horizon=1))
     from safereach.core import CandidatePlan
 
     plan = CandidatePlan(
@@ -219,7 +223,7 @@ def test_policy_generation_requires_matching_start(pickup):
         policy_generation(model, objective, plan, 2, 1, factory, stats, {})
 
 
-def test_zero_probability_branches_are_skipped_and_counted():
+def test_zero_probability_branches_are_skipped_and_counted(pickup):
     model, b_init, objective = chain_model()
     # add an unreachable observation so steps have zero-probability branches
     model = Pomdp(
@@ -228,7 +232,11 @@ def test_zero_probability_branches_are_skipped_and_counted():
         observe={k: dict(v) for k, v in model.observe.items()})
     result = run(model, b_init, objective, 3)
     assert result.verdict == VERDICT_VALID
-    assert result.stats.zero_probability_skips > 0
+    assert result.stats.zero_probability_skips == 2  # two walked steps, one each
+    # Every impossible observation of each walked step counts, the steps
+    # where a branch fails included, whatever the failing observation's index.
+    assert run(*pickup, 3).stats.zero_probability_skips == 2
+    assert run(*kitchen_3x2_det(), 6).stats.zero_probability_skips == 77
 
 
 # --------------------------------------------------------------------------
@@ -329,6 +337,10 @@ def test_wall_time_and_horizon_counters_populated(pickup):
     assert stats.per_horizon[0]["checks"] == 1
     assert stats.per_horizon[1]["checks"] >= 2
     assert stats.per_horizon[1]["blocks"] == 1
+    buckets = stats.per_horizon.values()
+    assert sum(b["checks"] for b in buckets) == stats.solver_calls
+    assert sum(b["sat"] for b in buckets) == stats.plans_checked
+    assert sum(b["blocks"] for b in buckets) == len(stats.blocking_events)
 
 
 @pytest.mark.parametrize("backend", ["enum", "smtlib"])
