@@ -19,7 +19,6 @@ from .core import (
     SynthesisStats,
     available_actions,
     belief_update,
-    eval_predicate,
     goal_step,
     observation_probability,
     plan_satisfies,
@@ -64,7 +63,6 @@ __all__ = [
     "bps",
     "build_kitchen",
     "build_pickup_example",
-    "eval_predicate",
     "goal_step",
     "observation_probability",
     "plan_satisfies",

@@ -47,6 +47,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -96,16 +103,20 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         help="smtlib: fresh solver process per check instead of push/pop")
 
 
+def _kitchen(args, obstacles: int) -> tuple[Pomdp, Belief, SafeReachObjective]:
+    return build_kitchen(
+        args.kitchen_width, args.kitchen_height, args.kitchen_shadow,
+        args.kitchen_storage, args.kitchen_start, obstacles,
+        args.p_fail, args.p_fp, args.p_fn, args.delta1, args.delta2)
+
+
 def _build_problem(args) -> tuple[Pomdp, Belief, SafeReachObjective, str, int, int]:
     """Returns (model, b_init, objective, domain label, M, N)."""
     if args.domain == "pickup":
         model, b_init, objective = build_pickup_example()
         return model, b_init, objective, "pickup", 0, 0
     if args.domain == "kitchen":
-        model, b_init, objective = build_kitchen(
-            args.kitchen_width, args.kitchen_height, args.kitchen_shadow,
-            args.kitchen_storage, args.kitchen_start, args.obstacles,
-            args.p_fail, args.p_fp, args.p_fn, args.delta1, args.delta2)
+        model, b_init, objective = _kitchen(args, args.obstacles)
         return (model, b_init, objective, "kitchen", args.obstacles,
                 args.kitchen_width * args.kitchen_height)
     if not args.model or not args.objective:
@@ -216,12 +227,9 @@ def cmd_bench(args) -> int:
     compare = args.compare_incremental and args.backend != "enum"  # enum has no such mode
     modes = (True, False) if compare else (solver.incremental,)
     for obstacles in args.obstacle_counts:
+        model, b_init, objective = _kitchen(args, obstacles)
         for horizon in args.horizons:
             for incremental in modes:
-                model, b_init, objective = build_kitchen(
-                    args.kitchen_width, args.kitchen_height, args.kitchen_shadow,
-                    args.kitchen_storage, args.kitchen_start, obstacles,
-                    args.p_fail, args.p_fp, args.p_fn, args.delta1, args.delta2)
                 config = SynthesisConfig(
                     horizon=horizon,
                     backend=args.backend,
@@ -277,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo execution of a policy")
     _add_problem_args(sim)
     sim.add_argument("--policy", required=True)
-    sim.add_argument("--episodes", type=int, default=10000)
+    sim.add_argument("--episodes", type=_positive_int, default=10000)
     sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=cmd_simulate)
 

@@ -271,11 +271,6 @@ def observation_probability(belief: Belief, action: int, observation: int,
     return successors(belief, action, model).get(observation, (Fraction(0), None))[0]
 
 
-def eval_predicate(predicate: LinearBeliefPredicate, belief: Belief) -> bool:
-    """Exact-rational threshold comparison, no floating tolerance."""
-    return predicate.holds(belief)
-
-
 @dataclass(frozen=True)
 class CandidatePlan:
     """A single belief-space path b_s, a_{s+1}, o_{s+1}, b_{s+1}, ..., b_k.

@@ -5,15 +5,19 @@ to terms and starts no external process — by depth-first search over
 action/observation sequences with exact belief updates.  A satisfying model
 assigns the belief, action and observation variables of every step, which
 is all :func:`~.session.extract_plan` reads.  It serves as the independent
-oracle for the symbolic pipeline and as a fast default backend.
+oracle for the symbolic pipeline and as a fast default backend.  It takes
+the shape ``bps`` sends: at most one distinct goal, spanning the whole
+unfolding (with none, any full-length path is a model).
 
 Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
-lexicographically smallest one.  An internal memo of fruitless
-(belief, steps-remaining) pairs prunes repeated subtrees; entries are only
-recorded on blocking-free subtrees, which keeps them sound to reuse under
-any blocking set, and they stay valid across horizons, so sessions over the
-same model may share one memo (the ``fruitless`` constructor argument).
+lexicographically smallest one.  A memo of fruitless (objective, belief,
+steps-remaining) triples prunes repeated subtrees of branches that have not
+reached the goal yet.  As the goal ends at the horizon, only the blocks live
+in a subtree can change its answer, and entries are only recorded on
+blocking-free subtrees; so they stay sound under any blocking set and at any
+horizon, and sessions over the same model may share one memo (the
+``fruitless`` constructor argument).
 """
 
 from __future__ import annotations
@@ -68,82 +72,76 @@ class EnumerativeSession(SolverSession):
         if steps != list(range(start + 1, start + 1 + len(steps))):
             raise SolverUsageError("transition steps must be contiguous from the start step")
         horizon = start + len(steps)
+        goals = set(goals)
+        if len(goals) > 1:
+            raise SolverUsageError("at most one distinct goal constraint may be live")
         for g in goals:
-            if g.start_step != start or g.end_step > horizon:
-                raise SolverUsageError("goal constraint span does not match the unfolding")
+            if g.start_step != start or g.end_step != horizon:
+                raise SolverUsageError("goal constraint must span the whole unfolding")
         for bl in blocks:
             if bl.plan.start_step != start or bl.fail_step > horizon:
                 raise SolverUsageError("blocking constraint does not match the unfolding")
-        return initials[0].belief, start, horizon, goals, blocks
+        objective = goals.pop().objective if goals else None
+        return initials[0].belief, start, horizon, objective, blocks
 
     # -- the search ------------------------------------------------------------
 
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, goals, blocks = self._assemble()
-        trail = self._search(belief, start, horizon, goals, blocks)
+        belief, start, horizon, objective, blocks = self._assemble()
+        trail = self._search(belief, start, horizon, objective, blocks)
         if trail is None:
             return Unsat()
         return Sat(self._to_model(belief, start, trail))
 
     def _search(self, b0: Belief, start: int, horizon: int,
-                goals: Sequence[Goal], blocks: Sequence[Blocking]):
+                objective: Optional[SafeReachObjective], blocks: Sequence[Blocking]):
         model = self.model
-        fired0 = []
-        for g in goals:
-            if g.objective.is_goal(b0):
-                fired0.append(True)
-            elif not g.objective.is_safe(b0) or g.end_step <= start:
-                return None  # can never fire on this branch
-            else:
-                fired0.append(False)
-        live0 = [bl for bl in blocks if bl.plan.beliefs[0] == b0]
-        memo_goal = goals[0] if len(goals) == 1 and goals[0].end_step == horizon else None
 
-        def recurse(belief: Belief, step: int, trail: list, live: list, fired: tuple):
+        def status(belief: Belief, step: int) -> Optional[bool]:
+            """True at a goal belief, False on a safe one with steps left,
+            None when the branch can no longer reach the goal."""
+            if objective.is_goal(belief):
+                return True
+            if objective.is_safe(belief) and step < horizon:
+                return False
+            return None
+
+        def recurse(belief: Belief, step: int, trail: list, live: list, fired: bool):
             if step == horizon:
-                return list(trail) if all(fired) else None
-            if memo_goal is not None and not fired[0] \
-                    and (memo_goal.objective, belief.probs, horizon - step) in self._fruitless:
+                return list(trail)  # a branch only gets here once it has fired
+            key = (objective, belief.probs, horizon - step)
+            if not fired and key in self._fruitless:
                 return None
+            i = step - start
             for a in available_actions(model, belief):
-                if any(bl.fail_step == step + 1
-                       and bl.plan.actions[step - bl.plan.start_step] == a
-                       for bl in live):
+                if any(bl.fail_step == step + 1 and bl.plan.actions[i] == a for bl in live):
                     continue  # the blocked prefix ends exactly here
                 for o, (_, b2) in successors(belief, a, model).items():
-                    new_fired = []
-                    dead = False
-                    for g, was_fired in zip(goals, fired):
-                        if was_fired:
-                            new_fired.append(True)
-                            continue
-                        if g.objective.is_goal(b2) and step + 1 <= g.end_step:
-                            new_fired.append(True)
-                            continue
-                        new_fired.append(False)
-                        if not g.objective.is_safe(b2) or step + 1 >= g.end_step:
-                            dead = True
-                            break
-                    if dead:
+                    fired2 = fired or status(b2, step + 1)
+                    if fired2 is None:
                         continue
                     next_live = [
                         bl for bl in live
                         if bl.fail_step > step + 1
-                        and bl.plan.actions[step - bl.plan.start_step] == a
-                        and bl.plan.observations[step - bl.plan.start_step] == o
-                        and bl.plan.beliefs[step - bl.plan.start_step + 1] == b2
+                        and bl.plan.actions[i] == a
+                        and bl.plan.observations[i] == o
+                        and bl.plan.beliefs[i + 1] == b2
                     ]
                     trail.append((a, o, b2))
-                    found = recurse(b2, step + 1, trail, next_live, tuple(new_fired))
+                    found = recurse(b2, step + 1, trail, next_live, fired2)
                     trail.pop()
                     if found is not None:
                         return found
-            if memo_goal is not None and not fired[0] and not live:
-                self._fruitless.add((memo_goal.objective, belief.probs, horizon - step))
+            if not fired and not live:
+                self._fruitless.add(key)
             return None
 
-        return recurse(b0, start, [], live0, tuple(fired0))
+        fired = objective is None or status(b0, start)
+        if fired is None:
+            return None
+        live = [bl for bl in blocks if bl.plan.beliefs[0] == b0]
+        return recurse(b0, start, [], live, fired)
 
     def _to_model(self, b0: Belief, start: int, trail) -> dict:
         out: dict[str, Union[Fraction, int]] = {}

@@ -161,8 +161,7 @@ def bps(
                 plan = _truncate_at_goal(plan, objective)
                 stats.interactions += 1
                 tree, blocking = policy_generation(
-                    model, objective, plan, start_step + 1, k,
-                    session_factory, stats, memo)
+                    model, objective, plan, k, session_factory, stats, memo)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
                     memo[memo_key] = tree
@@ -187,7 +186,6 @@ def policy_generation(
     model: Pomdp,
     objective: SafeReachObjective,
     plan: CandidatePlan,
-    first_step: int,
     bound: int,
     session_factory: SessionFactory,
     stats: SynthesisStats,
@@ -195,17 +193,15 @@ def policy_generation(
 ) -> tuple[Optional[PolicyTree], Optional[encoding.Blocking]]:
     """Complete a candidate plan into a policy tree, or say where it fails.
 
-    Walks the plan from its last step down to ``first_step``; at each step
-    the belief is pushed forward once (:func:`~.core.successors`) and every
-    other possible observation spawns a recursive synthesis problem from its
-    posterior, bounded by the current horizon.  On the first branch that
-    cannot be completed, returns the blocking constraint for the failing
-    step, for the caller to assert.  Zero-probability observations get no
-    branch (the belief update is undefined there); every one of each walked
-    step is counted and logged.
+    Walks the plan from its last step down to the one after its start; at
+    each step the belief is pushed forward once (:func:`~.core.successors`)
+    and every other possible observation spawns a recursive synthesis problem
+    from its posterior, bounded by ``bound``, the current horizon.  On the
+    first branch that cannot be completed, returns the blocking constraint
+    for the failing step, for the caller to assert.  Zero-probability
+    observations get no branch (the belief update is undefined there); every
+    one of each walked step is counted and logged.
     """
-    if first_step != plan.start_step + 1:
-        raise ValueError("policy generation must start right after the plan's start step")
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(model.observations)
     for i in range(plan.end_step, plan.start_step, -1):

@@ -166,15 +166,14 @@ def simulate(
     episodes: int,
     seed: int = 0,
     max_traces: int = 10,
-    initial: Optional[Belief] = None,
 ) -> SimulationReport:
     """Execute the policy against sampled hidden states.
 
-    Per episode: sample the true state from the root belief (or the
-    ``initial`` override), then follow the tree, sampling a successor from T
-    and an observation from Z at each action node.  Counts episodes that
-    ever visit a goal-predicate state and episodes that ever visit a
-    safety-predicate state.  Reproducible under a fixed seed.
+    Per episode: sample the true state from the root belief, then follow the
+    tree, sampling a successor from T and an observation from Z at each
+    action node.  Counts episodes that ever visit a goal-predicate state and
+    episodes that ever visit a safety-predicate state.  Reproducible under a
+    fixed seed.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -182,8 +181,7 @@ def simulate(
     unsafe_states = frozenset().union(*(p.state_set for p in objective.safe)) \
         if objective.safe else frozenset()
     rng = random.Random(seed)
-    start_belief = initial if initial is not None else policy.belief
-    init_dist = {j: p for j, p in enumerate(start_belief.probs) if p > 0}
+    init_dist = {j: p for j, p in enumerate(policy.belief.probs) if p > 0}
     goal_count = 0
     unsafe_count = 0
     traces: list[list[tuple[int, int, int]]] = []

@@ -57,6 +57,8 @@ def test_usage_error_exits_1_not_2(capsys):
     (("synth", "--horizon", "3", "-M", "-1"), "--obstacles/-M: must be non-negative"),
     (("synth", "--horizon", "3", "--check-timeout", "0"), "--check-timeout: must be a positive number"),
     (("synth", "--horizon", "3", "--check-timeout", "nan"), "--check-timeout: must be a positive number"),
+    (("simulate", "--policy", "p.json", "--episodes", "0"), "--episodes: must be positive"),
+    (("simulate", "--policy", "p.json", "--episodes", "-5"), "--episodes: must be positive"),
 ])
 def test_bad_numeric_input_is_a_named_error(argv, message, capsys):
     assert run_cli(*argv, "--domain", "pickup") == 1

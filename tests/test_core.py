@@ -15,7 +15,6 @@ from safereach.core import (
     Pomdp,
     available_actions,
     belief_update,
-    eval_predicate,
     goal_step,
     observation_probability,
     plan_satisfies,
@@ -126,14 +125,14 @@ def test_predicate_validation():
 def test_goal_predicate_on_bad_branch_belief(pickup):
     _, _, objective = pickup
     goal = objective.goal[0]
-    assert not eval_predicate(goal, Belief((F(0), F(7, 25), F(18, 25))))
-    assert eval_predicate(goal, Belief((F(1, 20), F(1, 10), F(17, 20))))
+    assert not goal.holds(Belief((F(0), F(7, 25), F(18, 25))))
+    assert goal.holds(Belief((F(1, 20), F(1, 10), F(17, 20))))
 
 
 def test_safe_predicate_trivial_case(pickup):
     _, _, objective = pickup
     safe = objective.safe[0]
-    assert eval_predicate(safe, Belief((F(0), F(0), F(1))))
+    assert safe.holds(Belief((F(0), F(0), F(1))))
 
 
 def test_plan_satisfies_good_and_bad_paths(pickup):
@@ -213,9 +212,9 @@ def test_predicate_monotone_in_threshold(seed, threshold):
     b = belief_update(b_init, 0, 0, model) or b_init
     members = frozenset(range(len(model.states) // 2 + 1))
     pred = LinearBeliefPredicate(members, ">", F(threshold))
-    if eval_predicate(pred, b):
+    if pred.holds(b):
         for lower in (F(threshold) / 2, F(threshold) * F(3, 4)):
-            assert eval_predicate(LinearBeliefPredicate(members, ">", lower), b)
+            assert LinearBeliefPredicate(members, ">", lower).holds(b)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from safereach import encoding as enc
-from safereach.core import Belief
+from safereach.core import Belief, SafeReachObjective
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -217,7 +217,7 @@ def test_enumerative_after_block_picks_right_hand(pickup):
 
 def test_unreachable_goal_stays_unsat():
     model, b_init, objective, _ = random_instance(random.Random(0))
-    from safereach.core import LinearBeliefPredicate, Pomdp, SafeReachObjective
+    from safereach.core import LinearBeliefPredicate, Pomdp
 
     trap = Pomdp(("stay", "goal"), ("a",), ("o",),
                  transition={(0, 0): {0: F(1)}, (1, 0): {1: F(1)}},
@@ -227,6 +227,54 @@ def test_unreachable_goal_stays_unsat():
     for k in range(4):
         assert isinstance(
             enumerative_check(trap, Belief.point(0, 2), 0, k, objv), Unsat)
+
+
+def test_shared_fruitless_cache_keeps_every_plan():
+    """A subtree cached as fruitless under a block must not hide a plan from
+    a later session that shares the cache but has no block."""
+    cases = 0
+    for seed in range(60):
+        model, b_init, objective, h = random_instance(random.Random(seed))
+        for k in range(1, h + 1):
+            fruitless: set = set()
+            with EnumerativeSession(model, fruitless) as blocked:
+                load_session(blocked, b_init, k, objective)
+                first = blocked.check()
+                if not isinstance(first, Sat):
+                    continue
+                plan = extract_plan(first.model, 0, k, model)
+                blocked.push()
+                blocked.add(enc.blocking_constraint(plan, plan.end_step))
+                blocked.check()
+                blocked.pop()
+            with EnumerativeSession(model, fruitless) as fresh:
+                load_session(fresh, b_init, k, objective)
+                again = fresh.check()
+            assert isinstance(again, Sat), f"seed {seed}, horizon {k}"
+            assert extract_plan(again.model, 0, k, model) == plan, f"seed {seed}, horizon {k}"
+            cases += 1
+    assert cases >= 50
+
+
+def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
+    model, b_init, objective = pickup
+    goal = enc.goal_constraint(0, 2, objective)
+    other = enc.goal_constraint(0, 2, SafeReachObjective(objective.goal, ()))
+    with EnumerativeSession(model) as session:
+        load_session(session, b_init, 2)
+        session.push()
+        session.add(goal)
+        session.add(goal)  # the same goal twice is still one goal
+        assert isinstance(session.check(), Sat)
+        session.add(other)
+        with pytest.raises(SolverUsageError, match="one distinct goal"):
+            session.check()
+        session.pop()
+        session.push()
+        session.add(enc.goal_constraint(0, 1, objective))
+        with pytest.raises(SolverUsageError, match="span the whole unfolding"):
+            session.check()
+        session.pop()
 
 
 def test_sat_model_covers_all_plan_variables(pickup):

@@ -206,21 +206,9 @@ def test_policy_generation_reports_failing_branch(pickup):
     left, pos = 0, 0
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, left, pos, model)), (left,), (pos,))
-    tree, blocking = policy_generation(model, objective, plan, 1, 1, factory, stats, {})
+    tree, blocking = policy_generation(model, objective, plan, 1, factory, stats, {})
     assert tree is None
     assert blocking == encoding.blocking_constraint(plan, 1)
-
-
-def test_policy_generation_requires_matching_start(pickup):
-    model, b_init, objective = pickup
-    stats = SynthesisStats()
-    factory = make_session_factory(model, SynthesisConfig(horizon=1))
-    from safereach.core import CandidatePlan
-
-    plan = CandidatePlan(
-        0, (b_init, belief_update(b_init, 1, 0, model)), (1,), (0,))
-    with pytest.raises(ValueError):
-        policy_generation(model, objective, plan, 2, 1, factory, stats, {})
 
 
 def test_zero_probability_branches_are_skipped_and_counted(pickup):
