@@ -15,6 +15,7 @@ from .core import (
     ModelError,
     PolicyTree,
     Pomdp,
+    RunContext,
     SafeReachObjective,
     SynthesisStats,
     available_actions,
@@ -48,6 +49,7 @@ __all__ = [
     "ModelError",
     "PolicyTree",
     "Pomdp",
+    "RunContext",
     "SafeReachObjective",
     "SimulationReport",
     "SolverConfig",

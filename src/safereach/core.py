@@ -1,16 +1,31 @@
 """Exact-arithmetic POMDP model, beliefs, objectives, plans and policy trees.
 
-Everything here is built on ``fractions.Fraction`` so that belief updates,
-threshold comparisons and belief equality are exact.  All types are immutable
-after construction and safe to share across threads; the operations are pure
-functions.
+Every number that enters a model, a belief or a predicate is an exact
+rational (:func:`as_fraction` refuses floats).  A belief is kept in
+canonical sparse integer form: its support indices, a positive integer
+numerator for each and one common denominator, with no factor common to all
+of them.  Equal distributions have equal forms, so belief equality and
+hashing compare a few small ints, and a belief is valid when its numerators
+sum to its denominator.  ``Belief.probs`` is the dense ``fractions.Fraction``
+view that the file formats, the encoding and the public API read.
+
+The belief-successor kernel reads a :class:`CompiledModel`: each action's
+transition and observation rows as sparse integer columns over one
+denominator, and each state's allowed actions.  A :class:`RunContext` holds
+one compiled model and the caches of one synthesis run.  Models, beliefs,
+objectives, plans and policy trees are immutable after construction, and
+the free functions are pure.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
+
+_ZERO = Fraction(0)
 
 
 class ModelError(ValueError):
@@ -36,40 +51,107 @@ def as_fraction(value: object) -> Fraction:
     raise ModelError(f"refusing inexact value {value!r}; use int, Fraction or 'p/q' string")
 
 
-@dataclass(frozen=True)
 class Belief:
-    """Probability distribution over states, indexed by state order."""
+    """Probability distribution over ``size`` states, indexed by state order.
 
-    probs: tuple[Fraction, ...]
+    ``indices`` is the support, ascending; ``nums`` holds a positive integer
+    numerator per support state and ``den`` the common denominator, in
+    lowest terms.  Construct from the dense probabilities; the kernel builds
+    posteriors from their sparse form directly.
+    """
 
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.probs):
-            raise ModelError(f"belief has negative entry: {self.probs}")
-        if sum(self.probs) != 1:
-            raise ModelError(f"belief entries sum to {sum(self.probs)}, not 1")
+    __slots__ = ("size", "indices", "nums", "den", "_hash", "_probs")
+
+    def __init__(self, probs: Iterable[object]) -> None:
+        values = tuple(as_fraction(p) for p in probs)
+        indices = tuple(j for j, p in enumerate(values) if p)
+        den = math.lcm(*(values[j].denominator for j in indices))
+        nums = [values[j].numerator * (den // values[j].denominator) for j in indices]
+        self._init(len(values), indices, nums, den, values)
+
+    @classmethod
+    def _sparse(cls, size: int, indices: tuple[int, ...], nums: list[int], den: int) -> "Belief":
+        belief = cls.__new__(cls)
+        belief._init(size, indices, nums, den)
+        return belief
+
+    def _init(self, size: int, indices: tuple[int, ...], nums: list[int], den: int,
+              probs: Optional[tuple[Fraction, ...]] = None) -> None:
+        if any(w <= 0 for w in nums):
+            raise ModelError(f"belief has a negative entry: {Fraction(min(nums), den)}")
+        if sum(nums) != den:
+            raise ModelError(f"belief entries sum to {Fraction(sum(nums), den)}, not 1")
+        common = math.gcd(den, *nums)
+        if common > 1:
+            nums = [w // common for w in nums]
+            den //= common
+        nums = tuple(nums)
+        setter = object.__setattr__
+        setter(self, "size", size)
+        setter(self, "indices", indices)
+        setter(self, "nums", nums)
+        setter(self, "den", den)
+        setter(self, "_hash", hash((size, indices, nums, den)))
+        setter(self, "_probs", probs)
 
     @classmethod
     def from_values(cls, values: Iterable[object]) -> "Belief":
-        return cls(tuple(as_fraction(v) for v in values))
+        return cls(values)
 
     @classmethod
     def point(cls, index: int, n_states: int) -> "Belief":
-        return cls(tuple(Fraction(1 if j == index else 0) for j in range(n_states)))
+        if not 0 <= index < n_states:
+            raise ModelError(f"point belief on state {index}, outside 0..{n_states - 1}")
+        return cls._sparse(n_states, (index,), [1], 1)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The dense view, one Fraction per state, built on first use."""
+        if self._probs is None:
+            dense = [_ZERO] * self.size
+            for j, w in zip(self.indices, self.nums):
+                dense[j] = Fraction(w, self.den)
+            object.__setattr__(self, "_probs", tuple(dense))
+        return self._probs
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Belief is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Belief):
+            return NotImplemented
+        return (self._hash == other._hash and self.den == other.den
+                and self.indices == other.indices and self.nums == other.nums
+                and self.size == other.size)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Belief, (self.probs,)
+
+    def __repr__(self) -> str:
+        return f"Belief(probs={self.probs!r})"
 
     def __getitem__(self, index: int) -> Fraction:
         return self.probs[index]
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return self.size
 
     def mass(self, states: Iterable[int]) -> Fraction:
-        return sum((self.probs[j] for j in states), Fraction(0))
+        inside = frozenset(states)
+        return Fraction(sum(w for j, w in zip(self.indices, self.nums) if j in inside),
+                        self.den)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j, p in enumerate(self.probs) if p > 0)
+        return self.indices
 
 
 COMPARATORS = (">", "<", ">=", "<=")
+_COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
 
 
 @dataclass(frozen=True)
@@ -81,6 +163,7 @@ class LinearBeliefPredicate:
     threshold: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold", as_fraction(self.threshold))
         if not self.state_set:
             raise ModelError("predicate state set must be non-empty")
         if self.comparator not in COMPARATORS:
@@ -89,14 +172,12 @@ class LinearBeliefPredicate:
             raise ModelError(f"threshold {self.threshold} outside [0, 1]")
 
     def holds(self, belief: Belief) -> bool:
-        total = belief.mass(self.state_set)
-        if self.comparator == ">":
-            return total > self.threshold
-        if self.comparator == "<":
-            return total < self.threshold
-        if self.comparator == ">=":
-            return total >= self.threshold
-        return total <= self.threshold
+        # mass / den  <op>  t.num / t.den, cross-multiplied over the integers
+        inside = self.state_set
+        total = sum(w for j, w in zip(belief.indices, belief.nums) if j in inside)
+        threshold = self.threshold
+        return _COMPARE[self.comparator](total * threshold.denominator,
+                                         threshold.numerator * belief.den)
 
 
 @dataclass(frozen=True)
@@ -109,6 +190,11 @@ class SafeReachObjective:
     def __post_init__(self) -> None:
         if not self.goal:
             raise ModelError("objective needs at least one goal predicate")
+        # Objectives key the enumerative backend's fruitless cache: hash once.
+        object.__setattr__(self, "_hash", hash((self.goal, self.safe)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_goal(self, belief: Belief) -> bool:
         return all(p.holds(belief) for p in self.goal)
@@ -117,14 +203,26 @@ class SafeReachObjective:
         return all(p.holds(belief) for p in self.safe)
 
 
+def _exact_rows(rows: Mapping, label: str) -> Mapping:
+    """``rows`` with every probability coerced to a Fraction (the rows
+    themselves when they hold nothing else, as built models do)."""
+    if all(type(p) is Fraction for row in rows.values() for p in row.values()):
+        return rows
+    try:
+        return {key: {k: as_fraction(p) for k, p in row.items()} for key, row in rows.items()}
+    except ModelError as exc:
+        raise ModelError(f"{label}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Pomdp:
     """Finite POMDP with exact-rational transition and observation functions.
 
     ``transition[(s, a)]`` maps successor state index to probability and
     ``observe[(s2, a)]`` maps observation index to probability, both sparse
-    (missing entries are zero).  ``availability`` optionally restricts which
-    actions exist in which states; ``None`` means every action everywhere.
+    (missing entries are zero).  Entries are coerced to Fractions; floats are
+    refused.  ``availability`` optionally restricts which actions exist in
+    which states; ``None`` means every action everywhere.
     """
 
     states: tuple[str, ...]
@@ -135,6 +233,8 @@ class Pomdp:
     availability: Optional[Mapping[int, frozenset[int]]] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "transition", _exact_rows(self.transition, "transition"))
+        object.__setattr__(self, "observe", _exact_rows(self.observe, "observation"))
         self._validate()
 
     def _validate(self) -> None:
@@ -212,18 +312,117 @@ class Pomdp:
         return frozenset(s for s in range(len(self.states)) if a in self.allowed_actions(s))
 
 
+class CompiledModel:
+    """A model in the form the belief kernel reads.
+
+    Each state's allowed actions, and per action, compiled on first use:
+    every state's transition row as ``(successor, numerator)`` pairs and
+    every state's observation row as ``(observation, numerator)`` pairs,
+    zero entries dropped, over one denominator per action for each kind.
+    """
+
+    def __init__(self, model: Pomdp) -> None:
+        self.model = model
+        self.size = len(model.states)
+        self.allowed = tuple(model.allowed_actions(s) for s in range(self.size))
+        self._columns: dict[int, tuple] = {}
+
+    def _compile(self, action: int) -> tuple:
+        model = self.model
+        t_rows = [model.trans_dist(s, action) for s in range(self.size)]
+        z_rows = [model.obs_dist(s2, action) for s2 in range(self.size)]
+
+        def columns(rows):
+            den = math.lcm(*(p.denominator for row in rows for p in row.values() if p))
+            return den, tuple(tuple((key, p.numerator * (den // p.denominator))
+                                    for key, p in row.items() if p) for row in rows)
+
+        t_den, t_cols = columns(t_rows)
+        z_den, z_cols = columns(z_rows)
+        return t_cols, z_cols, t_den * z_den
+
+    def available_actions(self, belief: Belief) -> list[int]:
+        """Actions allowed in every support state, ascending."""
+        allowed = self.allowed
+        common = allowed[belief.indices[0]]
+        for s in belief.indices[1:]:
+            common = common & allowed[s]
+        return sorted(common)
+
+    def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
+        """Each possible observation after ``action``, with its probability and
+        posterior; see :func:`successors`."""
+        compiled = self._columns.get(action)
+        if compiled is None:
+            compiled = self._columns[action] = self._compile(action)
+        t_cols, z_cols, scale = compiled
+        pushed: dict[int, int] = {}
+        for s, w in zip(belief.indices, belief.nums):
+            for s2, p in t_cols[s]:
+                pushed[s2] = pushed.get(s2, 0) + w * p
+        split: dict[int, tuple[list[int], list[int]]] = {}
+        for s2 in sorted(pushed):
+            mass = pushed[s2]
+            for o, z in z_cols[s2]:
+                entry = split.get(o)
+                if entry is None:
+                    entry = split[o] = ([], [])
+                entry[0].append(s2)
+                entry[1].append(z * mass)
+        scale *= belief.den
+        out = {}
+        for o in sorted(split):
+            indices, nums = split[o]
+            total = sum(nums)
+            out[o] = (Fraction(total, scale),
+                      Belief._sparse(self.size, tuple(indices), nums, total))
+        return out
+
+
+class RunContext:
+    """The compiled model and the caches of one synthesis run.
+
+    ``successors`` answers each (belief, action) pair from the kernel once
+    and from a cache afterwards; ``memo`` holds ``bps`` answers by (belief,
+    remaining budget) and ``fruitless`` the enumerative backend's
+    (objective, belief, steps remaining) facts.  A context belongs to one
+    run and is dropped with it.  Given an initial belief and an objective,
+    it first checks that they fit the model.
+    """
+
+    def __init__(self, model: Pomdp, b_init: Optional[Belief] = None,
+                 objective: Optional[SafeReachObjective] = None) -> None:
+        n = len(model.states)
+        if b_init is not None and len(b_init) != n:
+            raise ModelError(
+                f"initial belief has {len(b_init)} entries but the model has {n} states")
+        for pred in (objective.goal + objective.safe) if objective is not None else ():
+            outside = sorted(s for s in pred.state_set if not 0 <= s < n)
+            if outside:
+                raise ModelError(f"predicate names state(s) {outside}, "
+                                 f"but the model has states 0..{n - 1}")
+        self.model = model
+        self.kernel = CompiledModel(model)
+        self.memo: dict[tuple[Belief, int], Optional[PolicyTree]] = {}
+        self.fruitless: set[tuple[SafeReachObjective, Belief, int]] = set()
+        self._successors: dict[tuple[Belief, int], dict[int, tuple[Fraction, Belief]]] = {}
+
+    def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
+        """The kernel's answer, computed once per run; read it, never change it."""
+        key = (belief, action)
+        found = self._successors.get(key)
+        if found is None:
+            found = self._successors[key] = self.kernel.successors(belief, action)
+        return found
+
+
 def available_actions(model: Pomdp, belief: Belief) -> list[int]:
     """Actions whose availability covers the entire belief support.
 
     An action is choosable at a belief only when every state carrying
     positive probability allows it.
     """
-    support = belief.support()
-    out = []
-    for a in range(len(model.actions)):
-        if all(a in model.allowed_actions(s) for s in support):
-            out.append(a)
-    return out
+    return CompiledModel(model).available_actions(belief)
 
 
 def successors(belief: Belief, action: int, model: Pomdp) -> dict[int, tuple[Fraction, Belief]]:
@@ -231,21 +430,10 @@ def successors(belief: Belief, action: int, model: Pomdp) -> dict[int, tuple[Fra
 
     Pushes the belief through T once and splits the result by observation
     likelihood; only positive-probability observations appear, ascending.
+    Compiles the model for this one call; a synthesis run reads
+    :meth:`RunContext.successors` instead.
     """
-    n = len(model.states)
-    pushed = [Fraction(0)] * n
-    for s in belief.support():
-        for s2, p in model.trans_dist(s, action).items():
-            if p:
-                pushed[s2] += p * belief[s]
-    split: dict[int, list[Fraction]] = {}
-    for s2, mass in enumerate(pushed):
-        if mass:
-            for o, z in model.obs_dist(s2, action).items():
-                if z:
-                    split.setdefault(o, [Fraction(0)] * n)[s2] = z * mass
-    totals = {o: sum(split[o], Fraction(0)) for o in sorted(split)}
-    return {o: (t, Belief(tuple(u / t for u in split[o]))) for o, t in totals.items()}
+    return CompiledModel(model).successors(belief, action)
 
 
 def unnormalized_update(

@@ -11,13 +11,14 @@ unfolding (with none, any full-length path is a model).
 
 Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
-lexicographically smallest one.  A memo of fruitless (objective, belief,
-steps-remaining) triples prunes repeated subtrees of branches that have not
-reached the goal yet.  As the goal ends at the horizon, only the blocks live
-in a subtree can change its answer, and entries are only recorded on
-blocking-free subtrees; so they stay sound under any blocking set and at any
-horizon, and sessions over the same model may share one memo (the
-``fruitless`` constructor argument).
+lexicographically smallest one.  Successors come from a
+:class:`~safereach.core.RunContext`, whose ``fruitless`` set of (objective,
+belief, steps-remaining) triples prunes repeated subtrees of branches that
+have not reached the goal yet.  As the goal ends at the horizon, only the
+blocks live in a subtree can change its answer, and entries are only
+recorded on blocking-free subtrees; so they stay sound under any blocking
+set and at any horizon, and sessions over the same model may share one
+context (the ``run`` constructor argument).
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ..core import (
-    Belief,
-    Pomdp,
-    SafeReachObjective,
-    available_actions,
-    successors,
-)
+from ..core import Belief, Pomdp, RunContext, SafeReachObjective
 from ..encoding import (
     Blocking,
     Goal,
@@ -46,17 +41,15 @@ from ..encoding import (
 )
 from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 
-# (objective, belief probs, steps remaining) proven to admit no
-# goal-satisfying completion; see the module docstring for soundness.
-FruitlessCache = set[tuple[SafeReachObjective, tuple[Fraction, ...], int]]
-
 
 class EnumerativeSession(SolverSession):
     """Searches the bounded structure its constraints describe."""
 
-    def __init__(self, model: Pomdp, fruitless: Optional[FruitlessCache] = None) -> None:
+    def __init__(self, model: Pomdp, run: Optional[RunContext] = None) -> None:
         super().__init__(model)
-        self._fruitless: FruitlessCache = set() if fruitless is None else fruitless
+        if run is not None and run.model is not model:
+            raise SolverUsageError("the run context belongs to another model")
+        self._run = RunContext(model) if run is None else run
 
     # -- structure assembly --------------------------------------------------
 
@@ -96,7 +89,8 @@ class EnumerativeSession(SolverSession):
 
     def _search(self, b0: Belief, start: int, horizon: int,
                 objective: Optional[SafeReachObjective], blocks: Sequence[Blocking]):
-        model = self.model
+        run = self._run
+        fruitless = run.fruitless
 
         def status(belief: Belief, step: int) -> Optional[bool]:
             """True at a goal belief, False on a safe one with steps left,
@@ -110,14 +104,14 @@ class EnumerativeSession(SolverSession):
         def recurse(belief: Belief, step: int, trail: list, live: list, fired: bool):
             if step == horizon:
                 return list(trail)  # a branch only gets here once it has fired
-            key = (objective, belief.probs, horizon - step)
-            if not fired and key in self._fruitless:
+            key = (objective, belief, horizon - step)
+            if not fired and key in fruitless:
                 return None
             i = step - start
-            for a in available_actions(model, belief):
+            for a in run.kernel.available_actions(belief):
                 if any(bl.fail_step == step + 1 and bl.plan.actions[i] == a for bl in live):
                     continue  # the blocked prefix ends exactly here
-                for o, (_, b2) in successors(belief, a, model).items():
+                for o, (_, b2) in run.successors(belief, a).items():
                     fired2 = fired or status(b2, step + 1)
                     if fired2 is None:
                         continue
@@ -134,7 +128,7 @@ class EnumerativeSession(SolverSession):
                     if found is not None:
                         return found
             if not fired and not live:
-                self._fruitless.add(key)
+                fruitless.add(key)
             return None
 
         fired = objective is None or status(b0, start)

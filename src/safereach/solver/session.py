@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union, get_args
 
-from ..core import Belief, CandidatePlan, ModelError, Pomdp, belief_update
+from ..core import Belief, CandidatePlan, CompiledModel, ModelError, Pomdp, RunContext
 from ..encoding import Constraint, action_var_name, belief_var_name, observation_var_name
 
 
@@ -127,19 +127,22 @@ def extract_plan(
     start_step: int,
     end_step: int,
     pomdp: Pomdp,
+    run: Optional[RunContext] = None,
 ) -> CandidatePlan:
     """Decode a satisfying model into the plan over ``start_step..end_step``
     and re-verify it.
 
     Beliefs are read as exact rationals and each step is re-checked against
-    the belief transition; any mismatch means the solver's model violates
-    the encoding (or returned non-rational values) and is a hard error.
+    the belief transition, through ``run``'s successor cache when given
+    (else a kernel compiled for this call); any mismatch means the solver's
+    model violates the encoding (or returned non-rational values) and is a
+    hard error.
     """
     n = len(pomdp.states)
     try:
         beliefs = []
         for step in range(start_step, end_step + 1):
-            values = tuple(Fraction(model[belief_var_name(step, j)]) for j in range(n))
+            values = tuple(model[belief_var_name(step, j)] for j in range(n))
             try:
                 beliefs.append(Belief(values))
             except ModelError as exc:
@@ -156,12 +159,13 @@ def extract_plan(
     for o in observations:
         if not 0 <= o < len(pomdp.observations):
             raise PlanDecodeError(f"observation selector out of range: {o}")
+    lookup = run.successors if run is not None else CompiledModel(pomdp).successors
     for i, (a, o) in enumerate(zip(actions, observations)):
-        expected = belief_update(beliefs[i], a, o, pomdp)
-        if expected is None:
+        branch = lookup(beliefs[i], a).get(o)
+        if branch is None:
             raise PlanDecodeError(
                 f"step {start_step + i + 1}: model chose an impossible observation")
-        if expected != beliefs[i + 1]:
+        if branch[1] != beliefs[i + 1]:
             raise PlanDecodeError(
                 f"step {start_step + i + 1}: model belief disagrees with the exact update")
     return CandidatePlan(start_step, tuple(beliefs), tuple(actions), tuple(observations))

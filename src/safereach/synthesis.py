@@ -29,10 +29,10 @@ from .core import (
     CandidatePlan,
     PolicyTree,
     Pomdp,
+    RunContext,
     SafeReachObjective,
     SynthesisStats,
     goal_step,
-    successors,
 )
 from .solver import (
     EnumerativeSession,
@@ -86,15 +86,14 @@ class SynthesisResult:
 _VERDICT_KIND = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
 
 
-def make_session_factory(model: Pomdp, config: SynthesisConfig) -> SessionFactory:
+def make_session_factory(run: RunContext, config: SynthesisConfig) -> SessionFactory:
     if config.backend == "enum":
-        # Fresh sessions per recursion level, but one shared cache of
-        # fruitless subtrees: the cached facts are horizon- and
-        # blocking-independent, so sharing is sound and saves repeated work.
-        fruitless: set = set()
-        return lambda: EnumerativeSession(model, fruitless)
+        # Fresh sessions per recursion level over the run's one context: its
+        # successor cache and fruitless facts are horizon- and
+        # blocking-independent, so sharing them is sound and saves work.
+        return lambda: EnumerativeSession(run.model, run)
     if config.backend == "smtlib":
-        return lambda: SmtLibSession(model, config.solver)
+        return lambda: SmtLibSession(run.model, config.solver)
     raise ValueError(f"unknown backend {config.backend!r}")
 
 
@@ -113,27 +112,27 @@ def _truncate_at_goal(plan: CandidatePlan, objective: SafeReachObjective) -> Can
 
 
 def bps(
-    model: Pomdp,
+    run: RunContext,
     b_init: Belief,
     objective: SafeReachObjective,
     start_step: int,
     horizon_bound: int,
     session_factory: SessionFactory,
     stats: SynthesisStats,
-    memo: dict,
 ) -> Optional[PolicyTree]:
     """Search for a valid policy from ``b_init`` within the step budget.
 
     Returns a policy tree valid from ``b_init`` using at most
     ``horizon_bound - start_step`` steps, or ``None`` when no valid policy
     exists within the bound.  Unknown solver verdicts and backend failures
-    raise :class:`SynthesisError`.  ``memo`` keeps every answer by
+    raise :class:`SynthesisError`.  ``run.memo`` keeps every answer by
     (belief, remaining budget) for the rest of the run.  Every check and
     every block is recorded in ``stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
         return None
-    memo_key = (b_init.probs, horizon_bound - start_step)
+    memo = run.memo
+    memo_key = (b_init, horizon_bound - start_step)
     if memo_key in memo:
         return memo[memo_key]
 
@@ -155,13 +154,13 @@ def bps(
                     raise SynthesisError(
                         f"solver returned unknown at horizon {k}: {outcome.reason}")
                 assert isinstance(outcome, Sat)
-                plan = extract_plan(outcome.model, start_step, k, model)
+                plan = extract_plan(outcome.model, start_step, k, run.model, run)
                 if plan.beliefs[0] != b_init:
                     raise EncodingSoundnessError("model start belief differs from b_init")
                 plan = _truncate_at_goal(plan, objective)
                 stats.interactions += 1
                 tree, blocking = policy_generation(
-                    model, objective, plan, k, session_factory, stats, memo)
+                    run, objective, plan, k, session_factory, stats)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
                     memo[memo_key] = tree
@@ -183,18 +182,17 @@ def bps(
 
 
 def policy_generation(
-    model: Pomdp,
+    run: RunContext,
     objective: SafeReachObjective,
     plan: CandidatePlan,
     bound: int,
     session_factory: SessionFactory,
     stats: SynthesisStats,
-    memo: dict,
 ) -> tuple[Optional[PolicyTree], Optional[encoding.Blocking]]:
     """Complete a candidate plan into a policy tree, or say where it fails.
 
     Walks the plan from its last step down to the one after its start; at
-    each step the belief is pushed forward once (:func:`~.core.successors`)
+    each step the belief is pushed forward once (``run.successors``)
     and every other possible observation spawns a recursive synthesis problem
     from its posterior, bounded by ``bound``, the current horizon.  On the
     first branch that cannot be completed, returns the blocking constraint
@@ -203,21 +201,20 @@ def policy_generation(
     one of each walked step is counted and logged.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
-    n_obs = len(model.observations)
+    n_obs = len(run.model.observations)
     for i in range(plan.end_step, plan.start_step, -1):
         idx = i - plan.start_step - 1
         prev_belief = plan.beliefs[idx]
         action = plan.actions[idx]
         on_plan_obs = plan.observations[idx]
-        branches = successors(prev_belief, action, model)
+        branches = run.successors(prev_belief, action)
         stats.zero_probability_skips += n_obs - len(branches)
         log.debug("step %d: %d impossible observation(s), no branch", i, n_obs - len(branches))
         children = {on_plan_obs: subtree}
         for obs, (_, branch_belief) in branches.items():
             if obs == on_plan_obs:
                 continue
-            branch = bps(model, branch_belief, objective, i, bound,
-                         session_factory, stats, memo)
+            branch = bps(run, branch_belief, objective, i, bound, session_factory, stats)
             if branch is None:
                 return None, encoding.blocking_constraint(plan, i)
             children[obs] = branch
@@ -231,14 +228,21 @@ def synthesis_run(
     objective: SafeReachObjective,
     config: SynthesisConfig,
 ) -> SynthesisResult:
-    """Top-level driver: synthesize, exhaustively validate, time and count."""
+    """Top-level driver: synthesize, exhaustively validate, time and count.
+
+    The run's compiled model and caches live in one :class:`~.core.RunContext`
+    built here and dropped on return; building it raises
+    :class:`~.core.ModelError` when ``b_init`` or the objective does not fit
+    the model.
+    """
     from .validate import validate_policy
 
+    run = RunContext(model, b_init, objective)
     stats = SynthesisStats()
-    factory = make_session_factory(model, config)
+    factory = make_session_factory(run, config)
     started = time.monotonic()
     try:
-        policy = bps(model, b_init, objective, 0, config.horizon, factory, stats, {})
+        policy = bps(run, b_init, objective, 0, config.horizon, factory, stats)
     except (SynthesisError, SolverError) as exc:
         stats.wall_time = time.monotonic() - started
         return SynthesisResult(VERDICT_ERROR, None, stats, error=str(exc))

@@ -22,13 +22,12 @@ from typing import Optional
 from .core import (
     Belief,
     CandidatePlan,
+    CompiledModel,
     ModelError,
     PolicyTree,
     Pomdp,
     SafeReachObjective,
-    available_actions,
     plan_satisfies,
-    successors,
 )
 
 
@@ -57,8 +56,10 @@ def validate_policy(
     exactly the updated beliefs, no path exceeds the horizon, goal flags do
     not lie, and every root-to-leaf path (read as a plan) satisfies the
     objective.  The first violation is reported with the path that led
-    there.
+    there.  Posteriors come from a kernel compiled for this call, never
+    from a synthesis run's cache.
     """
+    kernel = CompiledModel(model)
     paths_seen = 0
 
     def fail(reason: str, beliefs, actions, observations) -> ValidationReport:
@@ -81,11 +82,11 @@ def validate_policy(
             if not plan_satisfies(plan, objective):
                 return fail("path does not satisfy the objective", beliefs, actions, observations)
             return None
-        if node.action not in available_actions(model, node.belief):
+        if node.action not in kernel.available_actions(node.belief):
             return fail(
                 f"action {model.actions[node.action]} unavailable on the node belief",
                 beliefs, actions, observations)
-        branches = successors(node.belief, node.action, model)
+        branches = kernel.successors(node.belief, node.action)
         required = set(branches)
         present = set(node.children)
         if required - present:

@@ -1,0 +1,140 @@
+"""Golden behaviour digests: one SHA-256 per synthesis run, committed.
+
+A digest covers what "same behaviour" means for this project: the verdict,
+the policy tree (every belief as exact rationals), the check trace, the
+blocking events, ``zero_probability_skips``, ``interactions`` and
+``final_horizon``.  ``tests/test_golden.py`` recomputes every digest and
+fails on any difference.  A change that alters behaviour on purpose
+regenerates the file and says which digests moved and why:
+
+    PYTHONPATH=src python tests/golden.py --write
+
+Without ``--write`` the script compares and lists the runs that differ.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Callable, Iterator
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "golden_digests.json"
+
+RANDOM_SEEDS = range(200)
+
+# (label, width, height, shadow cells, storage cell, obstacles, deterministic, horizon)
+KITCHENS = (
+    ("kitchen-3x2-M1-det-h6", 3, 2, ((1, 0), (1, 1)), (2, 0), 1, True, 6),
+    ("kitchen-3x3-M1-det-h7", 3, 3, ((1, 0), (1, 1), (1, 2)), (2, 0), 1, True, 7),
+    ("kitchen-4x3-M2-det-h5", 4, 3, ((1, 0), (1, 1), (2, 1), (2, 2)), (3, 0), 2, True, 5),
+    ("kitchen-3x2-M1-noisy-h6", 3, 2, ((1, 0), (1, 1)), (2, 0), 1, False, 6),
+)
+DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
+
+GROUPS = ("enum-random", "enum-kitchen", "smtlib")
+
+
+def _kitchen(width, height, shadow, storage, obstacles, det):
+    from safereach import build_kitchen
+
+    return build_kitchen(width, height, list(shadow), storage, (0, 0),
+                         obstacles=obstacles, **(DET if det else {}))
+
+
+def runs(group: str) -> Iterator[tuple[str, Callable]]:
+    """(name, thunk returning a SynthesisResult) for every run of a group."""
+    from oracles import random_instance
+    from safereach import SolverConfig, SynthesisConfig, build_pickup_example, synthesis_run
+
+    def run(problem, horizon, backend="enum", incremental=True):
+        config = SynthesisConfig(horizon=horizon, backend=backend,
+                                 solver=SolverConfig(incremental=incremental))
+        return lambda: synthesis_run(*problem, config)
+
+    if group == "enum-random":
+        for seed in RANDOM_SEEDS:
+            model, b_init, objective, horizon = random_instance(random.Random(seed))
+            yield f"random-{seed:03d}", run((model, b_init, objective), horizon)
+    elif group == "enum-kitchen":
+        for label, *geometry, horizon in KITCHENS:
+            yield label, run(_kitchen(*geometry), horizon)
+    elif group == "smtlib":
+        problems = (("pickup-h3", build_pickup_example(), 3),
+                    ("kitchen-2x2-M1-det-h4",
+                     _kitchen(2, 2, ((0, 1), (1, 1)), (1, 0), 1, True), 4))
+        for label, problem, horizon in problems:
+            for incremental in (True, False):
+                mode = "inc" if incremental else "scratch"
+                yield f"{label}-smtlib-{mode}", run(problem, horizon, "smtlib", incremental)
+    else:
+        raise ValueError(f"unknown group {group!r}")
+
+
+def _belief(belief) -> list[str]:
+    return [str(p) for p in belief.probs]
+
+
+def _tree(node):
+    if node is None:
+        return None
+    return {"belief": _belief(node.belief), "action": node.action,
+            "goal": node.goal_reached,
+            "children": {str(o): _tree(child) for o, child in node.children.items()}}
+
+
+def render(result) -> str:
+    """The canonical text a digest is taken over."""
+    stats = result.stats
+    return json.dumps({
+        "verdict": result.verdict,
+        "policy": _tree(result.policy),
+        "check_trace": [list(entry) for entry in stats.check_trace],
+        "blocking_events": [[e.horizon, e.fail_step, _belief(e.start_belief),
+                             list(e.actions), list(e.observations)]
+                            for e in stats.blocking_events],
+        "zero_probability_skips": stats.zero_probability_skips,
+        "interactions": stats.interactions,
+        "final_horizon": stats.final_horizon,
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def digest(result) -> str:
+    return hashlib.sha256(render(result).encode()).hexdigest()
+
+
+def compute(group: str) -> dict[str, str]:
+    return {name: digest(thunk()) for name, thunk in runs(group)}
+
+
+def load() -> dict[str, dict[str, str]]:
+    return json.loads(DIGESTS.read_text())
+
+
+def differences(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """Names of the runs whose digest changed, appeared or disappeared."""
+    return sorted(name for name in expected.keys() | actual.keys()
+                  if expected.get(name) != actual.get(name))
+
+
+def main(argv: list[str]) -> int:
+    computed = {group: compute(group) for group in GROUPS}
+    if "--write" in argv:
+        DIGESTS.write_text(json.dumps(computed, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {sum(map(len, computed.values()))} digests to {DIGESTS}")
+        return 0
+    expected = load()
+    changed = [name for group in GROUPS
+               for name in differences(expected.get(group, {}), computed[group])]
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"{len(changed)} of {sum(map(len, computed.values()))} digests differ")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+    sys.exit(main(sys.argv[1:]))

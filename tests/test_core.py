@@ -13,6 +13,7 @@ from safereach.core import (
     LinearBeliefPredicate,
     ModelError,
     Pomdp,
+    RunContext,
     available_actions,
     belief_update,
     goal_step,
@@ -92,6 +93,42 @@ def test_belief_rejects_negative_and_unnormalized():
         Belief((F(-1, 2), F(3, 2)))
     with pytest.raises(ModelError):
         Belief((F(1, 2), F(1, 4)))
+
+
+def test_inexact_numbers_are_refused_at_the_boundary():
+    # Floats and bools are refused wherever a probability or threshold
+    # enters; ints are coerced to Fractions.
+    for bad in ((0.5, 0.5), (True, False)):
+        with pytest.raises(ModelError):
+            Belief(bad)
+    with pytest.raises(ModelError):
+        LinearBeliefPredicate(frozenset({0}), ">", 0.5)
+    with pytest.raises(ModelError, match="transition"):
+        Pomdp(("s0", "s1"), ("a0",), ("o0",),
+              transition={(0, 0): {0: 0.5, 1: 0.5}, (1, 0): {1: F(1)}},
+              observe={(0, 0): {0: F(1)}, (1, 0): {0: F(1)}})
+    with pytest.raises(ModelError, match="observation"):
+        Pomdp(("s0",), ("a0",), ("o0",),
+              transition={(0, 0): {0: F(1)}}, observe={(0, 0): {0: 1.0}})
+    exact = Pomdp(("s0", "s1"), ("a0",), ("o0",),
+                  transition={(0, 0): {1: 1}, (1, 0): {1: "1"}},
+                  observe={(0, 0): {0: 1}, (1, 0): {0: 1}})
+    assert exact.transition[(0, 0)][1] == F(1) and type(exact.transition[(0, 0)][1]) is F
+    assert type(LinearBeliefPredicate(frozenset({0}), ">", 0).threshold) is F
+    assert Belief((1, 0)).probs == (F(1), F(0)) and type(Belief((1, 0))[0]) is F
+
+
+def test_belief_form_is_canonical():
+    belief = Belief((F(0), F(2, 6), F(0), F(2, 3)))
+    assert (belief.indices, belief.nums, belief.den) == ((1, 3), (1, 2), 3)
+    assert belief == Belief((F(0), F(1, 3), F(0), F(2, 3)))
+    assert hash(belief) == hash(Belief((F(0), F(1, 3), F(0), F(2, 3))))
+    assert belief != Belief((F(0), F(1, 3), F(0), F(2, 3), F(0)))
+    assert Belief.point(2, 4) == Belief((0, 0, 1, 0))
+    with pytest.raises(ModelError):
+        Belief.point(4, 4)
+    with pytest.raises(AttributeError):
+        belief.den = 6
 
 
 def test_pomdp_rejects_bad_distributions():
@@ -202,6 +239,58 @@ def test_update_matches_matrix_form_and_probs_sum(seed):
         assert list(branches) == [o for o, b in oracle.items() if b is not None]
         assert all(posterior == oracle[o] for o, (_, posterior) in branches.items())
         assert sum(p for p, _ in branches.values()) == 1
+
+
+@st.composite
+def noisy_models(draw):
+    """A model with noisy rows, an availability mask and three observations,
+    and a mixed belief over its states."""
+    n = draw(st.integers(2, 5))
+    na = draw(st.integers(1, 3))
+    n_obs = 3
+    weights = st.integers(0, 4)
+
+    def distribution(size):
+        row = draw(st.lists(weights, min_size=size, max_size=size).filter(any))
+        return {j: F(w, sum(row)) for j, w in enumerate(row) if w}
+
+    availability = {s: frozenset(draw(st.sets(st.integers(0, na - 1), min_size=1)))
+                    for s in range(n)}
+    transition = {(s, a): distribution(n) for s in range(n) for a in availability[s]}
+    observe = {(s2, a): distribution(n_obs) for s2 in range(n) for a in range(na)}
+    model = Pomdp(tuple(f"s{i}" for i in range(n)), tuple(f"a{i}" for i in range(na)),
+                  ("o0", "o1", "o2"), transition, observe, availability)
+    mass = distribution(n)
+    return model, Belief(tuple(mass.get(j, F(0)) for j in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(noisy_models())
+def test_kernel_matches_dense_oracle(problem):
+    model, belief = problem
+    n = len(model.states)
+    run = RunContext(model)
+    support = [s for s in range(n) if belief[s]]
+    assert available_actions(model, belief) == run.kernel.available_actions(belief) == [
+        a for a in range(len(model.actions))
+        if all(a in model.availability[s] for s in support)]
+    for action in range(len(model.actions)):
+        branches = run.successors(belief, action)
+        assert run.successors(belief, action) is branches
+        assert branches == successors(belief, action, model)
+        for obs in range(len(model.observations)):
+            oracle = dense_matrix_update(belief, action, obs, model)
+            if oracle is None:
+                assert obs not in branches
+                continue
+            prob, posterior = branches[obs]
+            assert posterior.probs == oracle.probs
+            assert prob == sum(belief[s] * model.trans_dist(s, action).get(s2, 0)
+                               * model.obs_dist(s2, action).get(obs, 0)
+                               for s in range(n) for s2 in range(n))
+            canonical = Belief.from_values(posterior.probs)
+            assert posterior == canonical and hash(posterior) == hash(canonical)
+        assert list(branches) == sorted(branches)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from safereach import encoding as enc
-from safereach.core import Belief, SafeReachObjective
+from safereach.core import Belief, RunContext, SafeReachObjective
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -231,13 +231,13 @@ def test_unreachable_goal_stays_unsat():
 
 def test_shared_fruitless_cache_keeps_every_plan():
     """A subtree cached as fruitless under a block must not hide a plan from
-    a later session that shares the cache but has no block."""
+    a later session that shares the run context but has no block."""
     cases = 0
     for seed in range(60):
         model, b_init, objective, h = random_instance(random.Random(seed))
         for k in range(1, h + 1):
-            fruitless: set = set()
-            with EnumerativeSession(model, fruitless) as blocked:
+            run = RunContext(model)
+            with EnumerativeSession(model, run) as blocked:
                 load_session(blocked, b_init, k, objective)
                 first = blocked.check()
                 if not isinstance(first, Sat):
@@ -247,13 +247,20 @@ def test_shared_fruitless_cache_keeps_every_plan():
                 blocked.add(enc.blocking_constraint(plan, plan.end_step))
                 blocked.check()
                 blocked.pop()
-            with EnumerativeSession(model, fruitless) as fresh:
+            with EnumerativeSession(model, run) as fresh:
                 load_session(fresh, b_init, k, objective)
                 again = fresh.check()
             assert isinstance(again, Sat), f"seed {seed}, horizon {k}"
             assert extract_plan(again.model, 0, k, model) == plan, f"seed {seed}, horizon {k}"
             cases += 1
     assert cases >= 50
+
+
+def test_enumerative_session_takes_only_its_models_run_context(pickup):
+    model = pickup[0]
+    other = random_instance(random.Random(0))[0]
+    with pytest.raises(SolverUsageError, match="another model"):
+        EnumerativeSession(model, RunContext(other))
 
 
 def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):

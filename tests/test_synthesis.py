@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 from typing import get_args
 
@@ -10,7 +11,9 @@ from safereach import core, encoding, synthesis, validate
 from safereach.core import (
     Belief,
     LinearBeliefPredicate,
+    ModelError,
     Pomdp,
+    RunContext,
     SafeReachObjective,
     SynthesisStats,
     belief_update,
@@ -200,13 +203,14 @@ def test_blocks_are_not_reproposed_within_a_horizon(pickup):
 def test_policy_generation_reports_failing_branch(pickup):
     model, b_init, objective = pickup
     stats = SynthesisStats()
-    factory = make_session_factory(model, SynthesisConfig(horizon=1))
+    run = RunContext(model)
+    factory = make_session_factory(run, SynthesisConfig(horizon=1))
     from safereach.core import CandidatePlan
 
     left, pos = 0, 0
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, left, pos, model)), (left,), (pos,))
-    tree, blocking = policy_generation(model, objective, plan, 1, factory, stats, {})
+    tree, blocking = policy_generation(run, objective, plan, 1, factory, stats)
     assert tree is None
     assert blocking == encoding.blocking_constraint(plan, 1)
 
@@ -247,28 +251,44 @@ def test_memoized_synthesis_reuses_branch_results():
 
 
 def test_each_belief_is_pushed_forward_once(monkeypatch):
-    # One successors() call per plan step policy generation walks and per
-    # internal node the validator checks, however many observations exist.
-    calls = {synthesis: 0, validate: 0}
-    walked = 0
+    # Policy generation makes one run-context lookup per plan step it walks;
+    # the validator makes one kernel call per internal node it checks, with
+    # its own kernel and never through the run's cache.
+    lookups = kernel_calls = walked = 0
+    validating = False
+    lookup, kernel = RunContext.successors, core.CompiledModel.successors
 
-    def counting(module):
-        def wrapper(*args):
-            calls[module] += 1
-            return core.successors(*args)
-        return wrapper
+    def counting_lookup(self, belief, action):
+        nonlocal lookups
+        assert not validating, "the validator read the run's successor cache"
+        lookups += sys._getframe(1).f_code is generate.__code__
+        return lookup(self, belief, action)
 
-    def walking(model, objective, plan, *rest):
+    def counting_kernel(self, belief, action):
+        nonlocal kernel_calls
+        kernel_calls += validating
+        return kernel(self, belief, action)
+
+    def walking(run_context, objective, plan, *rest):
         nonlocal walked
-        tree, failure = generate(model, objective, plan, *rest)
+        tree, failure = generate(run_context, objective, plan, *rest)
         last = plan.start_step if failure is None else failure.fail_step - 1
         walked += plan.end_step - last
         return tree, failure
 
-    generate = synthesis.policy_generation
-    for module in calls:
-        monkeypatch.setattr(module, "successors", counting(module))
+    def validating_policy(*args):
+        nonlocal validating
+        validating = True
+        try:
+            return check(*args)
+        finally:
+            validating = False
+
+    generate, check = synthesis.policy_generation, validate.validate_policy
+    monkeypatch.setattr(RunContext, "successors", counting_lookup)
+    monkeypatch.setattr(core.CompiledModel, "successors", counting_kernel)
     monkeypatch.setattr(synthesis, "policy_generation", walking)
+    monkeypatch.setattr(validate, "validate_policy", validating_policy)
     model, b_init, objective = kitchen_3x2_det()
     result = run(model, b_init, objective, 6)
     assert result.verdict == VERDICT_VALID
@@ -276,8 +296,47 @@ def test_each_belief_is_pushed_forward_once(monkeypatch):
     def internal_nodes(node):
         return (not node.is_leaf()) + sum(map(internal_nodes, node.children.values()))
 
-    assert calls[synthesis] == walked > 0
-    assert calls[validate] == internal_nodes(result.policy) > 0
+    assert lookups == walked > 0
+    assert kernel_calls == internal_nodes(result.policy) > 0
+
+
+def test_caches_live_and_die_with_one_run(monkeypatch):
+    # Back-to-back runs on one model object each start cold: the same
+    # number of kernel misses, and far fewer misses than lookups.
+    counts = []
+    lookup, kernel = RunContext.successors, core.CompiledModel.successors
+
+    def counting_lookup(self, belief, action):
+        counts[-1][0] += 1
+        return lookup(self, belief, action)
+
+    def counting_kernel(self, belief, action):
+        counts[-1][1] += 1
+        return kernel(self, belief, action)
+
+    monkeypatch.setattr(RunContext, "successors", counting_lookup)
+    monkeypatch.setattr(core.CompiledModel, "successors", counting_kernel)
+    model, b_init, objective = kitchen_3x2_det()
+    for _ in range(2):
+        counts.append([0, 0])
+        assert run(model, b_init, objective, 6).verdict == VERDICT_VALID
+    (lookups, misses), (_, again) = counts
+    assert misses == again > 0
+    assert lookups > 2 * misses
+
+
+def test_mismatched_problem_is_a_named_error(pickup):
+    model, b_init, objective = pickup
+    n = len(model.states)
+    config = SynthesisConfig(horizon=2)
+    for wrong in (Belief.point(0, n - 1), Belief.point(0, n + 1)):
+        with pytest.raises(ModelError, match=f"initial belief has {len(wrong)} entries"):
+            synthesis_run(model, wrong, objective, config)
+    stray = LinearBeliefPredicate(frozenset({99}), "<", F(1, 2))
+    for bad in (SafeReachObjective(objective.goal, (stray,)),
+                SafeReachObjective((stray,), objective.safe)):
+        with pytest.raises(ModelError, match="state.*99"):
+            synthesis_run(model, b_init, bad, config)
 
 
 def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
