@@ -95,10 +95,6 @@ class Belief:
         setter(self, "_probs", probs)
 
     @classmethod
-    def from_values(cls, values: Iterable[object]) -> "Belief":
-        return cls(values)
-
-    @classmethod
     def point(cls, index: int, n_states: int) -> "Belief":
         if not 0 <= index < n_states:
             raise ModelError(f"point belief on state {index}, outside 0..{n_states - 1}")
@@ -140,11 +136,6 @@ class Belief:
 
     def __len__(self) -> int:
         return self.size
-
-    def mass(self, states: Iterable[int]) -> Fraction:
-        inside = frozenset(states)
-        return Fraction(sum(w for j, w in zip(self.indices, self.nums) if j in inside),
-                        self.den)
 
     def support(self) -> tuple[int, ...]:
         return self.indices

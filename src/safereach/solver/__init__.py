@@ -3,7 +3,9 @@
 Two interchangeable session kinds sit behind one interface: an external
 SMT-LIB v2 process driven over a pipe with push/pop scopes, and a built-in
 exact enumerative backend that interprets the constraints directly and
-doubles as an independent oracle.
+doubles as an independent oracle.  Either answers a satisfying check with a
+candidate plan (:class:`Sat`), which :func:`extract_plan` re-verifies; only
+the SMT-LIB backend knows the SMT variable names.
 """
 
 from .session import (

@@ -2,12 +2,12 @@
 
 Interprets the constraints as the plain data they are — it never lowers them
 to terms and starts no external process — by depth-first search over
-action/observation sequences with exact belief updates.  A satisfying model
-assigns the belief, action and observation variables of every step, which
-is all :func:`~.session.extract_plan` reads.  It serves as the independent
-oracle for the symbolic pipeline and as a fast default backend.  It takes
-the shape ``bps`` sends: at most one distinct goal, spanning the whole
-unfolding (with none, any full-length path is a model).
+action/observation sequences with exact belief updates.  A satisfying check
+answers with the plan the search holds, whose posteriors are the run
+context's own cached beliefs; it never names an SMT variable.  It serves as
+the independent oracle for the symbolic pipeline and as a fast default
+backend.  It takes the shape ``bps`` sends: at most one distinct goal,
+spanning the whole unfolding (with none, any full-length path satisfies).
 
 Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
@@ -23,22 +23,10 @@ context (the ``run`` constructor argument).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from ..core import Belief, Pomdp, RunContext, SafeReachObjective
-from ..encoding import (
-    Blocking,
-    Goal,
-    Initial,
-    Transition,
-    action_var_name,
-    belief_var_name,
-    goal_constraint,
-    initial_constraint,
-    observation_var_name,
-    transition_constraint,
-)
+from ..core import Belief, CandidatePlan, Pomdp, RunContext, SafeReachObjective
+from ..encoding import Blocking, Goal, goal_constraint, initial_constraint, transition_constraint
 from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 
 
@@ -54,18 +42,9 @@ class EnumerativeSession(SolverSession):
     # -- structure assembly --------------------------------------------------
 
     def _assemble(self):
-        by_type: dict[type, list] = {Initial: [], Transition: [], Goal: [], Blocking: []}
-        for c in self._live():
-            by_type[type(c)].append(c)
-        initials, transitions, goals, blocks = by_type.values()
-        if len(initials) != 1:
-            raise SolverUsageError("exactly one initial-belief constraint is required")
-        start = initials[0].step
-        steps = sorted(t.step for t in transitions)
-        if steps != list(range(start + 1, start + 1 + len(steps))):
-            raise SolverUsageError("transition steps must be contiguous from the start step")
-        horizon = start + len(steps)
-        goals = set(goals)
+        belief, start, horizon = self._unfolding()
+        goals = {c for c, _ in self._live() if isinstance(c, Goal)}
+        blocks = [c for c, _ in self._live() if isinstance(c, Blocking)]
         if len(goals) > 1:
             raise SolverUsageError("at most one distinct goal constraint may be live")
         for g in goals:
@@ -75,7 +54,7 @@ class EnumerativeSession(SolverSession):
             if bl.plan.start_step != start or bl.fail_step > horizon:
                 raise SolverUsageError("blocking constraint does not match the unfolding")
         objective = goals.pop().objective if goals else None
-        return initials[0].belief, start, horizon, objective, blocks
+        return belief, start, horizon, objective, blocks
 
     # -- the search ------------------------------------------------------------
 
@@ -85,7 +64,8 @@ class EnumerativeSession(SolverSession):
         trail = self._search(belief, start, horizon, objective, blocks)
         if trail is None:
             return Unsat()
-        return Sat(self._to_model(belief, start, trail))
+        actions, observations, posteriors = zip(*trail) if trail else ((), (), ())
+        return Sat(CandidatePlan(start, (belief, *posteriors), actions, observations))
 
     def _search(self, b0: Belief, start: int, horizon: int,
                 objective: Optional[SafeReachObjective], blocks: Sequence[Blocking]):
@@ -136,18 +116,6 @@ class EnumerativeSession(SolverSession):
             return None
         live = [bl for bl in blocks if bl.plan.beliefs[0] == b0]
         return recurse(b0, start, [], live, fired)
-
-    def _to_model(self, b0: Belief, start: int, trail) -> dict:
-        out: dict[str, Union[Fraction, int]] = {}
-        for j, p in enumerate(b0.probs):
-            out[belief_var_name(start, j)] = p
-        for offset, (a, o, b2) in enumerate(trail):
-            step = start + offset + 1
-            out[action_var_name(step)] = a
-            out[observation_var_name(step)] = o
-            for j, p in enumerate(b2.probs):
-                out[belief_var_name(step, j)] = p
-        return out
 
 
 def enumerative_check(

@@ -1,14 +1,18 @@
-"""Session interface shared by the solver backends, plus plan extraction."""
+"""Session interface shared by the solver backends, plus plan verification.
+
+A satisfying check answers with the candidate plan itself, over the whole
+unfolding its live constraints describe; how a backend finds or decodes it
+is its own business.  Only the SMT-LIB backend knows the variable names.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union, get_args
+from typing import Iterator, Optional, Union, get_args
 
-from ..core import Belief, CandidatePlan, CompiledModel, ModelError, Pomdp, RunContext
-from ..encoding import Constraint, action_var_name, belief_var_name, observation_var_name
+from ..core import Belief, CandidatePlan, Pomdp, RunContext
+from ..encoding import Constraint, Initial, Transition
 
 
 class SolverError(RuntimeError):
@@ -20,12 +24,15 @@ class SolverUsageError(SolverError):
 
 
 class PlanDecodeError(SolverError):
-    """A satisfying model did not decode to a consistent belief-space plan."""
+    """A satisfying check did not give a consistent belief-space plan."""
 
 
 @dataclass(frozen=True)
 class Sat:
-    model: Mapping[str, Union[Fraction, int]]
+    """The candidate plan of a satisfying check, spanning the whole unfolding
+    (start step to horizon), not yet verified: see :func:`extract_plan`."""
+
+    plan: CandidatePlan
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,10 @@ class SolverSession(ABC):
     """An incremental satisfiability session over one model, with a stack of
     assertion scopes.
 
-    The scope stack lives here.  A backend keeps, per added constraint,
-    whatever :meth:`_admit` returns and hears of every push and pop through
-    :meth:`_pushed` and :meth:`_popped`.
+    The scope stack lives here: each added constraint next to whatever
+    :meth:`_admit` returns for it.  A backend hears of every push and pop
+    through :meth:`_pushed` and :meth:`_popped`, and reads the unfolding the
+    live constraints describe from :meth:`_unfolding`.
 
     Sessions are single-owner: never share one across threads.  Distinct
     sessions may run concurrently.
@@ -64,7 +72,7 @@ class SolverSession(ABC):
 
     def __init__(self, model: Pomdp) -> None:
         self.model = model
-        self._frames: list[list] = [[]]
+        self._frames: list[list[tuple[Constraint, object]]] = [[]]
         self._closed = False
 
     def add(self, constraint: Constraint) -> None:
@@ -72,7 +80,7 @@ class SolverSession(ABC):
         self._guard()
         if not isinstance(constraint, get_args(Constraint)):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
-        self._frames[-1].append(self._admit(constraint))
+        self._frames[-1].append((constraint, self._admit(constraint)))
 
     def push(self) -> None:
         """Open a new scope."""
@@ -100,14 +108,26 @@ class SolverSession(ABC):
         if self._closed:
             raise SolverUsageError("session is closed")
 
-    def _live(self) -> Iterator:
-        """What the live scopes keep, oldest first."""
+    def _live(self) -> Iterator[tuple[Constraint, object]]:
+        """Each live constraint with what :meth:`_admit` returned, oldest first."""
         for frame in self._frames:
             yield from frame
 
-    def _admit(self, constraint: Constraint):
-        """What the top scope keeps for ``constraint``: by default, itself."""
-        return constraint
+    def _unfolding(self) -> tuple[Belief, int, int]:
+        """(initial belief, start step, horizon) of the live constraints:
+        exactly one initial belief and transitions contiguous from it."""
+        initials = [c for c, _ in self._live() if isinstance(c, Initial)]
+        if len(initials) != 1:
+            raise SolverUsageError("exactly one initial-belief constraint is required")
+        start = initials[0].step
+        steps = sorted(c.step for c, _ in self._live() if isinstance(c, Transition))
+        if steps != list(range(start + 1, start + 1 + len(steps))):
+            raise SolverUsageError("transition steps must be contiguous from the start step")
+        return initials[0].belief, start, start + len(steps)
+
+    def _admit(self, constraint: Constraint) -> object:
+        """What the backend keeps next to ``constraint``: by default, nothing."""
+        return None
 
     def _pushed(self) -> None:
         """Called after a scope opens."""
@@ -122,50 +142,24 @@ class SolverSession(ABC):
         self.close()
 
 
-def extract_plan(
-    model: Mapping[str, Union[Fraction, int]],
-    start_step: int,
-    end_step: int,
-    pomdp: Pomdp,
-    run: Optional[RunContext] = None,
-) -> CandidatePlan:
-    """Decode a satisfying model into the plan over ``start_step..end_step``
-    and re-verify it.
+def extract_plan(outcome: Sat, start_step: int, end_step: int, run: RunContext) -> CandidatePlan:
+    """The plan of a satisfying check over ``start_step..end_step``, re-verified.
 
-    Beliefs are read as exact rationals and each step is re-checked against
-    the belief transition, through ``run``'s successor cache when given
-    (else a kernel compiled for this call); any mismatch means the solver's
-    model violates the encoding (or returned non-rational values) and is a
+    Every step is re-derived through ``run``'s successor cache; a plan of
+    another span, an impossible observation or a posterior that disagrees
+    with the exact update means the backend broke the encoding, and is a
     hard error.
     """
-    n = len(pomdp.states)
-    try:
-        beliefs = []
-        for step in range(start_step, end_step + 1):
-            values = tuple(model[belief_var_name(step, j)] for j in range(n))
-            try:
-                beliefs.append(Belief(values))
-            except ModelError as exc:
-                raise PlanDecodeError(f"step {step}: {exc}") from None
-        actions, observations = [], []
-        for step in range(start_step + 1, end_step + 1):
-            actions.append(int(model[action_var_name(step)]))
-            observations.append(int(model[observation_var_name(step)]))
-    except KeyError as exc:
-        raise PlanDecodeError(f"model is missing variable {exc.args[0]!r}") from None
-    for a in actions:
-        if not 0 <= a < len(pomdp.actions):
-            raise PlanDecodeError(f"action selector out of range: {a}")
-    for o in observations:
-        if not 0 <= o < len(pomdp.observations):
-            raise PlanDecodeError(f"observation selector out of range: {o}")
-    lookup = run.successors if run is not None else CompiledModel(pomdp).successors
-    for i, (a, o) in enumerate(zip(actions, observations)):
-        branch = lookup(beliefs[i], a).get(o)
+    plan = outcome.plan
+    if (plan.start_step, plan.end_step) != (start_step, end_step):
+        raise PlanDecodeError(f"plan spans steps {plan.start_step}..{plan.end_step}, "
+                              f"not {start_step}..{end_step}")
+    for i, (a, o) in enumerate(zip(plan.actions, plan.observations)):
+        branch = run.successors(plan.beliefs[i], a).get(o)
         if branch is None:
             raise PlanDecodeError(
-                f"step {start_step + i + 1}: model chose an impossible observation")
-        if branch[1] != beliefs[i + 1]:
+                f"step {start_step + i + 1}: plan chose an impossible observation")
+        if branch[1] != plan.beliefs[i + 1]:
             raise PlanDecodeError(
-                f"step {start_step + i + 1}: model belief disagrees with the exact update")
-    return CandidatePlan(start_step, tuple(beliefs), tuple(actions), tuple(observations))
+                f"step {start_step + i + 1}: plan belief disagrees with the exact update")
+    return plan

@@ -4,9 +4,12 @@ The only backend that speaks SMT: each added constraint is lowered to a term
 (:func:`safereach.encoding.lower`) and serialized once, into its
 ``declare-const`` and ``assert`` lines.  Drives any conforming solver binary
 (``z3 -in`` works; the default is the bundled reference solver) with
-``push``/``pop`` scopes, and parses models back into exact rationals.  In
-non-incremental mode every check replays the kept lines of all live
-assertions into a fresh solver process, for the from-scratch comparison.
+``push``/``pop`` scopes, and parses models back into exact rationals, then
+decodes them into the candidate plan a satisfying check answers with.  It
+is the only module besides :mod:`safereach.encoding` that knows the
+variable names.  In non-incremental mode every check replays the kept lines
+of all live assertions into a fresh solver process, for the from-scratch
+comparison.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from ..core import Pomdp
+from ..core import Belief, CandidatePlan, ModelError, Pomdp
 from ..encoding import (
     Add,
     And,
@@ -38,10 +41,14 @@ from ..encoding import (
     RConst,
     RVar,
     Term,
+    action_var_name,
+    belief_var_name,
     lower,
+    observation_var_name,
     term_variables,
 )
 from .session import (
+    PlanDecodeError,
     Sat,
     SatResult,
     SolverConfig,
@@ -204,6 +211,32 @@ def parse_model(text: str) -> dict[str, Union[Fraction, int]]:
     return model
 
 
+def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon: int,
+                 pomdp: Pomdp) -> CandidatePlan:
+    """The plan a parsed model assigns over ``start..horizon``, not yet verified
+    against the belief transition (that is :func:`~.session.extract_plan`)."""
+    n = len(pomdp.states)
+    try:
+        beliefs = []
+        for step in range(start, horizon + 1):
+            try:
+                beliefs.append(Belief(values[belief_var_name(step, j)] for j in range(n)))
+            except ModelError as exc:
+                raise PlanDecodeError(f"step {step}: {exc}") from None
+        steps = range(start + 1, horizon + 1)
+        actions = tuple(int(values[action_var_name(step)]) for step in steps)
+        observations = tuple(int(values[observation_var_name(step)]) for step in steps)
+    except KeyError as exc:
+        raise PlanDecodeError(f"model is missing variable {exc.args[0]!r}") from None
+    for a in actions:
+        if not 0 <= a < len(pomdp.actions):
+            raise PlanDecodeError(f"action selector out of range: {a}")
+    for o in observations:
+        if not 0 <= o < len(pomdp.observations):
+            raise PlanDecodeError(f"observation selector out of range: {o}")
+    return CandidatePlan(start, tuple(beliefs), actions, observations)
+
+
 # --------------------------------------------------------------------------
 # Process plumbing
 # --------------------------------------------------------------------------
@@ -352,7 +385,7 @@ class SmtLibSession(SolverSession):
 
     def _admit(self, constraint: Constraint) -> _Asserted:
         term = lower(constraint, self.model)
-        known = {name for entry in self._live() for name in entry.declarations}
+        known = {name for _, entry in self._live() for name in entry.declarations}
         declarations = {
             name: f"(declare-const {name} {sort})"
             for name, sort in sorted(term_variables(term).items())
@@ -370,20 +403,21 @@ class SmtLibSession(SolverSession):
 
     def check(self) -> SatResult:
         self._guard()
+        _, start, horizon = self._unfolding()
         deadline = time.monotonic() + self.config.check_timeout
         try:
             if self.config.incremental:
-                return self._check_on(self._ensure_process(), deadline)
+                return self._check_on(self._ensure_process(), deadline, start, horizon)
             proc = _SmtProcess(self.command)
             try:
                 for line in self._header_lines():
                     proc.send(line)
-                for entry in self._live():
+                for _, entry in self._live():
                     for line in entry.declarations.values():
                         proc.send(line)
-                for entry in self._live():
+                for _, entry in self._live():
                     proc.send(entry.assertion)
-                return self._check_on(proc, deadline)
+                return self._check_on(proc, deadline, start, horizon)
             finally:
                 proc.close()
         except TimeoutError:
@@ -393,7 +427,8 @@ class SmtLibSession(SolverSession):
             self._fail(exc)
             return Unknown(f"solver failure: {exc}")
 
-    def _check_on(self, proc: _SmtProcess, deadline: float) -> SatResult:
+    def _check_on(self, proc: _SmtProcess, deadline: float, start: int,
+                  horizon: int) -> SatResult:
         proc.send("(check-sat)")
         verdict = proc.read_line(deadline)
         while verdict == "":
@@ -408,7 +443,7 @@ class SmtLibSession(SolverSession):
             raise SolverError(f"unexpected check-sat response: {verdict!r}")
         proc.send("(get-model)")
         text = proc.read_sexpr(deadline)
-        return Sat(parse_model(text))
+        return Sat(_decode_plan(parse_model(text), start, horizon, self.model))
 
     def close(self) -> None:
         if self._closed:

@@ -3,8 +3,8 @@
 The outer loop grows a horizon k from the start step, keeping the
 initial-belief and transition constraints in the persistent solver scope and
 the goal (and any blocking) constraints inside a pushed scope.  Each
-satisfying model yields a candidate plan; policy generation then tries to
-complete it into a full observation-branching tree by recursively
+satisfying check answers with a candidate plan; policy generation then
+tries to complete it into a full observation-branching tree by recursively
 synthesizing every off-plan branch.  A failed branch produces a blocking
 constraint that rules the candidate's prefix out for the current horizon;
 when the horizon grows the scope is popped, so previously blocked prefixes
@@ -56,7 +56,7 @@ class SynthesisError(RuntimeError):
 
 
 class EncodingSoundnessError(SynthesisError):
-    """A solver model passed extraction but does not satisfy the objective."""
+    """A solver's plan passed verification but does not satisfy the objective."""
 
 
 @dataclass
@@ -100,14 +100,14 @@ def make_session_factory(run: RunContext, config: SynthesisConfig) -> SessionFac
 def _truncate_at_goal(plan: CandidatePlan, objective: SafeReachObjective) -> CandidatePlan:
     """Cut the plan at its earliest objective-satisfying step.
 
-    Models may pad beyond the goal (the unfolding always spans the full
+    Plans may pad beyond the goal (the unfolding always spans the full
     horizon); branching on those filler steps would demand synthesis past
     the objective and could block otherwise-valid plans.
     """
     step = goal_step(plan, objective)
     if step is None:
         raise EncodingSoundnessError(
-            "solver model decodes to a plan that does not satisfy the objective")
+            "solver plan does not satisfy the objective")
     return plan.prefix(step)
 
 
@@ -154,9 +154,9 @@ def bps(
                     raise SynthesisError(
                         f"solver returned unknown at horizon {k}: {outcome.reason}")
                 assert isinstance(outcome, Sat)
-                plan = extract_plan(outcome.model, start_step, k, run.model, run)
+                plan = extract_plan(outcome, start_step, k, run)
                 if plan.beliefs[0] != b_init:
-                    raise EncodingSoundnessError("model start belief differs from b_init")
+                    raise EncodingSoundnessError("plan start belief differs from b_init")
                 plan = _truncate_at_goal(plan, objective)
                 stats.interactions += 1
                 tree, blocking = policy_generation(

@@ -82,13 +82,20 @@ def validate_policy(
             if not plan_satisfies(plan, objective):
                 return fail("path does not satisfy the objective", beliefs, actions, observations)
             return None
+        if not 0 <= node.action < len(model.actions):
+            return fail(f"action index {node.action} outside 0..{len(model.actions) - 1}",
+                        beliefs, actions, observations)
         if node.action not in kernel.available_actions(node.belief):
             return fail(
                 f"action {model.actions[node.action]} unavailable on the node belief",
                 beliefs, actions, observations)
+        present = set(node.children)
+        stray = sorted(o for o in present if not 0 <= o < len(model.observations))
+        if stray:
+            return fail(f"branch for observation index(es) {stray} outside "
+                        f"0..{len(model.observations) - 1}", beliefs, actions, observations)
         branches = kernel.successors(node.belief, node.action)
         required = set(branches)
-        present = set(node.children)
         if required - present:
             missing = ", ".join(model.observations[o] for o in sorted(required - present))
             return fail(f"missing branch for observation(s) {missing}",

@@ -288,7 +288,7 @@ def test_kernel_matches_dense_oracle(problem):
             assert prob == sum(belief[s] * model.trans_dist(s, action).get(s2, 0)
                                * model.obs_dist(s2, action).get(obs, 0)
                                for s in range(n) for s2 in range(n))
-            canonical = Belief.from_values(posterior.probs)
+            canonical = Belief(posterior.probs)
             assert posterior == canonical and hash(posterior) == hash(canonical)
         assert list(branches) == sorted(branches)
 

@@ -258,11 +258,8 @@ def test_blocked_prefixes_never_reappear(seed):
     result = enumerative_check(model, b_init, 0, 2, objective)
     if not isinstance(result, Sat):
         return
-    from safereach.solver import extract_plan
-
-    plan = extract_plan(result.model, 0, 2, model)
+    plan = result.plan
     blocks = [enc.Blocking(plan, 1)]
     again = enumerative_check(model, b_init, 0, 2, objective, blocks=blocks)
     if isinstance(again, Sat):
-        other = extract_plan(again.model, 0, 2, model)
-        assert other.actions[0] != plan.actions[0]
+        assert again.plan.actions[0] != plan.actions[0]

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from safereach import encoding as enc
-from safereach.core import Belief, RunContext, SafeReachObjective
+from safereach.core import Belief, CandidatePlan, RunContext, SafeReachObjective
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -48,14 +48,14 @@ def test_popped_scope_leaves_no_trace(pickup, backend):
         load_session(session, b_init, 1)
         session.push()
         session.add(enc.goal_constraint(0, 1, objective))
-        plan = extract_plan(session.check().model, 0, 1, model)
+        plan = session.check().plan
         session.add(enc.blocking_constraint(plan, 1))
-        blocked = extract_plan(session.check().model, 0, 1, model)
+        blocked = session.check().plan
         assert blocked.actions[0] != plan.actions[0]
         session.pop()
         session.push()
         session.add(enc.goal_constraint(0, 1, objective))
-        fresh = extract_plan(session.check().model, 0, 1, model)
+        fresh = session.check().plan
         assert fresh == plan  # the block is gone with its scope
         session.pop()
 
@@ -89,7 +89,7 @@ def test_transition_outside_scope_persists_across_horizons(pickup):
 
 def test_random_scope_sequences_agree_across_backends():
     """Differential: 100 random interleavings of push/assert/check/pop give
-    the same verdict and the same model on both backends."""
+    the same verdict and the same plan on both backends."""
     for seed in range(100):
         rng = random.Random(seed)
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
@@ -118,10 +118,8 @@ def test_random_scope_sequences_agree_across_backends():
                 a, b = enum.check(), smt.check()
                 assert type(a) is type(b), f"seed {seed}: {a} vs {b}"
                 if isinstance(a, Sat):
-                    pa = extract_plan(a.model, 0, horizon, model)
-                    pb = extract_plan(b.model, 0, horizon, model)
-                    assert pa == pb, f"seed {seed}"
-                    plan = pa
+                    assert a.plan == b.plan, f"seed {seed}"
+                    plan = a.plan
         enum.close(), smt.close()
 
 
@@ -175,7 +173,7 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch):
             session.add(enc.transition_constraint(0, 1))
             session.push()
             session.add(enc.goal_constraint(0, 1, objective))
-            plan = extract_plan(session.check().model, 0, 1, model)
+            plan = session.check().plan
             session.add(enc.blocking_constraint(plan, 1))
             assert isinstance(session.check(), Sat)
         assert len(serialized) == 5  # once per add, never on replay
@@ -199,19 +197,16 @@ def test_unsat_at_horizon_zero_outside_goal(pickup):
 
 def test_enumerative_first_plan_is_lexicographic(pickup):
     model, b_init, objective = pickup
-    result = enumerative_check(model, b_init, 0, 1, objective)
-    plan = extract_plan(result.model, 0, 1, model)
+    plan = enumerative_check(model, b_init, 0, 1, objective).plan
     assert (plan.actions, plan.observations) == ((0,), (0,))
     assert plan.beliefs[1].probs == (F(0), F(1, 25), F(24, 25))
 
 
 def test_enumerative_after_block_picks_right_hand(pickup):
     model, b_init, objective = pickup
-    first = extract_plan(
-        enumerative_check(model, b_init, 0, 1, objective).model, 0, 1, model)
-    result = enumerative_check(model, b_init, 0, 1, objective,
-                               blocks=[enc.Blocking(first, 1)])
-    plan = extract_plan(result.model, 0, 1, model)
+    first = enumerative_check(model, b_init, 0, 1, objective).plan
+    plan = enumerative_check(model, b_init, 0, 1, objective,
+                             blocks=[enc.Blocking(first, 1)]).plan
     assert (plan.actions, plan.observations) == ((1,), (0,))
 
 
@@ -242,7 +237,7 @@ def test_shared_fruitless_cache_keeps_every_plan():
                 first = blocked.check()
                 if not isinstance(first, Sat):
                     continue
-                plan = extract_plan(first.model, 0, k, model)
+                plan = first.plan
                 blocked.push()
                 blocked.add(enc.blocking_constraint(plan, plan.end_step))
                 blocked.check()
@@ -251,7 +246,7 @@ def test_shared_fruitless_cache_keeps_every_plan():
                 load_session(fresh, b_init, k, objective)
                 again = fresh.check()
             assert isinstance(again, Sat), f"seed {seed}, horizon {k}"
-            assert extract_plan(again.model, 0, k, model) == plan, f"seed {seed}, horizon {k}"
+            assert again.plan == plan, f"seed {seed}, horizon {k}"
             cases += 1
     assert cases >= 50
 
@@ -284,31 +279,102 @@ def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
         session.pop()
 
 
-def test_sat_model_covers_all_plan_variables(pickup):
+@pytest.mark.parametrize("backend", ["enum", "smtlib"])
+@pytest.mark.parametrize("shape", ["no initial", "two initials", "gap in transitions"])
+def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backend, shape):
     model, b_init, objective = pickup
+    session = (EnumerativeSession(model) if backend == "enum"
+               else SmtLibSession(model, SolverConfig()))
+    with session:
+        if shape != "no initial":
+            session.add(enc.initial_constraint(0, b_init))
+        if shape == "two initials":
+            session.add(enc.initial_constraint(0, b_init))
+        session.add(enc.transition_constraint(0, 1))
+        if shape == "gap in transitions":
+            session.add(enc.transition_constraint(2, 3))
+        with pytest.raises(SolverUsageError):
+            session.check()
+
+
+def test_sat_plans_span_the_unfolding_on_both_backends(pickup):
+    model, b_init, objective = pickup
+    plans = []
     for session in (EnumerativeSession(model), SmtLibSession(model, SolverConfig())):
         with session:
             load_session(session, b_init, 1, objective)
             result = session.check()
             assert isinstance(result, Sat)
-            for step in (0, 1):
-                for j in range(len(model.states)):
-                    assert enc.belief_var_name(step, j) in result.model
-            assert enc.action_var_name(1) in result.model
-            assert enc.observation_var_name(1) in result.model
+            assert (result.plan.start_step, result.plan.end_step) == (0, 1)
+            plans.append(result.plan)
+    assert plans[0] == plans[1]
 
 
-def test_extract_plan_rejects_inconsistent_model(pickup):
+def test_enum_plan_posteriors_are_the_run_caches_own(pickup):
     model, b_init, objective = pickup
+    for horizon in (1, 2, 3):
+        run = RunContext(model)
+        with EnumerativeSession(model, run) as session:
+            load_session(session, b_init, horizon, objective)
+            plan = session.check().plan
+        assert plan.beliefs[0] is b_init
+        for i, (a, o) in enumerate(zip(plan.actions, plan.observations)):
+            assert plan.beliefs[i + 1] is run.successors(plan.beliefs[i], a)[o][1]
+
+
+def test_extract_plan_verifies_every_step(pickup):
+    model, b_init, objective = pickup
+    run = RunContext(model)
     result = enumerative_check(model, b_init, 0, 1, objective)
-    corrupted = dict(result.model)
-    corrupted[enc.belief_var_name(1, 0)] = F(1, 3)
-    with pytest.raises(PlanDecodeError, match="step 1"):
-        extract_plan(corrupted, 0, 1, model)
-    missing = dict(result.model)
-    del missing[enc.action_var_name(1)]
-    with pytest.raises(PlanDecodeError, match="missing"):
-        extract_plan(missing, 0, 1, model)
+    assert extract_plan(result, 0, 1, run) is result.plan
+    wrong_posterior = Belief((F(0), F(1, 3), F(2, 3)))
+    impossible = 2  # o_null never follows pick_left
+    for bad, message in (
+            (CandidatePlan(0, (b_init, wrong_posterior), (0,), (0,)), "disagrees"),
+            (CandidatePlan(0, (b_init, wrong_posterior), (0,), (impossible,)), "impossible"),
+    ):
+        with pytest.raises(PlanDecodeError, match=f"step 1: plan .*{message}"):
+            extract_plan(Sat(bad), 0, 1, run)
+    with pytest.raises(PlanDecodeError, match="spans steps 0..1, not 0..2"):
+        extract_plan(result, 0, 2, run)
+
+
+_GOOD_MODEL = {"b_0_0": "1.0", "b_0_1": "0.0", "b_0_2": "0.0", "a_1": "0", "o_1": "0",
+               "b_1_0": "0.0", "b_1_1": "(/ 1.0 25.0)", "b_1_2": "(/ 24.0 25.0)"}
+
+
+def _fake_solver(model):
+    """A solver that answers every check ``sat`` with the given model."""
+    text = "(model " + " ".join(
+        f"(define-fun {name} () {'Int' if name[0] in 'ao' else 'Real'} {value})"
+        for name, value in model.items()) + ")"
+    return (sys.executable, "-c",
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.startswith('(check-sat)'): print('sat', flush=True)\n"
+            f"    elif line.startswith('(get-model)'): print({text!r}, flush=True)\n")
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"a_1": None}, "missing variable 'a_1'"),
+    ({"b_1_0": "1.0"}, "step 1: belief entries sum to 2"),
+    ({"a_1": "9"}, "action selector out of range: 9"),
+], ids=["missing-a_1", "belief-sums-to-2", "action-9"])
+def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
+    model, b_init, objective = pickup
+    with SmtLibSession(model, SolverConfig(command=_fake_solver(_GOOD_MODEL))) as session:
+        load_session(session, b_init, 1, objective)
+        # the unchanged model decodes to the plan the enum backend finds
+        assert session.check().plan == enumerative_check(model, b_init, 0, 1, objective).plan
+    broken = {k: v for k, v in {**_GOOD_MODEL, **change}.items() if v is not None}
+    session = SmtLibSession(model, SolverConfig(command=_fake_solver(broken)))
+    load_session(session, b_init, 1, objective)
+    result = session.check()
+    assert isinstance(result, Unknown)
+    assert result.reason.startswith("solver failure") and reason in result.reason
+    with pytest.raises(SolverError, match="dead"):
+        session.push()
+    session.close()
 
 
 def test_model_parser_accepts_solver_shapes():

@@ -341,11 +341,17 @@ def test_mismatched_problem_is_a_named_error(pickup):
 
 def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
     def no_terms(*args, **kwargs):
-        raise AssertionError("the enum backend built a term")
+        raise AssertionError("the enum backend built a term or named an SMT variable")
 
     monkeypatch.setattr(encoding, "lower", no_terms)
     for cls in get_args(encoding.Term):
         monkeypatch.setattr(cls, "__init__", no_terms)
+    namers = {name: getattr(encoding, name)
+              for name in ("belief_var_name", "action_var_name", "observation_var_name")}
+    for module in [m for name, m in sys.modules.items() if name.startswith("safereach")]:
+        for name, namer in namers.items():  # every module's binding, not only encoding's
+            if getattr(module, name, None) is namer:
+                monkeypatch.setattr(module, name, no_terms)
     for (model, b_init, objective), horizon in ((pickup, 3), (kitchen_3x2_det(), 6)):
         assert run(model, b_init, objective, horizon).verdict == VERDICT_VALID
 

@@ -126,6 +126,24 @@ def test_unavailable_action_is_rejected():
     assert "unavailable" in report.reason
 
 
+@pytest.mark.parametrize("action, extra_observation, named", [
+    (99, None, "action index 99 outside 0..1"),
+    (-1, None, "action index -1 outside 0..1"),
+    (1, 7, "observation index(es) [7] outside 0..2"),
+    (1, -1, "observation index(es) [-1] outside 0..2"),
+])
+def test_out_of_range_indices_are_named_violations(
+        pickup, right_hand_policy, action, extra_observation, named):
+    model, _, objective = pickup
+    children = dict(right_hand_policy.children)
+    if extra_observation is not None:
+        children[extra_observation] = children[0]
+    bad = PolicyTree(right_hand_policy.belief, action, children, False)
+    report = validate_policy(bad, model, objective, 3)
+    assert not report.valid
+    assert named in report.reason
+
+
 # --------------------------------------------------------------------------
 # Simulation
 # --------------------------------------------------------------------------
