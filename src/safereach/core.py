@@ -11,10 +11,10 @@ view that the file formats, the encoding and the public API read.
 
 The belief-successor kernel reads a :class:`CompiledModel`: each action's
 transition and observation rows as sparse integer columns over one
-denominator, and each state's allowed actions.  A :class:`RunContext` holds
-one compiled model and the caches of one synthesis run.  Models, beliefs,
-objectives, plans and policy trees are immutable after construction, and
-the free functions are pure.
+denominator, and each state's allowed actions.  A :class:`RunContext` binds
+one compiled model to the objective, the record and the caches of one
+synthesis run.  Models, beliefs, objectives, plans and policy trees are
+immutable after construction, and the free functions are pure.
 """
 
 from __future__ import annotations
@@ -181,11 +181,6 @@ class SafeReachObjective:
     def __post_init__(self) -> None:
         if not self.goal:
             raise ModelError("objective needs at least one goal predicate")
-        # Objectives key the enumerative backend's fruitless cache: hash once.
-        object.__setattr__(self, "_hash", hash((self.goal, self.safe)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def is_goal(self, belief: Belief) -> bool:
         return all(p.holds(belief) for p in self.goal)
@@ -371,31 +366,29 @@ class CompiledModel:
 
 
 class RunContext:
-    """The compiled model and the caches of one synthesis run.
+    """One synthesis run: its compiled model, the one ``objective`` all its
+    goals mean, its record ``stats`` and its caches.
 
     ``successors`` answers each (belief, action) pair from the kernel once
     and from a cache afterwards; ``memo`` holds ``bps`` answers by (belief,
-    remaining budget) and ``fruitless`` the enumerative backend's
-    (objective, belief, steps remaining) facts.  A context belongs to one
-    run and is dropped with it.  Given an initial belief and an objective,
-    it first checks that they fit the model.
+    remaining budget) and ``fruitless`` the enumerative backend's (belief,
+    steps remaining) facts.  A context belongs to one run and is dropped
+    with it.  It first checks that the objective fits the model.
     """
 
-    def __init__(self, model: Pomdp, b_init: Optional[Belief] = None,
-                 objective: Optional[SafeReachObjective] = None) -> None:
+    def __init__(self, model: Pomdp, objective: SafeReachObjective) -> None:
         n = len(model.states)
-        if b_init is not None and len(b_init) != n:
-            raise ModelError(
-                f"initial belief has {len(b_init)} entries but the model has {n} states")
-        for pred in (objective.goal + objective.safe) if objective is not None else ():
+        for pred in objective.goal + objective.safe:
             outside = sorted(s for s in pred.state_set if not 0 <= s < n)
             if outside:
                 raise ModelError(f"predicate names state(s) {outside}, "
                                  f"but the model has states 0..{n - 1}")
         self.model = model
+        self.objective = objective
+        self.stats = SynthesisStats()
         self.kernel = CompiledModel(model)
         self.memo: dict[tuple[Belief, int], Optional[PolicyTree]] = {}
-        self.fruitless: set[tuple[SafeReachObjective, Belief, int]] = set()
+        self.fruitless: set[tuple[Belief, int]] = set()
         self._successors: dict[tuple[Belief, int], dict[int, tuple[Fraction, Belief]]] = {}
 
     def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:

@@ -2,13 +2,13 @@
 
 A constraint is plain, immutable data saying what it asserts: the belief at
 the start step, the belief transition into one step, the bounded
-safe-reachability goal over a span of steps, or a blocked plan prefix.  The
-builders check their arguments and return that data; the enumerative backend
-interprets it directly.
+safe-reachability goal of the run's objective over a span of steps, or a
+blocked plan prefix.  The builders check their arguments and return that
+data; the enumerative backend interprets it directly.
 
 :func:`lower` turns one constraint into a term of the constraint AST over
-step variables, for the SMT-LIB backend: belief components as reals, the
-action and observation choice at each step as bounded integers.
+the step variables of a run, for the SMT-LIB backend: belief components as
+reals, the action and observation choice at each step as bounded integers.
 Normalization is encoded division-free (``b_i * denom_i = u_i``,
 ``denom_i > 0``) so the whole theory stays in polynomial arithmetic.
 Lowering is deterministic: identical inputs produce structurally identical
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, SafeReachObjective
+from .core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
+                   SafeReachObjective)
 
 
 # --------------------------------------------------------------------------
@@ -222,12 +223,11 @@ class Transition:
 
 @dataclass(frozen=True)
 class Goal:
-    """Some step in ``start_step..end_step`` holds a goal belief and every
-    belief before it is safe."""
+    """Some step in ``start_step..end_step`` holds a goal belief of the run's
+    one objective, and every belief before it is safe."""
 
     start_step: int
     end_step: int
-    objective: SafeReachObjective
 
 
 @dataclass(frozen=True)
@@ -254,10 +254,10 @@ def transition_constraint(prev_step: int, step: int) -> Transition:
     return Transition(step)
 
 
-def goal_constraint(start_step: int, end_step: int, objective: SafeReachObjective) -> Goal:
+def goal_constraint(start_step: int, end_step: int) -> Goal:
     if end_step < start_step:
         raise ValueError("goal steps must cover a contiguous, non-empty range")
-    return Goal(start_step, end_step, objective)
+    return Goal(start_step, end_step)
 
 
 def blocking_constraint(plan: CandidatePlan, fail_step: int) -> Blocking:
@@ -271,9 +271,10 @@ def blocking_constraint(plan: CandidatePlan, fail_step: int) -> Blocking:
 # Lowering to the constraint AST
 # --------------------------------------------------------------------------
 
-def lower(constraint: Constraint, model: Pomdp) -> Term:
-    """The constraint as one term over the step variables of ``model``."""
-    n = len(model.states)
+def lower(constraint: Constraint, run: RunContext) -> Term:
+    """The constraint as one term over the step variables of the run's model;
+    a goal is lowered against the run's objective."""
+    n = len(run.model.states)
     if isinstance(constraint, Initial):
         vars_s = step_vars(constraint.step, n, start=True)
         eqs = [Eq(v, RConst(constraint.belief[j])) for j, v in enumerate(vars_s.belief_vars)]
@@ -281,11 +282,11 @@ def lower(constraint: Constraint, model: Pomdp) -> Term:
     if isinstance(constraint, Transition):
         # Only the belief variables of the previous step are read.
         prev = step_vars(constraint.step - 1, n, start=True)
-        return _transition_term(prev, step_vars(constraint.step, n), model)
+        return _transition_term(prev, step_vars(constraint.step, n), run.model)
     if isinstance(constraint, Goal):
         all_vars = [step_vars(i, n, start=i == constraint.start_step)
                     for i in range(constraint.start_step, constraint.end_step + 1)]
-        return _goal_term(all_vars, constraint.objective)
+        return _goal_term(all_vars, run.objective)
     if isinstance(constraint, Blocking):
         return _blocking_term(constraint.plan, constraint.fail_step)
     raise TypeError(f"cannot lower {constraint!r}")

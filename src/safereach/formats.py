@@ -41,6 +41,12 @@ def fraction_to_str(value: Fraction) -> str:
         else str(value.numerator)
 
 
+def _field(doc: object, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise FormatError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def parse_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, float):
         raise FormatError(f"{where}: floats are not exact; write \"p/q\" instead of {value!r}")
@@ -110,24 +116,24 @@ def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
     transition: dict[tuple[int, int], dict[int, Fraction]] = {}
     for row_no, row in enumerate(doc["transition"]):
         where = f"transition[{row_no}]"
-        s = lookup(s_idx, row["s"], "state", where)
-        a = lookup(a_idx, row["a"], "action", where)
+        s = lookup(s_idx, _field(row, "s", where), "state", where)
+        a = lookup(a_idx, _field(row, "a", where), "action", where)
         if (s, a) in transition:
             raise FormatError(f"{where}: duplicate row for ({row['s']}, {row['a']})")
         transition[(s, a)] = {
             lookup(s_idx, name, "state", where): parse_fraction(p, where)
-            for name, p in row["to"].items()
+            for name, p in _field(row, "to", where).items()
         }
     observe: dict[tuple[int, int], dict[int, Fraction]] = {}
     for row_no, row in enumerate(doc["observe"]):
         where = f"observe[{row_no}]"
-        s2 = lookup(s_idx, row["s"], "state", where)
-        a = lookup(a_idx, row["a"], "action", where)
+        s2 = lookup(s_idx, _field(row, "s", where), "state", where)
+        a = lookup(a_idx, _field(row, "a", where), "action", where)
         if (s2, a) in observe:
             raise FormatError(f"{where}: duplicate row for ({row['s']}, {row['a']})")
         observe[(s2, a)] = {
             lookup(o_idx, name, "observation", where): parse_fraction(p, where)
-            for name, p in row["obs"].items()
+            for name, p in _field(row, "obs", where).items()
         }
     availability = None
     if "availability" in doc:
@@ -169,17 +175,16 @@ def objective_from_json(doc: dict, model: Pomdp) -> SafeReachObjective:
         preds = []
         for i, entry in enumerate(entries):
             where = f"{section}[{i}]"
+            names, comparator = _field(entry, "states", where), _field(entry, "cmp", where)
             try:
-                state_set = frozenset(model.state_index(s) for s in entry["states"])
+                state_set = frozenset(model.state_index(s) for s in names)
             except ModelError as exc:
                 raise FormatError(f"{where}: {exc}") from None
             preds.append(LinearBeliefPredicate(
-                state_set, entry["cmp"], parse_fraction(entry["threshold"], where)))
+                state_set, comparator, parse_fraction(_field(entry, "threshold", where), where)))
         return tuple(preds)
 
-    if "goal" not in doc:
-        raise FormatError("objective file: missing key 'goal'")
-    objective = SafeReachObjective(parse(doc["goal"], "goal"),
+    objective = SafeReachObjective(parse(_field(doc, "goal", "objective file"), "goal"),
                                    parse(doc.get("safe", []), "safe"))
     check_goal_safety_containment(objective)
     return objective
@@ -265,7 +270,7 @@ def policy_to_json(tree: PolicyTree, model: Pomdp) -> dict:
 def policy_from_json(doc: dict, model: Pomdp) -> PolicyTree:
     action = doc.get("action")
     return PolicyTree(
-        belief=_belief_from_json(doc["belief"], model, "policy belief"),
+        belief=_belief_from_json(_field(doc, "belief", "policy"), model, "policy belief"),
         action=model.action_index(action) if action is not None else None,
         children={
             model.observation_index(o): policy_from_json(child, model)
@@ -348,4 +353,7 @@ def dump_json(doc: dict, path: str) -> None:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None

@@ -3,22 +3,22 @@
 Interprets the constraints as the plain data they are — it never lowers them
 to terms and starts no external process — by depth-first search over
 action/observation sequences with exact belief updates.  A satisfying check
-answers with the plan the search holds, whose posteriors are the run
-context's own cached beliefs; it never names an SMT variable.  It serves as
-the independent oracle for the symbolic pipeline and as a fast default
-backend.  It takes the shape ``bps`` sends: at most one distinct goal,
-spanning the whole unfolding (with none, any full-length path satisfies).
+answers with the plan the search holds, whose posteriors are the run's own
+cached beliefs; it never names an SMT variable.  It serves as the
+independent oracle for the symbolic pipeline and as a fast default backend.
+It takes the shape ``bps`` sends: goals spanning the whole unfolding, which
+all say the same thing, as the objective is the run's (with none, any
+full-length path satisfies).
 
 Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
-lexicographically smallest one.  Successors come from a
-:class:`~safereach.core.RunContext`, whose ``fruitless`` set of (objective,
-belief, steps-remaining) triples prunes repeated subtrees of branches that
-have not reached the goal yet.  As the goal ends at the horizon, only the
-blocks live in a subtree can change its answer, and entries are only
-recorded on blocking-free subtrees; so they stay sound under any blocking
-set and at any horizon, and sessions over the same model may share one
-context (the ``run`` constructor argument).
+lexicographically smallest one.  Successors come from the session's
+:class:`~safereach.core.RunContext`, whose ``fruitless`` set of (belief,
+steps-remaining) pairs prunes repeated subtrees of branches that have not
+reached the goal yet.  As the goal ends at the horizon, only the blocks live
+in a subtree can change its answer, and entries are only recorded on
+blocking-free subtrees; so they stay sound under any blocking set and at any
+horizon, and every session of the run shares them.
 """
 
 from __future__ import annotations
@@ -33,43 +33,35 @@ from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 class EnumerativeSession(SolverSession):
     """Searches the bounded structure its constraints describe."""
 
-    def __init__(self, model: Pomdp, run: Optional[RunContext] = None) -> None:
-        super().__init__(model)
-        if run is not None and run.model is not model:
-            raise SolverUsageError("the run context belongs to another model")
-        self._run = RunContext(model) if run is None else run
-
     # -- structure assembly --------------------------------------------------
 
     def _assemble(self):
         belief, start, horizon = self._unfolding()
-        goals = {c for c, _ in self._live() if isinstance(c, Goal)}
+        goals = [c for c, _ in self._live() if isinstance(c, Goal)]
         blocks = [c for c, _ in self._live() if isinstance(c, Blocking)]
-        if len(goals) > 1:
-            raise SolverUsageError("at most one distinct goal constraint may be live")
         for g in goals:
             if g.start_step != start or g.end_step != horizon:
                 raise SolverUsageError("goal constraint must span the whole unfolding")
         for bl in blocks:
             if bl.plan.start_step != start or bl.fail_step > horizon:
                 raise SolverUsageError("blocking constraint does not match the unfolding")
-        objective = goals.pop().objective if goals else None
-        return belief, start, horizon, objective, blocks
+        return belief, start, horizon, bool(goals), blocks
 
     # -- the search ------------------------------------------------------------
 
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, objective, blocks = self._assemble()
-        trail = self._search(belief, start, horizon, objective, blocks)
+        belief, start, horizon, goal, blocks = self._assemble()
+        trail = self._search(belief, start, horizon, goal, blocks)
         if trail is None:
             return Unsat()
         actions, observations, posteriors = zip(*trail) if trail else ((), (), ())
         return Sat(CandidatePlan(start, (belief, *posteriors), actions, observations))
 
-    def _search(self, b0: Belief, start: int, horizon: int,
-                objective: Optional[SafeReachObjective], blocks: Sequence[Blocking]):
-        run = self._run
+    def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
+                blocks: Sequence[Blocking]):
+        run = self.run
+        objective = run.objective
         fruitless = run.fruitless
 
         def status(belief: Belief, step: int) -> Optional[bool]:
@@ -84,7 +76,7 @@ class EnumerativeSession(SolverSession):
         def recurse(belief: Belief, step: int, trail: list, live: list, fired: bool):
             if step == horizon:
                 return list(trail)  # a branch only gets here once it has fired
-            key = (objective, belief, horizon - step)
+            key = (belief, horizon - step)
             if not fired and key in fruitless:
                 return None
             i = step - start
@@ -111,7 +103,7 @@ class EnumerativeSession(SolverSession):
                 fruitless.add(key)
             return None
 
-        fired = objective is None or status(b0, start)
+        fired = not goal or status(b0, start)
         if fired is None:
             return None
         live = [bl for bl in blocks if bl.plan.beliefs[0] == b0]
@@ -127,11 +119,11 @@ def enumerative_check(
     blocks: Sequence[Blocking] = (),
 ) -> SatResult:
     """One-shot satisfiability of the bounded structure, for tests and tools."""
-    session = EnumerativeSession(model)
+    session = EnumerativeSession(RunContext(model, objective))
     session.add(initial_constraint(start, b_init))
     for step in range(start + 1, horizon + 1):
         session.add(transition_constraint(step - 1, step))
-    session.add(goal_constraint(start, horizon, objective))
+    session.add(goal_constraint(start, horizon))
     for bl in blocks:
         session.add(bl)
     return session.check()

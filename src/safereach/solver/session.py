@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union, get_args
 
-from ..core import Belief, CandidatePlan, Pomdp, RunContext
+from ..core import Belief, CandidatePlan, RunContext
 from ..encoding import Constraint, Initial, Transition
 
 
@@ -58,8 +58,8 @@ class SolverConfig:
 
 
 class SolverSession(ABC):
-    """An incremental satisfiability session over one model, with a stack of
-    assertion scopes.
+    """An incremental satisfiability session opened on one run, whose model
+    and objective it reads, with a stack of assertion scopes.
 
     The scope stack lives here: each added constraint next to whatever
     :meth:`_admit` returns for it.  A backend hears of every push and pop
@@ -70,8 +70,9 @@ class SolverSession(ABC):
     sessions may run concurrently.
     """
 
-    def __init__(self, model: Pomdp) -> None:
-        self.model = model
+    def __init__(self, run: RunContext) -> None:
+        self.run = run
+        self.model = run.model
         self._frames: list[list[tuple[Constraint, object]]] = [[]]
         self._closed = False
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from ..core import Belief, CandidatePlan, ModelError, Pomdp
+from ..core import Belief, CandidatePlan, ModelError, Pomdp, RunContext
 from ..encoding import (
     Add,
     And,
@@ -63,7 +63,7 @@ LOGIC = "QF_NIRA"
 
 
 class ModelValueError(SolverError):
-    """The solver returned a model value that is not an exact rational."""
+    """A model value is not an exact rational, or an ``Int`` is not an integer."""
 
 
 def default_solver_command() -> tuple[str, ...]:
@@ -206,8 +206,10 @@ def parse_model(text: str) -> dict[str, Union[Fraction, int]]:
         if not (isinstance(entry, list) and entry and entry[0] == "define-fun"):
             continue
         name, _args, sort, value = entry[1], entry[2], entry[3], entry[4]
-        parsed = _parse_numeric(value, name)
-        model[name] = int(parsed) if sort == "Int" else Fraction(parsed)
+        parsed = Fraction(_parse_numeric(value, name))
+        if sort == "Int" and parsed.denominator != 1:
+            raise ModelValueError(f"non-integer model value for {name}: {parsed}")
+        model[name] = int(parsed) if sort == "Int" else parsed
     return model
 
 
@@ -339,8 +341,8 @@ class _Asserted:
 class SmtLibSession(SolverSession):
     """Drives one solver process incrementally, or one process per check."""
 
-    def __init__(self, model: Pomdp, config: SolverConfig = SolverConfig()) -> None:
-        super().__init__(model)
+    def __init__(self, run: RunContext, config: SolverConfig = SolverConfig()) -> None:
+        super().__init__(run)
         self.config = config
         self.command = tuple(config.command) if config.command else default_solver_command()
         self._proc: Optional[_SmtProcess] = None
@@ -384,7 +386,7 @@ class SmtLibSession(SolverSession):
     # -- SolverSession hooks -----------------------------------------------
 
     def _admit(self, constraint: Constraint) -> _Asserted:
-        term = lower(constraint, self.model)
+        term = lower(constraint, self.run)
         known = {name for _, entry in self._live() for name in entry.declarations}
         declarations = {
             name: f"(declare-const {name} {sort})"

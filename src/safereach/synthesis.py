@@ -27,6 +27,7 @@ from .core import (
     Belief,
     BlockEvent,
     CandidatePlan,
+    ModelError,
     PolicyTree,
     Pomdp,
     RunContext,
@@ -91,9 +92,9 @@ def make_session_factory(run: RunContext, config: SynthesisConfig) -> SessionFac
         # Fresh sessions per recursion level over the run's one context: its
         # successor cache and fruitless facts are horizon- and
         # blocking-independent, so sharing them is sound and saves work.
-        return lambda: EnumerativeSession(run.model, run)
+        return lambda: EnumerativeSession(run)
     if config.backend == "smtlib":
-        return lambda: SmtLibSession(run.model, config.solver)
+        return lambda: SmtLibSession(run, config.solver)
     raise ValueError(f"unknown backend {config.backend!r}")
 
 
@@ -114,23 +115,22 @@ def _truncate_at_goal(plan: CandidatePlan, objective: SafeReachObjective) -> Can
 def bps(
     run: RunContext,
     b_init: Belief,
-    objective: SafeReachObjective,
     start_step: int,
     horizon_bound: int,
     session_factory: SessionFactory,
-    stats: SynthesisStats,
 ) -> Optional[PolicyTree]:
     """Search for a valid policy from ``b_init`` within the step budget.
 
-    Returns a policy tree valid from ``b_init`` using at most
-    ``horizon_bound - start_step`` steps, or ``None`` when no valid policy
-    exists within the bound.  Unknown solver verdicts and backend failures
-    raise :class:`SynthesisError`.  ``run.memo`` keeps every answer by
-    (belief, remaining budget) for the rest of the run.  Every check and
-    every block is recorded in ``stats`` here, and nowhere else.
+    Returns a policy tree valid for ``run.objective`` from ``b_init`` using
+    at most ``horizon_bound - start_step`` steps, or ``None`` when no valid
+    policy exists within the bound.  Unknown solver verdicts and backend
+    failures raise :class:`SynthesisError`.  ``run.memo`` keeps every answer
+    by (belief, remaining budget) for the rest of the run.  Every check and
+    every block is recorded in ``run.stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
         return None
+    stats = run.stats
     memo = run.memo
     memo_key = (b_init, horizon_bound - start_step)
     if memo_key in memo:
@@ -144,7 +144,7 @@ def bps(
             if k > start_step:
                 session.add(encoding.transition_constraint(k - 1, k))
             session.push()
-            session.add(encoding.goal_constraint(start_step, k, objective))
+            session.add(encoding.goal_constraint(start_step, k))
             while True:
                 outcome = session.check()
                 stats.check_trace.append((start_step, k, _VERDICT_KIND[type(outcome)]))
@@ -157,10 +157,9 @@ def bps(
                 plan = extract_plan(outcome, start_step, k, run)
                 if plan.beliefs[0] != b_init:
                     raise EncodingSoundnessError("plan start belief differs from b_init")
-                plan = _truncate_at_goal(plan, objective)
+                plan = _truncate_at_goal(plan, run.objective)
                 stats.interactions += 1
-                tree, blocking = policy_generation(
-                    run, objective, plan, k, session_factory, stats)
+                tree, blocking = policy_generation(run, plan, k, session_factory)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
                     memo[memo_key] = tree
@@ -183,11 +182,9 @@ def bps(
 
 def policy_generation(
     run: RunContext,
-    objective: SafeReachObjective,
     plan: CandidatePlan,
     bound: int,
     session_factory: SessionFactory,
-    stats: SynthesisStats,
 ) -> tuple[Optional[PolicyTree], Optional[encoding.Blocking]]:
     """Complete a candidate plan into a policy tree, or say where it fails.
 
@@ -198,7 +195,7 @@ def policy_generation(
     first branch that cannot be completed, returns the blocking constraint
     for the failing step, for the caller to assert.  Zero-probability
     observations get no branch (the belief update is undefined there); every
-    one of each walked step is counted and logged.
+    one of each walked step is counted in ``run.stats`` and logged.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(run.model.observations)
@@ -208,13 +205,13 @@ def policy_generation(
         action = plan.actions[idx]
         on_plan_obs = plan.observations[idx]
         branches = run.successors(prev_belief, action)
-        stats.zero_probability_skips += n_obs - len(branches)
+        run.stats.zero_probability_skips += n_obs - len(branches)
         log.debug("step %d: %d impossible observation(s), no branch", i, n_obs - len(branches))
         children = {on_plan_obs: subtree}
         for obs, (_, branch_belief) in branches.items():
             if obs == on_plan_obs:
                 continue
-            branch = bps(run, branch_belief, objective, i, bound, session_factory, stats)
+            branch = bps(run, branch_belief, i, bound, session_factory)
             if branch is None:
                 return None, encoding.blocking_constraint(plan, i)
             children[obs] = branch
@@ -230,19 +227,22 @@ def synthesis_run(
 ) -> SynthesisResult:
     """Top-level driver: synthesize, exhaustively validate, time and count.
 
-    The run's compiled model and caches live in one :class:`~.core.RunContext`
-    built here and dropped on return; building it raises
-    :class:`~.core.ModelError` when ``b_init`` or the objective does not fit
-    the model.
+    The run's objective, record and caches live in one
+    :class:`~.core.RunContext` built here and dropped on return; a
+    :class:`~.core.ModelError` says that ``b_init`` or the objective does
+    not fit the model.
     """
     from .validate import validate_policy
 
-    run = RunContext(model, b_init, objective)
-    stats = SynthesisStats()
+    if len(b_init) != len(model.states):
+        raise ModelError(f"initial belief has {len(b_init)} entries "
+                         f"but the model has {len(model.states)} states")
+    run = RunContext(model, objective)
+    stats = run.stats
     factory = make_session_factory(run, config)
     started = time.monotonic()
     try:
-        policy = bps(run, b_init, objective, 0, config.horizon, factory, stats)
+        policy = bps(run, b_init, 0, config.horizon, factory)
     except (SynthesisError, SolverError) as exc:
         stats.wall_time = time.monotonic() - started
         return SynthesisResult(VERDICT_ERROR, None, stats, error=str(exc))

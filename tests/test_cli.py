@@ -118,19 +118,37 @@ def test_model_and_objective_files_match_builtin(tmp_path, capsys):
         assert "root action: pick_right" in capsys.readouterr().out
 
 
-def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "states": ["s"], "actions": ["a"], "observations": ["o"],
-        "transition": [{"s": "s", "a": "a", "to": {"typo": "1"}}],
-        "observe": [], "initial": {"s": "1"},
-    }))
-    obj = tmp_path / "obj.json"
-    obj.write_text(json.dumps({"goal": [{"states": ["s"], "cmp": ">", "threshold": "1/2"}]}))
-    code = run_cli("synth", "--model", str(bad), "--objective", str(obj),
-                   "--horizon", "1")
-    assert code == 1
-    assert any("transition[0]" in r.message for r in caplog.records)
+_MODEL = {"states": ["s"], "actions": ["a"], "observations": ["o"],
+          "transition": [{"s": "s", "a": "a", "to": {"s": "1"}}],
+          "observe": [{"s": "s", "a": "a", "obs": {"o": "1"}}], "initial": {"s": "1"}}
+_GOAL = {"states": ["s"], "cmp": ">", "threshold": "1/2"}
+
+
+@pytest.mark.parametrize("files, message", [
+    ({"model": {**_MODEL, "transition": [{"s": "s", "a": "a", "to": {"typo": "1"}}]}},
+     "transition[0]: unknown state 'typo'"),
+    ({"model": {**_MODEL, "transition": [{"s": "s", "a": "a"}]}},
+     "transition[0]: missing key 'to'"),
+    ({"model": {**_MODEL, "observe": [{"a": "a", "obs": {"o": "1"}}]}},
+     "observe[0]: missing key 's'"),
+    ({"objective": {"goal": [{"states": ["s"], "threshold": "1/2"}]}},
+     "goal[0]: missing key 'cmp'"),
+    ({"model": "{not json"}, "model.json: not valid JSON"),
+    ({"policy": {"action": None, "children": {}}}, "policy: missing key 'belief'"),
+], ids=["unknown-state", "transition-missing-to", "observe-missing-s", "goal-missing-cmp",
+        "model-not-json", "policy-missing-belief"])
+def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog, files, message):
+    docs = {"model": _MODEL, "objective": {"goal": [_GOAL]},
+            "policy": {"belief": {"s": "1"}, "action": None}, **files}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = ["--model", str(paths["model"]), "--objective", str(paths["objective"]),
+            "--horizon", "1"]
+    command = ["validate", "--policy", str(paths["policy"])] if "policy" in files else ["synth"]
+    assert run_cli(*command, *argv) == 1
+    assert any(message in r.message for r in caplog.records)
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -14,6 +14,7 @@ from safereach.core import (
     ModelError,
     Pomdp,
     RunContext,
+    SafeReachObjective,
     available_actions,
     belief_update,
     goal_step,
@@ -269,7 +270,8 @@ def noisy_models(draw):
 def test_kernel_matches_dense_oracle(problem):
     model, belief = problem
     n = len(model.states)
-    run = RunContext(model)
+    run = RunContext(model, SafeReachObjective(
+        (LinearBeliefPredicate(frozenset({0}), ">", F(1, 2)),), ()))
     support = [s for s in range(n) if belief[s]]
     assert available_actions(model, belief) == run.kernel.available_actions(belief) == [
         a for a in range(len(model.actions))

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 from safereach import encoding as enc
-from safereach.core import Belief, CandidatePlan, Pomdp, belief_update
+from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
+                            SafeReachObjective, belief_update)
 from safereach.domains import build_kitchen
 from safereach.solver import Sat, enumerative_check
 from safereach.solver.smtlib import serialize
@@ -21,18 +22,27 @@ from oracles import (
 )
 
 
+def run_of(model, objective=None):
+    """A run on ``model``; only a goal reads its objective."""
+    if objective is None:
+        objective = SafeReachObjective(
+            (LinearBeliefPredicate(frozenset({0}), ">", F(1, 2)),), ())
+    return RunContext(model, objective)
+
+
 # --------------------------------------------------------------------------
 # Determinism and naming
 # --------------------------------------------------------------------------
 
 def test_identical_inputs_give_identical_terms(pickup):
     model, b_init, objective = pickup
-    first = enc.lower(enc.transition_constraint(0, 1), model)
-    second = enc.lower(enc.transition_constraint(0, 1), model)
+    first = enc.lower(enc.transition_constraint(0, 1), run_of(model))
+    second = enc.lower(enc.transition_constraint(0, 1), run_of(model))
     assert first == second
     assert serialize(first) == serialize(second)
-    goal = enc.goal_constraint(0, 1, objective)
-    assert enc.lower(goal, model) == enc.lower(goal, model)
+    goal = enc.goal_constraint(0, 1)
+    run = run_of(model, objective)
+    assert enc.lower(goal, run) == enc.lower(goal, run)
 
 
 def test_variable_names_are_step_and_index_functions():
@@ -54,7 +64,7 @@ def test_initial_constraint_pins_point_mass(pickup):
     model, b_init, _ = pickup
     constraint = enc.initial_constraint(0, b_init)
     assert constraint == enc.Initial(0, b_init)
-    term = enc.lower(constraint, model)
+    term = enc.lower(constraint, run_of(model))
     env = {f"b_0_{j}": b_init[j] for j in range(3)}
     assert eval_term(term, env)
     env["b_0_0"] = F(1, 2)
@@ -67,7 +77,7 @@ def test_initial_constraint_uniform_two_states():
                   transition={(0, 0): {0: F(1)}, (1, 0): {1: F(1)}},
                   observe={(0, 0): {0: F(1)}, (1, 0): {0: F(1)}})
     constraint = enc.initial_constraint(0, Belief((F(1, 2), F(1, 2))))
-    assert eval_term(enc.lower(constraint, model), {"b_0_0": F(1, 2), "b_0_1": F(1, 2)})
+    assert eval_term(enc.lower(constraint, run_of(model)), {"b_0_0": F(1, 2), "b_0_1": F(1, 2)})
 
 
 def test_kitchen_initial_constraint_uniform_over_placements():
@@ -79,7 +89,7 @@ def test_kitchen_initial_constraint_uniform_over_placements():
     expected_share = F(1, len(placements))
     positive = [p for p in b_init.probs if p]
     assert positive == [expected_share] * len(placements)
-    term = enc.lower(enc.initial_constraint(0, b_init), model)
+    term = enc.lower(enc.initial_constraint(0, b_init), run_of(model))
     env = {enc.belief_var_name(0, j): b_init[j] for j in range(len(model.states))}
     assert eval_term(term, env)
 
@@ -92,7 +102,7 @@ def test_transition_forces_left_hand_negative_posterior(pickup):
     model, b_init, _ = pickup
     constraint = enc.transition_constraint(0, 1)
     assert constraint == enc.Transition(1)
-    term = enc.lower(constraint, model)
+    term = enc.lower(constraint, run_of(model))
     expected = belief_update(b_init, 0, 1, model)
     assert expected.probs == (F(0), F(7, 25), F(18, 25))
     good = transition_env(b_init, expected, 0, 1, model, 0, 1)
@@ -108,7 +118,7 @@ def test_transition_one_state_model():
     model = Pomdp(("s",), ("a",), ("o",),
                   transition={(0, 0): {0: F(1)}},
                   observe={(0, 0): {0: F(1)}})
-    term = enc.lower(enc.transition_constraint(0, 1), model)
+    term = enc.lower(enc.transition_constraint(0, 1), run_of(model))
     b = Belief.point(0, 1)
     env = transition_env(b, b, 0, 0, model, 0, 1)
     assert env[enc.denom_var_name(1)] == 1
@@ -118,7 +128,7 @@ def test_transition_one_state_model():
 @pytest.mark.parametrize("seed", range(8))
 def test_transition_agrees_with_update_oracle_on_random_models(seed):
     model, b_init, _, _ = random_instance(random.Random(seed), max_states=3)
-    term = enc.lower(enc.transition_constraint(0, 1), model)
+    term = enc.lower(enc.transition_constraint(0, 1), run_of(model))
     for action in range(len(model.actions)):
         for obs in range(len(model.observations)):
             posterior = belief_update(b_init, action, obs, model)
@@ -131,7 +141,7 @@ def test_transition_agrees_with_update_oracle_on_random_models(seed):
 def test_transition_rejects_impossible_observation(pickup):
     # denom > 0 rules out observations with zero probability
     model, b_init, _ = pickup
-    term = enc.lower(enc.transition_constraint(0, 1), model)
+    term = enc.lower(enc.transition_constraint(0, 1), run_of(model))
     env = transition_env(b_init, b_init, 0, 2, model, 0, 1)
     assert env[enc.denom_var_name(1)] == 0
     assert not eval_term(term, env)
@@ -151,7 +161,7 @@ def test_availability_encoded_as_support_implication():
         observe={(1, 0): {0: F(1)}, (0, 1): {0: F(1)}},
         availability={0: frozenset({0, 1}), 1: frozenset({0})},
     )
-    term = enc.lower(enc.transition_constraint(0, 1), model)
+    term = enc.lower(enc.transition_constraint(0, 1), run_of(model))
     mixed = Belief((F(1, 2), F(1, 2)))
     posterior = belief_update(mixed, 0, 0, model)
     ok = transition_env(mixed, posterior, 0, 0, model, 0, 1)
@@ -167,7 +177,7 @@ def test_availability_encoded_as_support_implication():
 
 def test_goal_at_start_step_is_single_membership(pickup):
     model, _, objective = pickup
-    term = enc.lower(enc.goal_constraint(0, 0, objective), model)
+    term = enc.lower(enc.goal_constraint(0, 0), run_of(model, objective))
     in_goal = {enc.belief_var_name(0, j): p for j, p in enumerate((F(0), F(0), F(1)))}
     out_goal = {enc.belief_var_name(0, j): p for j, p in enumerate((F(1), F(0), F(0)))}
     assert eval_term(term, in_goal)
@@ -176,7 +186,7 @@ def test_goal_at_start_step_is_single_membership(pickup):
 
 def test_goal_two_step_structure_and_models(pickup):
     model, b_init, objective = pickup
-    term = enc.lower(enc.goal_constraint(0, 1, objective), model)
+    term = enc.lower(enc.goal_constraint(0, 1), run_of(model, objective))
     assert isinstance(term, enc.Or)
     assert len(term.args) == 2
     # oracle: enumerate all four (action, observation) assignments
@@ -192,10 +202,9 @@ def test_goal_two_step_structure_and_models(pickup):
     assert satisfying == [(0, 0), (1, 0), (1, 1)]
 
 
-def test_goal_requires_contiguous_steps(pickup):
-    _, _, objective = pickup
+def test_goal_requires_contiguous_steps():
     with pytest.raises(ValueError):
-        enc.goal_constraint(2, 0, objective)
+        enc.goal_constraint(2, 0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -217,7 +226,7 @@ def test_blocking_first_action_has_empty_middle(pickup):
     plan = CandidatePlan(0, (b_init, belief_update(b_init, 0, 0, model)), (0,), (0,))
     constraint = enc.blocking_constraint(plan, 1)
     assert constraint == enc.Blocking(plan, 1)
-    term = enc.lower(constraint, model)
+    term = enc.lower(constraint, run_of(model))
     assert isinstance(term, enc.Not)
     # blocked: same start belief, same first action
     env = {enc.belief_var_name(0, j): b_init[j] for j in range(3)}
@@ -232,7 +241,7 @@ def test_blocking_middle_pins_actions_observations_and_beliefs(pickup):
     b1 = belief_update(b_init, 1, 0, model)
     b2 = belief_update(b1, 1, 0, model)
     plan = CandidatePlan(0, (b_init, b1, b2), (1, 1), (0, 0))
-    term = enc.lower(enc.blocking_constraint(plan, 2), model)
+    term = enc.lower(enc.blocking_constraint(plan, 2), run_of(model))
     env = {enc.belief_var_name(0, j): b_init[j] for j in range(3)}
     env.update({enc.belief_var_name(1, j): b1[j] for j in range(3)})
     env[enc.action_var_name(1)] = 1

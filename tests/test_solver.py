@@ -27,12 +27,12 @@ from safereach.solver.smtlib import ModelValueError, parse_model, serialize
 from oracles import random_instance
 
 
-def load_session(session, b_init, horizon, objective=None):
+def load_session(session, b_init, horizon, goal=False):
     session.add(enc.initial_constraint(0, b_init))
     for i in range(1, horizon + 1):
         session.add(enc.transition_constraint(i - 1, i))
-    if objective is not None:
-        session.add(enc.goal_constraint(0, horizon, objective))
+    if goal:
+        session.add(enc.goal_constraint(0, horizon))
 
 
 # --------------------------------------------------------------------------
@@ -42,30 +42,30 @@ def load_session(session, b_init, horizon, objective=None):
 @pytest.mark.parametrize("backend", ["enum", "smtlib"])
 def test_popped_scope_leaves_no_trace(pickup, backend):
     model, b_init, objective = pickup
-    session = (EnumerativeSession(model) if backend == "enum"
-               else SmtLibSession(model, SolverConfig()))
+    session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
+               else SmtLibSession(RunContext(model, objective), SolverConfig()))
     with session:
         load_session(session, b_init, 1)
         session.push()
-        session.add(enc.goal_constraint(0, 1, objective))
+        session.add(enc.goal_constraint(0, 1))
         plan = session.check().plan
         session.add(enc.blocking_constraint(plan, 1))
         blocked = session.check().plan
         assert blocked.actions[0] != plan.actions[0]
         session.pop()
         session.push()
-        session.add(enc.goal_constraint(0, 1, objective))
+        session.add(enc.goal_constraint(0, 1))
         fresh = session.check().plan
         assert fresh == plan  # the block is gone with its scope
         session.pop()
 
 
 def test_pop_on_empty_stack_is_usage_error(pickup):
-    model, _, _ = pickup
-    session = EnumerativeSession(model)
+    model, _, objective = pickup
+    session = EnumerativeSession(RunContext(model, objective))
     with pytest.raises(SolverUsageError):
         session.pop()
-    smt = SmtLibSession(model, SolverConfig())
+    smt = SmtLibSession(RunContext(model, objective), SolverConfig())
     with pytest.raises(SolverUsageError):
         smt.pop()
     smt.close()
@@ -74,15 +74,15 @@ def test_pop_on_empty_stack_is_usage_error(pickup):
 def test_transition_outside_scope_persists_across_horizons(pickup):
     # the outer loop relies on transitions surviving goal-scope pops
     model, b_init, objective = pickup
-    with EnumerativeSession(model) as session:
+    with EnumerativeSession(RunContext(model, objective)) as session:
         session.add(enc.initial_constraint(0, b_init))
         session.push()
-        session.add(enc.goal_constraint(0, 0, objective))
+        session.add(enc.goal_constraint(0, 0))
         assert isinstance(session.check(), Unsat)
         session.pop()
         session.add(enc.transition_constraint(0, 1))
         session.push()
-        session.add(enc.goal_constraint(0, 1, objective))
+        session.add(enc.goal_constraint(0, 1))
         assert isinstance(session.check(), Sat)
         session.pop()
 
@@ -94,8 +94,8 @@ def test_random_scope_sequences_agree_across_backends():
         rng = random.Random(seed)
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
         horizon = 2
-        enum = EnumerativeSession(model)
-        smt = SmtLibSession(model, SolverConfig())
+        run = RunContext(model, objective)
+        enum, smt = EnumerativeSession(run), SmtLibSession(run, SolverConfig())
         for session in (enum, smt):
             load_session(session, b_init, horizon)
         depth = 0
@@ -109,7 +109,7 @@ def test_random_scope_sequences_agree_across_backends():
                 enum.pop(), smt.pop()
                 depth -= 1
             elif op == "goal" and depth:
-                c = enc.goal_constraint(0, horizon, objective)
+                c = enc.goal_constraint(0, horizon)
                 enum.add(c), smt.add(c)
             elif op == "block" and depth and plan is not None:
                 c = enc.blocking_constraint(plan, rng.randint(1, plan.end_step))
@@ -164,15 +164,15 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch):
         processes.clear()
         serialized.clear()
         config = SolverConfig(incremental=incremental)
-        with SmtLibSession(model, config) as session:
+        with SmtLibSession(RunContext(model, objective), config) as session:
             session.add(enc.initial_constraint(0, b_init))
             session.push()
-            session.add(enc.goal_constraint(0, 0, objective))
+            session.add(enc.goal_constraint(0, 0))
             assert isinstance(session.check(), Unsat)
             session.pop()
             session.add(enc.transition_constraint(0, 1))
             session.push()
-            session.add(enc.goal_constraint(0, 1, objective))
+            session.add(enc.goal_constraint(0, 1))
             plan = session.check().plan
             session.add(enc.blocking_constraint(plan, 1))
             assert isinstance(session.check(), Sat)
@@ -231,9 +231,9 @@ def test_shared_fruitless_cache_keeps_every_plan():
     for seed in range(60):
         model, b_init, objective, h = random_instance(random.Random(seed))
         for k in range(1, h + 1):
-            run = RunContext(model)
-            with EnumerativeSession(model, run) as blocked:
-                load_session(blocked, b_init, k, objective)
+            run = RunContext(model, objective)
+            with EnumerativeSession(run) as blocked:
+                load_session(blocked, b_init, k, goal=True)
                 first = blocked.check()
                 if not isinstance(first, Sat):
                     continue
@@ -242,8 +242,8 @@ def test_shared_fruitless_cache_keeps_every_plan():
                 blocked.add(enc.blocking_constraint(plan, plan.end_step))
                 blocked.check()
                 blocked.pop()
-            with EnumerativeSession(model, run) as fresh:
-                load_session(fresh, b_init, k, objective)
+            with EnumerativeSession(run) as fresh:
+                load_session(fresh, b_init, k, goal=True)
                 again = fresh.check()
             assert isinstance(again, Sat), f"seed {seed}, horizon {k}"
             assert again.plan == plan, f"seed {seed}, horizon {k}"
@@ -251,29 +251,18 @@ def test_shared_fruitless_cache_keeps_every_plan():
     assert cases >= 50
 
 
-def test_enumerative_session_takes_only_its_models_run_context(pickup):
-    model = pickup[0]
-    other = random_instance(random.Random(0))[0]
-    with pytest.raises(SolverUsageError, match="another model"):
-        EnumerativeSession(model, RunContext(other))
-
-
 def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
     model, b_init, objective = pickup
-    goal = enc.goal_constraint(0, 2, objective)
-    other = enc.goal_constraint(0, 2, SafeReachObjective(objective.goal, ()))
-    with EnumerativeSession(model) as session:
+    goal = enc.goal_constraint(0, 2)
+    with EnumerativeSession(RunContext(model, objective)) as session:
         load_session(session, b_init, 2)
         session.push()
         session.add(goal)
         session.add(goal)  # the same goal twice is still one goal
         assert isinstance(session.check(), Sat)
-        session.add(other)
-        with pytest.raises(SolverUsageError, match="one distinct goal"):
-            session.check()
         session.pop()
         session.push()
-        session.add(enc.goal_constraint(0, 1, objective))
+        session.add(enc.goal_constraint(0, 1))
         with pytest.raises(SolverUsageError, match="span the whole unfolding"):
             session.check()
         session.pop()
@@ -283,8 +272,8 @@ def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
 @pytest.mark.parametrize("shape", ["no initial", "two initials", "gap in transitions"])
 def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backend, shape):
     model, b_init, objective = pickup
-    session = (EnumerativeSession(model) if backend == "enum"
-               else SmtLibSession(model, SolverConfig()))
+    session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
+               else SmtLibSession(RunContext(model, objective), SolverConfig()))
     with session:
         if shape != "no initial":
             session.add(enc.initial_constraint(0, b_init))
@@ -300,9 +289,9 @@ def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backen
 def test_sat_plans_span_the_unfolding_on_both_backends(pickup):
     model, b_init, objective = pickup
     plans = []
-    for session in (EnumerativeSession(model), SmtLibSession(model, SolverConfig())):
+    for session in (EnumerativeSession(RunContext(model, objective)), SmtLibSession(RunContext(model, objective), SolverConfig())):
         with session:
-            load_session(session, b_init, 1, objective)
+            load_session(session, b_init, 1, goal=True)
             result = session.check()
             assert isinstance(result, Sat)
             assert (result.plan.start_step, result.plan.end_step) == (0, 1)
@@ -313,9 +302,9 @@ def test_sat_plans_span_the_unfolding_on_both_backends(pickup):
 def test_enum_plan_posteriors_are_the_run_caches_own(pickup):
     model, b_init, objective = pickup
     for horizon in (1, 2, 3):
-        run = RunContext(model)
-        with EnumerativeSession(model, run) as session:
-            load_session(session, b_init, horizon, objective)
+        run = RunContext(model, objective)
+        with EnumerativeSession(run) as session:
+            load_session(session, b_init, horizon, goal=True)
             plan = session.check().plan
         assert plan.beliefs[0] is b_init
         for i, (a, o) in enumerate(zip(plan.actions, plan.observations)):
@@ -324,7 +313,7 @@ def test_enum_plan_posteriors_are_the_run_caches_own(pickup):
 
 def test_extract_plan_verifies_every_step(pickup):
     model, b_init, objective = pickup
-    run = RunContext(model)
+    run = RunContext(model, objective)
     result = enumerative_check(model, b_init, 0, 1, objective)
     assert extract_plan(result, 0, 1, run) is result.plan
     wrong_posterior = Belief((F(0), F(1, 3), F(2, 3)))
@@ -359,16 +348,17 @@ def _fake_solver(model):
     ({"a_1": None}, "missing variable 'a_1'"),
     ({"b_1_0": "1.0"}, "step 1: belief entries sum to 2"),
     ({"a_1": "9"}, "action selector out of range: 9"),
-], ids=["missing-a_1", "belief-sums-to-2", "action-9"])
+    ({"o_1": "(/ 1.0 2.0)"}, "non-integer model value for o_1: 1/2"),
+], ids=["missing-a_1", "belief-sums-to-2", "action-9", "o_1-one-half"])
 def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
     model, b_init, objective = pickup
-    with SmtLibSession(model, SolverConfig(command=_fake_solver(_GOOD_MODEL))) as session:
-        load_session(session, b_init, 1, objective)
+    with SmtLibSession(RunContext(model, objective), SolverConfig(command=_fake_solver(_GOOD_MODEL))) as session:
+        load_session(session, b_init, 1, goal=True)
         # the unchanged model decodes to the plan the enum backend finds
         assert session.check().plan == enumerative_check(model, b_init, 0, 1, objective).plan
     broken = {k: v for k, v in {**_GOOD_MODEL, **change}.items() if v is not None}
-    session = SmtLibSession(model, SolverConfig(command=_fake_solver(broken)))
-    load_session(session, b_init, 1, objective)
+    session = SmtLibSession(RunContext(model, objective), SolverConfig(command=_fake_solver(broken)))
+    load_session(session, b_init, 1, goal=True)
     result = session.check()
     assert isinstance(result, Unknown)
     assert result.reason.startswith("solver failure") and reason in result.reason
@@ -400,8 +390,8 @@ def test_model_parser_rejects_algebraic_values():
 
 
 def test_serializer_rational_and_boolean_forms(pickup):
-    model, b_init, _ = pickup
-    text = serialize(enc.lower(enc.initial_constraint(0, b_init), model))
+    model, b_init, objective = pickup
+    text = serialize(enc.lower(enc.initial_constraint(0, b_init), RunContext(model, objective)))
     assert text == "(and (= b_0_0 1.0) (= b_0_1 0.0) (= b_0_2 0.0))"
     assert serialize(enc.RConst(F(2, 7))) == "(/ 2.0 7.0)"
     assert serialize(enc.BoolConst(True)) == "true"
@@ -419,8 +409,8 @@ def test_check_timeout_yields_unknown_and_dead_session(pickup):
         command=(sys.executable, "-c", "import time; time.sleep(30)"),
         check_timeout=0.2,
     )
-    session = SmtLibSession(model, config)
-    load_session(session, b_init, 1, objective)
+    session = SmtLibSession(RunContext(model, objective), config)
+    load_session(session, b_init, 1, goal=True)
     result = session.check()
     assert isinstance(result, Unknown)
     assert "timed out" in result.reason
@@ -436,9 +426,9 @@ def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
                  "import sys; sys.stderr.write('boom\\n'); sys.exit(3)"),
         check_timeout=5.0,
     )
-    session = SmtLibSession(model, config)
+    session = SmtLibSession(RunContext(model, objective), config)
     try:
-        load_session(session, b_init, 1, objective)
+        load_session(session, b_init, 1, goal=True)
         result = session.check()
     except SolverError as exc:
         assert "boom" in str(exc) or "closed" in str(exc)

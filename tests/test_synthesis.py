@@ -15,7 +15,6 @@ from safereach.core import (
     Pomdp,
     RunContext,
     SafeReachObjective,
-    SynthesisStats,
     belief_update,
 )
 from safereach.domains import build_kitchen
@@ -202,15 +201,14 @@ def test_blocks_are_not_reproposed_within_a_horizon(pickup):
 
 def test_policy_generation_reports_failing_branch(pickup):
     model, b_init, objective = pickup
-    stats = SynthesisStats()
-    run = RunContext(model)
+    run = RunContext(model, objective)
     factory = make_session_factory(run, SynthesisConfig(horizon=1))
     from safereach.core import CandidatePlan
 
     left, pos = 0, 0
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, left, pos, model)), (left,), (pos,))
-    tree, blocking = policy_generation(run, objective, plan, 1, factory, stats)
+    tree, blocking = policy_generation(run, plan, 1, factory)
     assert tree is None
     assert blocking == encoding.blocking_constraint(plan, 1)
 
@@ -269,9 +267,9 @@ def test_each_belief_is_pushed_forward_once(monkeypatch):
         kernel_calls += validating
         return kernel(self, belief, action)
 
-    def walking(run_context, objective, plan, *rest):
+    def walking(run_context, plan, *rest):
         nonlocal walked
-        tree, failure = generate(run_context, objective, plan, *rest)
+        tree, failure = generate(run_context, plan, *rest)
         last = plan.start_step if failure is None else failure.fail_step - 1
         walked += plan.end_step - last
         return tree, failure
