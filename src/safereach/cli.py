@@ -100,7 +100,8 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         help="per-check timeout in seconds "
                              "(default: $SAFEREACH_CHECK_TIMEOUT, else 60)")
     parser.add_argument("--no-incremental", action="store_true",
-                        help="smtlib: fresh solver process per check instead of push/pop")
+                        help="smtlib: replay into a reset solver process per check "
+                             "instead of push/pop")
 
 
 def _kitchen(args, obstacles: int) -> tuple[Pomdp, Belief, SafeReachObjective]:

@@ -47,6 +47,14 @@ def _field(doc: object, key: str, where: str):
     return doc[key]
 
 
+def _object(doc: object, key: str, where: str) -> dict:
+    """``doc[key]``, which must be present and a JSON object."""
+    value = _field(doc, key, where)
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: {key!r} must be an object")
+    return value
+
+
 def parse_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, float):
         raise FormatError(f"{where}: floats are not exact; write \"p/q\" instead of {value!r}")
@@ -99,8 +107,8 @@ def model_to_json(model: Pomdp, b_init: Optional[Belief] = None) -> dict:
 
 def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
     for key in ("states", "actions", "observations", "transition", "observe"):
-        if key not in doc:
-            raise FormatError(f"model file: missing key {key!r}")
+        if not isinstance(_field(doc, key, "model file"), (list, tuple)):
+            raise FormatError(f"model file: {key!r} must be a list")
     states = tuple(doc["states"])
     actions = tuple(doc["actions"])
     observations = tuple(doc["observations"])
@@ -122,7 +130,7 @@ def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
             raise FormatError(f"{where}: duplicate row for ({row['s']}, {row['a']})")
         transition[(s, a)] = {
             lookup(s_idx, name, "state", where): parse_fraction(p, where)
-            for name, p in _field(row, "to", where).items()
+            for name, p in _object(row, "to", where).items()
         }
     observe: dict[tuple[int, int], dict[int, Fraction]] = {}
     for row_no, row in enumerate(doc["observe"]):
@@ -133,20 +141,21 @@ def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
             raise FormatError(f"{where}: duplicate row for ({row['s']}, {row['a']})")
         observe[(s2, a)] = {
             lookup(o_idx, name, "observation", where): parse_fraction(p, where)
-            for name, p in _field(row, "obs", where).items()
+            for name, p in _object(row, "obs", where).items()
         }
     availability = None
     if "availability" in doc:
-        availability = {
-            lookup(s_idx, name, "state", "availability"):
+        availability = {}
+        for name, acts in _object(doc, "availability", "model file").items():
+            if not isinstance(acts, (list, tuple)):
+                raise FormatError(f"availability: {name!r} must be a list of actions")
+            availability[lookup(s_idx, name, "state", "availability")] = \
                 frozenset(lookup(a_idx, a, "action", "availability") for a in acts)
-            for name, acts in doc["availability"].items()
-        }
     model = Pomdp(states, actions, observations, transition, observe, availability)
     b_init = None
     if "initial" in doc:
         probs = [Fraction(0)] * len(states)
-        for name, p in doc["initial"].items():
+        for name, p in _object(doc, "initial", "model file").items():
             probs[lookup(s_idx, name, "state", "initial")] = parse_fraction(p, "initial")
         b_init = Belief(tuple(probs))
     return model, b_init
@@ -267,14 +276,18 @@ def policy_to_json(tree: PolicyTree, model: Pomdp) -> dict:
     }
 
 
-def policy_from_json(doc: dict, model: Pomdp) -> PolicyTree:
+def policy_from_json(doc: dict, model: Pomdp, where: str = "policy") -> PolicyTree:
+    """The policy tree of ``doc``; ``where`` names the node in error messages."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: a policy node must be an object")
     action = doc.get("action")
+    children = _object(doc, "children", where) if "children" in doc else {}
     return PolicyTree(
-        belief=_belief_from_json(_field(doc, "belief", "policy"), model, "policy belief"),
+        belief=_belief_from_json(_object(doc, "belief", where), model, f"{where} belief"),
         action=model.action_index(action) if action is not None else None,
         children={
-            model.observation_index(o): policy_from_json(child, model)
-            for o, child in doc.get("children", {}).items()
+            model.observation_index(o): policy_from_json(child, model, f"{where}.children[{o!r}]")
+            for o, child in children.items()
         },
         goal_reached=bool(doc.get("goal_reached", False)),
     )

@@ -16,11 +16,15 @@ constraint evaluation for pruning.  Anything outside the fragment yields
 
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
-Run it with ``python -m safereach.refsolver`` or by file path.
+Run it with ``python -m safereach.refsolver``, by file path, or as the
+top-level module ``refsolver`` (how the package starts it).  Run as a
+program, it stops a search, and exits, once the process that started it is
+gone, so a driver killed mid-check leaves no solver behind.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
 
@@ -316,9 +320,17 @@ def term_vars(term, acc: set) -> set:
 # The search
 # --------------------------------------------------------------------------
 
+# Search nodes between two looks at whether the driver is still there.
+PARENT_POLL_NODES = 1000
+
+
 class Search:
-    def __init__(self, decls: dict[str, str], assertions: list) -> None:
+    def __init__(self, decls: dict[str, str], assertions: list,
+                 parent: int | None = None) -> None:
         self.decls = decls
+        # The driver's pid; the search exits once this process's parent changes.
+        self.parent = parent
+        self.nodes = 0
         self.constraints: list = []
         for a in assertions:
             self._flatten(a)
@@ -448,6 +460,9 @@ class Search:
             return self._dfs(todo, depth + 1)
         lo, hi = self.bounds[name]
         for value in range(lo, hi + 1):
+            self.nodes += 1
+            if self.nodes % PARENT_POLL_NODES == 0:
+                self._check_parent()
             self._push_level()
             self._assign(name, value)
             if self._propagate([name]):
@@ -456,6 +471,10 @@ class Search:
                     return found
             self._pop_level()
         return None
+
+    def _check_parent(self) -> None:
+        if self.parent is not None and os.getppid() != self.parent:
+            os._exit(1)  # orphaned: nobody is left to read the answer
 
     def _leaf(self):
         pending = [c for i, c in enumerate(self.constraints) if i not in self.satisfied]
@@ -486,7 +505,11 @@ def format_value(value, sort: str) -> str:
 
 
 class Session:
-    def __init__(self) -> None:
+    def __init__(self, parent: int | None = None) -> None:
+        self.parent = parent
+        self.reset()
+
+    def reset(self) -> None:
         self.decl_frames: list[dict[str, str]] = [{}]
         self.assert_frames: list[list] = [[]]
         self.last_model: dict | None = None
@@ -535,7 +558,7 @@ class Session:
                 self.assert_frames.pop()
         elif head == "check-sat":
             try:
-                search = Search(self.all_decls(), self.all_assertions())
+                search = Search(self.all_decls(), self.all_assertions(), self.parent)
                 verdict, model = search.run()
             except SmtSyntaxError as exc:
                 out.write(f'(error "{exc}")\n')
@@ -559,7 +582,7 @@ class Session:
         elif head == "echo":
             out.write(cmd[1].strip('"') + "\n")
         elif head == "reset":
-            self.__init__()
+            self.reset()
         elif head == "exit":
             return False
         else:
@@ -583,7 +606,7 @@ class Session:
 
 
 def main() -> None:
-    Session().loop(sys.stdin, sys.stdout)
+    Session(os.getppid()).loop(sys.stdin, sys.stdout)
 
 
 if __name__ == "__main__":

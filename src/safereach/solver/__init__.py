@@ -21,7 +21,7 @@ from .session import (
     extract_plan,
 )
 from .enumerative import EnumerativeSession, enumerative_check
-from .smtlib import ModelValueError, SmtLibSession, default_solver_command
+from .smtlib import ModelValueError, SmtLibSession, SolverPool, default_solver_command
 
 __all__ = [
     "EnumerativeSession",
@@ -32,6 +32,7 @@ __all__ = [
     "SmtLibSession",
     "SolverConfig",
     "SolverError",
+    "SolverPool",
     "SolverSession",
     "SolverUsageError",
     "Unknown",

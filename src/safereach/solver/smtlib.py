@@ -8,8 +8,14 @@ The only backend that speaks SMT: each added constraint is lowered to a term
 decodes them into the candidate plan a satisfying check answers with.  It
 is the only module besides :mod:`safereach.encoding` that knows the
 variable names.  In non-incremental mode every check replays the kept lines
-of all live assertions into a fresh solver process, for the from-scratch
-comparison.
+of all live assertions into a solver process that has just been reset, for
+the from-scratch comparison.
+
+Solver processes are reused: a :class:`SolverPool` keeps a run's idle
+processes, a session holds one while it is open (or, from scratch, for one
+check) and hands it back after ``(reset)`` and the header, and a process
+that timed out, crashed or answered with a model that does not decode is
+killed instead.
 """
 
 from __future__ import annotations
@@ -66,10 +72,20 @@ class ModelValueError(SolverError):
     """A model value is not an exact rational, or an ``Int`` is not an integer."""
 
 
+HEADER = ("(set-option :produce-models true)", f"(set-logic {LOGIC})")
+
+
 def default_solver_command() -> tuple[str, ...]:
-    """Run the bundled reference solver with the current interpreter."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    return (sys.executable, os.path.join(here, os.pardir, "refsolver.py"))
+    """Run the bundled reference solver with the current interpreter, lean.
+
+    ``-I -S`` keeps the environment, the user site and ``site`` itself out
+    of the child, and importing ``refsolver`` (rather than running it as a
+    script) loads it from cached bytecode.  The package directory is
+    appended to the path, so the standard library wins any name clash.
+    """
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = f"import sys; sys.path.append({package!r}); import refsolver; refsolver.main()"
+    return (sys.executable, "-I", "-S", "-c", code)
 
 
 # --------------------------------------------------------------------------
@@ -323,6 +339,67 @@ class _SmtProcess:
             self.proc.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired):
             self.proc.kill()
+            self.proc.wait()
+        for stream in (self.proc.stdout, self.proc.stderr):
+            if stream is not None:
+                stream.close()
+
+
+class SolverPool:
+    """Idle solver processes for the sessions of one run, newest first.
+
+    :meth:`take` hands out an idle process, or spawns one and sends it the
+    header; :meth:`give_back` resets a healthy process and keeps it.  Only
+    the pool's owner closes it, and closing ends every idle process: a run
+    builds one pool and closes it in a ``finally``, and a session opened
+    without a pool owns a private one.  A process is handed back with no
+    read of its own: a session reads every response it asks for, so the one
+    thing that can be left over is an ``(error ...)`` line, which the next
+    check reads as a solver failure.
+    """
+
+    def __init__(self, config: SolverConfig = SolverConfig()) -> None:
+        self.command = tuple(config.command) if config.command else default_solver_command()
+        self._idle: list[_SmtProcess] = []
+
+    def take(self) -> _SmtProcess:
+        while self._idle:
+            proc = self._idle.pop()
+            if proc.proc.poll() is None:
+                return proc
+            proc.close()
+        proc = _SmtProcess(self.command)
+        try:
+            for line in HEADER:
+                proc.send(line)
+        except SolverError:
+            proc.close()
+            raise
+        return proc
+
+    def give_back(self, proc: _SmtProcess) -> None:
+        try:
+            for line in ("(reset)", *HEADER):
+                proc.send(line)
+        except SolverError:
+            proc.close()
+            return
+        self._idle.append(proc)
+
+    def close(self) -> None:
+        while self._idle:
+            proc = self._idle.pop()
+            try:
+                proc.send("(exit)")
+            except SolverError:
+                pass
+            proc.close()
+
+    def __enter__(self) -> "SolverPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # --------------------------------------------------------------------------
@@ -339,12 +416,16 @@ class _Asserted:
 
 
 class SmtLibSession(SolverSession):
-    """Drives one solver process incrementally, or one process per check."""
+    """Drives one solver process incrementally, or one per check from scratch,
+    taken from ``pool`` (by default a private pool that closes with the
+    session)."""
 
-    def __init__(self, run: RunContext, config: SolverConfig = SolverConfig()) -> None:
+    def __init__(self, run: RunContext, config: SolverConfig = SolverConfig(),
+                 pool: Optional[SolverPool] = None) -> None:
         super().__init__(run)
         self.config = config
-        self.command = tuple(config.command) if config.command else default_solver_command()
+        self._owns_pool = pool is None
+        self._pool = SolverPool(config) if pool is None else pool
         self._proc: Optional[_SmtProcess] = None
         self._dead = False
 
@@ -355,24 +436,22 @@ class SmtLibSession(SolverSession):
         if self._dead:
             raise SolverError("session is dead after a backend failure")
 
-    def _header_lines(self) -> list[str]:
-        return ["(set-option :produce-models true)", f"(set-logic {LOGIC})"]
-
     def _ensure_process(self) -> _SmtProcess:
         if self._proc is None:
-            self._proc = _SmtProcess(self.command)
-            for line in self._header_lines():
-                self._proc.send(line)
+            self._proc = self._pool.take()
         return self._proc
 
-    def _fail(self, exc: Exception) -> SolverError:
+    def _release(self) -> None:
+        if self._proc is not None:
+            self._pool.give_back(self._proc)
+            self._proc = None
+
+    def _die(self) -> None:
+        """Mark the session dead and kill its process instead of handing it back."""
         self._dead = True
         if self._proc is not None:
             self._proc.close()
             self._proc = None
-        if isinstance(exc, SolverError):
-            return exc
-        return SolverError(str(exc))
 
     def _send_incremental(self, lines: Iterable[str]) -> None:
         if self.config.incremental:
@@ -380,8 +459,9 @@ class SmtLibSession(SolverSession):
                 proc = self._ensure_process()
                 for line in lines:
                     proc.send(line)
-            except SolverError as exc:
-                raise self._fail(exc) from None
+            except BaseException:
+                self._die()
+                raise
 
     # -- SolverSession hooks -----------------------------------------------
 
@@ -408,26 +488,26 @@ class SmtLibSession(SolverSession):
         _, start, horizon = self._unfolding()
         deadline = time.monotonic() + self.config.check_timeout
         try:
-            if self.config.incremental:
-                return self._check_on(self._ensure_process(), deadline, start, horizon)
-            proc = _SmtProcess(self.command)
-            try:
-                for line in self._header_lines():
-                    proc.send(line)
+            proc = self._ensure_process()
+            if not self.config.incremental:
                 for _, entry in self._live():
                     for line in entry.declarations.values():
                         proc.send(line)
                 for _, entry in self._live():
                     proc.send(entry.assertion)
-                return self._check_on(proc, deadline, start, horizon)
-            finally:
-                proc.close()
+            result = self._check_on(proc, deadline, start, horizon)
         except TimeoutError:
-            self._fail(SolverError("timeout"))
+            self._die()
             return Unknown(f"check timed out after {self.config.check_timeout}s")
         except SolverError as exc:
-            self._fail(exc)
+            self._die()
             return Unknown(f"solver failure: {exc}")
+        except BaseException:
+            self._die()  # cut off mid-exchange: what the process says next is unknown
+            raise
+        if not self.config.incremental:
+            self._release()
+        return result
 
     def _check_on(self, proc: _SmtProcess, deadline: float, start: int,
                   horizon: int) -> SatResult:
@@ -451,10 +531,6 @@ class SmtLibSession(SolverSession):
         if self._closed:
             return
         super().close()
-        if self._proc is not None:
-            try:
-                self._proc.send("(exit)")
-            except SolverError:
-                pass
-            self._proc.close()
-            self._proc = None
+        self._release()
+        if self._owns_pool:
+            self._pool.close()

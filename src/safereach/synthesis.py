@@ -41,6 +41,7 @@ from .solver import (
     SmtLibSession,
     SolverConfig,
     SolverError,
+    SolverPool,
     SolverSession,
     Unknown,
     Unsat,
@@ -87,14 +88,17 @@ class SynthesisResult:
 _VERDICT_KIND = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
 
 
-def make_session_factory(run: RunContext, config: SynthesisConfig) -> SessionFactory:
+def make_session_factory(run: RunContext, config: SynthesisConfig,
+                         pool: Optional[SolverPool] = None) -> SessionFactory:
+    """Fresh sessions on ``run``; smtlib sessions take their processes from
+    ``pool`` (without one, each session owns a private pool)."""
     if config.backend == "enum":
         # Fresh sessions per recursion level over the run's one context: its
         # successor cache and fruitless facts are horizon- and
         # blocking-independent, so sharing them is sound and saves work.
         return lambda: EnumerativeSession(run)
     if config.backend == "smtlib":
-        return lambda: SmtLibSession(run, config.solver)
+        return lambda: SmtLibSession(run, config.solver, pool)
     raise ValueError(f"unknown backend {config.backend!r}")
 
 
@@ -230,7 +234,9 @@ def synthesis_run(
     The run's objective, record and caches live in one
     :class:`~.core.RunContext` built here and dropped on return; a
     :class:`~.core.ModelError` says that ``b_init`` or the objective does
-    not fit the model.
+    not fit the model.  The run's solver processes live in one
+    :class:`~.solver.SolverPool`, which synthesis closes however it ends,
+    so no process outlives the run.
     """
     from .validate import validate_policy
 
@@ -239,13 +245,16 @@ def synthesis_run(
                          f"but the model has {len(model.states)} states")
     run = RunContext(model, objective)
     stats = run.stats
-    factory = make_session_factory(run, config)
+    pool = SolverPool(config.solver)
+    factory = make_session_factory(run, config, pool)
     started = time.monotonic()
     try:
         policy = bps(run, b_init, 0, config.horizon, factory)
     except (SynthesisError, SolverError) as exc:
         stats.wall_time = time.monotonic() - started
         return SynthesisResult(VERDICT_ERROR, None, stats, error=str(exc))
+    finally:
+        pool.close()
     stats.wall_time = time.monotonic() - started
     if policy is None:
         return SynthesisResult(VERDICT_NO_POLICY, None, stats)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import sys
 
 import pytest
@@ -9,6 +10,53 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # make `oracles` importable
 
 from safereach import build_pickup_example
+
+
+def _live_children() -> dict[int, str]:
+    """Live (not zombie) child processes of this process, with their command
+    lines, read from /proc."""
+    me = os.getpid()
+    out = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except OSError:
+            continue
+        fields = stat.rsplit(b")", 1)[1].split()
+        if int(fields[1]) == me and fields[0] != b"Z":
+            out[int(entry)] = cmdline.replace(b"\0", b" ").decode(errors="replace")[:120]
+    return out
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process (a solver, say) running; the
+    leaked children are killed so the next test starts clean."""
+    yield
+    if sys.platform != "linux":
+        return
+    leaked = _live_children()
+    for pid in leaked:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    if leaked:
+        pytest.fail(f"child processes still alive after the test: {leaked}")
+
+
+@pytest.fixture
+def live_children():
+    """The live child processes of the test process, as a callable."""
+    if sys.platform != "linux":
+        pytest.skip("reads child processes from /proc")
+    return _live_children
 
 
 @pytest.fixture(scope="session")

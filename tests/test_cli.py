@@ -135,8 +135,26 @@ _GOAL = {"states": ["s"], "cmp": ">", "threshold": "1/2"}
      "goal[0]: missing key 'cmp'"),
     ({"model": "{not json"}, "model.json: not valid JSON"),
     ({"policy": {"action": None, "children": {}}}, "policy: missing key 'belief'"),
+    ({"model": {**_MODEL, "transition": [{"s": "s", "a": "a", "to": "s"}]}},
+     "transition[0]: 'to' must be an object"),
+    ({"model": {**_MODEL, "observe": [{"s": "s", "a": "a", "obs": ["o"]}]}},
+     "observe[0]: 'obs' must be an object"),
+    ({"model": {**_MODEL, "initial": "s"}}, "model file: 'initial' must be an object"),
+    ({"model": {**_MODEL, "availability": ["a"]}},
+     "model file: 'availability' must be an object"),
+    ({"model": {**_MODEL, "availability": {"s": "a"}}},
+     "availability: 's' must be a list of actions"),
+    ({"model": {**_MODEL, "transition": 5}}, "model file: 'transition' must be a list"),
+    ({"policy": {"belief": {"s": "1"}, "action": "a", "children": "o"}},
+     "policy: 'children' must be an object"),
+    ({"policy": {"belief": {"s": "1"}, "action": "a", "children": {"o": "leaf"}}},
+     "policy.children['o']: a policy node must be an object"),
+    ({"policy": {"belief": "s", "action": None}}, "policy: 'belief' must be an object"),
 ], ids=["unknown-state", "transition-missing-to", "observe-missing-s", "goal-missing-cmp",
-        "model-not-json", "policy-missing-belief"])
+        "model-not-json", "policy-missing-belief", "transition-to-not-object",
+        "observe-obs-not-object", "initial-not-object", "availability-not-object",
+        "availability-entry-not-list", "transition-not-list", "policy-children-not-object",
+        "policy-child-not-object", "policy-belief-not-object"])
 def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog, files, message):
     docs = {"model": _MODEL, "objective": {"goal": [_GOAL]},
             "policy": {"belief": {"s": "1"}, "action": None}, **files}

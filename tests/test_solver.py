@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
+import subprocess
 import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from safereach.solver import (
     SmtLibSession,
     SolverConfig,
     SolverError,
+    SolverPool,
     SolverUsageError,
     Unknown,
     Unsat,
@@ -22,7 +28,8 @@ from safereach.solver import (
     extract_plan,
 )
 from safereach.solver import smtlib
-from safereach.solver.smtlib import ModelValueError, parse_model, serialize
+from safereach.solver.smtlib import HEADER, ModelValueError, parse_model, serialize
+from safereach.synthesis import SynthesisConfig, synthesis_run
 
 from oracles import random_instance
 
@@ -140,8 +147,10 @@ def _scoped_text(lines):
     return live
 
 
-def test_from_scratch_replays_incremental_text(pickup, monkeypatch):
-    model, b_init, objective = pickup
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every solver process started during the test, each with the lines it
+    was sent."""
     processes = []
     spawn, send = smtlib._SmtProcess.__init__, smtlib._SmtProcess.send
 
@@ -156,12 +165,28 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch):
 
     monkeypatch.setattr(smtlib._SmtProcess, "__init__", recording_spawn)
     monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
+    return processes
+
+
+def _reset_segments(lines):
+    """A reused process's lines, split at each ``(reset)``."""
+    segments = [[]]
+    for line in lines:
+        if line == "(reset)":
+            segments.append([])
+        else:
+            segments[-1].append(line)
+    return segments
+
+
+def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
+    model, b_init, objective = pickup
     serialized = []
     monkeypatch.setattr(smtlib, "serialize",
                         lambda term: serialized.append(term) or serialize(term))
 
     def drive(incremental):
-        processes.clear()
+        spawned.clear()
         serialized.clear()
         config = SolverConfig(incremental=incremental)
         with SmtLibSession(RunContext(model, objective), config) as session:
@@ -177,11 +202,13 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch):
             session.add(enc.blocking_constraint(plan, 1))
             assert isinstance(session.check(), Sat)
         assert len(serialized) == 5  # once per add, never on replay
-        return [live for proc in processes for live in _scoped_text(proc.lines)]
+        # From scratch, each check replays into the one process, reset.
+        assert len(spawned) == 1
+        return [live for proc in spawned for segment in _reset_segments(proc.lines)
+                for live in _scoped_text(segment)]
 
     incremental = drive(True)
     from_scratch = drive(False)
-    assert len(processes) == 3
     assert len(incremental) == 3
     assert from_scratch == incremental
 
@@ -436,3 +463,174 @@ def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
     assert isinstance(result, Unknown)
     assert "boom" in result.reason or "closed" in result.reason
 
+
+_SLEEPER = (sys.executable, "-c", "import time; time.sleep(30)")
+_CRASHER = (sys.executable, "-c", "import sys; sys.stderr.write('boom\\n'); sys.exit(3)")
+
+
+def _kitchen_2x2_det():
+    from safereach.domains import build_kitchen
+
+    return build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), obstacles=1,
+                         p_fail=0, p_fp=0, p_fn=0)
+
+
+# --------------------------------------------------------------------------
+# Solver process pool
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("problem, horizon", [("pickup", 3), ("kitchen", 4)])
+def test_a_run_spawns_its_peak_session_nesting(pickup, problem, horizon, spawned,
+                                               monkeypatch):
+    """Incrementally, a run spawns one process per level of session nesting;
+    from scratch, one process in all."""
+    open_sessions, peak = [0], [0]
+    init, close = SmtLibSession.__init__, SmtLibSession.close
+
+    def counting_init(session, *args, **kwargs):
+        init(session, *args, **kwargs)
+        open_sessions[0] += 1
+        peak[0] = max(peak[0], open_sessions[0])
+
+    def counting_close(session):
+        if not session._closed:
+            open_sessions[0] -= 1
+        close(session)
+
+    monkeypatch.setattr(SmtLibSession, "__init__", counting_init)
+    monkeypatch.setattr(SmtLibSession, "close", counting_close)
+    model, b_init, objective = pickup if problem == "pickup" else _kitchen_2x2_det()
+    for incremental in (True, False):
+        spawned.clear()
+        peak[0] = 0
+        config = SynthesisConfig(horizon=horizon, backend="smtlib",
+                                 solver=SolverConfig(incremental=incremental))
+        assert synthesis_run(model, b_init, objective, config).verdict == "valid"
+        assert open_sessions[0] == 0
+        assert len(spawned) == (peak[0] if incremental else 1)
+    assert peak[0] == 2  # the root session and one branch session under it
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "from-scratch"])
+@pytest.mark.parametrize("outcome", ["valid", "no-policy", "timeout", "crash"])
+def test_no_solver_outlives_its_run(pickup, live_children, outcome, incremental):
+    model, b_init, objective = pickup
+    command = {"timeout": _SLEEPER, "crash": _CRASHER}.get(outcome)
+    config = SynthesisConfig(horizon=0 if outcome == "no-policy" else 3, backend="smtlib",
+                             solver=SolverConfig(command=command, check_timeout=0.5,
+                                                 incremental=incremental))
+    result = synthesis_run(model, b_init, objective, config)
+    expected = {"valid": "valid", "no-policy": "no-policy-within-bound"}.get(outcome, "error")
+    assert result.verdict == expected
+    assert live_children() == {}
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "from-scratch"])
+@pytest.mark.parametrize("failure", ["timeout", "undecodable-model"])
+def test_a_failed_sessions_process_is_never_reused(pickup, spawned, failure, incremental):
+    model, b_init, objective = pickup
+    command = _SLEEPER if failure == "timeout" else _fake_solver({"a_1": "9"})
+    config = SolverConfig(command=command, check_timeout=0.5, incremental=incremental)
+    with SolverPool(config) as pool:
+        with SmtLibSession(RunContext(model, objective), config, pool) as session:
+            load_session(session, b_init, 1, goal=True)
+            assert isinstance(session.check(), Unknown)
+        (failed,) = spawned
+        assert failed.proc.poll() is not None  # killed, not handed back
+        again = pool.take()
+        assert again is not failed and len(spawned) == 2
+        pool.give_back(again)
+
+
+def test_a_reused_process_is_reset_before_the_next_session(pickup, spawned):
+    model, b_init, objective = pickup
+    run = RunContext(model, objective)
+    lines = []
+    with SolverPool() as pool:
+        for horizon in (1, 2):
+            with SmtLibSession(run, SolverConfig(), pool) as session:
+                load_session(session, b_init, horizon, goal=True)
+                assert isinstance(session.check(), Sat)
+            (proc,) = spawned
+            lines.append(proc.lines[len(sum(lines, [])):])
+    first, second = lines
+    assert first[:2] == list(HEADER)
+    for session_lines in (first, second):
+        assert session_lines[-3:] == ["(reset)", *HEADER]
+    assert second[0] == "(declare-const b_0_0 Real)"
+    assert not any(line in ("(reset)", *HEADER) for line in first[2:-3] + second[:-3])
+    assert proc.lines[-1] == "(exit)" and proc.proc.poll() is not None
+
+
+def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
+    """Nothing is read when a process is handed back: an ``(error ...)`` its
+    last session left unread is what the next check reads first."""
+    model, b_init, objective = pickup
+    with SolverPool() as pool:
+        proc = pool.take()
+        proc.send("(no-such-command)")
+        pool.give_back(proc)
+        with SmtLibSession(RunContext(model, objective), SolverConfig(), pool) as session:
+            load_session(session, b_init, 1, goal=True)
+            result = session.check()
+    assert isinstance(result, Unknown)
+    assert "unsupported command no-such-command" in result.reason
+
+
+def test_custom_solver_command_runs_as_given():
+    command = ("z3", "-in")
+    assert SolverPool(SolverConfig(command=command)).command == command
+    assert SolverPool().command == smtlib.default_solver_command()
+
+
+def test_bundled_solver_ignores_the_environment(pickup, tmp_path, monkeypatch):
+    (tmp_path / "fractions.py").write_text("raise ImportError('shadowed fractions')\n")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    config = SynthesisConfig(horizon=3, backend="smtlib")
+    result = synthesis_run(*pickup, config)
+    assert (result.verdict, result.error) == ("valid", None)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
+def test_bundled_solver_stops_when_its_driver_dies():
+    """A driver SIGKILLed mid-check leaves no solver searching behind."""
+    sum_to = "(assert (= (+ " + " ".join(f"x{i}" for i in range(8)) + ") 1000))"
+    script = "\n".join(
+        [f"(declare-const x{i} Int)\n(assert (<= 0 x{i}))\n(assert (< x{i} 10))"
+         for i in range(8)] + [sum_to, "(check-sat)", ""])
+    driver = (
+        "import subprocess, sys, time\n"
+        "from safereach.solver import default_solver_command\n"
+        "child = subprocess.Popen(default_solver_command(), stdin=subprocess.PIPE,\n"
+        "                         stdout=subprocess.DEVNULL)\n"
+        f"child.stdin.write({script!r}.encode()); child.stdin.flush()\n"
+        "time.sleep(1)  # the child is searching now\n"
+        "print(child.pid, flush=True)\n"
+        "time.sleep(60)\n")
+    src = str(Path(smtlib.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", driver], stdout=subprocess.PIPE, env=env)
+    try:
+        solver = int(proc.stdout.readline())
+        assert _running(solver)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    try:
+        deadline = time.monotonic() + 5
+        while _running(solver) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(solver)
+    finally:
+        if _running(solver):
+            os.kill(solver, signal.SIGKILL)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except OSError:
+        return False
