@@ -3,7 +3,8 @@
 A digest covers what "same behaviour" means for this project: the verdict,
 the policy tree (every belief as exact rationals), the check trace, the
 blocking events, ``zero_probability_skips``, ``interactions`` and
-``final_horizon``.  ``tests/test_golden.py`` recomputes every digest and
+``final_horizon``; for an ``smtlib`` run also every line sent to its solver
+processes, in order, ``(reset)`` and header lines included.  ``tests/test_golden.py`` recomputes every digest and
 fails on any difference.  A change that alters behaviour on purpose
 regenerates the file and says which digests moved and why:
 
@@ -86,10 +87,11 @@ def _tree(node):
             "children": {str(o): _tree(child) for o, child in node.children.items()}}
 
 
-def render(result) -> str:
-    """The canonical text a digest is taken over."""
+def render(result, sent=None) -> str:
+    """The canonical text a digest is taken over; ``sent`` are the lines an
+    ``smtlib`` run sent to its solver processes."""
     stats = result.stats
-    return json.dumps({
+    record = {
         "verdict": result.verdict,
         "policy": _tree(result.policy),
         "check_trace": [list(entry) for entry in stats.check_trace],
@@ -99,14 +101,37 @@ def render(result) -> str:
         "zero_probability_skips": stats.zero_probability_skips,
         "interactions": stats.interactions,
         "final_horizon": stats.final_horizon,
-    }, sort_keys=True, separators=(",", ":"))
+    }
+    if sent is not None:
+        record["smtlib_text"] = sent
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def digest(result) -> str:
-    return hashlib.sha256(render(result).encode()).hexdigest()
+def digest(result, sent=None) -> str:
+    return hashlib.sha256(render(result, sent).encode()).hexdigest()
+
+
+def recording_sends(thunk: Callable):
+    """``thunk()`` and every line it sent to a solver process, in order."""
+    from safereach.solver import smtlib
+
+    sent: list[str] = []
+    send = smtlib._SmtProcess.send
+
+    def recording(proc, line):
+        sent.append(line)
+        send(proc, line)
+
+    smtlib._SmtProcess.send = recording
+    try:
+        return thunk(), sent
+    finally:
+        smtlib._SmtProcess.send = send
 
 
 def compute(group: str) -> dict[str, str]:
+    if group == "smtlib":
+        return {name: digest(*recording_sends(thunk)) for name, thunk in runs(group)}
     return {name: digest(thunk()) for name, thunk in runs(group)}
 
 
