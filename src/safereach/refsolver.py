@@ -49,14 +49,11 @@ def tokenize(text: str) -> list[str]:
         elif c == ";":
             while i < n and text[i] != "\n":
                 i += 1
-        elif c == "|":
-            j = text.index("|", i + 1)
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
+        elif c in '|"':
+            j = text.find(c, i + 1)
+            if j < 0:
+                kind = "quoted symbol" if c == "|" else "string literal"
+                raise SmtSyntaxError(f"unterminated {kind}")
             tokens.append(text[i:j + 1])
             i = j + 1
         else:
@@ -122,16 +119,25 @@ class CommandReader:
 def atom_value(token: str):
     """Numeral/decimal tokens to int/Fraction; everything else stays a symbol."""
     if token and (token[0].isdigit() or (token[0] == "-" and token[1:].isdigit())):
-        if "." in token:
-            return Fraction(token)
-        return int(token)
+        try:
+            if "." in token:
+                return Fraction(token)
+            return int(token)
+        except ValueError:
+            raise SmtSyntaxError(f"malformed numeral {token!r}") from None
     if "." in token and token.replace(".", "", 1).isdigit():
         return Fraction(token)
     return token
 
 
+# Arguments that evaluate() reads by position: exactly n, or at least n.
+EXACT_ARITY = {"not": 1, "ite": 3}
+MIN_ARITY = {"=>": 2, "-": 1, "/": 1}
+
+
 def intern_term(term):
-    """Fold numeral atoms to values and true/false to bools, once, at parse time."""
+    """Fold numeral atoms to values and true/false to bools, once, at parse
+    time, and reject an operator applied to too few arguments."""
     if isinstance(term, str):
         val = atom_value(term)
         if val == "true":
@@ -141,7 +147,10 @@ def intern_term(term):
         return val
     if isinstance(term, tuple):
         if term and isinstance(term[0], str):
-            return (term[0],) + tuple(intern_term(t) for t in term[1:])
+            head, count = term[0], len(term) - 1
+            if count != EXACT_ARITY.get(head, count) or count < MIN_ARITY.get(head, 0):
+                raise SmtSyntaxError(f"wrong number of arguments to {head!r}")
+            return (head,) + tuple(intern_term(t) for t in term[1:])
         return tuple(intern_term(t) for t in term)
     return term
 
@@ -542,7 +551,12 @@ class Session:
                 return True
             self.decl_frames[-1][name] = sort
         elif head == "assert":
-            self.assert_frames[-1].append(intern_term(cmd[1]))
+            try:
+                self.assert_frames[-1].append(intern_term(cmd[1]))
+            except SmtSyntaxError as exc:
+                out.write(f'(error "{exc}")\n')
+                out.flush()
+                return True
         elif head == "push":
             count = int(cmd[1]) if len(cmd) > 1 else 1
             for _ in range(count):

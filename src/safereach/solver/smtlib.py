@@ -1,15 +1,17 @@
 """External SMT backend: SMT-LIB v2 over a subprocess pipe.
 
-The only backend that speaks SMT: each added constraint is lowered to a term
-(:func:`safereach.encoding.lower`) and serialized once, into its
-``declare-const`` and ``assert`` lines.  Drives any conforming solver binary
+The only backend that speaks SMT, and the one place SMT-LIB is written:
+each added constraint is lowered straight to text once (:func:`serialize`),
+into its ``assert`` line and the ``declare-const`` lines of the variables
+in that text not yet declared.  Drives any conforming solver binary
 (``z3 -in`` works; the default is the bundled reference solver) with
-``push``/``pop`` scopes, and parses models back into exact rationals, then
-decodes them into the candidate plan a satisfying check answers with.  It
-is the only module besides :mod:`safereach.encoding` that knows the
-variable names.  In non-incremental mode every check replays the kept lines
-of all live assertions into a solver process that has just been reset, for
-the from-scratch comparison.
+``push``/``pop`` scopes, reads responses with the reference solver's
+reader, parses models into exact rationals, and decodes them into the
+candidate plan a satisfying check answers with.  It is the only module
+besides :mod:`safereach.encoding` that knows the variable names.  In
+non-incremental mode every check replays the kept lines of all live
+assertions into a solver process that has just been reset, for the
+from-scratch comparison.
 
 Solver processes are reused: a :class:`SolverPool` keeps a run's idle
 processes, a session holds one while it is open (or, from scratch, for one
@@ -21,6 +23,7 @@ killed instead.
 from __future__ import annotations
 
 import os
+import re
 import select
 import subprocess
 import sys
@@ -29,30 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from ..core import Belief, CandidatePlan, ModelError, Pomdp, RunContext
-from ..encoding import (
-    Add,
-    And,
-    BoolConst,
-    Constraint,
-    Eq,
-    IConst,
-    Ite,
-    IVar,
-    Le,
-    Lt,
-    Mul,
-    Not,
-    Or,
-    RConst,
-    RVar,
-    Term,
-    action_var_name,
-    belief_var_name,
-    lower,
-    observation_var_name,
-    term_variables,
-)
+from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
+                    RunContext, SafeReachObjective)
+from ..encoding import (Blocking, Constraint, Goal, Initial, Transition, action_var_name,
+                        belief_var_name, observation_var_name, step_vars)
+from ..refsolver import SmtSyntaxError, evaluate, intern_term, parse_tokens, tokenize
 from .session import (
     PlanDecodeError,
     Sat,
@@ -89,143 +73,181 @@ def default_solver_command() -> tuple[str, ...]:
 
 
 # --------------------------------------------------------------------------
-# Serialization
+# Lowering: constraints straight to SMT-LIB text
 # --------------------------------------------------------------------------
 
-def _rational_literal(value: Fraction) -> str:
+def serialize(constraint: Constraint, run: RunContext) -> str:
+    """The constraint as one SMT-LIB term over the step variables of the run's
+    model; a goal is lowered against the run's objective.
+
+    Normalization is division-free (``b_i * denom_i = u_i``, ``denom_i > 0``)
+    so the whole theory stays in polynomial arithmetic.
+    """
+    n = len(run.model.states)
+    if isinstance(constraint, Initial):
+        beliefs = step_vars(constraint.step, n, start=True).belief_vars
+        return _app("and", _pins(beliefs, constraint.belief))
+    if isinstance(constraint, Transition):
+        return _transition(constraint.step, run.model)
+    if isinstance(constraint, Goal):
+        return _goal(constraint.start_step, constraint.end_step, n, run.objective)
+    if isinstance(constraint, Blocking):
+        return _blocking(constraint.plan, constraint.fail_step)
+    raise TypeError(f"cannot serialize {constraint!r}")
+
+
+def _real(value: Fraction) -> str:
     if value < 0:
-        return f"(- {_rational_literal(-value)})"
+        return f"(- {_real(-value)})"
     if value.denominator == 1:
         return f"{value.numerator}.0"
     return f"(/ {value.numerator}.0 {value.denominator}.0)"
 
 
-def serialize(term: Term) -> str:
-    parts: list[str] = []
-    _serialize_into(term, parts)
-    return "".join(parts)
+def _app(op: str, args: Sequence[str]) -> str:
+    """``(op args...)``, or the one argument itself."""
+    return args[0] if len(args) == 1 else f"({op} {' '.join(args)})"
 
 
-def _serialize_into(term: Term, parts: list[str]) -> None:
-    if isinstance(term, RConst):
-        parts.append(_rational_literal(term.value))
-    elif isinstance(term, IConst):
-        parts.append(str(term.value) if term.value >= 0 else f"(- {-term.value})")
-    elif isinstance(term, (RVar, IVar)):
-        parts.append(term.name)
-    elif isinstance(term, BoolConst):
-        parts.append("true" if term.value else "false")
-    elif isinstance(term, (Add, Mul, And, Or)):
-        op = {Add: "+", Mul: "*", And: "and", Or: "or"}[type(term)]
-        if len(term.args) == 1:
-            _serialize_into(term.args[0], parts)
-            return
-        parts.append(f"({op}")
-        for arg in term.args:
-            parts.append(" ")
-            _serialize_into(arg, parts)
-        parts.append(")")
-    elif isinstance(term, (Eq, Le, Lt)):
-        op = {Eq: "=", Le: "<=", Lt: "<"}[type(term)]
-        parts.append(f"({op} ")
-        _serialize_into(term.lhs, parts)
-        parts.append(" ")
-        _serialize_into(term.rhs, parts)
-        parts.append(")")
-    elif isinstance(term, Not):
-        parts.append("(not ")
-        _serialize_into(term.arg, parts)
-        parts.append(")")
-    elif isinstance(term, Ite):
-        parts.append("(ite ")
-        _serialize_into(term.cond, parts)
-        parts.append(" ")
-        _serialize_into(term.then, parts)
-        parts.append(" ")
-        _serialize_into(term.other, parts)
-        parts.append(")")
-    else:
-        raise TypeError(f"cannot serialize {term!r}")
+def _pins(names: Sequence[str], belief: Belief) -> list[str]:
+    return [f"(= {name} {_real(p)})" for name, p in zip(names, belief.probs)]
+
+
+def _ite_chain(cases: Sequence[tuple[str, Fraction]]) -> str:
+    """The value of the first case whose condition holds, else 0."""
+    return "".join(f"(ite {cond} {_real(value)} " for cond, value in cases) \
+        + "0.0" + ")" * len(cases)
+
+
+def _transition(step: int, model: Pomdp) -> str:
+    """Division-free unfolding of the belief transition into ``step``.
+
+    Encodes u_i(s') = Z(s', a_i, o_i) * sum_s T(s, a_i, s') * b_{i-1}(s),
+    denom_i = sum u_i, denom_i > 0 and b_i(s') * denom_i = u_i(s'), with the
+    selector domains, per-action availability and the (redundant but
+    solver-friendly) simplex constraints on b_i.
+    """
+    n = len(model.states)
+    n_actions = len(model.actions)
+    # Only the belief variables of the previous step are read.
+    prev = step_vars(step - 1, n, start=True).belief_vars
+    cur = step_vars(step, n)
+    a, o = cur.action_var, cur.observation_var
+    parts = [f"(<= 0 {a})", f"(< {a} {n_actions})",
+             f"(<= 0 {o})", f"(< {o} {len(model.observations)})"]
+
+    # An action may be selected only when the previous belief's support lies
+    # entirely inside the states where the action exists.
+    if model.availability is not None:
+        everywhere = frozenset(range(n))
+        for act in range(n_actions):
+            states = model.action_states(act)
+            if states != everywhere:
+                mass = _app("+", [prev[s] for s in sorted(states)]) if states else "0.0"
+                parts.append(f"(or (not (= {a} {act})) (= {mass} 1.0))")
+
+    for s2 in range(n):
+        pushed = []
+        for s in range(n):
+            cases = [(f"(= {a} {act})", model.trans_dist(s, act)[s2])
+                     for act in range(n_actions) if model.trans_dist(s, act).get(s2)]
+            if cases:
+                pushed.append(f"(* {_ite_chain(cases)} {prev[s]})")
+        observed = [(f"(and (= {a} {act}) (= {o} {obs}))", p)
+                    for act in range(n_actions)
+                    for obs, p in sorted(model.obs_dist(s2, act).items()) if p]
+        rhs = f"(* {_ite_chain(observed)} {_app('+', pushed)})" if pushed and observed \
+            else "0.0"
+        parts.append(f"(= {cur.unnorm_vars[s2]} {rhs})")
+
+    denom = cur.denom_var
+    parts.append(f"(= {denom} {_app('+', cur.unnorm_vars)})")
+    parts.append(f"(< 0.0 {denom})")
+    parts.extend(f"(= (* {b} {denom}) {u})" for b, u in zip(cur.belief_vars, cur.unnorm_vars))
+    parts.append(f"(= {_app('+', cur.belief_vars)} 1.0)")
+    parts.extend(f"(<= 0.0 {b})" for b in cur.belief_vars)
+    return _app("and", parts)
+
+
+def _predicate(pred: LinearBeliefPredicate, beliefs: Sequence[str]) -> str:
+    mass = _app("+", [beliefs[j] for j in sorted(pred.state_set)])
+    threshold = _real(pred.threshold)
+    if pred.comparator == ">":
+        return f"(< {threshold} {mass})"
+    if pred.comparator == "<":
+        return f"(< {mass} {threshold})"
+    if pred.comparator == ">=":
+        return f"(<= {threshold} {mass})"
+    return f"(<= {mass} {threshold})"
+
+
+def _goal(start: int, end: int, n: int, objective: SafeReachObjective) -> str:
+    """One disjunct per step i: the step-i belief is a goal belief and every
+    belief strictly before i is safe."""
+    steps = [step_vars(i, n, start=True).belief_vars for i in range(start, end + 1)]
+    disjuncts = []
+    for i, beliefs in enumerate(steps):
+        clauses = [_predicate(p, beliefs) for p in objective.goal]
+        for earlier in steps[:i]:
+            clauses.extend(_predicate(p, earlier) for p in objective.safe)
+        disjuncts.append(_app("and", clauses))
+    return _app("or", disjuncts)
+
+
+def _blocking(plan: CandidatePlan, fail_step: int) -> str:
+    """Belief equality is kept even though beliefs are determined by the
+    prefix; it is redundant but exact."""
+    s = plan.start_step
+    n = len(plan.beliefs[0])
+    clauses = _pins(step_vars(s, n, start=True).belief_vars, plan.beliefs[0])
+    for step in range(s + 1, fail_step):
+        names, idx = step_vars(step, n), step - s - 1
+        clauses.append(f"(= {names.action_var} {plan.actions[idx]})")
+        clauses.append(f"(= {names.observation_var} {plan.observations[idx]})")
+        clauses.extend(_pins(names.belief_vars, plan.beliefs[idx + 1]))
+    fail_action = step_vars(fail_step, n).action_var
+    clauses.append(f"(= {fail_action} {plan.actions[fail_step - s - 1]})")
+    return f"(not {_app('and', clauses)})"
+
+
+# The variable names in serialized text: ``b_1_0``, ``a_1``, ``denom_1`` ...
+_NAME = re.compile(r"[a-z]+(?:_[0-9]+)+")
+
+
+def _declaration(name: str) -> str:
+    return f"(declare-const {name} {'Int' if name[:2] in ('a_', 'o_') else 'Real'})"
 
 
 # --------------------------------------------------------------------------
 # Response parsing
 # --------------------------------------------------------------------------
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    token = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == '"':
-            j = text.find('"', i + 1)
-            out.append(text[i:j + 1])
-            i = j + 1
-            continue
-        if c in "()":
-            if token:
-                out.append("".join(token))
-                token = []
-            out.append(c)
-        elif c.isspace():
-            if token:
-                out.append("".join(token))
-                token = []
-        else:
-            token.append(c)
-        i += 1
-    if token:
-        out.append("".join(token))
-    return out
-
-
-def _parse_sexpr(tokens: list[str], pos: int = 0):
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while tokens[pos] != ")":
-            item, pos = _parse_sexpr(tokens, pos)
-            items.append(item)
-        return items, pos + 1
-    return tok, pos + 1
-
-
-def _parse_numeric(node, context: str) -> Union[Fraction, int]:
-    if isinstance(node, str):
-        try:
-            if "." in node:
-                return Fraction(node)
-            return int(node)
-        except ValueError:
-            raise ModelValueError(f"non-rational model value for {context}: {node}") from None
-    if isinstance(node, list) and node:
-        if node[0] == "-" and len(node) == 2:
-            return -_parse_numeric(node[1], context)
-        if node[0] == "/" and len(node) == 3:
-            num = _parse_numeric(node[1], context)
-            den = _parse_numeric(node[2], context)
-            return Fraction(num) / Fraction(den)
-    raise ModelValueError(f"non-rational model value for {context}: {node}")
-
-
-def parse_model(text: str) -> dict[str, Union[Fraction, int]]:
-    """Parse a ``get-model`` response (with or without the ``model`` keyword)."""
-    tokens = _tokenize(text)
-    tree, _ = _parse_sexpr(tokens)
-    if not isinstance(tree, list):
-        raise SolverError(f"unexpected get-model response: {text[:200]}")
+def parse_model(tokens: list[str]) -> dict[str, Union[Fraction, int]]:
+    """Parse the tokens of a ``get-model`` response (with or without the
+    ``model`` keyword)."""
+    try:
+        tree = intern_term(parse_tokens(tokens, 0)[0])
+    except SmtSyntaxError as exc:
+        raise SolverError(f"malformed get-model response: {exc}") from None
+    if not isinstance(tree, tuple):
+        raise SolverError(f"unexpected get-model response: {tree!r}")
     entries = tree[1:] if tree and tree[0] == "model" else tree
     model: dict[str, Union[Fraction, int]] = {}
     for entry in entries:
-        if not (isinstance(entry, list) and entry and entry[0] == "define-fun"):
+        if not (isinstance(entry, tuple) and entry and entry[0] == "define-fun"):
             continue
-        name, _args, sort, value = entry[1], entry[2], entry[3], entry[4]
-        parsed = Fraction(_parse_numeric(value, name))
-        if sort == "Int" and parsed.denominator != 1:
-            raise ModelValueError(f"non-integer model value for {name}: {parsed}")
-        model[name] = int(parsed) if sort == "Int" else parsed
+        if len(entry) != 5:
+            raise SolverError(f"malformed model entry: {entry!r}")
+        _, name, _args, sort, term = entry
+        try:
+            value = evaluate(term, {})
+        except SmtSyntaxError:
+            value = None
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ModelValueError(f"non-rational model value for {name}: {term!r}")
+        if sort == "Int" and Fraction(value).denominator != 1:
+            raise ModelValueError(f"non-integer model value for {name}: {value}")
+        model[name] = int(value) if sort == "Int" else Fraction(value)
     return model
 
 
@@ -298,24 +320,18 @@ class _SmtProcess:
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode().strip()
 
-    def read_sexpr(self, deadline: Optional[float]) -> str:
-        """Read one balanced s-expression (may span lines)."""
-        text = ""
-        while True:
-            text += self.read_line(deadline) + "\n"
-            depth = 0
-            in_string = False
-            opened = False
-            for c in text:
-                if c == '"':
-                    in_string = not in_string
-                elif not in_string and c == "(":
-                    depth += 1
-                    opened = True
-                elif not in_string and c == ")":
-                    depth -= 1
-            if opened and depth == 0:
-                return text
+    def read_tokens(self, deadline: Optional[float]) -> list[str]:
+        """The tokens of one balanced s-expression, which may span lines."""
+        tokens: list[str] = []
+        depth = 0
+        while "(" not in tokens or depth > 0:
+            try:
+                line = tokenize(self.read_line(deadline))
+            except SmtSyntaxError as exc:
+                raise SolverError(f"malformed solver response: {exc}") from None
+            depth += line.count("(") - line.count(")")
+            tokens += line
+        return tokens
 
     def _stderr_tail(self) -> str:
         if self.proc.stderr is None:
@@ -466,14 +482,11 @@ class SmtLibSession(SolverSession):
     # -- SolverSession hooks -----------------------------------------------
 
     def _admit(self, constraint: Constraint) -> _Asserted:
-        term = lower(constraint, self.run)
+        text = serialize(constraint, self.run)
         known = {name for _, entry in self._live() for name in entry.declarations}
-        declarations = {
-            name: f"(declare-const {name} {sort})"
-            for name, sort in sorted(term_variables(term).items())
-            if name not in known
-        }
-        entry = _Asserted(declarations, f"(assert {serialize(term)})")
+        declarations = {name: _declaration(name)
+                        for name in sorted(set(_NAME.findall(text))) if name not in known}
+        entry = _Asserted(declarations, f"(assert {text})")
         self._send_incremental([*declarations.values(), entry.assertion])
         return entry
 
@@ -524,8 +537,8 @@ class SmtLibSession(SolverSession):
         if verdict != "sat":
             raise SolverError(f"unexpected check-sat response: {verdict!r}")
         proc.send("(get-model)")
-        text = proc.read_sexpr(deadline)
-        return Sat(_decode_plan(parse_model(text), start, horizon, self.model))
+        values = parse_model(proc.read_tokens(deadline))
+        return Sat(_decode_plan(values, start, horizon, self.model))
 
     def close(self) -> None:
         if self._closed:

@@ -4,8 +4,9 @@ A digest covers what "same behaviour" means for this project: the verdict,
 the policy tree (every belief as exact rationals), the check trace, the
 blocking events, ``zero_probability_skips``, ``interactions`` and
 ``final_horizon``; for an ``smtlib`` run also every line sent to its solver
-processes, in order, ``(reset)`` and header lines included.  ``tests/test_golden.py`` recomputes every digest and
-fails on any difference.  A change that alters behaviour on purpose
+processes, in order, ``(reset)`` and header lines included.
+``tests/test_golden.py`` recomputes every digest and fails on any
+difference.  A change that alters behaviour on purpose
 regenerates the file and says which digests moved and why:
 
     PYTHONPATH=src python tests/golden.py --write

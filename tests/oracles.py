@@ -109,40 +109,64 @@ def satisfies_bounded(beliefs, objective: SafeReachObjective) -> bool:
 # Constraint AST evaluation under a complete assignment
 # --------------------------------------------------------------------------
 
-def eval_term(term, env):
-    """Evaluate an encoding AST term under a complete variable assignment."""
-    from safereach import encoding as enc
+def eval_term(text: str, env):
+    """Evaluate SMT-LIB term text under a complete variable assignment.
 
-    if isinstance(term, enc.RConst):
-        return term.value
-    if isinstance(term, enc.IConst):
-        return term.value
-    if isinstance(term, (enc.RVar, enc.IVar)):
-        return env[term.name]
-    if isinstance(term, enc.BoolConst):
-        return term.value
-    if isinstance(term, enc.Add):
-        return sum(eval_term(a, env) for a in term.args)
-    if isinstance(term, enc.Mul):
+    A reader of its own, as naive as the rest of this file: parentheses split
+    the text into nested lists, every other token is a variable of ``env``,
+    ``true``/``false`` or a numeral or decimal.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+
+    def parse(pos):
+        if tokens[pos] != "(":
+            return tokens[pos], pos + 1
+        items, pos = [], pos + 1
+        while tokens[pos] != ")":
+            item, pos = parse(pos)
+            items.append(item)
+        return items, pos + 1
+
+    tree, end = parse(0)
+    assert end == len(tokens), f"trailing text after the term: {text!r}"
+    return _eval(tree, env)
+
+
+def _eval(node, env):
+    if isinstance(node, str):
+        if node in env:
+            return env[node]
+        if node in ("true", "false"):
+            return node == "true"
+        return Fraction(node)
+    op, args = node[0], node[1:]
+    if op == "and":
+        return all(_eval(a, env) for a in args)
+    if op == "or":
+        return any(_eval(a, env) for a in args)
+    if op == "ite":
+        return _eval(args[1] if _eval(args[0], env) else args[2], env)
+    values = [_eval(a, env) for a in args]
+    if op == "not":
+        return not values[0]
+    if op == "+":
+        return sum(values)
+    if op == "*":
         out = Fraction(1)
-        for a in term.args:
-            out *= eval_term(a, env)
+        for v in values:
+            out *= v
         return out
-    if isinstance(term, enc.Eq):
-        return eval_term(term.lhs, env) == eval_term(term.rhs, env)
-    if isinstance(term, enc.Le):
-        return eval_term(term.lhs, env) <= eval_term(term.rhs, env)
-    if isinstance(term, enc.Lt):
-        return eval_term(term.lhs, env) < eval_term(term.rhs, env)
-    if isinstance(term, enc.Not):
-        return not eval_term(term.arg, env)
-    if isinstance(term, enc.And):
-        return all(eval_term(a, env) for a in term.args)
-    if isinstance(term, enc.Or):
-        return any(eval_term(a, env) for a in term.args)
-    if isinstance(term, enc.Ite):
-        return eval_term(term.then if eval_term(term.cond, env) else term.other, env)
-    raise TypeError(f"unknown term {term!r}")
+    if op == "-":
+        return -values[0] if len(values) == 1 else values[0] - sum(values[1:])
+    if op == "/":
+        return Fraction(values[0]) / values[1]
+    if op == "=":
+        return values[0] == values[1]
+    if op == "<=":
+        return values[0] <= values[1]
+    if op == "<":
+        return values[0] < values[1]
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def transition_env(prev_belief: Belief, cur_belief: Belief, action: int, obs: int,

@@ -151,6 +151,26 @@ def test_error_responses():
 (declare-const x Bool)
 """)
     assert lines[0].startswith("(error")
+    # An unterminated quote is answered, not a crash of the command loop.
+    assert run_script("(declare-const |x Int)\n(check-sat)\n") \
+        == ['(error "unterminated quoted symbol")']
+    assert run_script('(echo "hi)\n') == ['(error "unterminated string literal")']
+
+
+def test_malformed_assertions_answer_errors_and_the_session_goes_on():
+    lines = run_script("""
+(declare-const x Int)
+(assert (= x 1abc))
+(assert (not))
+(assert (ite (= x 1) true))
+(assert (<= 0 x))
+(assert (< x 2))
+(check-sat)
+""")
+    assert lines == ["(error \"malformed numeral '1abc'\")",
+                     "(error \"wrong number of arguments to 'not'\")",
+                     "(error \"wrong number of arguments to 'ite'\")",
+                     "sat"]
 
 
 def test_format_value_shapes():

@@ -13,6 +13,7 @@ import pytest
 
 from safereach import encoding as enc
 from safereach.core import Belief, CandidatePlan, RunContext, SafeReachObjective
+from safereach.refsolver import tokenize
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -182,8 +183,8 @@ def _reset_segments(lines):
 def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
     model, b_init, objective = pickup
     serialized = []
-    monkeypatch.setattr(smtlib, "serialize",
-                        lambda term: serialized.append(term) or serialize(term))
+    monkeypatch.setattr(smtlib, "serialize", lambda constraint, run:
+                        serialized.append(constraint) or serialize(constraint, run))
 
     def drive(incremental):
         spawned.clear()
@@ -361,9 +362,14 @@ _GOOD_MODEL = {"b_0_0": "1.0", "b_0_1": "0.0", "b_0_2": "0.0", "a_1": "0", "o_1"
 
 def _fake_solver(model):
     """A solver that answers every check ``sat`` with the given model."""
-    text = "(model " + " ".join(
+    return _answering("(model " + " ".join(
         f"(define-fun {name} () {'Int' if name[0] in 'ao' else 'Real'} {value})"
-        for name, value in model.items()) + ")"
+        for name, value in model.items()) + ")")
+
+
+def _answering(text):
+    """A solver that answers every check ``sat`` and every model request with
+    ``text``."""
     return (sys.executable, "-c",
             "import sys\n"
             "for line in sys.stdin:\n"
@@ -376,7 +382,11 @@ def _fake_solver(model):
     ({"b_1_0": "1.0"}, "step 1: belief entries sum to 2"),
     ({"a_1": "9"}, "action selector out of range: 9"),
     ({"o_1": "(/ 1.0 2.0)"}, "non-integer model value for o_1: 1/2"),
-], ids=["missing-a_1", "belief-sums-to-2", "action-9", "o_1-one-half"])
+    ({"a_1": ""}, "malformed model entry"),
+    ({"b_1_0": "(-)"}, "wrong number of arguments to '-'"),
+    ({"a_1": "1/2"}, "malformed numeral '1/2'"),
+], ids=["missing-a_1", "belief-sums-to-2", "action-9", "o_1-one-half",
+        "define-fun-without-value", "minus-without-argument", "a_1-slash-numeral"])
 def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
     model, b_init, objective = pickup
     with SmtLibSession(RunContext(model, objective), SolverConfig(command=_fake_solver(_GOOD_MODEL))) as session:
@@ -394,6 +404,18 @@ def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
     session.close()
 
 
+def test_unterminated_string_in_a_model_is_a_solver_failure(pickup):
+    model, b_init, objective = pickup
+    config = SolverConfig(command=_answering('((define-fun a_1 () Int 0)) "'), check_timeout=2.0)
+    with SmtLibSession(RunContext(model, objective), config) as session:
+        load_session(session, b_init, 1, goal=True)
+        started = time.monotonic()
+        result = session.check()
+        assert time.monotonic() - started < config.check_timeout
+    assert isinstance(result, Unknown)
+    assert result.reason == "solver failure: malformed solver response: unterminated string literal"
+
+
 def test_model_parser_accepts_solver_shapes():
     text = """
     (model
@@ -403,7 +425,7 @@ def test_model_parser_accepts_solver_shapes():
       (define-fun d () Real (- (/ 1.0 2.0)))
     )
     """
-    model = parse_model(text)
+    model = parse_model(tokenize(text))
     assert model["a_1"] == 1
     assert model["b_0_0"] == F(3, 4)
     assert model["b_0_1"] == F(1, 4)
@@ -413,17 +435,17 @@ def test_model_parser_accepts_solver_shapes():
 def test_model_parser_rejects_algebraic_values():
     text = "((define-fun x () Real (root-obj (+ (^ x 2) (- 2)) 2)))"
     with pytest.raises(ModelValueError):
-        parse_model(text)
+        parse_model(tokenize(text))
 
 
 def test_serializer_rational_and_boolean_forms(pickup):
     model, b_init, objective = pickup
-    text = serialize(enc.lower(enc.initial_constraint(0, b_init), RunContext(model, objective)))
+    run = RunContext(model, objective)
+    text = serialize(enc.initial_constraint(0, b_init), run)
     assert text == "(and (= b_0_0 1.0) (= b_0_1 0.0) (= b_0_2 0.0))"
-    assert serialize(enc.RConst(F(2, 7))) == "(/ 2.0 7.0)"
-    assert serialize(enc.BoolConst(True)) == "true"
-    assert serialize(enc.conj([])) == "true"
-    assert serialize(enc.disj([])) == "false"
+    mixed = Belief((F(2, 7), F(5, 7), F(0)))
+    assert serialize(enc.initial_constraint(0, mixed), run) \
+        == "(and (= b_0_0 (/ 2.0 7.0)) (= b_0_1 (/ 5.0 7.0)) (= b_0_2 0.0))"
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction as F
-from typing import get_args
 
 import pytest
 
@@ -18,6 +17,7 @@ from safereach.core import (
     belief_update,
 )
 from safereach.domains import build_kitchen
+from safereach.solver import smtlib
 from safereach.synthesis import (
     SynthesisConfig,
     VERDICT_NO_POLICY,
@@ -339,16 +339,14 @@ def test_mismatched_problem_is_a_named_error(pickup):
 
 def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
     def no_terms(*args, **kwargs):
-        raise AssertionError("the enum backend built a term or named an SMT variable")
+        raise AssertionError("the enum backend wrote SMT-LIB or named an SMT variable")
 
-    monkeypatch.setattr(encoding, "lower", no_terms)
-    for cls in get_args(encoding.Term):
-        monkeypatch.setattr(cls, "__init__", no_terms)
-    namers = {name: getattr(encoding, name)
-              for name in ("belief_var_name", "action_var_name", "observation_var_name")}
+    originals = [smtlib.serialize] + [getattr(encoding, name) for name in (
+        "step_vars", "belief_var_name", "action_var_name", "observation_var_name",
+        "unnorm_var_name", "denom_var_name")]
     for module in [m for name, m in sys.modules.items() if name.startswith("safereach")]:
-        for name, namer in namers.items():  # every module's binding, not only encoding's
-            if getattr(module, name, None) is namer:
+        for name, value in list(vars(module).items()):  # every module's binding
+            if any(value is original for original in originals):
                 monkeypatch.setattr(module, name, no_terms)
     for (model, b_init, objective), horizon in ((pickup, 3), (kitchen_3x2_det(), 6)):
         assert run(model, b_init, objective, horizon).verdict == VERDICT_VALID
