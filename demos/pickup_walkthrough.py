@@ -13,7 +13,6 @@ from safereach import (
     SynthesisConfig,
     build_pickup_example,
     simulate,
-    successors,
     synthesis_run,
     validate_policy,
 )
@@ -31,7 +30,7 @@ print()
 # its probability and posterior, from one push-forward per action.
 print("one-step belief transitions")
 for a, action in enumerate(model.actions):
-    for o, (p, posterior) in successors(b_init, a, model).items():
+    for o, (p, posterior) in model.successors(b_init, a).items():
         obs = model.observations[o]
         marks = []
         if objective.is_goal(posterior):

@@ -18,12 +18,10 @@ from .core import (
     RunContext,
     SafeReachObjective,
     SynthesisStats,
-    available_actions,
     belief_update,
     goal_step,
     observation_probability,
     plan_satisfies,
-    successors,
 )
 from .domains import build_kitchen, build_pickup_example
 from .solver import SolverConfig
@@ -60,7 +58,6 @@ __all__ = [
     "VERDICT_ERROR",
     "VERDICT_NO_POLICY",
     "VERDICT_VALID",
-    "available_actions",
     "belief_update",
     "bps",
     "build_kitchen",
@@ -70,7 +67,6 @@ __all__ = [
     "plan_satisfies",
     "policy_generation",
     "simulate",
-    "successors",
     "synthesis_run",
     "validate_policy",
 ]

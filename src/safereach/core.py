@@ -9,12 +9,14 @@ hashing compare a few small ints, and a belief is valid when its numerators
 sum to its denominator.  ``Belief.probs`` is the dense ``fractions.Fraction``
 view that the file formats, the encoding and the public API read.
 
-The belief-successor kernel reads a :class:`CompiledModel`: each action's
-transition and observation rows as sparse integer columns over one
-denominator, and each state's allowed actions.  A :class:`RunContext` binds
-one compiled model to the objective, the record and the caches of one
+A :class:`Pomdp` is its own belief-successor kernel: ``model.successors``
+pushes a belief through an action and splits it by observation, reading
+each action's transition and observation rows as sparse integer columns
+over one denominator, compiled on first use and kept on the model.  A
+:class:`RunContext` holds the objective, the record and the caches of one
 synthesis run.  Models, beliefs, objectives, plans and policy trees are
-immutable after construction, and the free functions are pure.
+immutable after construction (a model's compiled columns are a pure
+function of it), and the free functions are pure.
 """
 
 from __future__ import annotations
@@ -209,6 +211,11 @@ class Pomdp:
     (missing entries are zero).  Entries are coerced to Fractions; floats are
     refused.  ``availability`` optionally restricts which actions exist in
     which states; ``None`` means every action everywhere.
+
+    The model is its own belief-successor kernel: :meth:`successors` reads
+    each action's transition and observation rows as sparse integer columns
+    over one denominator, compiled on the action's first use and kept, as
+    :attr:`Belief.probs` is kept.
     """
 
     states: tuple[str, ...]
@@ -219,8 +226,14 @@ class Pomdp:
     availability: Optional[Mapping[int, frozenset[int]]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "transition", _exact_rows(self.transition, "transition"))
-        object.__setattr__(self, "observe", _exact_rows(self.observe, "observation"))
+        setter = object.__setattr__
+        setter(self, "transition", _exact_rows(self.transition, "transition"))
+        setter(self, "observe", _exact_rows(self.observe, "observation"))
+        everywhere = frozenset(range(len(self.actions)))
+        available = self.availability or {}
+        setter(self, "_allowed", tuple(frozenset(available.get(s, everywhere))
+                                       for s in range(len(self.states))))
+        setter(self, "_columns", {})
         self._validate()
 
     def _validate(self) -> None:
@@ -289,55 +302,44 @@ class Pomdp:
         return self.observe.get((s2, a), {})
 
     def allowed_actions(self, s: int) -> frozenset[int]:
-        if self.availability is None:
-            return frozenset(range(len(self.actions)))
-        return self.availability.get(s, frozenset(range(len(self.actions))))
+        return self._allowed[s]
 
     def action_states(self, a: int) -> frozenset[int]:
         """States in which action ``a`` exists."""
-        return frozenset(s for s in range(len(self.states)) if a in self.allowed_actions(s))
+        return frozenset(s for s, allowed in enumerate(self._allowed) if a in allowed)
 
+    # -- the belief-successor kernel ---------------------------------------
 
-class CompiledModel:
-    """A model in the form the belief kernel reads.
-
-    Each state's allowed actions, and per action, compiled on first use:
-    every state's transition row as ``(successor, numerator)`` pairs and
-    every state's observation row as ``(observation, numerator)`` pairs,
-    zero entries dropped, over one denominator per action for each kind.
-    """
-
-    def __init__(self, model: Pomdp) -> None:
-        self.model = model
-        self.size = len(model.states)
-        self.allowed = tuple(model.allowed_actions(s) for s in range(self.size))
-        self._columns: dict[int, tuple] = {}
+    def available_actions(self, belief: Belief) -> list[int]:
+        """Actions allowed in every support state, ascending: an action is
+        choosable at a belief only when every state it may be in allows it."""
+        allowed = self._allowed
+        common = allowed[belief.indices[0]]
+        for s in belief.indices[1:]:
+            common = common & allowed[s]
+        return sorted(common)
 
     def _compile(self, action: int) -> tuple:
-        model = self.model
-        t_rows = [model.trans_dist(s, action) for s in range(self.size)]
-        z_rows = [model.obs_dist(s2, action) for s2 in range(self.size)]
+        """Every state's transition row as ``(successor, numerator)`` pairs
+        and every state's observation row as ``(observation, numerator)``
+        pairs, zero entries dropped, each kind over one denominator."""
+        n = len(self.states)
 
         def columns(rows):
             den = math.lcm(*(p.denominator for row in rows for p in row.values() if p))
             return den, tuple(tuple((key, p.numerator * (den // p.denominator))
                                     for key, p in row.items() if p) for row in rows)
 
-        t_den, t_cols = columns(t_rows)
-        z_den, z_cols = columns(z_rows)
+        t_den, t_cols = columns([self.trans_dist(s, action) for s in range(n)])
+        z_den, z_cols = columns([self.obs_dist(s2, action) for s2 in range(n)])
         return t_cols, z_cols, t_den * z_den
 
-    def available_actions(self, belief: Belief) -> list[int]:
-        """Actions allowed in every support state, ascending."""
-        allowed = self.allowed
-        common = allowed[belief.indices[0]]
-        for s in belief.indices[1:]:
-            common = common & allowed[s]
-        return sorted(common)
-
     def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
-        """Each possible observation after ``action``, with its probability and
-        posterior; see :func:`successors`."""
+        """Each possible observation after ``action``, with its probability and posterior.
+
+        Pushes the belief through T once and splits the result by observation
+        likelihood; only positive-probability observations appear, ascending.
+        """
         compiled = self._columns.get(action)
         if compiled is None:
             compiled = self._columns[action] = self._compile(action)
@@ -356,24 +358,25 @@ class CompiledModel:
                 entry[0].append(s2)
                 entry[1].append(z * mass)
         scale *= belief.den
+        size = len(self.states)
         out = {}
         for o in sorted(split):
             indices, nums = split[o]
             total = sum(nums)
-            out[o] = (Fraction(total, scale),
-                      Belief._sparse(self.size, tuple(indices), nums, total))
+            out[o] = (Fraction(total, scale), Belief._sparse(size, tuple(indices), nums, total))
         return out
 
 
 class RunContext:
-    """One synthesis run: its compiled model, the one ``objective`` all its
-    goals mean, its record ``stats`` and its caches.
+    """One synthesis run: its model, the one ``objective`` all its goals
+    mean, its record ``stats`` and its caches.
 
-    ``successors`` answers each (belief, action) pair from the kernel once
-    and from a cache afterwards; ``memo`` holds ``bps`` answers by (belief,
-    remaining budget) and ``fruitless`` the enumerative backend's (belief,
-    steps remaining) facts.  A context belongs to one run and is dropped
-    with it.  It first checks that the objective fits the model.
+    ``successors`` answers each (belief, action) pair from
+    :meth:`Pomdp.successors` once and from a cache afterwards; ``memo``
+    holds ``bps`` answers by (belief, remaining budget) and ``fruitless``
+    the enumerative backend's (belief, steps remaining) facts.  A context
+    belongs to one run and is dropped with it; the model's compiled columns
+    outlive it.  It first checks that the objective fits the model.
     """
 
     def __init__(self, model: Pomdp, objective: SafeReachObjective) -> None:
@@ -386,45 +389,24 @@ class RunContext:
         self.model = model
         self.objective = objective
         self.stats = SynthesisStats()
-        self.kernel = CompiledModel(model)
         self.memo: dict[tuple[Belief, int], Optional[PolicyTree]] = {}
         self.fruitless: set[tuple[Belief, int]] = set()
         self._successors: dict[tuple[Belief, int], dict[int, tuple[Fraction, Belief]]] = {}
 
     def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
-        """The kernel's answer, computed once per run; read it, never change it."""
+        """The model's answer, computed once per run; read it, never change it."""
         key = (belief, action)
         found = self._successors.get(key)
         if found is None:
-            found = self._successors[key] = self.kernel.successors(belief, action)
+            found = self._successors[key] = self.model.successors(belief, action)
         return found
-
-
-def available_actions(model: Pomdp, belief: Belief) -> list[int]:
-    """Actions whose availability covers the entire belief support.
-
-    An action is choosable at a belief only when every state carrying
-    positive probability allows it.
-    """
-    return CompiledModel(model).available_actions(belief)
-
-
-def successors(belief: Belief, action: int, model: Pomdp) -> dict[int, tuple[Fraction, Belief]]:
-    """Each possible observation after ``action``, with its probability and posterior.
-
-    Pushes the belief through T once and splits the result by observation
-    likelihood; only positive-probability observations appear, ascending.
-    Compiles the model for this one call; a synthesis run reads
-    :meth:`RunContext.successors` instead.
-    """
-    return CompiledModel(model).successors(belief, action)
 
 
 def unnormalized_update(
     belief: Belief, action: int, observation: int, model: Pomdp
 ) -> tuple[list[Fraction], Fraction]:
     """The pre-normalization posterior vector and its total mass."""
-    branch = successors(belief, action, model).get(observation)
+    branch = model.successors(belief, action).get(observation)
     if branch is None:
         return [Fraction(0)] * len(model.states), Fraction(0)
     return [branch[0] * p for p in branch[1].probs], branch[0]
@@ -433,14 +415,14 @@ def unnormalized_update(
 def belief_update(belief: Belief, action: int, observation: int,
                   model: Pomdp) -> Optional[Belief]:
     """The posterior after ``action`` and ``observation``; ``None`` when impossible."""
-    branch = successors(belief, action, model).get(observation)
+    branch = model.successors(belief, action).get(observation)
     return None if branch is None else branch[1]
 
 
 def observation_probability(belief: Belief, action: int, observation: int,
                             model: Pomdp) -> Fraction:
     """Probability of observing ``observation`` after ``action`` from ``belief``."""
-    return successors(belief, action, model).get(observation, (Fraction(0), None))[0]
+    return model.successors(belief, action).get(observation, (_ZERO, None))[0]
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,14 @@ def _object(doc: object, key: str, where: str) -> dict:
     return value
 
 
+def _index(names: tuple, name: object, kind: str, where: str) -> int:
+    """The position of ``name`` among a model's ``kind`` names."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise FormatError(f"{where}: unknown {kind} {name!r}") from None
+
+
 def parse_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, float):
         raise FormatError(f"{where}: floats are not exact; write \"p/q\" instead of {value!r}")
@@ -112,35 +120,26 @@ def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
     states = tuple(doc["states"])
     actions = tuple(doc["actions"])
     observations = tuple(doc["observations"])
-    s_idx = {name: i for i, name in enumerate(states)}
-    a_idx = {name: i for i, name in enumerate(actions)}
-    o_idx = {name: i for i, name in enumerate(observations)}
-
-    def lookup(table: dict, name: str, kind: str, where: str) -> int:
-        if name not in table:
-            raise FormatError(f"{where}: unknown {kind} {name!r}")
-        return table[name]
-
     transition: dict[tuple[int, int], dict[int, Fraction]] = {}
     for row_no, row in enumerate(doc["transition"]):
         where = f"transition[{row_no}]"
-        s = lookup(s_idx, _field(row, "s", where), "state", where)
-        a = lookup(a_idx, _field(row, "a", where), "action", where)
+        s = _index(states, _field(row, "s", where), "state", where)
+        a = _index(actions, _field(row, "a", where), "action", where)
         if (s, a) in transition:
             raise FormatError(f"{where}: duplicate row for ({row['s']}, {row['a']})")
         transition[(s, a)] = {
-            lookup(s_idx, name, "state", where): parse_fraction(p, where)
+            _index(states, name, "state", where): parse_fraction(p, where)
             for name, p in _object(row, "to", where).items()
         }
     observe: dict[tuple[int, int], dict[int, Fraction]] = {}
     for row_no, row in enumerate(doc["observe"]):
         where = f"observe[{row_no}]"
-        s2 = lookup(s_idx, _field(row, "s", where), "state", where)
-        a = lookup(a_idx, _field(row, "a", where), "action", where)
+        s2 = _index(states, _field(row, "s", where), "state", where)
+        a = _index(actions, _field(row, "a", where), "action", where)
         if (s2, a) in observe:
             raise FormatError(f"{where}: duplicate row for ({row['s']}, {row['a']})")
         observe[(s2, a)] = {
-            lookup(o_idx, name, "observation", where): parse_fraction(p, where)
+            _index(observations, name, "observation", where): parse_fraction(p, where)
             for name, p in _object(row, "obs", where).items()
         }
     availability = None
@@ -149,15 +148,12 @@ def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
         for name, acts in _object(doc, "availability", "model file").items():
             if not isinstance(acts, (list, tuple)):
                 raise FormatError(f"availability: {name!r} must be a list of actions")
-            availability[lookup(s_idx, name, "state", "availability")] = \
-                frozenset(lookup(a_idx, a, "action", "availability") for a in acts)
+            availability[_index(states, name, "state", "availability")] = \
+                frozenset(_index(actions, a, "action", "availability") for a in acts)
     model = Pomdp(states, actions, observations, transition, observe, availability)
     b_init = None
     if "initial" in doc:
-        probs = [Fraction(0)] * len(states)
-        for name, p in _object(doc, "initial", "model file").items():
-            probs[lookup(s_idx, name, "state", "initial")] = parse_fraction(p, "initial")
-        b_init = Belief(tuple(probs))
+        b_init = _belief_from_json(_object(doc, "initial", "model file"), model, "initial")
     return model, b_init
 
 
@@ -185,10 +181,9 @@ def objective_from_json(doc: dict, model: Pomdp) -> SafeReachObjective:
         for i, entry in enumerate(entries):
             where = f"{section}[{i}]"
             names, comparator = _field(entry, "states", where), _field(entry, "cmp", where)
-            try:
-                state_set = frozenset(model.state_index(s) for s in names)
-            except ModelError as exc:
-                raise FormatError(f"{where}: {exc}") from None
+            if not isinstance(names, list):
+                raise FormatError(f"{where}: 'states' must be a list")
+            state_set = frozenset(_index(model.states, s, "state", where) for s in names)
             preds.append(LinearBeliefPredicate(
                 state_set, comparator, parse_fraction(_field(entry, "threshold", where), where)))
         return tuple(preds)
@@ -241,7 +236,7 @@ def _belief_to_json(belief: Belief, model: Pomdp) -> dict:
 def _belief_from_json(doc: dict, model: Pomdp, where: str) -> Belief:
     probs = [Fraction(0)] * len(model.states)
     for name, p in doc.items():
-        probs[model.state_index(name)] = parse_fraction(p, where)
+        probs[_index(model.states, name, "state", where)] = parse_fraction(p, where)
     return Belief(tuple(probs))
 
 
@@ -259,8 +254,10 @@ def plan_from_json(doc: dict, model: Pomdp) -> CandidatePlan:
         doc["start_step"],
         tuple(_belief_from_json(b, model, f"beliefs[{i}]")
               for i, b in enumerate(doc["beliefs"])),
-        tuple(model.action_index(a) for a in doc["actions"]),
-        tuple(model.observation_index(o) for o in doc["observations"]),
+        tuple(_index(model.actions, a, "action", f"actions[{i}]")
+              for i, a in enumerate(doc["actions"])),
+        tuple(_index(model.observations, o, "observation", f"observations[{i}]")
+              for i, o in enumerate(doc["observations"])),
     )
 
 
@@ -284,9 +281,10 @@ def policy_from_json(doc: dict, model: Pomdp, where: str = "policy") -> PolicyTr
     children = _object(doc, "children", where) if "children" in doc else {}
     return PolicyTree(
         belief=_belief_from_json(_object(doc, "belief", where), model, f"{where} belief"),
-        action=model.action_index(action) if action is not None else None,
+        action=_index(model.actions, action, "action", where) if action is not None else None,
         children={
-            model.observation_index(o): policy_from_json(child, model, f"{where}.children[{o!r}]")
+            _index(model.observations, o, "observation", f"{where}.children"):
+                policy_from_json(child, model, f"{where}.children[{o!r}]")
             for o, child in children.items()
         },
         goal_reached=bool(doc.get("goal_reached", False)),

@@ -191,13 +191,13 @@ def evaluate(term, env):
         v = evaluate(args[0], env)
         return None if v is None else not v
     if head == "=>":
-        lhs = evaluate(args[0], env)
-        if lhs is False:
-            return True
-        rhs = evaluate(args[1], env)
-        if lhs is True:
-            return rhs
-        return True if rhs is True else None
+        # right-associative: (=> a b c) is (=> a (=> b c)), folded from the right
+        out = evaluate(args[-1], env)
+        for premise in reversed(args[:-1]):
+            if out is not True:
+                lhs = evaluate(premise, env)
+                out = True if lhs is False else out if lhs is True else None
+        return out
     if head == "ite":
         cond = evaluate(args[0], env)
         if cond is None:
@@ -503,14 +503,35 @@ class Search:
 # --------------------------------------------------------------------------
 
 def format_value(value, sort: str) -> str:
+    """An int or Fraction as an SMT-LIB numeral term of ``sort``."""
     if sort == "Int":
         return str(value) if value >= 0 else f"(- {-value})"
-    value = Fraction(value)
     if value < 0:
         return f"(- {format_value(-value, sort)})"
     if value.denominator == 1:
         return f"{value.numerator}.0"
     return f"(/ {value.numerator}.0 {value.denominator}.0)"
+
+
+# The argument lists each command accepts, one letter per argument: "a" an
+# atom, "n" a numeral, "l" a list, "t" any term.  Commands not listed here
+# take any arguments (the set-* family) or are unsupported.
+COMMAND_SHAPES = {
+    "declare-const": ("aa",), "declare-fun": ("ala",), "assert": ("t",),
+    "push": ("", "n"), "pop": ("", "n"), "check-sat": ("",), "get-model": ("",),
+    "get-info": ("a",), "echo": ("a",), "reset": ("",), "exit": ("",),
+}
+_ARGUMENT_FITS = {
+    "a": lambda arg: isinstance(arg, str),
+    "n": lambda arg: isinstance(arg, str) and arg.isascii() and arg.isdigit(),
+    "l": lambda arg: isinstance(arg, tuple),
+    "t": lambda arg: True,
+}
+
+
+def _fits(args: tuple, shape: str) -> bool:
+    return len(args) == len(shape) and all(_ARGUMENT_FITS[kind](arg)
+                                           for kind, arg in zip(shape, args))
 
 
 class Session:
@@ -538,6 +559,11 @@ class Session:
             out.write('(error "malformed command")\n')
             return True
         head = cmd[0]
+        shapes = COMMAND_SHAPES.get(head)
+        if shapes is not None and not any(_fits(cmd[1:], shape) for shape in shapes):
+            out.write(f'(error "wrong arguments to {head}")\n')
+            out.flush()
+            return True
         if head in ("set-logic", "set-option", "set-info"):
             pass
         elif head in ("declare-const", "declare-fun"):

@@ -63,6 +63,7 @@ class EnumerativeSession(SolverSession):
         run = self.run
         objective = run.objective
         fruitless = run.fruitless
+        available_actions = run.model.available_actions
 
         def status(belief: Belief, step: int) -> Optional[bool]:
             """True at a goal belief, False on a safe one with steps left,
@@ -80,7 +81,7 @@ class EnumerativeSession(SolverSession):
             if not fired and key in fruitless:
                 return None
             i = step - start
-            for a in run.kernel.available_actions(belief):
+            for a in available_actions(belief):
                 if any(bl.fail_step == step + 1 and bl.plan.actions[i] == a for bl in live):
                     continue  # the blocked prefix ends exactly here
                 for o, (_, b2) in run.successors(belief, a).items():

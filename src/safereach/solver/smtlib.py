@@ -36,7 +36,8 @@ from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Po
                     RunContext, SafeReachObjective)
 from ..encoding import (Blocking, Constraint, Goal, Initial, Transition, action_var_name,
                         belief_var_name, observation_var_name, step_vars)
-from ..refsolver import SmtSyntaxError, evaluate, intern_term, parse_tokens, tokenize
+from ..refsolver import (SmtSyntaxError, evaluate, format_value, intern_term, parse_tokens,
+                         tokenize)
 from .session import (
     PlanDecodeError,
     Sat,
@@ -96,26 +97,18 @@ def serialize(constraint: Constraint, run: RunContext) -> str:
     raise TypeError(f"cannot serialize {constraint!r}")
 
 
-def _real(value: Fraction) -> str:
-    if value < 0:
-        return f"(- {_real(-value)})"
-    if value.denominator == 1:
-        return f"{value.numerator}.0"
-    return f"(/ {value.numerator}.0 {value.denominator}.0)"
-
-
 def _app(op: str, args: Sequence[str]) -> str:
     """``(op args...)``, or the one argument itself."""
     return args[0] if len(args) == 1 else f"({op} {' '.join(args)})"
 
 
 def _pins(names: Sequence[str], belief: Belief) -> list[str]:
-    return [f"(= {name} {_real(p)})" for name, p in zip(names, belief.probs)]
+    return [f"(= {name} {format_value(p, 'Real')})" for name, p in zip(names, belief.probs)]
 
 
 def _ite_chain(cases: Sequence[tuple[str, Fraction]]) -> str:
     """The value of the first case whose condition holds, else 0."""
-    return "".join(f"(ite {cond} {_real(value)} " for cond, value in cases) \
+    return "".join(f"(ite {cond} {format_value(value, 'Real')} " for cond, value in cases) \
         + "0.0" + ")" * len(cases)
 
 
@@ -171,7 +164,7 @@ def _transition(step: int, model: Pomdp) -> str:
 
 def _predicate(pred: LinearBeliefPredicate, beliefs: Sequence[str]) -> str:
     mass = _app("+", [beliefs[j] for j in sorted(pred.state_set)])
-    threshold = _real(pred.threshold)
+    threshold = format_value(pred.threshold, "Real")
     if pred.comparator == ">":
         return f"(< {threshold} {mass})"
     if pred.comparator == "<":

@@ -22,7 +22,6 @@ from typing import Optional
 from .core import (
     Belief,
     CandidatePlan,
-    CompiledModel,
     ModelError,
     PolicyTree,
     Pomdp,
@@ -56,10 +55,9 @@ def validate_policy(
     exactly the updated beliefs, no path exceeds the horizon, goal flags do
     not lie, and every root-to-leaf path (read as a plan) satisfies the
     objective.  The first violation is reported with the path that led
-    there.  Posteriors come from a kernel compiled for this call, never
-    from a synthesis run's cache.
+    there.  Posteriors come from ``model.successors``, never from a
+    synthesis run's cache.
     """
-    kernel = CompiledModel(model)
     paths_seen = 0
 
     def fail(reason: str, beliefs, actions, observations) -> ValidationReport:
@@ -85,7 +83,7 @@ def validate_policy(
         if not 0 <= node.action < len(model.actions):
             return fail(f"action index {node.action} outside 0..{len(model.actions) - 1}",
                         beliefs, actions, observations)
-        if node.action not in kernel.available_actions(node.belief):
+        if node.action not in model.available_actions(node.belief):
             return fail(
                 f"action {model.actions[node.action]} unavailable on the node belief",
                 beliefs, actions, observations)
@@ -94,7 +92,7 @@ def validate_policy(
         if stray:
             return fail(f"branch for observation index(es) {stray} outside "
                         f"0..{len(model.observations) - 1}", beliefs, actions, observations)
-        branches = kernel.successors(node.belief, node.action)
+        branches = model.successors(node.belief, node.action)
         required = set(branches)
         if required - present:
             missing = ", ".join(model.observations[o] for o in sorted(required - present))

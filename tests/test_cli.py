@@ -150,11 +150,24 @@ _GOAL = {"states": ["s"], "cmp": ">", "threshold": "1/2"}
     ({"policy": {"belief": {"s": "1"}, "action": "a", "children": {"o": "leaf"}}},
      "policy.children['o']: a policy node must be an object"),
     ({"policy": {"belief": "s", "action": None}}, "policy: 'belief' must be an object"),
+    ({"policy": {"belief": {"s_nowhere": "1"}, "action": None}},
+     "policy belief: unknown state 's_nowhere'"),
+    ({"policy": {"belief": {"s": "1"}, "action": "fly", "children": {}}},
+     "policy: unknown action 'fly'"),
+    ({"policy": {"belief": {"s": "1"}, "action": "a", "children": {"o_x": {}}}},
+     "policy.children: unknown observation 'o_x'"),
+    ({"policy": {"belief": {"s": "1"}, "action": "a", "children": {
+        "o": {"belief": {"s": "1"}, "action": "fly"}}}},
+     "policy.children['o']: unknown action 'fly'"),
+    ({"objective": {"goal": [{**_GOAL, "states": "s"}]}}, "goal[0]: 'states' must be a list"),
+    ({"model": {**_MODEL, "initial": {"typo": "1"}}}, "initial: unknown state 'typo'"),
 ], ids=["unknown-state", "transition-missing-to", "observe-missing-s", "goal-missing-cmp",
         "model-not-json", "policy-missing-belief", "transition-to-not-object",
         "observe-obs-not-object", "initial-not-object", "availability-not-object",
         "availability-entry-not-list", "transition-not-list", "policy-children-not-object",
-        "policy-child-not-object", "policy-belief-not-object"])
+        "policy-child-not-object", "policy-belief-not-object", "policy-unknown-state",
+        "policy-unknown-action", "policy-unknown-observation", "policy-child-unknown-action",
+        "objective-states-not-list", "initial-unknown-state"])
 def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog, files, message):
     docs = {"model": _MODEL, "objective": {"goal": [_GOAL]},
             "policy": {"belief": {"s": "1"}, "action": None}, **files}

@@ -15,12 +15,10 @@ from safereach.core import (
     Pomdp,
     RunContext,
     SafeReachObjective,
-    available_actions,
     belief_update,
     goal_step,
     observation_probability,
     plan_satisfies,
-    successors,
 )
 
 from oracles import dense_matrix_update, random_instance
@@ -207,9 +205,9 @@ def test_available_actions_respects_support():
         observe={(0, 0): {0: F(1)}, (1, 0): {0: F(1)}, (0, 1): {0: F(1)}},
         availability={0: frozenset({0, 1}), 1: frozenset({0})},
     )
-    assert available_actions(model, Belief.point(0, 2)) == [0, 1]
-    assert available_actions(model, Belief.point(1, 2)) == [0]
-    assert available_actions(model, Belief((F(1, 2), F(1, 2)))) == [0]
+    assert model.available_actions(Belief.point(0, 2)) == [0, 1]
+    assert model.available_actions(Belief.point(1, 2)) == [0]
+    assert model.available_actions(Belief((F(1, 2), F(1, 2)))) == [0]
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +232,7 @@ def test_update_matches_matrix_form_and_probs_sum(seed):
                 assert all(x >= 0 for x in mine.probs)
         assert total == 1
         # the kernel: one push-forward, split by observation, matches the oracle
-        branches = successors(belief, action, model)
+        branches = model.successors(belief, action)
         oracle = {o: dense_matrix_update(belief, action, o, model)
                   for o in range(len(model.observations))}
         assert list(branches) == [o for o, b in oracle.items() if b is not None]
@@ -273,13 +271,13 @@ def test_kernel_matches_dense_oracle(problem):
     run = RunContext(model, SafeReachObjective(
         (LinearBeliefPredicate(frozenset({0}), ">", F(1, 2)),), ()))
     support = [s for s in range(n) if belief[s]]
-    assert available_actions(model, belief) == run.kernel.available_actions(belief) == [
+    assert model.available_actions(belief) == [
         a for a in range(len(model.actions))
         if all(a in model.availability[s] for s in support)]
     for action in range(len(model.actions)):
         branches = run.successors(belief, action)
         assert run.successors(belief, action) is branches
-        assert branches == successors(belief, action, model)
+        assert branches == model.successors(belief, action)
         for obs in range(len(model.observations)):
             oracle = dense_matrix_update(belief, action, obs, model)
             if oracle is None:

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from safereach.core import ModelError, available_actions, belief_update
+from safereach.core import ModelError, belief_update
 from safereach.domains import build_kitchen, build_pickup_example
 from safereach.synthesis import SynthesisConfig, synthesis_run
 from safereach.validate import validate_policy
@@ -118,11 +118,11 @@ def test_kitchen_perfect_look_resolves_placements():
 def test_kitchen_picks_only_at_storage():
     model, b_init, _ = small_kitchen()
     pick_left = model.action_index("pick_left")
-    assert pick_left not in available_actions(model, b_init)
+    assert pick_left not in model.available_actions(b_init)
     move_east = model.action_index("move_east")
     o_null = model.observation_index("o_null")
     at_storage = belief_update(b_init, move_east, o_null, model)
-    assert pick_left in available_actions(model, at_storage)
+    assert pick_left in model.available_actions(at_storage)
 
 
 def test_kitchen_collision_is_absorbing():

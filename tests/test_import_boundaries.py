@@ -1,0 +1,61 @@
+"""Independence promises checked on the source text, without importing it.
+
+The bundled solver is a standalone program, the validator is the trust
+anchor that rests on the model operations alone, and the dense oracle is
+the yardstick the belief kernel is measured against; each promise holds
+only while the imports (and calls) below stay out.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "safereach"
+KERNEL = {"successors", "available_actions"}
+KERNEL_READERS = {"belief_update", "observation_probability", "unnormalized_update"}
+
+
+def tree_of(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(level, dotted name)`` of every module an import statement names;
+    ``from . import x`` names the module ``x``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:
+                out.extend((node.level, alias.name) for alias in node.names)
+            else:
+                out.append((node.level, node.module))
+    return out
+
+
+def test_refsolver_imports_only_the_standard_library():
+    modules = imported_modules(tree_of(PACKAGE / "refsolver.py"))
+    assert modules
+    outside = [(level, name) for level, name in modules
+               if level or name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_validator_imports_nothing_from_the_package_but_core():
+    modules = imported_modules(tree_of(PACKAGE / "validate.py"))
+    ours = {(level, name) for level, name in modules
+            if level or name.split(".")[0] == "safereach"}
+    assert ours == {(1, "core")}
+
+
+def test_dense_oracle_never_reads_the_belief_kernel():
+    tree = tree_of(ROOT / "tests" / "oracles.py")
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not attributes & KERNEL
+    assert not imported & (KERNEL | KERNEL_READERS)

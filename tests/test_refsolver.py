@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 from fractions import Fraction as F
 
+import pytest
+
 from safereach.refsolver import (
     CommandReader,
     Search,
@@ -173,12 +175,40 @@ def test_malformed_assertions_answer_errors_and_the_session_goes_on():
                      "sat"]
 
 
+@pytest.mark.parametrize("command", [
+    "(push x)", "(assert)", "(declare-const)", "(declare-fun f)", "(get-info)", "(echo)",
+    "(push -1)", "(pop -1)",
+])
+def test_malformed_command_answers_an_error_and_the_session_goes_on(command):
+    head = command[1:].split()[0].rstrip(")")
+    assert run_script(f"{command}\n(check-sat)\n") \
+        == [f'(error "wrong arguments to {head}")', "sat"]
+
+
+def test_implication_is_right_associative():
+    # (=> a b c) is (=> a (=> b c)); read as binary, the first case says true.
+    assert evaluate(intern_term(("=>", "true", "true", "false")), {}) is False
+    assert evaluate(intern_term(("=>", "false", "true", "false")), {}) is True
+    assert evaluate(intern_term(("=>", "true", "true", "x")), {}) is None
+    assert evaluate(intern_term(("=>", "y", "true", "true")), {}) is True
+    lines = run_script("""
+(declare-const x Int)
+(assert (<= 0 x))
+(assert (<= x 1))
+(assert (=> true true false))
+(check-sat)
+""")
+    assert lines == ["unsat"]
+
+
 def test_format_value_shapes():
     assert format_value(3, "Int") == "3"
     assert format_value(-3, "Int") == "(- 3)"
     assert format_value(F(1), "Real") == "1.0"
     assert format_value(F(2, 7), "Real") == "(/ 2.0 7.0)"
     assert format_value(F(-2, 7), "Real") == "(- (/ 2.0 7.0))"
+    assert format_value(3, "Real") == "3.0"
+    assert format_value(-3, "Real") == "(- 3.0)"
 
 
 def test_search_fills_unconstrained_variables():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from safereach import core, encoding, synthesis, validate
+from safereach import encoding, synthesis, validate
 from safereach.core import (
     Belief,
     LinearBeliefPredicate,
@@ -254,7 +254,7 @@ def test_each_belief_is_pushed_forward_once(monkeypatch):
     # its own kernel and never through the run's cache.
     lookups = kernel_calls = walked = 0
     validating = False
-    lookup, kernel = RunContext.successors, core.CompiledModel.successors
+    lookup, kernel = RunContext.successors, Pomdp.successors
 
     def counting_lookup(self, belief, action):
         nonlocal lookups
@@ -284,7 +284,7 @@ def test_each_belief_is_pushed_forward_once(monkeypatch):
 
     generate, check = synthesis.policy_generation, validate.validate_policy
     monkeypatch.setattr(RunContext, "successors", counting_lookup)
-    monkeypatch.setattr(core.CompiledModel, "successors", counting_kernel)
+    monkeypatch.setattr(Pomdp, "successors", counting_kernel)
     monkeypatch.setattr(synthesis, "policy_generation", walking)
     monkeypatch.setattr(validate, "validate_policy", validating_policy)
     model, b_init, objective = kitchen_3x2_det()
@@ -302,7 +302,7 @@ def test_caches_live_and_die_with_one_run(monkeypatch):
     # Back-to-back runs on one model object each start cold: the same
     # number of kernel misses, and far fewer misses than lookups.
     counts = []
-    lookup, kernel = RunContext.successors, core.CompiledModel.successors
+    lookup, kernel = RunContext.successors, Pomdp.successors
 
     def counting_lookup(self, belief, action):
         counts[-1][0] += 1
@@ -313,7 +313,7 @@ def test_caches_live_and_die_with_one_run(monkeypatch):
         return kernel(self, belief, action)
 
     monkeypatch.setattr(RunContext, "successors", counting_lookup)
-    monkeypatch.setattr(core.CompiledModel, "successors", counting_kernel)
+    monkeypatch.setattr(Pomdp, "successors", counting_kernel)
     model, b_init, objective = kitchen_3x2_det()
     for _ in range(2):
         counts.append([0, 0])
@@ -321,6 +321,29 @@ def test_caches_live_and_die_with_one_run(monkeypatch):
     (lookups, misses), (_, again) = counts
     assert misses == again > 0
     assert lookups > 2 * misses
+
+
+def test_each_action_is_compiled_once_per_model(monkeypatch):
+    # The model keeps its compiled columns: runs, the validator and the
+    # public belief update all share them, so each transition row is read
+    # once, when its action is first used.
+    model, b_init, objective = kitchen_3x2_det()
+    reads = {}
+    trans_dist = Pomdp.trans_dist
+
+    def counting(self, s, a):
+        reads[(s, a)] = reads.get((s, a), 0) + 1
+        return trans_dist(self, s, a)
+
+    monkeypatch.setattr(Pomdp, "trans_dist", counting)
+    for _ in range(2):
+        result = run(model, b_init, objective, 6)
+        assert result.verdict == VERDICT_VALID
+    assert validate_policy(result.policy, model, objective, 6).valid
+    for i in range(100):
+        belief_update(b_init, i % len(model.actions), 0, model)
+    assert len(reads) == len(model.states) * len(model.actions)
+    assert max(reads.values()) == 1
 
 
 def test_mismatched_problem_is_a_named_error(pickup):
