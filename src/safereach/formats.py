@@ -55,6 +55,14 @@ def _object(doc: object, key: str, where: str) -> dict:
     return value
 
 
+def _list(doc: object, key: str, where: str) -> list:
+    """``doc[key]``, which must be present and a JSON list."""
+    value = _field(doc, key, where)
+    if not isinstance(value, list):
+        raise FormatError(f"{where}: {key!r} must be a list")
+    return value
+
+
 def _index(names: tuple, name: object, kind: str, where: str) -> int:
     """The position of ``name`` among a model's ``kind`` names."""
     try:
@@ -234,6 +242,8 @@ def _belief_to_json(belief: Belief, model: Pomdp) -> dict:
 
 
 def _belief_from_json(doc: dict, model: Pomdp, where: str) -> Belief:
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: a belief must be an object")
     probs = [Fraction(0)] * len(model.states)
     for name, p in doc.items():
         probs[_index(model.states, name, "state", where)] = parse_fraction(p, where)
@@ -250,15 +260,21 @@ def plan_to_json(plan: CandidatePlan, model: Pomdp) -> dict:
 
 
 def plan_from_json(doc: dict, model: Pomdp) -> CandidatePlan:
-    return CandidatePlan(
-        doc["start_step"],
-        tuple(_belief_from_json(b, model, f"beliefs[{i}]")
-              for i, b in enumerate(doc["beliefs"])),
-        tuple(_index(model.actions, a, "action", f"actions[{i}]")
-              for i, a in enumerate(doc["actions"])),
-        tuple(_index(model.observations, o, "observation", f"observations[{i}]")
-              for i, o in enumerate(doc["observations"])),
-    )
+    where = "plan"
+    start = _field(doc, "start_step", where)
+    if not isinstance(start, int) or isinstance(start, bool):
+        raise FormatError(f"{where}: 'start_step' must be an integer")
+    beliefs = tuple(_belief_from_json(b, model, f"{where}.beliefs[{i}]")
+                    for i, b in enumerate(_list(doc, "beliefs", where)))
+    actions = tuple(_index(model.actions, a, "action", f"{where}.actions[{i}]")
+                    for i, a in enumerate(_list(doc, "actions", where)))
+    observations = tuple(
+        _index(model.observations, o, "observation", f"{where}.observations[{i}]")
+        for i, o in enumerate(_list(doc, "observations", where)))
+    try:
+        return CandidatePlan(start, beliefs, actions, observations)
+    except ModelError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def policy_to_json(tree: PolicyTree, model: Pomdp) -> dict:

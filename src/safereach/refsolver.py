@@ -14,6 +14,18 @@ declaration order with exact ``Fraction`` arithmetic and three-valued
 constraint evaluation for pruning.  Anything outside the fragment yields
 ``unknown`` rather than a wrong answer.
 
+Each assertion is compiled once, when it is asserted, and kept in its
+``push`` frame, so ``pop`` drops it and ``reset`` clears it: every
+top-level conjunct becomes a closure over the partial assignment
+(:class:`Compiler`).  Closed numerals such as ``(/ 1.0 2.0)`` are folded,
+an ``ite`` chain over one selector ``(= x k)`` or a selector pair
+``(and (= x k) (= y m))`` becomes a dict lookup, sums are taken over one
+common denominator, and each equation ``(= l r)`` is decided, or solved for
+its single unknown, in one pass.  ``check-sat`` builds the search from these
+closures, so no search node re-walks a term.  :func:`evaluate`, the plain
+recursive interpreter, gives the same values; it reads model values for the
+driver and is the oracle the compiled closures are tested against.
+
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
 Run it with ``python -m safereach.refsolver``, by file path, or as the
@@ -24,6 +36,7 @@ gone, so a driver killed mid-check leaves no solver behind.
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -132,7 +145,7 @@ def atom_value(token: str):
 
 # Arguments that evaluate() reads by position: exactly n, or at least n.
 EXACT_ARITY = {"not": 1, "ite": 3}
-MIN_ARITY = {"=>": 2, "-": 1, "/": 1}
+MIN_ARITY = {"=>": 2, "-": 1, "/": 1, "*": 1}
 
 
 def intern_term(term):
@@ -326,6 +339,530 @@ def term_vars(term, acc: set) -> set:
 
 
 # --------------------------------------------------------------------------
+# Compilation: every assertion becomes closures once
+# --------------------------------------------------------------------------
+#
+# A compiled term is a closure ``fn(env)`` that returns what ``evaluate``
+# returns for the term under ``env``, built once when the assertion arrives
+# instead of re-dispatching on the term's shape at every search node.
+
+# The folded value of a compiled node that depends on the assignment, and
+# the first items of the structural keys of selector tables and of
+# malformed terms.
+_OPEN = object()
+_TABLE = object()
+_MALFORMED = object()
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _variable(name):
+    def fn(env):
+        return env.get(name)
+    return fn
+
+
+def _constant(value):
+    def fn(env):
+        return value
+    return fn
+
+
+def _raising(message):
+    def fn(env):
+        raise SmtSyntaxError(message)
+    return fn
+
+
+def _and(fns):
+    def fn(env):
+        unknown = False
+        for f in fns:
+            v = f(env)
+            if v is False:
+                return False
+            if v is None:
+                unknown = True
+        return None if unknown else True
+    return fn
+
+
+def _or(fns):
+    def fn(env):
+        unknown = False
+        for f in fns:
+            v = f(env)
+            if v is True:
+                return True
+            if v is None:
+                unknown = True
+        return None if unknown else False
+    return fn
+
+
+def _not(fns):
+    (arg,) = fns
+
+    def fn(env):
+        v = arg(env)
+        return None if v is None else not v
+    return fn
+
+
+def _implies(fns):
+    last, premises = fns[-1], fns[-2::-1]
+
+    def fn(env):
+        out = last(env)
+        for premise in premises:
+            if out is not True:
+                lhs = premise(env)
+                out = True if lhs is False else out if lhs is True else None
+        return out
+    return fn
+
+
+def _ite(fns):
+    cond, then, other = fns
+
+    def fn(env):
+        c = cond(env)
+        if c is None:
+            return None
+        return then(env) if c else other(env)
+    return fn
+
+
+def _values(fns, env):
+    """The values of ``fns`` under ``env``, or ``None`` if any is unknown."""
+    vals = [f(env) for f in fns]
+    for v in vals:
+        if v is None:
+            return None
+    return vals
+
+
+# Exact equality is transitive, so a chained = agrees with evaluate's
+# "every value equals the first".
+_COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+                ">": operator.gt, ">=": operator.ge}
+
+
+def _comparison(op):
+    def build(fns):
+        if len(fns) == 2:
+            left, right = fns
+
+            def fn(env):
+                a = left(env)
+                b = right(env)
+                if a is None or b is None:
+                    return None
+                return op(a, b)
+            return fn
+
+        def fn(env):
+            vals = _values(fns, env)
+            if vals is None:
+                return None
+            for a, b in zip(vals, vals[1:]):
+                if not op(a, b):
+                    return False
+            return True
+        return fn
+    return build
+
+
+def _exact_sum(vals):
+    """The sum of known numbers, over one common denominator: a single
+    normalization instead of one ``Fraction`` addition per term."""
+    num, den = 0, 1
+    for v in vals:
+        v_num = v.numerator
+        if v_num:
+            v_den = v.denominator
+            if v_den == den:
+                num += v_num
+            else:
+                num, den = num * v_den + v_num * den, den * v_den
+    return num if den == 1 else Fraction(num, den)
+
+
+def _sum(fns):
+    def fn(env):
+        vals = _values(fns, env)
+        return None if vals is None else _exact_sum(vals)
+    return fn
+
+
+def _product(fns):
+    # A known 0 factor decides the product whatever the other factors are.
+    def fn(env):
+        vals = []
+        for f in fns:
+            v = f(env)
+            if v == 0:
+                return 0
+            vals.append(v)
+        out = vals[0]
+        if out is None:
+            return None
+        for v in vals[1:]:
+            if v is None:
+                return None
+            out = out * v
+        return out
+    return fn
+
+
+def _minus(fns):
+    if len(fns) == 1:
+        (arg,) = fns
+
+        def fn(env):
+            v = arg(env)
+            return None if v is None else -v
+        return fn
+
+    def fn(env):
+        vals = _values(fns, env)
+        if vals is None:
+            return None
+        out = vals[0]
+        for v in vals[1:]:
+            out = out - v
+        return out
+    return fn
+
+
+def _divide(fns):
+    def fn(env):
+        vals = _values(fns, env)
+        if vals is None:
+            return None
+        for v in vals[1:]:
+            if v == 0:
+                return None  # division by zero: stay agnostic
+        out = Fraction(vals[0])
+        for v in vals[1:]:
+            out = out / v
+        return out
+    return fn
+
+
+_BUILDERS = {
+    "and": _and, "or": _or, "not": _not, "=>": _implies, "ite": _ite,
+    "+": _sum, "*": _product, "-": _minus, "/": _divide,
+    **{head: _comparison(op) for head, op in _COMPARISONS.items()},
+}
+
+
+def _pin(term) -> bool:
+    """``(= x k)`` for a variable ``x`` and a numeral ``k``."""
+    return (isinstance(term, tuple) and len(term) == 3 and term[0] == "="
+            and isinstance(term[1], str) and type(term[2]) in (int, Fraction))
+
+
+def _selector(cond):
+    """The variables and numerals of a selector condition: ``(= x k)`` gives
+    ``((x,), (k,))`` and ``(and (= x k) (= y m))`` gives ``((x, y), (k, m))``;
+    any other condition gives ``None``."""
+    if _pin(cond):
+        return (cond[1],), (cond[2],)
+    if (isinstance(cond, tuple) and len(cond) == 3 and cond[0] == "and"
+            and _pin(cond[1]) and _pin(cond[2])):
+        return (cond[1][1], cond[2][1]), (cond[1][2], cond[2][2])
+    return None
+
+
+def _single_table(name, table, default, constant):
+    """An ``ite`` chain over ``(= name k)``: the first case whose ``k`` equals
+    the value wins, an unknown value leaves the chain unknown."""
+    if constant:
+        get = table.get
+
+        def fn(env):
+            v = env.get(name)
+            if v is None:
+                return None
+            return get(v, default)
+        return fn
+
+    def fn(env):
+        v = env.get(name)
+        if v is None:
+            return None
+        return table.get(v, default)(env)
+    return fn
+
+
+def _pair_table(names, table, default, constant):
+    """An ``ite`` chain over ``(and (= x k) (= y m))``.  With both values
+    known the first matching case wins.  With one known, the chain is unknown
+    if that value occurs in some case (that case's condition is unknown) and
+    is the default otherwise (every condition is false)."""
+    x, y = names
+    xs = {k for k, _ in table}
+    ys = {m for _, m in table}
+
+    def fn(env):
+        xv = env.get(x)
+        yv = env.get(y)
+        if xv is None:
+            if yv is None or yv in ys:
+                return None
+            out = default
+        elif yv is None:
+            if xv in xs:
+                return None
+            out = default
+        else:
+            out = table.get((xv, yv), default)
+        return out if constant else out(env)
+    return fn
+
+
+def _no_solution(target, env):
+    return None
+
+
+def _solve_variable(name):
+    def solve(target, env):
+        return (name, target)
+    return solve
+
+
+def _solve_product(fns, subs):
+    def solve(target, env):
+        known = _ONE
+        unknown = None
+        for f, sub in zip(fns, subs):
+            v = f(env)
+            if v is None:
+                if unknown is not None:
+                    return None
+                unknown = sub
+            elif known is _ONE:
+                known = v if type(v) is Fraction else Fraction(v)
+            else:
+                known *= v
+        if unknown is None:
+            return None
+        if not known.numerator:
+            return None if target == 0 else CONFLICT
+        return unknown(target / known, env)
+    return solve
+
+
+def _solve_sum(fns, subs):
+    def solve(target, env):
+        known = _ZERO
+        unknown = None
+        for f, sub in zip(fns, subs):
+            v = f(env)
+            if v is None:
+                if unknown is not None:
+                    return None
+                unknown = sub
+            else:
+                known += v
+        if unknown is None:
+            return None
+        return unknown(target - known, env)
+    return solve
+
+
+def _solve_difference(fns, subs):
+    if len(fns) == 1:
+        (sub,) = subs
+
+        def solve(target, env):
+            return sub(-target, env)
+        return solve
+    if len(fns) != 2:
+        return _no_solution
+    (left, right), (sub_left, sub_right) = fns, subs
+
+    def solve(target, env):
+        lv = left(env)
+        rv = right(env)
+        if lv is None and rv is not None:
+            return sub_left(target + rv, env)
+        if rv is None and lv is not None:
+            return sub_right(lv - target, env)
+        return None
+    return solve
+
+
+_SOLVERS = {"*": _solve_product, "+": _solve_sum, "-": _solve_difference}
+
+
+def _equation(left, right, solve_left, solve_right):
+    """The propagation step of ``(= l r)``: its truth value once both sides
+    are known, else what solving the unknown side for the known one gives
+    (``None``, ``CONFLICT`` or ``(name, value)``)."""
+    def step(env):
+        lv = left(env)
+        rv = right(env)
+        if lv is None:
+            return None if rv is None else solve_left(rv, env)
+        if rv is None:
+            return solve_right(lv, env)
+        return rv == lv
+    return step
+
+
+class Compiler:
+    """Compiles interned terms to closures with :func:`evaluate`'s semantics.
+
+    Equal subterms share one closure, closed subterms such as ``(/ 1.0 2.0)``
+    are folded to their value, and an ``ite`` chain over one selector or a
+    selector pair becomes a dict lookup.  A ``*`` stops at its first known 0
+    factor; an operator it does not know raises :class:`SmtSyntaxError` when
+    it is evaluated, as in :func:`evaluate`.
+    """
+
+    def __init__(self) -> None:
+        # Structural key -> node ``(id, closure, folded value or _OPEN)``.  A
+        # key names a leaf by its type and value, and a compound by its head
+        # and the ids of its parts, so True and 1 never share a closure.
+        self.nodes: dict = {}
+        # id() of a term object -> (the term, its node), so a subterm met
+        # again (an equation's sides, for their values and for solving) is
+        # not walked again; holding the term keeps its id from being reused.
+        self.seen: dict[int, tuple] = {}
+
+    def term(self, term):
+        return self._node(term)[1]
+
+    def constraint(self, term):
+        """The propagation step of a top-level constraint: the equation step
+        for ``(= l r)``, the term's closure otherwise."""
+        if isinstance(term, tuple) and len(term) == 3 and term[0] == "=":
+            return _equation(self.term(term[1]), self.term(term[2]),
+                             self._solver(term[1]), self._solver(term[2]))
+        return self.term(term)
+
+    def _node(self, term):
+        """The node of ``term``, built once per structural key."""
+        if isinstance(term, tuple):
+            seen = self.seen.get(id(term))
+            if seen is None:
+                seen = self.seen[id(term)] = (term, self._compound(term))
+            return seen[1]
+        if isinstance(term, str):
+            key = term
+        elif type(term) is Fraction:
+            key = (Fraction, term.numerator, term.denominator)
+        else:
+            key = (type(term), term)
+        found = self.nodes.get(key)
+        if found is None:
+            if isinstance(term, str):
+                found = self._add(key, _variable(term))
+            else:
+                found = self._add(key, _constant(term), term)
+        return found
+
+    def _compound(self, term):
+        if not term or not isinstance(term[0], str):
+            return self._add((_MALFORMED, id(term)), _raising(f"cannot evaluate {term!r}"))
+        head = term[0]
+        if head == "ite":
+            selector = _selector(term[1])
+            if selector is not None:
+                return self._table(term, selector[0])
+        parts = [self._node(arg) for arg in term[1:]]
+        key = (head, *[part[0] for part in parts])
+        found = self.nodes.get(key)
+        if found is not None:
+            return found
+        build = _BUILDERS.get(head)
+        if build is None:
+            return self._add(key, _raising(f"unsupported operator {head!r}"))
+        fn = build([part[1] for part in parts])
+        if all(part[2] is not _OPEN for part in parts):
+            value = fn({})  # closed: fold it once
+            return self._add(key, _constant(value), value)
+        return self._add(key, fn)
+
+    def _add(self, key, fn, value=_OPEN):
+        node = self.nodes[key] = (len(self.nodes), fn, value)
+        return node
+
+    def _table(self, term, names):
+        cases = []
+        rest = term
+        while isinstance(rest, tuple) and len(rest) == 4 and rest[0] == "ite":
+            selector = _selector(rest[1])
+            if selector is None or selector[0] != names:
+                break
+            cases.append((selector[1], self._node(rest[2])))
+            rest = rest[3]
+        default = self._node(rest)
+        key = (_TABLE, names, *[(k, part[0]) for k, part in cases], default[0])
+        found = self.nodes.get(key)
+        if found is not None:
+            return found
+        constant = default[2] is not _OPEN and all(part[2] is not _OPEN for _, part in cases)
+        pick = 2 if constant else 1
+        table: dict = {}
+        for k, part in cases:
+            table.setdefault(k if len(names) == 2 else k[0], part[pick])
+        if len(names) == 2:
+            fn = _pair_table(names, table, default[pick], constant)
+        else:
+            fn = _single_table(names[0], table, default[pick], constant)
+        return self._add(key, fn)
+
+    def _solver(self, term):
+        """``solve(target, env)``: the ``(name, value)`` that makes ``term``
+        equal ``target`` when a single variable is unknown in it, reached
+        through ``*``, ``+`` and ``-`` whose other operands are known;
+        ``CONFLICT`` when no value can; ``None`` for no progress."""
+        if isinstance(term, str):
+            return _solve_variable(term)
+        if not (isinstance(term, tuple) and term and term[0] in _SOLVERS):
+            return _no_solution
+        args = term[1:]
+        return _SOLVERS[term[0]]([self.term(arg) for arg in args],
+                                 [self._solver(arg) for arg in args])
+
+
+class Constraint:
+    """One top-level conjunct of an assertion, compiled when it is asserted.
+
+    ``test(env)`` is the conjunct's value under ``env``; for an equation
+    ``(= l r)`` it is the one-pass step that decides the equation or solves
+    it for its single unknown (see :meth:`Compiler.constraint`).
+    """
+
+    __slots__ = ("term", "names", "test")
+
+    def __init__(self, term, names: list[str], test) -> None:
+        self.term = term
+        self.names = names
+        self.test = test
+
+
+def _conjuncts(term, out: list) -> list:
+    """The top-level conjuncts of ``term``, nested ``and`` flattened."""
+    if isinstance(term, tuple) and term and term[0] == "and":
+        for part in term[1:]:
+            _conjuncts(part, out)
+    else:
+        out.append(term)
+    return out
+
+
+def compile_assertion(term) -> list[Constraint]:
+    """An interned assertion as compiled constraints, one per conjunct."""
+    compiler = Compiler()
+    return [Constraint(part, sorted(term_vars(part, set())), compiler.constraint(part))
+            for part in _conjuncts(term, [])]
+
+
+# --------------------------------------------------------------------------
 # The search
 # --------------------------------------------------------------------------
 
@@ -334,19 +871,17 @@ PARENT_POLL_NODES = 1000
 
 
 class Search:
-    def __init__(self, decls: dict[str, str], assertions: list,
+    def __init__(self, decls: dict[str, str], constraints: list[Constraint],
                  parent: int | None = None) -> None:
         self.decls = decls
         # The driver's pid; the search exits once this process's parent changes.
         self.parent = parent
         self.nodes = 0
-        self.constraints: list = []
-        for a in assertions:
-            self._flatten(a)
-        self.const_vars = [sorted(term_vars(c, set())) for c in self.constraints]
+        self.constraints = constraints
+        self.tests = [c.test for c in constraints]
         self.watch: dict[str, list[int]] = {name: [] for name in decls}
-        for cid, names in enumerate(self.const_vars):
-            for name in names:
+        for cid, c in enumerate(constraints):
+            for name in c.names:
                 if name in self.watch:
                     self.watch[name].append(cid)
         self.env: dict[str, object] = {}
@@ -356,17 +891,11 @@ class Search:
         self.int_vars = [n for n in decls if decls[n] == "Int"]
         self.bounds = self._int_bounds()
 
-    def _flatten(self, term) -> None:
-        if isinstance(term, tuple) and term and term[0] == "and":
-            for part in term[1:]:
-                self._flatten(part)
-        else:
-            self.constraints.append(term)
-
     def _int_bounds(self) -> dict[str, tuple[int, int]]:
         lo: dict[str, int] = {}
         hi: dict[str, int] = {}
-        for c in self.constraints:
+        for constraint in self.constraints:
+            c = constraint.term
             if not (isinstance(c, tuple) and len(c) == 3):
                 continue
             head, av, bv = c
@@ -402,12 +931,13 @@ class Search:
             self.satisfied.discard(cid)
 
     def _assign(self, name: str, value) -> bool:
-        if self.decls.get(name) == "Int":
+        sort = self.decls.get(name)
+        if sort == "Int":
             if isinstance(value, Fraction):
                 if value.denominator != 1:
                     return False
                 value = int(value)
-        elif self.decls.get(name) == "Real":
+        elif sort == "Real" and type(value) is not Fraction:
             value = Fraction(value)
         self.env[name] = value
         self.trail[-1][0].append(name)
@@ -416,34 +946,33 @@ class Search:
     # -- propagation --------------------------------------------------------
 
     def _propagate(self, seeds: list[str]) -> bool:
-        """Re-evaluate constraints touching newly assigned vars; returns False on conflict."""
+        """Run the steps of constraints touching newly assigned vars; returns False on conflict."""
         queue = set()
         for name in seeds:
             queue.update(self.watch.get(name, ()))
         if not seeds:
             queue = set(range(len(self.constraints)))
+        env, tests, satisfied = self.env, self.tests, self.satisfied
+        done = self.trail[-1][1]
         while queue:
             cid = queue.pop()
-            if cid in self.satisfied:
+            if cid in satisfied:
                 continue
-            c = self.constraints[cid]
-            val = evaluate(c, self.env)
-            if val is False:
+            out = tests[cid](env)
+            if out is True:
+                satisfied.add(cid)
+                done.append(cid)
+            elif out is False or out is CONFLICT:
                 return False
-            if val is True:
-                self.satisfied.add(cid)
-                self.trail[-1][1].append(cid)
-                continue
-            if isinstance(c, tuple) and c and c[0] == "=" and len(c) == 3:
-                outcome = solve_equation(c[1], c[2], self.env)
-                if outcome is CONFLICT:
-                    return False
-                if outcome is not None:
-                    name, value = outcome
-                    if name not in self.env:
-                        if not self._assign(name, value):
-                            return False
-                        queue.update(self.watch.get(name, ()))
+            elif type(out) is tuple:
+                name, value = out
+                if name not in env:
+                    if not self._assign(name, value):
+                        return False
+                    # Solved exactly for its unknown: the equation now holds.
+                    satisfied.add(cid)
+                    done.append(cid)
+                    queue.update(self.watch.get(name, ()))
         return True
 
     # -- search --------------------------------------------------------------
@@ -486,13 +1015,12 @@ class Search:
             os._exit(1)  # orphaned: nobody is left to read the answer
 
     def _leaf(self):
-        pending = [c for i, c in enumerate(self.constraints) if i not in self.satisfied]
         trial = dict(self.env)
         for name, sort in self.decls.items():
             if name not in trial:
                 trial[name] = 0 if sort == "Int" else Fraction(0)
-        for c in pending:
-            if evaluate(c, trial) is not True:
+        for cid, test in enumerate(self.tests):
+            if cid not in self.satisfied and test(trial) is not True:
                 self.inconclusive = True
                 return None
         return trial
@@ -541,7 +1069,8 @@ class Session:
 
     def reset(self) -> None:
         self.decl_frames: list[dict[str, str]] = [{}]
-        self.assert_frames: list[list] = [[]]
+        # Each push frame holds its assertions compiled, so pop drops them.
+        self.assert_frames: list[list[Constraint]] = [[]]
         self.last_model: dict | None = None
 
     def all_decls(self) -> dict[str, str]:
@@ -550,11 +1079,17 @@ class Session:
             out.update(frame)
         return out
 
-    def all_assertions(self) -> list:
-        return [a for frame in self.assert_frames for a in frame]
+    def all_constraints(self) -> list[Constraint]:
+        return [c for frame in self.assert_frames for c in frame]
 
     def handle(self, cmd, out) -> bool:
-        """Process one command; returns False when the session should end."""
+        """Process one command and flush its answer; returns False when the
+        session should end."""
+        go_on = self._answer(cmd, out)
+        out.flush()
+        return go_on
+
+    def _answer(self, cmd, out) -> bool:
         if not isinstance(cmd, tuple) or not cmd:
             out.write('(error "malformed command")\n')
             return True
@@ -562,7 +1097,6 @@ class Session:
         shapes = COMMAND_SHAPES.get(head)
         if shapes is not None and not any(_fits(cmd[1:], shape) for shape in shapes):
             out.write(f'(error "wrong arguments to {head}")\n')
-            out.flush()
             return True
         if head in ("set-logic", "set-option", "set-info"):
             pass
@@ -578,11 +1112,11 @@ class Session:
             self.decl_frames[-1][name] = sort
         elif head == "assert":
             try:
-                self.assert_frames[-1].append(intern_term(cmd[1]))
+                term = intern_term(cmd[1])
             except SmtSyntaxError as exc:
                 out.write(f'(error "{exc}")\n')
-                out.flush()
                 return True
+            self.assert_frames[-1].extend(compile_assertion(term))
         elif head == "push":
             count = int(cmd[1]) if len(cmd) > 1 else 1
             for _ in range(count):
@@ -590,15 +1124,15 @@ class Session:
                 self.assert_frames.append([])
         elif head == "pop":
             count = int(cmd[1]) if len(cmd) > 1 else 1
+            if count >= len(self.assert_frames):
+                out.write('(error "pop on empty stack")\n')  # and change nothing
+                return True
             for _ in range(count):
-                if len(self.assert_frames) <= 1:
-                    out.write('(error "pop on empty stack")\n')
-                    return True
                 self.decl_frames.pop()
                 self.assert_frames.pop()
         elif head == "check-sat":
             try:
-                search = Search(self.all_decls(), self.all_assertions(), self.parent)
+                search = Search(self.all_decls(), self.all_constraints(), self.parent)
                 verdict, model = search.run()
             except SmtSyntaxError as exc:
                 out.write(f'(error "{exc}")\n')
@@ -627,7 +1161,6 @@ class Session:
             return False
         else:
             out.write(f'(error "unsupported command {head}")\n')
-        out.flush()
         return True
 
     def loop(self, stream, out) -> None:

@@ -113,6 +113,23 @@ def test_plan_round_trip(pickup):
     assert formats.plan_from_json(doc, model) == plan
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda doc: doc.pop("start_step"), r"^plan: missing key 'start_step'$"),
+    (lambda doc: doc["beliefs"].__setitem__(0, "s_init"),
+     r"^plan\.beliefs\[0\]: a belief must be an object$"),
+    (lambda doc: doc.__setitem__("actions", "pick_right"), r"^plan: 'actions' must be a list$"),
+])
+def test_plan_errors_carry_location(pickup, damage, message):
+    from safereach.core import CandidatePlan, belief_update
+
+    model, b_init, _ = pickup
+    plan = CandidatePlan(0, (b_init, belief_update(b_init, 1, 0, model)), (1,), (0,))
+    doc = formats.plan_to_json(plan, model)
+    damage(doc)
+    with pytest.raises(formats.FormatError, match=message):
+        formats.plan_from_json(doc, model)
+
+
 def test_stats_csv_shape(pickup):
     from safereach.core import SynthesisStats
 

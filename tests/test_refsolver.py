@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from safereach import refsolver
 from safereach.refsolver import (
+    CONFLICT,
     CommandReader,
+    Compiler,
     Search,
     Session,
     evaluate,
@@ -65,6 +71,11 @@ def test_equation_solving_forms():
     # sum with one unknown
     outcome = solve_equation(intern_term(("+", "d", "z")), intern_term("1.0"), env)
     assert outcome == ("z", F(3, 4))
+    # the compiled one-pass equation step agrees on every form
+    for lhs, rhs in [("x", "2.0"), (("*", "b", "d"), "u"), (("+", "d", "z"), "1.0")]:
+        lhs, rhs = intern_term(lhs), intern_term(rhs)
+        step = Compiler().constraint(("=", lhs, rhs))
+        assert step(env) == solve_equation(lhs, rhs, env)
 
 
 def test_check_sat_enumerates_ascending():
@@ -165,6 +176,7 @@ def test_malformed_assertions_answer_errors_and_the_session_goes_on():
 (assert (= x 1abc))
 (assert (not))
 (assert (ite (= x 1) true))
+(assert (= (*) 1))
 (assert (<= 0 x))
 (assert (< x 2))
 (check-sat)
@@ -172,6 +184,7 @@ def test_malformed_assertions_answer_errors_and_the_session_goes_on():
     assert lines == ["(error \"malformed numeral '1abc'\")",
                      "(error \"wrong number of arguments to 'not'\")",
                      "(error \"wrong number of arguments to 'ite'\")",
+                     "(error \"wrong number of arguments to '*'\")",
                      "sat"]
 
 
@@ -216,3 +229,218 @@ def test_search_fills_unconstrained_variables():
     verdict, model = Search(decls, []).run()
     assert verdict == "sat"
     assert model["x"] == 0
+
+
+def test_a_failed_pop_changes_nothing():
+    lines = run_script("""
+(declare-const y Int)
+(assert (= y 1))
+(push 1)
+(declare-const x Int)
+(assert (= x 2))
+(pop 2)
+(check-sat)
+(get-model)
+""")
+    assert lines == ['(error "pop on empty stack")', "sat", "(",
+                     "  (define-fun x () Int 2)", "  (define-fun y () Int 1)", ")"]
+
+
+# --------------------------------------------------------------------------
+# The compiled terms against the evaluate oracle
+# --------------------------------------------------------------------------
+
+VARIABLES = ("i", "j", "x", "y")  # i, j hold integers; x, y rationals
+
+
+def same_value(compiled, expected) -> bool:
+    """Equal three-valued results: both unknown, or the same truth value, or
+    the same number."""
+    return ((compiled is None) == (expected is None)
+            and isinstance(compiled, bool) == isinstance(expected, bool)
+            and compiled == expected)
+
+
+def assert_compiles_like_evaluate(term, env):
+    compiled = Compiler().term(term)(env)
+    expected = evaluate(term, env)
+    assert same_value(compiled, expected), (term, env, compiled, expected)
+
+
+def ite_chain(cases, default):
+    for cond, value in reversed(cases):
+        default = ("ite", cond, value, default)
+    return default
+
+
+def pin(name, k):
+    return ("=", name, k)
+
+
+# Selector chains: one selector, a pair, a repeated key, a selector change.
+CHAIN_SINGLE = ite_chain([(pin("i", 0), F(1, 2)), (pin("i", 1), "x"), (pin("i", 0), 7)], F(1, 3))
+CHAIN_PAIR = ite_chain([(("and", pin("i", 0), pin("j", 1)), 1),
+                        (("and", pin("i", 1), pin("j", 1)), 2),
+                        (("and", pin("i", 0), pin("j", 1)), 3)], 9)
+CHAIN_SWITCH = ite_chain([(pin("i", 0), 1), (pin("j", 0), 2), (pin("i", 1), 3)], 4)
+CHAIN_PAIR_SWITCH = ite_chain([(("and", pin("i", 0), pin("j", 0)), 1), (pin("i", 1), 2),
+                               (("and", pin("i", 2), pin("j", 0)), 3)], 4)
+
+EDGE_TERMS = [
+    ("*", 0, "x"), ("*", "x", F(0)), ("*", "x", "y", 0), ("*", "x", 2), ("*", False, "x"),
+    ("/", 1, 0), ("/", "x", "i"), ("/", F(1), F(2)), ("-", 3), ("-", "x", 1, "y"),
+    ("=>", True, True, False), ("=>", False, True, False), ("=>", "b", True, True),
+    ("=>", ("<", "x", 1), ("<", "y", 1), ("=", "i", 0)),
+    ("and", ("<", "x", 1), False), ("or", ("<", "x", 1), True), ("not", ("=", "x", "y")),
+    ("+", True, 1), ("+", "x", "y", F(1, 2)), ("<", 0, "x", "y"), ("=", "i", "j", 0),
+    CHAIN_SINGLE, CHAIN_PAIR, CHAIN_SWITCH, CHAIN_PAIR_SWITCH,
+]
+EDGE_ENVS = [{}, {"i": 0}, {"i": 1}, {"i": 2}, {"j": 1}, {"j": 0}, {"j": 5}, {"i": 0, "j": 1},
+             {"i": 1, "j": 0}, {"i": 3, "j": 1}, {"x": F(0)}, {"x": F(1, 2), "y": F(0)},
+             {"i": 0, "x": F(3, 2), "y": F(1, 2)}]
+
+
+@pytest.mark.parametrize("term", EDGE_TERMS, ids=repr)
+def test_compiled_edge_terms_match_evaluate(term):
+    for env in EDGE_ENVS:
+        assert_compiles_like_evaluate(term, env)
+
+
+def test_selector_tables_follow_the_first_case_and_the_default():
+    table = Compiler().term(CHAIN_PAIR)
+    assert table({"i": 0, "j": 1}) == 1  # the repeated key keeps its first case
+    assert table({"i": 3}) == 9  # no case has i = 3: the default, j unknown
+    assert table({"j": 5}) == 9
+    assert table({"i": 1}) is None
+    assert Compiler().term(CHAIN_SWITCH)({"i": 1}) is None  # the j case is unknown
+
+
+numerals = st.one_of(st.integers(-1, 2), st.sampled_from([F(0), F(1, 2), F(-3, 2), F(2)]),
+                     st.booleans())
+leaves = st.one_of(st.sampled_from(VARIABLES), numerals)
+keys = st.integers(0, 2)
+
+
+@st.composite
+def selector_chains(draw, branches):
+    """An ite chain over one selector or a pair, which may switch part-way."""
+    def selector():
+        return draw(st.sampled_from([("i",), ("j",), ("x",), ("i", "j"), ("j", "x")]))
+
+    names = selector()
+    cases = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            names = selector()
+        pins = [pin(name, draw(keys)) for name in names]
+        cond = pins[0] if len(pins) == 1 else ("and", *pins)
+        cases.append((cond, draw(branches)))
+    return ite_chain(cases, draw(branches))
+
+
+def compounds(children):
+    ops = st.sampled_from(["and", "or", "+", "*", "-", "/", "=", "<", "<=", ">", ">="])
+    return st.one_of(
+        st.builds(lambda op, args: (op, *args), ops, st.lists(children, min_size=1, max_size=4)),
+        st.builds(lambda args: ("=>", *args), st.lists(children, min_size=2, max_size=4)),
+        st.builds(lambda arg: ("not", arg), children),
+        st.builds(lambda c, t, e: ("ite", c, t, e), children, children, children),
+        selector_chains(children),
+    )
+
+
+terms = st.recursive(leaves, compounds, max_leaves=16)
+envs = st.fixed_dictionaries({}, optional={
+    "i": st.integers(-1, 3), "j": st.integers(-1, 3),
+    "x": st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1, 3)]),
+    "y": st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3)])})
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms, envs)
+def test_compiled_terms_match_evaluate(term, env):
+    assert_compiles_like_evaluate(term, env)
+
+
+arithmetic = st.recursive(leaves, lambda children: st.builds(
+    lambda op, args: (op, *args), st.sampled_from(["+", "*", "-"]),
+    st.lists(children, min_size=1, max_size=3)), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arithmetic, arithmetic, envs)
+def test_compiled_equation_step_matches_evaluate_then_solve(lhs, rhs, env):
+    got = Compiler().constraint(("=", lhs, rhs))(env)
+    decided = evaluate(("=", lhs, rhs), env)
+    expected = decided if decided is not None else solve_equation(lhs, rhs, env)
+    if expected is CONFLICT or expected is None or isinstance(expected, bool):
+        assert got is expected
+    else:
+        assert type(got) is tuple and got[0] == expected[0] and got[1] == expected[1]
+
+
+# --------------------------------------------------------------------------
+# The search's work on a fixed problem
+# --------------------------------------------------------------------------
+
+def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
+    """The assertions the incremental driver's first solver process gets for
+    kitchen 2x2 det h4, fed in-process: nodes per check and models are fixed.
+    A pruning change moves these counts on purpose."""
+    from safereach import build_kitchen
+    from safereach.core import RunContext
+    from safereach.encoding import Blocking, Goal, Initial, Transition
+    from safereach.solver import smtlib
+
+    model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
+                                             obstacles=1, p_fail=0, p_fp=0, p_fn=0)
+    run = RunContext(model, objective)
+    session, out = Session(), io.StringIO()
+    declared: set[str] = set()
+    nodes: list[int] = []
+    search_run = Search.run
+
+    def counting_run(search):
+        verdict = search_run(search)
+        nodes.append(search.nodes)
+        return verdict
+
+    monkeypatch.setattr(refsolver.Search, "run", counting_run)
+
+    def send(line):
+        session.handle(refsolver.CommandReader(io.StringIO(line)).next_command(), out)
+
+    def assert_(constraint):
+        text = smtlib.serialize(constraint, run)
+        for name in sorted(set(smtlib._NAME.findall(text)) - declared):
+            declared.add(name)
+            send(smtlib._declaration(name))
+        send(f"(assert {text})")
+
+    def model_text():
+        start = out.tell()
+        send("(get-model)")
+        return out.getvalue()[start:]
+
+    assert_(Initial(0, b_init))
+    for horizon in range(3):
+        if horizon:
+            assert_(Transition(horizon))
+        send("(push 1)")
+        assert_(Goal(0, horizon))
+        send("(check-sat)")
+        if horizon < 2:
+            send("(pop 1)")
+    first = model_text()
+    plan = smtlib._decode_plan(smtlib.parse_model(tokenize(first)), 0, 2, model)
+    assert_(Blocking(plan, 2))
+    send("(check-sat)")
+    second = model_text()
+
+    assert nodes == [0, 34, 118, 119]
+    verdicts = [line for line in out.getvalue().splitlines() if line in ("sat", "unsat")]
+    assert verdicts == ["unsat", "unsat", "sat", "sat"]
+    assert (plan.actions, plan.observations) == ((3, 8), (2, 0))
+    assert "(define-fun a_2 () Int 9)" in second
+    assert hashlib.sha256(first.encode()).hexdigest()[:16] == "80eb4c1f5182a79b"
+    assert hashlib.sha256(second.encode()).hexdigest()[:16] == "9433a431821a62da"
