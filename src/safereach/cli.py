@@ -209,10 +209,10 @@ def cmd_simulate(args) -> int:
     try:
         model, b_init, objective, *_ = _build_problem(args)
         policy = formats.policy_from_json(formats.load_json(args.policy), model)
+        report = simulate(policy, model, objective, args.episodes, seed=args.seed)
     except (ModelError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
-    report = simulate(policy, model, objective, args.episodes, seed=args.seed)
     lo, hi = report.goal_interval
     print(f"goal frequency: {report.goal_freq:.4f} (95% Wilson [{lo:.4f}, {hi:.4f}])")
     lo, hi = report.unsafe_interval

@@ -188,16 +188,19 @@ def objective_from_json(doc: dict, model: Pomdp) -> SafeReachObjective:
         preds = []
         for i, entry in enumerate(entries):
             where = f"{section}[{i}]"
-            names, comparator = _field(entry, "states", where), _field(entry, "cmp", where)
-            if not isinstance(names, list):
-                raise FormatError(f"{where}: 'states' must be a list")
+            names, comparator = _list(entry, "states", where), _field(entry, "cmp", where)
             state_set = frozenset(_index(model.states, s, "state", where) for s in names)
-            preds.append(LinearBeliefPredicate(
-                state_set, comparator, parse_fraction(_field(entry, "threshold", where), where)))
+            threshold = parse_fraction(_field(entry, "threshold", where), where)
+            try:
+                preds.append(LinearBeliefPredicate(state_set, comparator, threshold))
+            except ModelError as exc:
+                raise FormatError(f"{where}: {exc}") from None
         return tuple(preds)
 
-    objective = SafeReachObjective(parse(_field(doc, "goal", "objective file"), "goal"),
-                                   parse(doc.get("safe", []), "safe"))
+    where = "objective file"
+    objective = SafeReachObjective(
+        parse(_list(doc, "goal", where), "goal"),
+        parse(_list(doc, "safe", where) if "safe" in doc else [], "safe"))
     check_goal_safety_containment(objective)
     return objective
 
@@ -295,6 +298,9 @@ def policy_from_json(doc: dict, model: Pomdp, where: str = "policy") -> PolicyTr
         raise FormatError(f"{where}: a policy node must be an object")
     action = doc.get("action")
     children = _object(doc, "children", where) if "children" in doc else {}
+    goal_reached = doc.get("goal_reached", False)
+    if not isinstance(goal_reached, bool):
+        raise FormatError(f"{where}: 'goal_reached' must be true or false")
     return PolicyTree(
         belief=_belief_from_json(_object(doc, "belief", where), model, f"{where} belief"),
         action=_index(model.actions, action, "action", where) if action is not None else None,
@@ -303,7 +309,7 @@ def policy_from_json(doc: dict, model: Pomdp, where: str = "policy") -> PolicyTr
                 policy_from_json(child, model, f"{where}.children[{o!r}]")
             for o, child in children.items()
         },
-        goal_reached=bool(doc.get("goal_reached", False)),
+        goal_reached=goal_reached,
     )
 
 

@@ -17,14 +17,17 @@ constraint evaluation for pruning.  Anything outside the fragment yields
 Each assertion is compiled once, when it is asserted, and kept in its
 ``push`` frame, so ``pop`` drops it and ``reset`` clears it: every
 top-level conjunct becomes a closure over the partial assignment
-(:class:`Compiler`).  Closed numerals such as ``(/ 1.0 2.0)`` are folded,
-an ``ite`` chain over one selector ``(= x k)`` or a selector pair
-``(and (= x k) (= y m))`` becomes a dict lookup, sums are taken over one
-common denominator, and each equation ``(= l r)`` is decided, or solved for
-its single unknown, in one pass.  ``check-sat`` builds the search from these
-closures, so no search node re-walks a term.  :func:`evaluate`, the plain
-recursive interpreter, gives the same values; it reads model values for the
-driver and is the oracle the compiled closures are tested against.
+(:class:`Compiler`).  Only the operators the driver writes are compiled:
+``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and
+``ite`` chains over one selector ``(= x k)`` or a selector pair
+``(and (= x k) (= y m))``, which become dict lookups.  Closed terms such as
+``(/ 1.0 2.0)`` are folded, sums are taken over one common denominator, and
+each equation ``(= l r)`` is decided, or solved for its single unknown, in
+one pass.  ``check-sat`` builds the search from these closures, so no search
+node re-walks a compiled term.  Every other term, a malformed one included,
+is answered by :func:`evaluate`, the plain recursive interpreter; it also
+reads model values for the driver and is the oracle the compiled closures
+are tested against.
 
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
@@ -40,6 +43,7 @@ import operator
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +352,10 @@ def term_vars(term, acc: set) -> set:
 
 # The folded value of a compiled node that depends on the assignment, and
 # the first items of the structural keys of selector tables and of
-# malformed terms.
+# interpreted terms.
 _OPEN = object()
 _TABLE = object()
-_MALFORMED = object()
+_INTERPRETED = object()
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -368,9 +372,11 @@ def _constant(value):
     return fn
 
 
-def _raising(message):
+def _interpreted(term):
+    """A term outside the compiled operators, a malformed one included: it
+    is answered by :func:`evaluate` itself."""
     def fn(env):
-        raise SmtSyntaxError(message)
+        return evaluate(term, env)
     return fn
 
 
@@ -409,66 +415,16 @@ def _not(fns):
     return fn
 
 
-def _implies(fns):
-    last, premises = fns[-1], fns[-2::-1]
-
-    def fn(env):
-        out = last(env)
-        for premise in premises:
-            if out is not True:
-                lhs = premise(env)
-                out = True if lhs is False else out if lhs is True else None
-        return out
-    return fn
-
-
-def _ite(fns):
-    cond, then, other = fns
-
-    def fn(env):
-        c = cond(env)
-        if c is None:
-            return None
-        return then(env) if c else other(env)
-    return fn
-
-
-def _values(fns, env):
-    """The values of ``fns`` under ``env``, or ``None`` if any is unknown."""
-    vals = [f(env) for f in fns]
-    for v in vals:
-        if v is None:
-            return None
-    return vals
-
-
-# Exact equality is transitive, so a chained = agrees with evaluate's
-# "every value equals the first".
-_COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
-                ">": operator.gt, ">=": operator.ge}
-
-
 def _comparison(op):
     def build(fns):
-        if len(fns) == 2:
-            left, right = fns
-
-            def fn(env):
-                a = left(env)
-                b = right(env)
-                if a is None or b is None:
-                    return None
-                return op(a, b)
-            return fn
+        left, right = fns
 
         def fn(env):
-            vals = _values(fns, env)
-            if vals is None:
+            a = left(env)
+            b = right(env)
+            if a is None or b is None:
                 return None
-            for a, b in zip(vals, vals[1:]):
-                if not op(a, b):
-                    return False
-            return True
+            return op(a, b)
         return fn
     return build
 
@@ -490,8 +446,11 @@ def _exact_sum(vals):
 
 def _sum(fns):
     def fn(env):
-        vals = _values(fns, env)
-        return None if vals is None else _exact_sum(vals)
+        vals = [f(env) for f in fns]
+        for v in vals:
+            if v is None:
+                return None
+        return _exact_sum(vals)
     return fn
 
 
@@ -515,44 +474,11 @@ def _product(fns):
     return fn
 
 
-def _minus(fns):
-    if len(fns) == 1:
-        (arg,) = fns
-
-        def fn(env):
-            v = arg(env)
-            return None if v is None else -v
-        return fn
-
-    def fn(env):
-        vals = _values(fns, env)
-        if vals is None:
-            return None
-        out = vals[0]
-        for v in vals[1:]:
-            out = out - v
-        return out
-    return fn
-
-
-def _divide(fns):
-    def fn(env):
-        vals = _values(fns, env)
-        if vals is None:
-            return None
-        for v in vals[1:]:
-            if v == 0:
-                return None  # division by zero: stay agnostic
-        out = Fraction(vals[0])
-        for v in vals[1:]:
-            out = out / v
-        return out
-    return fn
-
+# Comparisons are compiled when binary, the only form the driver writes.
+_COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 _BUILDERS = {
-    "and": _and, "or": _or, "not": _not, "=>": _implies, "ite": _ite,
-    "+": _sum, "*": _product, "-": _minus, "/": _divide,
+    "and": _and, "or": _or, "not": _not, "+": _sum, "*": _product,
     **{head: _comparison(op) for head, op in _COMPARISONS.items()},
 }
 
@@ -575,19 +501,9 @@ def _selector(cond):
     return None
 
 
-def _single_table(name, table, default, constant):
+def _single_table(name, table, default):
     """An ``ite`` chain over ``(= name k)``: the first case whose ``k`` equals
     the value wins, an unknown value leaves the chain unknown."""
-    if constant:
-        get = table.get
-
-        def fn(env):
-            v = env.get(name)
-            if v is None:
-                return None
-            return get(v, default)
-        return fn
-
     def fn(env):
         v = env.get(name)
         if v is None:
@@ -596,7 +512,7 @@ def _single_table(name, table, default, constant):
     return fn
 
 
-def _pair_table(names, table, default, constant):
+def _pair_table(names, table, default):
     """An ``ite`` chain over ``(and (= x k) (= y m))``.  With both values
     known the first matching case wins.  With one known, the chain is unknown
     if that value occurs in some case (that case's condition is unknown) and
@@ -611,19 +527,11 @@ def _pair_table(names, table, default, constant):
         if xv is None:
             if yv is None or yv in ys:
                 return None
-            out = default
-        elif yv is None:
-            if xv in xs:
-                return None
-            out = default
-        else:
-            out = table.get((xv, yv), default)
-        return out if constant else out(env)
+            return default(env)
+        if yv is None:
+            return None if xv in xs else default(env)
+        return table.get((xv, yv), default)(env)
     return fn
-
-
-def _no_solution(target, env):
-    return None
 
 
 def _solve_variable(name):
@@ -672,29 +580,7 @@ def _solve_sum(fns, subs):
     return solve
 
 
-def _solve_difference(fns, subs):
-    if len(fns) == 1:
-        (sub,) = subs
-
-        def solve(target, env):
-            return sub(-target, env)
-        return solve
-    if len(fns) != 2:
-        return _no_solution
-    (left, right), (sub_left, sub_right) = fns, subs
-
-    def solve(target, env):
-        lv = left(env)
-        rv = right(env)
-        if lv is None and rv is not None:
-            return sub_left(target + rv, env)
-        if rv is None and lv is not None:
-            return sub_right(lv - target, env)
-        return None
-    return solve
-
-
-_SOLVERS = {"*": _solve_product, "+": _solve_sum, "-": _solve_difference}
+_SOLVERS = {"*": _solve_product, "+": _solve_sum}
 
 
 def _equation(left, right, solve_left, solve_right):
@@ -715,11 +601,14 @@ def _equation(left, right, solve_left, solve_right):
 class Compiler:
     """Compiles interned terms to closures with :func:`evaluate`'s semantics.
 
-    Equal subterms share one closure, closed subterms such as ``(/ 1.0 2.0)``
-    are folded to their value, and an ``ite`` chain over one selector or a
-    selector pair becomes a dict lookup.  A ``*`` stops at its first known 0
-    factor; an operator it does not know raises :class:`SmtSyntaxError` when
-    it is evaluated, as in :func:`evaluate`.
+    Only the operators the driver writes are compiled: ``and``, ``or``,
+    ``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and an ``ite``
+    chain over one selector or a selector pair, which becomes a dict lookup.
+    Every other term, a malformed one included, is one closure that calls
+    :func:`evaluate`, so its errors surface when it is evaluated, as they
+    would there.  Equal compiled subterms share one closure, closed terms
+    such as ``(/ 1.0 2.0)`` are folded to their value, and a ``*`` stops at
+    its first known 0 factor.
     """
 
     def __init__(self) -> None:
@@ -765,26 +654,32 @@ class Compiler:
         return found
 
     def _compound(self, term):
-        if not term or not isinstance(term[0], str):
-            return self._add((_MALFORMED, id(term)), _raising(f"cannot evaluate {term!r}"))
-        head = term[0]
+        head = term[0] if term else None
         if head == "ite":
             selector = _selector(term[1])
             if selector is not None:
                 return self._table(term, selector[0])
+        build = _BUILDERS.get(head)
+        if build is None or (head in _COMPARISONS and len(term) != 3):
+            return self._interpret(term)
         parts = [self._node(arg) for arg in term[1:]]
         key = (head, *[part[0] for part in parts])
         found = self.nodes.get(key)
-        if found is not None:
-            return found
-        build = _BUILDERS.get(head)
-        if build is None:
-            return self._add(key, _raising(f"unsupported operator {head!r}"))
-        fn = build([part[1] for part in parts])
-        if all(part[2] is not _OPEN for part in parts):
-            value = fn({})  # closed: fold it once
-            return self._add(key, _constant(value), value)
-        return self._add(key, fn)
+        if found is None:
+            fn = build([part[1] for part in parts])
+            if all(part[2] is not _OPEN for part in parts):
+                found = self.nodes[key] = self._node(fn({}))  # closed: fold it once
+            else:
+                found = self._add(key, fn)
+        return found
+
+    def _interpret(self, term):
+        if not term_vars(term, set()):
+            try:
+                return self._node(evaluate(term, {}))  # closed: fold it once
+            except SmtSyntaxError:
+                pass  # raised again, by the closure, when it is evaluated
+        return self._add((_INTERPRETED, id(term)), _interpreted(term))
 
     def _add(self, key, fn, value=_OPEN):
         node = self.nodes[key] = (len(self.nodes), fn, value)
@@ -804,16 +699,12 @@ class Compiler:
         found = self.nodes.get(key)
         if found is not None:
             return found
-        constant = default[2] is not _OPEN and all(part[2] is not _OPEN for _, part in cases)
-        pick = 2 if constant else 1
         table: dict = {}
         for k, part in cases:
-            table.setdefault(k if len(names) == 2 else k[0], part[pick])
+            table.setdefault(k if len(names) == 2 else k[0], part[1])
         if len(names) == 2:
-            fn = _pair_table(names, table, default[pick], constant)
-        else:
-            fn = _single_table(names[0], table, default[pick], constant)
-        return self._add(key, fn)
+            return self._add(key, _pair_table(names, table, default[1]))
+        return self._add(key, _single_table(names[0], table, default[1]))
 
     def _solver(self, term):
         """``solve(target, env)``: the ``(name, value)`` that makes ``term``
@@ -822,11 +713,11 @@ class Compiler:
         ``CONFLICT`` when no value can; ``None`` for no progress."""
         if isinstance(term, str):
             return _solve_variable(term)
-        if not (isinstance(term, tuple) and term and term[0] in _SOLVERS):
-            return _no_solution
+        build = _SOLVERS.get(term[0]) if isinstance(term, tuple) and term else None
+        if build is None:
+            return partial(_solve_side, term)
         args = term[1:]
-        return _SOLVERS[term[0]]([self.term(arg) for arg in args],
-                                 [self._solver(arg) for arg in args])
+        return build([self.term(arg) for arg in args], [self._solver(arg) for arg in args])
 
 
 class Constraint:
@@ -892,6 +783,8 @@ class Search:
         self.bounds = self._int_bounds()
 
     def _int_bounds(self) -> dict[str, tuple[int, int]]:
+        # A top-level pin (= x k) needs no bound: run() assigns it by
+        # propagation before the search reads any bound.
         lo: dict[str, int] = {}
         hi: dict[str, int] = {}
         for constraint in self.constraints:
@@ -905,13 +798,6 @@ class Search:
             elif head in ("<=", "<") and isinstance(bv, int) and isinstance(av, str):
                 cap = bv if head == "<=" else bv - 1
                 hi[av] = min(hi.get(av, cap), cap)
-            elif head == "=":
-                if isinstance(av, str) and isinstance(bv, int):
-                    lo[av] = max(lo.get(av, bv), bv)
-                    hi[av] = min(hi.get(av, bv), bv)
-                elif isinstance(bv, str) and isinstance(av, int):
-                    lo[bv] = max(lo.get(bv, av), av)
-                    hi[bv] = min(hi.get(bv, av), av)
         out = {}
         for name in self.int_vars:
             if name in lo and name in hi:
@@ -1071,6 +957,8 @@ class Session:
         self.decl_frames: list[dict[str, str]] = [{}]
         # Each push frame holds its assertions compiled, so pop drops them.
         self.assert_frames: list[list[Constraint]] = [[]]
+        # The model of the last sat check; any change to the assertion stack
+        # since then drops it, so get-model answers with an error.
         self.last_model: dict | None = None
 
     def all_decls(self) -> dict[str, str]:
@@ -1110,6 +998,7 @@ class Session:
                 out.write(f'(error "unsupported sort {sort}")\n')
                 return True
             self.decl_frames[-1][name] = sort
+            self.last_model = None
         elif head == "assert":
             try:
                 term = intern_term(cmd[1])
@@ -1117,11 +1006,13 @@ class Session:
                 out.write(f'(error "{exc}")\n')
                 return True
             self.assert_frames[-1].extend(compile_assertion(term))
+            self.last_model = None
         elif head == "push":
             count = int(cmd[1]) if len(cmd) > 1 else 1
             for _ in range(count):
                 self.decl_frames.append({})
                 self.assert_frames.append([])
+            self.last_model = None
         elif head == "pop":
             count = int(cmd[1]) if len(cmd) > 1 else 1
             if count >= len(self.assert_frames):
@@ -1130,6 +1021,7 @@ class Session:
             for _ in range(count):
                 self.decl_frames.pop()
                 self.assert_frames.pop()
+            self.last_model = None
         elif head == "check-sat":
             try:
                 search = Search(self.all_decls(), self.all_constraints(), self.parent)

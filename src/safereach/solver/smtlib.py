@@ -311,7 +311,10 @@ class _SmtProcess:
         while b"\n" not in self._buffer:
             self._fill(deadline)
         line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode().strip()
+        try:
+            return line.decode().strip()
+        except UnicodeDecodeError as exc:
+            raise SolverError(f"malformed solver response: {exc}") from None
 
     def read_tokens(self, deadline: Optional[float]) -> list[str]:
         """The tokens of one balanced s-expression, which may span lines."""

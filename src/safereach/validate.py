@@ -154,7 +154,6 @@ def _sample(rng: random.Random, dist: dict) -> int:
     # Exact CDF walk: a uniform integer below the row's common denominator
     # against the exact cumulative numerators, so no float decides anything.
     keys = [key for key in sorted(dist) if dist[key] > 0]
-    assert keys, "cannot sample from an empty distribution"
     scale = math.lcm(*(Fraction(dist[key]).denominator for key in keys))
     draw = rng.randrange(scale)
     cumulative = 0
@@ -179,7 +178,9 @@ def simulate(
     tree, sampling a successor from T and an observation from Z at each
     action node.  Counts episodes that ever visit a goal-predicate state and
     episodes that ever visit a safety-predicate state.  Reproducible under a
-    fixed seed.
+    fixed seed.  A policy that picks an action a sampled state does not
+    allow, or has no branch for a sampled observation, raises
+    :class:`ModelError` naming the action and the state or observation.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
@@ -199,15 +200,19 @@ def simulate(
         trace: list[tuple[int, int, int]] = []
         while node.action is not None:
             action = node.action
+            if action not in model.allowed_actions(state):
+                raise ModelError(f"policy action {model.actions[action]!r} is not allowed "
+                                 f"in sampled state {model.states[state]!r}")
             state = _sample(rng, dict(model.trans_dist(state, action)))
             obs = _sample(rng, dict(model.obs_dist(state, action)))
             hit_goal = hit_goal or state in goal_states
             hit_unsafe = hit_unsafe or state in unsafe_states
             trace.append((action, state, obs))
-            child = node.children.get(obs)
-            assert child is not None, (
-                "simulator bug: sampled an observation with no policy branch")
-            node = child
+            node = node.children.get(obs)
+            if node is None:
+                raise ModelError(f"policy has no branch for observation "
+                                 f"{model.observations[obs]!r} after action "
+                                 f"{model.actions[action]!r}")
         goal_count += hit_goal
         unsafe_count += hit_unsafe
         if episode < max_traces:

@@ -161,13 +161,23 @@ _GOAL = {"states": ["s"], "cmp": ">", "threshold": "1/2"}
      "policy.children['o']: unknown action 'fly'"),
     ({"objective": {"goal": [{**_GOAL, "states": "s"}]}}, "goal[0]: 'states' must be a list"),
     ({"model": {**_MODEL, "initial": {"typo": "1"}}}, "initial: unknown state 'typo'"),
+    ({"objective": {"goal": [{**_GOAL, "cmp": "=="}]}}, "goal[0]: unknown comparator '=='"),
+    ({"objective": {"goal": [_GOAL], "safe": [{**_GOAL, "threshold": "3/2"}]}},
+     "safe[0]: threshold 3/2 outside [0, 1]"),
+    ({"objective": {"goal": [{**_GOAL, "states": []}]}},
+     "goal[0]: predicate state set must be non-empty"),
+    ({"objective": {"goal": _GOAL}}, "objective file: 'goal' must be a list"),
+    ({"policy": {"belief": {"s": "1"}, "action": None, "goal_reached": "false"}},
+     "policy: 'goal_reached' must be true or false"),
 ], ids=["unknown-state", "transition-missing-to", "observe-missing-s", "goal-missing-cmp",
         "model-not-json", "policy-missing-belief", "transition-to-not-object",
         "observe-obs-not-object", "initial-not-object", "availability-not-object",
         "availability-entry-not-list", "transition-not-list", "policy-children-not-object",
         "policy-child-not-object", "policy-belief-not-object", "policy-unknown-state",
         "policy-unknown-action", "policy-unknown-observation", "policy-child-unknown-action",
-        "objective-states-not-list", "initial-unknown-state"])
+        "objective-states-not-list", "initial-unknown-state", "goal-unknown-cmp",
+        "safe-threshold-above-1", "goal-states-empty", "goal-not-list",
+        "policy-goal-reached-string"])
 def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog, files, message):
     docs = {"model": _MODEL, "objective": {"goal": [_GOAL]},
             "policy": {"belief": {"s": "1"}, "action": None}, **files}
@@ -192,6 +202,27 @@ def test_simulate_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "goal frequency: 0.8" in out
     assert "Wilson" in out
+
+
+def test_simulate_on_a_malformed_policy_is_a_named_error(tmp_path, caplog):
+    policy_path = tmp_path / "policy.json"
+    run_cli("synth", "--domain", "pickup", "--horizon", "3", "--out-policy", str(policy_path))
+    doc = json.loads(policy_path.read_text())
+    del doc["children"]["o_neg"]
+    policy_path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--domain", "pickup", "--policy", str(policy_path),
+                   "--episodes", "200") == 1
+    assert "policy has no branch for observation 'o_neg' after action 'pick_right'" \
+        in caplog.text
+
+    files = {"model": {**_MODEL, "availability": {"s": []}}, "objective": {"goal": [_GOAL]},
+             "policy": {"belief": {"s": "1"}, "action": "a", "children": {}}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert run_cli("simulate", "--model", str(tmp_path / "model.json"),
+                   "--objective", str(tmp_path / "objective.json"),
+                   "--policy", str(tmp_path / "policy.json")) == 1
+    assert "policy action 'a' is not allowed in sampled state 's'" in caplog.text
 
 
 def bench_sweep(tmp_path, backend):

@@ -168,6 +168,11 @@ def test_error_responses():
     assert run_script("(declare-const |x Int)\n(check-sat)\n") \
         == ['(error "unterminated quoted symbol")']
     assert run_script('(echo "hi)\n') == ['(error "unterminated string literal")']
+    # An unsupported operator, closed or not, is an error of the check, not of the assert.
+    for term in ("(foo 1)", "(foo x)"):
+        assert run_script(f"(declare-const x Int)\n(assert (<= 0 x))\n(assert (< x 2))\n"
+                          f"(assert {term})\n(check-sat)\n(echo \"on\")\n") \
+            == ['(error "unsupported operator \'foo\'")', "on"]
 
 
 def test_malformed_assertions_answer_errors_and_the_session_goes_on():
@@ -244,6 +249,18 @@ def test_a_failed_pop_changes_nothing():
 """)
     assert lines == ['(error "pop on empty stack")', "sat", "(",
                      "  (define-fun x () Int 2)", "  (define-fun y () Int 1)", ")"]
+
+
+def test_get_model_after_the_assertion_stack_changed_is_an_error():
+    bounded_x = "(declare-const x Int)(assert (<= 0 x))(assert (< x 2))(check-sat)"
+    # A declaration after the check: its variable has no model value.
+    assert run_script(bounded_x + "(declare-const y Int)(get-model)(check-sat)") \
+        == ["sat", '(error "no model available")', "unknown"]
+    # An assertion after the check: the old model may not satisfy it.
+    assert run_script(bounded_x + "(push 1)(assert (= x 5))(get-model)(pop 1)(get-model)"
+                      "(check-sat)(get-model)") \
+        == ["sat", '(error "no model available")', '(error "no model available")',
+            "sat", "(", "  (define-fun x () Int 0)", ")"]
 
 
 # --------------------------------------------------------------------------
@@ -444,3 +461,42 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     assert "(define-fun a_2 () Int 9)" in second
     assert hashlib.sha256(first.encode()).hexdigest()[:16] == "80eb4c1f5182a79b"
     assert hashlib.sha256(second.encode()).hexdigest()[:16] == "9433a431821a62da"
+
+
+# --------------------------------------------------------------------------
+# The encoder's output stays on the compiled path
+# --------------------------------------------------------------------------
+
+def test_the_encoders_traffic_stays_compiled(monkeypatch):
+    """Every term ``smtlib.serialize`` writes is compiled: none is left to
+    ``evaluate`` during a search.  An encoder change that writes a new
+    operator fails here until the compiler learns it."""
+    import random
+
+    from oracles import random_instance
+
+    from safereach import build_kitchen, build_pickup_example
+    from safereach.core import CandidatePlan, RunContext
+    from safereach.encoding import Blocking, Goal, Initial, Transition
+    from safereach.solver import smtlib
+
+    interpreted = []
+    original = refsolver._interpreted
+    monkeypatch.setattr(refsolver, "_interpreted",
+                        lambda term: interpreted.append(term) or original(term))
+    kitchen = (2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
+    rng = random.Random(7)
+    problems = [build_pickup_example(),
+                build_kitchen(*kitchen, obstacles=1, p_fail=0, p_fp=0, p_fn=0),
+                build_kitchen(*kitchen, obstacles=1),
+                *(random_instance(rng)[:3] for _ in range(20))]
+    assert any(model.availability is not None for model, _, _ in problems)
+    for model, b_init, objective in problems:
+        run = RunContext(model, objective)
+        plan = CandidatePlan(0, (b_init,) * 3, (0, len(model.actions) - 1),
+                             (len(model.observations) - 1, 0))
+        for constraint in (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
+                           Blocking(plan, 2)):
+            text = smtlib.serialize(constraint, run)
+            refsolver.compile_assertion(intern_term(parse_tokens(tokenize(text), 0)[0]))
+    assert interpreted == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from safereach import cli
 from safereach import encoding as enc
 from safereach.core import Belief, CandidatePlan, RunContext, SafeReachObjective
 from safereach.refsolver import tokenize
@@ -377,6 +379,23 @@ def _answering(text):
             f"    elif line.startswith('(get-model)'): print({text!r}, flush=True)\n")
 
 
+# A solver whose check-sat answer is not UTF-8.
+_NOT_UTF8 = (sys.executable, "-c",
+             "import sys\n"
+             "for line in sys.stdin:\n"
+             "    if line.startswith('(check-sat)'):\n"
+             "        sys.stdout.buffer.write(b'\\xff sat\\n'); sys.stdout.flush()\n")
+
+
+def test_a_reply_that_is_not_utf8_is_a_solver_failure(live_children, caplog):
+    code = cli.main(["synth", "--domain", "pickup", "--horizon", "1", "--backend", "smtlib",
+                     "--solver-cmd", shlex.join(_NOT_UTF8)])
+    assert code == 1
+    assert any("solver failure: malformed solver response: 'utf-8' codec can't decode"
+               in record.getMessage() for record in caplog.records)
+    assert live_children() == {}
+
+
 @pytest.mark.parametrize("change, reason", [
     ({"a_1": None}, "missing variable 'a_1'"),
     ({"b_1_0": "1.0"}, "step 1: belief entries sum to 2"),
@@ -548,10 +567,11 @@ def test_no_solver_outlives_its_run(pickup, live_children, outcome, incremental)
 
 
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "from-scratch"])
-@pytest.mark.parametrize("failure", ["timeout", "undecodable-model"])
+@pytest.mark.parametrize("failure", ["timeout", "undecodable-model", "reply-not-utf8"])
 def test_a_failed_sessions_process_is_never_reused(pickup, spawned, failure, incremental):
     model, b_init, objective = pickup
-    command = _SLEEPER if failure == "timeout" else _fake_solver({"a_1": "9"})
+    command = {"timeout": _SLEEPER, "undecodable-model": _fake_solver({"a_1": "9"}),
+               "reply-not-utf8": _NOT_UTF8}[failure]
     config = SolverConfig(command=command, check_timeout=0.5, incremental=incremental)
     with SolverPool(config) as pool:
         with SmtLibSession(RunContext(model, objective), config, pool) as session:
