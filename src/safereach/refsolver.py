@@ -31,10 +31,12 @@ are tested against.
 
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
-Run it with ``python -m safereach.refsolver``, by file path, or as the
-top-level module ``refsolver`` (how the package starts it).  Run as a
-program, it stops a search, and exits, once the process that started it is
-gone, so a driver killed mid-check leaves no solver behind.
+Run it as a program by file path (``python refsolver.py``), or with the
+command ``safereach.solver.default_solver_command()`` returns, which imports
+it as the top-level module ``refsolver``.  The package itself starts it in a
+fork of the driver, through :func:`main`.  However it is started, it stops
+a search, and exits, once the process that started it is gone, so a driver
+killed mid-check leaves no solver behind.
 """
 
 from __future__ import annotations
@@ -608,7 +610,9 @@ class Compiler:
     :func:`evaluate`, so its errors surface when it is evaluated, as they
     would there.  Equal compiled subterms share one closure, closed terms
     such as ``(/ 1.0 2.0)`` are folded to their value, and a ``*`` stops at
-    its first known 0 factor.
+    its first known 0 factor, unless a factor holds an interpreted term: that
+    product is interpreted too, so an error in any factor surfaces, as it
+    does in :func:`evaluate`, which computes every factor first.
     """
 
     def __init__(self) -> None:
@@ -620,6 +624,8 @@ class Compiler:
         # again (an equation's sides, for their values and for solving) is
         # not walked again; holding the term keeps its id from being reused.
         self.seen: dict[int, tuple] = {}
+        # Ids of the nodes that call evaluate, themselves or through a part.
+        self.interpreting: set[int] = set()
 
     def term(self, term):
         return self._node(term)[1]
@@ -663,6 +669,9 @@ class Compiler:
         if build is None or (head in _COMPARISONS and len(term) != 3):
             return self._interpret(term)
         parts = [self._node(arg) for arg in term[1:]]
+        interpreting = any(part[0] in self.interpreting for part in parts)
+        if head == "*" and interpreting:
+            return self._interpret(term)
         key = (head, *[part[0] for part in parts])
         found = self.nodes.get(key)
         if found is None:
@@ -670,7 +679,7 @@ class Compiler:
             if all(part[2] is not _OPEN for part in parts):
                 found = self.nodes[key] = self._node(fn({}))  # closed: fold it once
             else:
-                found = self._add(key, fn)
+                found = self._add(key, fn, interpreting=interpreting)
         return found
 
     def _interpret(self, term):
@@ -679,10 +688,12 @@ class Compiler:
                 return self._node(evaluate(term, {}))  # closed: fold it once
             except SmtSyntaxError:
                 pass  # raised again, by the closure, when it is evaluated
-        return self._add((_INTERPRETED, id(term)), _interpreted(term))
+        return self._add((_INTERPRETED, id(term)), _interpreted(term), interpreting=True)
 
-    def _add(self, key, fn, value=_OPEN):
+    def _add(self, key, fn, value=_OPEN, interpreting=False):
         node = self.nodes[key] = (len(self.nodes), fn, value)
+        if interpreting:
+            self.interpreting.add(node[0])
         return node
 
     def _table(self, term, names):
@@ -702,9 +713,13 @@ class Compiler:
         table: dict = {}
         for k, part in cases:
             table.setdefault(k if len(names) == 2 else k[0], part[1])
+        interpreting = any(part[0] in self.interpreting
+                           for part in [default, *[part for _, part in cases]])
         if len(names) == 2:
-            return self._add(key, _pair_table(names, table, default[1]))
-        return self._add(key, _single_table(names[0], table, default[1]))
+            fn = _pair_table(names, table, default[1])
+        else:
+            fn = _single_table(names[0], table, default[1])
+        return self._add(key, fn, interpreting=interpreting)
 
     def _solver(self, term):
         """``solve(target, env)``: the ``(name, value)`` that makes ``term``

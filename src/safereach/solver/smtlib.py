@@ -17,23 +17,29 @@ Solver processes are reused: a :class:`SolverPool` keeps a run's idle
 processes, a session holds one while it is open (or, from scratch, for one
 check) and hands it back after ``(reset)`` and the header, and a process
 that timed out, crashed or answered with a model that does not decode is
-killed instead.
+killed instead.  The bundled solver is started by forking the driver, which
+already has :mod:`safereach.refsolver` loaded (:class:`_ForkedSolver`); an
+explicit solver command is exec'd as given.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NoReturn, Optional, Sequence, Union
 
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
+from .. import refsolver
 from ..encoding import (Blocking, Constraint, Goal, Initial, Transition, action_var_name,
                         belief_var_name, observation_var_name, step_vars)
 from ..refsolver import (SmtSyntaxError, evaluate, format_value, intern_term, parse_tokens,
@@ -61,12 +67,16 @@ HEADER = ("(set-option :produce-models true)", f"(set-logic {LOGIC})")
 
 
 def default_solver_command() -> tuple[str, ...]:
-    """Run the bundled reference solver with the current interpreter, lean.
+    """A command that runs the bundled reference solver as a program of its
+    own, with the current interpreter, lean.
 
-    ``-I -S`` keeps the environment, the user site and ``site`` itself out
-    of the child, and importing ``refsolver`` (rather than running it as a
-    script) loads it from cached bytecode.  The package directory is
-    appended to the path, so the standard library wins any name clash.
+    A session does not use it on Linux: there it forks the bundled solver
+    from the driver (:class:`_ForkedSolver`), which skips the interpreter
+    start and the solver's imports.  ``-I -S`` keeps the environment, the
+    user site and ``site`` itself out of the child, and importing
+    ``refsolver`` (rather than running it as a script) loads it from cached
+    bytecode.  The package directory is appended to the path, so the
+    standard library wins any name clash.
     """
     package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = f"import sys; sys.path.append({package!r}); import refsolver; refsolver.main()"
@@ -274,17 +284,123 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 # Process plumbing
 # --------------------------------------------------------------------------
 
-class _SmtProcess:
-    def __init__(self, command: Sequence[str]) -> None:
+class _ForkedSolver:
+    """The bundled solver in a fork of the driver, behind the part of
+    :class:`subprocess.Popen` that :class:`_SmtProcess` uses.
+
+    The child keeps everything of the driver, so it wires its pipes to fds
+    0-2 and closes every other fd (a sibling solver holding a pipe end would
+    hide EOF from it), restores the default SIGTERM and SIGINT, answers
+    through fresh stdio objects rather than the driver's buffered ones, and
+    leaves only through ``os._exit``: no ``atexit`` handler, ``finally``
+    block or buffered output of the driver runs twice.  It also keeps any
+    patch the driver made to :mod:`safereach.refsolver`.
+    """
+
+    def __init__(self) -> None:
+        # The pipes of the child's stdin, stdout and stderr, made in this
+        # order: the ends the child moves to fds 1 and 2 are the write ends of
+        # later pipes and so lie above fd 2, and no move overwrites an end
+        # still to be moved, even in a driver that runs with fds 0-2 closed.
+        pipes = [os.pipe() for _ in range(3)]
+        child = (pipes[0][0], pipes[1][1], pipes[2][1])
+        ours = (pipes[0][1], pipes[1][0], pipes[2][0])
+        pid = 0
         try:
-            self.proc = subprocess.Popen(
+            pid = os.fork()
+            if pid == 0:
+                _serve_forked(child)
+            # Readable once the child has exited: a wait that blocks no longer than that.
+            self._pidfd = os.pidfd_open(pid)
+        except OSError:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for fd in ours:
+                os.close(fd)
+            raise
+        finally:
+            for fd in child:
+                os.close(fd)
+        self.pid = pid
+        self.stdin = open(ours[0], "wb")
+        self.stdout = open(ours[1], "rb")
+        self.stderr = open(ours[2], "rb")
+        self.returncode: Optional[int] = None
+
+    def _reap(self, flags: int) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:  # reaped elsewhere, e.g. with SIGCHLD ignored
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+                os.close(self._pidfd)
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        return self._reap(os.WNOHANG)
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if self.returncode is None and timeout is not None \
+                and not select.select([self._pidfd], [], [], timeout)[0]:
+            raise subprocess.TimeoutExpired(f"bundled solver (pid {self.pid})", timeout)
+        return self._reap(0)
+
+    def _signal(self, signum: int) -> None:
+        if self.returncode is None:  # until reaped, the pid is still the child's
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+
+def _serve_forked(fds: tuple[int, int, int]) -> NoReturn:
+    """The forked child: run the bundled solver on ``fds`` as its stdin,
+    stdout and stderr, and exit."""
+    status = 1
+    try:
+        # A collection would otherwise walk, and so copy, the driver's heap.
+        gc.freeze()
+        for target, fd in enumerate(fds):
+            os.dup2(fd, target)
+        # Held until os._exit, so they are never finalized and never flushed.
+        driver_stdio = (sys.stdin, sys.stdout, sys.stderr)
+        sys.stdin = open(0, encoding="utf-8", closefd=False)
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", closefd=False)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        refsolver.main()
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+class _SmtProcess:
+    """One solver process: the bundled solver forked from the driver when
+    ``command`` is ``None``, else ``command`` exec'd as given."""
+
+    def __init__(self, command: Optional[Sequence[str]]) -> None:
+        try:
+            self.proc = _ForkedSolver() if command is None else subprocess.Popen(
                 command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
         except OSError as exc:
-            raise SolverError(f"cannot start solver {command!r}: {exc}") from exc
+            what = "the bundled solver" if command is None else f"solver {command!r}"
+            raise SolverError(f"cannot start {what}: {exc}") from exc
         self._buffer = b""
 
     def send(self, line: str) -> None:
@@ -371,7 +487,10 @@ class SolverPool:
     """
 
     def __init__(self, config: SolverConfig = SolverConfig()) -> None:
-        self.command = tuple(config.command) if config.command else default_solver_command()
+        # ``None`` forks the bundled solver; without pidfds (outside Linux)
+        # it runs as a program of its own.
+        self.command = tuple(config.command) if config.command else (
+            None if hasattr(os, "pidfd_open") else default_solver_command())
         self._idle: list[_SmtProcess] = []
 
     def take(self) -> _SmtProcess:

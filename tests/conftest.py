@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # make `oracles` importable
 
 from safereach import build_pickup_example
+from safereach.solver import smtlib
 
 
 def _live_children() -> dict[int, str]:
@@ -57,6 +58,27 @@ def live_children():
     if sys.platform != "linux":
         pytest.skip("reads child processes from /proc")
     return _live_children
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every solver process started during the test, each with the lines it
+    was sent."""
+    processes = []
+    spawn, send = smtlib._SmtProcess.__init__, smtlib._SmtProcess.send
+
+    def recording_spawn(proc, command):
+        spawn(proc, command)
+        proc.lines = []
+        processes.append(proc)
+
+    def recording_send(proc, line):
+        proc.lines.append(line)
+        send(proc, line)
+
+    monkeypatch.setattr(smtlib._SmtProcess, "__init__", recording_spawn)
+    monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
+    return processes
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from fractions import Fraction
 from safereach.core import (
     Belief,
     LinearBeliefPredicate,
+    PolicyTree,
     Pomdp,
     SafeReachObjective,
 )
@@ -231,3 +232,41 @@ def random_instance(rng: random.Random, max_states: int = 5, max_actions: int = 
     )
     horizon = rng.randint(1, max_horizon)
     return model, b_init, objective, horizon
+
+
+def relabel_states(model: Pomdp, b_init: Belief, objective: SafeReachObjective,
+                   perm: list[int]):
+    """The same problem with state ``s`` renamed ``perm[s]``: an isomorphic
+    input, on which synthesis must do the same work."""
+    states = [""] * len(perm)
+    for s, name in enumerate(model.states):
+        states[perm[s]] = name
+    transition = {(perm[s], a): {perm[s2]: p for s2, p in row.items()}
+                  for (s, a), row in model.transition.items()}
+    observe = {(perm[s2], a): row for (s2, a), row in model.observe.items()}
+    availability = None if model.availability is None else \
+        {perm[s]: acts for s, acts in model.availability.items()}
+
+    def move(pred: LinearBeliefPredicate) -> LinearBeliefPredicate:
+        return LinearBeliefPredicate(frozenset(perm[s] for s in pred.state_set),
+                                     pred.comparator, pred.threshold)
+
+    return (Pomdp(tuple(states), model.actions, model.observations, transition, observe,
+                  availability),
+            relabel_belief(b_init, perm),
+            SafeReachObjective(tuple(map(move, objective.goal)),
+                               tuple(map(move, objective.safe))))
+
+
+def relabel_belief(belief: Belief, perm: list[int]) -> Belief:
+    probs = [Fraction(0)] * len(perm)
+    for s, p in enumerate(belief.probs):
+        probs[perm[s]] = p
+    return Belief(tuple(probs))
+
+
+def relabel_policy(tree: PolicyTree, perm: list[int]) -> PolicyTree:
+    """``tree`` with every belief's states renamed ``perm[s]``."""
+    return PolicyTree(relabel_belief(tree.belief, perm), tree.action,
+                      {o: relabel_policy(child, perm) for o, child in tree.children.items()},
+                      tree.goal_reached)

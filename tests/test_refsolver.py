@@ -17,6 +17,7 @@ from safereach.refsolver import (
     Compiler,
     Search,
     Session,
+    SmtSyntaxError,
     evaluate,
     format_value,
     intern_term,
@@ -168,8 +169,9 @@ def test_error_responses():
     assert run_script("(declare-const |x Int)\n(check-sat)\n") \
         == ['(error "unterminated quoted symbol")']
     assert run_script('(echo "hi)\n') == ['(error "unterminated string literal")']
-    # An unsupported operator, closed or not, is an error of the check, not of the assert.
-    for term in ("(foo 1)", "(foo x)"):
+    # An unsupported operator, closed or not, is an error of the check, not of the
+    # assert, also as the cofactor of a 0.
+    for term in ("(foo 1)", "(foo x)", "(= 0 (* 0 (foo x)))", "(= 0 (* 0 (+ 1 (foo x))))"):
         assert run_script(f"(declare-const x Int)\n(assert (<= 0 x))\n(assert (< x 2))\n"
                           f"(assert {term})\n(check-sat)\n(echo \"on\")\n") \
             == ['(error "unsupported operator \'foo\'")', "on"]
@@ -278,9 +280,17 @@ def same_value(compiled, expected) -> bool:
             and compiled == expected)
 
 
+def outcome(compute):
+    """``compute()``, or the message of the syntax error it raises."""
+    try:
+        return compute()
+    except SmtSyntaxError as exc:
+        return str(exc)
+
+
 def assert_compiles_like_evaluate(term, env):
-    compiled = Compiler().term(term)(env)
-    expected = evaluate(term, env)
+    compiled = outcome(lambda: Compiler().term(term)(env))
+    expected = outcome(lambda: evaluate(term, env))
     assert same_value(compiled, expected), (term, env, compiled, expected)
 
 
@@ -305,6 +315,7 @@ CHAIN_PAIR_SWITCH = ite_chain([(("and", pin("i", 0), pin("j", 0)), 1), (pin("i",
 
 EDGE_TERMS = [
     ("*", 0, "x"), ("*", "x", F(0)), ("*", "x", "y", 0), ("*", "x", 2), ("*", False, "x"),
+    ("*", 0, ("foo", "x")), ("*", 0, ("+", 1, ("foo", "x"))),
     ("/", 1, 0), ("/", "x", "i"), ("/", F(1), F(2)), ("-", 3), ("-", "x", 1, "y"),
     ("=>", True, True, False), ("=>", False, True, False), ("=>", "b", True, True),
     ("=>", ("<", "x", 1), ("<", "y", 1), ("=", "i", 0)),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from safereach import cli
+from safereach import cli, refsolver
 from safereach import encoding as enc
 from safereach.core import Belief, CandidatePlan, RunContext, SafeReachObjective
 from safereach.refsolver import tokenize
@@ -148,27 +148,6 @@ def _scoped_text(lines):
             live.append(([t for t in text if t.startswith("(declare-const")],
                          [t for t in text if t.startswith("(assert")]))
     return live
-
-
-@pytest.fixture
-def spawned(monkeypatch):
-    """Every solver process started during the test, each with the lines it
-    was sent."""
-    processes = []
-    spawn, send = smtlib._SmtProcess.__init__, smtlib._SmtProcess.send
-
-    def recording_spawn(proc, command):
-        spawn(proc, command)
-        proc.lines = []
-        processes.append(proc)
-
-    def recording_send(proc, line):
-        proc.lines.append(line)
-        send(proc, line)
-
-    monkeypatch.setattr(smtlib._SmtProcess, "__init__", recording_spawn)
-    monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
-    return processes
 
 
 def _reset_segments(lines):
@@ -622,7 +601,13 @@ def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
 def test_custom_solver_command_runs_as_given():
     command = ("z3", "-in")
     assert SolverPool(SolverConfig(command=command)).command == command
-    assert SolverPool().command == smtlib.default_solver_command()
+    # The bundled solver is a fork of this process, never a program exec'd.
+    with SolverPool() as pool:
+        proc = pool.take()
+        with open(f"/proc/{proc.proc.pid}/cmdline", "rb") as child, \
+                open("/proc/self/cmdline", "rb") as driver:
+            assert child.read() == driver.read()
+        pool.give_back(proc)
 
 
 def test_bundled_solver_ignores_the_environment(pickup, tmp_path, monkeypatch):
@@ -633,25 +618,27 @@ def test_bundled_solver_ignores_the_environment(pickup, tmp_path, monkeypatch):
     assert (result.verdict, result.error) == ("valid", None)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
-def test_bundled_solver_stops_when_its_driver_dies():
-    """A driver SIGKILLed mid-check leaves no solver searching behind."""
-    sum_to = "(assert (= (+ " + " ".join(f"x{i}" for i in range(8)) + ") 1000))"
-    script = "\n".join(
-        [f"(declare-const x{i} Int)\n(assert (<= 0 x{i}))\n(assert (< x{i} 10))"
-         for i in range(8)] + [sum_to, "(check-sat)", ""])
-    driver = (
-        "import subprocess, sys, time\n"
-        "from safereach.solver import default_solver_command\n"
-        "child = subprocess.Popen(default_solver_command(), stdin=subprocess.PIPE,\n"
-        "                         stdout=subprocess.DEVNULL)\n"
-        f"child.stdin.write({script!r}.encode()); child.stdin.flush()\n"
-        "time.sleep(1)  # the child is searching now\n"
-        "print(child.pid, flush=True)\n"
-        "time.sleep(60)\n")
-    src = str(Path(smtlib.__file__).resolve().parents[2])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen([sys.executable, "-c", driver], stdout=subprocess.PIPE, env=env)
+# Eight integers in 0..9 that sum to 1000: unsat, after a search of 10^8 nodes.
+_LONG_SEARCH = "\n".join(
+    [f"(declare-const x{i} Int)\n(assert (<= 0 x{i}))\n(assert (< x{i} 10))" for i in range(8)]
+    + ["(assert (= (+ " + " ".join(f"x{i}" for i in range(8)) + ") 1000))", "(check-sat)", ""])
+
+
+def _driver_env():
+    """The environment of a driver subprocess that imports this package."""
+    return dict(os.environ, PYTHONPATH=str(Path(smtlib.__file__).resolve().parents[2]))
+
+
+def _assert_solver_stops_with_its_driver(start):
+    """A driver that runs ``start`` (which leaves the solver's pid in ``pid``
+    and has it searching ``_LONG_SEARCH``) and is SIGKILLed mid-check leaves
+    no solver searching behind."""
+    driver = (start + "import time\n"
+              "time.sleep(1)  # the child is searching now\n"
+              "print(pid, flush=True)\n"
+              "time.sleep(60)\n")
+    proc = subprocess.Popen([sys.executable, "-c", driver], stdout=subprocess.PIPE,
+                            env=_driver_env())
     try:
         solver = int(proc.stdout.readline())
         assert _running(solver)
@@ -667,6 +654,136 @@ def test_bundled_solver_stops_when_its_driver_dies():
     finally:
         if _running(solver):
             os.kill(solver, signal.SIGKILL)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
+def test_bundled_solver_stops_when_its_driver_dies():
+    """The solver run as a program of its own, by ``default_solver_command``."""
+    _assert_solver_stops_with_its_driver(
+        "import subprocess\n"
+        "from safereach.solver import default_solver_command\n"
+        "child = subprocess.Popen(default_solver_command(), stdin=subprocess.PIPE,\n"
+        "                         stdout=subprocess.DEVNULL)\n"
+        f"child.stdin.write({_LONG_SEARCH!r}.encode()); child.stdin.flush()\n"
+        "pid = child.pid\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
+def test_forked_solver_stops_when_its_driver_dies():
+    _assert_solver_stops_with_its_driver(
+        "from safereach.solver import SolverPool\n"
+        "solver = SolverPool().take()\n"
+        f"solver.send({_LONG_SEARCH!r})\n"
+        "pid = solver.proc.pid\n")
+
+
+def test_a_timed_out_forked_solver_is_reaped(spawned):
+    from safereach.domains import build_kitchen
+
+    model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
+    config = SolverConfig(check_timeout=0.2)  # the noisy h4 check searches for seconds
+    with SmtLibSession(RunContext(model, objective), config) as session:
+        load_session(session, b_init, 4, goal=True)
+        result = session.check()
+    assert isinstance(result, Unknown) and "timed out" in result.reason
+    (proc,) = spawned
+    assert not os.path.exists(f"/proc/{proc.proc.pid}")  # neither alive nor a zombie
+
+
+def test_runs_leave_no_zombie_children():
+    before = _zombie_children()
+    for seed in range(20):
+        model, b_init, objective, horizon = random_instance(random.Random(seed))
+        config = SynthesisConfig(horizon=horizon, backend="smtlib")
+        assert synthesis_run(model, b_init, objective, config).error is None
+    assert _zombie_children() - before == set()
+
+
+def test_a_forked_solver_holds_only_its_stdio():
+    with SolverPool() as pool:
+        first, second = pool.take(), pool.take()
+        for proc in (first, second):
+            proc.send("(check-sat)")
+            assert proc.read_line(time.monotonic() + 5) == "sat"
+            assert sorted(os.listdir(f"/proc/{proc.proc.pid}/fd")) == ["0", "1", "2"]
+        pool.give_back(first)
+        pool.give_back(second)
+
+
+def test_closing_a_forked_solvers_stdin_ends_it_alone():
+    """Its sibling, forked later, holds no end of its pipes."""
+    with SolverPool() as pool:
+        first, second = pool.take(), pool.take()
+        try:
+            first.proc.stdin.close()
+            assert first.proc.wait(timeout=5) == 0
+            assert second.proc.poll() is None
+        finally:
+            first.close()
+            pool.give_back(second)
+
+
+def test_a_forked_solver_writes_none_of_its_drivers_output():
+    driver = (
+        "import atexit\n"
+        "from safereach import SynthesisConfig, build_pickup_example, synthesis_run\n"
+        "atexit.register(print, 'at exit')\n"
+        "print('before the run')  # still buffered: stdout is a pipe\n"
+        "config = SynthesisConfig(horizon=3, backend='smtlib')\n"
+        "print(synthesis_run(*build_pickup_example(), config).verdict)\n")
+    done = subprocess.run([sys.executable, "-c", driver], capture_output=True,
+                          env=_driver_env(), timeout=60)
+    assert (done.stdout, done.stderr) == (b"before the run\nvalid\nat exit\n", b"")
+
+
+def test_a_failing_forked_solver_is_a_solver_failure_with_its_stderr(pickup, monkeypatch):
+    def crash_at_check():
+        for line in sys.stdin:
+            if line.startswith("(check-sat)"):
+                raise RuntimeError("boom")
+
+    model, b_init, objective = pickup
+    run = RunContext(model, objective)
+    with SolverPool() as pool:
+        monkeypatch.setattr(refsolver, "main", crash_at_check)  # the fork inherits it
+        with SmtLibSession(run, SolverConfig(), pool) as session:
+            load_session(session, b_init, 1, goal=True)
+            result = session.check()
+        monkeypatch.undo()
+        assert isinstance(result, Unknown)
+        assert result.reason.startswith(
+            "solver failure: solver closed its output stream (stderr: ")
+        assert result.reason.endswith("RuntimeError: boom)")
+        # The driver carries on, with a new solver.
+        with SmtLibSession(run, SolverConfig(), pool) as session:
+            load_session(session, b_init, 1, goal=True)
+            assert isinstance(session.check(), Sat)
+
+
+@pytest.mark.parametrize("way", ["file path", "default_solver_command"])
+def test_each_documented_way_to_run_the_solver_starts_cleanly(way):
+    command = ((sys.executable, refsolver.__file__) if way == "file path"
+               else smtlib.default_solver_command())
+    done = subprocess.run(command, input=b"(check-sat)(exit)\n", capture_output=True,
+                          timeout=60)
+    assert (done.stdout, done.stderr) == (b"sat\n", b"")
+
+
+def _zombie_children():
+    """Children of this process that exited and were never reaped."""
+    me = os.getpid()
+    zombies = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                state, parent = fh.read().rsplit(b")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if state == b"Z" and int(parent) == me:
+            zombies.add(int(entry))
+    return zombies
 
 
 def _running(pid):

@@ -28,7 +28,7 @@ from safereach.synthesis import (
 )
 from safereach.validate import validate_policy
 
-from oracles import brute_force_feasible, random_instance
+from oracles import brute_force_feasible, random_instance, relabel_policy, relabel_states
 
 
 def run(model, b_init, objective, horizon, backend="enum", **kw):
@@ -383,6 +383,30 @@ def test_synthesis_matches_feasibility_oracle(seed):
     assert (result.verdict == VERDICT_VALID) == feasible
     if result.policy is not None:
         assert validate_policy(result.policy, model, objective, horizon).valid
+
+
+@pytest.mark.parametrize("backend", ["enum", "smtlib"])
+def test_relabelling_the_states_changes_no_run(backend, spawned):
+    """Metamorphic: a problem with its states renamed is the same problem, so
+    synthesis gives the same verdict, check trace and solver spawns, and the
+    same policy up to the renaming."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        model, b_init, objective, horizon = random_instance(rng)
+        perm = list(range(len(model.states)))
+        rng.shuffle(perm)
+        runs = []
+        for problem in ((model, b_init, objective), relabel_states(model, b_init, objective,
+                                                                  perm)):
+            spawned.clear()
+            runs.append((run(*problem, horizon, backend=backend), len(spawned)))
+        (plain, plain_spawns), (relabelled, relabelled_spawns) = runs
+        assert relabelled.verdict == plain.verdict, f"seed {seed}"
+        assert relabelled.stats.check_trace == plain.stats.check_trace, f"seed {seed}"
+        assert relabelled.policy == (None if plain.policy is None
+                                     else relabel_policy(plain.policy, perm)), f"seed {seed}"
+        assert relabelled_spawns == plain_spawns, f"seed {seed}"
+        assert (plain_spawns > 0) == (backend == "smtlib")
 
 
 def test_solver_unknown_is_an_error_verdict(pickup):
