@@ -100,7 +100,7 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         help="per-check timeout in seconds "
                              "(default: $SAFEREACH_CHECK_TIMEOUT, else 60)")
     parser.add_argument("--no-incremental", action="store_true",
-                        help="smtlib: replay into a reset solver process per check "
+                        help="smtlib: replay into a reset solver per check "
                              "instead of push/pop")
 
 

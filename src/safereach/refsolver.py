@@ -1,9 +1,9 @@
 """A small SMT-LIB v2 solver for formulas over bounded integers and reals.
 
-This is the fallback backend executable: it reads SMT-LIB commands from
-stdin (``set-logic``, ``declare-const``, ``assert``, ``push``/``pop``,
-``check-sat``, ``get-model``, ``reset``, ``exit``) and answers on stdout,
-so it can sit behind the same pipe protocol as any external solver.
+This is the default solver of the SMT-LIB backend: a session takes SMT-LIB
+commands (``set-logic``, ``declare-const``, ``assert``, ``push``/``pop``,
+``check-sat``, ``get-model``, ``reset``, ``exit``) and answers in SMT-LIB
+text, so the driver speaks to it as to any external solver.
 
 Completeness is limited by design: every integer variable must have finite
 bounds derivable from top-level ``(<= c v)`` / ``(< v c)``-style assertions,
@@ -31,12 +31,12 @@ are tested against.
 
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
-Run it as a program by file path (``python refsolver.py``), or with the
-command ``safereach.solver.default_solver_command()`` returns, which imports
-it as the top-level module ``refsolver``.  The package itself starts it in a
-fork of the driver, through :func:`main`.  However it is started, it stops
-a search, and exits, once the process that started it is gone, so a driver
-killed mid-check leaves no solver behind.
+It keeps no mutable state, so sessions may run in any threads, one owner
+each.  The package runs one :class:`Session` per solver endpoint in its own
+process, and the search checks each ``check-sat``'s deadline at every node.
+Run as a program, by file path (``python refsolver.py``) or with the
+command ``safereach.solver.default_solver_command()`` returns, it stops a
+search, and exits, once the process that started it is gone.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import operator
 import os
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -163,7 +164,7 @@ def intern_term(term):
             return True
         if val == "false":
             return False
-        return val
+        return sys.intern(val) if isinstance(val, str) else val  # one string per name
     if isinstance(term, tuple):
         if term and isinstance(term[0], str):
             head, count = term[0], len(term) - 1
@@ -536,6 +537,11 @@ def _pair_table(names, table, default):
     return fn
 
 
+def _no_progress(target, env):
+    """The solver of a side that nothing is solved through."""
+    return None
+
+
 def _solve_variable(name):
     def solve(target, env):
         return (name, target)
@@ -626,6 +632,8 @@ class Compiler:
         self.seen: dict[int, tuple] = {}
         # Ids of the nodes that call evaluate, themselves or through a part.
         self.interpreting: set[int] = set()
+        # Node id -> its solver, so equal subterms share one solver too.
+        self.solvers: dict[int, object] = {}
 
     def term(self, term):
         return self._node(term)[1]
@@ -726,11 +734,21 @@ class Compiler:
         equal ``target`` when a single variable is unknown in it, reached
         through ``*``, ``+`` and ``-`` whose other operands are known;
         ``CONFLICT`` when no value can; ``None`` for no progress."""
+        node = self._node(term)[0]
+        solver = self.solvers.get(node)
+        if solver is None:
+            solver = self.solvers[node] = self._new_solver(term)
+        return solver
+
+    def _new_solver(self, term):
         if isinstance(term, str):
             return _solve_variable(term)
-        build = _SOLVERS.get(term[0]) if isinstance(term, tuple) and term else None
-        if build is None:
+        head = term[0] if isinstance(term, tuple) and term else None
+        if head == "-":
             return partial(_solve_side, term)
+        build = _SOLVERS.get(head)
+        if build is None:
+            return _no_progress
         args = term[1:]
         return build([self.term(arg) for arg in args], [self._solver(arg) for arg in args])
 
@@ -740,15 +758,25 @@ class Constraint:
 
     ``test(env)`` is the conjunct's value under ``env``; for an equation
     ``(= l r)`` it is the one-pass step that decides the equation or solves
-    it for its single unknown (see :meth:`Compiler.constraint`).
+    it for its single unknown (see :meth:`Compiler.constraint`).  Of the
+    terms, only the integer bounds the search reads its ranges from are kept.
     """
 
-    __slots__ = ("term", "names", "test")
+    __slots__ = ("bound", "names", "test")
 
     def __init__(self, term, names: list[str], test) -> None:
-        self.term = term
+        self.bound = term if _bound(term) else None
         self.names = names
         self.test = test
+
+
+def _bound(term) -> bool:
+    """``(<= k x)``, ``(< x k)`` and the like: a variable against an integer."""
+    if not (isinstance(term, tuple) and len(term) == 3 and term[0] in ("<=", "<")):
+        return False
+    _, left, right = term
+    return ((isinstance(left, int) and isinstance(right, str))
+            or (isinstance(left, str) and isinstance(right, int)))
 
 
 def _conjuncts(term, out: list) -> list:
@@ -778,10 +806,12 @@ PARENT_POLL_NODES = 1000
 
 class Search:
     def __init__(self, decls: dict[str, str], constraints: list[Constraint],
-                 parent: int | None = None) -> None:
+                 parent: int | None = None, deadline: float | None = None) -> None:
         self.decls = decls
         # The driver's pid; the search exits once this process's parent changes.
         self.parent = parent
+        # A time.monotonic() reading; the search raises TimeoutError past it.
+        self.deadline = deadline
         self.nodes = 0
         self.constraints = constraints
         self.tests = [c.test for c in constraints]
@@ -803,21 +833,16 @@ class Search:
         lo: dict[str, int] = {}
         hi: dict[str, int] = {}
         for constraint in self.constraints:
-            c = constraint.term
-            if not (isinstance(c, tuple) and len(c) == 3):
+            if constraint.bound is None:
                 continue
-            head, av, bv = c
-            if head in ("<=", "<") and isinstance(av, int) and isinstance(bv, str):
+            head, av, bv = constraint.bound
+            if isinstance(bv, str):
                 base = av if head == "<=" else av + 1
                 lo[bv] = max(lo.get(bv, base), base)
-            elif head in ("<=", "<") and isinstance(bv, int) and isinstance(av, str):
+            else:
                 cap = bv if head == "<=" else bv - 1
                 hi[av] = min(hi.get(av, cap), cap)
-        out = {}
-        for name in self.int_vars:
-            if name in lo and name in hi:
-                out[name] = (lo[name], hi[name])
-        return out
+        return {name: (lo[name], hi[name]) for name in self.int_vars if name in lo and name in hi}
 
     # -- trail management --------------------------------------------------
 
@@ -900,6 +925,8 @@ class Search:
         lo, hi = self.bounds[name]
         for value in range(lo, hi + 1):
             self.nodes += 1
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise TimeoutError("check-sat passed its deadline")
             if self.nodes % PARENT_POLL_NODES == 0:
                 self._check_parent()
             self._push_level()
@@ -985,14 +1012,15 @@ class Session:
     def all_constraints(self) -> list[Constraint]:
         return [c for frame in self.assert_frames for c in frame]
 
-    def handle(self, cmd, out) -> bool:
+    def handle(self, cmd, out, deadline: float | None = None) -> bool:
         """Process one command and flush its answer; returns False when the
-        session should end."""
-        go_on = self._answer(cmd, out)
+        session should end.  A ``check-sat`` still searching at ``deadline``
+        (a ``time.monotonic()`` reading) raises :class:`TimeoutError`."""
+        go_on = self._answer(cmd, out, deadline)
         out.flush()
         return go_on
 
-    def _answer(self, cmd, out) -> bool:
+    def _answer(self, cmd, out, deadline: float | None) -> bool:
         if not isinstance(cmd, tuple) or not cmd:
             out.write('(error "malformed command")\n')
             return True
@@ -1039,7 +1067,8 @@ class Session:
             self.last_model = None
         elif head == "check-sat":
             try:
-                search = Search(self.all_decls(), self.all_constraints(), self.parent)
+                search = Search(self.all_decls(), self.all_constraints(), self.parent,
+                                deadline)
                 verdict, model = search.run()
             except SmtSyntaxError as exc:
                 out.write(f'(error "{exc}")\n')

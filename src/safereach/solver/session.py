@@ -67,11 +67,9 @@ class SolverSession(ABC):
     live constraints describe from :meth:`_unfolding`.
 
     Sessions are single-owner: never share one across threads.  Distinct
-    sessions may run concurrently, with one caveat: the SMT-LIB backend
-    starts the bundled solver by forking the process, and a fork copies the
-    locks other threads hold as they are at that moment.  Open sessions on
-    the bundled solver from one thread, or give :class:`SolverConfig` an
-    explicit ``command``.
+    sessions may be opened from any thread and run concurrently; the SMT-LIB
+    backend runs the bundled solver in the session's own thread, and the
+    bundled solver keeps no state outside its sessions.
     """
 
     def __init__(self, run: RunContext) -> None:

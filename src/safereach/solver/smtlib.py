@@ -1,41 +1,41 @@
-"""External SMT backend: SMT-LIB v2 over a subprocess pipe.
+"""SMT backend: SMT-LIB v2, to the bundled solver or to a solver process.
 
 The only backend that speaks SMT, and the one place SMT-LIB is written:
 each added constraint is lowered straight to text once (:func:`serialize`),
 into its ``assert`` line and the ``declare-const`` lines of the variables
-in that text not yet declared.  Drives any conforming solver binary
-(``z3 -in`` works; the default is the bundled reference solver) with
-``push``/``pop`` scopes, reads responses with the reference solver's
-reader, parses models into exact rationals, and decodes them into the
-candidate plan a satisfying check answers with.  It is the only module
-besides :mod:`safereach.encoding` that knows the variable names.  In
+in that text not yet declared.  Drives the bundled reference solver, or any
+conforming solver binary (``z3 -in`` works), with ``push``/``pop`` scopes,
+reads responses with the reference solver's reader, parses models into
+exact rationals, and decodes them into the candidate plan a satisfying
+check answers with.  It is the only module besides
+:mod:`safereach.encoding` that knows the variable names.  In
 non-incremental mode every check replays the kept lines of all live
-assertions into a solver process that has just been reset, for the
-from-scratch comparison.
+assertions into a solver that has just been reset, for the from-scratch
+comparison.
 
-Solver processes are reused: a :class:`SolverPool` keeps a run's idle
-processes, a session holds one while it is open (or, from scratch, for one
-check) and hands it back after ``(reset)`` and the header, and a process
-that timed out, crashed or answered with a model that does not decode is
-killed instead.  The bundled solver is started by forking the driver, which
-already has :mod:`safereach.refsolver` loaded (:class:`_ForkedSolver`); an
-explicit solver command is exec'd as given.
+SMT-LIB lines are the only interface: the bundled solver runs in the
+driver's process, one :class:`refsolver.Session` per endpoint, and honours
+each check's deadline in its search; an explicit solver command is exec'd
+as given and spoken to over pipes.  Endpoints are reused: a
+:class:`SolverPool` keeps a run's idle ones, a session holds one while it
+is open (or, from scratch, for one check) and hands it back after
+``(reset)`` and the header, and one that timed out, failed or answered with
+a model that does not decode is closed instead.
 """
 
 from __future__ import annotations
 
-import gc
+import io
 import os
 import re
 import select
-import signal
 import subprocess
 import sys
 import time
-import traceback
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NoReturn, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
@@ -70,13 +70,13 @@ def default_solver_command() -> tuple[str, ...]:
     """A command that runs the bundled reference solver as a program of its
     own, with the current interpreter, lean.
 
-    A session does not use it on Linux: there it forks the bundled solver
-    from the driver (:class:`_ForkedSolver`), which skips the interpreter
-    start and the solver's imports.  ``-I -S`` keeps the environment, the
-    user site and ``site`` itself out of the child, and importing
-    ``refsolver`` (rather than running it as a script) loads it from cached
-    bytecode.  The package directory is appended to the path, so the
-    standard library wins any name clash.
+    A session with no command runs the bundled solver in the driver's
+    process instead; give this as ``SolverConfig.command`` to run it as a
+    separate process.  ``-I -S`` keeps the environment, the user site and
+    ``site`` itself out of the child, and importing ``refsolver`` (rather
+    than running it as a script) loads it from cached bytecode.  The package
+    directory is appended to the path, so the standard library wins any name
+    clash.
     """
     package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = f"import sys; sys.path.append({package!r}); import refsolver; refsolver.main()"
@@ -281,129 +281,92 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 
 
 # --------------------------------------------------------------------------
-# Process plumbing
+# Solver endpoints
 # --------------------------------------------------------------------------
 
-class _ForkedSolver:
-    """The bundled solver in a fork of the driver, behind the part of
-    :class:`subprocess.Popen` that :class:`_SmtProcess` uses.
-
-    The child keeps everything of the driver, so it wires its pipes to fds
-    0-2 and closes every other fd (a sibling solver holding a pipe end would
-    hide EOF from it), restores the default SIGTERM and SIGINT, answers
-    through fresh stdio objects rather than the driver's buffered ones, and
-    leaves only through ``os._exit``: no ``atexit`` handler, ``finally``
-    block or buffered output of the driver runs twice.  It also keeps any
-    patch the driver made to :mod:`safereach.refsolver`.
-    """
+class _BundledSolver:
+    """The bundled solver in the driver's process, with the ``poll`` and
+    ``returncode`` of a :class:`subprocess.Popen`.  Lines written to it wait
+    until :meth:`answer` runs them, as a solver process works while its
+    driver waits to read.  A syntax error, ``(exit)`` or a failure inside
+    the solver ends it; a failure is raised as a :class:`SolverError`."""
 
     def __init__(self) -> None:
-        # The pipes of the child's stdin, stdout and stderr, made in this
-        # order: the ends the child moves to fds 1 and 2 are the write ends of
-        # later pipes and so lie above fd 2, and no move overwrites an end
-        # still to be moved, even in a driver that runs with fds 0-2 closed.
-        pipes = [os.pipe() for _ in range(3)]
-        child = (pipes[0][0], pipes[1][1], pipes[2][1])
-        ours = (pipes[0][1], pipes[1][0], pipes[2][0])
-        pid = 0
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _serve_forked(child)
-            # Readable once the child has exited: a wait that blocks no longer than that.
-            self._pidfd = os.pidfd_open(pid)
-        except OSError:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for fd in ours:
-                os.close(fd)
-            raise
-        finally:
-            for fd in child:
-                os.close(fd)
-        self.pid = pid
-        self.stdin = open(ours[0], "wb")
-        self.stdout = open(ours[1], "rb")
-        self.stderr = open(ours[2], "rb")
+        self._session = refsolver.Session()
+        self._lines: deque[str] = deque()
+        self._reader = refsolver.CommandReader(self)
         self.returncode: Optional[int] = None
 
-    def _reap(self, flags: int) -> Optional[int]:
-        if self.returncode is None:
-            try:
-                pid, status = os.waitpid(self.pid, flags)
-            except ChildProcessError:  # reaped elsewhere, e.g. with SIGCHLD ignored
-                pid, status = self.pid, 0
-            if pid:
-                self.returncode = os.waitstatus_to_exitcode(status)
-                os.close(self._pidfd)
+    def poll(self) -> Optional[int]:
         return self.returncode
 
-    def poll(self) -> Optional[int]:
-        return self._reap(os.WNOHANG)
+    def write(self, line: str) -> None:
+        if self.returncode is not None:
+            raise SolverError("the bundled solver has ended")
+        self._lines.append(line)
 
-    def wait(self, timeout: Optional[float] = None) -> int:
-        if self.returncode is None and timeout is not None \
-                and not select.select([self._pidfd], [], [], timeout)[0]:
-            raise subprocess.TimeoutExpired(f"bundled solver (pid {self.pid})", timeout)
-        return self._reap(0)
+    def readline(self) -> str:
+        """The command reader's input: the next line not yet run, ``""`` for none."""
+        return self._lines.popleft() + "\n" if self._lines else ""
 
-    def _signal(self, signum: int) -> None:
-        if self.returncode is None:  # until reaped, the pid is still the child's
-            os.kill(self.pid, signum)
+    def answer(self, deadline: Optional[float]) -> str:
+        """The answer of the first waiting command that gives one; ``""``
+        once the solver has ended.  A check still searching at ``deadline``
+        raises :class:`TimeoutError`."""
+        out = io.StringIO()
+        try:
+            while self.returncode is None and not out.tell():
+                try:
+                    cmd = self._reader.next_command()
+                except SmtSyntaxError as exc:
+                    out.write(f'(error "{exc}")\n')
+                    self.end(0)
+                    continue
+                if cmd is None:
+                    raise SolverError("no command is waiting for an answer")
+                if not self._session.handle(cmd, out, deadline):
+                    self.end(0)
+        except BaseException as exc:
+            self.end(1)
+            if isinstance(exc, (SolverError, TimeoutError)) or not isinstance(exc, Exception):
+                raise
+            raise SolverError(f"the bundled solver failed: {type(exc).__name__}: {exc}") \
+                from exc
+        return out.getvalue()
 
-    def terminate(self) -> None:
-        self._signal(signal.SIGTERM)
-
-    def kill(self) -> None:
-        self._signal(signal.SIGKILL)
-
-
-def _serve_forked(fds: tuple[int, int, int]) -> NoReturn:
-    """The forked child: run the bundled solver on ``fds`` as its stdin,
-    stdout and stderr, and exit."""
-    status = 1
-    try:
-        # A collection would otherwise walk, and so copy, the driver's heap.
-        gc.freeze()
-        for target, fd in enumerate(fds):
-            os.dup2(fd, target)
-        # Held until os._exit, so they are never finalized and never flushed.
-        driver_stdio = (sys.stdin, sys.stdout, sys.stderr)
-        sys.stdin = open(0, encoding="utf-8", closefd=False)
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", closefd=False)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        refsolver.main()
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
+    def end(self, returncode: int) -> None:
+        """Stop for good, dropping every assertion and waiting line."""
+        if self.returncode is None:
+            self.returncode = returncode
+        self._session = self._reader = None
+        self._lines.clear()
 
 
 class _SmtProcess:
-    """One solver process: the bundled solver forked from the driver when
-    ``command`` is ``None``, else ``command`` exec'd as given."""
+    """One solver endpoint: the bundled solver run in the driver's process
+    when ``command`` is ``None``, else ``command`` exec'd as given and
+    spoken to over pipes.  Either way it takes SMT-LIB lines through
+    :meth:`send` and gives its answers to :meth:`read_line`."""
 
     def __init__(self, command: Optional[Sequence[str]]) -> None:
+        self._buffer = b""
+        if command is None:
+            self.proc: Union[_BundledSolver, subprocess.Popen] = _BundledSolver()
+            return
         try:
-            self.proc = _ForkedSolver() if command is None else subprocess.Popen(
+            self.proc = subprocess.Popen(
                 command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
         except OSError as exc:
-            what = "the bundled solver" if command is None else f"solver {command!r}"
-            raise SolverError(f"cannot start {what}: {exc}") from exc
-        self._buffer = b""
+            raise SolverError(f"cannot start solver {command!r}: {exc}") from exc
 
     def send(self, line: str) -> None:
+        if isinstance(self.proc, _BundledSolver):
+            self.proc.write(line)
+            return
         assert self.proc.stdin is not None
         try:
             self.proc.stdin.write(line.encode() + b"\n")
@@ -412,13 +375,16 @@ class _SmtProcess:
             raise SolverError(f"solver pipe closed: {exc}") from exc
 
     def _fill(self, deadline: Optional[float]) -> None:
-        assert self.proc.stdout is not None
-        fd = self.proc.stdout.fileno()
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                raise TimeoutError
-        chunk = os.read(fd, 65536)
+        if isinstance(self.proc, _BundledSolver):
+            chunk = self.proc.answer(deadline).encode()
+        else:
+            assert self.proc.stdout is not None
+            fd = self.proc.stdout.fileno()
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                    raise TimeoutError
+            chunk = os.read(fd, 65536)
         if not chunk:
             raise SolverError("solver closed its output stream" + self._stderr_tail())
         self._buffer += chunk
@@ -433,10 +399,10 @@ class _SmtProcess:
             raise SolverError(f"malformed solver response: {exc}") from None
 
     def read_tokens(self, deadline: Optional[float]) -> list[str]:
-        """The tokens of one balanced s-expression, which may span lines."""
+        """The tokens of one s-expression, a list that may span lines or an atom."""
         tokens: list[str] = []
         depth = 0
-        while "(" not in tokens or depth > 0:
+        while not tokens or depth > 0:
             try:
                 line = tokenize(self.read_line(deadline))
             except SmtSyntaxError as exc:
@@ -446,7 +412,7 @@ class _SmtProcess:
         return tokens
 
     def _stderr_tail(self) -> str:
-        if self.proc.stderr is None:
+        if isinstance(self.proc, _BundledSolver) or self.proc.stderr is None:
             return ""
         try:
             os.set_blocking(self.proc.stderr.fileno(), False)
@@ -457,6 +423,9 @@ class _SmtProcess:
         return f" (stderr: {text[-300:]})" if text else ""
 
     def close(self) -> None:
+        if isinstance(self.proc, _BundledSolver):
+            self.proc.end(0)
+            return
         try:
             if self.proc.stdin is not None:
                 self.proc.stdin.close()
@@ -474,23 +443,21 @@ class _SmtProcess:
 
 
 class SolverPool:
-    """Idle solver processes for the sessions of one run, newest first.
+    """Idle solver endpoints for the sessions of one run, newest first.
 
-    :meth:`take` hands out an idle process, or spawns one and sends it the
-    header; :meth:`give_back` resets a healthy process and keeps it.  Only
-    the pool's owner closes it, and closing ends every idle process: a run
+    :meth:`take` hands out an idle endpoint, or starts one and sends it the
+    header; :meth:`give_back` resets a healthy endpoint and keeps it.  Only
+    the pool's owner closes it, and closing ends every idle endpoint: a run
     builds one pool and closes it in a ``finally``, and a session opened
-    without a pool owns a private one.  A process is handed back with no
+    without a pool owns a private one.  An endpoint is handed back with no
     read of its own: a session reads every response it asks for, so the one
     thing that can be left over is an ``(error ...)`` line, which the next
     check reads as a solver failure.
     """
 
     def __init__(self, config: SolverConfig = SolverConfig()) -> None:
-        # ``None`` forks the bundled solver; without pidfds (outside Linux)
-        # it runs as a program of its own.
-        self.command = tuple(config.command) if config.command else (
-            None if hasattr(os, "pidfd_open") else default_solver_command())
+        # ``None`` runs the bundled solver in this process.
+        self.command = tuple(config.command) if config.command else None
         self._idle: list[_SmtProcess] = []
 
     def take(self) -> _SmtProcess:
@@ -547,7 +514,7 @@ class _Asserted:
 
 
 class SmtLibSession(SolverSession):
-    """Drives one solver process incrementally, or one per check from scratch,
+    """Drives one solver endpoint incrementally, or one per check from scratch,
     taken from ``pool`` (by default a private pool that closes with the
     session)."""
 
@@ -578,7 +545,7 @@ class SmtLibSession(SolverSession):
             self._proc = None
 
     def _die(self) -> None:
-        """Mark the session dead and kill its process instead of handing it back."""
+        """Mark the session dead and close its endpoint instead of handing it back."""
         self._dead = True
         if self._proc is not None:
             self._proc.close()

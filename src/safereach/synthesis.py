@@ -90,7 +90,7 @@ _VERDICT_KIND = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
 
 def make_session_factory(run: RunContext, config: SynthesisConfig,
                          pool: Optional[SolverPool] = None) -> SessionFactory:
-    """Fresh sessions on ``run``; smtlib sessions take their processes from
+    """Fresh sessions on ``run``; smtlib sessions take their solvers from
     ``pool`` (without one, each session owns a private pool)."""
     if config.backend == "enum":
         # Fresh sessions per recursion level over the run's one context: its
@@ -234,9 +234,9 @@ def synthesis_run(
     The run's objective, record and caches live in one
     :class:`~.core.RunContext` built here and dropped on return; a
     :class:`~.core.ModelError` says that ``b_init`` or the objective does
-    not fit the model.  The run's solver processes live in one
+    not fit the model.  The run's solver endpoints live in one
     :class:`~.solver.SolverPool`, which synthesis closes however it ends,
-    so no process outlives the run.
+    so no solver outlives the run.
     """
     from .validate import validate_policy
 

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -402,6 +403,18 @@ def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
     session.close()
 
 
+def test_a_bare_atom_reply_to_get_model_is_a_prompt_solver_failure(pickup):
+    model, b_init, objective = pickup
+    config = SolverConfig(command=_answering("unsupported"), check_timeout=3)
+    with SmtLibSession(RunContext(model, objective), config) as session:
+        load_session(session, b_init, 1, goal=True)
+        started = time.monotonic()
+        result = session.check()
+        elapsed = time.monotonic() - started
+    assert result == Unknown("solver failure: unexpected get-model response: 'unsupported'")
+    assert elapsed < 1
+
+
 def test_unterminated_string_in_a_model_is_a_solver_failure(pickup):
     model, b_init, objective = pickup
     config = SolverConfig(command=_answering('((define-fun a_1 () Int 0)) "'), check_timeout=2.0)
@@ -598,16 +611,24 @@ def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
     assert "unsupported command no-such-command" in result.reason
 
 
-def test_custom_solver_command_runs_as_given():
+def test_custom_solver_command_runs_as_given(pickup, monkeypatch):
     command = ("z3", "-in")
     assert SolverPool(SolverConfig(command=command)).command == command
-    # The bundled solver is a fork of this process, never a program exec'd.
-    with SolverPool() as pool:
-        proc = pool.take()
-        with open(f"/proc/{proc.proc.pid}/cmdline", "rb") as child, \
-                open("/proc/self/cmdline", "rb") as driver:
-            assert child.read() == driver.read()
-        pool.give_back(proc)
+    # The bundled solver runs in this process: no run forks or execs anything.
+    problems = [(*pickup, 3)] + [random_instance(random.Random(seed)) for seed in range(20)]
+    expected = [synthesis_run(model, b_init, objective, SynthesisConfig(horizon=horizon)).verdict
+                for model, b_init, objective, horizon in problems]
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a solver process was started")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    for (model, b_init, objective, horizon), verdict in zip(problems, expected):
+        config = SynthesisConfig(horizon=horizon, backend="smtlib")
+        result = synthesis_run(model, b_init, objective, config)
+        assert (result.verdict, result.error) == (verdict, None)
+    assert expected[0] == "valid"
 
 
 def test_bundled_solver_ignores_the_environment(pickup, tmp_path, monkeypatch):
@@ -668,62 +689,56 @@ def test_bundled_solver_stops_when_its_driver_dies():
         "pid = child.pid\n")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
-def test_forked_solver_stops_when_its_driver_dies():
-    _assert_solver_stops_with_its_driver(
-        "from safereach.solver import SolverPool\n"
-        "solver = SolverPool().take()\n"
-        f"solver.send({_LONG_SEARCH!r})\n"
-        "pid = solver.proc.pid\n")
-
-
 def test_a_timed_out_forked_solver_is_reaped(spawned):
+    """The bundled solver stops its search at the check's deadline, and the
+    pool then hands out a working solver in its place."""
     from safereach.domains import build_kitchen
 
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     config = SolverConfig(check_timeout=0.2)  # the noisy h4 check searches for seconds
-    with SmtLibSession(RunContext(model, objective), config) as session:
-        load_session(session, b_init, 4, goal=True)
-        result = session.check()
-    assert isinstance(result, Unknown) and "timed out" in result.reason
-    (proc,) = spawned
-    assert not os.path.exists(f"/proc/{proc.proc.pid}")  # neither alive nor a zombie
+    with SolverPool(config) as pool:
+        with SmtLibSession(RunContext(model, objective), config, pool) as session:
+            load_session(session, b_init, 4, goal=True)
+            started = time.monotonic()
+            result = session.check()
+            elapsed = time.monotonic() - started
+        assert isinstance(result, Unknown) and "timed out" in result.reason
+        assert elapsed < 0.3
+        (timed_out,) = spawned
+        assert timed_out.proc.poll() is not None  # closed, not handed back
+        proc = pool.take()
+        assert proc is not timed_out
+        proc.send("(check-sat)")
+        assert proc.read_line(time.monotonic() + 5) == "sat"
+        pool.give_back(proc)
 
 
 def test_runs_leave_no_zombie_children():
+    """With the solver run as a program: the bundled solver starts no process."""
     before = _zombie_children()
+    solver = SolverConfig(command=smtlib.default_solver_command())
     for seed in range(20):
         model, b_init, objective, horizon = random_instance(random.Random(seed))
-        config = SynthesisConfig(horizon=horizon, backend="smtlib")
+        config = SynthesisConfig(horizon=horizon, backend="smtlib", solver=solver)
         assert synthesis_run(model, b_init, objective, config).error is None
     assert _zombie_children() - before == set()
 
 
-def test_a_forked_solver_holds_only_its_stdio():
-    with SolverPool() as pool:
-        first, second = pool.take(), pool.take()
-        for proc in (first, second):
-            proc.send("(check-sat)")
-            assert proc.read_line(time.monotonic() + 5) == "sat"
-            assert sorted(os.listdir(f"/proc/{proc.proc.pid}/fd")) == ["0", "1", "2"]
-        pool.give_back(first)
-        pool.give_back(second)
+def test_runs_on_the_bundled_solver_may_share_the_process_from_threads():
+    problems = [random_instance(random.Random(seed)) for seed in range(8)]
+
+    def solve(problem):
+        model, b_init, objective, horizon = problem
+        result = synthesis_run(model, b_init, objective,
+                               SynthesisConfig(horizon=horizon, backend="smtlib"))
+        return result.verdict, result.policy, result.stats.check_trace
+
+    alone = [solve(problem) for problem in problems]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(solve, problems)) == alone
 
 
-def test_closing_a_forked_solvers_stdin_ends_it_alone():
-    """Its sibling, forked later, holds no end of its pipes."""
-    with SolverPool() as pool:
-        first, second = pool.take(), pool.take()
-        try:
-            first.proc.stdin.close()
-            assert first.proc.wait(timeout=5) == 0
-            assert second.proc.poll() is None
-        finally:
-            first.close()
-            pool.give_back(second)
-
-
-def test_a_forked_solver_writes_none_of_its_drivers_output():
+def test_the_bundled_solver_writes_none_of_its_drivers_output():
     driver = (
         "import atexit\n"
         "from safereach import SynthesisConfig, build_pickup_example, synthesis_run\n"
@@ -737,27 +752,50 @@ def test_a_forked_solver_writes_none_of_its_drivers_output():
 
 
 def test_a_failing_forked_solver_is_a_solver_failure_with_its_stderr(pickup, monkeypatch):
-    def crash_at_check():
-        for line in sys.stdin:
-            if line.startswith("(check-sat)"):
-                raise RuntimeError("boom")
+    """An exception inside the bundled solver is a solver failure that names
+    it, and ends that solver only."""
+    def crash(search):
+        raise RuntimeError("boom")
 
     model, b_init, objective = pickup
     run = RunContext(model, objective)
     with SolverPool() as pool:
-        monkeypatch.setattr(refsolver, "main", crash_at_check)  # the fork inherits it
+        monkeypatch.setattr(refsolver.Search, "run", crash)
         with SmtLibSession(run, SolverConfig(), pool) as session:
             load_session(session, b_init, 1, goal=True)
             result = session.check()
         monkeypatch.undo()
-        assert isinstance(result, Unknown)
-        assert result.reason.startswith(
-            "solver failure: solver closed its output stream (stderr: ")
-        assert result.reason.endswith("RuntimeError: boom)")
+        assert result == Unknown("solver failure: the bundled solver failed: RuntimeError: boom")
         # The driver carries on, with a new solver.
         with SmtLibSession(run, SolverConfig(), pool) as session:
             load_session(session, b_init, 1, goal=True)
             assert isinstance(session.check(), Sat)
+
+
+def test_a_malformed_line_ends_the_bundled_solver_as_it_ends_the_program():
+    """Lines wait until an answer is read; a syntax error is answered, and
+    ends the solver."""
+    with SolverPool() as pool:
+        proc = pool.take()
+        proc.send(")")
+        assert proc.proc.poll() is None  # nothing has run yet
+        assert proc.read_line(None) == '(error "unbalanced \')\'")'
+        assert proc.proc.poll() == 0
+        with pytest.raises(SolverError, match="closed its output stream"):
+            proc.read_line(None)
+        pool.give_back(proc)
+        again = pool.take()
+        assert again is not proc  # an ended solver is not handed out again
+        pool.give_back(again)
+
+
+def test_a_read_with_no_command_waiting_fails_instead_of_hanging():
+    with SolverPool() as pool:
+        proc = pool.take()  # the header lines give no answer
+        with pytest.raises(SolverError, match="no command is waiting for an answer"):
+            proc.read_line(None)
+        assert proc.proc.poll() == 1
+        proc.close()
 
 
 @pytest.mark.parametrize("way", ["file path", "default_solver_command"])
