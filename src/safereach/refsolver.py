@@ -29,11 +29,16 @@ is answered by :func:`evaluate`, the plain recursive interpreter; it also
 reads model values for the driver and is the oracle the compiled closures
 are tested against.
 
+Commands are read one way: :class:`CommandReader` takes one balanced
+command at a time and :func:`parse_tokens` interns its terms as it reads
+them, so no term is walked twice before it is compiled.  :meth:`Session.run`
+is the one command loop: the program runs it on its standard input, and the
+package's in-process endpoint runs it up to each answer.
+
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
 It keeps no mutable state, so sessions may run in any threads, one owner
-each.  The package runs one :class:`Session` per solver endpoint in its own
-process, and the search checks each ``check-sat``'s deadline at every node.
+each, and the search checks each ``check-sat``'s deadline at every node.
 Run as a program, by file path (``python refsolver.py``) or with the
 command ``safereach.solver.default_solver_command()`` returns, it stops a
 search, and exits, once the process that started it is gone.
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -57,97 +63,25 @@ class SmtSyntaxError(Exception):
     pass
 
 
+class MalformedCommand(SmtSyntaxError):
+    """A balanced command with a malformed term in it: it is answered with an
+    error, and the session goes on."""
+
+
+# One token: a parenthesis, a symbol or numeral, a quoted symbol, a string
+# literal, a comment, or a quote that is never closed.
+_TOKEN = re.compile(r'[()]|[^() \t\r\n;|"][^() \t\r\n;]*|\|[^|]*\||"[^"]*"|;[^\n]*|[|"]')
+
+
 def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in "() \t\r\n":
-            if c in "()":
-                tokens.append(c)
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in '|"':
-            j = text.find(c, i + 1)
-            if j < 0:
-                kind = "quoted symbol" if c == "|" else "string literal"
+    tokens = _TOKEN.findall(text)
+    if ";" in text or "|" in text or '"' in text:
+        tokens = [tok for tok in tokens if tok[0] != ";"]
+        for tok in tokens:
+            if tok in ("|", '"'):
+                kind = "quoted symbol" if tok == "|" else "string literal"
                 raise SmtSyntaxError(f"unterminated {kind}")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in "() \t\r\n;":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
     return tokens
-
-
-def parse_tokens(tokens: list[str], pos: int) -> tuple[object, int]:
-    if pos >= len(tokens):
-        raise SmtSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = parse_tokens(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise SmtSyntaxError("unbalanced parenthesis")
-        return tuple(items), pos + 1
-    if tok == ")":
-        raise SmtSyntaxError("unexpected ')'")
-    return tok, pos + 1
-
-
-class CommandReader:
-    """Reads one balanced command at a time from a stream."""
-
-    def __init__(self, stream) -> None:
-        self.stream = stream
-        self.tokens: list[str] = []
-
-    def next_command(self):
-        while True:
-            depth = 0
-            complete = -1
-            for i, tok in enumerate(self.tokens):
-                if tok == "(":
-                    depth += 1
-                elif tok == ")":
-                    depth -= 1
-                    if depth == 0:
-                        complete = i
-                        break
-                    if depth < 0:
-                        raise SmtSyntaxError("unbalanced ')'")
-                elif depth == 0:
-                    raise SmtSyntaxError(f"stray token {tok!r} outside command")
-            if complete >= 0:
-                cmd, _ = parse_tokens(self.tokens[: complete + 1], 0)
-                self.tokens = self.tokens[complete + 1:]
-                return cmd
-            line = self.stream.readline()
-            if not line:
-                return None
-            self.tokens.extend(tokenize(line))
-
-
-def atom_value(token: str):
-    """Numeral/decimal tokens to int/Fraction; everything else stays a symbol."""
-    if token and (token[0].isdigit() or (token[0] == "-" and token[1:].isdigit())):
-        try:
-            if "." in token:
-                return Fraction(token)
-            return int(token)
-        except ValueError:
-            raise SmtSyntaxError(f"malformed numeral {token!r}") from None
-    if "." in token and token.replace(".", "", 1).isdigit():
-        return Fraction(token)
-    return token
 
 
 # Arguments that evaluate() reads by position: exactly n, or at least n.
@@ -155,24 +89,97 @@ EXACT_ARITY = {"not": 1, "ite": 3}
 MIN_ARITY = {"=>": 2, "-": 1, "/": 1, "*": 1}
 
 
-def intern_term(term):
-    """Fold numeral atoms to values and true/false to bools, once, at parse
-    time, and reject an operator applied to too few arguments."""
-    if isinstance(term, str):
-        val = atom_value(term)
-        if val == "true":
-            return True
-        if val == "false":
-            return False
-        return sys.intern(val) if isinstance(val, str) else val  # one string per name
-    if isinstance(term, tuple):
-        if term and isinstance(term[0], str):
-            head, count = term[0], len(term) - 1
-            if count != EXACT_ARITY.get(head, count) or count < MIN_ARITY.get(head, 0):
-                raise SmtSyntaxError(f"wrong number of arguments to {head!r}")
-            return (head,) + tuple(intern_term(t) for t in term[1:])
-        return tuple(intern_term(t) for t in term)
-    return term
+def _atom(token: str):
+    """A numeral or decimal as int/Fraction, ``true``/``false`` as a bool and
+    any other symbol as one interned string per name."""
+    first = token[0]
+    if first.isdigit() or (first == "-" and token[1:].isdigit()):
+        try:
+            return Fraction(token) if "." in token else int(token)
+        except ValueError:
+            raise SmtSyntaxError(f"malformed numeral {token!r}") from None
+    if "." in token and token.replace(".", "", 1).isdigit():
+        return Fraction(token)
+    if token == "true":
+        return True
+    if token == "false":
+        return False
+    return sys.intern(token)
+
+
+def parse_tokens(tokens: list[str], pos: int) -> tuple[object, int]:
+    """The term that starts at ``tokens[pos]``, interned as it is read, and
+    the position after it.
+
+    Atoms become what :func:`_atom` makes of them, but the operator of a list
+    is kept as written; a list that gives its operator the wrong number of
+    arguments is rejected when it closes.
+    """
+    stack: list[list] = []
+    atoms: dict[str, object] = {}  # each distinct token is read once
+    n = len(tokens)
+    while pos < n:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append([])
+            continue
+        if tok == ")":
+            if not stack:
+                raise SmtSyntaxError("unexpected ')'")
+            items = stack.pop()
+            if items and type(items[0]) is str:
+                head, count = items[0], len(items) - 1
+                if count != EXACT_ARITY.get(head, count) or count < MIN_ARITY.get(head, 0):
+                    raise SmtSyntaxError(f"wrong number of arguments to {head!r}")
+            term = tuple(items)
+        elif stack and not stack[-1]:
+            term = sys.intern(tok)  # an operator
+        else:
+            term = atoms.get(tok)
+            if term is None:
+                term = atoms[tok] = _atom(tok)
+        if not stack:
+            return term, pos
+        stack[-1].append(term)
+    raise SmtSyntaxError("unbalanced parenthesis" if stack else "unexpected end of input")
+
+
+class CommandReader:
+    """Reads one balanced command at a time from a stream, parsed."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.tokens: list[str] = []
+
+    def next_command(self):
+        """The next command, or ``None`` once the stream runs dry.  A balanced
+        command with a malformed term is passed over and raises
+        :class:`MalformedCommand`; tokens that make no balanced command raise
+        :class:`SmtSyntaxError`."""
+        tokens, pos, depth = self.tokens, 0, 0
+        while True:
+            while pos < len(tokens):
+                tok = tokens[pos]
+                pos += 1
+                if tok == "(":
+                    depth += 1
+                elif tok == ")":
+                    depth -= 1
+                    if depth == 0:
+                        self.tokens = tokens[pos:]
+                        try:
+                            return parse_tokens(tokens, 0)[0]
+                        except SmtSyntaxError as exc:
+                            raise MalformedCommand(str(exc)) from None
+                    if depth < 0:
+                        raise SmtSyntaxError("unbalanced ')'")
+                elif depth == 0:
+                    raise SmtSyntaxError(f"stray token {tok!r} outside command")
+            line = self.stream.readline()
+            if not line:
+                return None
+            tokens.extend(tokenize(line))
 
 
 # --------------------------------------------------------------------------
@@ -969,9 +976,9 @@ def format_value(value, sort: str) -> str:
     return f"(/ {value.numerator}.0 {value.denominator}.0)"
 
 
-# The argument lists each command accepts, one letter per argument: "a" an
-# atom, "n" a numeral, "l" a list, "t" any term.  Commands not listed here
-# take any arguments (the set-* family) or are unsupported.
+# The argument lists each command accepts, one letter per argument: "a" a
+# symbol or string, "n" a numeral, "l" a list, "t" any term.  Commands not
+# listed here take any arguments (the set-* family) or are unsupported.
 COMMAND_SHAPES = {
     "declare-const": ("aa",), "declare-fun": ("ala",), "assert": ("t",),
     "push": ("", "n"), "pop": ("", "n"), "check-sat": ("",), "get-model": ("",),
@@ -979,7 +986,7 @@ COMMAND_SHAPES = {
 }
 _ARGUMENT_FITS = {
     "a": lambda arg: isinstance(arg, str),
-    "n": lambda arg: isinstance(arg, str) and arg.isascii() and arg.isdigit(),
+    "n": lambda arg: type(arg) is int and arg >= 0,
     "l": lambda arg: isinstance(arg, tuple),
     "t": lambda arg: True,
 }
@@ -1012,55 +1019,66 @@ class Session:
     def all_constraints(self) -> list[Constraint]:
         return [c for frame in self.assert_frames for c in frame]
 
-    def handle(self, cmd, out, deadline: float | None = None) -> bool:
-        """Process one command and flush its answer; returns False when the
-        session should end.  A ``check-sat`` still searching at ``deadline``
-        (a ``time.monotonic()`` reading) raises :class:`TimeoutError`."""
-        go_on = self._answer(cmd, out, deadline)
-        out.flush()
-        return go_on
+    def run(self, reader: CommandReader, out, deadline: float | None = None,
+            first_answer: bool = False) -> bool:
+        """Run the commands ``reader`` gives, writing and flushing each answer
+        to ``out``, until the reader runs dry or, with ``first_answer``, a
+        command answers (True: the session goes on), or until ``(exit)`` or
+        tokens that make no command (False: it ends).  A ``check-sat`` still
+        searching at ``deadline``, a ``time.monotonic()`` reading, raises
+        :class:`TimeoutError`."""
+        while True:
+            try:
+                cmd = reader.next_command()
+            except MalformedCommand as exc:
+                answer = f'(error "{exc}")'
+            except SmtSyntaxError as exc:
+                out.write(f'(error "{exc}")\n')
+                out.flush()
+                return False
+            else:
+                if cmd is None:
+                    return True
+                if cmd == ("exit",):
+                    return False
+                answer = self._answer(cmd, deadline)
+            if answer is not None:
+                out.write(answer + "\n")
+                out.flush()
+                if first_answer:
+                    return True
 
-    def _answer(self, cmd, out, deadline: float | None) -> bool:
-        if not isinstance(cmd, tuple) or not cmd:
-            out.write('(error "malformed command")\n')
-            return True
+    def _answer(self, cmd, deadline: float | None) -> str | None:
+        """The answer to one command, ``None`` for none."""
+        if not cmd:
+            return '(error "malformed command")'
         head = cmd[0]
         shapes = COMMAND_SHAPES.get(head)
         if shapes is not None and not any(_fits(cmd[1:], shape) for shape in shapes):
-            out.write(f'(error "wrong arguments to {head}")\n')
-            return True
+            return f'(error "wrong arguments to {head}")'
         if head in ("set-logic", "set-option", "set-info"):
             pass
         elif head in ("declare-const", "declare-fun"):
             name = cmd[1]
             sort = cmd[-1]
             if head == "declare-fun" and cmd[2] != ():
-                out.write('(error "only 0-ary functions supported")\n')
-                return True
+                return '(error "only 0-ary functions supported")'
             if sort not in ("Int", "Real"):
-                out.write(f'(error "unsupported sort {sort}")\n')
-                return True
+                return f'(error "unsupported sort {sort}")'
             self.decl_frames[-1][name] = sort
             self.last_model = None
         elif head == "assert":
-            try:
-                term = intern_term(cmd[1])
-            except SmtSyntaxError as exc:
-                out.write(f'(error "{exc}")\n')
-                return True
-            self.assert_frames[-1].extend(compile_assertion(term))
+            self.assert_frames[-1].extend(compile_assertion(cmd[1]))
             self.last_model = None
         elif head == "push":
-            count = int(cmd[1]) if len(cmd) > 1 else 1
-            for _ in range(count):
+            for _ in range(cmd[1] if len(cmd) > 1 else 1):
                 self.decl_frames.append({})
                 self.assert_frames.append([])
             self.last_model = None
         elif head == "pop":
-            count = int(cmd[1]) if len(cmd) > 1 else 1
+            count = cmd[1] if len(cmd) > 1 else 1
             if count >= len(self.assert_frames):
-                out.write('(error "pop on empty stack")\n')  # and change nothing
-                return True
+                return '(error "pop on empty stack")'  # and change nothing
             for _ in range(count):
                 self.decl_frames.pop()
                 self.assert_frames.pop()
@@ -1071,51 +1089,33 @@ class Session:
                                 deadline)
                 verdict, model = search.run()
             except SmtSyntaxError as exc:
-                out.write(f'(error "{exc}")\n')
-                return True
+                return f'(error "{exc}")'
             self.last_model = model if verdict == "sat" else None
-            out.write(verdict + "\n")
+            return verdict
         elif head == "get-model":
             if self.last_model is None:
-                out.write('(error "no model available")\n')
-            else:
-                decls = self.all_decls()
-                lines = ["("]
-                for name in sorted(decls):
-                    sort = decls[name]
-                    rendered = format_value(self.last_model[name], sort)
-                    lines.append(f"  (define-fun {name} () {sort} {rendered})")
-                lines.append(")")
-                out.write("\n".join(lines) + "\n")
+                return '(error "no model available")'
+            decls = self.all_decls()
+            lines = ["("]
+            for name in sorted(decls):
+                sort = decls[name]
+                rendered = format_value(self.last_model[name], sort)
+                lines.append(f"  (define-fun {name} () {sort} {rendered})")
+            lines.append(")")
+            return "\n".join(lines)
         elif head == "get-info":
-            out.write(f"({cmd[1]} \"bounded-enumeration solver\")\n")
+            return f"({cmd[1]} \"bounded-enumeration solver\")"
         elif head == "echo":
-            out.write(cmd[1].strip('"') + "\n")
+            return cmd[1].strip('"')
         elif head == "reset":
             self.reset()
-        elif head == "exit":
-            return False
         else:
-            out.write(f'(error "unsupported command {head}")\n')
-        return True
-
-    def loop(self, stream, out) -> None:
-        reader = CommandReader(stream)
-        while True:
-            try:
-                cmd = reader.next_command()
-            except SmtSyntaxError as exc:
-                out.write(f'(error "{exc}")\n')
-                out.flush()
-                return
-            if cmd is None:
-                return
-            if not self.handle(cmd, out):
-                return
+            return f'(error "unsupported command {head}")'
+        return None
 
 
 def main() -> None:
-    Session(os.getppid()).loop(sys.stdin, sys.stdout)
+    Session(os.getppid()).run(CommandReader(sys.stdin), sys.stdout)
 
 
 if __name__ == "__main__":

@@ -13,10 +13,13 @@ non-incremental mode every check replays the kept lines of all live
 assertions into a solver that has just been reset, for the from-scratch
 comparison.
 
-SMT-LIB lines are the only interface: the bundled solver runs in the
-driver's process, one :class:`refsolver.Session` per endpoint, and honours
-each check's deadline in its search; an explicit solver command is exec'd
-as given and spoken to over pipes.  Endpoints are reused: a
+SMT-LIB lines are the only interface.  An endpoint is a :class:`_SmtProcess`,
+which sends lines and buffers and reads answers; its transport is one of
+two subclasses.  :class:`_InProcessSolver` runs the bundled solver in the
+driver's process, one :class:`refsolver.Session` per endpoint, which honours
+each check's deadline in its search; :class:`_SolverProcess` execs an
+explicit solver command as given and speaks to it over pipes.  Endpoints
+are reused: a
 :class:`SolverPool` keeps a run's idle ones, a session holds one while it
 is open (or, from scratch, for one check) and hands it back after
 ``(reset)`` and the header, and one that timed out, failed or answered with
@@ -42,8 +45,7 @@ from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Po
 from .. import refsolver
 from ..encoding import (Blocking, Constraint, Goal, Initial, Transition, action_var_name,
                         belief_var_name, observation_var_name, step_vars)
-from ..refsolver import (SmtSyntaxError, evaluate, format_value, intern_term, parse_tokens,
-                         tokenize)
+from ..refsolver import SmtSyntaxError, evaluate, format_value, parse_tokens, tokenize
 from .session import (
     PlanDecodeError,
     Sat,
@@ -229,7 +231,7 @@ def parse_model(tokens: list[str]) -> dict[str, Union[Fraction, int]]:
     """Parse the tokens of a ``get-model`` response (with or without the
     ``model`` keyword)."""
     try:
-        tree = intern_term(parse_tokens(tokens, 0)[0])
+        tree = parse_tokens(tokens, 0)[0]
     except SmtSyntaxError as exc:
         raise SolverError(f"malformed get-model response: {exc}") from None
     if not isinstance(tree, tuple):
@@ -284,114 +286,23 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 # Solver endpoints
 # --------------------------------------------------------------------------
 
-class _BundledSolver:
-    """The bundled solver in the driver's process, with the ``poll`` and
-    ``returncode`` of a :class:`subprocess.Popen`.  Lines written to it wait
-    until :meth:`answer` runs them, as a solver process works while its
-    driver waits to read.  A syntax error, ``(exit)`` or a failure inside
-    the solver ends it; a failure is raised as a :class:`SolverError`."""
-
-    def __init__(self) -> None:
-        self._session = refsolver.Session()
-        self._lines: deque[str] = deque()
-        self._reader = refsolver.CommandReader(self)
-        self.returncode: Optional[int] = None
-
-    def poll(self) -> Optional[int]:
-        return self.returncode
-
-    def write(self, line: str) -> None:
-        if self.returncode is not None:
-            raise SolverError("the bundled solver has ended")
-        self._lines.append(line)
-
-    def readline(self) -> str:
-        """The command reader's input: the next line not yet run, ``""`` for none."""
-        return self._lines.popleft() + "\n" if self._lines else ""
-
-    def answer(self, deadline: Optional[float]) -> str:
-        """The answer of the first waiting command that gives one; ``""``
-        once the solver has ended.  A check still searching at ``deadline``
-        raises :class:`TimeoutError`."""
-        out = io.StringIO()
-        try:
-            while self.returncode is None and not out.tell():
-                try:
-                    cmd = self._reader.next_command()
-                except SmtSyntaxError as exc:
-                    out.write(f'(error "{exc}")\n')
-                    self.end(0)
-                    continue
-                if cmd is None:
-                    raise SolverError("no command is waiting for an answer")
-                if not self._session.handle(cmd, out, deadline):
-                    self.end(0)
-        except BaseException as exc:
-            self.end(1)
-            if isinstance(exc, (SolverError, TimeoutError)) or not isinstance(exc, Exception):
-                raise
-            raise SolverError(f"the bundled solver failed: {type(exc).__name__}: {exc}") \
-                from exc
-        return out.getvalue()
-
-    def end(self, returncode: int) -> None:
-        """Stop for good, dropping every assertion and waiting line."""
-        if self.returncode is None:
-            self.returncode = returncode
-        self._session = self._reader = None
-        self._lines.clear()
-
-
 class _SmtProcess:
-    """One solver endpoint: the bundled solver run in the driver's process
-    when ``command`` is ``None``, else ``command`` exec'd as given and
-    spoken to over pipes.  Either way it takes SMT-LIB lines through
-    :meth:`send` and gives its answers to :meth:`read_line`."""
+    """One solver endpoint, ``command`` ``None`` for the bundled solver.  A
+    subclass gives ``alive``, ``_write(line)``, ``close()`` and
+    ``_read(deadline)``: the next answer bytes, raising
+    :class:`TimeoutError` past the deadline and :class:`SolverError` once no
+    answer can come."""
 
     def __init__(self, command: Optional[Sequence[str]]) -> None:
+        self.command = command
         self._buffer = b""
-        if command is None:
-            self.proc: Union[_BundledSolver, subprocess.Popen] = _BundledSolver()
-            return
-        try:
-            self.proc = subprocess.Popen(
-                command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-            )
-        except OSError as exc:
-            raise SolverError(f"cannot start solver {command!r}: {exc}") from exc
 
     def send(self, line: str) -> None:
-        if isinstance(self.proc, _BundledSolver):
-            self.proc.write(line)
-            return
-        assert self.proc.stdin is not None
-        try:
-            self.proc.stdin.write(line.encode() + b"\n")
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise SolverError(f"solver pipe closed: {exc}") from exc
-
-    def _fill(self, deadline: Optional[float]) -> None:
-        if isinstance(self.proc, _BundledSolver):
-            chunk = self.proc.answer(deadline).encode()
-        else:
-            assert self.proc.stdout is not None
-            fd = self.proc.stdout.fileno()
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                    raise TimeoutError
-            chunk = os.read(fd, 65536)
-        if not chunk:
-            raise SolverError("solver closed its output stream" + self._stderr_tail())
-        self._buffer += chunk
+        self._write(line)
 
     def read_line(self, deadline: Optional[float]) -> str:
         while b"\n" not in self._buffer:
-            self._fill(deadline)
+            self._buffer += self._read(deadline)
         line, self._buffer = self._buffer.split(b"\n", 1)
         try:
             return line.decode().strip()
@@ -411,33 +322,117 @@ class _SmtProcess:
             tokens += line
         return tokens
 
+
+class _InProcessSolver(_SmtProcess):
+    """The bundled solver in the driver's process.  Lines sent to it wait
+    until an answer is read, as a solver process works while its driver
+    waits to read, and are then run up to the first command that answers.
+    A syntax error, ``(exit)`` or a failure inside the solver ends it; a
+    failure is raised as a :class:`SolverError`."""
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self._session = refsolver.Session()
+        self._lines: deque[str] = deque()
+        self._reader = refsolver.CommandReader(self)
+        self.alive = True
+
+    def _write(self, line: str) -> None:
+        if not self.alive:
+            raise SolverError("the bundled solver has ended")
+        self._lines.append(line)
+
+    def readline(self) -> str:
+        """The command reader's input: the next line not yet run, ``""`` for none."""
+        return self._lines.popleft() + "\n" if self._lines else ""
+
+    def _read(self, deadline: Optional[float]) -> bytes:
+        if not self.alive:
+            raise SolverError("solver closed its output stream")
+        out = io.StringIO()
+        try:
+            if not self._session.run(self._reader, out, deadline, first_answer=True):
+                self.close()
+            elif not out.tell():
+                raise SolverError("no command is waiting for an answer")
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, (SolverError, TimeoutError)) or not isinstance(exc, Exception):
+                raise
+            raise SolverError(f"the bundled solver failed: {type(exc).__name__}: {exc}") \
+                from exc
+        return out.getvalue().encode()
+
+    def close(self) -> None:
+        """Stop for good, dropping every assertion and waiting line."""
+        self.alive = False
+        self._session = self._reader = None
+        self._lines.clear()
+
+
+class _SolverProcess(_SmtProcess):
+    """A solver program, spoken to over pipes."""
+
+    def __init__(self, command: Sequence[str]) -> None:
+        super().__init__(command)
+        try:
+            self._popen = subprocess.Popen(
+                command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        except OSError as exc:
+            raise SolverError(f"cannot start solver {command!r}: {exc}") from exc
+
+    @property
+    def alive(self) -> bool:
+        return self._popen.poll() is None
+
+    def _write(self, line: str) -> None:
+        assert self._popen.stdin is not None
+        try:
+            self._popen.stdin.write(line.encode() + b"\n")
+            self._popen.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            raise SolverError(f"solver pipe closed: {exc}") from exc
+
+    def _read(self, deadline: Optional[float]) -> bytes:
+        assert self._popen.stdout is not None
+        fd = self._popen.stdout.fileno()
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise TimeoutError
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            raise SolverError("solver closed its output stream" + self._stderr_tail())
+        return chunk
+
     def _stderr_tail(self) -> str:
-        if isinstance(self.proc, _BundledSolver) or self.proc.stderr is None:
+        if self._popen.stderr is None:
             return ""
         try:
-            os.set_blocking(self.proc.stderr.fileno(), False)
-            tail = self.proc.stderr.read() or b""
+            os.set_blocking(self._popen.stderr.fileno(), False)
+            tail = self._popen.stderr.read() or b""
         except OSError:
             return ""
         text = tail.decode(errors="replace").strip()
         return f" (stderr: {text[-300:]})" if text else ""
 
     def close(self) -> None:
-        if isinstance(self.proc, _BundledSolver):
-            self.proc.end(0)
-            return
         try:
-            if self.proc.stdin is not None:
-                self.proc.stdin.close()
+            if self._popen.stdin is not None:
+                self._popen.stdin.close()
         except OSError:
             pass
         try:
-            self.proc.terminate()
-            self.proc.wait(timeout=2)
+            self._popen.terminate()
+            self._popen.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired):
-            self.proc.kill()
-            self.proc.wait()
-        for stream in (self.proc.stdout, self.proc.stderr):
+            self._popen.kill()
+            self._popen.wait()
+        for stream in (self._popen.stdout, self._popen.stderr):
             if stream is not None:
                 stream.close()
 
@@ -463,10 +458,10 @@ class SolverPool:
     def take(self) -> _SmtProcess:
         while self._idle:
             proc = self._idle.pop()
-            if proc.proc.poll() is None:
+            if proc.alive:
                 return proc
             proc.close()
-        proc = _SmtProcess(self.command)
+        proc = _InProcessSolver() if self.command is None else _SolverProcess(self.command)
         try:
             for line in HEADER:
                 proc.send(line)

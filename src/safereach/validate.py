@@ -176,17 +176,18 @@ def simulate(
 
     Per episode: sample the true state from the root belief, then follow the
     tree, sampling a successor from T and an observation from Z at each
-    action node.  Counts episodes that ever visit a goal-predicate state and
-    episodes that ever visit a safety-predicate state.  Reproducible under a
-    fixed seed.  A policy that picks an action a sampled state does not
+    action node.  Counts episodes that ever visit a goal state, one whose
+    point belief is a goal belief, and episodes that ever visit an unsafe
+    state, one whose point belief is not safe.  Reproducible under a fixed
+    seed.  A policy that picks an action a sampled state does not
     allow, or has no branch for a sampled observation, raises
     :class:`ModelError` naming the action and the state or observation.
     """
     if episodes < 1:
         raise ValueError("need at least one episode")
-    goal_states = frozenset().union(*(p.state_set for p in objective.goal))
-    unsafe_states = frozenset().union(*(p.state_set for p in objective.safe)) \
-        if objective.safe else frozenset()
+    points = [Belief.point(s, len(model.states)) for s in range(len(model.states))]
+    goal_states = {s for s, point in enumerate(points) if objective.is_goal(point)}
+    unsafe_states = {s for s, point in enumerate(points) if not objective.is_safe(point)}
     rng = random.Random(seed)
     init_dist = {j: p for j, p in enumerate(policy.belief.probs) if p > 0}
     goal_count = 0

@@ -20,16 +20,20 @@ from safereach.refsolver import (
     SmtSyntaxError,
     evaluate,
     format_value,
-    intern_term,
     parse_tokens,
     solve_equation,
     tokenize,
 )
 
 
+def parse(text: str):
+    """The interned term ``text`` reads as."""
+    return parse_tokens(tokenize(text), 0)[0]
+
+
 def run_script(script: str) -> list[str]:
     out = io.StringIO()
-    Session().loop(io.StringIO(script), out)
+    Session().run(CommandReader(io.StringIO(script)), out)
     return [line for line in out.getvalue().splitlines() if line]
 
 
@@ -41,40 +45,40 @@ def test_tokenizer_handles_comments_and_strings():
 def test_parser_round_trip():
     tokens = tokenize("(assert (= x (+ 1 2)))")
     tree, consumed = parse_tokens(tokens, 0)
-    assert tree == ("assert", ("=", "x", ("+", "1", "2")))
+    assert tree == ("assert", ("=", "x", ("+", 1, 2)))
     assert consumed == len(tokens)
 
 
 def test_command_reader_spans_lines():
     reader = CommandReader(io.StringIO("(assert\n (= x\n 1))\n(check-sat)\n"))
-    assert reader.next_command() == ("assert", ("=", "x", "1"))
+    assert reader.next_command() == ("assert", ("=", "x", 1))
     assert reader.next_command() == ("check-sat",)
     assert reader.next_command() is None
 
 
 def test_three_valued_evaluation():
     env = {"x": F(1, 2)}
-    assert evaluate(intern_term(("<", "x", "1.0")), env) is True
-    assert evaluate(intern_term(("<", "y", "1.0")), env) is None
-    assert evaluate(intern_term(("and", ("<", "x", "1.0"), ("<", "y", "1.0"))), env) is None
-    assert evaluate(intern_term(("and", ("<", "1.0", "x"), ("<", "y", "1.0"))), env) is False
-    assert evaluate(intern_term(("or", ("<", "x", "1.0"), ("<", "y", "1.0"))), env) is True
-    assert evaluate(intern_term(("*", "0.0", "y")), env) == 0
+    assert evaluate(parse("(< x 1.0)"), env) is True
+    assert evaluate(parse("(< y 1.0)"), env) is None
+    assert evaluate(parse("(and (< x 1.0) (< y 1.0))"), env) is None
+    assert evaluate(parse("(and (< 1.0 x) (< y 1.0))"), env) is False
+    assert evaluate(parse("(or (< x 1.0) (< y 1.0))"), env) is True
+    assert evaluate(parse("(* 0.0 y)"), env) == 0
 
 
 def test_equation_solving_forms():
     env = {"d": F(1, 4), "u": F(1, 8)}
     # bare variable
-    assert solve_equation(intern_term("x"), intern_term("2.0"), env) == ("x", F(2))
+    assert solve_equation(parse("x"), parse("2.0"), env) == ("x", F(2))
     # product with one unknown: b * d = u  =>  b = 1/2
-    outcome = solve_equation(intern_term(("*", "b", "d")), intern_term("u"), env)
+    outcome = solve_equation(parse("(* b d)"), parse("u"), env)
     assert outcome == ("b", F(1, 2))
     # sum with one unknown
-    outcome = solve_equation(intern_term(("+", "d", "z")), intern_term("1.0"), env)
+    outcome = solve_equation(parse("(+ d z)"), parse("1.0"), env)
     assert outcome == ("z", F(3, 4))
     # the compiled one-pass equation step agrees on every form
-    for lhs, rhs in [("x", "2.0"), (("*", "b", "d"), "u"), (("+", "d", "z"), "1.0")]:
-        lhs, rhs = intern_term(lhs), intern_term(rhs)
+    for lhs, rhs in [("x", "2.0"), ("(* b d)", "u"), ("(+ d z)", "1.0")]:
+        lhs, rhs = parse(lhs), parse(rhs)
         step = Compiler().constraint(("=", lhs, rhs))
         assert step(env) == solve_equation(lhs, rhs, env)
 
@@ -205,12 +209,18 @@ def test_malformed_command_answers_an_error_and_the_session_goes_on(command):
         == [f'(error "wrong arguments to {head}")', "sat"]
 
 
+def test_a_real_no_equation_determines_is_unknown():
+    """The search fills an undetermined real with 0; an assertion that 0
+    fails leaves the check inconclusive, not unsat."""
+    assert run_script("(declare-const x Real)(assert (< 0.0 x))(check-sat)") == ["unknown"]
+
+
 def test_implication_is_right_associative():
     # (=> a b c) is (=> a (=> b c)); read as binary, the first case says true.
-    assert evaluate(intern_term(("=>", "true", "true", "false")), {}) is False
-    assert evaluate(intern_term(("=>", "false", "true", "false")), {}) is True
-    assert evaluate(intern_term(("=>", "true", "true", "x")), {}) is None
-    assert evaluate(intern_term(("=>", "y", "true", "true")), {}) is True
+    assert evaluate(parse("(=> true true false)"), {}) is False
+    assert evaluate(parse("(=> false true false)"), {}) is True
+    assert evaluate(parse("(=> true true x)"), {}) is None
+    assert evaluate(parse("(=> y true true)"), {}) is True
     lines = run_script("""
 (declare-const x Int)
 (assert (<= 0 x))
@@ -436,7 +446,7 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     monkeypatch.setattr(refsolver.Search, "run", counting_run)
 
     def send(line):
-        session.handle(refsolver.CommandReader(io.StringIO(line)).next_command(), out)
+        session.run(CommandReader(io.StringIO(line)), out)
 
     def assert_(constraint):
         text = smtlib.serialize(constraint, run)
@@ -509,5 +519,5 @@ def test_the_encoders_traffic_stays_compiled(monkeypatch):
         for constraint in (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
                            Blocking(plan, 2)):
             text = smtlib.serialize(constraint, run)
-            refsolver.compile_assertion(intern_term(parse_tokens(tokenize(text), 0)[0]))
+            refsolver.compile_assertion(parse_tokens(tokenize(text), 0)[0])
     assert interpreted == []

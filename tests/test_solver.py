@@ -359,6 +359,38 @@ def _answering(text):
             f"    elif line.startswith('(get-model)'): print({text!r}, flush=True)\n")
 
 
+def _checking(verdict):
+    """A solver that answers every check with ``verdict``."""
+    return (sys.executable, "-c",
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            f"    if line.startswith('(check-sat)'): print({verdict!r}, flush=True)\n")
+
+
+def test_a_solver_that_answers_unknown_makes_the_run_an_error(pickup):
+    model, b_init, objective = pickup
+    solver = SolverConfig(command=_checking("unknown"))
+    with SmtLibSession(RunContext(model, objective), solver) as session:
+        load_session(session, b_init, 1, goal=True)
+        assert session.check() == Unknown("solver returned unknown")
+    result = synthesis_run(model, b_init, objective,
+                           SynthesisConfig(horizon=1, backend="smtlib", solver=solver))
+    assert result.verdict == "error"
+    assert result.error == "solver returned unknown at horizon 0: solver returned unknown"
+
+
+def test_an_unexpected_check_sat_reply_closes_the_endpoint(pickup, spawned):
+    model, b_init, objective = pickup
+    config = SolverConfig(command=_checking("maybe"))
+    with SolverPool(config) as pool:
+        with SmtLibSession(RunContext(model, objective), config, pool) as session:
+            load_session(session, b_init, 1, goal=True)
+            assert session.check() \
+                == Unknown("solver failure: unexpected check-sat response: 'maybe'")
+        (proc,) = spawned
+        assert not proc.alive
+
+
 # A solver whose check-sat answer is not UTF-8.
 _NOT_UTF8 = (sys.executable, "-c",
              "import sys\n"
@@ -570,7 +602,7 @@ def test_a_failed_sessions_process_is_never_reused(pickup, spawned, failure, inc
             load_session(session, b_init, 1, goal=True)
             assert isinstance(session.check(), Unknown)
         (failed,) = spawned
-        assert failed.proc.poll() is not None  # killed, not handed back
+        assert not failed.alive  # killed, not handed back
         again = pool.take()
         assert again is not failed and len(spawned) == 2
         pool.give_back(again)
@@ -593,7 +625,7 @@ def test_a_reused_process_is_reset_before_the_next_session(pickup, spawned):
         assert session_lines[-3:] == ["(reset)", *HEADER]
     assert second[0] == "(declare-const b_0_0 Real)"
     assert not any(line in ("(reset)", *HEADER) for line in first[2:-3] + second[:-3])
-    assert proc.lines[-1] == "(exit)" and proc.proc.poll() is not None
+    assert proc.lines[-1] == "(exit)" and not proc.alive
 
 
 def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
@@ -705,7 +737,7 @@ def test_a_timed_out_forked_solver_is_reaped(spawned):
         assert isinstance(result, Unknown) and "timed out" in result.reason
         assert elapsed < 0.3
         (timed_out,) = spawned
-        assert timed_out.proc.poll() is not None  # closed, not handed back
+        assert not timed_out.alive  # closed, not handed back
         proc = pool.take()
         assert proc is not timed_out
         proc.send("(check-sat)")
@@ -778,9 +810,9 @@ def test_a_malformed_line_ends_the_bundled_solver_as_it_ends_the_program():
     with SolverPool() as pool:
         proc = pool.take()
         proc.send(")")
-        assert proc.proc.poll() is None  # nothing has run yet
+        assert proc.alive  # nothing has run yet
         assert proc.read_line(None) == '(error "unbalanced \')\'")'
-        assert proc.proc.poll() == 0
+        assert not proc.alive
         with pytest.raises(SolverError, match="closed its output stream"):
             proc.read_line(None)
         pool.give_back(proc)
@@ -794,7 +826,7 @@ def test_a_read_with_no_command_waiting_fails_instead_of_hanging():
         proc = pool.take()  # the header lines give no answer
         with pytest.raises(SolverError, match="no command is waiting for an answer"):
             proc.read_line(None)
-        assert proc.proc.poll() == 1
+        assert not proc.alive
         proc.close()
 
 

@@ -129,6 +129,40 @@ def test_pickup_backends_produce_identical_runs(pickup):
     assert enum_result.stats.check_trace == smt_result.stats.check_trace
 
 
+def _non_strict(pred):
+    comparator = {">": ">=", "<": "<="}.get(pred.comparator, pred.comparator)
+    return LinearBeliefPredicate(pred.state_set, comparator, pred.threshold)
+
+
+def test_non_strict_comparators_agree_across_backends(pickup):
+    """The smtlib lowering of ``>=`` and ``<=`` against the enum oracle.  On
+    pick-up the right hand lands exactly on both thresholds, so only the
+    non-strict objective has a policy."""
+    model, b_init, _ = pickup
+    goal = frozenset({model.states.index("s_goal")})
+    unsafe = frozenset({model.states.index("s_unsafe")})
+
+    def pickup_objective(goal_comparator, safe_comparator):
+        return SafeReachObjective((LinearBeliefPredicate(goal, goal_comparator, F(17, 20)),),
+                                  (LinearBeliefPredicate(unsafe, safe_comparator, F(1, 10)),))
+
+    problems = [(model, b_init, pickup_objective(*comparators), horizon, verdict)
+                for comparators, verdict in (((">=", "<="), VERDICT_VALID),
+                                             ((">", "<"), VERDICT_NO_POLICY))
+                for horizon in (1, 2, 3)]
+    for seed in range(20):
+        model, b_init, objective, horizon = random_instance(random.Random(seed))
+        objective = SafeReachObjective(tuple(map(_non_strict, objective.goal)),
+                                       tuple(map(_non_strict, objective.safe)))
+        problems.append((model, b_init, objective, horizon, None))
+    for model, b_init, objective, horizon, verdict in problems:
+        enum_result, smt_result = (run(model, b_init, objective, horizon, backend=backend)
+                                   for backend in ("enum", "smtlib"))
+        assert verdict is None or enum_result.verdict == verdict
+        assert (enum_result.verdict, enum_result.policy, enum_result.stats.check_trace) \
+            == (smt_result.verdict, smt_result.policy, smt_result.stats.check_trace)
+
+
 def test_initial_belief_already_at_goal(pickup):
     model, _, objective = pickup
     at_goal = Belief((F(0), F(0), F(1)))

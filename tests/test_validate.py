@@ -180,6 +180,22 @@ def test_simulation_reproducible_under_seed(pickup, right_hand_policy):
     assert first.traces == second.traces
 
 
+def test_simulation_reads_the_comparator_not_just_the_state_set(pickup, right_hand_policy):
+    """``mass({s_ready, s_goal}) > 4/5`` is the pick-up safe predicate
+    ``mass(s_unsafe) < 1/5`` written the other way round: its state set holds
+    the safe states, and the same episodes visit an unsafe one."""
+    model, _, objective = pickup
+    ready, goal = model.states.index("s_ready"), model.states.index("s_goal")
+    flipped = SafeReachObjective(
+        objective.goal, (LinearBeliefPredicate(frozenset({ready, goal}), ">", F(4, 5)),))
+    assert validate_policy(right_hand_policy, model, flipped, 3).valid
+    original = simulate(right_hand_policy, model, objective, episodes=2_000, seed=1)
+    report = simulate(right_hand_policy, model, flipped, episodes=2_000, seed=1)
+    assert (report.goal_reached, report.unsafe_visited, report.traces) \
+        == (original.goal_reached, original.unsafe_visited, original.traces)
+    assert abs(report.unsafe_visit_freq - 0.10) < 0.03
+
+
 def test_wilson_interval_bounds():
     lo, hi = wilson_interval(85, 100)
     assert 0 <= lo < 0.85 < hi <= 1
