@@ -37,6 +37,8 @@ EXIT_VALID = 0
 EXIT_ERROR = 1
 EXIT_NO_POLICY = 2
 
+ROOT_NOT_INITIAL = "the policy's root belief is not the problem's initial belief"
+
 log = logging.getLogger("safereach")
 
 
@@ -139,11 +141,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        model, b_init, objective, domain, obstacles, n_cells = _build_problem(args)
-    except (ModelError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
+    model, b_init, objective, domain, obstacles, n_cells = _build_problem(args)
     config = SynthesisConfig(
         horizon=args.horizon,
         backend=args.backend,
@@ -187,11 +185,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        model, b_init, objective, *_ = _build_problem(args)
-        policy = formats.policy_from_json(formats.load_json(args.policy), model)
-    except (ModelError, OSError) as exc:
-        log.error("%s", exc)
+    model, b_init, objective, *_ = _build_problem(args)
+    policy = formats.policy_from_json(formats.load_json(args.policy), model)
+    if policy.belief != b_init:
+        print(f"INVALID: {ROOT_NOT_INITIAL}")
         return EXIT_ERROR
     report = validate_policy(policy, model, objective, args.horizon)
     if report.valid:
@@ -206,13 +203,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        model, b_init, objective, *_ = _build_problem(args)
-        policy = formats.policy_from_json(formats.load_json(args.policy), model)
-        report = simulate(policy, model, objective, args.episodes, seed=args.seed)
-    except (ModelError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
+    model, b_init, objective, *_ = _build_problem(args)
+    policy = formats.policy_from_json(formats.load_json(args.policy), model)
+    if policy.belief != b_init:
+        raise ModelError(ROOT_NOT_INITIAL)
+    report = simulate(policy, model, objective, args.episodes, seed=args.seed)
     lo, hi = report.goal_interval
     print(f"goal frequency: {report.goal_freq:.4f} (95% Wilson [{lo:.4f}, {hi:.4f}])")
     lo, hi = report.unsafe_interval
@@ -314,7 +309,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ModelError, OSError) as exc:
+        log.error("%s", exc)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -16,18 +16,19 @@ constraint evaluation for pruning.  Anything outside the fragment yields
 
 Each assertion is compiled once, when it is asserted, and kept in its
 ``push`` frame, so ``pop`` drops it and ``reset`` clears it: every
-top-level conjunct becomes a closure over the partial assignment
-(:class:`Compiler`).  Only the operators the driver writes are compiled:
-``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and
-``ite`` chains over one selector ``(= x k)`` or a selector pair
-``(and (= x k) (= y m))``, which become dict lookups.  Closed terms such as
-``(/ 1.0 2.0)`` are folded, sums are taken over one common denominator, and
-each equation ``(= l r)`` is decided, or solved for its single unknown, in
-one pass.  ``check-sat`` builds the search from these closures, so no search
-node re-walks a compiled term.  Every other term, a malformed one included,
-is answered by :func:`evaluate`, the plain recursive interpreter; it also
-reads model values for the driver and is the oracle the compiled closures
-are tested against.
+top-level conjunct becomes a closure over the partial assignment, built in
+one walk that also collects the variables the search watches it on; equal
+subterms are not shared (:class:`Compiler`).  Only the operators the driver
+writes are compiled: ``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``,
+``<`` and ``<=``, and ``ite`` chains over one selector ``(= x k)`` or a
+selector pair ``(and (= x k) (= y m))``, which become dict lookups.  Closed
+terms such as ``(/ 1.0 2.0)`` are folded, sums are taken over one common
+denominator, and each equation ``(= l r)`` is decided, or solved for its
+single unknown, in one pass.  ``check-sat`` builds the search from these
+closures, so no search node re-walks a compiled term.  Every other term, a
+malformed one included, is answered by :func:`evaluate`, the plain
+recursive interpreter; it also reads model values for the driver and is the
+oracle the compiled closures are tested against.
 
 Commands are read one way: :class:`CommandReader` takes one balanced
 command at a time and :func:`parse_tokens` interns its terms as it reads
@@ -353,19 +354,15 @@ def term_vars(term, acc: set) -> set:
 
 
 # --------------------------------------------------------------------------
-# Compilation: every assertion becomes closures once
+# Compilation: every conjunct becomes closures in one walk
 # --------------------------------------------------------------------------
 #
 # A compiled term is a closure ``fn(env)`` that returns what ``evaluate``
 # returns for the term under ``env``, built once when the assertion arrives
 # instead of re-dispatching on the term's shape at every search node.
 
-# The folded value of a compiled node that depends on the assignment, and
-# the first items of the structural keys of selector tables and of
-# interpreted terms.
+# The folded value of a compiled node that depends on the assignment.
 _OPEN = object()
-_TABLE = object()
-_INTERPRETED = object()
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -621,143 +618,100 @@ class Compiler:
     chain over one selector or a selector pair, which becomes a dict lookup.
     Every other term, a malformed one included, is one closure that calls
     :func:`evaluate`, so its errors surface when it is evaluated, as they
-    would there.  Equal compiled subterms share one closure, closed terms
-    such as ``(/ 1.0 2.0)`` are folded to their value, and a ``*`` stops at
-    its first known 0 factor, unless a factor holds an interpreted term: that
-    product is interpreted too, so an error in any factor surfaces, as it
-    does in :func:`evaluate`, which computes every factor first.
+    would there.  Closed terms such as ``(/ 1.0 2.0)`` are folded to their
+    value, and a ``*`` stops at its first known 0 factor, unless a factor
+    holds an interpreted term: that product is interpreted too, so an error
+    in any factor surfaces, as it does in :func:`evaluate`, which computes
+    every factor first.  Each term is compiled in one walk, which adds every
+    variable it meets to :attr:`names`; equal subterms are not shared.
     """
 
     def __init__(self) -> None:
-        # Structural key -> node ``(id, closure, folded value or _OPEN)``.  A
-        # key names a leaf by its type and value, and a compound by its head
-        # and the ids of its parts, so True and 1 never share a closure.
-        self.nodes: dict = {}
-        # id() of a term object -> (the term, its node), so a subterm met
-        # again (an equation's sides, for their values and for solving) is
-        # not walked again; holding the term keeps its id from being reused.
-        self.seen: dict[int, tuple] = {}
-        # Ids of the nodes that call evaluate, themselves or through a part.
-        self.interpreting: set[int] = set()
-        # Node id -> its solver, so equal subterms share one solver too.
-        self.solvers: dict[int, object] = {}
+        # The variables of the terms compiled so far: every name evaluate reads.
+        self.names: set[str] = set()
 
     def term(self, term):
-        return self._node(term)[1]
+        return self._node(term, False)[0]
 
     def constraint(self, term):
         """The propagation step of a top-level constraint: the equation step
         for ``(= l r)``, the term's closure otherwise."""
         if isinstance(term, tuple) and len(term) == 3 and term[0] == "=":
-            return _equation(self.term(term[1]), self.term(term[2]),
-                             self._solver(term[1]), self._solver(term[2]))
+            left, _, _, solve_left = self._node(term[1], True)
+            right, _, _, solve_right = self._node(term[2], True)
+            return _equation(left, right, solve_left, solve_right)
         return self.term(term)
 
-    def _node(self, term):
-        """The node of ``term``, built once per structural key."""
-        if isinstance(term, tuple):
-            seen = self.seen.get(id(term))
-            if seen is None:
-                seen = self.seen[id(term)] = (term, self._compound(term))
-            return seen[1]
+    def _node(self, term, solving: bool):
+        """``(closure, folded value or _OPEN, calls evaluate?, solver)`` of
+        ``term``.  With ``solving``, the solver ``solve(target, env)`` gives
+        the ``(name, value)`` that makes ``term`` equal ``target`` when one
+        variable is unknown in it, reached through known operands of ``*``,
+        ``+`` and ``-``; ``CONFLICT`` when no value can; ``None`` for no
+        progress.  Without ``solving`` it is ``None``."""
         if isinstance(term, str):
-            key = term
-        elif type(term) is Fraction:
-            key = (Fraction, term.numerator, term.denominator)
-        else:
-            key = (type(term), term)
-        found = self.nodes.get(key)
-        if found is None:
-            if isinstance(term, str):
-                found = self._add(key, _variable(term))
-            else:
-                found = self._add(key, _constant(term), term)
-        return found
-
-    def _compound(self, term):
+            self.names.add(term)
+            return _variable(term), _OPEN, False, _solve_variable(term) if solving else None
+        if not isinstance(term, tuple):
+            return _constant(term), term, False, _no_progress if solving else None
         head = term[0] if term else None
-        if head == "ite":
-            selector = _selector(term[1])
-            if selector is not None:
-                return self._table(term, selector[0])
         build = _BUILDERS.get(head)
-        if build is None or (head in _COMPARISONS and len(term) != 3):
-            return self._interpret(term)
-        parts = [self._node(arg) for arg in term[1:]]
-        interpreting = any(part[0] in self.interpreting for part in parts)
-        if head == "*" and interpreting:
-            return self._interpret(term)
-        key = (head, *[part[0] for part in parts])
-        found = self.nodes.get(key)
-        if found is None:
-            fn = build([part[1] for part in parts])
-            if all(part[2] is not _OPEN for part in parts):
-                found = self.nodes[key] = self._node(fn({}))  # closed: fold it once
+        selector = _selector(term[1]) if head == "ite" else None
+        if selector is not None:
+            fn, value, interpreting = self._table(term, selector[0])
+        elif build is None or (head in _COMPARISONS and len(term) != 3):
+            fn, value, interpreting = self._interpret(term)
+        else:
+            parts = [self._node(arg, solving and head in _SOLVERS) for arg in term[1:]]
+            interpreting = any(part[2] for part in parts)
+            if head == "*" and interpreting:
+                fn, value, interpreting = self._interpret(term)
             else:
-                found = self._add(key, fn, interpreting=interpreting)
-        return found
+                fn, value = build([part[0] for part in parts]), _OPEN
+                if all(part[1] is not _OPEN for part in parts):
+                    value = fn({})  # closed: fold it once
+                    fn = _constant(value)
+        if not solving:
+            solver = None
+        elif head == "-":
+            solver = partial(_solve_side, term)
+        elif head in _SOLVERS:
+            solver = _SOLVERS[head]([part[0] for part in parts], [part[3] for part in parts])
+        else:
+            solver = _no_progress
+        return fn, value, interpreting, solver
 
     def _interpret(self, term):
-        if not term_vars(term, set()):
+        names = term_vars(term, set())
+        if not names:
             try:
-                return self._node(evaluate(term, {}))  # closed: fold it once
+                value = evaluate(term, {})  # closed: fold it once
             except SmtSyntaxError:
                 pass  # raised again, by the closure, when it is evaluated
-        return self._add((_INTERPRETED, id(term)), _interpreted(term), interpreting=True)
-
-    def _add(self, key, fn, value=_OPEN, interpreting=False):
-        node = self.nodes[key] = (len(self.nodes), fn, value)
-        if interpreting:
-            self.interpreting.add(node[0])
-        return node
+            else:
+                return _constant(value), value, False
+        self.names |= names
+        return _interpreted(term), _OPEN, True
 
     def _table(self, term, names):
-        cases = []
+        self.names.update(names)
+        table: dict = {}
+        interpreting = False
         rest = term
         while isinstance(rest, tuple) and len(rest) == 4 and rest[0] == "ite":
             selector = _selector(rest[1])
             if selector is None or selector[0] != names:
                 break
-            cases.append((selector[1], self._node(rest[2])))
+            fn, _, calls, _ = self._node(rest[2], False)
+            table.setdefault(selector[1] if len(names) == 2 else selector[1][0], fn)
+            interpreting = interpreting or calls
             rest = rest[3]
-        default = self._node(rest)
-        key = (_TABLE, names, *[(k, part[0]) for k, part in cases], default[0])
-        found = self.nodes.get(key)
-        if found is not None:
-            return found
-        table: dict = {}
-        for k, part in cases:
-            table.setdefault(k if len(names) == 2 else k[0], part[1])
-        interpreting = any(part[0] in self.interpreting
-                           for part in [default, *[part for _, part in cases]])
+        default, _, calls, _ = self._node(rest, False)
         if len(names) == 2:
-            fn = _pair_table(names, table, default[1])
+            fn = _pair_table(names, table, default)
         else:
-            fn = _single_table(names[0], table, default[1])
-        return self._add(key, fn, interpreting=interpreting)
-
-    def _solver(self, term):
-        """``solve(target, env)``: the ``(name, value)`` that makes ``term``
-        equal ``target`` when a single variable is unknown in it, reached
-        through ``*``, ``+`` and ``-`` whose other operands are known;
-        ``CONFLICT`` when no value can; ``None`` for no progress."""
-        node = self._node(term)[0]
-        solver = self.solvers.get(node)
-        if solver is None:
-            solver = self.solvers[node] = self._new_solver(term)
-        return solver
-
-    def _new_solver(self, term):
-        if isinstance(term, str):
-            return _solve_variable(term)
-        head = term[0] if isinstance(term, tuple) and term else None
-        if head == "-":
-            return partial(_solve_side, term)
-        build = _SOLVERS.get(head)
-        if build is None:
-            return _no_progress
-        args = term[1:]
-        return build([self.term(arg) for arg in args], [self._solver(arg) for arg in args])
+            fn = _single_table(names[0], table, default)
+        return fn, _OPEN, interpreting or calls
 
 
 class Constraint:
@@ -797,10 +751,14 @@ def _conjuncts(term, out: list) -> list:
 
 
 def compile_assertion(term) -> list[Constraint]:
-    """An interned assertion as compiled constraints, one per conjunct."""
-    compiler = Compiler()
-    return [Constraint(part, sorted(term_vars(part, set())), compiler.constraint(part))
-            for part in _conjuncts(term, [])]
+    """An interned assertion as compiled constraints, one per conjunct, each
+    named by the variables its walk met."""
+    constraints = []
+    for part in _conjuncts(term, []):
+        compiler = Compiler()
+        test = compiler.constraint(part)
+        constraints.append(Constraint(part, sorted(compiler.names), test))
+    return constraints
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Golden behaviour digests: one SHA-256 per synthesis run, committed.
+"""Golden behaviour digests: two SHA-256 digests per synthesis run, committed.
 
-A digest covers what "same behaviour" means for this project: the verdict,
-the policy tree (every belief as exact rationals), the check trace, the
-blocking events, ``zero_probability_skips``, ``interactions`` and
+The work digest covers what "same behaviour" means for this project: the
+verdict, the policy tree (every belief as exact rationals), the check trace,
+the blocking events, ``zero_probability_skips``, ``interactions`` and
 ``final_horizon``; for an ``smtlib`` run also every line sent to its solver
-processes, in order, ``(reset)`` and header lines included.
-``tests/test_golden.py`` recomputes every digest and fails on any
-difference.  A change that alters behaviour on purpose
-regenerates the file and says which digests moved and why:
+processes, in order, ``(reset)`` and header lines included.  The outcome
+digest covers only the verdict and the policy tree, so a run whose work
+moved can be told from one whose answer moved.  In the file, the work
+digests sit under their group names and the outcome digests under
+``"outcome"``.  ``tests/test_golden.py`` recomputes both digests of every
+run and fails on any difference, naming the half that moved.  A change
+that alters behaviour on purpose regenerates the file and says which
+digests moved and why:
 
     PYTHONPATH=src python tests/golden.py --write
 
@@ -38,6 +42,7 @@ KITCHENS = (
 DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
 
 GROUPS = ("enum-random", "enum-kitchen", "smtlib")
+OUTCOME = "outcome"  # the key of the outcome digests in the file
 
 
 def _kitchen(width, height, shadow, storage, obstacles, det):
@@ -108,8 +113,19 @@ def render(result, sent=None) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def digest(result, sent=None) -> str:
-    return hashlib.sha256(render(result, sent).encode()).hexdigest()
+def render_outcome(result) -> str:
+    """The canonical text an outcome digest is taken over."""
+    record = {"verdict": result.verdict, "policy": _tree(result.policy)}
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(result, sent=None) -> tuple[str, str]:
+    """The (work, outcome) digests of one run."""
+    return _sha256(render(result, sent)), _sha256(render_outcome(result))
 
 
 def recording_sends(thunk: Callable):
@@ -130,35 +146,63 @@ def recording_sends(thunk: Callable):
         smtlib._SmtProcess.send = send
 
 
-def compute(group: str) -> dict[str, str]:
+def compute(group: str) -> dict[str, tuple[str, str]]:
+    """Run name -> its (work, outcome) digests."""
     if group == "smtlib":
-        return {name: digest(*recording_sends(thunk)) for name, thunk in runs(group)}
-    return {name: digest(thunk()) for name, thunk in runs(group)}
+        return {name: digests(*recording_sends(thunk)) for name, thunk in runs(group)}
+    return {name: digests(thunk()) for name, thunk in runs(group)}
 
 
-def load() -> dict[str, dict[str, str]]:
-    return json.loads(DIGESTS.read_text())
+def load() -> dict[str, dict[str, tuple[str, str]]]:
+    """Group -> run name -> its committed (work, outcome) digests."""
+    doc = json.loads(DIGESTS.read_text())
+    outcomes = doc.get(OUTCOME, {})
+    return {group: {name: (work, outcomes.get(group, {}).get(name))
+                    for name, work in doc.get(group, {}).items()}
+            for group in GROUPS}
 
 
-def differences(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
-    """Names of the runs whose digest changed, appeared or disappeared."""
-    return sorted(name for name in expected.keys() | actual.keys()
-                  if expected.get(name) != actual.get(name))
+def differences(expected: dict[str, tuple[str, str]],
+                actual: dict[str, tuple[str, str]]) -> dict[str, str]:
+    """Run name -> the half that moved, for every run that changed, appeared
+    or disappeared: "outcome" when its verdict or policy moved (its work
+    digest moves with them), "work" when only the work digest did."""
+    moved = {}
+    for name in sorted(expected.keys() | actual.keys()):
+        (work, outcome), (new_work, new_outcome) = (
+            expected.get(name, (None, None)), actual.get(name, (None, None)))
+        if outcome != new_outcome:
+            moved[name] = "outcome"
+        elif work != new_work:
+            moved[name] = "work"
+    return moved
+
+
+def describe(moved: dict[str, str]) -> str:
+    return ", ".join(f"{name} ({half})" for name, half in moved.items())
 
 
 def main(argv: list[str]) -> int:
     computed = {group: compute(group) for group in GROUPS}
+    total = sum(map(len, computed.values()))
     if "--write" in argv:
-        DIGESTS.write_text(json.dumps(computed, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {sum(map(len, computed.values()))} digests to {DIGESTS}")
+        doc = {group: {name: work for name, (work, _) in runs.items()}
+               for group, runs in computed.items()}
+        doc[OUTCOME] = {group: {name: outcome for name, (_, outcome) in runs.items()}
+                        for group, runs in computed.items()}
+        DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote the work and outcome digests of {total} runs to {DIGESTS}")
         return 0
     expected = load()
-    changed = [name for group in GROUPS
-               for name in differences(expected.get(group, {}), computed[group])]
-    for name in changed:
-        print(f"changed: {name}")
-    print(f"{len(changed)} of {sum(map(len, computed.values()))} digests differ")
-    return 1 if changed else 0
+    moved = {}
+    for group in GROUPS:
+        moved.update(differences(expected[group], computed[group]))
+    for name, half in moved.items():
+        print(f"changed: {name} ({half})")
+    outcomes = sum(half == "outcome" for half in moved.values())
+    print(f"{len(moved)} of {total} runs differ: {outcomes} in outcome, "
+          f"{len(moved) - outcomes} in work only")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

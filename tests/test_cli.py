@@ -225,6 +225,50 @@ def test_simulate_on_a_malformed_policy_is_a_named_error(tmp_path, caplog):
     assert "policy action 'a' is not allowed in sampled state 's'" in caplog.text
 
 
+def elsewhere_rooted_policy(tmp_path):
+    """A pickup policy file whose root is a goal belief, not the initial one."""
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"belief": {"s_goal": "1"}, "action": None,
+                                "goal_reached": True, "children": {}}))
+    return str(path)
+
+
+def test_validate_rejects_a_policy_not_rooted_at_the_initial_belief(tmp_path, capsys):
+    assert run_cli("validate", "--domain", "pickup", "--horizon", "3",
+                   "--policy", elsewhere_rooted_policy(tmp_path)) == 1
+    assert "INVALID: the policy's root belief is not the problem's initial belief" \
+        in capsys.readouterr().out
+
+
+def test_simulate_rejects_a_policy_not_rooted_at_the_initial_belief(tmp_path, capsys, caplog):
+    assert run_cli("simulate", "--domain", "pickup", "--episodes", "10",
+                   "--policy", elsewhere_rooted_policy(tmp_path)) == 1
+    assert "goal frequency" not in capsys.readouterr().out
+    assert "the policy's root belief is not the problem's initial belief" in caplog.text
+
+
+def assert_named_error(argv, message, capsys, caplog):
+    """``argv`` exits 1 with ``message`` logged as an error and no traceback."""
+    assert run_cli(*argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--obstacle-counts", "5"), "cannot place 5 obstacles in 2 shadow cells"),
+    (("--p-fail", "abc"), "cannot parse exact rational from 'abc'"),
+    (("--kitchen-storage", "9,9"), "storage cell (9, 9) is outside the 3x2 grid"),
+], ids=["obstacles", "p-fail", "storage"])
+def test_bench_bad_kitchen_parameter_is_a_named_error(argv, message, capsys, caplog):
+    assert_named_error(("bench", "--horizons", "1", *argv), message, capsys, caplog)
+
+
+def test_unwritable_stats_out_is_a_named_error(tmp_path, capsys, caplog):
+    path = tmp_path / "missing" / "stats.csv"
+    assert_named_error(("bench", "--horizons", "1", "--stats-out", str(path)),
+                       f"[Errno 2] No such file or directory: '{path}'", capsys, caplog)
+
+
 def bench_sweep(tmp_path, backend):
     stats_path = tmp_path / "bench.csv"
     code = run_cli(

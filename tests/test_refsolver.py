@@ -521,3 +521,27 @@ def test_the_encoders_traffic_stays_compiled(monkeypatch):
             text = smtlib.serialize(constraint, run)
             refsolver.compile_assertion(parse_tokens(tokenize(text), 0)[0])
     assert interpreted == []
+
+
+# --------------------------------------------------------------------------
+# The variables each compiled conjunct is watched on
+# --------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(terms, terms)
+def test_compiled_names_are_the_conjuncts_variables(left, right):
+    """The one compiling walk meets every variable :func:`evaluate` reads,
+    those of selector conditions and interpreted terms included."""
+    assertion = ("and", left, ("=", left, right))
+    for constraint, part in zip(refsolver.compile_assertion(assertion),
+                                refsolver._conjuncts(assertion, []), strict=True):
+        assert constraint.names == sorted(refsolver.term_vars(part, set())), part
+
+
+def test_an_interpreted_terms_variables_wake_its_equation():
+    """``(- i)`` is interpreted; assigning ``i`` must still solve ``y``."""
+    lines = run_script("(declare-const i Int)(declare-const y Real)(assert (<= 0 i))"
+                       "(assert (< i 3))(assert (= y (- i)))(assert (< y (- 0.5)))"
+                       "(check-sat)(get-model)")
+    assert lines[0] == "sat"
+    assert "(define-fun i () Int 1)" in " ".join(lines)
