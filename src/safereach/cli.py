@@ -14,6 +14,7 @@ SAFEREACH_CHECK_TIMEOUT; the latter is checked like the option itself.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import math
 import os
@@ -140,6 +141,12 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _stats_file(path: str | None, mode: str):
+    """The ``--stats-out`` file, opened before any run so that a bad path
+    fails at once; without one, a buffer that is dropped."""
+    return open(path, mode, encoding="utf-8") if path else io.StringIO()
+
+
 def cmd_synthesize(args) -> int:
     model, b_init, objective, domain, obstacles, n_cells = _build_problem(args)
     config = SynthesisConfig(
@@ -151,16 +158,14 @@ def cmd_synthesize(args) -> int:
         formats.dump_json(formats.model_to_json(model, b_init), args.out_model)
     if args.out_objective:
         formats.dump_json(formats.objective_to_json(objective, model), args.out_objective)
-    result = synthesis_run(model, b_init, objective, config)
-    stats = result.stats
-    if args.stats_out:
-        new_file = not os.path.exists(args.stats_out)
-        with open(args.stats_out, "a", encoding="utf-8") as handle:
-            if new_file:
-                handle.write(formats.stats_csv_header())
-            handle.write(formats.stats_csv_row(
-                stats, domain, obstacles, n_cells, args.horizon,
-                args.backend, not args.no_incremental, result.verdict))
+    with _stats_file(args.stats_out, "a") as stats_out:
+        result = synthesis_run(model, b_init, objective, config)
+        stats = result.stats
+        if not stats_out.tell():  # a new or empty file
+            stats_out.write(formats.stats_csv_header())
+        stats_out.write(formats.stats_csv_row(
+            stats, domain, obstacles, n_cells, args.horizon,
+            args.backend, not args.no_incremental, result.verdict))
     print(f"verdict: {result.verdict}")
     print(f"solver calls: {stats.solver_calls}, plans checked: {stats.plans_checked}, "
           f"interactions: {stats.interactions}, final horizon: {stats.final_horizon}, "
@@ -217,32 +222,31 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = [formats.stats_csv_header()]
     failures = 0
     solver = _solver_config(args)
     compare = args.compare_incremental and args.backend != "enum"  # enum has no such mode
     modes = (True, False) if compare else (solver.incremental,)
-    for obstacles in args.obstacle_counts:
-        model, b_init, objective = _kitchen(args, obstacles)
-        for horizon in args.horizons:
-            for incremental in modes:
-                config = SynthesisConfig(
-                    horizon=horizon,
-                    backend=args.backend,
-                    solver=replace(solver, incremental=incremental),
-                )
-                result = synthesis_run(model, b_init, objective, config)
-                if result.verdict not in (VERDICT_VALID, VERDICT_NO_POLICY):
-                    failures += 1
-                row = formats.stats_csv_row(
-                    result.stats, "kitchen", obstacles,
-                    args.kitchen_width * args.kitchen_height, horizon,
-                    args.backend, incremental, result.verdict)
-                rows.append(row)
-                print(row.strip())
+    with _stats_file(args.stats_out, "w") as stats_out:
+        stats_out.write(formats.stats_csv_header())
+        for obstacles in args.obstacle_counts:
+            model, b_init, objective = _kitchen(args, obstacles)
+            for horizon in args.horizons:
+                for incremental in modes:
+                    config = SynthesisConfig(
+                        horizon=horizon,
+                        backend=args.backend,
+                        solver=replace(solver, incremental=incremental),
+                    )
+                    result = synthesis_run(model, b_init, objective, config)
+                    if result.verdict not in (VERDICT_VALID, VERDICT_NO_POLICY):
+                        failures += 1
+                    row = formats.stats_csv_row(
+                        result.stats, "kitchen", obstacles,
+                        args.kitchen_width * args.kitchen_height, horizon,
+                        args.backend, incremental, result.verdict)
+                    stats_out.write(row)
+                    print(row.strip())
     if args.stats_out:
-        with open(args.stats_out, "w", encoding="utf-8") as handle:
-            handle.writelines(rows)
         print(f"wrote {args.stats_out}")
     return EXIT_ERROR if failures else EXIT_VALID
 

@@ -121,13 +121,21 @@ def model_to_json(model: Pomdp, b_init: Optional[Belief] = None) -> dict:
     return doc
 
 
+def _names(doc: dict, key: str) -> tuple[str, ...]:
+    """``doc[key]``, a list of names, each of which must be a string."""
+    names = tuple(doc[key])
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise FormatError(f"{key}[{i}]: a name must be a string, got {name!r}")
+    return names
+
+
 def model_from_json(doc: dict) -> tuple[Pomdp, Optional[Belief]]:
     for key in ("states", "actions", "observations", "transition", "observe"):
         if not isinstance(_field(doc, key, "model file"), (list, tuple)):
             raise FormatError(f"model file: {key!r} must be a list")
-    states = tuple(doc["states"])
-    actions = tuple(doc["actions"])
-    observations = tuple(doc["observations"])
+    states, actions, observations = (_names(doc, key)
+                                     for key in ("states", "actions", "observations"))
     transition: dict[tuple[int, int], dict[int, Fraction]] = {}
     for row_no, row in enumerate(doc["transition"]):
         where = f"transition[{row_no}]"

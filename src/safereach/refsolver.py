@@ -16,19 +16,22 @@ constraint evaluation for pruning.  Anything outside the fragment yields
 
 Each assertion is compiled once, when it is asserted, and kept in its
 ``push`` frame, so ``pop`` drops it and ``reset`` clears it: every
-top-level conjunct becomes a closure over the partial assignment, built in
-one walk that also collects the variables the search watches it on; equal
-subterms are not shared (:class:`Compiler`).  Only the operators the driver
-writes are compiled: ``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``,
-``<`` and ``<=``, and ``ite`` chains over one selector ``(= x k)`` or a
-selector pair ``(and (= x k) (= y m))``, which become dict lookups.  Closed
-terms such as ``(/ 1.0 2.0)`` are folded, sums are taken over one common
-denominator, and each equation ``(= l r)`` is decided, or solved for its
-single unknown, in one pass.  ``check-sat`` builds the search from these
-closures, so no search node re-walks a compiled term.  Every other term, a
-malformed one included, is answered by :func:`evaluate`, the plain
-recursive interpreter; it also reads model values for the driver and is the
-oracle the compiled closures are tested against.
+top-level conjunct becomes one step over the partial assignment, built in
+one walk that also collects the variables the search watches it on
+(:class:`Compiler`).  The rule is per conjunct.  A conjunct whose open
+subterms use only the operators the driver writes (``and``, ``or``,
+``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and ``ite`` chains
+over one selector ``(= x k)`` or a selector pair ``(and (= x k) (= y m))``,
+which become dict lookups) is compiled to closures, each node a
+``(closure, solver)`` pair; closed terms such as ``(/ 1.0 2.0)`` are folded,
+sums are taken over one common denominator, and each equation ``(= l r)``
+is decided, or solved for its single unknown, in one pass.  Any other
+conjunct, a malformed one included, is one step that calls the reference:
+:func:`evaluate`, the plain recursive interpreter, then
+:func:`solve_equation` for an undecided equation.  ``check-sat`` builds the
+search from these steps, so no search node re-walks a compiled term.
+:func:`evaluate` also reads model values for the driver and is the oracle
+the compiled closures are tested against.
 
 Commands are read one way: :class:`CommandReader` takes one balanced
 command at a time and :func:`parse_tokens` interns its terms as it reads
@@ -53,7 +56,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 
 
 # --------------------------------------------------------------------------
@@ -354,17 +356,19 @@ def term_vars(term, acc: set) -> set:
 
 
 # --------------------------------------------------------------------------
-# Compilation: every conjunct becomes closures in one walk
+# Compilation: each conjunct of the driver's fragment becomes closures
 # --------------------------------------------------------------------------
 #
 # A compiled term is a closure ``fn(env)`` that returns what ``evaluate``
 # returns for the term under ``env``, built once when the assertion arrives
 # instead of re-dispatching on the term's shape at every search node.
 
-# The folded value of a compiled node that depends on the assignment.
-_OPEN = object()
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class _Outside(Exception):
+    """An open term outside the compiled operators, or a malformed term."""
 
 
 def _variable(name):
@@ -379,12 +383,16 @@ def _constant(value):
     return fn
 
 
-def _interpreted(term):
-    """A term outside the compiled operators, a malformed one included: it
-    is answered by :func:`evaluate` itself."""
-    def fn(env):
-        return evaluate(term, env)
-    return fn
+def _reference(term, equation: bool):
+    """The step of a conjunct outside the compiled fragment: the reference
+    itself, :func:`evaluate`, then :func:`solve_equation` for an equation
+    ``(= l r)`` that stays undecided."""
+    def step(env):
+        value = evaluate(term, env)
+        if value is None and equation:
+            return solve_equation(term[1], term[2], env)
+        return value
+    return step
 
 
 def _and(fns):
@@ -613,17 +621,16 @@ def _equation(left, right, solve_left, solve_right):
 class Compiler:
     """Compiles interned terms to closures with :func:`evaluate`'s semantics.
 
-    Only the operators the driver writes are compiled: ``and``, ``or``,
-    ``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and an ``ite``
-    chain over one selector or a selector pair, which becomes a dict lookup.
-    Every other term, a malformed one included, is one closure that calls
-    :func:`evaluate`, so its errors surface when it is evaluated, as they
-    would there.  Closed terms such as ``(/ 1.0 2.0)`` are folded to their
-    value, and a ``*`` stops at its first known 0 factor, unless a factor
-    holds an interpreted term: that product is interpreted too, so an error
-    in any factor surfaces, as it does in :func:`evaluate`, which computes
-    every factor first.  Each term is compiled in one walk, which adds every
-    variable it meets to :attr:`names`; equal subterms are not shared.
+    A conjunct is compiled when every open subterm uses the operators the
+    driver writes: ``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``,
+    ``<`` and ``<=``, and ``ite`` chains over one selector or a selector
+    pair, which become dict lookups.  A closed term outside them, such as
+    ``(/ 1.0 3.0)`` or ``(- 2)``, is folded once through :func:`evaluate`.
+    Any other conjunct, a malformed one included, is one step that calls the
+    reference (:func:`_reference`), so its errors surface when it is
+    evaluated, as they would there.  A node is ``(closure, solver)``, built
+    in one walk that adds every variable it meets to :attr:`names`; equal
+    subterms are not shared.
     """
 
     def __init__(self) -> None:
@@ -631,87 +638,69 @@ class Compiler:
         self.names: set[str] = set()
 
     def term(self, term):
-        return self._node(term, False)[0]
+        return self._compile(term, False)
 
     def constraint(self, term):
         """The propagation step of a top-level constraint: the equation step
         for ``(= l r)``, the term's closure otherwise."""
-        if isinstance(term, tuple) and len(term) == 3 and term[0] == "=":
-            left, _, _, solve_left = self._node(term[1], True)
-            right, _, _, solve_right = self._node(term[2], True)
+        return self._compile(term, isinstance(term, tuple) and len(term) == 3
+                             and term[0] == "=")
+
+    def _compile(self, term, equation: bool):
+        try:
+            if not equation:
+                return self._node(term, False)[0]
+            left, solve_left = self._node(term[1], True)
+            right, solve_right = self._node(term[2], True)
             return _equation(left, right, solve_left, solve_right)
-        return self.term(term)
+        except _Outside:
+            term_vars(term, self.names)
+            return _reference(term, equation)
 
     def _node(self, term, solving: bool):
-        """``(closure, folded value or _OPEN, calls evaluate?, solver)`` of
-        ``term``.  With ``solving``, the solver ``solve(target, env)`` gives
-        the ``(name, value)`` that makes ``term`` equal ``target`` when one
-        variable is unknown in it, reached through known operands of ``*``,
-        ``+`` and ``-``; ``CONFLICT`` when no value can; ``None`` for no
-        progress.  Without ``solving`` it is ``None``."""
+        """``(closure, solver)`` of ``term``.  With ``solving``, the solver
+        ``solve(target, env)`` gives the ``(name, value)`` that makes ``term``
+        equal ``target`` when one variable is unknown in it, reached through
+        known operands of ``*`` and ``+``; ``CONFLICT`` when no value can;
+        ``None`` for no progress.  Without ``solving`` it makes no progress.
+        Raises :class:`_Outside` for a term the fragment does not cover."""
         if isinstance(term, str):
             self.names.add(term)
-            return _variable(term), _OPEN, False, _solve_variable(term) if solving else None
-        if not isinstance(term, tuple):
-            return _constant(term), term, False, _no_progress if solving else None
-        head = term[0] if term else None
+            return _variable(term), _solve_variable(term) if solving else _no_progress
+        head = term[0] if isinstance(term, tuple) and term else None
         build = _BUILDERS.get(head)
+        if build is not None and (head not in _COMPARISONS or len(term) == 3):
+            solving = solving and head in _SOLVERS
+            parts = [self._node(arg, solving) for arg in term[1:]]
+            fns = [fn for fn, _ in parts]
+            if solving:
+                return build(fns), _SOLVERS[head](fns, [solve for _, solve in parts])
+            return build(fns), _no_progress
         selector = _selector(term[1]) if head == "ite" else None
         if selector is not None:
-            fn, value, interpreting = self._table(term, selector[0])
-        elif build is None or (head in _COMPARISONS and len(term) != 3):
-            fn, value, interpreting = self._interpret(term)
-        else:
-            parts = [self._node(arg, solving and head in _SOLVERS) for arg in term[1:]]
-            interpreting = any(part[2] for part in parts)
-            if head == "*" and interpreting:
-                fn, value, interpreting = self._interpret(term)
-            else:
-                fn, value = build([part[0] for part in parts]), _OPEN
-                if all(part[1] is not _OPEN for part in parts):
-                    value = fn({})  # closed: fold it once
-                    fn = _constant(value)
-        if not solving:
-            solver = None
-        elif head == "-":
-            solver = partial(_solve_side, term)
-        elif head in _SOLVERS:
-            solver = _SOLVERS[head]([part[0] for part in parts], [part[3] for part in parts])
-        else:
-            solver = _no_progress
-        return fn, value, interpreting, solver
-
-    def _interpret(self, term):
-        names = term_vars(term, set())
-        if not names:
-            try:
-                value = evaluate(term, {})  # closed: fold it once
-            except SmtSyntaxError:
-                pass  # raised again, by the closure, when it is evaluated
-            else:
-                return _constant(value), value, False
-        self.names |= names
-        return _interpreted(term), _OPEN, True
+            return self._table(term, selector[0]), _no_progress
+        if term_vars(term, set()):
+            raise _Outside
+        try:
+            return _constant(evaluate(term, {})), _no_progress  # closed, numerals too: fold it
+        except SmtSyntaxError:
+            raise _Outside from None
 
     def _table(self, term, names):
         self.names.update(names)
         table: dict = {}
-        interpreting = False
         rest = term
         while isinstance(rest, tuple) and len(rest) == 4 and rest[0] == "ite":
             selector = _selector(rest[1])
             if selector is None or selector[0] != names:
                 break
-            fn, _, calls, _ = self._node(rest[2], False)
+            fn = self._node(rest[2], False)[0]
             table.setdefault(selector[1] if len(names) == 2 else selector[1][0], fn)
-            interpreting = interpreting or calls
             rest = rest[3]
-        default, _, calls, _ = self._node(rest, False)
+        default = self._node(rest, False)[0]
         if len(names) == 2:
-            fn = _pair_table(names, table, default)
-        else:
-            fn = _single_table(names[0], table, default)
-        return fn, _OPEN, interpreting or calls
+            return _pair_table(names, table, default)
+        return _single_table(names[0], table, default)
 
 
 class Constraint:
@@ -961,21 +950,18 @@ class Session:
         self.reset()
 
     def reset(self) -> None:
-        self.decl_frames: list[dict[str, str]] = [{}]
-        # Each push frame holds its assertions compiled, so pop drops them.
-        self.assert_frames: list[list[Constraint]] = [[]]
+        # One frame per push level: its declarations and its assertions,
+        # compiled, so pop drops both.
+        self.frames: list[tuple[dict[str, str], list[Constraint]]] = [({}, [])]
         # The model of the last sat check; any change to the assertion stack
         # since then drops it, so get-model answers with an error.
         self.last_model: dict | None = None
 
     def all_decls(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for frame in self.decl_frames:
-            out.update(frame)
-        return out
+        return {name: sort for decls, _ in self.frames for name, sort in decls.items()}
 
     def all_constraints(self) -> list[Constraint]:
-        return [c for frame in self.assert_frames for c in frame]
+        return [c for _, constraints in self.frames for c in constraints]
 
     def run(self, reader: CommandReader, out, deadline: float | None = None,
             first_answer: bool = False) -> bool:
@@ -1023,23 +1009,20 @@ class Session:
                 return '(error "only 0-ary functions supported")'
             if sort not in ("Int", "Real"):
                 return f'(error "unsupported sort {sort}")'
-            self.decl_frames[-1][name] = sort
+            self.frames[-1][0][name] = sort
             self.last_model = None
         elif head == "assert":
-            self.assert_frames[-1].extend(compile_assertion(cmd[1]))
+            self.frames[-1][1].extend(compile_assertion(cmd[1]))
             self.last_model = None
         elif head == "push":
             for _ in range(cmd[1] if len(cmd) > 1 else 1):
-                self.decl_frames.append({})
-                self.assert_frames.append([])
+                self.frames.append(({}, []))
             self.last_model = None
         elif head == "pop":
             count = cmd[1] if len(cmd) > 1 else 1
-            if count >= len(self.assert_frames):
+            if count >= len(self.frames):
                 return '(error "pop on empty stack")'  # and change nothing
-            for _ in range(count):
-                self.decl_frames.pop()
-                self.assert_frames.pop()
+            del self.frames[len(self.frames) - count:]
             self.last_model = None
         elif head == "check-sat":
             try:

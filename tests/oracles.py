@@ -270,3 +270,54 @@ def relabel_policy(tree: PolicyTree, perm: list[int]) -> PolicyTree:
     return PolicyTree(relabel_belief(tree.belief, perm), tree.action,
                       {o: relabel_policy(child, perm) for o, child in tree.children.items()},
                       tree.goal_reached)
+
+
+def relabel_actions(model: Pomdp, perm: list[int]) -> Pomdp:
+    """The same model with action ``a`` renamed ``perm[a]``."""
+    actions = [""] * len(perm)
+    for a, name in enumerate(model.actions):
+        actions[perm[a]] = name
+    transition = {(s, perm[a]): row for (s, a), row in model.transition.items()}
+    observe = {(s2, perm[a]): row for (s2, a), row in model.observe.items()}
+    availability = None if model.availability is None else \
+        {s: frozenset(perm[a] for a in acts) for s, acts in model.availability.items()}
+    return Pomdp(model.states, tuple(actions), model.observations, transition, observe,
+                 availability)
+
+
+def relabel_observations(model: Pomdp, perm: list[int]) -> Pomdp:
+    """The same model with observation ``o`` renamed ``perm[o]``."""
+    observations = [""] * len(perm)
+    for o, name in enumerate(model.observations):
+        observations[perm[o]] = name
+    observe = {key: {perm[o]: p for o, p in row.items()} for key, row in model.observe.items()}
+    return Pomdp(model.states, model.actions, tuple(observations), model.transition, observe,
+                 model.availability)
+
+
+def pad_with_unreachable_state(model: Pomdp, b_init: Belief, objective: SafeReachObjective):
+    """The same problem with one more state, last: it has no initial mass,
+    loops to itself under every action (all of them available where the model
+    has masks), always shows the first observation and is in no predicate, so
+    no belief of a run ever holds it."""
+    pad = len(model.states)
+    transition = dict(model.transition)
+    observe = dict(model.observe)
+    for a in range(len(model.actions)):
+        transition[(pad, a)] = {pad: Fraction(1)}
+        observe[(pad, a)] = {0: Fraction(1)}
+    availability = None if model.availability is None else \
+        {**model.availability, pad: frozenset(range(len(model.actions)))}
+    states = model.states + ("_unreachable",)
+    return (Pomdp(states, model.actions, model.observations, transition, observe, availability),
+            Belief(b_init.probs + (Fraction(0),)),
+            objective)
+
+
+def drop_last_state(tree: PolicyTree) -> PolicyTree:
+    """``tree`` with the last state, which no belief holds, removed from
+    every belief."""
+    assert tree.belief.probs[-1] == 0
+    return PolicyTree(Belief(tree.belief.probs[:-1]), tree.action,
+                      {o: drop_last_state(child) for o, child in tree.children.items()},
+                      tree.goal_reached)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from safereach import formats
+from safereach import cli, formats
 from safereach.cli import main
 
 
@@ -169,6 +169,10 @@ _GOAL = {"states": ["s"], "cmp": ">", "threshold": "1/2"}
     ({"objective": {"goal": _GOAL}}, "objective file: 'goal' must be a list"),
     ({"policy": {"belief": {"s": "1"}, "action": None, "goal_reached": "false"}},
      "policy: 'goal_reached' must be true or false"),
+    ({"model": {**_MODEL, "states": [["s"], "t"]}},
+     "states[0]: a name must be a string, got ['s']"),
+    ({"model": {**_MODEL, "actions": ["a", {"b": 1}]}},
+     "actions[1]: a name must be a string, got {'b': 1}"),
 ], ids=["unknown-state", "transition-missing-to", "observe-missing-s", "goal-missing-cmp",
         "model-not-json", "policy-missing-belief", "transition-to-not-object",
         "observe-obs-not-object", "initial-not-object", "availability-not-object",
@@ -177,7 +181,7 @@ _GOAL = {"states": ["s"], "cmp": ">", "threshold": "1/2"}
         "policy-unknown-action", "policy-unknown-observation", "policy-child-unknown-action",
         "objective-states-not-list", "initial-unknown-state", "goal-unknown-cmp",
         "safe-threshold-above-1", "goal-states-empty", "goal-not-list",
-        "policy-goal-reached-string"])
+        "policy-goal-reached-string", "state-name-a-list", "action-name-an-object"])
 def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog, files, message):
     docs = {"model": _MODEL, "objective": {"goal": [_GOAL]},
             "policy": {"belief": {"s": "1"}, "action": None}, **files}
@@ -267,6 +271,34 @@ def test_unwritable_stats_out_is_a_named_error(tmp_path, capsys, caplog):
     path = tmp_path / "missing" / "stats.csv"
     assert_named_error(("bench", "--horizons", "1", "--stats-out", str(path)),
                        f"[Errno 2] No such file or directory: '{path}'", capsys, caplog)
+
+
+@pytest.mark.parametrize("argv", [("bench", "--horizons", "1"),
+                                  ("synth", "--domain", "pickup", "--horizon", "3")],
+                         ids=["bench", "synth"])
+def test_unwritable_stats_out_fails_before_any_run(argv, tmp_path, capsys, caplog,
+                                                   monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "synthesis_run", lambda *args: runs.append(args))
+    path = tmp_path / "missing" / "stats.csv"
+    assert run_cli(*argv, "--stats-out", str(path)) == 1
+    assert runs == []
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no CSV row, no verdict: nothing ran
+    assert "Traceback" not in captured.err
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] \
+        == [f"[Errno 2] No such file or directory: '{path}'"]
+
+
+def test_synth_stats_out_appends_one_header(tmp_path, capsys):
+    path = tmp_path / "stats.csv"
+    path.touch()  # an empty file still gets the header
+    for _ in range(2):
+        assert run_cli("synth", "--domain", "pickup", "--horizon", "3",
+                       "--stats-out", str(path)) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == list(formats.STATS_COLUMNS)
+    assert len(lines) == 3 and lines[1].startswith("pickup,") and lines[2].startswith("pickup,")
 
 
 def bench_sweep(tmp_path, backend):

@@ -62,6 +62,18 @@ def test_model_errors_carry_location(pickup):
         formats.model_from_json(doc2)
 
 
+@pytest.mark.parametrize("key, index, bad", [
+    ("states", 0, ["s_left"]), ("actions", 1, {"pick": 1}), ("observations", 1, 7),
+])
+def test_a_name_that_is_not_a_string_is_a_located_error(pickup, key, index, bad):
+    model, b_init, _ = pickup
+    doc = formats.model_to_json(model, b_init)
+    doc[key][index] = bad
+    with pytest.raises(formats.FormatError,
+                       match=rf"^{key}\[{index}\]: a name must be a string, got "):
+        formats.model_from_json(doc)
+
+
 def test_objective_round_trip(pickup):
     model, _, objective = pickup
     doc = formats.objective_to_json(objective, model)

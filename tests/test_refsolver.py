@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -284,7 +285,7 @@ VARIABLES = ("i", "j", "x", "y")  # i, j hold integers; x, y rationals
 
 def same_value(compiled, expected) -> bool:
     """Equal three-valued results: both unknown, or the same truth value, or
-    the same number."""
+    the same number (or solved pair, ``CONFLICT`` or error message)."""
     return ((compiled is None) == (expected is None)
             and isinstance(compiled, bool) == isinstance(expected, bool)
             and compiled == expected)
@@ -417,6 +418,87 @@ def test_compiled_equation_step_matches_evaluate_then_solve(lhs, rhs, env):
         assert type(got) is tuple and got[0] == expected[0] and got[1] == expected[1]
 
 
+# The two properties above draw many terms outside the compiled fragment,
+# which compile to the reference itself.  These draw only terms that compile
+# to closures, and fail if any falls back to the reference.
+
+def no_fallback(term, equation):
+    raise AssertionError(f"{term!r} fell back to the reference")
+
+
+def compiled_only(compile):
+    """``compile()``, failing if any conjunct falls back to the reference."""
+    with mock.patch.object(refsolver, "_reference", no_fallback):
+        return compile()
+
+
+# Closed terms outside the compiled operators are folded; (/ 1 0) folds to unknown.
+folded = st.sampled_from([("-", 2), ("-", F(1, 2), 1), ("/", F(1), F(3)), ("/", 1, 0),
+                          ("=>", False, True)])
+fragment_leaves = st.one_of(leaves, folded)
+
+
+def fragment_compounds(children):
+    return st.one_of(
+        st.builds(lambda op, args: (op, *args), st.sampled_from(["and", "or", "+", "*"]),
+                  st.lists(children, min_size=1, max_size=4)),
+        st.builds(lambda op, l, r: (op, l, r), st.sampled_from(["=", "<", "<="]),
+                  children, children),
+        st.builds(lambda arg: ("not", arg), children),
+        selector_chains(children),
+    )
+
+
+fragment_terms = st.recursive(fragment_leaves, fragment_compounds, max_leaves=16)
+fragment_arithmetic = st.recursive(fragment_leaves, lambda children: st.builds(
+    lambda op, args: (op, *args), st.sampled_from(["+", "*"]),
+    st.lists(children, min_size=1, max_size=3)), max_leaves=6)
+
+
+def reference_step(term, env):
+    """What a conjunct's step must give: :func:`evaluate`, then
+    :func:`solve_equation` for an equation it leaves undecided."""
+    value = evaluate(term, env)
+    if value is None and isinstance(term, tuple) and len(term) == 3 and term[0] == "=":
+        return solve_equation(term[1], term[2], env)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(fragment_terms, envs)
+def test_compiled_fragment_terms_match_evaluate(term, env):
+    fn = compiled_only(lambda: Compiler().term(term))
+    assert same_value(fn(env), evaluate(term, env)), (term, env)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fragment_arithmetic, fragment_arithmetic, envs)
+def test_compiled_fragment_equation_step_matches_evaluate_then_solve(lhs, rhs, env):
+    step = compiled_only(lambda: Compiler().constraint(("=", lhs, rhs)))
+    assert same_value(step(env), reference_step(("=", lhs, rhs), env)), (lhs, rhs, env)
+
+
+# A conjunct: a compiled one, an equation over the fragment, or anything.
+conjuncts = st.one_of(fragment_terms,
+                      st.builds(lambda l, r: ("=", l, r),
+                                fragment_arithmetic, fragment_arithmetic),
+                      st.builds(lambda l, r: ("=", l, r), arithmetic, arithmetic),
+                      terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(conjuncts, min_size=1, max_size=4), st.lists(envs, min_size=1, max_size=3))
+def test_each_compiled_conjunct_steps_like_the_reference(parts, environments):
+    """Mixed assertions: each conjunct's step, compiled or not, is the
+    reference's, a syntax error included."""
+    assertion = ("and", *parts)
+    constraints = refsolver.compile_assertion(assertion)
+    for constraint, part in zip(constraints, refsolver._conjuncts(assertion, []), strict=True):
+        for env in environments:
+            got = outcome(lambda: constraint.test(env))
+            assert same_value(got, outcome(lambda: reference_step(part, env))), (part, env)
+
+
 # --------------------------------------------------------------------------
 # The search's work on a fixed problem
 # --------------------------------------------------------------------------
@@ -489,8 +571,8 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_the_encoders_traffic_stays_compiled(monkeypatch):
-    """Every term ``smtlib.serialize`` writes is compiled: none is left to
-    ``evaluate`` during a search.  An encoder change that writes a new
+    """Every conjunct ``smtlib.serialize`` writes is compiled: none is left
+    to the reference during a search.  An encoder change that writes a new
     operator fails here until the compiler learns it."""
     import random
 
@@ -502,9 +584,9 @@ def test_the_encoders_traffic_stays_compiled(monkeypatch):
     from safereach.solver import smtlib
 
     interpreted = []
-    original = refsolver._interpreted
-    monkeypatch.setattr(refsolver, "_interpreted",
-                        lambda term: interpreted.append(term) or original(term))
+    original = refsolver._reference
+    monkeypatch.setattr(refsolver, "_reference", lambda term, equation:
+                        interpreted.append(term) or original(term, equation))
     kitchen = (2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     rng = random.Random(7)
     problems = [build_pickup_example(),

@@ -28,7 +28,16 @@ from safereach.synthesis import (
 )
 from safereach.validate import validate_policy
 
-from oracles import brute_force_feasible, random_instance, relabel_policy, relabel_states
+from oracles import (
+    brute_force_feasible,
+    drop_last_state,
+    pad_with_unreachable_state,
+    random_instance,
+    relabel_actions,
+    relabel_observations,
+    relabel_policy,
+    relabel_states,
+)
 
 
 def run(model, b_init, objective, horizon, backend="enum", **kw):
@@ -441,6 +450,50 @@ def test_relabelling_the_states_changes_no_run(backend, spawned):
                                      else relabel_policy(plain.policy, perm)), f"seed {seed}"
         assert relabelled_spawns == plain_spawns, f"seed {seed}"
         assert (plain_spawns > 0) == (backend == "smtlib")
+
+
+# Metamorphic relations on the random suite: enum seeds 0-49, smtlib 0-19.
+METAMORPHIC_SEEDS = [pytest.param("enum", range(50), id="enum"),
+                     pytest.param("smtlib", range(20), id="smtlib")]
+
+
+def rotation(size: int) -> list[int]:
+    """A permutation that moves every index when there are two or more."""
+    return [(i + 1) % size for i in range(size)]
+
+
+@pytest.mark.parametrize("relabel, names", [(relabel_actions, "actions"),
+                                            (relabel_observations, "observations")],
+                         ids=["actions", "observations"])
+@pytest.mark.parametrize("backend, seeds", METAMORPHIC_SEEDS)
+def test_permuting_the_indices_keeps_the_verdict(backend, seeds, relabel, names):
+    """Renaming the actions, or the observations, may change the search
+    order and so the policy found, but not whether one exists."""
+    for seed in seeds:
+        model, b_init, objective, horizon = random_instance(random.Random(seed))
+        plain = run(model, b_init, objective, horizon, backend=backend)
+        moved = relabel(model, rotation(len(getattr(model, names))))
+        assert run(moved, b_init, objective, horizon, backend=backend).verdict \
+            == plain.verdict, f"seed {seed}"
+
+
+@pytest.mark.parametrize("backend, seeds", METAMORPHIC_SEEDS)
+def test_an_unreachable_state_changes_no_run(backend, seeds):
+    """A state no belief can hold changes neither the verdict nor the check
+    trace, and the policy only by that state's zero entry; the kitchen has
+    action masks, which the padding state must extend."""
+    problems = [(f"seed {seed}", random_instance(random.Random(seed))) for seed in seeds]
+    problems.append(("kitchen 2x2 det", (*build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
+                                                       obstacles=1, p_fail=0, p_fp=0, p_fn=0),
+                                         4)))
+    for name, (model, b_init, objective, horizon) in problems:
+        plain = run(model, b_init, objective, horizon, backend=backend)
+        padded = run(*pad_with_unreachable_state(model, b_init, objective), horizon,
+                     backend=backend)
+        assert padded.verdict == plain.verdict, name
+        assert padded.stats.check_trace == plain.stats.check_trace, name
+        assert (None if padded.policy is None else drop_last_state(padded.policy)) \
+            == plain.policy, name
 
 
 def test_solver_unknown_is_an_error_verdict(pickup):
