@@ -72,6 +72,6 @@ for incremental in (True, False):
     started = time.monotonic()
     outcome = synthesis_run(*small, config)
     elapsed = time.monotonic() - started
-    label = "incremental push/pop" if incremental else "fresh process per check"
+    label = "incremental push/pop" if incremental else "reset + replay per check"
     print(f"smtlib, {label:25s}: {outcome.verdict}, {elapsed:.2f}s, "
           f"{outcome.stats.solver_calls} checks")

@@ -78,6 +78,13 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objective", help="objective JSON file")
     parser.add_argument("--domain", choices=("pickup", "kitchen"),
                         help="use a built-in benchmark instead of files")
+    kitchen = _add_kitchen_args(parser)
+    kitchen.add_argument("--obstacles", "-M", type=_non_negative_int, default=1)
+
+
+def _add_kitchen_args(parser: argparse.ArgumentParser):
+    """The kitchen's geometry, noise and tolerances; the obstacle count is
+    the caller's."""
     kitchen = parser.add_argument_group("kitchen domain")
     kitchen.add_argument("--kitchen-width", type=int, default=3)
     kitchen.add_argument("--kitchen-height", type=int, default=2)
@@ -85,12 +92,12 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
                          metavar="X,Y;X,Y", help="cells that may hold obstacles")
     kitchen.add_argument("--kitchen-storage", type=_parse_cell, default=(2, 0), metavar="X,Y")
     kitchen.add_argument("--kitchen-start", type=_parse_cell, default=(0, 0), metavar="X,Y")
-    kitchen.add_argument("--obstacles", "-M", type=_non_negative_int, default=1)
     kitchen.add_argument("--p-fail", default="0", help="move failure probability (exact)")
     kitchen.add_argument("--p-fp", default="0", help="look false-positive probability")
     kitchen.add_argument("--p-fn", default="0", help="look false-negative probability")
     kitchen.add_argument("--delta1", default="1/5", help="goal tolerance")
     kitchen.add_argument("--delta2", default="1/5", help="safety tolerance")
+    return kitchen
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
@@ -116,6 +123,8 @@ def _kitchen(args, obstacles: int) -> tuple[Pomdp, Belief, SafeReachObjective]:
 
 def _build_problem(args) -> tuple[Pomdp, Belief, SafeReachObjective, str, int, int]:
     """Returns (model, b_init, objective, domain label, M, N)."""
+    if args.domain and (args.model or args.objective):
+        raise ModelError("--domain cannot be combined with --model or --objective")
     if args.domain == "pickup":
         model, b_init, objective = build_pickup_example()
         return model, b_init, objective, "pickup", 0, 0
@@ -290,7 +299,7 @@ def make_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser("bench", help="kitchen parameter sweep")
-    _add_problem_args(bench)
+    _add_kitchen_args(bench)
     _add_solver_args(bench)
     bench.add_argument("--obstacle-counts", type=_count_list, default=[1],
                        metavar="M1,M2", help="obstacle counts to sweep")

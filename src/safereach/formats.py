@@ -258,7 +258,10 @@ def _belief_from_json(doc: dict, model: Pomdp, where: str) -> Belief:
     probs = [Fraction(0)] * len(model.states)
     for name, p in doc.items():
         probs[_index(model.states, name, "state", where)] = parse_fraction(p, where)
-    return Belief(tuple(probs))
+    try:
+        return Belief(tuple(probs))
+    except ModelError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def plan_to_json(plan: CandidatePlan, model: Pomdp) -> dict:

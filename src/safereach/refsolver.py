@@ -37,7 +37,7 @@ Commands are read one way: :class:`CommandReader` takes one balanced
 command at a time and :func:`parse_tokens` interns its terms as it reads
 them, so no term is walked twice before it is compiled.  :meth:`Session.run`
 is the one command loop: the program runs it on its standard input, and the
-package's in-process endpoint runs it up to each answer.
+package's in-process endpoint runs it over the lines sent since its last read.
 
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
@@ -963,14 +963,12 @@ class Session:
     def all_constraints(self) -> list[Constraint]:
         return [c for _, constraints in self.frames for c in constraints]
 
-    def run(self, reader: CommandReader, out, deadline: float | None = None,
-            first_answer: bool = False) -> bool:
+    def run(self, reader: CommandReader, out, deadline: float | None = None) -> bool:
         """Run the commands ``reader`` gives, writing and flushing each answer
-        to ``out``, until the reader runs dry or, with ``first_answer``, a
-        command answers (True: the session goes on), or until ``(exit)`` or
-        tokens that make no command (False: it ends).  A ``check-sat`` still
-        searching at ``deadline``, a ``time.monotonic()`` reading, raises
-        :class:`TimeoutError`."""
+        to ``out``, until the reader runs dry (True: the session goes on), or
+        until ``(exit)`` or tokens that make no command (False: it ends).  A
+        ``check-sat`` still searching at ``deadline``, a ``time.monotonic()``
+        reading, raises :class:`TimeoutError`."""
         while True:
             try:
                 cmd = reader.next_command()
@@ -989,8 +987,6 @@ class Session:
             if answer is not None:
                 out.write(answer + "\n")
                 out.flush()
-                if first_answer:
-                    return True
 
     def _answer(self, cmd, deadline: float | None) -> str | None:
         """The answer to one command, ``None`` for none."""

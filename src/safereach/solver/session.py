@@ -56,6 +56,13 @@ class SolverConfig:
     check_timeout: float = 60.0
     incremental: bool = True
 
+    def __post_init__(self) -> None:
+        if isinstance(self.command, str):
+            raise ValueError(f"command must be a sequence of arguments, got {self.command!r}")
+        if not 0 < self.check_timeout < float("inf"):  # NaN fails too
+            raise ValueError(f"check_timeout must be finite and positive, "
+                             f"got {self.check_timeout}")
+
 
 class SolverSession(ABC):
     """An incremental satisfiability session opened on one run, whose model

@@ -18,12 +18,12 @@ which sends lines and buffers and reads answers; its transport is one of
 two subclasses.  :class:`_InProcessSolver` runs the bundled solver in the
 driver's process, one :class:`refsolver.Session` per endpoint, which honours
 each check's deadline in its search; :class:`_SolverProcess` execs an
-explicit solver command as given and speaks to it over pipes.  Endpoints
-are reused: a
-:class:`SolverPool` keeps a run's idle ones, a session holds one while it
-is open (or, from scratch, for one check) and hands it back after
-``(reset)`` and the header, and one that timed out, failed or answered with
-a model that does not decode is closed instead.
+explicit solver command as given and speaks to it over pipes.  Every
+session draws its endpoint from the run's one :class:`SolverPool`, which
+keeps the idle ones: a session holds one while it is open (or, from
+scratch, for one check) and hands it back after ``(reset)`` and the
+header, and one that timed out, failed or answered with a model that does
+not decode is closed instead.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import select
 import subprocess
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -287,14 +286,13 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 # --------------------------------------------------------------------------
 
 class _SmtProcess:
-    """One solver endpoint, ``command`` ``None`` for the bundled solver.  A
-    subclass gives ``alive``, ``_write(line)``, ``close()`` and
+    """One solver endpoint, started for ``command``, ``None`` for the bundled
+    solver.  A subclass gives ``alive``, ``_write(line)``, ``close()`` and
     ``_read(deadline)``: the next answer bytes, raising
     :class:`TimeoutError` past the deadline and :class:`SolverError` once no
     answer can come."""
 
     def __init__(self, command: Optional[Sequence[str]]) -> None:
-        self.command = command
         self._buffer = b""
 
     def send(self, line: str) -> None:
@@ -326,32 +324,29 @@ class _SmtProcess:
 class _InProcessSolver(_SmtProcess):
     """The bundled solver in the driver's process.  Lines sent to it wait
     until an answer is read, as a solver process works while its driver
-    waits to read, and are then run up to the first command that answers.
-    A syntax error, ``(exit)`` or a failure inside the solver ends it; a
-    failure is raised as a :class:`SolverError`."""
+    waits to read, and are then all run, in the order sent.  A syntax error,
+    ``(exit)`` or a failure inside the solver ends it; a failure is raised
+    as a :class:`SolverError`."""
 
     def __init__(self) -> None:
         super().__init__(None)
         self._session = refsolver.Session()
-        self._lines: deque[str] = deque()
-        self._reader = refsolver.CommandReader(self)
+        self._pending: list[str] = []
         self.alive = True
 
     def _write(self, line: str) -> None:
         if not self.alive:
             raise SolverError("the bundled solver has ended")
-        self._lines.append(line)
-
-    def readline(self) -> str:
-        """The command reader's input: the next line not yet run, ``""`` for none."""
-        return self._lines.popleft() + "\n" if self._lines else ""
+        self._pending.append(line)
 
     def _read(self, deadline: Optional[float]) -> bytes:
         if not self.alive:
             raise SolverError("solver closed its output stream")
+        reader = refsolver.CommandReader(io.StringIO("\n".join(self._pending)))
+        self._pending = []
         out = io.StringIO()
         try:
-            if not self._session.run(self._reader, out, deadline, first_answer=True):
+            if not self._session.run(reader, out, deadline):
                 self.close()
             elif not out.tell():
                 raise SolverError("no command is waiting for an answer")
@@ -366,8 +361,8 @@ class _InProcessSolver(_SmtProcess):
     def close(self) -> None:
         """Stop for good, dropping every assertion and waiting line."""
         self.alive = False
-        self._session = self._reader = None
-        self._lines.clear()
+        self._session = None
+        self._pending = []
 
 
 class _SolverProcess(_SmtProcess):
@@ -443,8 +438,8 @@ class SolverPool:
     :meth:`take` hands out an idle endpoint, or starts one and sends it the
     header; :meth:`give_back` resets a healthy endpoint and keeps it.  Only
     the pool's owner closes it, and closing ends every idle endpoint: a run
-    builds one pool and closes it in a ``finally``, and a session opened
-    without a pool owns a private one.  An endpoint is handed back with no
+    builds one pool, which all its sessions draw from, and closes it in a
+    ``finally``.  An endpoint is handed back with no
     read of its own: a session reads every response it asks for, so the one
     thing that can be left over is an ``(error ...)`` line, which the next
     check reads as a solver failure.
@@ -510,15 +505,12 @@ class _Asserted:
 
 class SmtLibSession(SolverSession):
     """Drives one solver endpoint incrementally, or one per check from scratch,
-    taken from ``pool`` (by default a private pool that closes with the
-    session)."""
+    drawn from the run's ``pool``, which outlives the session."""
 
-    def __init__(self, run: RunContext, config: SolverConfig = SolverConfig(),
-                 pool: Optional[SolverPool] = None) -> None:
+    def __init__(self, run: RunContext, config: SolverConfig, pool: SolverPool) -> None:
         super().__init__(run)
         self.config = config
-        self._owns_pool = pool is None
-        self._pool = SolverPool(config) if pool is None else pool
+        self._pool = pool
         self._proc: Optional[_SmtProcess] = None
         self._dead = False
 
@@ -622,5 +614,3 @@ class SmtLibSession(SolverSession):
             return
         super().close()
         self._release()
-        if self._owns_pool:
-            self._pool.close()

@@ -70,6 +70,8 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        if self.backend not in ("enum", "smtlib"):
+            raise ValueError(f"backend must be 'enum' or 'smtlib', got {self.backend!r}")
 
 
 VERDICT_VALID = "valid"
@@ -86,20 +88,6 @@ class SynthesisResult:
 
 
 _VERDICT_KIND = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
-
-
-def make_session_factory(run: RunContext, config: SynthesisConfig,
-                         pool: Optional[SolverPool] = None) -> SessionFactory:
-    """Fresh sessions on ``run``; smtlib sessions take their solvers from
-    ``pool`` (without one, each session owns a private pool)."""
-    if config.backend == "enum":
-        # Fresh sessions per recursion level over the run's one context: its
-        # successor cache and fruitless facts are horizon- and
-        # blocking-independent, so sharing them is sound and saves work.
-        return lambda: EnumerativeSession(run)
-    if config.backend == "smtlib":
-        return lambda: SmtLibSession(run, config.solver, pool)
-    raise ValueError(f"unknown backend {config.backend!r}")
 
 
 def _truncate_at_goal(plan: CandidatePlan, objective: SafeReachObjective) -> CandidatePlan:
@@ -234,7 +222,8 @@ def synthesis_run(
     The run's objective, record and caches live in one
     :class:`~.core.RunContext` built here and dropped on return; a
     :class:`~.core.ModelError` says that ``b_init`` or the objective does
-    not fit the model.  The run's solver endpoints live in one
+    not fit the model.  Each recursion level opens a fresh session on the
+    run; every smtlib session draws its endpoint from the run's one
     :class:`~.solver.SolverPool`, which synthesis closes however it ends,
     so no solver outlives the run.
     """
@@ -246,7 +235,13 @@ def synthesis_run(
     run = RunContext(model, objective)
     stats = run.stats
     pool = SolverPool(config.solver)
-    factory = make_session_factory(run, config, pool)
+    if config.backend == "enum":
+        # Enum sessions share the run's one context: its successor cache and
+        # fruitless facts are horizon- and blocking-independent, so sharing
+        # them is sound and saves work.
+        factory: SessionFactory = lambda: EnumerativeSession(run)
+    else:
+        factory = lambda: SmtLibSession(run, config.solver, pool)
     started = time.monotonic()
     try:
         policy = bps(run, b_init, 0, config.horizon, factory)

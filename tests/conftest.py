@@ -81,6 +81,13 @@ def spawned(monkeypatch):
     return processes
 
 
+@pytest.fixture
+def pool():
+    """The bundled solver's pool for the test's sessions, closed after it."""
+    with smtlib.SolverPool() as pool:
+        yield pool
+
+
 @pytest.fixture(scope="session")
 def pickup():
     """(model, initial belief, objective) for the two-hand pick-up choice."""

@@ -106,6 +106,15 @@ def satisfies_bounded(beliefs, objective: SafeReachObjective) -> bool:
     return False
 
 
+def all_plans(model: Pomdp, objective: SafeReachObjective, b_init: Belief, horizon: int):
+    """Every (actions, observations) pair of exactly ``horizon`` steps from
+    ``b_init`` whose actions are available, whose observations are possible
+    and which reach a goal belief with only safe beliefs before it."""
+    return {(actions, observations)
+            for actions, observations, beliefs in enumerate_plans(model, b_init, horizon)
+            if satisfies_bounded(beliefs, objective)}
+
+
 # --------------------------------------------------------------------------
 # Constraint AST evaluation under a complete assignment
 # --------------------------------------------------------------------------

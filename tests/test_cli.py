@@ -196,6 +196,16 @@ def test_malformed_model_file_is_location_bearing_error(tmp_path, caplog, files,
     assert any(message in r.message for r in caplog.records)
 
 
+def test_a_model_whose_initial_belief_is_not_a_distribution_names_it(tmp_path, capsys,
+                                                                     caplog):
+    model_path, objective_path = tmp_path / "model.json", tmp_path / "objective.json"
+    model_path.write_text(json.dumps({**_MODEL, "initial": {"s": "5/6"}}))
+    objective_path.write_text(json.dumps({"goal": [_GOAL]}))
+    assert_named_error(("synth", "--model", str(model_path), "--objective",
+                        str(objective_path), "--horizon", "1"),
+                       "initial: belief entries sum to 5/6, not 1", capsys, caplog)
+
+
 def test_simulate_command(tmp_path, capsys):
     policy_path = tmp_path / "policy.json"
     run_cli("synth", "--domain", "pickup", "--horizon", "3",
@@ -265,6 +275,32 @@ def assert_named_error(argv, message, capsys, caplog):
 ], ids=["obstacles", "p-fail", "storage"])
 def test_bench_bad_kitchen_parameter_is_a_named_error(argv, message, capsys, caplog):
     assert_named_error(("bench", "--horizons", "1", *argv), message, capsys, caplog)
+
+
+@pytest.mark.parametrize("command", [("synth", "--horizon", "3"),
+                                     ("validate", "--policy", "p.json", "--horizon", "3"),
+                                     ("simulate", "--policy", "p.json")],
+                         ids=["synth", "validate", "simulate"])
+@pytest.mark.parametrize("files", [("--model",), ("--objective",), ("--model", "--objective")],
+                         ids=["model", "objective", "both"])
+def test_domain_with_model_files_is_a_usage_error(command, files, capsys, caplog):
+    argv = [*command, "--domain", "pickup"]
+    for option in files:
+        argv += [option, f"/nonexistent/{option[2:]}.json"]
+    assert_named_error(argv, "--domain cannot be combined with --model or --objective",
+                       capsys, caplog)
+
+
+@pytest.mark.parametrize("argv", [("--domain", "pickup"), ("--model", "/nonexistent.json"),
+                                  ("--objective", "/nonexistent.json"), ("--obstacles", "2"),
+                                  ("-M", "2")],
+                         ids=["domain", "model", "objective", "obstacles", "M"])
+def test_bench_takes_no_problem_options(argv, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "synthesis_run", lambda *args: runs.append(args))
+    assert run_cli("bench", "--horizons", "2", *argv) == 1
+    assert runs == []
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unwritable_stats_out_is_a_named_error(tmp_path, capsys, caplog):

@@ -142,6 +142,36 @@ def test_plan_errors_carry_location(pickup, damage, message):
         formats.plan_from_json(doc, model)
 
 
+def _not_a_distribution(model, b_init, policy):
+    """A model, a policy and a plan document, each with one belief that is not
+    a distribution, and the error each must raise."""
+    from safereach.core import CandidatePlan, belief_update
+
+    ready, unsafe = model.states[:2]
+    model_doc = formats.model_to_json(model, b_init)
+    model_doc["initial"] = {ready: "5/6"}
+    policy_doc = formats.policy_to_json(policy, model)
+    policy_doc["children"]["o_pos"]["belief"] = {ready: "2"}
+    plan = CandidatePlan(0, (b_init, belief_update(b_init, 1, 0, model)), (1,), (0,))
+    plan_doc = formats.plan_to_json(plan, model)
+    plan_doc["beliefs"][0] = {ready: "-1", unsafe: "2"}
+    return [
+        (lambda: formats.model_from_json(model_doc),
+         r"^initial: belief entries sum to 5/6, not 1$"),
+        (lambda: formats.policy_from_json(policy_doc, model),
+         r"^policy\.children\['o_pos'\] belief: belief entries sum to 2, not 1$"),
+        (lambda: formats.plan_from_json(plan_doc, model),
+         r"^plan\.beliefs\[0\]: belief has a negative entry: -1$"),
+    ]
+
+
+def test_a_belief_that_is_not_a_distribution_names_its_location(pickup, pickup_policy):
+    model, b_init, _ = pickup
+    for load, message in _not_a_distribution(model, b_init, pickup_policy):
+        with pytest.raises(formats.FormatError, match=message):
+            load()
+
+
 def test_stats_csv_shape(pickup):
     from safereach.core import SynthesisStats
 

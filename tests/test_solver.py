@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from safereach import cli, refsolver
+from safereach import build_pickup_example, cli, refsolver
 from safereach import encoding as enc
 from safereach.core import Belief, CandidatePlan, RunContext, SafeReachObjective
 from safereach.refsolver import tokenize
@@ -35,7 +35,7 @@ from safereach.solver import smtlib
 from safereach.solver.smtlib import HEADER, ModelValueError, parse_model, serialize
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
-from oracles import random_instance
+from oracles import all_plans, enumerate_plans, random_instance
 
 
 def load_session(session, b_init, horizon, goal=False):
@@ -51,10 +51,10 @@ def load_session(session, b_init, horizon, goal=False):
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ["enum", "smtlib"])
-def test_popped_scope_leaves_no_trace(pickup, backend):
+def test_popped_scope_leaves_no_trace(pickup, backend, pool):
     model, b_init, objective = pickup
     session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
-               else SmtLibSession(RunContext(model, objective), SolverConfig()))
+               else SmtLibSession(RunContext(model, objective), SolverConfig(), pool))
     with session:
         load_session(session, b_init, 1)
         session.push()
@@ -71,12 +71,12 @@ def test_popped_scope_leaves_no_trace(pickup, backend):
         session.pop()
 
 
-def test_pop_on_empty_stack_is_usage_error(pickup):
+def test_pop_on_empty_stack_is_usage_error(pickup, pool):
     model, _, objective = pickup
     session = EnumerativeSession(RunContext(model, objective))
     with pytest.raises(SolverUsageError):
         session.pop()
-    smt = SmtLibSession(RunContext(model, objective), SolverConfig())
+    smt = SmtLibSession(RunContext(model, objective), SolverConfig(), pool)
     with pytest.raises(SolverUsageError):
         smt.pop()
     smt.close()
@@ -98,7 +98,7 @@ def test_transition_outside_scope_persists_across_horizons(pickup):
         session.pop()
 
 
-def test_random_scope_sequences_agree_across_backends():
+def test_random_scope_sequences_agree_across_backends(pool):
     """Differential: 100 random interleavings of push/assert/check/pop give
     the same verdict and the same plan on both backends."""
     for seed in range(100):
@@ -106,7 +106,7 @@ def test_random_scope_sequences_agree_across_backends():
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
         horizon = 2
         run = RunContext(model, objective)
-        enum, smt = EnumerativeSession(run), SmtLibSession(run, SolverConfig())
+        enum, smt = EnumerativeSession(run), SmtLibSession(run, SolverConfig(), pool)
         for session in (enum, smt):
             load_session(session, b_init, horizon)
         depth = 0
@@ -172,7 +172,8 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
         spawned.clear()
         serialized.clear()
         config = SolverConfig(incremental=incremental)
-        with SmtLibSession(RunContext(model, objective), config) as session:
+        with SolverPool(config) as pool, \
+                SmtLibSession(RunContext(model, objective), config, pool) as session:
             session.add(enc.initial_constraint(0, b_init))
             session.push()
             session.add(enc.goal_constraint(0, 0))
@@ -194,6 +195,95 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
     from_scratch = drive(False)
     assert len(incremental) == 3
     assert from_scratch == incremental
+
+
+# --------------------------------------------------------------------------
+# All-models agreement
+# --------------------------------------------------------------------------
+
+def smt_plans(run, unfolding, blocking, horizon, pool):
+    """The (actions, observations) pairs the SMT-LIB text of ``unfolding``
+    admits with ``blocking`` and without it.  Check, assert the found pair
+    away, check again: first with ``blocking`` in a pushed scope until
+    ``unsat``, then without it until ``unsat``, so each pair is found once."""
+    texts = [serialize(c, run) for c in unfolding + [blocking]]
+    names = sorted({name for text in texts for name in smtlib._NAME.findall(text)})
+    proc = pool.take()
+    for line in [*map(smtlib._declaration, names), *(f"(assert {t})" for t in texts[:-1])]:
+        proc.send(line)
+    steps = range(1, horizon + 1)
+    found: list[set] = [set(), set()]
+    for phase, scope in enumerate([[f"(assert {texts[-1]})"], []]):
+        while True:
+            deadline = time.monotonic() + 60
+            for line in ["(push 1)", *scope, "(check-sat)"]:
+                proc.send(line)
+            verdict = proc.read_line(deadline)
+            if verdict == "unsat":
+                proc.send("(pop 1)")
+                break
+            assert verdict == "sat"
+            proc.send("(get-model)")
+            values = parse_model(proc.read_tokens(deadline))
+            plan = (tuple(values[enc.action_var_name(i)] for i in steps),
+                    tuple(values[enc.observation_var_name(i)] for i in steps))
+            found[phase].add(plan)
+            pins = [f"(= {enc.action_var_name(i)} {a}) (= {enc.observation_var_name(i)} {o})"
+                    for i, a, o in zip(steps, *plan)]
+            for line in ["(pop 1)", f"(assert (not (and {' '.join(pins)})))"]:
+                proc.send(line)
+    pool.give_back(proc)
+    blocked, rest = found
+    return blocked, blocked | rest
+
+
+def _blocks(blocking, plan):
+    cut = blocking.fail_step - blocking.plan.start_step
+    actions, observations = plan
+    return (actions[:cut] == blocking.plan.actions[:cut]
+            and observations[:cut - 1] == blocking.plan.observations[:cut - 1])
+
+
+def _agreement_problems():
+    """(name, model, initial belief, objective, horizon, fail step to block)."""
+    for seed in range(50):
+        model, b_init, objective, _ = random_instance(random.Random(seed))
+        for horizon in (1, 2):
+            yield seed, model, b_init, objective, horizon, 1 + seed % horizon
+    yield "pickup", *build_pickup_example(), 3, 2
+
+
+def test_smt_unfolding_admits_exactly_the_oracle_plans(pool):
+    """Every plan the SMT-LIB unfolding admits, with and without one blocked
+    prefix, is a plan of the dense oracle and the other way round, and the
+    enum backend answers with the smallest of them."""
+    smallest = lambda plans: min(plans, key=lambda plan: tuple(zip(*plan)))
+    for name, model, b_init, objective, horizon, fail_step in _agreement_problems():
+        label = (name, horizon)
+        expected = all_plans(model, objective, b_init, horizon)
+        result = enumerative_check(model, b_init, 0, horizon, objective)
+        if not expected:
+            assert isinstance(result, Unsat), label
+            # Nothing to block: block the first path, goal or not.
+            actions, observations, beliefs = next(enumerate_plans(model, b_init, horizon))
+            plan = CandidatePlan(0, beliefs, actions, observations)
+        else:
+            plan = result.plan
+            assert (plan.actions, plan.observations) == smallest(expected), label
+        blocking = enc.blocking_constraint(plan, fail_step)
+        unfolding = [enc.initial_constraint(0, b_init),
+                     *(enc.transition_constraint(i - 1, i) for i in range(1, horizon + 1)),
+                     enc.goal_constraint(0, horizon)]
+        admitted_blocked, admitted = smt_plans(RunContext(model, objective), unfolding,
+                                               blocking, horizon, pool)
+        assert admitted == expected, label
+        unblocked = {plan for plan in expected if not _blocks(blocking, plan)}
+        assert admitted_blocked == unblocked, label
+        result = enumerative_check(model, b_init, 0, horizon, objective, [blocking])
+        if unblocked:
+            assert (result.plan.actions, result.plan.observations) == smallest(unblocked), label
+        else:
+            assert isinstance(result, Unsat), label
 
 
 # --------------------------------------------------------------------------
@@ -280,10 +370,10 @@ def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
 
 @pytest.mark.parametrize("backend", ["enum", "smtlib"])
 @pytest.mark.parametrize("shape", ["no initial", "two initials", "gap in transitions"])
-def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backend, shape):
+def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backend, shape, pool):
     model, b_init, objective = pickup
     session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
-               else SmtLibSession(RunContext(model, objective), SolverConfig()))
+               else SmtLibSession(RunContext(model, objective), SolverConfig(), pool))
     with session:
         if shape != "no initial":
             session.add(enc.initial_constraint(0, b_init))
@@ -296,10 +386,11 @@ def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backen
             session.check()
 
 
-def test_sat_plans_span_the_unfolding_on_both_backends(pickup):
+def test_sat_plans_span_the_unfolding_on_both_backends(pickup, pool):
     model, b_init, objective = pickup
     plans = []
-    for session in (EnumerativeSession(RunContext(model, objective)), SmtLibSession(RunContext(model, objective), SolverConfig())):
+    for session in (EnumerativeSession(RunContext(model, objective)),
+                    SmtLibSession(RunContext(model, objective), SolverConfig(), pool)):
         with session:
             load_session(session, b_init, 1, goal=True)
             result = session.check()
@@ -370,7 +461,8 @@ def _checking(verdict):
 def test_a_solver_that_answers_unknown_makes_the_run_an_error(pickup):
     model, b_init, objective = pickup
     solver = SolverConfig(command=_checking("unknown"))
-    with SmtLibSession(RunContext(model, objective), solver) as session:
+    with SolverPool(solver) as pool, \
+            SmtLibSession(RunContext(model, objective), solver, pool) as session:
         load_session(session, b_init, 1, goal=True)
         assert session.check() == Unknown("solver returned unknown")
     result = synthesis_run(model, b_init, objective,
@@ -420,25 +512,30 @@ def test_a_reply_that_is_not_utf8_is_a_solver_failure(live_children, caplog):
         "define-fun-without-value", "minus-without-argument", "a_1-slash-numeral"])
 def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
     model, b_init, objective = pickup
-    with SmtLibSession(RunContext(model, objective), SolverConfig(command=_fake_solver(_GOOD_MODEL))) as session:
+    good = SolverConfig(command=_fake_solver(_GOOD_MODEL))
+    with SolverPool(good) as pool, \
+            SmtLibSession(RunContext(model, objective), good, pool) as session:
         load_session(session, b_init, 1, goal=True)
         # the unchanged model decodes to the plan the enum backend finds
         assert session.check().plan == enumerative_check(model, b_init, 0, 1, objective).plan
     broken = {k: v for k, v in {**_GOOD_MODEL, **change}.items() if v is not None}
-    session = SmtLibSession(RunContext(model, objective), SolverConfig(command=_fake_solver(broken)))
-    load_session(session, b_init, 1, goal=True)
-    result = session.check()
-    assert isinstance(result, Unknown)
-    assert result.reason.startswith("solver failure") and reason in result.reason
-    with pytest.raises(SolverError, match="dead"):
-        session.push()
-    session.close()
+    config = SolverConfig(command=_fake_solver(broken))
+    with SolverPool(config) as pool:
+        session = SmtLibSession(RunContext(model, objective), config, pool)
+        load_session(session, b_init, 1, goal=True)
+        result = session.check()
+        assert isinstance(result, Unknown)
+        assert result.reason.startswith("solver failure") and reason in result.reason
+        with pytest.raises(SolverError, match="dead"):
+            session.push()
+        session.close()
 
 
 def test_a_bare_atom_reply_to_get_model_is_a_prompt_solver_failure(pickup):
     model, b_init, objective = pickup
     config = SolverConfig(command=_answering("unsupported"), check_timeout=3)
-    with SmtLibSession(RunContext(model, objective), config) as session:
+    with SolverPool(config) as pool, \
+            SmtLibSession(RunContext(model, objective), config, pool) as session:
         load_session(session, b_init, 1, goal=True)
         started = time.monotonic()
         result = session.check()
@@ -450,7 +547,8 @@ def test_a_bare_atom_reply_to_get_model_is_a_prompt_solver_failure(pickup):
 def test_unterminated_string_in_a_model_is_a_solver_failure(pickup):
     model, b_init, objective = pickup
     config = SolverConfig(command=_answering('((define-fun a_1 () Int 0)) "'), check_timeout=2.0)
-    with SmtLibSession(RunContext(model, objective), config) as session:
+    with SolverPool(config) as pool, \
+            SmtLibSession(RunContext(model, objective), config, pool) as session:
         load_session(session, b_init, 1, goal=True)
         started = time.monotonic()
         result = session.check()
@@ -501,14 +599,15 @@ def test_check_timeout_yields_unknown_and_dead_session(pickup):
         command=(sys.executable, "-c", "import time; time.sleep(30)"),
         check_timeout=0.2,
     )
-    session = SmtLibSession(RunContext(model, objective), config)
-    load_session(session, b_init, 1, goal=True)
-    result = session.check()
-    assert isinstance(result, Unknown)
-    assert "timed out" in result.reason
-    with pytest.raises(SolverError):
-        session.push()
-    session.close()
+    with SolverPool(config) as pool:
+        session = SmtLibSession(RunContext(model, objective), config, pool)
+        load_session(session, b_init, 1, goal=True)
+        result = session.check()
+        assert isinstance(result, Unknown)
+        assert "timed out" in result.reason
+        with pytest.raises(SolverError):
+            session.push()
+        session.close()
 
 
 def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
@@ -518,10 +617,11 @@ def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
                  "import sys; sys.stderr.write('boom\\n'); sys.exit(3)"),
         check_timeout=5.0,
     )
-    session = SmtLibSession(RunContext(model, objective), config)
     try:
-        load_session(session, b_init, 1, goal=True)
-        result = session.check()
+        with SolverPool(config) as pool:
+            session = SmtLibSession(RunContext(model, objective), config, pool)
+            load_session(session, b_init, 1, goal=True)
+            result = session.check()
     except SolverError as exc:
         assert "boom" in str(exc) or "closed" in str(exc)
         return

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -17,12 +18,11 @@ from safereach.core import (
     belief_update,
 )
 from safereach.domains import build_kitchen
-from safereach.solver import smtlib
+from safereach.solver import EnumerativeSession, SolverConfig, smtlib
 from safereach.synthesis import (
     SynthesisConfig,
     VERDICT_NO_POLICY,
     VERDICT_VALID,
-    make_session_factory,
     policy_generation,
     synthesis_run,
 )
@@ -188,6 +188,24 @@ def test_negative_horizon_is_rejected():
         SynthesisConfig(horizon=-3)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SynthesisConfig(horizon=2, backend="z3"),
+     "backend must be 'enum' or 'smtlib', got 'z3'"),
+    (lambda: SolverConfig(command="z3 -in"),
+     "command must be a sequence of arguments, got 'z3 -in'"),
+    (lambda: SolverConfig(check_timeout=-1), "check_timeout must be finite and positive"),
+    (lambda: SolverConfig(check_timeout=0), "check_timeout must be finite and positive"),
+    (lambda: SolverConfig(check_timeout=float("nan")),
+     "check_timeout must be finite and positive"),
+    (lambda: SolverConfig(check_timeout=float("inf")),
+     "check_timeout must be finite and positive"),
+], ids=["backend-z3", "command-string", "timeout-negative", "timeout-zero", "timeout-nan",
+        "timeout-inf"])
+def test_a_config_that_cannot_run_fails_when_made(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        make()
+
+
 def test_unreachable_goal_checks_every_horizon():
     model, b_init, objective = absorbing_trap_model()
     result = run(model, b_init, objective, 3)
@@ -245,7 +263,7 @@ def test_blocks_are_not_reproposed_within_a_horizon(pickup):
 def test_policy_generation_reports_failing_branch(pickup):
     model, b_init, objective = pickup
     run = RunContext(model, objective)
-    factory = make_session_factory(run, SynthesisConfig(horizon=1))
+    factory = lambda: EnumerativeSession(run)
     from safereach.core import CandidatePlan
 
     left, pos = 0, 0
