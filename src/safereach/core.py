@@ -9,14 +9,14 @@ hashing compare a few small ints, and a belief is valid when its numerators
 sum to its denominator.  ``Belief.probs`` is the dense ``fractions.Fraction``
 view that the file formats, the encoding and the public API read.
 
-A :class:`Pomdp` is its own belief-successor kernel: ``model.successors``
-pushes a belief through an action and splits it by observation, reading
-each action's transition and observation rows as sparse integer columns
-over one denominator, compiled on first use and kept on the model.  A
-:class:`RunContext` holds the objective, the record and the caches of one
-synthesis run.  Models, beliefs, objectives, plans and policy trees are
-immutable after construction (a model's compiled columns are a pure
-function of it), and the free functions are pure.
+A :class:`Pomdp` is its own belief-successor kernel: one push-forward over
+sparse integer columns, compiled per action on first use and kept, split by
+observation into posteriors and integer masses; ``model.successors`` makes
+the masses exact probabilities on the call.  A :class:`RunContext` holds one
+run's objective, record and caches: per (belief, action), each observation's
+posterior, one object per distinct belief, with its goal and safe class,
+evaluated once, and no probability.  Models, beliefs, objectives, plans,
+policy trees and cache entries are immutable, and the free functions pure.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class Belief:
 
     ``indices`` is the support, ascending; ``nums`` holds a positive integer
     numerator per support state and ``den`` the common denominator, in
-    lowest terms.  Construct from the dense probabilities; the kernel builds
-    posteriors from their sparse form directly.
+    lowest terms.  Construct from the dense probabilities, which are checked;
+    the kernel builds posteriors, valid by construction, unchecked.
     """
 
     __slots__ = ("size", "indices", "nums", "den", "_hash", "_probs")
@@ -69,6 +69,10 @@ class Belief:
         indices = tuple(j for j, p in enumerate(values) if p)
         den = math.lcm(*(values[j].denominator for j in indices))
         nums = [values[j].numerator * (den // values[j].denominator) for j in indices]
+        if any(w <= 0 for w in nums):
+            raise ModelError(f"belief has a negative entry: {Fraction(min(nums), den)}")
+        if sum(nums) != den:
+            raise ModelError(f"belief entries sum to {Fraction(sum(nums), den)}, not 1")
         self._init(len(values), indices, nums, den, values)
 
     @classmethod
@@ -79,10 +83,6 @@ class Belief:
 
     def _init(self, size: int, indices: tuple[int, ...], nums: list[int], den: int,
               probs: Optional[tuple[Fraction, ...]] = None) -> None:
-        if any(w <= 0 for w in nums):
-            raise ModelError(f"belief has a negative entry: {Fraction(min(nums), den)}")
-        if sum(nums) != den:
-            raise ModelError(f"belief entries sum to {Fraction(sum(nums), den)}, not 1")
         common = math.gcd(den, *nums)
         if common > 1:
             nums = [w // common for w in nums]
@@ -212,10 +212,10 @@ class Pomdp:
     refused.  ``availability`` optionally restricts which actions exist in
     which states; ``None`` means every action everywhere.
 
-    The model is its own belief-successor kernel: :meth:`successors` reads
-    each action's transition and observation rows as sparse integer columns
-    over one denominator, compiled on the action's first use and kept, as
-    :attr:`Belief.probs` is kept.
+    The model is its own belief-successor kernel, :meth:`_split`, which
+    reads each action's transition and observation rows as sparse integer
+    columns over one denominator, compiled on the action's first use and
+    kept, as :attr:`Belief.probs` is kept.
     """
 
     states: tuple[str, ...]
@@ -334,12 +334,11 @@ class Pomdp:
         z_den, z_cols = columns([self.obs_dist(s2, action) for s2 in range(n)])
         return t_cols, z_cols, t_den * z_den
 
-    def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
-        """Each possible observation after ``action``, with its probability and posterior.
-
-        Pushes the belief through T once and splits the result by observation
-        likelihood; only positive-probability observations appear, ascending.
-        """
+    def _split(self, belief: Belief, action: int) -> tuple[int, list[tuple[int, int, Belief]]]:
+        """Push the belief through T once and split it by observation: the
+        scale a mass is a probability over, and each possible observation,
+        ascending, with its mass (positive) and posterior (numerators that
+        sum to the mass, so :class:`Belief`'s checks are skipped)."""
         compiled = self._columns.get(action)
         if compiled is None:
             compiled = self._columns[action] = self._compile(action)
@@ -357,26 +356,31 @@ class Pomdp:
                     entry = split[o] = ([], [])
                 entry[0].append(s2)
                 entry[1].append(z * mass)
-        scale *= belief.den
         size = len(self.states)
-        out = {}
+        out = []
         for o in sorted(split):
             indices, nums = split[o]
-            total = sum(nums)
-            out[o] = (Fraction(total, scale), Belief._sparse(size, tuple(indices), nums, total))
-        return out
+            mass = sum(nums)
+            out.append((o, mass, Belief._sparse(size, tuple(indices), nums, mass)))
+        return scale * belief.den, out
+
+    def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
+        """Each possible observation after ``action`` with its probability and posterior."""
+        scale, split = self._split(belief, action)
+        return {o: (Fraction(mass, scale), posterior) for o, mass, posterior in split}
 
 
 class RunContext:
     """One synthesis run: its model, the one ``objective`` all its goals
     mean, its record ``stats`` and its caches.
 
-    ``successors`` answers each (belief, action) pair from
-    :meth:`Pomdp.successors` once and from a cache afterwards; ``memo``
-    holds ``bps`` answers by (belief, remaining budget) and ``fruitless``
-    the enumerative backend's (belief, steps remaining) facts.  A context
-    belongs to one run and is dropped with it; the model's compiled columns
-    outlive it.  It first checks that the objective fits the model.
+    :meth:`successors` answers each (belief, action) pair from the kernel
+    once, with no probability, which no search reads; ``classes`` maps each
+    posterior and start belief to the run's one copy of it and its class
+    (:meth:`classify`).  ``memo`` holds ``bps`` answers by (belief, budget)
+    and ``fruitless`` the enumerative backend's (belief, steps remaining)
+    facts.  A context belongs to one run and is dropped with it; the
+    model's compiled columns outlive it.  It first checks the objective.
     """
 
     def __init__(self, model: Pomdp, objective: SafeReachObjective) -> None:
@@ -391,14 +395,25 @@ class RunContext:
         self.stats = SynthesisStats()
         self.memo: dict[tuple[Belief, int], Optional[PolicyTree]] = {}
         self.fruitless: set[tuple[Belief, int]] = set()
-        self._successors: dict[tuple[Belief, int], dict[int, tuple[Fraction, Belief]]] = {}
+        self.classes: dict[Belief, tuple[Belief, bool, bool]] = {}
+        self._successors: dict[tuple[Belief, int], tuple] = {}
 
-    def successors(self, belief: Belief, action: int) -> dict[int, tuple[Fraction, Belief]]:
-        """The model's answer, computed once per run; read it, never change it."""
+    def successors(self, belief: Belief, action: int) -> tuple[tuple[int, Belief, bool, bool], ...]:
+        """``(observation, posterior, is_goal, is_safe)`` for each possible
+        observation after ``action``, ascending; computed once per run."""
         key = (belief, action)
         found = self._successors.get(key)
         if found is None:
-            found = self._successors[key] = self.model.successors(belief, action)
+            found = self._successors[key] = tuple(
+                (o, *self.classify(b)) for o, _, b in self.model._split(belief, action)[1])
+        return found
+
+    def classify(self, belief: Belief) -> tuple[Belief, bool, bool]:
+        """The run's one copy of the belief, with its ``is_goal`` and ``is_safe``."""
+        found = self.classes.get(belief)
+        if found is None:
+            found = self.classes[belief] = (belief, self.objective.is_goal(belief),
+                                            self.objective.is_safe(belief))
         return found
 
 

@@ -13,7 +13,9 @@ full-length path satisfies).
 Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
 lexicographically smallest one.  Successors come from the session's
-:class:`~safereach.core.RunContext`, whose ``fruitless`` set of (belief,
+:class:`~safereach.core.RunContext` with each posterior's step-free class,
+which the search reads with its own ``step < horizon`` test, never
+re-evaluating a predicate.  The run's ``fruitless`` set of (belief,
 steps-remaining) pairs prunes repeated subtrees of branches that have not
 reached the goal yet.  As the goal ends at the horizon, only the blocks live
 in a subtree can change its answer, and entries are only recorded on
@@ -61,16 +63,15 @@ class EnumerativeSession(SolverSession):
     def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
                 blocks: Sequence[Blocking]):
         run = self.run
-        objective = run.objective
         fruitless = run.fruitless
         available_actions = run.model.available_actions
 
-        def status(belief: Belief, step: int) -> Optional[bool]:
+        def status(is_goal: bool, is_safe: bool, step: int) -> Optional[bool]:
             """True at a goal belief, False on a safe one with steps left,
             None when the branch can no longer reach the goal."""
-            if objective.is_goal(belief):
+            if is_goal:
                 return True
-            if objective.is_safe(belief) and step < horizon:
+            if is_safe and step < horizon:
                 return False
             return None
 
@@ -84,8 +85,8 @@ class EnumerativeSession(SolverSession):
             for a in available_actions(belief):
                 if any(bl.fail_step == step + 1 and bl.plan.actions[i] == a for bl in live):
                     continue  # the blocked prefix ends exactly here
-                for o, (_, b2) in run.successors(belief, a).items():
-                    fired2 = fired or status(b2, step + 1)
+                for o, b2, is_goal, is_safe in run.successors(belief, a):
+                    fired2 = fired or status(is_goal, is_safe, step + 1)
                     if fired2 is None:
                         continue
                     next_live = [
@@ -104,7 +105,7 @@ class EnumerativeSession(SolverSession):
                 fruitless.add(key)
             return None
 
-        fired = not goal or status(b0, start)
+        fired = not goal or status(*run.classify(b0)[1:], start)
         if fired is None:
             return None
         live = [bl for bl in blocks if bl.plan.beliefs[0] == b0]

@@ -165,11 +165,11 @@ def extract_plan(outcome: Sat, start_step: int, end_step: int, run: RunContext) 
         raise PlanDecodeError(f"plan spans steps {plan.start_step}..{plan.end_step}, "
                               f"not {start_step}..{end_step}")
     for i, (a, o) in enumerate(zip(plan.actions, plan.observations)):
-        branch = run.successors(plan.beliefs[i], a).get(o)
-        if branch is None:
+        posterior = {obs: b for obs, b, *_ in run.successors(plan.beliefs[i], a)}.get(o)
+        if posterior is None:
             raise PlanDecodeError(
                 f"step {start_step + i + 1}: plan chose an impossible observation")
-        if branch[1] != plan.beliefs[i + 1]:
+        if posterior != plan.beliefs[i + 1]:
             raise PlanDecodeError(
                 f"step {start_step + i + 1}: plan belief disagrees with the exact update")
     return plan

@@ -433,7 +433,7 @@ class _SolverProcess(_SmtProcess):
 
 
 class SolverPool:
-    """Idle solver endpoints for the sessions of one run, newest first.
+    """Idle solver endpoints for the sessions of one run, newest first, and their ``config``.
 
     :meth:`take` hands out an idle endpoint, or starts one and sends it the
     header; :meth:`give_back` resets a healthy endpoint and keeps it.  Only
@@ -446,6 +446,7 @@ class SolverPool:
     """
 
     def __init__(self, config: SolverConfig = SolverConfig()) -> None:
+        self.config = config
         # ``None`` runs the bundled solver in this process.
         self.command = tuple(config.command) if config.command else None
         self._idle: list[_SmtProcess] = []
@@ -505,11 +506,11 @@ class _Asserted:
 
 class SmtLibSession(SolverSession):
     """Drives one solver endpoint incrementally, or one per check from scratch,
-    drawn from the run's ``pool``, which outlives the session."""
+    drawn from the run's ``pool``, which outlives it and whose config it runs."""
 
-    def __init__(self, run: RunContext, config: SolverConfig, pool: SolverPool) -> None:
+    def __init__(self, run: RunContext, pool: SolverPool) -> None:
         super().__init__(run)
-        self.config = config
+        self.config = pool.config
         self._pool = pool
         self._proc: Optional[_SmtProcess] = None
         self._dead = False

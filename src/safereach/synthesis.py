@@ -33,7 +33,6 @@ from .core import (
     RunContext,
     SafeReachObjective,
     SynthesisStats,
-    goal_step,
 )
 from .solver import (
     EnumerativeSession,
@@ -90,18 +89,20 @@ class SynthesisResult:
 _VERDICT_KIND = {Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
 
 
-def _truncate_at_goal(plan: CandidatePlan, objective: SafeReachObjective) -> CandidatePlan:
-    """Cut the plan at its earliest objective-satisfying step.
+def _truncate_at_goal(plan: CandidatePlan, run: RunContext) -> CandidatePlan:
+    """Cut the plan at its first goal belief with all earlier ones safe, by the run's classes.
 
     Plans may pad beyond the goal (the unfolding always spans the full
     horizon); branching on those filler steps would demand synthesis past
     the objective and could block otherwise-valid plans.
     """
-    step = goal_step(plan, objective)
-    if step is None:
-        raise EncodingSoundnessError(
-            "solver plan does not satisfy the objective")
-    return plan.prefix(step)
+    for offset, belief in enumerate(plan.beliefs):
+        _, is_goal, is_safe = run.classify(belief)
+        if is_goal:
+            return plan.prefix(plan.start_step + offset)
+        if not is_safe:
+            break
+    raise EncodingSoundnessError("solver plan does not satisfy the objective")
 
 
 def bps(
@@ -149,7 +150,7 @@ def bps(
                 plan = extract_plan(outcome, start_step, k, run)
                 if plan.beliefs[0] != b_init:
                     raise EncodingSoundnessError("plan start belief differs from b_init")
-                plan = _truncate_at_goal(plan, run.objective)
+                plan = _truncate_at_goal(plan, run)
                 stats.interactions += 1
                 tree, blocking = policy_generation(run, plan, k, session_factory)
                 if tree is not None:
@@ -200,7 +201,7 @@ def policy_generation(
         run.stats.zero_probability_skips += n_obs - len(branches)
         log.debug("step %d: %d impossible observation(s), no branch", i, n_obs - len(branches))
         children = {on_plan_obs: subtree}
-        for obs, (_, branch_belief) in branches.items():
+        for obs, branch_belief, *_ in branches:
             if obs == on_plan_obs:
                 continue
             branch = bps(run, branch_belief, i, bound, session_factory)
@@ -241,7 +242,7 @@ def synthesis_run(
         # them is sound and saves work.
         factory: SessionFactory = lambda: EnumerativeSession(run)
     else:
-        factory = lambda: SmtLibSession(run, config.solver, pool)
+        factory = lambda: SmtLibSession(run, pool)
     started = time.monotonic()
     try:
         policy = bps(run, b_init, 0, config.horizon, factory)

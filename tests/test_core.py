@@ -268,16 +268,15 @@ def noisy_models(draw):
 def test_kernel_matches_dense_oracle(problem):
     model, belief = problem
     n = len(model.states)
-    run = RunContext(model, SafeReachObjective(
-        (LinearBeliefPredicate(frozenset({0}), ">", F(1, 2)),), ()))
+    objective = SafeReachObjective((LinearBeliefPredicate(frozenset({0}), ">", F(1, 2)),),
+                                   (LinearBeliefPredicate(frozenset({n - 1}), "<", F(1, 3)),))
+    run = RunContext(model, objective)
     support = [s for s in range(n) if belief[s]]
     assert model.available_actions(belief) == [
         a for a in range(len(model.actions))
         if all(a in model.availability[s] for s in support)]
     for action in range(len(model.actions)):
-        branches = run.successors(belief, action)
-        assert run.successors(belief, action) is branches
-        assert branches == model.successors(belief, action)
+        branches = model.successors(belief, action)
         for obs in range(len(model.observations)):
             oracle = dense_matrix_update(belief, action, obs, model)
             if oracle is None:
@@ -291,6 +290,16 @@ def test_kernel_matches_dense_oracle(problem):
             canonical = Belief(posterior.probs)
             assert posterior == canonical and hash(posterior) == hash(canonical)
         assert list(branches) == sorted(branches)
+        # The run cache: the same posteriors, each with its class, and no probability.
+        cached = run.successors(belief, action)
+        assert run.successors(belief, action) is cached
+        assert all(type(entry) is tuple for entry in (cached, *cached))
+        assert [(o, b) for o, b, *_ in cached] == [(o, b) for o, (_, b) in branches.items()]
+        for _, posterior, is_goal, is_safe in cached:
+            assert (is_goal, is_safe) == (objective.is_goal(posterior),
+                                          objective.is_safe(posterior))
+            assert run.classes[posterior] == (posterior, is_goal, is_safe)
+            assert run.classes[posterior][0] is posterior
 
 
 @settings(max_examples=40, deadline=None)

@@ -54,7 +54,7 @@ def load_session(session, b_init, horizon, goal=False):
 def test_popped_scope_leaves_no_trace(pickup, backend, pool):
     model, b_init, objective = pickup
     session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
-               else SmtLibSession(RunContext(model, objective), SolverConfig(), pool))
+               else SmtLibSession(RunContext(model, objective), pool))
     with session:
         load_session(session, b_init, 1)
         session.push()
@@ -76,7 +76,7 @@ def test_pop_on_empty_stack_is_usage_error(pickup, pool):
     session = EnumerativeSession(RunContext(model, objective))
     with pytest.raises(SolverUsageError):
         session.pop()
-    smt = SmtLibSession(RunContext(model, objective), SolverConfig(), pool)
+    smt = SmtLibSession(RunContext(model, objective), pool)
     with pytest.raises(SolverUsageError):
         smt.pop()
     smt.close()
@@ -106,7 +106,7 @@ def test_random_scope_sequences_agree_across_backends(pool):
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
         horizon = 2
         run = RunContext(model, objective)
-        enum, smt = EnumerativeSession(run), SmtLibSession(run, SolverConfig(), pool)
+        enum, smt = EnumerativeSession(run), SmtLibSession(run, pool)
         for session in (enum, smt):
             load_session(session, b_init, horizon)
         depth = 0
@@ -173,7 +173,7 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
         serialized.clear()
         config = SolverConfig(incremental=incremental)
         with SolverPool(config) as pool, \
-                SmtLibSession(RunContext(model, objective), config, pool) as session:
+                SmtLibSession(RunContext(model, objective), pool) as session:
             session.add(enc.initial_constraint(0, b_init))
             session.push()
             session.add(enc.goal_constraint(0, 0))
@@ -373,7 +373,7 @@ def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
 def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backend, shape, pool):
     model, b_init, objective = pickup
     session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
-               else SmtLibSession(RunContext(model, objective), SolverConfig(), pool))
+               else SmtLibSession(RunContext(model, objective), pool))
     with session:
         if shape != "no initial":
             session.add(enc.initial_constraint(0, b_init))
@@ -390,7 +390,7 @@ def test_sat_plans_span_the_unfolding_on_both_backends(pickup, pool):
     model, b_init, objective = pickup
     plans = []
     for session in (EnumerativeSession(RunContext(model, objective)),
-                    SmtLibSession(RunContext(model, objective), SolverConfig(), pool)):
+                    SmtLibSession(RunContext(model, objective), pool)):
         with session:
             load_session(session, b_init, 1, goal=True)
             result = session.check()
@@ -409,7 +409,8 @@ def test_enum_plan_posteriors_are_the_run_caches_own(pickup):
             plan = session.check().plan
         assert plan.beliefs[0] is b_init
         for i, (a, o) in enumerate(zip(plan.actions, plan.observations)):
-            assert plan.beliefs[i + 1] is run.successors(plan.beliefs[i], a)[o][1]
+            posteriors = {obs: b for obs, b, *_ in run.successors(plan.beliefs[i], a)}
+            assert plan.beliefs[i + 1] is posteriors[o]
 
 
 def test_extract_plan_verifies_every_step(pickup):
@@ -462,7 +463,7 @@ def test_a_solver_that_answers_unknown_makes_the_run_an_error(pickup):
     model, b_init, objective = pickup
     solver = SolverConfig(command=_checking("unknown"))
     with SolverPool(solver) as pool, \
-            SmtLibSession(RunContext(model, objective), solver, pool) as session:
+            SmtLibSession(RunContext(model, objective), pool) as session:
         load_session(session, b_init, 1, goal=True)
         assert session.check() == Unknown("solver returned unknown")
     result = synthesis_run(model, b_init, objective,
@@ -475,7 +476,7 @@ def test_an_unexpected_check_sat_reply_closes_the_endpoint(pickup, spawned):
     model, b_init, objective = pickup
     config = SolverConfig(command=_checking("maybe"))
     with SolverPool(config) as pool:
-        with SmtLibSession(RunContext(model, objective), config, pool) as session:
+        with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 1, goal=True)
             assert session.check() \
                 == Unknown("solver failure: unexpected check-sat response: 'maybe'")
@@ -514,14 +515,14 @@ def test_undecodable_model_is_a_solver_failure(pickup, change, reason):
     model, b_init, objective = pickup
     good = SolverConfig(command=_fake_solver(_GOOD_MODEL))
     with SolverPool(good) as pool, \
-            SmtLibSession(RunContext(model, objective), good, pool) as session:
+            SmtLibSession(RunContext(model, objective), pool) as session:
         load_session(session, b_init, 1, goal=True)
         # the unchanged model decodes to the plan the enum backend finds
         assert session.check().plan == enumerative_check(model, b_init, 0, 1, objective).plan
     broken = {k: v for k, v in {**_GOOD_MODEL, **change}.items() if v is not None}
     config = SolverConfig(command=_fake_solver(broken))
     with SolverPool(config) as pool:
-        session = SmtLibSession(RunContext(model, objective), config, pool)
+        session = SmtLibSession(RunContext(model, objective), pool)
         load_session(session, b_init, 1, goal=True)
         result = session.check()
         assert isinstance(result, Unknown)
@@ -535,7 +536,7 @@ def test_a_bare_atom_reply_to_get_model_is_a_prompt_solver_failure(pickup):
     model, b_init, objective = pickup
     config = SolverConfig(command=_answering("unsupported"), check_timeout=3)
     with SolverPool(config) as pool, \
-            SmtLibSession(RunContext(model, objective), config, pool) as session:
+            SmtLibSession(RunContext(model, objective), pool) as session:
         load_session(session, b_init, 1, goal=True)
         started = time.monotonic()
         result = session.check()
@@ -548,7 +549,7 @@ def test_unterminated_string_in_a_model_is_a_solver_failure(pickup):
     model, b_init, objective = pickup
     config = SolverConfig(command=_answering('((define-fun a_1 () Int 0)) "'), check_timeout=2.0)
     with SolverPool(config) as pool, \
-            SmtLibSession(RunContext(model, objective), config, pool) as session:
+            SmtLibSession(RunContext(model, objective), pool) as session:
         load_session(session, b_init, 1, goal=True)
         started = time.monotonic()
         result = session.check()
@@ -600,7 +601,7 @@ def test_check_timeout_yields_unknown_and_dead_session(pickup):
         check_timeout=0.2,
     )
     with SolverPool(config) as pool:
-        session = SmtLibSession(RunContext(model, objective), config, pool)
+        session = SmtLibSession(RunContext(model, objective), pool)
         load_session(session, b_init, 1, goal=True)
         result = session.check()
         assert isinstance(result, Unknown)
@@ -619,7 +620,7 @@ def test_crashing_solver_yields_unknown_with_diagnostic(pickup):
     )
     try:
         with SolverPool(config) as pool:
-            session = SmtLibSession(RunContext(model, objective), config, pool)
+            session = SmtLibSession(RunContext(model, objective), pool)
             load_session(session, b_init, 1, goal=True)
             result = session.check()
     except SolverError as exc:
@@ -698,7 +699,7 @@ def test_a_failed_sessions_process_is_never_reused(pickup, spawned, failure, inc
                "reply-not-utf8": _NOT_UTF8}[failure]
     config = SolverConfig(command=command, check_timeout=0.5, incremental=incremental)
     with SolverPool(config) as pool:
-        with SmtLibSession(RunContext(model, objective), config, pool) as session:
+        with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 1, goal=True)
             assert isinstance(session.check(), Unknown)
         (failed,) = spawned
@@ -714,7 +715,7 @@ def test_a_reused_process_is_reset_before_the_next_session(pickup, spawned):
     lines = []
     with SolverPool() as pool:
         for horizon in (1, 2):
-            with SmtLibSession(run, SolverConfig(), pool) as session:
+            with SmtLibSession(run, pool) as session:
                 load_session(session, b_init, horizon, goal=True)
                 assert isinstance(session.check(), Sat)
             (proc,) = spawned
@@ -736,11 +737,32 @@ def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
         proc = pool.take()
         proc.send("(no-such-command)")
         pool.give_back(proc)
-        with SmtLibSession(RunContext(model, objective), SolverConfig(), pool) as session:
+        with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 1, goal=True)
             result = session.check()
     assert isinstance(result, Unknown)
     assert "unsupported command no-such-command" in result.reason
+
+
+def test_a_session_takes_every_setting_from_its_pool(pickup, spawned):
+    model, b_init, objective = pickup
+    # The pool's command is the one the session's endpoint runs ...
+    with SolverPool(SolverConfig(command=("no-such-solver",))) as pool:
+        session = SmtLibSession(RunContext(model, objective), pool)
+        with pytest.raises(SolverError, match="cannot start solver"):
+            load_session(session, b_init, 1, goal=True)
+        session.close()
+    assert [type(proc) for proc in spawned] == [smtlib._SolverProcess]
+    spawned.clear()
+    # ... and its mode is the session's: from scratch, nothing is sent
+    # before a check, and each check takes an endpoint and hands it back.
+    with SolverPool(SolverConfig(incremental=False)) as pool, \
+            SmtLibSession(RunContext(model, objective), pool) as session:
+        load_session(session, b_init, 1, goal=True)
+        assert spawned == []
+        assert isinstance(session.check(), Sat)
+        (proc,) = spawned
+        assert proc.lines[-3:] == ["(reset)", *HEADER]
 
 
 def test_custom_solver_command_runs_as_given(pickup, monkeypatch):
@@ -829,7 +851,7 @@ def test_a_timed_out_forked_solver_is_reaped(spawned):
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     config = SolverConfig(check_timeout=0.2)  # the noisy h4 check searches for seconds
     with SolverPool(config) as pool:
-        with SmtLibSession(RunContext(model, objective), config, pool) as session:
+        with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 4, goal=True)
             started = time.monotonic()
             result = session.check()
@@ -893,13 +915,13 @@ def test_a_failing_forked_solver_is_a_solver_failure_with_its_stderr(pickup, mon
     run = RunContext(model, objective)
     with SolverPool() as pool:
         monkeypatch.setattr(refsolver.Search, "run", crash)
-        with SmtLibSession(run, SolverConfig(), pool) as session:
+        with SmtLibSession(run, pool) as session:
             load_session(session, b_init, 1, goal=True)
             result = session.check()
         monkeypatch.undo()
         assert result == Unknown("solver failure: the bundled solver failed: RuntimeError: boom")
         # The driver carries on, with a new solver.
-        with SmtLibSession(run, SolverConfig(), pool) as session:
+        with SmtLibSession(run, pool) as session:
             load_session(session, b_init, 1, goal=True)
             assert isinstance(session.check(), Sat)
 

@@ -363,7 +363,7 @@ def test_caches_live_and_die_with_one_run(monkeypatch):
     # Back-to-back runs on one model object each start cold: the same
     # number of kernel misses, and far fewer misses than lookups.
     counts = []
-    lookup, kernel = RunContext.successors, Pomdp.successors
+    lookup, kernel = RunContext.successors, Pomdp._split
 
     def counting_lookup(self, belief, action):
         counts[-1][0] += 1
@@ -374,7 +374,7 @@ def test_caches_live_and_die_with_one_run(monkeypatch):
         return kernel(self, belief, action)
 
     monkeypatch.setattr(RunContext, "successors", counting_lookup)
-    monkeypatch.setattr(Pomdp, "successors", counting_kernel)
+    monkeypatch.setattr(Pomdp, "_split", counting_kernel)
     model, b_init, objective = kitchen_3x2_det()
     for _ in range(2):
         counts.append([0, 0])
@@ -405,6 +405,70 @@ def test_each_action_is_compiled_once_per_model(monkeypatch):
         belief_update(b_init, i % len(model.actions), 0, model)
     assert len(reads) == len(model.states) * len(model.actions)
     assert max(reads.values()) == 1
+
+
+# The deterministic kitchen ladder: (width, height, shadow, storage, obstacles),
+# horizon, and the verdict brute_force_feasible gives (the two larger rungs
+# take it 7 s and 20 s, so their verdicts are written down here).
+KITCHEN_LADDER = (
+    ((3, 2, [(1, 0), (1, 1)], (2, 0), 1), 6, None),
+    ((3, 3, [(1, 0), (1, 1), (1, 2)], (2, 0), 1), 7, True),
+    ((4, 3, [(1, 0), (1, 1), (2, 1), (2, 2)], (3, 0), 2), 5, False),
+)
+
+
+def det_kitchen(width, height, shadow, storage, obstacles):
+    return build_kitchen(width, height, shadow, storage, (0, 0), obstacles=obstacles,
+                         p_fail=0, p_fp=0, p_fn=0)
+
+
+def enum_bps(model, b_init, objective, horizon):
+    """``bps`` alone on the enum backend, with no validation: its policy
+    and the run whose caches it filled."""
+    context = RunContext(model, objective)
+    policy = synthesis.bps(context, b_init, 0, horizon, lambda: EnumerativeSession(context))
+    return policy, context
+
+
+def test_the_run_cache_classes_every_posterior_as_the_objective_does():
+    problems = [random_instance(random.Random(seed)) for seed in range(50)]
+    problems += [(*det_kitchen(*geometry), horizon) for geometry, horizon, _ in KITCHEN_LADDER]
+    feasible = [None] * 50 + [verdict for _, _, verdict in KITCHEN_LADDER]
+    for i, (model, b_init, objective, horizon) in enumerate(problems):
+        policy, context = enum_bps(model, b_init, objective, horizon)
+        if feasible[i] is None:
+            feasible[i] = brute_force_feasible(model, objective, b_init, horizon)
+        assert (policy is not None) == feasible[i], f"problem {i}"
+        assert context.classes
+        for belief, (own, is_goal, is_safe) in context.classes.items():
+            assert own is belief
+            assert (is_goal, is_safe) == (objective.is_goal(belief), objective.is_safe(belief)), \
+                f"problem {i}"
+        for entry in context._successors.values():
+            for _, posterior, *cls in entry:  # the run's one copy, and its class
+                assert context.classes[posterior] == (posterior, *cls)
+                assert context.classes[posterior][0] is posterior
+
+
+@pytest.mark.parametrize("rung", [0, 2], ids=["3x2-det-h6", "4x3-M2-det-h5"])
+def test_no_belief_is_classified_twice_in_a_run(rung, monkeypatch):
+    # The work counter: every predicate is evaluated once per distinct
+    # belief the search meets, however often it meets it.
+    geometry, horizon, verdict = KITCHEN_LADDER[rung]
+    model, b_init, objective = det_kitchen(*geometry)
+    seen = []
+    holds = LinearBeliefPredicate.holds
+
+    def counting(self, belief):
+        seen.append(belief)
+        return holds(self, belief)
+
+    monkeypatch.setattr(LinearBeliefPredicate, "holds", counting)
+    policy, context = enum_bps(model, b_init, objective, horizon)
+    assert (policy is not None) == (verdict is not False)
+    distinct = set(seen)
+    assert len(distinct) == len(context.classes) > 0
+    assert len(seen) == len(objective.goal + objective.safe) * len(distinct)
 
 
 def test_mismatched_problem_is_a_named_error(pickup):
