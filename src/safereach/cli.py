@@ -142,7 +142,7 @@ def _build_problem(args) -> tuple[Pomdp, Belief, SafeReachObjective, str, int, i
 
 
 def _solver_config(args) -> SolverConfig:
-    command = tuple(shlex.split(args.solver_cmd)) if args.solver_cmd else None
+    command = tuple(shlex.split(args.solver_cmd or "")) or None  # blank: the bundled solver
     return SolverConfig(
         command=command,
         check_timeout=args.check_timeout,

@@ -8,30 +8,24 @@ text, so the driver speaks to it as to any external solver.
 Completeness is limited by design: every integer variable must have finite
 bounds derivable from top-level ``(<= c v)`` / ``(< v c)``-style assertions,
 and real variables must be determined by equation propagation (forms
-``x = e``, ``x * e1 = e2``, ``x + e1 = e2`` with the rest evaluable) once the
+``x = e``, ``x * e1 = e2``, ``x + e1 = e2`` with the rest known) once the
 integers are fixed.  The search enumerates integer assignments in ascending
 declaration order with exact ``Fraction`` arithmetic and three-valued
-constraint evaluation for pruning.  Anything outside the fragment yields
-``unknown`` rather than a wrong answer.
+constraint evaluation for pruning.
 
 Each assertion is compiled once, when it is asserted, and kept in its
-``push`` frame, so ``pop`` drops it and ``reset`` clears it: every
-top-level conjunct becomes one step over the partial assignment, built in
-one walk that also collects the variables the search watches it on
-(:class:`Compiler`).  The rule is per conjunct.  A conjunct whose open
-subterms use only the operators the driver writes (``and``, ``or``,
-``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and ``ite`` chains
-over one selector ``(= x k)`` or a selector pair ``(and (= x k) (= y m))``,
-which become dict lookups) is compiled to closures, each node a
-``(closure, solver)`` pair; closed terms such as ``(/ 1.0 2.0)`` are folded,
-sums are taken over one common denominator, and each equation ``(= l r)``
-is decided, or solved for its single unknown, in one pass.  Any other
-conjunct, a malformed one included, is one step that calls the reference:
-:func:`evaluate`, the plain recursive interpreter, then
-:func:`solve_equation` for an undecided equation.  ``check-sat`` builds the
-search from these steps, so no search node re-walks a compiled term.
-:func:`evaluate` also reads model values for the driver and is the oracle
-the compiled closures are tested against.
+``push`` frame, so ``pop`` drops it and ``reset`` clears it.  The compiled
+closures are the one interpreter (:class:`Compiler`): each top-level
+conjunct becomes one step over the partial assignment, built in one walk
+that also collects the variables the search watches it on.  A conjunct
+compiles when it uses only the operators the driver writes (``and``,
+``or``, ``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and ``ite``
+chains over one selector ``(= x k)`` or a selector pair, which become dict
+lookups) over variables, bools and numerals (:func:`numeral`).  Any other
+conjunct, such as ``=>``, ``-`` over variables or ``>``, is outside the
+fragment: ``check-sat`` answers ``unknown`` while one is live, rather than
+a wrong answer.  An assertion that names an undeclared constant is
+answered with an error and not kept.
 
 Commands are read one way: :class:`CommandReader` takes one balanced
 command at a time and :func:`parse_tokens` interns its terms as it reads
@@ -87,9 +81,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-# Arguments that evaluate() reads by position: exactly n, or at least n.
+# Arguments read by position: exactly n, or at least n.
 EXACT_ARITY = {"not": 1, "ite": 3}
-MIN_ARITY = {"=>": 2, "-": 1, "/": 1, "*": 1}
+MIN_ARITY = {"-": 1, "/": 1, "*": 1}
 
 
 def _atom(token: str):
@@ -186,189 +180,40 @@ class CommandReader:
 
 
 # --------------------------------------------------------------------------
-# Three-valued evaluation and single-unknown equation solving
-# --------------------------------------------------------------------------
-
-def evaluate(term, env):
-    """Evaluate an interned term under a partial assignment; ``None`` = unknown."""
-    if isinstance(term, str):
-        return env.get(term)
-    if isinstance(term, (bool, int, Fraction)):
-        return term
-    if not isinstance(term, tuple) or not term:
-        raise SmtSyntaxError(f"cannot evaluate {term!r}")
-    head = term[0]
-    args = term[1:]
-    if head == "and":
-        saw_unknown = False
-        for a in args:
-            v = evaluate(a, env)
-            if v is False:
-                return False
-            if v is None:
-                saw_unknown = True
-        return None if saw_unknown else True
-    if head == "or":
-        saw_unknown = False
-        for a in args:
-            v = evaluate(a, env)
-            if v is True:
-                return True
-            if v is None:
-                saw_unknown = True
-        return None if saw_unknown else False
-    if head == "not":
-        v = evaluate(args[0], env)
-        return None if v is None else not v
-    if head == "=>":
-        # right-associative: (=> a b c) is (=> a (=> b c)), folded from the right
-        out = evaluate(args[-1], env)
-        for premise in reversed(args[:-1]):
-            if out is not True:
-                lhs = evaluate(premise, env)
-                out = True if lhs is False else out if lhs is True else None
-        return out
-    if head == "ite":
-        cond = evaluate(args[0], env)
-        if cond is None:
-            return None
-        return evaluate(args[1] if cond else args[2], env)
-    if head in ("=", "<", "<=", ">", ">="):
-        vals = [evaluate(a, env) for a in args]
-        if any(v is None for v in vals):
-            return None
-        if head == "=":
-            return all(v == vals[0] for v in vals[1:])
-        for left, right in zip(vals, vals[1:]):
-            if head == "<" and not left < right:
-                return False
-            if head == "<=" and not left <= right:
-                return False
-            if head == ">" and not left > right:
-                return False
-            if head == ">=" and not left >= right:
-                return False
-        return True
-    if head in ("+", "*", "-", "/"):
-        vals = [evaluate(a, env) for a in args]
-        if head == "*" and any(v == 0 for v in vals):
-            return 0  # annihilator: sound even with unknown cofactors
-        if any(v is None for v in vals):
-            return None
-        if head == "+":
-            return sum(vals)
-        if head == "*":
-            out = vals[0]
-            for v in vals[1:]:
-                out = out * v
-            return out
-        if head == "-":
-            if len(vals) == 1:
-                return -vals[0]
-            out = vals[0]
-            for v in vals[1:]:
-                out = out - v
-            return out
-        if any(v == 0 for v in vals[1:]):
-            return None  # division by zero: stay agnostic
-        out = Fraction(vals[0])
-        for v in vals[1:]:
-            out = out / v
-        return out
-    raise SmtSyntaxError(f"unsupported operator {head!r}")
-
-
-CONFLICT = object()
-
-
-def solve_equation(lhs, rhs, env):
-    """Try to determine one variable from ``lhs = rhs``.
-
-    Returns ``None`` (no progress), ``CONFLICT``, or ``(name, value)``.
-    Handles a bare variable, or a variable inside a single +, - or * whose
-    other operands are already known.
-    """
-    lval = evaluate(lhs, env)
-    rval = evaluate(rhs, env)
-    if lval is not None and rval is not None:
-        return None  # fully known; plain evaluation decides it
-    if lval is None and rval is None:
-        return None
-    expr, target = (lhs, rval) if lval is None else (rhs, lval)
-    return _solve_side(expr, target, env)
-
-
-def _solve_side(expr, target, env):
-    if isinstance(expr, str):
-        return (expr, target)
-    if not isinstance(expr, tuple) or not expr:
-        return None
-    head, args = expr[0], expr[1:]
-    if head == "*":
-        known = Fraction(1)
-        unknown = None
-        for a in args:
-            v = evaluate(a, env)
-            if v is None:
-                if unknown is not None:
-                    return None
-                unknown = a
-            else:
-                known *= v
-        if unknown is None:
-            return None
-        if known == 0:
-            return None if target == 0 else CONFLICT
-        return _solve_side(unknown, target / known, env)
-    if head == "+":
-        known = Fraction(0)
-        unknown = None
-        for a in args:
-            v = evaluate(a, env)
-            if v is None:
-                if unknown is not None:
-                    return None
-                unknown = a
-            else:
-                known += v
-        if unknown is None:
-            return None
-        return _solve_side(unknown, target - known, env)
-    if head == "-" and len(args) == 1:
-        return _solve_side(args[0], -target, env)
-    if head == "-" and len(args) == 2:
-        left = evaluate(args[0], env)
-        right = evaluate(args[1], env)
-        if left is None and right is not None:
-            return _solve_side(args[0], target + right, env)
-        if right is None and left is not None:
-            return _solve_side(args[1], left - target, env)
-    return None
-
-
-def term_vars(term, acc: set) -> set:
-    if isinstance(term, str):
-        acc.add(term)
-    elif isinstance(term, tuple):
-        for part in term[1:] if term and isinstance(term[0], str) else term:
-            term_vars(part, acc)
-    return acc
-
-
-# --------------------------------------------------------------------------
 # Compilation: each conjunct of the driver's fragment becomes closures
 # --------------------------------------------------------------------------
 #
-# A compiled term is a closure ``fn(env)`` that returns what ``evaluate``
-# returns for the term under ``env``, built once when the assertion arrives
-# instead of re-dispatching on the term's shape at every search node.
+# A compiled term is a closure ``fn(env)`` that returns the term's value
+# under the partial assignment ``env``, ``None`` while it is unknown, built
+# once when the assertion arrives instead of re-dispatching on the term's
+# shape at every search node.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# What an equation step returns when no value of its unknown can satisfy it.
+CONFLICT = object()
+
 
 class _Outside(Exception):
-    """An open term outside the compiled operators, or a malformed term."""
+    """A term outside the compiled fragment, a malformed one included."""
+
+
+def numeral(term):
+    """The number a numeral term denotes: ``n``, ``n.m``, ``(- x)`` or
+    ``(/ x y)`` over numerals, the shapes :func:`format_value` writes and
+    solvers print model values in.  ``None`` for any other term, a bool
+    included, and for a zero divisor."""
+    kind = type(term)
+    if kind is int or kind is Fraction:
+        return term
+    if kind is tuple and len(term) == 2 and term[0] == "-":
+        value = numeral(term[1])
+        return None if value is None else -value
+    if kind is tuple and len(term) == 3 and term[0] == "/":
+        num, den = numeral(term[1]), numeral(term[2])
+        return None if num is None or not den else Fraction(num) / den
+    return None
 
 
 def _variable(name):
@@ -381,18 +226,6 @@ def _constant(value):
     def fn(env):
         return value
     return fn
-
-
-def _reference(term, equation: bool):
-    """The step of a conjunct outside the compiled fragment: the reference
-    itself, :func:`evaluate`, then :func:`solve_equation` for an equation
-    ``(= l r)`` that stays undecided."""
-    def step(env):
-        value = evaluate(term, env)
-        if value is None and equation:
-            return solve_equation(term[1], term[2], env)
-        return value
-    return step
 
 
 def _and(fns):
@@ -619,22 +452,22 @@ def _equation(left, right, solve_left, solve_right):
 
 
 class Compiler:
-    """Compiles interned terms to closures with :func:`evaluate`'s semantics.
+    """Compiles interned terms to three-valued closures, the solver's one
+    interpreter.
 
-    A conjunct is compiled when every open subterm uses the operators the
-    driver writes: ``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``,
-    ``<`` and ``<=``, and ``ite`` chains over one selector or a selector
-    pair, which become dict lookups.  A closed term outside them, such as
-    ``(/ 1.0 3.0)`` or ``(- 2)``, is folded once through :func:`evaluate`.
-    Any other conjunct, a malformed one included, is one step that calls the
-    reference (:func:`_reference`), so its errors surface when it is
-    evaluated, as they would there.  A node is ``(closure, solver)``, built
-    in one walk that adds every variable it meets to :attr:`names`; equal
-    subterms are not shared.
+    A term is compiled when every subterm uses the operators the driver
+    writes: ``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``, ``<`` and
+    ``<=``, and ``ite`` chains over one selector or a selector pair, which
+    become dict lookups, over variables, bools and numerals, which are
+    folded once by :func:`numeral`.  Any other term, a malformed one
+    included, is outside the fragment: :meth:`term` and :meth:`constraint`
+    return ``None`` for it.  A node is ``(closure, solver)``, built in one
+    walk that adds every variable it meets to :attr:`names`; equal subterms
+    are not shared.
     """
 
     def __init__(self) -> None:
-        # The variables of the terms compiled so far: every name evaluate reads.
+        # The variables of the terms compiled so far.
         self.names: set[str] = set()
 
     def term(self, term):
@@ -654,8 +487,7 @@ class Compiler:
             right, solve_right = self._node(term[2], True)
             return _equation(left, right, solve_left, solve_right)
         except _Outside:
-            term_vars(term, self.names)
-            return _reference(term, equation)
+            return None
 
     def _node(self, term, solving: bool):
         """``(closure, solver)`` of ``term``.  With ``solving``, the solver
@@ -679,12 +511,10 @@ class Compiler:
         selector = _selector(term[1]) if head == "ite" else None
         if selector is not None:
             return self._table(term, selector[0]), _no_progress
-        if term_vars(term, set()):
+        value = term if type(term) is bool else numeral(term)
+        if value is None:
             raise _Outside
-        try:
-            return _constant(evaluate(term, {})), _no_progress  # closed, numerals too: fold it
-        except SmtSyntaxError:
-            raise _Outside from None
+        return _constant(value), _no_progress
 
     def _table(self, term, names):
         self.names.update(names)
@@ -708,8 +538,10 @@ class Constraint:
 
     ``test(env)`` is the conjunct's value under ``env``; for an equation
     ``(= l r)`` it is the one-pass step that decides the equation or solves
-    it for its single unknown (see :meth:`Compiler.constraint`).  Of the
-    terms, only the integer bounds the search reads its ranges from are kept.
+    it for its single unknown (see :meth:`Compiler.constraint`).  ``test``
+    is ``None``, and ``names`` empty, for a conjunct outside the fragment.
+    Of the terms, only the integer bounds the search reads its ranges from
+    are kept.
     """
 
     __slots__ = ("bound", "names", "test")
@@ -746,7 +578,8 @@ def compile_assertion(term) -> list[Constraint]:
     for part in _conjuncts(term, []):
         compiler = Compiler()
         test = compiler.constraint(part)
-        constraints.append(Constraint(part, sorted(compiler.names), test))
+        names = sorted(compiler.names) if test is not None else []
+        constraints.append(Constraint(part, names, test))
     return constraints
 
 
@@ -817,7 +650,11 @@ class Search:
                 if value.denominator != 1:
                     return False
                 value = int(value)
+            elif type(value) is bool:
+                return False
         elif sort == "Real" and type(value) is not Fraction:
+            if type(value) is bool:
+                return False
             value = Fraction(value)
         self.env[name] = value
         self.trail[-1][0].append(name)
@@ -960,6 +797,9 @@ class Session:
     def all_decls(self) -> dict[str, str]:
         return {name: sort for decls, _ in self.frames for name, sort in decls.items()}
 
+    def declared(self, name: str) -> bool:
+        return any(name in decls for decls, _ in self.frames)
+
     def all_constraints(self) -> list[Constraint]:
         return [c for _, constraints in self.frames for c in constraints]
 
@@ -1005,10 +845,17 @@ class Session:
                 return '(error "only 0-ary functions supported")'
             if sort not in ("Int", "Real"):
                 return f'(error "unsupported sort {sort}")'
+            if self.declared(name):
+                return f'(error "{name} is already declared")'  # and change nothing
             self.frames[-1][0][name] = sort
             self.last_model = None
         elif head == "assert":
-            self.frames[-1][1].extend(compile_assertion(cmd[1]))
+            constraints = compile_assertion(cmd[1])
+            names = {name for c in constraints for name in c.names}
+            undeclared = sorted(name for name in names if not self.declared(name))
+            if undeclared:
+                return f'(error "undeclared constant {undeclared[0]}")'  # and keep nothing
+            self.frames[-1][1].extend(constraints)
             self.last_model = None
         elif head == "push":
             for _ in range(cmd[1] if len(cmd) > 1 else 1):
@@ -1021,12 +868,12 @@ class Session:
             del self.frames[len(self.frames) - count:]
             self.last_model = None
         elif head == "check-sat":
-            try:
-                search = Search(self.all_decls(), self.all_constraints(), self.parent,
-                                deadline)
-                verdict, model = search.run()
-            except SmtSyntaxError as exc:
-                return f'(error "{exc}")'
+            constraints = self.all_constraints()
+            if any(c.test is None for c in constraints):
+                verdict, model = "unknown", {}  # a conjunct outside the fragment
+            else:
+                verdict, model = Search(self.all_decls(), constraints, self.parent,
+                                        deadline).run()
             self.last_model = model if verdict == "sat" else None
             return verdict
         elif head == "get-model":

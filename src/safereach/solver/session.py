@@ -59,6 +59,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if isinstance(self.command, str):
             raise ValueError(f"command must be a sequence of arguments, got {self.command!r}")
+        if self.command is not None and not self.command:
+            raise ValueError("command must name a program, got an empty sequence")
         if not 0 < self.check_timeout < float("inf"):  # NaN fails too
             raise ValueError(f"check_timeout must be finite and positive, "
                              f"got {self.check_timeout}")

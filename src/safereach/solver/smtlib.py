@@ -44,7 +44,7 @@ from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Po
 from .. import refsolver
 from ..encoding import (Blocking, Constraint, Goal, Initial, Transition, action_var_name,
                         belief_var_name, observation_var_name, step_vars)
-from ..refsolver import SmtSyntaxError, evaluate, format_value, parse_tokens, tokenize
+from ..refsolver import SmtSyntaxError, format_value, numeral, parse_tokens, tokenize
 from .session import (
     PlanDecodeError,
     Sat,
@@ -243,11 +243,8 @@ def parse_model(tokens: list[str]) -> dict[str, Union[Fraction, int]]:
         if len(entry) != 5:
             raise SolverError(f"malformed model entry: {entry!r}")
         _, name, _args, sort, term = entry
-        try:
-            value = evaluate(term, {})
-        except SmtSyntaxError:
-            value = None
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        value = numeral(term)
+        if value is None:
             raise ModelValueError(f"non-rational model value for {name}: {term!r}")
         if sort == "Int" and Fraction(value).denominator != 1:
             raise ModelValueError(f"non-integer model value for {name}: {value}")
@@ -286,13 +283,12 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 # --------------------------------------------------------------------------
 
 class _SmtProcess:
-    """One solver endpoint, started for ``command``, ``None`` for the bundled
-    solver.  A subclass gives ``alive``, ``_write(line)``, ``close()`` and
-    ``_read(deadline)``: the next answer bytes, raising
+    """One solver endpoint.  A subclass gives ``alive``, ``_write(line)``,
+    ``close()`` and ``_read(deadline)``: the next answer bytes, raising
     :class:`TimeoutError` past the deadline and :class:`SolverError` once no
     answer can come."""
 
-    def __init__(self, command: Optional[Sequence[str]]) -> None:
+    def __init__(self) -> None:
         self._buffer = b""
 
     def send(self, line: str) -> None:
@@ -329,7 +325,7 @@ class _InProcessSolver(_SmtProcess):
     as a :class:`SolverError`."""
 
     def __init__(self) -> None:
-        super().__init__(None)
+        super().__init__()
         self._session = refsolver.Session()
         self._pending: list[str] = []
         self.alive = True
@@ -369,7 +365,7 @@ class _SolverProcess(_SmtProcess):
     """A solver program, spoken to over pipes."""
 
     def __init__(self, command: Sequence[str]) -> None:
-        super().__init__(command)
+        super().__init__()
         try:
             self._popen = subprocess.Popen(
                 command,

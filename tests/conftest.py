@@ -67,8 +67,8 @@ def spawned(monkeypatch):
     processes = []
     spawn, send = smtlib._SmtProcess.__init__, smtlib._SmtProcess.send
 
-    def recording_spawn(proc, command):
-        spawn(proc, command)
+    def recording_spawn(proc):
+        spawn(proc)
         proc.lines = []
         processes.append(proc)
 

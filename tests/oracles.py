@@ -17,6 +17,7 @@ from safereach.core import (
     Pomdp,
     SafeReachObjective,
 )
+from safereach.refsolver import CONFLICT, SmtSyntaxError
 
 
 def dense_matrix_update(belief: Belief, action: int, observation: int, model: Pomdp):
@@ -197,6 +198,179 @@ def transition_env(prev_belief: Belief, cur_belief: Belief, action: int, obs: in
         env[enc.unnorm_var_name(cur_step, j)] = unnorm[j]
     env[enc.denom_var_name(cur_step)] = sum(unnorm)
     return env
+
+
+# --------------------------------------------------------------------------
+# Three-valued evaluation and single-unknown equation solving of interned
+# terms, under a partial assignment
+# --------------------------------------------------------------------------
+
+def evaluate(term, env):
+    """Evaluate an interned term under a partial assignment; ``None`` = unknown.
+
+    A plain recursive interpreter of the terms ``refsolver.parse_tokens``
+    reads, wider than the fragment the bundled solver compiles: the oracle
+    its compiled closures are tested against."""
+    if isinstance(term, str):
+        return env.get(term)
+    if isinstance(term, (bool, int, Fraction)):
+        return term
+    if not isinstance(term, tuple) or not term:
+        raise SmtSyntaxError(f"cannot evaluate {term!r}")
+    head = term[0]
+    args = term[1:]
+    if head == "and":
+        saw_unknown = False
+        for a in args:
+            v = evaluate(a, env)
+            if v is False:
+                return False
+            if v is None:
+                saw_unknown = True
+        return None if saw_unknown else True
+    if head == "or":
+        saw_unknown = False
+        for a in args:
+            v = evaluate(a, env)
+            if v is True:
+                return True
+            if v is None:
+                saw_unknown = True
+        return None if saw_unknown else False
+    if head == "not":
+        v = evaluate(args[0], env)
+        return None if v is None else not v
+    if head == "=>":
+        # right-associative: (=> a b c) is (=> a (=> b c)), folded from the right
+        out = evaluate(args[-1], env)
+        for premise in reversed(args[:-1]):
+            if out is not True:
+                lhs = evaluate(premise, env)
+                out = True if lhs is False else out if lhs is True else None
+        return out
+    if head == "ite":
+        cond = evaluate(args[0], env)
+        if cond is None:
+            return None
+        return evaluate(args[1] if cond else args[2], env)
+    if head in ("=", "<", "<=", ">", ">="):
+        vals = [evaluate(a, env) for a in args]
+        if any(v is None for v in vals):
+            return None
+        if head == "=":
+            return all(v == vals[0] for v in vals[1:])
+        for left, right in zip(vals, vals[1:]):
+            if head == "<" and not left < right:
+                return False
+            if head == "<=" and not left <= right:
+                return False
+            if head == ">" and not left > right:
+                return False
+            if head == ">=" and not left >= right:
+                return False
+        return True
+    if head in ("+", "*", "-", "/"):
+        vals = [evaluate(a, env) for a in args]
+        if head == "*" and any(v == 0 for v in vals):
+            return 0  # annihilator: sound even with unknown cofactors
+        if any(v is None for v in vals):
+            return None
+        if head == "+":
+            return sum(vals)
+        if head == "*":
+            out = vals[0]
+            for v in vals[1:]:
+                out = out * v
+            return out
+        if head == "-":
+            if len(vals) == 1:
+                return -vals[0]
+            out = vals[0]
+            for v in vals[1:]:
+                out = out - v
+            return out
+        if any(v == 0 for v in vals[1:]):
+            return None  # division by zero: stay agnostic
+        out = Fraction(vals[0])
+        for v in vals[1:]:
+            out = out / v
+        return out
+    raise SmtSyntaxError(f"unsupported operator {head!r}")
+
+
+def solve_equation(lhs, rhs, env):
+    """Try to determine one variable from ``lhs = rhs``.
+
+    Returns ``None`` (no progress), ``CONFLICT``, or ``(name, value)``.
+    Handles a bare variable, or a variable inside a single +, - or * whose
+    other operands are already known.
+    """
+    lval = evaluate(lhs, env)
+    rval = evaluate(rhs, env)
+    if lval is not None and rval is not None:
+        return None  # fully known; plain evaluation decides it
+    if lval is None and rval is None:
+        return None
+    expr, target = (lhs, rval) if lval is None else (rhs, lval)
+    return _solve_side(expr, target, env)
+
+
+def _solve_side(expr, target, env):
+    if isinstance(expr, str):
+        return (expr, target)
+    if not isinstance(expr, tuple) or not expr:
+        return None
+    head, args = expr[0], expr[1:]
+    if head == "*":
+        known = Fraction(1)
+        unknown = None
+        for a in args:
+            v = evaluate(a, env)
+            if v is None:
+                if unknown is not None:
+                    return None
+                unknown = a
+            else:
+                known *= v
+        if unknown is None:
+            return None
+        if known == 0:
+            return None if target == 0 else CONFLICT
+        return _solve_side(unknown, target / known, env)
+    if head == "+":
+        known = Fraction(0)
+        unknown = None
+        for a in args:
+            v = evaluate(a, env)
+            if v is None:
+                if unknown is not None:
+                    return None
+                unknown = a
+            else:
+                known += v
+        if unknown is None:
+            return None
+        return _solve_side(unknown, target - known, env)
+    if head == "-" and len(args) == 1:
+        return _solve_side(args[0], -target, env)
+    if head == "-" and len(args) == 2:
+        left = evaluate(args[0], env)
+        right = evaluate(args[1], env)
+        if left is None and right is not None:
+            return _solve_side(args[0], target + right, env)
+        if right is None and left is not None:
+            return _solve_side(args[1], left - target, env)
+    return None
+
+
+def term_vars(term, acc: set) -> set:
+    """Add the variables of ``term`` to ``acc``; a list's operator is none."""
+    if isinstance(term, str):
+        acc.add(term)
+    elif isinstance(term, tuple):
+        for part in term[1:] if term and isinstance(term[0], str) else term:
+            term_vars(part, acc)
+    return acc
 
 
 # --------------------------------------------------------------------------

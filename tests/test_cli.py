@@ -395,6 +395,13 @@ def test_explicit_solver_command_flag(capsys):
     assert "root action: pick_right" in capsys.readouterr().out
 
 
+def test_a_blank_solver_command_runs_the_bundled_solver(capsys):
+    code = run_cli("synth", "--domain", "pickup", "--horizon", "3",
+                   "--backend", "smtlib", "--solver-cmd", "  ")
+    assert code == 0
+    assert "root action: pick_right" in capsys.readouterr().out
+
+
 def test_solver_command_environment_override(monkeypatch, capsys):
     import sys
 

@@ -1,9 +1,11 @@
 """Independence promises checked on the source text, without importing it.
 
 The bundled solver is a standalone program, the validator is the trust
-anchor that rests on the model operations alone, and the dense oracle is
-the yardstick the belief kernel is measured against; each promise holds
-only while the imports (and calls) below stay out.
+anchor that rests on the model operations alone, the dense oracle is the
+yardstick the belief kernel is measured against, and the reference term
+evaluator is the one the bundled solver's compiled closures are measured
+against; each promise holds only while the imports (and calls) below stay
+out.
 """
 
 from __future__ import annotations
@@ -59,3 +61,15 @@ def test_dense_oracle_never_reads_the_belief_kernel():
                 for alias in node.names}
     assert not attributes & KERNEL
     assert not imported & (KERNEL | KERNEL_READERS)
+
+
+def test_term_reference_borrows_only_the_solvers_error_and_conflict_marker():
+    """Reading more of the solver would test its compiler against itself."""
+    borrowed = set()
+    for node in ast.walk(tree_of(ROOT / "tests" / "oracles.py")):
+        if isinstance(node, ast.Import):
+            borrowed |= {alias.name for alias in node.names if "refsolver" in alias.name}
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            borrowed |= names if node.module == "safereach.refsolver" else names & {"refsolver"}
+    assert borrowed == {"SmtSyntaxError", "CONFLICT"}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import io
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +18,14 @@ from safereach.refsolver import (
     Search,
     Session,
     SmtSyntaxError,
-    evaluate,
     format_value,
+    numeral,
     parse_tokens,
-    solve_equation,
     tokenize,
 )
+from safereach.solver.smtlib import parse_model
+
+from oracles import evaluate, solve_equation, term_vars
 
 
 def parse(text: str):
@@ -174,12 +175,12 @@ def test_error_responses():
     assert run_script("(declare-const |x Int)\n(check-sat)\n") \
         == ['(error "unterminated quoted symbol")']
     assert run_script('(echo "hi)\n') == ['(error "unterminated string literal")']
-    # An unsupported operator, closed or not, is an error of the check, not of the
-    # assert, also as the cofactor of a 0.
+    # An unsupported operator, closed or not, also as the cofactor of a 0, is
+    # outside the fragment: the check answers unknown, and the session goes on.
     for term in ("(foo 1)", "(foo x)", "(= 0 (* 0 (foo x)))", "(= 0 (* 0 (+ 1 (foo x))))"):
         assert run_script(f"(declare-const x Int)\n(assert (<= 0 x))\n(assert (< x 2))\n"
                           f"(assert {term})\n(check-sat)\n(echo \"on\")\n") \
-            == ['(error "unsupported operator \'foo\'")', "on"]
+            == ["unknown", "on"]
 
 
 def test_malformed_assertions_answer_errors_and_the_session_goes_on():
@@ -217,11 +218,13 @@ def test_a_real_no_equation_determines_is_unknown():
 
 
 def test_implication_is_right_associative():
-    # (=> a b c) is (=> a (=> b c)); read as binary, the first case says true.
+    # The reference reads (=> a b c) as (=> a (=> b c)); read as binary, the
+    # first case says true.
     assert evaluate(parse("(=> true true false)"), {}) is False
     assert evaluate(parse("(=> false true false)"), {}) is True
     assert evaluate(parse("(=> true true x)"), {}) is None
     assert evaluate(parse("(=> y true true)"), {}) is True
+    # The solver does not decide it: => is outside the fragment.
     lines = run_script("""
 (declare-const x Int)
 (assert (<= 0 x))
@@ -229,7 +232,50 @@ def test_implication_is_right_associative():
 (assert (=> true true false))
 (check-sat)
 """)
-    assert lines == ["unsat"]
+    assert lines == ["unknown"]
+
+
+@pytest.mark.parametrize("term", [
+    "(=> (= x 0) (= x 1))", "(= y (- x))", "(= y (- x 1))", "(= y (/ x 2.0))", "(> x 0)",
+    "(>= x 0)", "(< 0 x 2)", "(= x 1 1)", "(= y (ite (< x 1) 1.0 2.0))", "(foo x)",
+    "(= y (/ 1.0 0.0))", "(= y (- 1.0 0.5))", "(= y (ite true 1.0 2.0))",
+])
+def test_an_assertion_outside_the_fragment_answers_unknown_until_popped(term):
+    assert run_script(f"(declare-const x Int)(declare-const y Real)(assert (<= 0 x))"
+                      f"(assert (< x 2))(push 1)(assert {term})(check-sat)(get-model)(pop 1)"
+                      f"(check-sat)") == ["unknown", '(error "no model available")', "sat"]
+    assert Compiler().constraint(parse(term)) is None
+
+
+def test_a_redeclared_constant_is_an_error_and_changes_nothing():
+    assert run_script("(declare-const x Int)(declare-const x Real)(assert (= x 0.5))"
+                      "(check-sat)") == ['(error "x is already declared")', "unsat"]
+    # Live in an outer frame counts; a popped declaration is gone.
+    assert run_script("(declare-const x Int)(push 1)(declare-fun x () Real)(declare-const y Int)"
+                      "(pop 1)(declare-const y Real)(assert (= y 0.5))(assert (= x 1))"
+                      "(check-sat)(get-model)") \
+        == ['(error "x is already declared")', "sat", "(", "  (define-fun x () Int 1)",
+            "  (define-fun y () Real (/ 1.0 2.0))", ")"]
+
+
+def test_an_assertion_naming_an_undeclared_constant_is_an_error_and_not_kept():
+    assert run_script("(declare-const x Int)(assert (<= 0 x))(assert (< x 3))(assert (= x y))"
+                      "(check-sat)(get-model)") \
+        == ['(error "undeclared constant y")', "sat", "(", "  (define-fun x () Int 0)", ")"]
+    # The whole assertion is dropped, its declared conjuncts too.
+    assert run_script("(declare-const x Int)(assert (<= 0 x))(assert (< x 3))"
+                      "(assert (and (= x 2) (< z 1)))(check-sat)(get-model)") \
+        == ['(error "undeclared constant z")', "sat", "(", "  (define-fun x () Int 0)", ")"]
+    # A constant declared in a popped frame is undeclared again.
+    assert run_script("(push 1)(declare-const y Real)(pop 1)(assert (= y 1.0))(check-sat)") \
+        == ['(error "undeclared constant y")', "sat"]
+
+
+@pytest.mark.parametrize("sort", ["Int", "Real"])
+def test_a_bool_is_no_value_of_a_number_constant(sort):
+    """Solving ``(= x true)`` for ``x`` gives a bool, which no number equals."""
+    assert run_script(f"(declare-const x {sort})(assert (= x true))(check-sat)(get-model)") \
+        == ["unsat", '(error "no model available")']
 
 
 def test_format_value_shapes():
@@ -240,6 +286,26 @@ def test_format_value_shapes():
     assert format_value(F(-2, 7), "Real") == "(- (/ 2.0 7.0))"
     assert format_value(3, "Real") == "3.0"
     assert format_value(-3, "Real") == "(- 3.0)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10**9, 10**9), st.fractions()))
+def test_format_value_reads_back_through_the_numeral_reader_and_the_model_parser(value):
+    """Every number written reads back as itself, signs and zero included,
+    from the term :func:`parse_tokens` makes of it and from a model line."""
+    for sort in ("Int", "Real") if type(value) is int else ("Real",):
+        text = format_value(value, sort)
+        assert numeral(parse(text)) == value, (value, sort, text)
+        read = parse_model(tokenize(f"((define-fun v () {sort} {text}))"))["v"]
+        assert read == value and type(read) is (int if sort == "Int" else F), (value, sort)
+
+
+def test_the_numeral_reader_reads_numerals_only():
+    assert numeral(parse("(/ (- 1) 4.0)")) == F(-1, 4)
+    assert numeral(parse("(- (/ 6 4))")) == F(-3, 2)
+    for text in ("x", "true", "(/ 1.0 0.0)", "(/ 1.0 (- 0))", "(- 2 1)", "(+ 1 2)", "(/ 1)",
+                 "(/ 1 2 3)", "(- x)", "(/ 1 true)"):
+        assert numeral(parse(text)) is None, text
 
 
 def test_search_fills_unconstrained_variables():
@@ -277,7 +343,7 @@ def test_get_model_after_the_assertion_stack_changed_is_an_error():
 
 
 # --------------------------------------------------------------------------
-# The compiled terms against the evaluate oracle
+# The compiled terms against the reference in tests/oracles.py
 # --------------------------------------------------------------------------
 
 VARIABLES = ("i", "j", "x", "y")  # i, j hold integers; x, y rationals
@@ -299,10 +365,31 @@ def outcome(compute):
         return str(exc)
 
 
-def assert_compiles_like_evaluate(term, env):
-    compiled = outcome(lambda: Compiler().term(term)(env))
-    expected = outcome(lambda: evaluate(term, env))
-    assert same_value(compiled, expected), (term, env, compiled, expected)
+def reference_step(term, env):
+    """What a conjunct's step must give: :func:`evaluate`, then
+    :func:`solve_equation` for an equation it leaves undecided."""
+    value = evaluate(term, env)
+    if value is None and isinstance(term, tuple) and len(term) == 3 and term[0] == "=":
+        return solve_equation(term[1], term[2], env)
+    return value
+
+
+def assert_compiled_or_outside(term, env) -> bool:
+    """``term`` compiles and its closure agrees with the reference under
+    ``env``, or it is outside the fragment: never a different value.  True
+    if it compiled."""
+    fn = Compiler().term(term)
+    if fn is not None:
+        expected = outcome(lambda: evaluate(term, env))
+        assert same_value(fn(env), expected), (term, env, fn(env), expected)
+    return fn is not None
+
+
+def compiled(compile):
+    """``compile()``, failing if the term is outside the fragment."""
+    fn = compile()
+    assert fn is not None, "a fragment term did not compile"
+    return fn
 
 
 def ite_chain(cases, default):
@@ -324,25 +411,31 @@ CHAIN_SWITCH = ite_chain([(pin("i", 0), 1), (pin("j", 0), 2), (pin("i", 1), 3)],
 CHAIN_PAIR_SWITCH = ite_chain([(("and", pin("i", 0), pin("j", 0)), 1), (pin("i", 1), 2),
                                (("and", pin("i", 2), pin("j", 0)), 3)], 4)
 
-EDGE_TERMS = [
+EDGE_INSIDE = [
     ("*", 0, "x"), ("*", "x", F(0)), ("*", "x", "y", 0), ("*", "x", 2), ("*", False, "x"),
+    ("/", F(1), F(2)), ("-", 3),
+    ("and", ("<", "x", 1), False), ("or", ("<", "x", 1), True), ("not", ("=", "x", "y")),
+    ("+", True, 1), ("+", "x", "y", F(1, 2)),
+    CHAIN_SINGLE, CHAIN_PAIR, CHAIN_SWITCH, CHAIN_PAIR_SWITCH,
+]
+# Outside the fragment: an unknown operator (also as the cofactor of a 0), a
+# zero divisor, - or / over variables, =>, n-ary comparisons.
+EDGE_OUTSIDE = [
     ("*", 0, ("foo", "x")), ("*", 0, ("+", 1, ("foo", "x"))),
-    ("/", 1, 0), ("/", "x", "i"), ("/", F(1), F(2)), ("-", 3), ("-", "x", 1, "y"),
+    ("/", 1, 0), ("/", "x", "i"), ("-", "x", 1, "y"),
     ("=>", True, True, False), ("=>", False, True, False), ("=>", "b", True, True),
     ("=>", ("<", "x", 1), ("<", "y", 1), ("=", "i", 0)),
-    ("and", ("<", "x", 1), False), ("or", ("<", "x", 1), True), ("not", ("=", "x", "y")),
-    ("+", True, 1), ("+", "x", "y", F(1, 2)), ("<", 0, "x", "y"), ("=", "i", "j", 0),
-    CHAIN_SINGLE, CHAIN_PAIR, CHAIN_SWITCH, CHAIN_PAIR_SWITCH,
+    ("<", 0, "x", "y"), ("=", "i", "j", 0),
 ]
 EDGE_ENVS = [{}, {"i": 0}, {"i": 1}, {"i": 2}, {"j": 1}, {"j": 0}, {"j": 5}, {"i": 0, "j": 1},
              {"i": 1, "j": 0}, {"i": 3, "j": 1}, {"x": F(0)}, {"x": F(1, 2), "y": F(0)},
              {"i": 0, "x": F(3, 2), "y": F(1, 2)}]
 
 
-@pytest.mark.parametrize("term", EDGE_TERMS, ids=repr)
+@pytest.mark.parametrize("term", EDGE_INSIDE + EDGE_OUTSIDE, ids=repr)
 def test_compiled_edge_terms_match_evaluate(term):
     for env in EDGE_ENVS:
-        assert_compiles_like_evaluate(term, env)
+        assert assert_compiled_or_outside(term, env) == (term in EDGE_INSIDE), term
 
 
 def test_selector_tables_follow_the_first_case_and_the_default():
@@ -395,10 +488,13 @@ envs = st.fixed_dictionaries({}, optional={
     "y": st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3)])})
 
 
+# The next two properties draw any term, many of them outside the fragment:
+# each compiles and agrees with the reference, or is outside.
+
 @settings(max_examples=300, deadline=None)
 @given(terms, envs)
 def test_compiled_terms_match_evaluate(term, env):
-    assert_compiles_like_evaluate(term, env)
+    assert_compiled_or_outside(term, env)
 
 
 arithmetic = st.recursive(leaves, lambda children: st.builds(
@@ -409,32 +505,22 @@ arithmetic = st.recursive(leaves, lambda children: st.builds(
 @settings(max_examples=300, deadline=None)
 @given(arithmetic, arithmetic, envs)
 def test_compiled_equation_step_matches_evaluate_then_solve(lhs, rhs, env):
-    got = Compiler().constraint(("=", lhs, rhs))(env)
-    decided = evaluate(("=", lhs, rhs), env)
-    expected = decided if decided is not None else solve_equation(lhs, rhs, env)
+    step = Compiler().constraint(("=", lhs, rhs))
+    if step is None:
+        return  # outside the fragment
+    got = step(env)
+    expected = reference_step(("=", lhs, rhs), env)
     if expected is CONFLICT or expected is None or isinstance(expected, bool):
         assert got is expected
     else:
         assert type(got) is tuple and got[0] == expected[0] and got[1] == expected[1]
 
 
-# The two properties above draw many terms outside the compiled fragment,
-# which compile to the reference itself.  These draw only terms that compile
-# to closures, and fail if any falls back to the reference.
+# These draw only terms of the fragment, and fail if any is outside.
 
-def no_fallback(term, equation):
-    raise AssertionError(f"{term!r} fell back to the reference")
-
-
-def compiled_only(compile):
-    """``compile()``, failing if any conjunct falls back to the reference."""
-    with mock.patch.object(refsolver, "_reference", no_fallback):
-        return compile()
-
-
-# Closed terms outside the compiled operators are folded; (/ 1 0) folds to unknown.
-folded = st.sampled_from([("-", 2), ("-", F(1, 2), 1), ("/", F(1), F(3)), ("/", 1, 0),
-                          ("=>", False, True)])
+# Numeral terms, folded when compiled.
+folded = st.sampled_from([("-", 2), ("-", F(1, 2)), ("/", F(1), F(3)), ("/", ("-", 1), 2),
+                          ("-", ("/", F(1), F(3)))])
 fragment_leaves = st.one_of(leaves, folded)
 
 
@@ -455,48 +541,45 @@ fragment_arithmetic = st.recursive(fragment_leaves, lambda children: st.builds(
     st.lists(children, min_size=1, max_size=3)), max_leaves=6)
 
 
-def reference_step(term, env):
-    """What a conjunct's step must give: :func:`evaluate`, then
-    :func:`solve_equation` for an equation it leaves undecided."""
-    value = evaluate(term, env)
-    if value is None and isinstance(term, tuple) and len(term) == 3 and term[0] == "=":
-        return solve_equation(term[1], term[2], env)
-    return value
-
-
 @settings(max_examples=300, deadline=None)
 @given(fragment_terms, envs)
 def test_compiled_fragment_terms_match_evaluate(term, env):
-    fn = compiled_only(lambda: Compiler().term(term))
+    fn = compiled(lambda: Compiler().term(term))
     assert same_value(fn(env), evaluate(term, env)), (term, env)
 
 
 @settings(max_examples=300, deadline=None)
 @given(fragment_arithmetic, fragment_arithmetic, envs)
 def test_compiled_fragment_equation_step_matches_evaluate_then_solve(lhs, rhs, env):
-    step = compiled_only(lambda: Compiler().constraint(("=", lhs, rhs)))
+    step = compiled(lambda: Compiler().constraint(("=", lhs, rhs)))
     assert same_value(step(env), reference_step(("=", lhs, rhs), env)), (lhs, rhs, env)
 
 
-# A conjunct: a compiled one, an equation over the fragment, or anything.
-conjuncts = st.one_of(fragment_terms,
-                      st.builds(lambda l, r: ("=", l, r),
-                                fragment_arithmetic, fragment_arithmetic),
-                      st.builds(lambda l, r: ("=", l, r), arithmetic, arithmetic),
-                      terms)
+# A conjunct, flagged when drawn from the fragment: a fragment term, an
+# equation over the fragment, or any equation or term.
+conjuncts = st.one_of(st.tuples(st.just(True), fragment_terms),
+                      st.tuples(st.just(True), st.builds(lambda l, r: ("=", l, r),
+                                                         fragment_arithmetic,
+                                                         fragment_arithmetic)),
+                      st.tuples(st.just(False), st.builds(lambda l, r: ("=", l, r),
+                                                          arithmetic, arithmetic)),
+                      st.tuples(st.just(False), terms))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(conjuncts, min_size=1, max_size=4), st.lists(envs, min_size=1, max_size=3))
 def test_each_compiled_conjunct_steps_like_the_reference(parts, environments):
-    """Mixed assertions: each conjunct's step, compiled or not, is the
-    reference's, a syntax error included."""
-    assertion = ("and", *parts)
-    constraints = refsolver.compile_assertion(assertion)
-    for constraint, part in zip(constraints, refsolver._conjuncts(assertion, []), strict=True):
+    """Mixed assertions: each conjunct's step is the reference's, or the
+    conjunct is outside the fragment, which no fragment conjunct is."""
+    flagged = [(fragment, sub) for fragment, part in parts
+               for sub in refsolver._conjuncts(part, [])]
+    constraints = refsolver.compile_assertion(("and", *(part for _, part in parts)))
+    for constraint, (fragment, part) in zip(constraints, flagged, strict=True):
+        if constraint.test is None:
+            assert not fragment and constraint.names == [], part
+            continue
         for env in environments:
-            got = outcome(lambda: constraint.test(env))
-            assert same_value(got, outcome(lambda: reference_step(part, env))), (part, env)
+            assert same_value(constraint.test(env), reference_step(part, env)), (part, env)
 
 
 # --------------------------------------------------------------------------
@@ -570,10 +653,11 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
 # The encoder's output stays on the compiled path
 # --------------------------------------------------------------------------
 
-def test_the_encoders_traffic_stays_compiled(monkeypatch):
-    """Every conjunct ``smtlib.serialize`` writes is compiled: none is left
-    to the reference during a search.  An encoder change that writes a new
-    operator fails here until the compiler learns it."""
+def test_the_encoders_traffic_stays_compiled():
+    """Every conjunct ``smtlib.serialize`` writes is compiled: none is
+    outside the fragment, which would make every check answer unknown.  An
+    encoder change that writes a new operator fails here until the compiler
+    learns it."""
     import random
 
     from oracles import random_instance
@@ -583,10 +667,7 @@ def test_the_encoders_traffic_stays_compiled(monkeypatch):
     from safereach.encoding import Blocking, Goal, Initial, Transition
     from safereach.solver import smtlib
 
-    interpreted = []
-    original = refsolver._reference
-    monkeypatch.setattr(refsolver, "_reference", lambda term, equation:
-                        interpreted.append(term) or original(term, equation))
+    outside = []
     kitchen = (2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     rng = random.Random(7)
     problems = [build_pickup_example(),
@@ -601,8 +682,9 @@ def test_the_encoders_traffic_stays_compiled(monkeypatch):
         for constraint in (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
                            Blocking(plan, 2)):
             text = smtlib.serialize(constraint, run)
-            refsolver.compile_assertion(parse_tokens(tokenize(text), 0)[0])
-    assert interpreted == []
+            outside.extend(c for c in refsolver.compile_assertion(parse(text))
+                           if c.test is None)
+    assert outside == []
 
 
 # --------------------------------------------------------------------------
@@ -610,20 +692,21 @@ def test_the_encoders_traffic_stays_compiled(monkeypatch):
 # --------------------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(terms, terms)
+@given(st.one_of(fragment_terms, terms), st.one_of(fragment_terms, terms))
 def test_compiled_names_are_the_conjuncts_variables(left, right):
-    """The one compiling walk meets every variable :func:`evaluate` reads,
-    those of selector conditions and interpreted terms included."""
+    """The one compiling walk meets every variable of a compiled conjunct,
+    those of selector conditions included."""
     assertion = ("and", left, ("=", left, right))
     for constraint, part in zip(refsolver.compile_assertion(assertion),
                                 refsolver._conjuncts(assertion, []), strict=True):
-        assert constraint.names == sorted(refsolver.term_vars(part, set())), part
+        if constraint.test is not None:
+            assert constraint.names == sorted(term_vars(part, set())), part
 
 
 def test_an_interpreted_terms_variables_wake_its_equation():
-    """``(- i)`` is interpreted; assigning ``i`` must still solve ``y``."""
+    """``(- i)`` over a variable is outside the fragment, so no equation
+    over it is searched: the check answers unknown."""
     lines = run_script("(declare-const i Int)(declare-const y Real)(assert (<= 0 i))"
                        "(assert (< i 3))(assert (= y (- i)))(assert (< y (- 0.5)))"
                        "(check-sat)(get-model)")
-    assert lines[0] == "sat"
-    assert "(define-fun i () Int 1)" in " ".join(lines)
+    assert lines == ["unknown", '(error "no model available")']

@@ -193,14 +193,15 @@ def test_negative_horizon_is_rejected():
      "backend must be 'enum' or 'smtlib', got 'z3'"),
     (lambda: SolverConfig(command="z3 -in"),
      "command must be a sequence of arguments, got 'z3 -in'"),
+    (lambda: SolverConfig(command=()), "command must name a program, got an empty sequence"),
     (lambda: SolverConfig(check_timeout=-1), "check_timeout must be finite and positive"),
     (lambda: SolverConfig(check_timeout=0), "check_timeout must be finite and positive"),
     (lambda: SolverConfig(check_timeout=float("nan")),
      "check_timeout must be finite and positive"),
     (lambda: SolverConfig(check_timeout=float("inf")),
      "check_timeout must be finite and positive"),
-], ids=["backend-z3", "command-string", "timeout-negative", "timeout-zero", "timeout-nan",
-        "timeout-inf"])
+], ids=["backend-z3", "command-string", "command-empty", "timeout-negative", "timeout-zero",
+        "timeout-nan", "timeout-inf"])
 def test_a_config_that_cannot_run_fails_when_made(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         make()
