@@ -377,10 +377,12 @@ class RunContext:
     :meth:`successors` answers each (belief, action) pair from the kernel
     once, with no probability, which no search reads; ``classes`` maps each
     posterior and start belief to the run's one copy of it and its class
-    (:meth:`classify`).  ``memo`` holds ``bps`` answers by (belief, budget)
-    and ``fruitless`` the enumerative backend's (belief, steps remaining)
-    facts.  A context belongs to one run and is dropped with it; the
-    model's compiled columns outlive it.  It first checks the objective.
+    (:meth:`classify`).  ``memo`` holds ``bps`` trees by (belief, budget),
+    ``refuted`` each belief's largest budget with none and ``dead_actions``
+    the :class:`~safereach.encoding.DeadAction` lemmas, both true at smaller
+    budgets, and ``fruitless`` the enumerative backend's (belief, steps
+    remaining) facts.  A context belongs to one run and is dropped with it;
+    the model's compiled columns outlive it.  It first checks the objective.
     """
 
     def __init__(self, model: Pomdp, objective: SafeReachObjective) -> None:
@@ -393,7 +395,9 @@ class RunContext:
         self.model = model
         self.objective = objective
         self.stats = SynthesisStats()
-        self.memo: dict[tuple[Belief, int], Optional[PolicyTree]] = {}
+        self.memo: dict[tuple[Belief, int], PolicyTree] = {}
+        self.refuted: dict[Belief, int] = {}
+        self.dead_actions: list = []  # of encoding.DeadAction, oldest first
         self.fruitless: set[tuple[Belief, int]] = set()
         self.classes: dict[Belief, tuple[Belief, bool, bool]] = {}
         self._successors: dict[tuple[Belief, int], tuple] = {}

@@ -2,10 +2,10 @@
 
 A constraint is plain, immutable data saying what it asserts: the belief at
 the start step, the belief transition into one step, the bounded
-safe-reachability goal of the run's objective over a span of steps, or a
-blocked plan prefix.  The builders check their arguments and return that
-data; the enumerative backend interprets it directly, and the SMT-LIB
-backend lowers it to text (:func:`safereach.solver.smtlib.serialize`).
+safe-reachability goal of the run's objective over a span of steps, a
+blocked plan prefix, or a learned lemma.  The builders check their arguments
+and return that data; the enumerative backend interprets it directly, and
+the SMT-LIB backend lowers it to text (:func:`safereach.solver.smtlib.serialize`).
 
 The step variables are named here, and :func:`step_vars` is the lowering's
 one source of them: belief components as reals and, for non-start steps,
@@ -114,7 +114,19 @@ class Blocking:
     fail_step: int
 
 
-Constraint = Union[Initial, Transition, Goal, Blocking]
+@dataclass(frozen=True)
+class DeadAction:
+    """Learned: no policy from ``belief`` within ``budget`` steps starts with
+    ``action``, as its branch under ``witness_observation`` has none within
+    ``budget - 1``; so no plan takes it before the goal with that few left."""
+
+    belief: Belief
+    action: int
+    budget: int
+    witness_observation: int
+
+
+Constraint = Union[Initial, Transition, Goal, Blocking, DeadAction]
 
 
 def initial_constraint(step: int, b_init: Belief) -> Initial:

@@ -66,8 +66,8 @@ class MalformedCommand(SmtSyntaxError):
 
 
 # One token: a parenthesis, a symbol or numeral, a quoted symbol, a string
-# literal, a comment, or a quote that is never closed.
-_TOKEN = re.compile(r'[()]|[^() \t\r\n;|"][^() \t\r\n;]*|\|[^|]*\||"[^"]*"|;[^\n]*|[|"]')
+# literal (``""`` escapes ``"``), a comment, or a quote that is never closed.
+_TOKEN = re.compile(r'[()]|[^() \t\r\n;|"][^() \t\r\n;]*|\|[^|]*\||"(?:[^"]|"")*"|;[^\n]*|[|"]')
 
 
 def tokenize(text: str) -> list[str]:
@@ -781,6 +781,11 @@ def _fits(args: tuple, shape: str) -> bool:
                                            for kind, arg in zip(shape, args))
 
 
+def _error(message: str) -> str:
+    """An ``(error ...)`` answer, ``"`` in its message escaped as ``""``."""
+    return '(error "%s")' % message.replace('"', '""')
+
+
 class Session:
     def __init__(self, parent: int | None = None) -> None:
         self.parent = parent
@@ -813,9 +818,9 @@ class Session:
             try:
                 cmd = reader.next_command()
             except MalformedCommand as exc:
-                answer = f'(error "{exc}")'
+                answer = _error(str(exc))
             except SmtSyntaxError as exc:
-                out.write(f'(error "{exc}")\n')
+                out.write(_error(str(exc)) + "\n")
                 out.flush()
                 return False
             else:
@@ -835,7 +840,7 @@ class Session:
         head = cmd[0]
         shapes = COMMAND_SHAPES.get(head)
         if shapes is not None and not any(_fits(cmd[1:], shape) for shape in shapes):
-            return f'(error "wrong arguments to {head}")'
+            return _error(f"wrong arguments to {head}")
         if head in ("set-logic", "set-option", "set-info"):
             pass
         elif head in ("declare-const", "declare-fun"):
@@ -844,9 +849,9 @@ class Session:
             if head == "declare-fun" and cmd[2] != ():
                 return '(error "only 0-ary functions supported")'
             if sort not in ("Int", "Real"):
-                return f'(error "unsupported sort {sort}")'
+                return _error(f"unsupported sort {sort}")
             if self.declared(name):
-                return f'(error "{name} is already declared")'  # and change nothing
+                return _error(f"{name} is already declared")  # and change nothing
             self.frames[-1][0][name] = sort
             self.last_model = None
         elif head == "assert":
@@ -854,7 +859,7 @@ class Session:
             names = {name for c in constraints for name in c.names}
             undeclared = sorted(name for name in names if not self.declared(name))
             if undeclared:
-                return f'(error "undeclared constant {undeclared[0]}")'  # and keep nothing
+                return _error(f"undeclared constant {undeclared[0]}")  # and keep nothing
             self.frames[-1][1].extend(constraints)
             self.last_model = None
         elif head == "push":
@@ -890,11 +895,11 @@ class Session:
         elif head == "get-info":
             return f"({cmd[1]} \"bounded-enumeration solver\")"
         elif head == "echo":
-            return cmd[1].strip('"')
+            return cmd[1][1:-1].replace('""', '"') if cmd[1][:1] == '"' else cmd[1]
         elif head == "reset":
             self.reset()
         else:
-            return f'(error "unsupported command {head}")'
+            return _error(f"unsupported command {head}")
         return None
 
 

@@ -20,7 +20,9 @@ steps-remaining) pairs prunes repeated subtrees of branches that have not
 reached the goal yet.  As the goal ends at the horizon, only the blocks live
 in a subtree can change its answer, and entries are only recorded on
 blocking-free subtrees; so they stay sound under any blocking set and at any
-horizon, and every session of the run shares them.
+horizon.  A live :class:`~safereach.encoding.DeadAction` skips its pair at a
+node not yet fired with at most its budget left, at one lookup per node; as
+it can empty a subtree, ``fruitless`` is shared only under the run's lemmas.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import Belief, CandidatePlan, Pomdp, RunContext, SafeReachObjective
-from ..encoding import Blocking, Goal, goal_constraint, initial_constraint, transition_constraint
+from ..encoding import (Blocking, DeadAction, Goal, goal_constraint, initial_constraint,
+                        transition_constraint)
 from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 
 
@@ -41,29 +44,34 @@ class EnumerativeSession(SolverSession):
         belief, start, horizon = self._unfolding()
         goals = [c for c, _ in self._live() if isinstance(c, Goal)]
         blocks = [c for c, _ in self._live() if isinstance(c, Blocking)]
+        lemmas = [c for c, _ in self._live() if isinstance(c, DeadAction)]
         for g in goals:
             if g.start_step != start or g.end_step != horizon:
                 raise SolverUsageError("goal constraint must span the whole unfolding")
         for bl in blocks:
             if bl.plan.start_step != start or bl.fail_step > horizon:
                 raise SolverUsageError("blocking constraint does not match the unfolding")
-        return belief, start, horizon, bool(goals), blocks
+        return belief, start, horizon, bool(goals), blocks, lemmas
 
     # -- the search ------------------------------------------------------------
 
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, goal, blocks = self._assemble()
-        trail = self._search(belief, start, horizon, goal, blocks)
+        belief, start, horizon, goal, blocks, lemmas = self._assemble()
+        trail = self._search(belief, start, horizon, goal, blocks, lemmas)
         if trail is None:
             return Unsat()
         actions, observations, posteriors = zip(*trail) if trail else ((), (), ())
         return Sat(CandidatePlan(start, (belief, *posteriors), actions, observations))
 
     def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
-                blocks: Sequence[Blocking]):
+                blocks: Sequence[Blocking], lemmas: Sequence[DeadAction]):
         run = self.run
-        fruitless = run.fruitless
+        fruitless = run.fruitless if lemmas == run.dead_actions else set()
+        dead: dict[Belief, dict[int, int]] = {}  # belief -> action -> largest budget
+        for lemma in lemmas:
+            budgets = dead.setdefault(lemma.belief, {})
+            budgets[lemma.action] = max(lemma.budget, budgets.get(lemma.action, -1))
         available_actions = run.model.available_actions
 
         def status(is_goal: bool, is_safe: bool, step: int) -> Optional[bool]:
@@ -81,8 +89,11 @@ class EnumerativeSession(SolverSession):
             key = (belief, horizon - step)
             if not fired and key in fruitless:
                 return None
+            dead_here = dead.get(belief) if dead and not fired else None
             i = step - start
             for a in available_actions(belief):
+                if dead_here is not None and dead_here.get(a, -1) >= horizon - step:
+                    continue  # a dead pair with at most its budget left
                 if any(bl.fail_step == step + 1 and bl.plan.actions[i] == a for bl in live):
                     continue  # the blocked prefix ends exactly here
                 for o, b2, is_goal, is_safe in run.successors(belief, a):

@@ -42,8 +42,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
 from .. import refsolver
-from ..encoding import (Blocking, Constraint, Goal, Initial, Transition, action_var_name,
-                        belief_var_name, observation_var_name, step_vars)
+from ..encoding import (Blocking, Constraint, DeadAction, Goal, Initial, Transition,
+                        action_var_name, belief_var_name, observation_var_name, step_vars)
 from ..refsolver import SmtSyntaxError, format_value, numeral, parse_tokens, tokenize
 from .session import (
     PlanDecodeError,
@@ -88,9 +88,10 @@ def default_solver_command() -> tuple[str, ...]:
 # Lowering: constraints straight to SMT-LIB text
 # --------------------------------------------------------------------------
 
-def serialize(constraint: Constraint, run: RunContext) -> str:
+def serialize(constraint: Constraint, run: RunContext, span: Optional[tuple] = None) -> str:
     """The constraint as one SMT-LIB term over the step variables of the run's
-    model; a goal is lowered against the run's objective.
+    model; a goal is lowered against the run's objective, and a lemma
+    against its goal scope's ``span``, (start step, horizon).
 
     Normalization is division-free (``b_i * denom_i = u_i``, ``denom_i > 0``)
     so the whole theory stays in polynomial arithmetic.
@@ -105,6 +106,8 @@ def serialize(constraint: Constraint, run: RunContext) -> str:
         return _goal(constraint.start_step, constraint.end_step, n, run.objective)
     if isinstance(constraint, Blocking):
         return _blocking(constraint.plan, constraint.fail_step)
+    if isinstance(constraint, DeadAction) and span is not None:
+        return _dead_action(constraint, *span, n, run.objective)
     raise TypeError(f"cannot serialize {constraint!r}")
 
 
@@ -212,6 +215,17 @@ def _blocking(plan: CandidatePlan, fail_step: int) -> str:
     fail_action = step_vars(fail_step, n).action_var
     clauses.append(f"(= {fail_action} {plan.actions[fail_step - s - 1]})")
     return f"(not {_app('and', clauses)})"
+
+
+def _dead_action(lemma: DeadAction, start: int, end: int, n: int,
+                 objective: SafeReachObjective) -> str:
+    """``(not (and <pins of b_j> (= a_{j+1} action) (not <goal over start..j>)))``
+    per step j with ``end - j <= budget``, or ``true``; filler after a goal is free."""
+    clauses = [" ".join([*_pins(step_vars(j, n, True).belief_vars, lemma.belief),
+                         f"(= {action_var_name(j + 1)} {lemma.action})",
+                         f"(not {_goal(start, j, n, objective)})"])
+               for j in range(max(start, end - lemma.budget), end)]
+    return _app("and", [f"(not (and {c}))" for c in clauses]) if clauses else "true"
 
 
 # The variable names in serialized text: ``b_1_0``, ``a_1``, ``denom_1`` ...
@@ -548,7 +562,8 @@ class SmtLibSession(SolverSession):
     # -- SolverSession hooks -----------------------------------------------
 
     def _admit(self, constraint: Constraint) -> _Asserted:
-        text = serialize(constraint, self.run)
+        span = (self._unfolding()[1:],) if isinstance(constraint, DeadAction) else ()
+        text = serialize(constraint, self.run, *span)
         known = {name for _, entry in self._live() for name in entry.declarations}
         declarations = {name: _declaration(name)
                         for name in sorted(set(_NAME.findall(text))) if name not in known}

@@ -117,17 +117,21 @@ def bps(
     Returns a policy tree valid for ``run.objective`` from ``b_init`` using
     at most ``horizon_bound - start_step`` steps, or ``None`` when no valid
     policy exists within the bound.  Unknown solver verdicts and backend
-    failures raise :class:`SynthesisError`.  ``run.memo`` keeps every answer
-    by (belief, remaining budget) for the rest of the run.  Every check and
-    every block is recorded in ``run.stats`` here, and nowhere else.
+    failures raise :class:`SynthesisError`.  ``run.memo`` keeps every tree
+    by (belief, budget) and ``run.refuted`` each belief's largest budget with
+    none, answering any budget up to it with no check.  Each check's goal
+    scope first gets every lemma of ``run.dead_actions`` it lacks.  Every
+    check and every block is recorded in ``run.stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
         return None
     stats = run.stats
-    memo = run.memo
-    memo_key = (b_init, horizon_bound - start_step)
-    if memo_key in memo:
-        return memo[memo_key]
+    budget = horizon_bound - start_step
+    memo_key = (b_init, budget)
+    if memo_key in run.memo:
+        return run.memo[memo_key]
+    if run.refuted.get(b_init, -1) >= budget:
+        return None
 
     session = session_factory()
     try:
@@ -138,7 +142,11 @@ def bps(
                 session.add(encoding.transition_constraint(k - 1, k))
             session.push()
             session.add(encoding.goal_constraint(start_step, k))
+            asserted = 0
             while True:
+                for lemma in run.dead_actions[asserted:]:
+                    session.add(lemma)
+                asserted = len(run.dead_actions)
                 outcome = session.check()
                 stats.check_trace.append((start_step, k, _VERDICT_KIND[type(outcome)]))
                 if isinstance(outcome, Unsat):
@@ -155,7 +163,7 @@ def bps(
                 tree, blocking = policy_generation(run, plan, k, session_factory)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
-                    memo[memo_key] = tree
+                    run.memo[memo_key] = tree
                     return tree
                 assert blocking is not None
                 session.add(blocking)
@@ -167,7 +175,7 @@ def bps(
             session.pop()
             stats.final_horizon = max(stats.final_horizon, k)
             k += 1
-        memo[memo_key] = None
+        run.refuted[b_init] = budget
         return None
     finally:
         session.close()
@@ -188,7 +196,9 @@ def policy_generation(
     first branch that cannot be completed, returns the blocking constraint
     for the failing step, for the caller to assert.  Zero-probability
     observations get no branch (the belief update is undefined there); every
-    one of each walked step is counted in ``run.stats`` and logged.
+    one of each walked step is counted in ``run.stats`` and logged.  A
+    branch failing at step ``i`` kills its (belief, action) pair at budget
+    ``bound - i + 1``, the steps left before the step, in ``run.dead_actions``.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(run.model.observations)
@@ -206,6 +216,8 @@ def policy_generation(
                 continue
             branch = bps(run, branch_belief, i, bound, session_factory)
             if branch is None:
+                lemma = encoding.DeadAction(prev_belief, action, bound - i + 1, obs)
+                run.dead_actions.append(lemma)
                 return None, encoding.blocking_constraint(plan, i)
             children[obs] = branch
         subtree = PolicyTree(prev_belief, action, children, False)

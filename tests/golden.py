@@ -10,12 +10,16 @@ moved can be told from one whose answer moved.  In the file, the work
 digests sit under their group names and the outcome digests under
 ``"outcome"``.  ``tests/test_golden.py`` recomputes both digests of every
 run and fails on any difference, naming the half that moved.  A change
-that alters behaviour on purpose regenerates the file and says which
+that alters the work on purpose regenerates the file and says which
 digests moved and why:
 
     PYTHONPATH=src python tests/golden.py --write
 
-Without ``--write`` the script compares and lists the runs that differ.
+``--write`` cannot move an outcome silently: if any outcome digest differs
+(a verdict or policy moved, or a run appeared or disappeared), it writes
+nothing, names those runs and exits 1.  A change that means to move an
+outcome says so with ``--write --outcome``.  Without ``--write`` the script
+compares and lists the runs that differ.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def compute(group: str) -> dict[str, tuple[str, str]]:
 
 def load() -> dict[str, dict[str, tuple[str, str]]]:
     """Group -> run name -> its committed (work, outcome) digests."""
-    doc = json.loads(DIGESTS.read_text())
+    doc = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     outcomes = doc.get(OUTCOME, {})
     return {group: {name: (work, outcomes.get(group, {}).get(name))
                     for name, work in doc.get(group, {}).items()}
@@ -185,7 +189,16 @@ def describe(moved: dict[str, str]) -> str:
 def main(argv: list[str]) -> int:
     computed = {group: compute(group) for group in GROUPS}
     total = sum(map(len, computed.values()))
+    expected = load()
+    moved = {}
+    for group in GROUPS:
+        moved.update(differences(expected[group], computed[group]))
+    outcomes = [name for name, half in moved.items() if half == "outcome"]
     if "--write" in argv:
+        if outcomes and "--outcome" not in argv:
+            print(f"refusing to write: the outcome of {len(outcomes)} run(s) moved: "
+                  f"{', '.join(outcomes)}; if that is intended, pass --outcome too")
+            return 1
         doc = {group: {name: work for name, (work, _) in runs.items()}
                for group, runs in computed.items()}
         doc[OUTCOME] = {group: {name: outcome for name, (_, outcome) in runs.items()}
@@ -193,15 +206,10 @@ def main(argv: list[str]) -> int:
         DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote the work and outcome digests of {total} runs to {DIGESTS}")
         return 0
-    expected = load()
-    moved = {}
-    for group in GROUPS:
-        moved.update(differences(expected[group], computed[group]))
     for name, half in moved.items():
         print(f"changed: {name} ({half})")
-    outcomes = sum(half == "outcome" for half in moved.values())
-    print(f"{len(moved)} of {total} runs differ: {outcomes} in outcome, "
-          f"{len(moved) - outcomes} in work only")
+    print(f"{len(moved)} of {total} runs differ: {len(outcomes)} in outcome, "
+          f"{len(moved) - len(outcomes)} in work only")
     return 1 if moved else 0
 
 

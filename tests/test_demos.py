@@ -15,8 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo, pinned", [
     ("pickup_walkthrough.py", ["solver calls: 5, plans checked: 3",
                                "blocked prefix at horizon 1: [pick_left]"]),
-    ("kitchen_navigation.py", ["candidate plans actually checked: 22",
-                               "  k=5:  15 checks, 12 sat, 12 blocks"]),
+    ("kitchen_navigation.py", ["candidate plans actually checked: 8",
+                               "  k=5:   4 checks,  1 sat,  1 blocks"]),
 ])
 def test_demo_runs_and_prints_pinned_counts(demo, pinned):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

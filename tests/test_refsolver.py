@@ -258,6 +258,16 @@ def test_a_redeclared_constant_is_an_error_and_changes_nothing():
             "  (define-fun y () Real (/ 1.0 2.0))", ")"]
 
 
+def test_an_error_about_a_quoted_name_is_one_string_token():
+    """``"`` in an error message is escaped as ``""``: the answer reads back
+    as one string literal, and ``echo`` of that literal gives the message."""
+    (answer,) = run_script('(declare-const |a"b| Int)(declare-const |a"b| Int)')
+    assert answer == '(error "|a""b| is already declared")'
+    assert tokenize(answer) == ["(", "error", '"|a""b| is already declared"', ")"]
+    assert run_script(f"(echo {tokenize(answer)[2]})") == ['|a"b| is already declared']
+    assert run_script('(declare-const x |S"t|)') == ['(error "unsupported sort |S""t|")']
+
+
 def test_an_assertion_naming_an_undeclared_constant_is_an_error_and_not_kept():
     assert run_script("(declare-const x Int)(assert (<= 0 x))(assert (< x 3))(assert (= x y))"
                       "(check-sat)(get-model)") \
@@ -592,7 +602,7 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     A pruning change moves these counts on purpose."""
     from safereach import build_kitchen
     from safereach.core import RunContext
-    from safereach.encoding import Blocking, Goal, Initial, Transition
+    from safereach.encoding import Blocking, DeadAction, Goal, Initial, Transition
     from safereach.solver import smtlib
 
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
@@ -664,7 +674,7 @@ def test_the_encoders_traffic_stays_compiled():
 
     from safereach import build_kitchen, build_pickup_example
     from safereach.core import CandidatePlan, RunContext
-    from safereach.encoding import Blocking, Goal, Initial, Transition
+    from safereach.encoding import Blocking, DeadAction, Goal, Initial, Transition
     from safereach.solver import smtlib
 
     outside = []
@@ -680,8 +690,9 @@ def test_the_encoders_traffic_stays_compiled():
         plan = CandidatePlan(0, (b_init,) * 3, (0, len(model.actions) - 1),
                              (len(model.observations) - 1, 0))
         for constraint in (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
-                           Blocking(plan, 2)):
-            text = smtlib.serialize(constraint, run)
+                           Blocking(plan, 2), DeadAction(b_init, len(model.actions) - 1, 2, 0),
+                           DeadAction(b_init, 0, 0, 0)):
+            text = smtlib.serialize(constraint, run, (0, 2))
             outside.extend(c for c in refsolver.compile_assertion(parse(text))
                            if c.test is None)
     assert outside == []

@@ -15,7 +15,8 @@ import pytest
 
 from safereach import build_pickup_example, cli, refsolver
 from safereach import encoding as enc
-from safereach.core import Belief, CandidatePlan, RunContext, SafeReachObjective
+from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
+                            SafeReachObjective)
 from safereach.refsolver import tokenize
 from safereach.solver import (
     EnumerativeSession,
@@ -35,7 +36,7 @@ from safereach.solver import smtlib
 from safereach.solver.smtlib import HEADER, ModelValueError, parse_model, serialize
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
-from oracles import all_plans, enumerate_plans, random_instance
+from oracles import all_plans, enumerate_plans, random_instance, satisfies_bounded
 
 
 def load_session(session, b_init, horizon, goal=False):
@@ -201,40 +202,43 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
 # All-models agreement
 # --------------------------------------------------------------------------
 
-def smt_plans(run, unfolding, blocking, horizon, pool):
-    """The (actions, observations) pairs the SMT-LIB text of ``unfolding``
-    admits with ``blocking`` and without it.  Check, assert the found pair
-    away, check again: first with ``blocking`` in a pushed scope until
-    ``unsat``, then without it until ``unsat``, so each pair is found once."""
-    texts = [serialize(c, run) for c in unfolding + [blocking]]
-    names = sorted({name for text in texts for name in smtlib._NAME.findall(text)})
+def smt_plans(run, unfolding, scopes, horizon, pool):
+    """For each scope, a list of constraints, the (actions, observations)
+    pairs the SMT-LIB text of ``unfolding`` admits with that scope pushed:
+    check, assert the found pair away inside the scope, check again until
+    ``unsat``.  Lemmas are lowered against the whole unfolding."""
+    span = (0, horizon)
+    texts = [serialize(c, run) for c in unfolding]
+    scoped = [[f"(assert {serialize(c, run, span)})" for c in scope] for scope in scopes]
+    names = sorted({name for text in texts + sum(scoped, [])
+                    for name in smtlib._NAME.findall(text)})
     proc = pool.take()
-    for line in [*map(smtlib._declaration, names), *(f"(assert {t})" for t in texts[:-1])]:
+    for line in [*map(smtlib._declaration, names), *(f"(assert {t})" for t in texts)]:
         proc.send(line)
     steps = range(1, horizon + 1)
-    found: list[set] = [set(), set()]
-    for phase, scope in enumerate([[f"(assert {texts[-1]})"], []]):
+    found: list[set] = []
+    for scope in scoped:
+        found.append(set())
+        for line in ["(push 1)", *scope]:
+            proc.send(line)
         while True:
             deadline = time.monotonic() + 60
-            for line in ["(push 1)", *scope, "(check-sat)"]:
-                proc.send(line)
+            proc.send("(check-sat)")
             verdict = proc.read_line(deadline)
             if verdict == "unsat":
-                proc.send("(pop 1)")
                 break
             assert verdict == "sat"
             proc.send("(get-model)")
             values = parse_model(proc.read_tokens(deadline))
             plan = (tuple(values[enc.action_var_name(i)] for i in steps),
                     tuple(values[enc.observation_var_name(i)] for i in steps))
-            found[phase].add(plan)
+            found[-1].add(plan)
             pins = [f"(= {enc.action_var_name(i)} {a}) (= {enc.observation_var_name(i)} {o})"
                     for i, a, o in zip(steps, *plan)]
-            for line in ["(pop 1)", f"(assert (not (and {' '.join(pins)})))"]:
-                proc.send(line)
+            proc.send(f"(assert (not (and {' '.join(pins)})))")
+        proc.send("(pop 1)")
     pool.give_back(proc)
-    blocked, rest = found
-    return blocked, blocked | rest
+    return found
 
 
 def _blocks(blocking, plan):
@@ -242,6 +246,17 @@ def _blocks(blocking, plan):
     actions, observations = plan
     return (actions[:cut] == blocking.plan.actions[:cut]
             and observations[:cut - 1] == blocking.plan.observations[:cut - 1])
+
+
+def _takes_dead_pair(lemma, horizon, objective, actions, beliefs):
+    """Does the path take the lemma's action at its belief, at a step j with
+    ``horizon - j <= budget``, before the goal has fired?"""
+    for j, (action, belief) in enumerate(zip(actions, beliefs)):
+        if satisfies_bounded(beliefs[:j + 1], objective):
+            return False
+        if (belief, action) == (lemma.belief, lemma.action) and horizon - j <= lemma.budget:
+            return True
+    return False
 
 
 def _agreement_problems():
@@ -254,11 +269,15 @@ def _agreement_problems():
 
 
 def test_smt_unfolding_admits_exactly_the_oracle_plans(pool):
-    """Every plan the SMT-LIB unfolding admits, with and without one blocked
-    prefix, is a plan of the dense oracle and the other way round, and the
-    enum backend answers with the smallest of them."""
+    """Every plan the SMT-LIB unfolding admits, alone, with one blocked
+    prefix and with one dead-pair lemma, is a plan of the dense oracle that
+    the constraint allows, and the other way round; the enum backend answers
+    with the smallest of them.  The lemma sits on the blocked step, with a
+    budget that leaves that step one short of eligible, just eligible or
+    eligible with one to spare."""
     smallest = lambda plans: min(plans, key=lambda plan: tuple(zip(*plan)))
-    for name, model, b_init, objective, horizon, fail_step in _agreement_problems():
+    for index, (name, model, b_init, objective, horizon, fail_step) \
+            in enumerate(_agreement_problems()):
         label = (name, horizon)
         expected = all_plans(model, objective, b_init, horizon)
         result = enumerative_check(model, b_init, 0, horizon, objective)
@@ -271,19 +290,57 @@ def test_smt_unfolding_admits_exactly_the_oracle_plans(pool):
             plan = result.plan
             assert (plan.actions, plan.observations) == smallest(expected), label
         blocking = enc.blocking_constraint(plan, fail_step)
+        step = fail_step - 1
+        lemma = enc.DeadAction(plan.beliefs[step], plan.actions[step],
+                               horizon - fail_step + index % 3, plan.observations[step])
         unfolding = [enc.initial_constraint(0, b_init),
                      *(enc.transition_constraint(i - 1, i) for i in range(1, horizon + 1)),
                      enc.goal_constraint(0, horizon)]
-        admitted_blocked, admitted = smt_plans(RunContext(model, objective), unfolding,
-                                               blocking, horizon, pool)
+        admitted, admitted_blocked, admitted_alive = smt_plans(
+            RunContext(model, objective), unfolding, [[], [blocking], [lemma]], horizon, pool)
         assert admitted == expected, label
         unblocked = {plan for plan in expected if not _blocks(blocking, plan)}
         assert admitted_blocked == unblocked, label
-        result = enumerative_check(model, b_init, 0, horizon, objective, [blocking])
-        if unblocked:
-            assert (result.plan.actions, result.plan.observations) == smallest(unblocked), label
-        else:
-            assert isinstance(result, Unsat), label
+        alive = {(actions, observations)
+                 for actions, observations, beliefs in enumerate_plans(model, b_init, horizon)
+                 if satisfies_bounded(beliefs, objective)
+                 and not _takes_dead_pair(lemma, horizon, objective, actions, beliefs)}
+        assert admitted_alive == alive, label
+        for constraint, allowed in ((blocking, unblocked), (lemma, alive)):
+            with EnumerativeSession(RunContext(model, objective)) as session:
+                load_session(session, b_init, horizon, goal=True)
+                session.add(constraint)
+                result = session.check()
+            if allowed:
+                assert (result.plan.actions, result.plan.observations) == smallest(allowed), label
+            else:
+                assert isinstance(result, Unsat), label
+
+
+@pytest.mark.parametrize("backend", ["enum", "smtlib"])
+def test_a_dead_pair_binds_only_before_the_goal_fires(backend, pool):
+    """``go`` is the only action, the goal fires at step 1 and steps 2 and 3
+    are filler: a lemma on the goal belief leaves them their one path.  On
+    the start belief it binds from its budget of 3 steps on."""
+    model = Pomdp(("start", "done"), ("go",), ("tick",),
+                  transition={(0, 0): {1: F(1)}, (1, 0): {1: F(1)}},
+                  observe={(1, 0): {0: F(1)}})
+    objective = SafeReachObjective((LinearBeliefPredicate(frozenset({1}), ">", F(1, 2)),), ())
+    start, done = Belief.point(0, 2), Belief.point(1, 2)
+    run = RunContext(model, objective)
+    session = EnumerativeSession(run) if backend == "enum" else SmtLibSession(run, pool)
+    with session:
+        load_session(session, start, 3, goal=True)
+        for lemma, verdict in ((enc.DeadAction(done, 0, 3, 0), Sat),
+                               (enc.DeadAction(start, 0, 3, 0), Unsat),
+                               (enc.DeadAction(start, 0, 2, 0), Sat)):
+            session.push()
+            session.add(lemma)
+            result = session.check()
+            session.pop()
+            assert isinstance(result, verdict), lemma
+            if verdict is Sat:
+                assert result.plan.beliefs == (start, done, done, done)
 
 
 # --------------------------------------------------------------------------

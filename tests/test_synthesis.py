@@ -288,7 +288,7 @@ def test_zero_probability_branches_are_skipped_and_counted(pickup):
     # Every impossible observation of each walked step counts, the steps
     # where a branch fails included, whatever the failing observation's index.
     assert run(*pickup, 3).stats.zero_probability_skips == 2
-    assert run(*kitchen_3x2_det(), 6).stats.zero_probability_skips == 77
+    assert run(*kitchen_3x2_det(), 6).stats.zero_probability_skips == 33
 
 
 # --------------------------------------------------------------------------
@@ -301,12 +301,13 @@ def kitchen_3x2_det():
 
 
 def test_memoized_synthesis_reuses_branch_results():
-    # Each (belief, budget) pair is synthesized once per run; without reuse
-    # this instance takes 83 checks and 30 plans.
+    # Each (belief, budget) pair is synthesized once per run, and each
+    # learned fact prunes later searches; without reuse this instance takes
+    # 83 checks and 30 plans, and with the memo alone 43 and 22.
     model, b_init, objective = kitchen_3x2_det()
     result = run(model, b_init, objective, 6)
     assert result.verdict == VERDICT_VALID
-    assert (result.stats.solver_calls, result.stats.plans_checked) == (43, 22)
+    assert (result.stats.solver_calls, result.stats.plans_checked) == (29, 8)
     assert validate_policy(result.policy, model, objective, 6).valid
 
 
@@ -470,6 +471,57 @@ def test_no_belief_is_classified_twice_in_a_run(rung, monkeypatch):
     distinct = set(seen)
     assert len(distinct) == len(context.classes) > 0
     assert len(seen) == len(objective.goal + objective.safe) * len(distinct)
+
+
+def test_pickup_learns_its_dead_pair_at_the_budget_it_failed_with(pickup):
+    """At horizon 1, ``pick_left``'s ``o_neg`` branch has no policy within 0
+    steps: the pair dies at budget 1, the steps left at the start belief, and
+    the branch is refuted at 0."""
+    model, b_init, objective = pickup
+    policy, context = enum_bps(model, b_init, objective, 3)
+    assert policy is not None
+    pick_left, o_neg = model.action_index("pick_left"), model.observations.index("o_neg")
+    (branch,) = [b for o, b, *_ in context.successors(b_init, pick_left) if o == o_neg]
+    assert context.dead_actions == [encoding.DeadAction(b_init, pick_left, 1, o_neg)]
+    assert context.refuted == {branch: 0}
+
+
+def test_kitchen_learns_each_dead_pair_at_the_budget_it_failed_with():
+    """Each pair dies at the steps left at its belief before the failing
+    step.  The second ``look_east`` pair's branch has a policy with one step
+    more than the lemma leaves it, so that lemma one budget higher is false."""
+    model, b_init, objective = kitchen_3x2_det()
+    policy, context = enum_bps(model, b_init, objective, 6)
+    assert policy is not None
+    assert [(model.actions[lemma.action], lemma.budget) for lemma in context.dead_actions] \
+        == [("pick_left", 1), ("look_east", 4), ("look_east", 5), ("pick_left", 1)]
+    assert sorted(context.refuted.values()) == [0, 0, 4]
+    tight = context.dead_actions[2]
+    branches = {o: b for o, b, *_ in context.successors(tight.belief, tight.action)}
+    witness = branches[tight.witness_observation]
+    assert not brute_force_feasible(model, objective, witness, 4)
+    assert brute_force_feasible(model, objective, witness, 5)
+
+
+def test_every_learned_fact_holds_by_the_oracle(pickup):
+    """Each dead pair's witness branch has no policy within one step less
+    than the pair's budget, and each refuted belief none within its budget.
+    A delayed-goal and a kitchen lemma are tight, so a fact recorded one
+    budget too high fails here."""
+    problems = [random_instance(random.Random(seed)) for seed in range(200)]
+    problems += [(*pickup, 3), (*delayed_goal_model(), 2), (*kitchen_3x2_det(), 6)]
+    lemmas = 0
+    for i, (model, b_init, objective, horizon) in enumerate(problems):
+        _, context = enum_bps(model, b_init, objective, horizon)
+        for lemma in context.dead_actions:
+            branches = {o: b for o, b, *_ in context.successors(lemma.belief, lemma.action)}
+            witness = branches[lemma.witness_observation]
+            assert not brute_force_feasible(model, objective, witness, lemma.budget - 1), \
+                f"problem {i}: {lemma}"
+        for belief, budget in context.refuted.items():
+            assert not brute_force_feasible(model, objective, belief, budget), f"problem {i}"
+        lemmas += len(context.dead_actions)
+    assert lemmas >= 50
 
 
 def test_mismatched_problem_is_a_named_error(pickup):
