@@ -115,6 +115,9 @@ def build_kitchen(
     for p, label in ((p_fail, "p_fail"), (p_fp, "p_fp"), (p_fn, "p_fn")):
         if not 0 <= p < 1:
             raise ModelError(f"{label} must lie in [0, 1), got {p}")
+    for delta, label in ((delta1, "delta1"), (delta2, "delta2")):
+        if not 0 <= delta <= 1:
+            raise ModelError(f"{label} must lie in [0, 1], got {delta}")
     cells = {(x, y) for x in range(width) for y in range(height)}
     shadow = tuple(dict.fromkeys(tuple(c) for c in shadow_cells))
     for cell, label in ((tuple(storage_cell), "storage"), (tuple(start_cell), "start")):

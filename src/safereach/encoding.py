@@ -5,13 +5,13 @@ the start step, the belief transition into one step, the bounded
 safe-reachability goal of the run's objective over a span of steps, a
 blocked plan prefix, or a learned lemma.  The builders check their arguments
 and return that data; the enumerative backend interprets it directly, and
-the SMT-LIB backend lowers it to text (:func:`safereach.solver.smtlib.serialize`).
+the SMT-LIB backend lowers it to a term (:func:`safereach.solver.smtlib.lower`).
 
 The step variables are named here, and :func:`step_vars` is the lowering's
 one source of them: belief components as reals and, for non-start steps,
 the action and observation choice as bounded integers plus the
 normalization auxiliaries.  Names are functions of step and state index
-only, so identical inputs lower to identical text.
+only, so identical inputs lower to identical terms.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 This is the default solver of the SMT-LIB backend: a session takes SMT-LIB
 commands (``set-logic``, ``declare-const``, ``assert``, ``push``/``pop``,
 ``check-sat``, ``get-model``, ``reset``, ``exit``) and answers in SMT-LIB
-text, so the driver speaks to it as to any external solver.
+text, so the driver reads it as it reads any external solver.
 
 Completeness is limited by design: every integer variable must have finite
 bounds derivable from top-level ``(<= c v)`` / ``(< v c)``-style assertions,
@@ -27,11 +27,11 @@ fragment: ``check-sat`` answers ``unknown`` while one is live, rather than
 a wrong answer.  An assertion that names an undeclared constant is
 answered with an error and not kept.
 
-Commands are read one way: :class:`CommandReader` takes one balanced
-command at a time and :func:`parse_tokens` interns its terms as it reads
-them, so no term is walked twice before it is compiled.  :meth:`Session.run`
-is the one command loop: the program runs it on its standard input, and the
-package's in-process endpoint runs it over the lines sent since its last read.
+Commands are terms, and text is what a pipe carries: :class:`CommandReader`
+takes one balanced command at a time and :func:`parse_tokens` interns its
+terms as it reads them, and :func:`render` writes a term as text.
+:meth:`Session.run` is the one command loop: the program runs it on its
+standard input, and the package's in-process endpoint on the terms sent.
 
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
@@ -760,6 +760,19 @@ def format_value(value, sort: str) -> str:
     return f"(/ {value.numerator}.0 {value.denominator}.0)"
 
 
+def render(term) -> str:
+    """A term as the SMT-LIB text :func:`parse_tokens` reads it from: an
+    ``int`` is an Int numeral, a ``Fraction`` a Real one."""
+    kind = type(term)
+    if kind is tuple:
+        return f"({' '.join(map(render, term))})"
+    if kind is str:
+        return term
+    if kind is bool:
+        return "true" if term else "false"
+    return format_value(term, "Int" if kind is int else "Real")
+
+
 # The argument lists each command accepts, one letter per argument: "a" a
 # symbol or string, "n" a numeral, "l" a list, "t" any term.  Commands not
 # listed here take any arguments (the set-* family) or are unsupported.
@@ -808,15 +821,15 @@ class Session:
     def all_constraints(self) -> list[Constraint]:
         return [c for _, constraints in self.frames for c in constraints]
 
-    def run(self, reader: CommandReader, out, deadline: float | None = None) -> bool:
-        """Run the commands ``reader`` gives, writing and flushing each answer
-        to ``out``, until the reader runs dry (True: the session goes on), or
-        until ``(exit)`` or tokens that make no command (False: it ends).  A
-        ``check-sat`` still searching at ``deadline``, a ``time.monotonic()``
-        reading, raises :class:`TimeoutError`."""
+    def run(self, next_command, out, deadline: float | None = None) -> bool:
+        """Run the commands ``next_command()`` gives, writing and flushing
+        each answer to ``out``, until it gives ``None`` (True: the session
+        goes on), or until ``(exit)`` or tokens that make no command (False:
+        it ends).  A ``check-sat`` still searching at ``deadline``, a
+        ``time.monotonic()`` reading, raises :class:`TimeoutError`."""
         while True:
             try:
-                cmd = reader.next_command()
+                cmd = next_command()
             except MalformedCommand as exc:
                 answer = _error(str(exc))
             except SmtSyntaxError as exc:
@@ -904,7 +917,7 @@ class Session:
 
 
 def main() -> None:
-    Session(os.getppid()).run(CommandReader(sys.stdin), sys.stdout)
+    Session(os.getppid()).run(CommandReader(sys.stdin).next_command, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Satisfiability backends for the bounded encoding.
 
 Two interchangeable session kinds sit behind one interface: an SMT-LIB v2
-session with push/pop scopes, which lowers each constraint straight to
-SMT-LIB text for the bundled solver (run in this process) or for a solver
-program (over a pipe), and a built-in exact enumerative
-backend that interprets the constraints directly and doubles as an
-independent oracle.  Either answers a satisfying check with a
+session with push/pop scopes, which lowers each constraint once to an
+SMT-LIB term, handed as it is to the bundled solver (run in this process)
+or written as text to a solver program (over a pipe), and a built-in exact
+enumerative backend that interprets the constraints directly and doubles
+as an independent oracle.  Either answers a satisfying check with a
 candidate plan (:class:`Sat`), which :func:`extract_plan` re-verifies; only
 the SMT-LIB backend knows the SMT variable names.
 """

@@ -1,24 +1,24 @@
 """SMT backend: SMT-LIB v2, to the bundled solver or to a solver process.
 
 The only backend that speaks SMT, and the one place SMT-LIB is written:
-each added constraint is lowered straight to text once (:func:`serialize`),
-into its ``assert`` line and the ``declare-const`` lines of the variables
-in that text not yet declared.  Drives the bundled reference solver, or any
-conforming solver binary (``z3 -in`` works), with ``push``/``pop`` scopes,
-reads responses with the reference solver's reader, parses models into
-exact rationals, and decodes them into the candidate plan a satisfying
-check answers with.  It is the only module besides
-:mod:`safereach.encoding` that knows the variable names.  In
-non-incremental mode every check replays the kept lines of all live
-assertions into a solver that has just been reset, for the from-scratch
-comparison.
+each added constraint is lowered once to a term (:func:`lower`), its
+``assert`` command, after the ``declare-const`` commands of its variables
+not yet declared.  Drives the bundled reference solver, or any conforming
+solver binary (``z3 -in`` works), with ``push``/``pop`` scopes, reads
+responses with the reference solver's reader, parses models into exact
+rationals, and decodes them into the candidate plan a satisfying check
+answers with.  It is the only module besides :mod:`safereach.encoding`
+that knows the variable names.  In non-incremental mode every check
+replays the kept commands of all live assertions into a solver that has
+just been reset, for the from-scratch comparison.
 
-SMT-LIB lines are the only interface.  An endpoint is a :class:`_SmtProcess`,
-which sends lines and buffers and reads answers; its transport is one of
-two subclasses.  :class:`_InProcessSolver` runs the bundled solver in the
-driver's process, one :class:`refsolver.Session` per endpoint, which honours
-each check's deadline in its search; :class:`_SolverProcess` execs an
-explicit solver command as given and speaks to it over pipes.  Every
+Commands are terms; answers are text.  An endpoint is a :class:`_SmtProcess`,
+which is sent commands and buffers and reads answers; its transport is one
+of two subclasses.  :class:`_InProcessSolver` hands the terms to the bundled
+solver in the driver's process, one :class:`refsolver.Session` per endpoint,
+which honours each check's deadline in its search; :class:`_SolverProcess`
+execs an explicit solver command as given and writes it each command as the
+text :func:`refsolver.render` makes of it, the only text a pipe carries.  Every
 session draws its endpoint from the run's one :class:`SolverPool`, which
 keeps the idle ones: a session holds one while it is open (or, from
 scratch, for one check) and hands it back after ``(reset)`` and the
@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import select
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
@@ -44,7 +44,7 @@ from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Po
 from .. import refsolver
 from ..encoding import (Blocking, Constraint, DeadAction, Goal, Initial, Transition,
                         action_var_name, belief_var_name, observation_var_name, step_vars)
-from ..refsolver import SmtSyntaxError, format_value, numeral, parse_tokens, tokenize
+from ..refsolver import SmtSyntaxError, numeral, parse_tokens, render, tokenize
 from .session import (
     PlanDecodeError,
     Sat,
@@ -64,7 +64,9 @@ class ModelValueError(SolverError):
     """A model value is not an exact rational, or an ``Int`` is not an integer."""
 
 
-HEADER = ("(set-option :produce-models true)", f"(set-logic {LOGIC})")
+HEADER = (("set-option", ":produce-models", True), ("set-logic", LOGIC))
+PUSH, POP = ("push", 1), ("pop", 1)
+CHECK_SAT, GET_MODEL, RESET, EXIT = ("check-sat",), ("get-model",), ("reset",), ("exit",)
 
 
 def default_solver_command() -> tuple[str, ...]:
@@ -85,13 +87,17 @@ def default_solver_command() -> tuple[str, ...]:
 
 
 # --------------------------------------------------------------------------
-# Lowering: constraints straight to SMT-LIB text
+# Lowering: constraints to SMT-LIB terms
 # --------------------------------------------------------------------------
 
-def serialize(constraint: Constraint, run: RunContext, span: Optional[tuple] = None) -> str:
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None):
     """The constraint as one SMT-LIB term over the step variables of the run's
-    model; a goal is lowered against the run's objective, and a lemma
-    against its goal scope's ``span``, (start step, horizon).
+    model, shaped as :func:`refsolver.parse_tokens` reads its text; a goal
+    is lowered against the run's objective, and a lemma against its goal
+    scope's ``span``, (start step, horizon).
 
     Normalization is division-free (``b_i * denom_i = u_i``, ``denom_i > 0``)
     so the whole theory stays in polynomial arithmetic.
@@ -108,25 +114,29 @@ def serialize(constraint: Constraint, run: RunContext, span: Optional[tuple] = N
         return _blocking(constraint.plan, constraint.fail_step)
     if isinstance(constraint, DeadAction) and span is not None:
         return _dead_action(constraint, *span, n, run.objective)
-    raise TypeError(f"cannot serialize {constraint!r}")
+    raise TypeError(f"cannot lower {constraint!r}")
 
 
-def _app(op: str, args: Sequence[str]) -> str:
+def serialize(constraint: Constraint, run: RunContext, span: Optional[tuple] = None) -> str:
+    """The text of :func:`lower`'s term, as a solver process is sent it."""
+    return render(lower(constraint, run, span))
+
+
+def _app(op: str, args: Sequence):
     """``(op args...)``, or the one argument itself."""
-    return args[0] if len(args) == 1 else f"({op} {' '.join(args)})"
+    return args[0] if len(args) == 1 else (op, *args)
 
 
-def _pins(names: Sequence[str], belief: Belief) -> list[str]:
-    return [f"(= {name} {format_value(p, 'Real')})" for name, p in zip(names, belief.probs)]
+def _pins(names: Sequence[str], belief: Belief) -> list[tuple]:
+    return [("=", name, p) for name, p in zip(names, belief.probs)]
 
 
-def _ite_chain(cases: Sequence[tuple[str, Fraction]]) -> str:
+def _ite_chain(cases: Sequence[tuple[tuple, Fraction]]):
     """The value of the first case whose condition holds, else 0."""
-    return "".join(f"(ite {cond} {format_value(value, 'Real')} " for cond, value in cases) \
-        + "0.0" + ")" * len(cases)
+    return reduce(lambda rest, case: ("ite", *case, rest), reversed(cases), _ZERO)
 
 
-def _transition(step: int, model: Pomdp) -> str:
+def _transition(step: int, model: Pomdp):
     """Division-free unfolding of the belief transition into ``step``.
 
     Encodes u_i(s') = Z(s', a_i, o_i) * sum_s T(s, a_i, s') * b_{i-1}(s),
@@ -140,8 +150,8 @@ def _transition(step: int, model: Pomdp) -> str:
     prev = step_vars(step - 1, n, start=True).belief_vars
     cur = step_vars(step, n)
     a, o = cur.action_var, cur.observation_var
-    parts = [f"(<= 0 {a})", f"(< {a} {n_actions})",
-             f"(<= 0 {o})", f"(< {o} {len(model.observations)})"]
+    parts: list = [("<=", 0, a), ("<", a, n_actions),
+                   ("<=", 0, o), ("<", o, len(model.observations))]
 
     # An action may be selected only when the previous belief's support lies
     # entirely inside the states where the action exists.
@@ -150,45 +160,44 @@ def _transition(step: int, model: Pomdp) -> str:
         for act in range(n_actions):
             states = model.action_states(act)
             if states != everywhere:
-                mass = _app("+", [prev[s] for s in sorted(states)]) if states else "0.0"
-                parts.append(f"(or (not (= {a} {act})) (= {mass} 1.0))")
+                mass = _app("+", [prev[s] for s in sorted(states)]) if states else _ZERO
+                parts.append(("or", ("not", ("=", a, act)), ("=", mass, _ONE)))
 
     for s2 in range(n):
         pushed = []
         for s in range(n):
-            cases = [(f"(= {a} {act})", model.trans_dist(s, act)[s2])
+            cases = [(("=", a, act), model.trans_dist(s, act)[s2])
                      for act in range(n_actions) if model.trans_dist(s, act).get(s2)]
             if cases:
-                pushed.append(f"(* {_ite_chain(cases)} {prev[s]})")
-        observed = [(f"(and (= {a} {act}) (= {o} {obs}))", p)
+                pushed.append(("*", _ite_chain(cases), prev[s]))
+        observed = [(("and", ("=", a, act), ("=", o, obs)), p)
                     for act in range(n_actions)
                     for obs, p in sorted(model.obs_dist(s2, act).items()) if p]
-        rhs = f"(* {_ite_chain(observed)} {_app('+', pushed)})" if pushed and observed \
-            else "0.0"
-        parts.append(f"(= {cur.unnorm_vars[s2]} {rhs})")
+        rhs = ("*", _ite_chain(observed), _app("+", pushed)) if pushed and observed else _ZERO
+        parts.append(("=", cur.unnorm_vars[s2], rhs))
 
     denom = cur.denom_var
-    parts.append(f"(= {denom} {_app('+', cur.unnorm_vars)})")
-    parts.append(f"(< 0.0 {denom})")
-    parts.extend(f"(= (* {b} {denom}) {u})" for b, u in zip(cur.belief_vars, cur.unnorm_vars))
-    parts.append(f"(= {_app('+', cur.belief_vars)} 1.0)")
-    parts.extend(f"(<= 0.0 {b})" for b in cur.belief_vars)
+    parts.append(("=", denom, _app("+", cur.unnorm_vars)))
+    parts.append(("<", _ZERO, denom))
+    parts.extend(("=", ("*", b, denom), u) for b, u in zip(cur.belief_vars, cur.unnorm_vars))
+    parts.append(("=", _app("+", cur.belief_vars), _ONE))
+    parts.extend(("<=", _ZERO, b) for b in cur.belief_vars)
     return _app("and", parts)
 
 
-def _predicate(pred: LinearBeliefPredicate, beliefs: Sequence[str]) -> str:
+def _predicate(pred: LinearBeliefPredicate, beliefs: Sequence[str]) -> tuple:
     mass = _app("+", [beliefs[j] for j in sorted(pred.state_set)])
-    threshold = format_value(pred.threshold, "Real")
+    threshold = pred.threshold
     if pred.comparator == ">":
-        return f"(< {threshold} {mass})"
+        return ("<", threshold, mass)
     if pred.comparator == "<":
-        return f"(< {mass} {threshold})"
+        return ("<", mass, threshold)
     if pred.comparator == ">=":
-        return f"(<= {threshold} {mass})"
-    return f"(<= {mass} {threshold})"
+        return ("<=", threshold, mass)
+    return ("<=", mass, threshold)
 
 
-def _goal(start: int, end: int, n: int, objective: SafeReachObjective) -> str:
+def _goal(start: int, end: int, n: int, objective: SafeReachObjective):
     """One disjunct per step i: the step-i belief is a goal belief and every
     belief strictly before i is safe."""
     steps = [step_vars(i, n, start=True).belief_vars for i in range(start, end + 1)]
@@ -201,7 +210,7 @@ def _goal(start: int, end: int, n: int, objective: SafeReachObjective) -> str:
     return _app("or", disjuncts)
 
 
-def _blocking(plan: CandidatePlan, fail_step: int) -> str:
+def _blocking(plan: CandidatePlan, fail_step: int) -> tuple:
     """Belief equality is kept even though beliefs are determined by the
     prefix; it is redundant but exact."""
     s = plan.start_step
@@ -209,31 +218,37 @@ def _blocking(plan: CandidatePlan, fail_step: int) -> str:
     clauses = _pins(step_vars(s, n, start=True).belief_vars, plan.beliefs[0])
     for step in range(s + 1, fail_step):
         names, idx = step_vars(step, n), step - s - 1
-        clauses.append(f"(= {names.action_var} {plan.actions[idx]})")
-        clauses.append(f"(= {names.observation_var} {plan.observations[idx]})")
+        clauses.append(("=", names.action_var, plan.actions[idx]))
+        clauses.append(("=", names.observation_var, plan.observations[idx]))
         clauses.extend(_pins(names.belief_vars, plan.beliefs[idx + 1]))
     fail_action = step_vars(fail_step, n).action_var
-    clauses.append(f"(= {fail_action} {plan.actions[fail_step - s - 1]})")
-    return f"(not {_app('and', clauses)})"
+    clauses.append(("=", fail_action, plan.actions[fail_step - s - 1]))
+    return ("not", _app("and", clauses))
 
 
 def _dead_action(lemma: DeadAction, start: int, end: int, n: int,
-                 objective: SafeReachObjective) -> str:
+                 objective: SafeReachObjective):
     """``(not (and <pins of b_j> (= a_{j+1} action) (not <goal over start..j>)))``
     per step j with ``end - j <= budget``, or ``true``; filler after a goal is free."""
-    clauses = [" ".join([*_pins(step_vars(j, n, True).belief_vars, lemma.belief),
-                         f"(= {action_var_name(j + 1)} {lemma.action})",
-                         f"(not {_goal(start, j, n, objective)})"])
+    clauses = [("not", ("and", *_pins(step_vars(j, n, True).belief_vars, lemma.belief),
+                        ("=", action_var_name(j + 1), lemma.action),
+                        ("not", _goal(start, j, n, objective))))
                for j in range(max(start, end - lemma.budget), end)]
-    return _app("and", [f"(not (and {c}))" for c in clauses]) if clauses else "true"
+    return _app("and", clauses) if clauses else True
 
 
-# The variable names in serialized text: ``b_1_0``, ``a_1``, ``denom_1`` ...
-_NAME = re.compile(r"[a-z]+(?:_[0-9]+)+")
+def _names(term, out: set) -> set:
+    """``out`` with the variable names among the arguments of ``term``, a list."""
+    for arg in term[1:]:
+        if type(arg) is str:
+            out.add(arg)
+        elif type(arg) is tuple:
+            _names(arg, out)
+    return out
 
 
-def _declaration(name: str) -> str:
-    return f"(declare-const {name} {'Int' if name[:2] in ('a_', 'o_') else 'Real'})"
+def _declaration(name: str) -> tuple:
+    return ("declare-const", name, "Int" if name[:2] in ("a_", "o_") else "Real")
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +312,7 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 # --------------------------------------------------------------------------
 
 class _SmtProcess:
-    """One solver endpoint.  A subclass gives ``alive``, ``_write(line)``,
+    """One solver endpoint.  A subclass gives ``alive``, ``_write(command)``,
     ``close()`` and ``_read(deadline)``: the next answer bytes, raising
     :class:`TimeoutError` past the deadline and :class:`SolverError` once no
     answer can come."""
@@ -305,8 +320,8 @@ class _SmtProcess:
     def __init__(self) -> None:
         self._buffer = b""
 
-    def send(self, line: str) -> None:
-        self._write(line)
+    def send(self, command: tuple) -> None:
+        self._write(command)
 
     def read_line(self, deadline: Optional[float]) -> str:
         while b"\n" not in self._buffer:
@@ -332,31 +347,30 @@ class _SmtProcess:
 
 
 class _InProcessSolver(_SmtProcess):
-    """The bundled solver in the driver's process.  Lines sent to it wait
-    until an answer is read, as a solver process works while its driver
-    waits to read, and are then all run, in the order sent.  A syntax error,
-    ``(exit)`` or a failure inside the solver ends it; a failure is raised
-    as a :class:`SolverError`."""
+    """The bundled solver in the driver's process, sent the terms themselves.
+    Commands sent to it wait until an answer is read, as a solver process
+    works while its driver waits to read, and are then all run, in the order
+    sent.  ``(exit)`` or a failure inside the solver ends it; a failure is
+    raised as a :class:`SolverError`."""
 
     def __init__(self) -> None:
         super().__init__()
         self._session = refsolver.Session()
-        self._pending: list[str] = []
+        self._pending: list[tuple] = []
         self.alive = True
 
-    def _write(self, line: str) -> None:
+    def _write(self, command: tuple) -> None:
         if not self.alive:
             raise SolverError("the bundled solver has ended")
-        self._pending.append(line)
+        self._pending.append(command)
 
     def _read(self, deadline: Optional[float]) -> bytes:
         if not self.alive:
             raise SolverError("solver closed its output stream")
-        reader = refsolver.CommandReader(io.StringIO("\n".join(self._pending)))
-        self._pending = []
+        commands, self._pending = iter(self._pending), []
         out = io.StringIO()
         try:
-            if not self._session.run(reader, out, deadline):
+            if not self._session.run(lambda: next(commands, None), out, deadline):
                 self.close()
             elif not out.tell():
                 raise SolverError("no command is waiting for an answer")
@@ -369,14 +383,14 @@ class _InProcessSolver(_SmtProcess):
         return out.getvalue().encode()
 
     def close(self) -> None:
-        """Stop for good, dropping every assertion and waiting line."""
+        """Stop for good, dropping every assertion and waiting command."""
         self.alive = False
         self._session = None
         self._pending = []
 
 
 class _SolverProcess(_SmtProcess):
-    """A solver program, spoken to over pipes."""
+    """A solver program, sent each command as a line of text over a pipe."""
 
     def __init__(self, command: Sequence[str]) -> None:
         super().__init__()
@@ -394,10 +408,10 @@ class _SolverProcess(_SmtProcess):
     def alive(self) -> bool:
         return self._popen.poll() is None
 
-    def _write(self, line: str) -> None:
+    def _write(self, command: tuple) -> None:
         assert self._popen.stdin is not None
         try:
-            self._popen.stdin.write(line.encode() + b"\n")
+            self._popen.stdin.write(render(command).encode() + b"\n")
             self._popen.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise SolverError(f"solver pipe closed: {exc}") from exc
@@ -469,8 +483,8 @@ class SolverPool:
             proc.close()
         proc = _InProcessSolver() if self.command is None else _SolverProcess(self.command)
         try:
-            for line in HEADER:
-                proc.send(line)
+            for command in HEADER:
+                proc.send(command)
         except SolverError:
             proc.close()
             raise
@@ -478,8 +492,8 @@ class SolverPool:
 
     def give_back(self, proc: _SmtProcess) -> None:
         try:
-            for line in ("(reset)", *HEADER):
-                proc.send(line)
+            for command in (RESET, *HEADER):
+                proc.send(command)
         except SolverError:
             proc.close()
             return
@@ -489,7 +503,7 @@ class SolverPool:
         while self._idle:
             proc = self._idle.pop()
             try:
-                proc.send("(exit)")
+                proc.send(EXIT)
             except SolverError:
                 pass
             proc.close()
@@ -507,11 +521,12 @@ class SolverPool:
 
 @dataclass(frozen=True)
 class _Asserted:
-    """A constraint as the solver sees it, serialized once when added."""
+    """A constraint as the solver sees it, lowered once when added."""
 
-    # Variable name -> its ``declare-const`` line, for names first seen here.
-    declarations: dict[str, str]
-    assertion: str
+    # Variable name -> its ``declare-const`` command, for names first seen here.
+    declarations: dict[str, tuple]
+    # The ``assert`` command, kept only from scratch, where each check replays it.
+    assertion: Optional[tuple]
 
 
 class SmtLibSession(SolverSession):
@@ -549,12 +564,12 @@ class SmtLibSession(SolverSession):
             self._proc.close()
             self._proc = None
 
-    def _send_incremental(self, lines: Iterable[str]) -> None:
+    def _send_incremental(self, commands: Iterable[tuple]) -> None:
         if self.config.incremental:
             try:
                 proc = self._ensure_process()
-                for line in lines:
-                    proc.send(line)
+                for command in commands:
+                    proc.send(command)
             except BaseException:
                 self._die()
                 raise
@@ -563,19 +578,18 @@ class SmtLibSession(SolverSession):
 
     def _admit(self, constraint: Constraint) -> _Asserted:
         span = (self._unfolding()[1:],) if isinstance(constraint, DeadAction) else ()
-        text = serialize(constraint, self.run, *span)
+        assertion = ("assert", lower(constraint, self.run, *span))
         known = {name for _, entry in self._live() for name in entry.declarations}
         declarations = {name: _declaration(name)
-                        for name in sorted(set(_NAME.findall(text))) if name not in known}
-        entry = _Asserted(declarations, f"(assert {text})")
-        self._send_incremental([*declarations.values(), entry.assertion])
-        return entry
+                        for name in sorted(_names(assertion, set()) - known)}
+        self._send_incremental([*declarations.values(), assertion])
+        return _Asserted(declarations, None if self.config.incremental else assertion)
 
     def _pushed(self) -> None:
-        self._send_incremental(["(push 1)"])
+        self._send_incremental([PUSH])
 
     def _popped(self) -> None:
-        self._send_incremental(["(pop 1)"])
+        self._send_incremental([POP])
 
     def check(self) -> SatResult:
         self._guard()
@@ -585,8 +599,8 @@ class SmtLibSession(SolverSession):
             proc = self._ensure_process()
             if not self.config.incremental:
                 for _, entry in self._live():
-                    for line in entry.declarations.values():
-                        proc.send(line)
+                    for command in entry.declarations.values():
+                        proc.send(command)
                 for _, entry in self._live():
                     proc.send(entry.assertion)
             result = self._check_on(proc, deadline, start, horizon)
@@ -605,7 +619,7 @@ class SmtLibSession(SolverSession):
 
     def _check_on(self, proc: _SmtProcess, deadline: float, start: int,
                   horizon: int) -> SatResult:
-        proc.send("(check-sat)")
+        proc.send(CHECK_SAT)
         verdict = proc.read_line(deadline)
         while verdict == "":
             verdict = proc.read_line(deadline)
@@ -617,7 +631,7 @@ class SmtLibSession(SolverSession):
             return Unknown("solver returned unknown")
         if verdict != "sat":
             raise SolverError(f"unexpected check-sat response: {verdict!r}")
-        proc.send("(get-model)")
+        proc.send(GET_MODEL)
         values = parse_model(proc.read_tokens(deadline))
         return Sat(_decode_plan(values, start, horizon, self.model))
 

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # make `oracles` importable
 
 from safereach import build_pickup_example
+from safereach.refsolver import render
 from safereach.solver import smtlib
 
 
@@ -62,8 +63,8 @@ def live_children():
 
 @pytest.fixture
 def spawned(monkeypatch):
-    """Every solver process started during the test, each with the lines it
-    was sent."""
+    """Every solver endpoint started during the test, each with the commands
+    it was sent, rendered as lines of text."""
     processes = []
     spawn, send = smtlib._SmtProcess.__init__, smtlib._SmtProcess.send
 
@@ -72,9 +73,9 @@ def spawned(monkeypatch):
         proc.lines = []
         processes.append(proc)
 
-    def recording_send(proc, line):
-        proc.lines.append(line)
-        send(proc, line)
+    def recording_send(proc, command):
+        proc.lines.append(render(command))
+        send(proc, command)
 
     monkeypatch.setattr(smtlib._SmtProcess, "__init__", recording_spawn)
     monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)

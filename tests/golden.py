@@ -3,10 +3,11 @@
 The work digest covers what "same behaviour" means for this project: the
 verdict, the policy tree (every belief as exact rationals), the check trace,
 the blocking events, ``zero_probability_skips``, ``interactions`` and
-``final_horizon``; for an ``smtlib`` run also every line sent to its solver
-processes, in order, ``(reset)`` and header lines included.  The outcome
-digest covers only the verdict and the policy tree, so a run whose work
-moved can be told from one whose answer moved.  In the file, the work
+``final_horizon``; for an ``smtlib`` run also every command sent to its
+solvers, in order, ``(reset)`` and header included, each as the line of
+text a solver process is sent.  The outcome digest covers only the verdict
+and the policy tree, so a run whose work moved can be told from one whose
+answer moved.  In the file, the work
 digests sit under their group names and the outcome digests under
 ``"outcome"``.  ``tests/test_golden.py`` recomputes both digests of every
 run and fails on any difference, naming the half that moved.  A change
@@ -133,15 +134,17 @@ def digests(result, sent=None) -> tuple[str, str]:
 
 
 def recording_sends(thunk: Callable):
-    """``thunk()`` and every line it sent to a solver process, in order."""
+    """``thunk()`` and every command it sent to a solver, in order, each
+    rendered as the line of text a solver process is sent."""
+    from safereach.refsolver import render as render_command
     from safereach.solver import smtlib
 
     sent: list[str] = []
     send = smtlib._SmtProcess.send
 
-    def recording(proc, line):
-        sent.append(line)
-        send(proc, line)
+    def recording(proc, command):
+        sent.append(render_command(command))
+        send(proc, command)
 
     smtlib._SmtProcess.send = recording
     try:

@@ -277,6 +277,16 @@ def test_bench_bad_kitchen_parameter_is_a_named_error(argv, message, capsys, cap
     assert_named_error(("bench", "--horizons", "1", *argv), message, capsys, caplog)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--delta1", "2"), "delta1 must lie in [0, 1], got 2"),
+    (("--delta2", "-1"), "delta2 must lie in [0, 1], got -1"),
+], ids=["delta1", "delta2"])
+def test_synth_kitchen_tolerance_outside_the_unit_interval_is_a_named_error(argv, message,
+                                                                           capsys, caplog):
+    assert_named_error(("synth", "--domain", "kitchen", "--horizon", "1", *argv), message,
+                       capsys, caplog)
+
+
 @pytest.mark.parametrize("command", [("synth", "--horizon", "3"),
                                      ("validate", "--policy", "p.json", "--horizon", "3"),
                                      ("simulate", "--policy", "p.json")],

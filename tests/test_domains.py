@@ -161,6 +161,18 @@ def test_kitchen_geometry_errors():
         small_kitchen(p_fail=1)
 
 
+@pytest.mark.parametrize("label, value, shown", [("delta1", 2, "2"), ("delta1", -1, "-1"),
+                                                  ("delta2", "3/2", "3/2"), ("delta2", -1, "-1")])
+def test_kitchen_tolerances_outside_the_unit_interval_are_named(label, value, shown):
+    with pytest.raises(ModelError, match=rf"^{label} must lie in \[0, 1\], got {shown}$"):
+        small_kitchen(**{label: value})
+
+
+def test_kitchen_tolerances_may_be_the_ends_of_the_unit_interval():
+    _, _, objective = small_kitchen(delta1=0, delta2=1)
+    assert (objective.goal[0].threshold, objective.safe[0].threshold) == (1, 1)
+
+
 def test_kitchen_moves_off_grid_bounce():
     model, b_init, _ = small_kitchen()
     move_south = model.action_index("move_south")

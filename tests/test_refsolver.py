@@ -21,6 +21,7 @@ from safereach.refsolver import (
     format_value,
     numeral,
     parse_tokens,
+    render,
     tokenize,
 )
 from safereach.solver.smtlib import parse_model
@@ -35,7 +36,7 @@ def parse(text: str):
 
 def run_script(script: str) -> list[str]:
     out = io.StringIO()
-    Session().run(CommandReader(io.StringIO(script)), out)
+    Session().run(CommandReader(io.StringIO(script)).next_command, out)
     return [line for line in out.getvalue().splitlines() if line]
 
 
@@ -620,34 +621,34 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
 
     monkeypatch.setattr(refsolver.Search, "run", counting_run)
 
-    def send(line):
-        session.run(CommandReader(io.StringIO(line)), out)
+    def send(command):
+        session.run(iter([command, None]).__next__, out)
 
     def assert_(constraint):
-        text = smtlib.serialize(constraint, run)
-        for name in sorted(set(smtlib._NAME.findall(text)) - declared):
+        assertion = ("assert", smtlib.lower(constraint, run))
+        for name in sorted(smtlib._names(assertion, set()) - declared):
             declared.add(name)
             send(smtlib._declaration(name))
-        send(f"(assert {text})")
+        send(assertion)
 
     def model_text():
         start = out.tell()
-        send("(get-model)")
+        send(smtlib.GET_MODEL)
         return out.getvalue()[start:]
 
     assert_(Initial(0, b_init))
     for horizon in range(3):
         if horizon:
             assert_(Transition(horizon))
-        send("(push 1)")
+        send(smtlib.PUSH)
         assert_(Goal(0, horizon))
-        send("(check-sat)")
+        send(smtlib.CHECK_SAT)
         if horizon < 2:
-            send("(pop 1)")
+            send(smtlib.POP)
     first = model_text()
     plan = smtlib._decode_plan(smtlib.parse_model(tokenize(first)), 0, 2, model)
     assert_(Blocking(plan, 2))
-    send("(check-sat)")
+    send(smtlib.CHECK_SAT)
     second = model_text()
 
     assert nodes == [0, 34, 118, 119]
@@ -663,21 +664,21 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
 # The encoder's output stays on the compiled path
 # --------------------------------------------------------------------------
 
-def test_the_encoders_traffic_stays_compiled():
-    """Every conjunct ``smtlib.serialize`` writes is compiled: none is
-    outside the fragment, which would make every check answer unknown.  An
-    encoder change that writes a new operator fails here until the compiler
-    learns it."""
+def _encoder_traffic():
+    """``(run, constraints, path)`` for pickup, kitchen 2x2 det and noisy and
+    20 random instances: every kind of constraint the encoder lowers over
+    steps 0..2, and the first two-step path of the oracle's enumeration as
+    ``(actions, observations, beliefs)``, which the blocking constraint
+    blocks.  Of the two lemmas, one has eligible steps and one lowers to
+    ``true``."""
     import random
 
-    from oracles import random_instance
+    from oracles import enumerate_plans, random_instance
 
     from safereach import build_kitchen, build_pickup_example
     from safereach.core import CandidatePlan, RunContext
     from safereach.encoding import Blocking, DeadAction, Goal, Initial, Transition
-    from safereach.solver import smtlib
 
-    outside = []
     kitchen = (2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     rng = random.Random(7)
     problems = [build_pickup_example(),
@@ -686,16 +687,72 @@ def test_the_encoders_traffic_stays_compiled():
                 *(random_instance(rng)[:3] for _ in range(20))]
     assert any(model.availability is not None for model, _, _ in problems)
     for model, b_init, objective in problems:
-        run = RunContext(model, objective)
-        plan = CandidatePlan(0, (b_init,) * 3, (0, len(model.actions) - 1),
-                             (len(model.observations) - 1, 0))
-        for constraint in (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
-                           Blocking(plan, 2), DeadAction(b_init, len(model.actions) - 1, 2, 0),
-                           DeadAction(b_init, 0, 0, 0)):
-            text = smtlib.serialize(constraint, run, (0, 2))
-            outside.extend(c for c in refsolver.compile_assertion(parse(text))
-                           if c.test is None)
+        actions, observations, beliefs = path = next(enumerate_plans(model, b_init, 2))
+        plan = CandidatePlan(0, beliefs, actions, observations)
+        constraints = (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
+                       Blocking(plan, 2), DeadAction(beliefs[1], actions[1], 2, observations[1]),
+                       DeadAction(b_init, 0, 0, 0))
+        yield RunContext(model, objective), constraints, path
+
+
+def test_the_encoders_traffic_stays_compiled():
+    """Every conjunct ``smtlib.lower`` writes is compiled: none is outside
+    the fragment, which would make every check answer unknown.  An encoder
+    change that writes a new operator fails here until the compiler learns
+    it."""
+    from safereach.solver import smtlib
+
+    outside = []
+    for run, constraints, _ in _encoder_traffic():
+        for constraint in constraints:
+            term = smtlib.lower(constraint, run, (0, 2))
+            outside.extend(c for c in refsolver.compile_assertion(term) if c.test is None)
     assert outside == []
+
+
+def test_the_encoders_terms_and_their_text_are_one_problem():
+    """Each command the driver sends renders to text that parses back to a
+    term with the same text.  An assertion compiles, from its term as the
+    bundled solver is handed it and from its text as a solver process reads
+    it, to conjuncts with the same names, integer bounds and values on the
+    oracle's path, where the unfolding holds and the blocked path is
+    blocked."""
+    from oracles import satisfies_bounded, transition_env
+
+    from safereach.solver import smtlib
+
+    def conjuncts(term, env):
+        return [(c.names, c.bound, c.test(env)) for c in refsolver.compile_assertion(term)]
+
+    commands = [*smtlib.HEADER, smtlib.PUSH, smtlib.POP, smtlib.CHECK_SAT, smtlib.GET_MODEL,
+                smtlib.RESET, smtlib.EXIT]
+    lemma_forms = set()
+    for run, constraints, (actions, observations, beliefs) in _encoder_traffic():
+        env = {**transition_env(beliefs[0], beliefs[1], actions[0], observations[0],
+                                run.model, 0, 1),
+               **transition_env(beliefs[1], beliefs[2], actions[1], observations[1],
+                                run.model, 1, 2)}
+        values = []
+        for constraint in constraints:
+            assertion = ("assert", smtlib.lower(constraint, run, (0, 2)))
+            text = render(assertion)
+            assert render(parse(text)) == text
+            from_term = conjuncts(assertion[1], env)
+            assert conjuncts(parse(text)[1], env) == from_term, text
+            values.append([value for _, _, value in from_term])
+            commands.extend(map(smtlib._declaration, sorted(smtlib._names(assertion, set()))))
+        initial, first, second, goal, blocking, eligible, true = values
+        assert all(initial + first + second)
+        assert goal == [satisfies_bounded(beliefs, run.objective)]
+        assert blocking == [False]
+        lemma_forms.add((len(eligible), tuple(true)))
+    assert {count for count, _ in lemma_forms} == {2} and {t for _, t in lemma_forms} == {(True,)}
+    for command in commands:
+        text = render(command)
+        assert render(parse(text)) == text
+    assert [render(command) for command in commands[:8]] == [
+        "(set-option :produce-models true)", "(set-logic QF_NIRA)", "(push 1)", "(pop 1)",
+        "(check-sat)", "(get-model)", "(reset)", "(exit)"]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import random
 import shlex
@@ -17,7 +18,7 @@ from safereach import build_pickup_example, cli, refsolver
 from safereach import encoding as enc
 from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
                             SafeReachObjective)
-from safereach.refsolver import tokenize
+from safereach.refsolver import render, tokenize
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -33,7 +34,7 @@ from safereach.solver import (
     extract_plan,
 )
 from safereach.solver import smtlib
-from safereach.solver.smtlib import HEADER, ModelValueError, parse_model, serialize
+from safereach.solver.smtlib import HEADER, ModelValueError, lower, parse_model, serialize
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
 from oracles import all_plans, enumerate_plans, random_instance, satisfies_bounded
@@ -165,13 +166,13 @@ def _reset_segments(lines):
 
 def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
     model, b_init, objective = pickup
-    serialized = []
-    monkeypatch.setattr(smtlib, "serialize", lambda constraint, run:
-                        serialized.append(constraint) or serialize(constraint, run))
+    lowered = []
+    monkeypatch.setattr(smtlib, "lower", lambda constraint, run:
+                        lowered.append(constraint) or lower(constraint, run))
 
     def drive(incremental):
         spawned.clear()
-        serialized.clear()
+        lowered.clear()
         config = SolverConfig(incremental=incremental)
         with SolverPool(config) as pool, \
                 SmtLibSession(RunContext(model, objective), pool) as session:
@@ -186,7 +187,7 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
             plan = session.check().plan
             session.add(enc.blocking_constraint(plan, 1))
             assert isinstance(session.check(), Sat)
-        assert len(serialized) == 5  # once per add, never on replay
+        assert len(lowered) == 5  # once per add, never on replay
         # From scratch, each check replays into the one process, reset.
         assert len(spawned) == 1
         return [live for proc in spawned for segment in _reset_segments(proc.lines)
@@ -204,39 +205,41 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
 
 def smt_plans(run, unfolding, scopes, horizon, pool):
     """For each scope, a list of constraints, the (actions, observations)
-    pairs the SMT-LIB text of ``unfolding`` admits with that scope pushed:
+    pairs the SMT-LIB terms of ``unfolding`` admit with that scope pushed:
     check, assert the found pair away inside the scope, check again until
     ``unsat``.  Lemmas are lowered against the whole unfolding."""
     span = (0, horizon)
-    texts = [serialize(c, run) for c in unfolding]
-    scoped = [[f"(assert {serialize(c, run, span)})" for c in scope] for scope in scopes]
-    names = sorted({name for text in texts + sum(scoped, [])
-                    for name in smtlib._NAME.findall(text)})
+    asserts = [("assert", lower(c, run)) for c in unfolding]
+    scoped = [[("assert", lower(c, run, span)) for c in scope] for scope in scopes]
+    names: set[str] = set()
+    for command in asserts + sum(scoped, []):
+        smtlib._names(command, names)
     proc = pool.take()
-    for line in [*map(smtlib._declaration, names), *(f"(assert {t})" for t in texts)]:
-        proc.send(line)
+    for command in [*map(smtlib._declaration, sorted(names)), *asserts]:
+        proc.send(command)
     steps = range(1, horizon + 1)
     found: list[set] = []
     for scope in scoped:
         found.append(set())
-        for line in ["(push 1)", *scope]:
-            proc.send(line)
+        for command in [smtlib.PUSH, *scope]:
+            proc.send(command)
         while True:
             deadline = time.monotonic() + 60
-            proc.send("(check-sat)")
+            proc.send(smtlib.CHECK_SAT)
             verdict = proc.read_line(deadline)
             if verdict == "unsat":
                 break
             assert verdict == "sat"
-            proc.send("(get-model)")
+            proc.send(smtlib.GET_MODEL)
             values = parse_model(proc.read_tokens(deadline))
             plan = (tuple(values[enc.action_var_name(i)] for i in steps),
                     tuple(values[enc.observation_var_name(i)] for i in steps))
             found[-1].add(plan)
-            pins = [f"(= {enc.action_var_name(i)} {a}) (= {enc.observation_var_name(i)} {o})"
-                    for i, a, o in zip(steps, *plan)]
-            proc.send(f"(assert (not (and {' '.join(pins)})))")
-        proc.send("(pop 1)")
+            pins = [pin for i, a, o in zip(steps, *plan)
+                    for pin in (("=", enc.action_var_name(i), a),
+                                ("=", enc.observation_var_name(i), o))]
+            proc.send(("assert", ("not", ("and", *pins))))
+        proc.send(smtlib.POP)
     pool.give_back(proc)
     return found
 
@@ -778,11 +781,12 @@ def test_a_reused_process_is_reset_before_the_next_session(pickup, spawned):
             (proc,) = spawned
             lines.append(proc.lines[len(sum(lines, [])):])
     first, second = lines
-    assert first[:2] == list(HEADER)
+    header = [render(command) for command in HEADER]
+    assert first[:2] == header == ["(set-option :produce-models true)", "(set-logic QF_NIRA)"]
     for session_lines in (first, second):
-        assert session_lines[-3:] == ["(reset)", *HEADER]
+        assert session_lines[-3:] == ["(reset)", *header]
     assert second[0] == "(declare-const b_0_0 Real)"
-    assert not any(line in ("(reset)", *HEADER) for line in first[2:-3] + second[:-3])
+    assert not any(line in ("(reset)", *header) for line in first[2:-3] + second[:-3])
     assert proc.lines[-1] == "(exit)" and not proc.alive
 
 
@@ -792,7 +796,7 @@ def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
     model, b_init, objective = pickup
     with SolverPool() as pool:
         proc = pool.take()
-        proc.send("(no-such-command)")
+        proc.send(("no-such-command",))
         pool.give_back(proc)
         with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 1, goal=True)
@@ -819,7 +823,40 @@ def test_a_session_takes_every_setting_from_its_pool(pickup, spawned):
         assert spawned == []
         assert isinstance(session.check(), Sat)
         (proc,) = spawned
-        assert proc.lines[-3:] == ["(reset)", *HEADER]
+        assert proc.lines[-3:] == ["(reset)", *map(render, HEADER)]
+
+
+def _transport_problems():
+    """(label, problem, horizon, incremental) for the transport comparison."""
+    from safereach.domains import build_kitchen
+
+    kitchen = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
+                            obstacles=1, p_fail=0, p_fp=0, p_fn=0)
+    yield "pickup-h3", build_pickup_example(), 3, True
+    for incremental in (True, False):
+        yield f"kitchen-2x2-det-h4-incremental={incremental}", kitchen, 4, incremental
+    for seed in range(20):
+        model, b_init, objective, horizon = random_instance(random.Random(seed))
+        yield f"random-{seed}", (model, b_init, objective), horizon, True
+
+
+def test_the_bundled_solver_answers_the_same_in_this_process_and_over_a_pipe(spawned):
+    """Handed terms in this process, or sent their text as a program of its
+    own, the bundled solver gives the same verdict, policy and check trace,
+    and each endpoint is sent the same lines."""
+    for label, problem, horizon, incremental in _transport_problems():
+        runs = []
+        for command in (None, smtlib.default_solver_command()):
+            spawned.clear()
+            solver = SolverConfig(command=command, incremental=incremental)
+            result = synthesis_run(*problem, SynthesisConfig(horizon=horizon, backend="smtlib",
+                                                             solver=solver))
+            assert result.error is None, label
+            runs.append((result.verdict, result.policy, result.stats.check_trace,
+                         [proc.lines for proc in spawned]))
+        in_process, over_a_pipe = runs
+        assert in_process == over_a_pipe, label
+        assert in_process[3] and all(in_process[3]), label
 
 
 def test_custom_solver_command_runs_as_given(pickup, monkeypatch):
@@ -919,7 +956,7 @@ def test_a_timed_out_forked_solver_is_reaped(spawned):
         assert not timed_out.alive  # closed, not handed back
         proc = pool.take()
         assert proc is not timed_out
-        proc.send("(check-sat)")
+        proc.send(smtlib.CHECK_SAT)
         assert proc.read_line(time.monotonic() + 5) == "sat"
         pool.give_back(proc)
 
@@ -984,16 +1021,30 @@ def test_a_failing_forked_solver_is_a_solver_failure_with_its_stderr(pickup, mon
 
 
 def test_a_malformed_line_ends_the_bundled_solver_as_it_ends_the_program():
-    """Lines wait until an answer is read; a syntax error is answered, and
-    ends the solver."""
+    """A syntax error in the program's input is answered, and ends its
+    session.  A malformed command term gets the same answer in this process
+    as over a pipe, and the session goes on.  In this process, commands wait
+    until an answer is read, and ``(exit)`` ends the solver."""
+    out = io.StringIO()
+    script = io.StringIO(")\n(check-sat)\n")
+    assert refsolver.Session().run(refsolver.CommandReader(script).next_command, out) is False
+    assert out.getvalue() == '(error "unbalanced \')\'")\n'
+    for config in (SolverConfig(), SolverConfig(command=smtlib.default_solver_command())):
+        with SolverPool(config) as pool:
+            proc = pool.take()
+            proc.send(("push", "x"))
+            proc.send(smtlib.CHECK_SAT)
+            deadline = time.monotonic() + 60
+            assert proc.read_line(deadline) == '(error "wrong arguments to push")'
+            assert proc.read_line(deadline) == "sat"
+            pool.give_back(proc)
     with SolverPool() as pool:
         proc = pool.take()
-        proc.send(")")
+        proc.send(smtlib.EXIT)
         assert proc.alive  # nothing has run yet
-        assert proc.read_line(None) == '(error "unbalanced \')\'")'
-        assert not proc.alive
         with pytest.raises(SolverError, match="closed its output stream"):
             proc.read_line(None)
+        assert not proc.alive
         pool.give_back(proc)
         again = pool.take()
         assert again is not proc  # an ended solver is not handed out again

@@ -542,7 +542,7 @@ def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
     def no_terms(*args, **kwargs):
         raise AssertionError("the enum backend wrote SMT-LIB or named an SMT variable")
 
-    originals = [smtlib.serialize] + [getattr(encoding, name) for name in (
+    originals = [smtlib.lower, smtlib.serialize] + [getattr(encoding, name) for name in (
         "step_vars", "belief_var_name", "action_var_name", "observation_var_name",
         "unnorm_var_name", "denom_var_name")]
     for module in [m for name, m in sys.modules.items() if name.startswith("safereach")]:
