@@ -8,7 +8,7 @@ Exit codes for ``synth``: 0 = valid policy, 2 = no policy within the bound,
 1 = error.  Every subcommand exits 1 on a usage error (argparse's own code
 would be 2).  Defaults for ``--solver-cmd`` and ``--check-timeout`` can also
 be set through the environment as SAFEREACH_SOLVER_CMD and
-SAFEREACH_CHECK_TIMEOUT; the latter is checked like the option itself.
+SAFEREACH_CHECK_TIMEOUT; each is checked like the option itself.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _solver_command(text: str) -> tuple[str, ...] | None:
+    try:
+        return tuple(shlex.split(text)) or None  # blank: the bundled solver
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot split {text!r}: {exc}") from None
+
+
 def _parse_cell(text: str) -> tuple[int, int]:
     x, y = text.split(",")
     return (int(x), int(y))
@@ -102,7 +109,8 @@ def _add_kitchen_args(parser: argparse.ArgumentParser):
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("smtlib", "enum"), default="enum")
-    parser.add_argument("--solver-cmd", default=os.environ.get("SAFEREACH_SOLVER_CMD"),
+    parser.add_argument("--solver-cmd", type=_solver_command,
+                        default=os.environ.get("SAFEREACH_SOLVER_CMD"),
                         help="external solver command line, e.g. 'z3 -in' "
                              "(default: bundled reference solver)")
     parser.add_argument("--check-timeout", type=_positive_float,
@@ -142,9 +150,8 @@ def _build_problem(args) -> tuple[Pomdp, Belief, SafeReachObjective, str, int, i
 
 
 def _solver_config(args) -> SolverConfig:
-    command = tuple(shlex.split(args.solver_cmd or "")) or None  # blank: the bundled solver
     return SolverConfig(
-        command=command,
+        command=args.solver_cmd,
         check_timeout=args.check_timeout,
         incremental=not args.no_incremental,
     )

@@ -2,8 +2,8 @@
 
 This is the default solver of the SMT-LIB backend: a session takes SMT-LIB
 commands (``set-logic``, ``declare-const``, ``assert``, ``push``/``pop``,
-``check-sat``, ``get-model``, ``reset``, ``exit``) and answers in SMT-LIB
-text, so the driver reads it as it reads any external solver.
+``check-sat``, ``get-model``, ``reset``, ``exit``) and answers each with an
+SMT-LIB term, so the driver reads it as it reads any external solver.
 
 Completeness is limited by design: every integer variable must have finite
 bounds derivable from top-level ``(<= c v)`` / ``(< v c)``-style assertions,
@@ -27,9 +27,9 @@ fragment: ``check-sat`` answers ``unknown`` while one is live, rather than
 a wrong answer.  An assertion that names an undeclared constant is
 answered with an error and not kept.
 
-Commands are terms, and text is what a pipe carries: :class:`CommandReader`
-takes one balanced command at a time and :func:`parse_tokens` interns its
-terms as it reads them, and :func:`render` writes a term as text.
+Commands and answers are terms; text is what a pipe carries.  The program
+reads its commands with :class:`CommandReader`, which :func:`parse_tokens`
+interns as it reads them, and writes each answer with :func:`render`.
 :meth:`Session.run` is the one command loop: the program runs it on its
 standard input, and the package's in-process endpoint on the terms sent.
 
@@ -143,17 +143,18 @@ def parse_tokens(tokens: list[str], pos: int) -> tuple[object, int]:
 
 
 class CommandReader:
-    """Reads one balanced command at a time from a stream, parsed."""
+    """Reads one balanced term at a time from a stream, parsed: a command, or
+    a solver's answer."""
 
     def __init__(self, stream) -> None:
         self.stream = stream
         self.tokens: list[str] = []
 
     def next_command(self):
-        """The next command, or ``None`` once the stream runs dry.  A balanced
-        command with a malformed term is passed over and raises
-        :class:`MalformedCommand`; tokens that make no balanced command raise
-        :class:`SmtSyntaxError`."""
+        """The next list, or token outside any list as the symbol it is
+        written as, or ``None`` once the stream runs dry.  A malformed list
+        is passed over and raises :class:`MalformedCommand`; tokens that make
+        no balanced list raise :class:`SmtSyntaxError`."""
         tokens, pos, depth = self.tokens, 0, 0
         while True:
             while pos < len(tokens):
@@ -163,16 +164,16 @@ class CommandReader:
                     depth += 1
                 elif tok == ")":
                     depth -= 1
-                    if depth == 0:
-                        self.tokens = tokens[pos:]
-                        try:
-                            return parse_tokens(tokens, 0)[0]
-                        except SmtSyntaxError as exc:
-                            raise MalformedCommand(str(exc)) from None
                     if depth < 0:
                         raise SmtSyntaxError("unbalanced ')'")
-                elif depth == 0:
-                    raise SmtSyntaxError(f"stray token {tok!r} outside command")
+                if depth == 0:
+                    self.tokens = tokens[pos:]
+                    if tok != ")":
+                        return sys.intern(tok)
+                    try:
+                        return parse_tokens(tokens, 0)[0]
+                    except SmtSyntaxError as exc:
+                        raise MalformedCommand(str(exc)) from None
             line = self.stream.readline()
             if not line:
                 return None
@@ -201,7 +202,7 @@ class _Outside(Exception):
 
 def numeral(term):
     """The number a numeral term denotes: ``n``, ``n.m``, ``(- x)`` or
-    ``(/ x y)`` over numerals, the shapes :func:`format_value` writes and
+    ``(/ x y)`` over numerals, the shapes :func:`render` writes and
     solvers print model values in.  ``None`` for any other term, a bool
     included, and for a zero divisor."""
     kind = type(term)
@@ -749,17 +750,6 @@ class Search:
 # Command loop
 # --------------------------------------------------------------------------
 
-def format_value(value, sort: str) -> str:
-    """An int or Fraction as an SMT-LIB numeral term of ``sort``."""
-    if sort == "Int":
-        return str(value) if value >= 0 else f"(- {-value})"
-    if value < 0:
-        return f"(- {format_value(-value, sort)})"
-    if value.denominator == 1:
-        return f"{value.numerator}.0"
-    return f"(/ {value.numerator}.0 {value.denominator}.0)"
-
-
 def render(term) -> str:
     """A term as the SMT-LIB text :func:`parse_tokens` reads it from: an
     ``int`` is an Int numeral, a ``Fraction`` a Real one."""
@@ -770,7 +760,13 @@ def render(term) -> str:
         return term
     if kind is bool:
         return "true" if term else "false"
-    return format_value(term, "Int" if kind is int else "Real")
+    if term < 0:
+        return f"(- {render(-term)})"
+    if kind is int:
+        return str(term)
+    if term.denominator == 1:
+        return f"{term.numerator}.0"
+    return f"(/ {term.numerator}.0 {term.denominator}.0)"
 
 
 # The argument lists each command accepts, one letter per argument: "a" a
@@ -794,9 +790,9 @@ def _fits(args: tuple, shape: str) -> bool:
                                            for kind, arg in zip(shape, args))
 
 
-def _error(message: str) -> str:
+def _error(message: str) -> tuple:
     """An ``(error ...)`` answer, ``"`` in its message escaped as ``""``."""
-    return '(error "%s")' % message.replace('"', '""')
+    return ("error", '"%s"' % message.replace('"', '""'))
 
 
 class Session:
@@ -821,35 +817,35 @@ class Session:
     def all_constraints(self) -> list[Constraint]:
         return [c for _, constraints in self.frames for c in constraints]
 
-    def run(self, next_command, out, deadline: float | None = None) -> bool:
-        """Run the commands ``next_command()`` gives, writing and flushing
-        each answer to ``out``, until it gives ``None`` (True: the session
-        goes on), or until ``(exit)`` or tokens that make no command (False:
-        it ends).  A ``check-sat`` still searching at ``deadline``, a
+    def run(self, next_command, answer, deadline: float | None = None) -> bool:
+        """Run the commands ``next_command()`` gives, handing each answer
+        term to ``answer``, until it gives ``None`` (True: the session goes
+        on), or until ``(exit)`` or tokens that make no command (False: it
+        ends).  A ``check-sat`` still searching at ``deadline``, a
         ``time.monotonic()`` reading, raises :class:`TimeoutError`."""
         while True:
             try:
                 cmd = next_command()
+                if type(cmd) is str:
+                    raise SmtSyntaxError(f"stray token {cmd!r} outside command")
             except MalformedCommand as exc:
-                answer = _error(str(exc))
+                reply = _error(str(exc))
             except SmtSyntaxError as exc:
-                out.write(_error(str(exc)) + "\n")
-                out.flush()
+                answer(_error(str(exc)))
                 return False
             else:
                 if cmd is None:
                     return True
                 if cmd == ("exit",):
                     return False
-                answer = self._answer(cmd, deadline)
-            if answer is not None:
-                out.write(answer + "\n")
-                out.flush()
+                reply = self._answer(cmd, deadline)
+            if reply is not None:
+                answer(reply)
 
-    def _answer(self, cmd, deadline: float | None) -> str | None:
-        """The answer to one command, ``None`` for none."""
+    def _answer(self, cmd, deadline: float | None):
+        """The answer term to one command, ``None`` for none."""
         if not cmd:
-            return '(error "malformed command")'
+            return _error("malformed command")
         head = cmd[0]
         shapes = COMMAND_SHAPES.get(head)
         if shapes is not None and not any(_fits(cmd[1:], shape) for shape in shapes):
@@ -860,7 +856,7 @@ class Session:
             name = cmd[1]
             sort = cmd[-1]
             if head == "declare-fun" and cmd[2] != ():
-                return '(error "only 0-ary functions supported")'
+                return _error("only 0-ary functions supported")
             if sort not in ("Int", "Real"):
                 return _error(f"unsupported sort {sort}")
             if self.declared(name):
@@ -882,7 +878,7 @@ class Session:
         elif head == "pop":
             count = cmd[1] if len(cmd) > 1 else 1
             if count >= len(self.frames):
-                return '(error "pop on empty stack")'  # and change nothing
+                return _error("pop on empty stack")  # and change nothing
             del self.frames[len(self.frames) - count:]
             self.last_model = None
         elif head == "check-sat":
@@ -896,17 +892,11 @@ class Session:
             return verdict
         elif head == "get-model":
             if self.last_model is None:
-                return '(error "no model available")'
-            decls = self.all_decls()
-            lines = ["("]
-            for name in sorted(decls):
-                sort = decls[name]
-                rendered = format_value(self.last_model[name], sort)
-                lines.append(f"  (define-fun {name} () {sort} {rendered})")
-            lines.append(")")
-            return "\n".join(lines)
+                return _error("no model available")
+            return tuple(("define-fun", name, (), sort, self.last_model[name])
+                         for name, sort in sorted(self.all_decls().items()))
         elif head == "get-info":
-            return f"({cmd[1]} \"bounded-enumeration solver\")"
+            return (cmd[1], '"bounded-enumeration solver"')
         elif head == "echo":
             return cmd[1][1:-1].replace('""', '"') if cmd[1][:1] == '"' else cmd[1]
         elif head == "reset":
@@ -917,7 +907,8 @@ class Session:
 
 
 def main() -> None:
-    Session(os.getppid()).run(CommandReader(sys.stdin).next_command, sys.stdout)
+    Session(os.getppid()).run(CommandReader(sys.stdin).next_command,
+                              lambda answer: print(render(answer), flush=True))
 
 
 if __name__ == "__main__":

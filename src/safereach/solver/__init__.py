@@ -2,10 +2,12 @@
 
 Two interchangeable session kinds sit behind one interface: an SMT-LIB v2
 session with push/pop scopes, which lowers each constraint once to an
-SMT-LIB term, handed as it is to the bundled solver (run in this process)
-or written as text to a solver program (over a pipe), and a built-in exact
-enumerative backend that interprets the constraints directly and doubles
-as an independent oracle.  Either answers a satisfying check with a
+SMT-LIB term, and a built-in exact enumerative backend that interprets the
+constraints directly and doubles as an independent oracle.  Commands and
+answers are terms; text is what a pipe carries: the bundled solver, run in
+this process, is handed the command terms and answers with terms, and a
+solver program is written each command as text and read back by the same
+reader its own commands are read with.  Either answers a satisfying check with a
 candidate plan (:class:`Sat`), which :func:`extract_plan` re-verifies; only
 the SMT-LIB backend knows the SMT variable names.
 """

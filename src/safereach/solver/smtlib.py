@@ -5,20 +5,21 @@ each added constraint is lowered once to a term (:func:`lower`), its
 ``assert`` command, after the ``declare-const`` commands of its variables
 not yet declared.  Drives the bundled reference solver, or any conforming
 solver binary (``z3 -in`` works), with ``push``/``pop`` scopes, reads
-responses with the reference solver's reader, parses models into exact
-rationals, and decodes them into the candidate plan a satisfying check
-answers with.  It is the only module besides :mod:`safereach.encoding`
+a pipe's answers with the reference solver's reader, takes models' values
+as exact rationals, and decodes them into the candidate plan a satisfying
+check answers with.  It is the only module besides :mod:`safereach.encoding`
 that knows the variable names.  In non-incremental mode every check
 replays the kept commands of all live assertions into a solver that has
 just been reset, for the from-scratch comparison.
 
-Commands are terms; answers are text.  An endpoint is a :class:`_SmtProcess`,
-which is sent commands and buffers and reads answers; its transport is one
-of two subclasses.  :class:`_InProcessSolver` hands the terms to the bundled
-solver in the driver's process, one :class:`refsolver.Session` per endpoint,
-which honours each check's deadline in its search; :class:`_SolverProcess`
-execs an explicit solver command as given and writes it each command as the
-text :func:`refsolver.render` makes of it, the only text a pipe carries.  Every
+Commands and answers are terms; text is what a pipe carries.  An endpoint is
+a :class:`_SmtProcess`, which is sent commands and reads answers; its transport
+is one of two subclasses.  :class:`_InProcessSolver` hands the terms to the
+bundled solver in the driver's process, one :class:`refsolver.Session` per
+endpoint, which honours each check's deadline in its search and answers with
+terms; :class:`_SolverProcess` execs an explicit solver command as given,
+writes it each command as the text :func:`refsolver.render` makes of it, and
+reads its answers with :class:`refsolver.CommandReader`.  Every
 session draws its endpoint from the run's one :class:`SolverPool`, which
 keeps the idle ones: a session holds one while it is open (or, from
 scratch, for one check) and hands it back after ``(reset)`` and the
@@ -28,12 +29,12 @@ not decode is closed instead.
 
 from __future__ import annotations
 
-import io
 import os
 import select
 import subprocess
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -44,7 +45,7 @@ from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Po
 from .. import refsolver
 from ..encoding import (Blocking, Constraint, DeadAction, Goal, Initial, Transition,
                         action_var_name, belief_var_name, observation_var_name, step_vars)
-from ..refsolver import SmtSyntaxError, numeral, parse_tokens, render, tokenize
+from ..refsolver import SmtSyntaxError, numeral, render
 from .session import (
     PlanDecodeError,
     Sat,
@@ -255,16 +256,12 @@ def _declaration(name: str) -> tuple:
 # Response parsing
 # --------------------------------------------------------------------------
 
-def parse_model(tokens: list[str]) -> dict[str, Union[Fraction, int]]:
-    """Parse the tokens of a ``get-model`` response (with or without the
+def parse_model(answer) -> dict[str, Union[Fraction, int]]:
+    """The values of a ``get-model`` answer term (with or without the
     ``model`` keyword)."""
-    try:
-        tree = parse_tokens(tokens, 0)[0]
-    except SmtSyntaxError as exc:
-        raise SolverError(f"malformed get-model response: {exc}") from None
-    if not isinstance(tree, tuple):
-        raise SolverError(f"unexpected get-model response: {tree!r}")
-    entries = tree[1:] if tree and tree[0] == "model" else tree
+    if not isinstance(answer, tuple):
+        raise SolverError(f"unexpected get-model response: {answer!r}")
+    entries = answer[1:] if answer and answer[0] == "model" else answer
     model: dict[str, Union[Fraction, int]] = {}
     for entry in entries:
         if not (isinstance(entry, tuple) and entry and entry[0] == "define-fun"):
@@ -294,6 +291,9 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
             except ModelError as exc:
                 raise PlanDecodeError(f"step {step}: {exc}") from None
         steps = range(start + 1, horizon + 1)
+        for name in (*map(action_var_name, steps), *map(observation_var_name, steps)):
+            if Fraction(values[name]).denominator != 1:
+                raise PlanDecodeError(f"non-integer selector value for {name}: {values[name]}")
         actions = tuple(int(values[action_var_name(step)]) for step in steps)
         observations = tuple(int(values[observation_var_name(step)]) for step in steps)
     except KeyError as exc:
@@ -313,50 +313,29 @@ def _decode_plan(values: Mapping[str, Union[Fraction, int]], start: int, horizon
 
 class _SmtProcess:
     """One solver endpoint.  A subclass gives ``alive``, ``_write(command)``,
-    ``close()`` and ``_read(deadline)``: the next answer bytes, raising
+    ``close()`` and ``read(deadline)``: the next answer term, raising
     :class:`TimeoutError` past the deadline and :class:`SolverError` once no
     answer can come."""
 
     def __init__(self) -> None:
-        self._buffer = b""
+        """Every endpoint starts here, before its transport; tracers count endpoints by it."""
 
     def send(self, command: tuple) -> None:
         self._write(command)
 
-    def read_line(self, deadline: Optional[float]) -> str:
-        while b"\n" not in self._buffer:
-            self._buffer += self._read(deadline)
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        try:
-            return line.decode().strip()
-        except UnicodeDecodeError as exc:
-            raise SolverError(f"malformed solver response: {exc}") from None
-
-    def read_tokens(self, deadline: Optional[float]) -> list[str]:
-        """The tokens of one s-expression, a list that may span lines or an atom."""
-        tokens: list[str] = []
-        depth = 0
-        while not tokens or depth > 0:
-            try:
-                line = tokenize(self.read_line(deadline))
-            except SmtSyntaxError as exc:
-                raise SolverError(f"malformed solver response: {exc}") from None
-            depth += line.count("(") - line.count(")")
-            tokens += line
-        return tokens
-
 
 class _InProcessSolver(_SmtProcess):
-    """The bundled solver in the driver's process, sent the terms themselves.
-    Commands sent to it wait until an answer is read, as a solver process
-    works while its driver waits to read, and are then all run, in the order
-    sent.  ``(exit)`` or a failure inside the solver ends it; a failure is
-    raised as a :class:`SolverError`."""
+    """The bundled solver in the driver's process, sent the terms themselves
+    and answering with terms.  Commands sent to it wait until an answer is
+    read, as a solver process works while its driver waits to read, and are
+    then all run, in the order sent.  ``(exit)`` or a failure inside the
+    solver ends it; a failure is raised as a :class:`SolverError`."""
 
     def __init__(self) -> None:
         super().__init__()
         self._session = refsolver.Session()
         self._pending: list[tuple] = []
+        self._answers: deque = deque()
         self.alive = True
 
     def _write(self, command: tuple) -> None:
@@ -364,23 +343,24 @@ class _InProcessSolver(_SmtProcess):
             raise SolverError("the bundled solver has ended")
         self._pending.append(command)
 
-    def _read(self, deadline: Optional[float]) -> bytes:
-        if not self.alive:
-            raise SolverError("solver closed its output stream")
-        commands, self._pending = iter(self._pending), []
-        out = io.StringIO()
-        try:
-            if not self._session.run(lambda: next(commands, None), out, deadline):
+    def read(self, deadline: Optional[float]):
+        if not self._answers and self.alive:
+            commands, self._pending = iter(self._pending), []
+            try:
+                if not self._session.run(lambda: next(commands, None), self._answers.append,
+                                         deadline):
+                    self.close()
+                elif not self._answers:
+                    raise SolverError("no command is waiting for an answer")
+            except BaseException as exc:
                 self.close()
-            elif not out.tell():
-                raise SolverError("no command is waiting for an answer")
-        except BaseException as exc:
-            self.close()
-            if isinstance(exc, (SolverError, TimeoutError)) or not isinstance(exc, Exception):
-                raise
-            raise SolverError(f"the bundled solver failed: {type(exc).__name__}: {exc}") \
-                from exc
-        return out.getvalue().encode()
+                if isinstance(exc, (SolverError, TimeoutError)) or not isinstance(exc, Exception):
+                    raise
+                raise SolverError(f"the bundled solver failed: {type(exc).__name__}: {exc}") \
+                    from exc
+        if not self._answers:
+            raise SolverError("solver closed its output stream")
+        return self._answers.popleft()
 
     def close(self) -> None:
         """Stop for good, dropping every assertion and waiting command."""
@@ -390,7 +370,8 @@ class _InProcessSolver(_SmtProcess):
 
 
 class _SolverProcess(_SmtProcess):
-    """A solver program, sent each command as a line of text over a pipe."""
+    """A solver program, sent each command as a line of text over a pipe,
+    whose answers are read back as terms."""
 
     def __init__(self, command: Sequence[str]) -> None:
         super().__init__()
@@ -403,6 +384,9 @@ class _SolverProcess(_SmtProcess):
             )
         except OSError as exc:
             raise SolverError(f"cannot start solver {command!r}: {exc}") from exc
+        self._reader = refsolver.CommandReader(self)
+        self._buffer = b""
+        self._deadline: Optional[float] = None
 
     @property
     def alive(self) -> bool:
@@ -416,17 +400,28 @@ class _SolverProcess(_SmtProcess):
         except (BrokenPipeError, OSError) as exc:
             raise SolverError(f"solver pipe closed: {exc}") from exc
 
-    def _read(self, deadline: Optional[float]) -> bytes:
+    def read(self, deadline: Optional[float]):
+        self._deadline = deadline
+        try:
+            return self._reader.next_command()
+        except (SmtSyntaxError, UnicodeDecodeError) as exc:
+            raise SolverError(f"malformed solver response: {exc}") from None
+
+    def readline(self) -> str:
+        """The stream :attr:`_reader` reads: the next line, by the read's deadline."""
         assert self._popen.stdout is not None
         fd = self._popen.stdout.fileno()
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                raise TimeoutError
-        chunk = os.read(fd, 65536)
-        if not chunk:
-            raise SolverError("solver closed its output stream" + self._stderr_tail())
-        return chunk
+        while b"\n" not in self._buffer:
+            if self._deadline is not None:
+                remaining = self._deadline - time.monotonic()
+                if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                    raise TimeoutError
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise SolverError("solver closed its output stream" + self._stderr_tail())
+            self._buffer += chunk
+        line, self._buffer = self._buffer.split(b"\n", 1)
+        return line.decode() + "\n"
 
     def _stderr_tail(self) -> str:
         if self._popen.stderr is None:
@@ -620,19 +615,17 @@ class SmtLibSession(SolverSession):
     def _check_on(self, proc: _SmtProcess, deadline: float, start: int,
                   horizon: int) -> SatResult:
         proc.send(CHECK_SAT)
-        verdict = proc.read_line(deadline)
-        while verdict == "":
-            verdict = proc.read_line(deadline)
-        if verdict.startswith("(error"):
-            raise SolverError(f"solver error: {verdict}")
+        verdict = proc.read(deadline)
+        if type(verdict) is tuple and verdict[:1] == ("error",):
+            raise SolverError(f"solver error: {render(verdict)}")
         if verdict == "unsat":
             return Unsat()
         if verdict == "unknown":
             return Unknown("solver returned unknown")
         if verdict != "sat":
-            raise SolverError(f"unexpected check-sat response: {verdict!r}")
+            raise SolverError(f"unexpected check-sat response: {render(verdict)!r}")
         proc.send(GET_MODEL)
-        values = parse_model(proc.read_tokens(deadline))
+        values = parse_model(proc.read(deadline))
         return Sat(_decode_plan(values, start, horizon, self.model))
 
     def close(self) -> None:

@@ -412,6 +412,22 @@ def test_a_blank_solver_command_runs_the_bundled_solver(capsys):
     assert "root action: pick_right" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["flag", "environment"])
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_an_unbalanced_quote_in_the_solver_command_is_a_usage_error(command, source,
+                                                                    monkeypatch, capsys):
+    argv = [command, "--backend", "smtlib"]
+    if command == "synth":
+        argv += ["--domain", "pickup", "--horizon", "3"]
+    if source == "flag":
+        argv += ["--solver-cmd", "z3 'x"]
+    else:
+        monkeypatch.setenv("SAFEREACH_SOLVER_CMD", "z3 'x")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "argument --solver-cmd: cannot split \"z3 'x\": No closing quotation" in err
+
+
 def test_solver_command_environment_override(monkeypatch, capsys):
     import sys
 

@@ -18,7 +18,6 @@ from safereach.refsolver import (
     Search,
     Session,
     SmtSyntaxError,
-    format_value,
     numeral,
     parse_tokens,
     render,
@@ -35,9 +34,10 @@ def parse(text: str):
 
 
 def run_script(script: str) -> list[str]:
-    out = io.StringIO()
-    Session().run(CommandReader(io.StringIO(script)).next_command, out)
-    return [line for line in out.getvalue().splitlines() if line]
+    """Each answer to ``script``, rendered as the program writes it."""
+    answers = []
+    Session().run(CommandReader(io.StringIO(script)).next_command, answers.append)
+    return [render(answer) for answer in answers]
 
 
 def test_tokenizer_handles_comments_and_strings():
@@ -53,9 +53,13 @@ def test_parser_round_trip():
 
 
 def test_command_reader_spans_lines():
-    reader = CommandReader(io.StringIO("(assert\n (= x\n 1))\n(check-sat)\n"))
+    reader = CommandReader(io.StringIO("(assert\n (= x\n 1))\n(check-sat)\n\nsat 1.5 (\n(x)\n)\n"))
     assert reader.next_command() == ("assert", ("=", "x", 1))
     assert reader.next_command() == ("check-sat",)
+    # A token outside any list is the symbol it is written as, a numeral too.
+    assert reader.next_command() == "sat"
+    assert reader.next_command() == "1.5"
+    assert reader.next_command() == (("x",),)
     assert reader.next_command() is None
 
 
@@ -255,8 +259,8 @@ def test_a_redeclared_constant_is_an_error_and_changes_nothing():
     assert run_script("(declare-const x Int)(push 1)(declare-fun x () Real)(declare-const y Int)"
                       "(pop 1)(declare-const y Real)(assert (= y 0.5))(assert (= x 1))"
                       "(check-sat)(get-model)") \
-        == ['(error "x is already declared")', "sat", "(", "  (define-fun x () Int 1)",
-            "  (define-fun y () Real (/ 1.0 2.0))", ")"]
+        == ['(error "x is already declared")', "sat",
+            "((define-fun x () Int 1) (define-fun y () Real (/ 1.0 2.0)))"]
 
 
 def test_an_error_about_a_quoted_name_is_one_string_token():
@@ -272,11 +276,11 @@ def test_an_error_about_a_quoted_name_is_one_string_token():
 def test_an_assertion_naming_an_undeclared_constant_is_an_error_and_not_kept():
     assert run_script("(declare-const x Int)(assert (<= 0 x))(assert (< x 3))(assert (= x y))"
                       "(check-sat)(get-model)") \
-        == ['(error "undeclared constant y")', "sat", "(", "  (define-fun x () Int 0)", ")"]
+        == ['(error "undeclared constant y")', "sat", "((define-fun x () Int 0))"]
     # The whole assertion is dropped, its declared conjuncts too.
     assert run_script("(declare-const x Int)(assert (<= 0 x))(assert (< x 3))"
                       "(assert (and (= x 2) (< z 1)))(check-sat)(get-model)") \
-        == ['(error "undeclared constant z")', "sat", "(", "  (define-fun x () Int 0)", ")"]
+        == ['(error "undeclared constant z")', "sat", "((define-fun x () Int 0))"]
     # A constant declared in a popped frame is undeclared again.
     assert run_script("(push 1)(declare-const y Real)(pop 1)(assert (= y 1.0))(check-sat)") \
         == ['(error "undeclared constant y")', "sat"]
@@ -289,25 +293,25 @@ def test_a_bool_is_no_value_of_a_number_constant(sort):
         == ["unsat", '(error "no model available")']
 
 
-def test_format_value_shapes():
-    assert format_value(3, "Int") == "3"
-    assert format_value(-3, "Int") == "(- 3)"
-    assert format_value(F(1), "Real") == "1.0"
-    assert format_value(F(2, 7), "Real") == "(/ 2.0 7.0)"
-    assert format_value(F(-2, 7), "Real") == "(- (/ 2.0 7.0))"
-    assert format_value(3, "Real") == "3.0"
-    assert format_value(-3, "Real") == "(- 3.0)"
+def test_render_numeral_shapes():
+    assert render(3) == "3"
+    assert render(-3) == "(- 3)"
+    assert render(F(1)) == "1.0"
+    assert render(F(2, 7)) == "(/ 2.0 7.0)"
+    assert render(F(-2, 7)) == "(- (/ 2.0 7.0))"
+    assert render(F(3)) == "3.0"
+    assert render(F(-3)) == "(- 3.0)"
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.integers(-10**9, 10**9), st.fractions()))
-def test_format_value_reads_back_through_the_numeral_reader_and_the_model_parser(value):
+def test_render_reads_back_through_the_numeral_reader_and_the_model_parser(value):
     """Every number written reads back as itself, signs and zero included,
-    from the term :func:`parse_tokens` makes of it and from a model line."""
+    from the term :func:`parse_tokens` makes of it and from a model answer."""
     for sort in ("Int", "Real") if type(value) is int else ("Real",):
-        text = format_value(value, sort)
+        text = render(value if sort == "Int" else F(value))
         assert numeral(parse(text)) == value, (value, sort, text)
-        read = parse_model(tokenize(f"((define-fun v () {sort} {text}))"))["v"]
+        read = parse_model(parse(f"((define-fun v () {sort} {text}))"))["v"]
         assert read == value and type(read) is (int if sort == "Int" else F), (value, sort)
 
 
@@ -337,8 +341,8 @@ def test_a_failed_pop_changes_nothing():
 (check-sat)
 (get-model)
 """)
-    assert lines == ['(error "pop on empty stack")', "sat", "(",
-                     "  (define-fun x () Int 2)", "  (define-fun y () Int 1)", ")"]
+    assert lines == ['(error "pop on empty stack")', "sat",
+                     "((define-fun x () Int 2) (define-fun y () Int 1))"]
 
 
 def test_get_model_after_the_assertion_stack_changed_is_an_error():
@@ -350,7 +354,7 @@ def test_get_model_after_the_assertion_stack_changed_is_an_error():
     assert run_script(bounded_x + "(push 1)(assert (= x 5))(get-model)(pop 1)(get-model)"
                       "(check-sat)(get-model)") \
         == ["sat", '(error "no model available")', '(error "no model available")',
-            "sat", "(", "  (define-fun x () Int 0)", ")"]
+            "sat", "((define-fun x () Int 0))"]
 
 
 # --------------------------------------------------------------------------
@@ -609,7 +613,7 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
                                              obstacles=1, p_fail=0, p_fp=0, p_fn=0)
     run = RunContext(model, objective)
-    session, out = Session(), io.StringIO()
+    session, answers = Session(), []
     declared: set[str] = set()
     nodes: list[int] = []
     search_run = Search.run
@@ -622,7 +626,7 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     monkeypatch.setattr(refsolver.Search, "run", counting_run)
 
     def send(command):
-        session.run(iter([command, None]).__next__, out)
+        session.run(iter([command, None]).__next__, answers.append)
 
     def assert_(constraint):
         assertion = ("assert", smtlib.lower(constraint, run))
@@ -632,9 +636,10 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
         send(assertion)
 
     def model_text():
-        start = out.tell()
+        """The model answer in the layout the program once wrote it in, one
+        ``define-fun`` a line, so the hashes below pin the models."""
         send(smtlib.GET_MODEL)
-        return out.getvalue()[start:]
+        return "".join(["(\n", *(f"  {render(entry)}\n" for entry in answers[-1]), ")\n"])
 
     assert_(Initial(0, b_init))
     for horizon in range(3):
@@ -646,13 +651,13 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
         if horizon < 2:
             send(smtlib.POP)
     first = model_text()
-    plan = smtlib._decode_plan(smtlib.parse_model(tokenize(first)), 0, 2, model)
+    plan = smtlib._decode_plan(smtlib.parse_model(answers[-1]), 0, 2, model)
     assert_(Blocking(plan, 2))
     send(smtlib.CHECK_SAT)
     second = model_text()
 
     assert nodes == [0, 34, 118, 119]
-    verdicts = [line for line in out.getvalue().splitlines() if line in ("sat", "unsat")]
+    verdicts = [answer for answer in answers if answer in ("sat", "unsat")]
     assert verdicts == ["unsat", "unsat", "sat", "sat"]
     assert (plan.actions, plan.observations) == ((3, 8), (2, 0))
     assert "(define-fun a_2 () Int 9)" in second

@@ -18,7 +18,7 @@ from safereach import build_pickup_example, cli, refsolver
 from safereach import encoding as enc
 from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
                             SafeReachObjective)
-from safereach.refsolver import render, tokenize
+from safereach.refsolver import render
 from safereach.solver import (
     EnumerativeSession,
     PlanDecodeError,
@@ -226,12 +226,12 @@ def smt_plans(run, unfolding, scopes, horizon, pool):
         while True:
             deadline = time.monotonic() + 60
             proc.send(smtlib.CHECK_SAT)
-            verdict = proc.read_line(deadline)
+            verdict = proc.read(deadline)
             if verdict == "unsat":
                 break
             assert verdict == "sat"
             proc.send(smtlib.GET_MODEL)
-            values = parse_model(proc.read_tokens(deadline))
+            values = parse_model(proc.read(deadline))
             plan = (tuple(values[enc.action_var_name(i)] for i in steps),
                     tuple(values[enc.observation_var_name(i)] for i in steps))
             found[-1].add(plan)
@@ -627,17 +627,31 @@ def test_model_parser_accepts_solver_shapes():
       (define-fun d () Real (- (/ 1.0 2.0)))
     )
     """
-    model = parse_model(tokenize(text))
+    model = parse_model(refsolver.CommandReader(io.StringIO(text)).next_command())
     assert model["a_1"] == 1
     assert model["b_0_0"] == F(3, 4)
     assert model["b_0_1"] == F(1, 4)
     assert model["d"] == F(-1, 2)
 
 
+def test_a_non_integer_selector_value_is_a_decode_error(pickup):
+    model = pickup[0]
+    text = "((define-fun a_1 () Real (/ 3.0 2.0)) (define-fun o_1 () Int 0))"
+    values = parse_model(refsolver.CommandReader(io.StringIO(text)).next_command())
+    assert values["a_1"] == F(3, 2)
+    for name, value in (("b_0_0", F(1)), ("b_0_1", F(0)), ("b_0_2", F(0)), ("b_1_0", F(1)),
+                        ("b_1_1", F(0)), ("b_1_2", F(0))):
+        values[name] = value
+    with pytest.raises(PlanDecodeError, match=r"non-integer selector value for a_1: 3/2"):
+        smtlib._decode_plan(values, 0, 1, model)
+    values["a_1"] = F(1)  # an integral Real still names an action
+    assert smtlib._decode_plan(values, 0, 1, model).actions == (1,)
+
+
 def test_model_parser_rejects_algebraic_values():
     text = "((define-fun x () Real (root-obj (+ (^ x 2) (- 2)) 2)))"
     with pytest.raises(ModelValueError):
-        parse_model(tokenize(text))
+        parse_model(refsolver.CommandReader(io.StringIO(text)).next_command())
 
 
 def test_serializer_rational_and_boolean_forms(pickup):
@@ -840,23 +854,62 @@ def _transport_problems():
         yield f"random-{seed}", (model, b_init, objective), horizon, True
 
 
-def test_the_bundled_solver_answers_the_same_in_this_process_and_over_a_pipe(spawned):
+def _folded(term):
+    """``term`` with each numeral subterm, such as ``(/ 1.0 2.0)``, as the
+    number it denotes."""
+    value = refsolver.numeral(term)
+    if value is not None:
+        return value
+    return tuple(map(_folded, term)) if type(term) is tuple else term
+
+
+def test_the_bundled_solver_answers_the_same_in_this_process_and_over_a_pipe(spawned,
+                                                                             monkeypatch):
     """Handed terms in this process, or sent their text as a program of its
     own, the bundled solver gives the same verdict, policy and check trace,
-    and each endpoint is sent the same lines."""
+    each endpoint is sent the same lines, and every read returns the same
+    answer term, up to how a numeral is written."""
+    answers: dict = {}
+    for endpoint in (smtlib._InProcessSolver, smtlib._SolverProcess):
+        def recording_read(proc, deadline, read=endpoint.read):
+            answer = read(proc, deadline)
+            answers.setdefault(proc, []).append(_folded(answer))
+            return answer
+        monkeypatch.setattr(endpoint, "read", recording_read)
+    compared = []
     for label, problem, horizon, incremental in _transport_problems():
         runs = []
         for command in (None, smtlib.default_solver_command()):
             spawned.clear()
+            answers.clear()
             solver = SolverConfig(command=command, incremental=incremental)
             result = synthesis_run(*problem, SynthesisConfig(horizon=horizon, backend="smtlib",
                                                              solver=solver))
             assert result.error is None, label
             runs.append((result.verdict, result.policy, result.stats.check_trace,
-                         [proc.lines for proc in spawned]))
+                         [proc.lines for proc in spawned],
+                         [answers.get(proc, []) for proc in spawned]))
         in_process, over_a_pipe = runs
         assert in_process == over_a_pipe, label
         assert in_process[3] and all(in_process[3]), label
+        compared += sum(in_process[4], [])
+    assert {"sat", "unsat"} <= set(compared)
+    assert any(type(answer) is tuple and answer[0][0] == "define-fun" for answer in compared)
+
+
+def test_an_in_process_run_writes_and_parses_no_text(monkeypatch):
+    def no_text(*args, **kwargs):
+        raise AssertionError("the in-process solver wrote or parsed SMT-LIB text")
+
+    originals = [refsolver.tokenize, refsolver.parse_tokens, refsolver.CommandReader,
+                 refsolver.render]
+    for module in [m for name, m in sys.modules.items() if name.startswith("safereach")]:
+        for name, value in list(vars(module).items()):  # every module's binding
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, name, no_text)
+    model, b_init, objective = _kitchen_2x2_det()
+    config = SynthesisConfig(horizon=4, backend="smtlib")
+    assert synthesis_run(model, b_init, objective, config).verdict == "valid"
 
 
 def test_custom_solver_command_runs_as_given(pickup, monkeypatch):
@@ -957,7 +1010,7 @@ def test_a_timed_out_forked_solver_is_reaped(spawned):
         proc = pool.take()
         assert proc is not timed_out
         proc.send(smtlib.CHECK_SAT)
-        assert proc.read_line(time.monotonic() + 5) == "sat"
+        assert proc.read(time.monotonic() + 5) == "sat"
         pool.give_back(proc)
 
 
@@ -1025,25 +1078,26 @@ def test_a_malformed_line_ends_the_bundled_solver_as_it_ends_the_program():
     session.  A malformed command term gets the same answer in this process
     as over a pipe, and the session goes on.  In this process, commands wait
     until an answer is read, and ``(exit)`` ends the solver."""
-    out = io.StringIO()
+    answers = []
     script = io.StringIO(")\n(check-sat)\n")
-    assert refsolver.Session().run(refsolver.CommandReader(script).next_command, out) is False
-    assert out.getvalue() == '(error "unbalanced \')\'")\n'
+    assert refsolver.Session().run(refsolver.CommandReader(script).next_command,
+                                   answers.append) is False
+    assert list(map(render, answers)) == ['(error "unbalanced \')\'")']
     for config in (SolverConfig(), SolverConfig(command=smtlib.default_solver_command())):
         with SolverPool(config) as pool:
             proc = pool.take()
             proc.send(("push", "x"))
             proc.send(smtlib.CHECK_SAT)
             deadline = time.monotonic() + 60
-            assert proc.read_line(deadline) == '(error "wrong arguments to push")'
-            assert proc.read_line(deadline) == "sat"
+            assert proc.read(deadline) == ("error", '"wrong arguments to push"')
+            assert proc.read(deadline) == "sat"
             pool.give_back(proc)
     with SolverPool() as pool:
         proc = pool.take()
         proc.send(smtlib.EXIT)
         assert proc.alive  # nothing has run yet
         with pytest.raises(SolverError, match="closed its output stream"):
-            proc.read_line(None)
+            proc.read(None)
         assert not proc.alive
         pool.give_back(proc)
         again = pool.take()
@@ -1055,9 +1109,17 @@ def test_a_read_with_no_command_waiting_fails_instead_of_hanging():
     with SolverPool() as pool:
         proc = pool.take()  # the header lines give no answer
         with pytest.raises(SolverError, match="no command is waiting for an answer"):
-            proc.read_line(None)
+            proc.read(None)
         assert not proc.alive
         proc.close()
+
+
+def test_a_stray_token_ends_the_program_with_an_error():
+    done = subprocess.run(smtlib.default_solver_command(),
+                          input=b"(check-sat) x\n(check-sat)\n", capture_output=True,
+                          timeout=60)
+    assert (done.stdout, done.stderr) \
+        == (b"sat\n(error \"stray token 'x' outside command\")\n", b"")
 
 
 @pytest.mark.parametrize("way", ["file path", "default_solver_command"])
