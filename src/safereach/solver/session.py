@@ -61,7 +61,8 @@ class SolverConfig:
             raise ValueError(f"command must be a sequence of arguments, got {self.command!r}")
         if self.command is not None and not self.command:
             raise ValueError("command must name a program, got an empty sequence")
-        if not 0 < self.check_timeout < float("inf"):  # NaN fails too
+        # NaN fails too, and a bool is no number of seconds.
+        if isinstance(self.check_timeout, bool) or not 0 < self.check_timeout < float("inf"):
             raise ValueError(f"check_timeout must be finite and positive, "
                              f"got {self.check_timeout}")
 
@@ -88,7 +89,8 @@ class SolverSession(ABC):
         self._closed = False
 
     def add(self, constraint: Constraint) -> None:
-        """Assert a constraint into the current (top) scope."""
+        """Assert a constraint into the current (top) scope.  It may name only
+        steps already unfolded: its initial belief and transitions come first."""
         self._guard()
         if not isinstance(constraint, get_args(Constraint)):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")

@@ -2,15 +2,17 @@
 
 The only backend that speaks SMT, and the one place SMT-LIB is written:
 each added constraint is lowered once to a term (:func:`lower`), its
-``assert`` command, after the ``declare-const`` commands of its variables
-not yet declared.  Drives the bundled reference solver, or any conforming
-solver binary (``z3 -in`` works), with ``push``/``pop`` scopes, reads
-a pipe's answers with the reference solver's reader, takes models' values
-as exact rationals, and decodes them into the candidate plan a satisfying
-check answers with.  It is the only module besides :mod:`safereach.encoding`
-that knows the variable names.  In non-incremental mode every check
-replays the kept commands of all live assertions into a solver that has
-just been reset, for the from-scratch comparison.
+``assert`` command, after the ``declare-const`` commands of the variables
+it introduces: an initial belief declares its step's beliefs, a transition
+its step's selectors as ``Int`` and the rest as ``Real``.  Drives the
+bundled reference solver, or any conforming solver binary (``z3 -in``
+works), with ``push``/``pop`` scopes, reads a pipe's answers with the
+reference solver's reader, takes models' values as exact rationals, and
+decodes them into the candidate plan a satisfying check answers with.
+It is the only module besides :mod:`safereach.encoding` that knows the
+variable names.  In non-incremental mode every check replays the kept
+commands of all live assertions into a solver that has just been reset,
+for the from-scratch comparison.
 
 Commands and answers are terms; text is what a pipe carries.  An endpoint is
 a :class:`_SmtProcess`, which is sent commands and reads answers; its transport
@@ -35,7 +37,6 @@ import subprocess
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -238,18 +239,18 @@ def _dead_action(lemma: DeadAction, start: int, end: int, n: int,
     return _app("and", clauses) if clauses else True
 
 
-def _names(term, out: set) -> set:
-    """``out`` with the variable names among the arguments of ``term``, a list."""
-    for arg in term[1:]:
-        if type(arg) is str:
-            out.add(arg)
-        elif type(arg) is tuple:
-            _names(arg, out)
-    return out
-
-
-def _declaration(name: str) -> tuple:
-    return ("declare-const", name, "Int" if name[:2] in ("a_", "o_") else "Real")
+def _declarations(constraint: Constraint, n: int) -> list[tuple]:
+    """The ``declare-const`` commands, sorted by name, of the variables an
+    initial belief or a transition introduces at its step; selectors are ``Int``."""
+    if isinstance(constraint, Initial):
+        sorts = dict.fromkeys(step_vars(constraint.step, n, start=True).belief_vars, "Real")
+    elif isinstance(constraint, Transition):
+        v = step_vars(constraint.step, n)
+        sorts = {**dict.fromkeys((*v.belief_vars, *v.unnorm_vars, v.denom_var), "Real"),
+                 v.action_var: "Int", v.observation_var: "Int"}
+    else:
+        return []
+    return [("declare-const", name, sort) for name, sort in sorted(sorts.items())]
 
 
 # --------------------------------------------------------------------------
@@ -514,16 +515,6 @@ class SolverPool:
 # The session
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Asserted:
-    """A constraint as the solver sees it, lowered once when added."""
-
-    # Variable name -> its ``declare-const`` command, for names first seen here.
-    declarations: dict[str, tuple]
-    # The ``assert`` command, kept only from scratch, where each check replays it.
-    assertion: Optional[tuple]
-
-
 class SmtLibSession(SolverSession):
     """Drives one solver endpoint incrementally, or one per check from scratch,
     drawn from the run's ``pool``, which outlives it and whose config it runs."""
@@ -571,14 +562,13 @@ class SmtLibSession(SolverSession):
 
     # -- SolverSession hooks -----------------------------------------------
 
-    def _admit(self, constraint: Constraint) -> _Asserted:
+    def _admit(self, constraint: Constraint) -> Optional[tuple]:
+        # Incrementally nothing; from scratch, what each check replays.
         span = (self._unfolding()[1:],) if isinstance(constraint, DeadAction) else ()
         assertion = ("assert", lower(constraint, self.run, *span))
-        known = {name for _, entry in self._live() for name in entry.declarations}
-        declarations = {name: _declaration(name)
-                        for name in sorted(_names(assertion, set()) - known)}
-        self._send_incremental([*declarations.values(), assertion])
-        return _Asserted(declarations, None if self.config.incremental else assertion)
+        declarations = _declarations(constraint, len(self.model.states))
+        self._send_incremental([*declarations, assertion])
+        return None if self.config.incremental else (declarations, assertion)
 
     def _pushed(self) -> None:
         self._send_incremental([PUSH])
@@ -593,11 +583,11 @@ class SmtLibSession(SolverSession):
         try:
             proc = self._ensure_process()
             if not self.config.incremental:
-                for _, entry in self._live():
-                    for command in entry.declarations.values():
+                for _, (declarations, _) in self._live():
+                    for command in declarations:
                         proc.send(command)
-                for _, entry in self._live():
-                    proc.send(entry.assertion)
+                for _, (_, assertion) in self._live():
+                    proc.send(assertion)
             result = self._check_on(proc, deadline, start, horizon)
         except TimeoutError:
             self._die()

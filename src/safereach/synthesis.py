@@ -67,6 +67,8 @@ class SynthesisConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
         if self.backend not in ("enum", "smtlib"):

@@ -52,11 +52,11 @@ def validate_policy(
 
     Valid iff every internal node's action is available on its belief, its
     children cover exactly the positive-probability observations with
-    exactly the updated beliefs, no path exceeds the horizon, goal flags do
-    not lie, and every root-to-leaf path (read as a plan) satisfies the
-    objective.  The first violation is reported with the path that led
-    there.  Posteriors come from ``model.successors``, never from a
-    synthesis run's cache.
+    exactly the updated beliefs, a node with no action has no children, no
+    path exceeds the horizon, goal flags do not lie, and every root-to-leaf
+    path (read as a plan) satisfies the objective.  The first violation is
+    reported with the path that led there.  Posteriors come from
+    ``model.successors``, never from a synthesis run's cache.
     """
     paths_seen = 0
 
@@ -73,6 +73,8 @@ def validate_policy(
         if node.goal_reached and not objective.is_goal(node.belief):
             return fail("goal_reached flag on a non-goal belief", beliefs, actions, observations)
         if node.action is None:
+            if node.children:
+                return fail("a node with no action has branches", beliefs, actions, observations)
             paths_seen += 1
             if len(actions) > horizon:
                 return fail("path exceeds the horizon bound", beliefs, actions, observations)

@@ -102,6 +102,21 @@ def test_validate_catches_corrupted_policy(tmp_path, capsys):
     assert cex_path.exists()
 
 
+def test_validate_rejects_a_policy_whose_leaf_has_branches(tmp_path, capsys):
+    policy_path = tmp_path / "policy.json"
+    run_cli("synth", "--domain", "pickup", "--horizon", "3", "--out-policy", str(policy_path))
+    doc = json.loads(policy_path.read_text())
+    leaf = doc["children"][next(iter(doc["children"]))]
+    assert leaf["action"] is None
+    leaf["children"] = {name: dict(leaf) for name in doc["children"]}
+    policy_path.write_text(json.dumps(doc))
+    code = run_cli("validate", "--domain", "pickup", "--horizon", "3",
+                   "--policy", str(policy_path))
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and "a node with no action has branches" in out
+
+
 def test_model_and_objective_files_match_builtin(tmp_path, capsys):
     from safereach.domains import build_pickup_example
 

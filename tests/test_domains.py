@@ -161,6 +161,11 @@ def test_kitchen_geometry_errors():
         small_kitchen(p_fail=1)
 
 
+def test_a_negative_obstacle_count_is_named():
+    with pytest.raises(ModelError, match=r"^obstacles must be non-negative, got -1$"):
+        small_kitchen(obstacles=-1)
+
+
 @pytest.mark.parametrize("label, value, shown", [("delta1", 2, "2"), ("delta1", -1, "-1"),
                                                   ("delta2", "3/2", "3/2"), ("delta2", -1, "-1")])
 def test_kitchen_tolerances_outside_the_unit_interval_are_named(label, value, shown):

@@ -614,7 +614,6 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
                                              obstacles=1, p_fail=0, p_fp=0, p_fn=0)
     run = RunContext(model, objective)
     session, answers = Session(), []
-    declared: set[str] = set()
     nodes: list[int] = []
     search_run = Search.run
 
@@ -629,11 +628,9 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
         session.run(iter([command, None]).__next__, answers.append)
 
     def assert_(constraint):
-        assertion = ("assert", smtlib.lower(constraint, run))
-        for name in sorted(smtlib._names(assertion, set()) - declared):
-            declared.add(name)
-            send(smtlib._declaration(name))
-        send(assertion)
+        for declaration in smtlib._declarations(constraint, len(model.states)):
+            send(declaration)
+        send(("assert", smtlib.lower(constraint, run)))
 
     def model_text():
         """The model answer in the layout the program once wrote it in, one
@@ -745,7 +742,7 @@ def test_the_encoders_terms_and_their_text_are_one_problem():
             from_term = conjuncts(assertion[1], env)
             assert conjuncts(parse(text)[1], env) == from_term, text
             values.append([value for _, _, value in from_term])
-            commands.extend(map(smtlib._declaration, sorted(smtlib._names(assertion, set()))))
+            commands.extend(smtlib._declarations(constraint, len(run.model.states)))
         initial, first, second, goal, blocking, eligible, true = values
         assert all(initial + first + second)
         assert goal == [satisfies_bounded(beliefs, run.objective)]

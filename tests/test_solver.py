@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import random
 import shlex
@@ -37,7 +38,7 @@ from safereach.solver import smtlib
 from safereach.solver.smtlib import HEADER, ModelValueError, lower, parse_model, serialize
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
-from oracles import all_plans, enumerate_plans, random_instance, satisfies_bounded
+from oracles import all_plans, enumerate_plans, random_instance, satisfies_bounded, term_vars
 
 
 def load_session(session, b_init, horizon, goal=False):
@@ -136,42 +137,54 @@ def test_random_scope_sequences_agree_across_backends(pool):
         enum.close(), smt.close()
 
 
-def _scoped_text(lines):
-    """The declare-const and assert lines live at each check-sat, in order."""
-    stack, live = [[]], []
-    for line in lines:
-        if line == "(push 1)":
+@pytest.fixture
+def sent(monkeypatch):
+    """Every command sent to a solver endpoint, in order, as ``(endpoint, command)``."""
+    commands = []
+    send = smtlib._SmtProcess.send
+
+    def recording_send(proc, command):
+        commands.append((proc, command))
+        send(proc, command)
+
+    monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
+    return commands
+
+
+def _live_at_checks(sent):
+    """For each check-sat, the text of the declare-const and assert commands
+    live on its endpoint, in the order they were sent."""
+    stacks, live = {}, []
+    for proc, command in sent:
+        stack = stacks.setdefault(proc, [[]])
+        if command == smtlib.RESET:
+            stacks[proc] = [[]]
+        elif command == smtlib.PUSH:
             stack.append([])
-        elif line == "(pop 1)":
+        elif command == smtlib.POP:
             stack.pop()
-        elif line.startswith(("(declare-const", "(assert")):
-            stack[-1].append(line)
-        elif line == "(check-sat)":
-            text = [entry for frame in stack for entry in frame]
-            live.append(([t for t in text if t.startswith("(declare-const")],
-                         [t for t in text if t.startswith("(assert")]))
+        elif command[0] in ("declare-const", "assert"):
+            stack[-1].append(render(command))
+        elif command == smtlib.CHECK_SAT:
+            live.append([entry for frame in stack for entry in frame])
     return live
 
 
-def _reset_segments(lines):
-    """A reused process's lines, split at each ``(reset)``."""
-    segments = [[]]
-    for line in lines:
-        if line == "(reset)":
-            segments.append([])
-        else:
-            segments[-1].append(line)
-    return segments
+def _replay(live):
+    """The live lines in the order a from-scratch check replays them:
+    every declaration first, then every assertion."""
+    return sorted(live, key=lambda line: line.startswith("(assert"))
 
 
-def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
+def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sent):
     model, b_init, objective = pickup
     lowered = []
-    monkeypatch.setattr(smtlib, "lower", lambda constraint, run:
-                        lowered.append(constraint) or lower(constraint, run))
+    monkeypatch.setattr(smtlib, "lower", lambda constraint, run, *span:
+                        lowered.append(constraint) or lower(constraint, run, *span))
 
     def drive(incremental):
         spawned.clear()
+        sent.clear()
         lowered.clear()
         config = SolverConfig(incremental=incremental)
         with SolverPool(config) as pool, \
@@ -190,13 +203,101 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned):
         assert len(lowered) == 5  # once per add, never on replay
         # From scratch, each check replays into the one process, reset.
         assert len(spawned) == 1
-        return [live for proc in spawned for segment in _reset_segments(proc.lines)
-                for live in _scoped_text(segment)]
+        return _live_at_checks(sent)
 
     incremental = drive(True)
     from_scratch = drive(False)
     assert len(incremental) == 3
-    assert from_scratch == incremental
+    assert from_scratch == [_replay(live) for live in incremental]
+
+
+def _whole_runs():
+    """``(name, model, b_init, objective, horizon)`` of pickup h3, kitchen
+    2x2 det h4 and five random problems."""
+    from safereach import build_kitchen
+
+    yield "pickup", *build_pickup_example(), 3
+    yield "kitchen", *build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), obstacles=1,
+                                    p_fail=0, p_fp=0, p_fn=0), 4
+    for seed in range(5):
+        yield seed, *random_instance(random.Random(seed))
+
+
+@pytest.mark.parametrize("problem", ["pickup", "kitchen"])
+def test_from_scratch_replays_the_live_incremental_text_over_whole_runs(problem, monkeypatch,
+                                                                       sent):
+    """Over a whole smtlib run with a blocked candidate and a learned lemma,
+    every from-scratch check replays exactly the text live in the incremental
+    session at that check, declarations first."""
+    (_, model, b_init, objective, horizon), = [p for p in _whole_runs() if p[0] == problem]
+    added = []
+    add = SmtLibSession.add
+    monkeypatch.setattr(SmtLibSession, "add", lambda session, constraint:
+                        added.append(constraint) or add(session, constraint))
+
+    def live(incremental):
+        sent.clear()
+        added.clear()
+        config = SynthesisConfig(horizon, "smtlib", SolverConfig(incremental=incremental))
+        result = synthesis_run(model, b_init, objective, config)
+        assert result.verdict == "valid"
+        assert len(result.stats.blocking_events) == 1
+        assert len({c for c in added if isinstance(c, enc.DeadAction)}) == 1
+        checks = _live_at_checks(sent)
+        assert len(checks) == result.stats.solver_calls
+        return checks
+
+    incremental = live(True)
+    assert live(False) == [_replay(text) for text in incremental]
+
+
+def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent):
+    """In every command stream a whole smtlib run sends, in either mode,
+    each name an assertion uses is declared once, on its endpoint's live
+    scopes, before the first assertion that names it; the selectors ``a_*``
+    and ``o_*``, and only they, are ``Int``."""
+    sorts = set()
+    for (name, model, b_init, objective, horizon), incremental \
+            in itertools.product(_whole_runs(), (True, False)):
+        sent.clear()
+        config = SynthesisConfig(horizon, "smtlib", SolverConfig(incremental=incremental))
+        assert synthesis_run(model, b_init, objective, config).verdict != "error", name
+        stacks, asserted = {}, 0
+        for proc, command in sent:
+            stack = stacks.setdefault(proc, [set()])
+            if command == smtlib.RESET:
+                stacks[proc] = [set()]
+            elif command == smtlib.PUSH:
+                stack.append(set())
+            elif command == smtlib.POP:
+                stack.pop()
+            elif command[0] == "declare-const":
+                _, var, sort = command
+                assert not any(var in frame for frame in stack), (name, command)
+                assert (sort == "Int") == var.startswith(("a_", "o_")), (name, command)
+                stack[-1].add(var)
+                sorts.add(sort)
+            elif command[0] == "assert":
+                asserted += 1
+                for var in term_vars(command[1], set()):
+                    assert any(var in frame for frame in stack), (name, var)
+        assert asserted, name
+    assert sorts == {"Int", "Real"}
+
+
+def test_a_goal_added_before_its_transitions_names_an_undeclared_constant(pickup, pool):
+    """A constraint may name only steps already unfolded: a goal over step 1
+    added before the transition into it is the bundled solver's error, and
+    the next check is unknown."""
+    model, b_init, objective = pickup
+    with SmtLibSession(RunContext(model, objective), pool) as session:
+        session.add(enc.initial_constraint(0, b_init))
+        session.push()
+        session.add(enc.goal_constraint(0, 1))
+        session.add(enc.transition_constraint(0, 1))
+        result = session.check()
+    assert isinstance(result, Unknown)
+    assert "undeclared constant b_1_" in result.reason
 
 
 # --------------------------------------------------------------------------
@@ -211,11 +312,10 @@ def smt_plans(run, unfolding, scopes, horizon, pool):
     span = (0, horizon)
     asserts = [("assert", lower(c, run)) for c in unfolding]
     scoped = [[("assert", lower(c, run, span)) for c in scope] for scope in scopes]
-    names: set[str] = set()
-    for command in asserts + sum(scoped, []):
-        smtlib._names(command, names)
+    declarations = [declaration for c in unfolding
+                    for declaration in smtlib._declarations(c, len(run.model.states))]
     proc = pool.take()
-    for command in [*map(smtlib._declaration, sorted(names)), *asserts]:
+    for command in [*declarations, *asserts]:
         proc.send(command)
     steps = range(1, horizon + 1)
     found: list[set] = []

@@ -189,6 +189,9 @@ def test_negative_horizon_is_rejected():
 
 
 @pytest.mark.parametrize("make, message", [
+    (lambda: SynthesisConfig(horizon=2.5), "horizon must be an integer, got 2.5"),
+    (lambda: SynthesisConfig(horizon=True), "horizon must be an integer, got True"),
+    (lambda: SynthesisConfig(horizon="3"), "horizon must be an integer, got '3'"),
     (lambda: SynthesisConfig(horizon=2, backend="z3"),
      "backend must be 'enum' or 'smtlib', got 'z3'"),
     (lambda: SolverConfig(command="z3 -in"),
@@ -200,8 +203,10 @@ def test_negative_horizon_is_rejected():
      "check_timeout must be finite and positive"),
     (lambda: SolverConfig(check_timeout=float("inf")),
      "check_timeout must be finite and positive"),
-], ids=["backend-z3", "command-string", "command-empty", "timeout-negative", "timeout-zero",
-        "timeout-nan", "timeout-inf"])
+    (lambda: SolverConfig(check_timeout=True), "check_timeout must be finite and positive"),
+], ids=["horizon-fraction", "horizon-bool", "horizon-string", "backend-z3", "command-string",
+        "command-empty", "timeout-negative", "timeout-zero", "timeout-nan", "timeout-inf",
+        "timeout-bool"])
 def test_a_config_that_cannot_run_fails_when_made(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         make()

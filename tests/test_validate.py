@@ -62,6 +62,20 @@ def test_goal_flag_must_not_lie(pickup):
     assert "flag" in report.reason
 
 
+def test_a_node_with_no_action_and_branches_is_rejected(pickup, right_hand_policy):
+    """A goal leaf given a branch, with no action to take it, is no policy:
+    each of its paths would otherwise be checked as a path that stops there."""
+    model, _, objective = pickup
+    root = right_hand_policy
+    goal_leaf = root.children[0]
+    branching_leaf = PolicyTree(goal_leaf.belief, None, {0: goal_leaf}, True)
+    policy = PolicyTree(root.belief, root.action, {**root.children, 0: branching_leaf}, False)
+    report = validate_policy(policy, model, objective, 3)
+    assert not report.valid
+    assert report.reason == "a node with no action has branches"
+    assert report.counterexample.observations == (0,)
+
+
 def test_missing_branch_is_structural_error(pickup, right_hand_policy):
     model, _, objective = pickup
     pruned = PolicyTree(
