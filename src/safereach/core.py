@@ -172,6 +172,17 @@ class LinearBeliefPredicate:
         return _COMPARE[self.comparator](total * threshold.denominator,
                                          threshold.numerator * belief.den)
 
+    def possible(self) -> tuple[bool, bool, bool]:
+        """Whether it can hold at each :func:`mass_class` of its state set."""
+        t, holds = self.threshold, _COMPARE[self.comparator]
+        return holds(0, t), holds(1, t), (t < 1 if self.comparator in (">", ">=") else t > 0)
+
+
+def mass_class(support: tuple[int, ...], state_set: frozenset[int]) -> int:
+    """The state set's mass in a belief with this support: 0, 1 or 2 (strictly between)."""
+    inside = sum(1 for s in support if s in state_set)
+    return 0 if not inside else 1 if inside == len(support) else 2
+
 
 @dataclass(frozen=True)
 class SafeReachObjective:
@@ -215,7 +226,7 @@ class Pomdp:
     The model is its own belief-successor kernel, :meth:`_split`, which
     reads each action's transition and observation rows as sparse integer
     columns over one denominator, compiled on the action's first use and
-    kept, as :attr:`Belief.probs` is kept.
+    kept, as :attr:`Belief.probs` is kept, and so is its support graph.
     """
 
     states: tuple[str, ...]
@@ -234,6 +245,7 @@ class Pomdp:
         setter(self, "_allowed", tuple(frozenset(available.get(s, everywhere))
                                        for s in range(len(self.states))))
         setter(self, "_columns", {})
+        setter(self, "_supports", {})
         self._validate()
 
     def _validate(self) -> None:
@@ -369,6 +381,17 @@ class Pomdp:
         scale, split = self._split(belief, action)
         return {o: (Fraction(mass, scale), posterior) for o, mass, posterior in split}
 
+    def support_successors(self, support: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        """Each posterior support, over all available actions and possible
+        observations, of a belief with this support; any such belief gives the same."""
+        found = self._supports.get(support)
+        if found is None:
+            uniform = Belief._sparse(len(self.states), support, [1] * len(support), len(support))
+            found = self._supports[support] = frozenset(
+                posterior.indices for action in self.available_actions(uniform)
+                for _, _, posterior in self._split(uniform, action)[1])
+        return found
+
 
 class RunContext:
     """One synthesis run: its model, the one ``objective`` all its goals
@@ -381,8 +404,8 @@ class RunContext:
     ``refuted`` each belief's largest budget with none and ``dead_actions``
     the :class:`~safereach.encoding.DeadAction` lemmas, both true at smaller
     budgets, and ``fruitless`` the enumerative backend's (belief, steps
-    remaining) facts.  A context belongs to one run and is dropped with it;
-    the model's compiled columns outlive it.  It first checks the objective.
+    remaining) facts; :meth:`wins` judges supports.  A context belongs to one
+    run; the model's columns and support graph outlive it.  It first checks the objective.
     """
 
     def __init__(self, model: Pomdp, objective: SafeReachObjective) -> None:
@@ -401,6 +424,9 @@ class RunContext:
         self.fruitless: set[tuple[Belief, int]] = set()
         self.classes: dict[Belief, tuple[Belief, bool, bool]] = {}
         self._successors: dict[tuple[Belief, int], tuple] = {}
+        self._rows = [[(p.state_set, p.possible()) for p in preds]
+                      for preds in (objective.goal, objective.safe)]
+        self._wins: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def successors(self, belief: Belief, action: int) -> tuple[tuple[int, Belief, bool, bool], ...]:
         """``(observation, posterior, is_goal, is_safe)`` for each possible
@@ -419,6 +445,18 @@ class RunContext:
             found = self.classes[belief] = (belief, self.objective.is_goal(belief),
                                             self.objective.is_safe(belief))
         return found
+
+    def wins(self, support: tuple[int, ...], steps: int) -> bool:
+        """Whether a support path reaches a goal-possible support within ``steps``
+        through safe-possible ones, judging each predicate alone on its
+        :func:`mass_class`; if not, no belief with this support can win."""
+        key = (support, steps)
+        if key not in self._wins:
+            goal, safe = (all(row[mass_class(support, states)] for states, row in rows)
+                          for rows in self._rows)
+            self._wins[key] = goal or (steps > 0 and safe and any(
+                self.wins(s2, steps - 1) for s2 in self.model.support_successors(support)))
+        return self._wins[key]
 
 
 def unnormalized_update(

@@ -125,6 +125,8 @@ def build_kitchen(
             raise ModelError(f"{label} cell {cell} is outside the {width}x{height} grid")
     if any(c not in cells for c in shadow):
         raise ModelError("shadow cells must lie on the grid")
+    if isinstance(obstacles, bool) or not isinstance(obstacles, int):
+        raise ModelError(f"obstacles must be an integer, got {obstacles!r}")
     if obstacles < 0:
         raise ModelError(f"obstacles must be non-negative, got {obstacles}")
     if obstacles > len(shadow):

@@ -3,9 +3,10 @@
 A constraint is plain, immutable data saying what it asserts: the belief at
 the start step, the belief transition into one step, the bounded
 safe-reachability goal of the run's objective over a span of steps, a
-blocked plan prefix, or a learned lemma.  The builders check their arguments
-and return that data; the enumerative backend interprets it directly, and
-the SMT-LIB backend lowers it to a term (:func:`safereach.solver.smtlib.lower`).
+blocked plan prefix, a learned lemma, or what the goal implies at each step.
+The builders check their arguments and return that data; the enumerative
+backend interprets it directly, and the SMT-LIB backend lowers it to a term
+(:func:`safereach.solver.smtlib.lower`).
 
 The step variables are named here, and :func:`step_vars` is the lowering's
 one source of them: belief components as reals and, for non-start steps,
@@ -126,7 +127,17 @@ class DeadAction:
     witness_observation: int
 
 
-Constraint = Union[Initial, Transition, Goal, Blocking, DeadAction]
+@dataclass(frozen=True)
+class Winnable:
+    """Implied by the goal over the same span, from the initial belief at ``start_step``:
+    until a goal belief, each belief before ``end_step`` has a support that can
+    still win (:meth:`~safereach.core.RunContext.wins`) in the steps left."""
+
+    start_step: int
+    end_step: int
+
+
+Constraint = Union[Initial, Transition, Goal, Blocking, DeadAction, Winnable]
 
 
 def initial_constraint(step: int, b_init: Belief) -> Initial:

@@ -49,7 +49,7 @@ class EnumerativeSession(SolverSession):
             if g.start_step != start or g.end_step != horizon:
                 raise SolverUsageError("goal constraint must span the whole unfolding")
         for bl in blocks:
-            if bl.plan.start_step != start or bl.fail_step > horizon:
+            if bl.plan.start_step != start:  # adding it checked its other steps
                 raise SolverUsageError("blocking constraint does not match the unfolding")
         return belief, start, horizon, bool(goals), blocks, lemmas
 

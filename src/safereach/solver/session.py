@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union, get_args
 
 from ..core import Belief, CandidatePlan, RunContext
-from ..encoding import Constraint, Initial, Transition
+from ..encoding import Blocking, Constraint, DeadAction, Initial, Transition, Winnable
 
 
 class SolverError(RuntimeError):
@@ -86,20 +86,24 @@ class SolverSession(ABC):
         self.run = run
         self.model = run.model
         self._frames: list[list[tuple[Constraint, object]]] = [[]]
+        self._span: Optional[tuple[Belief, int, int]] = None
+        self._spans: list = []  # the span at each open scope's push
         self._closed = False
 
     def add(self, constraint: Constraint) -> None:
         """Assert a constraint into the current (top) scope.  It may name only
-        steps already unfolded: its initial belief and transitions come first."""
+        steps already unfolded (:meth:`_unfold`): its initial belief comes first."""
         self._guard()
         if not isinstance(constraint, get_args(Constraint)):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
+        self._span = self._unfold(constraint)
         self._frames[-1].append((constraint, self._admit(constraint)))
 
     def push(self) -> None:
         """Open a new scope."""
         self._guard()
         self._frames.append([])
+        self._spans.append(self._span)
         self._pushed()
 
     def pop(self) -> None:
@@ -108,6 +112,7 @@ class SolverSession(ABC):
         if len(self._frames) <= 1:
             raise SolverUsageError("pop with no matching push")
         self._frames.pop()
+        self._span = self._spans.pop()
         self._popped()
 
     @abstractmethod
@@ -128,16 +133,33 @@ class SolverSession(ABC):
             yield from frame
 
     def _unfolding(self) -> tuple[Belief, int, int]:
-        """(initial belief, start step, horizon) of the live constraints:
-        exactly one initial belief and transitions contiguous from it."""
-        initials = [c for c, _ in self._live() if isinstance(c, Initial)]
-        if len(initials) != 1:
+        """(initial belief, start step, horizon) of the live constraints."""
+        if self._span is None:
             raise SolverUsageError("exactly one initial-belief constraint is required")
-        start = initials[0].step
-        steps = sorted(c.step for c, _ in self._live() if isinstance(c, Transition))
-        if steps != list(range(start + 1, start + 1 + len(steps))):
-            raise SolverUsageError("transition steps must be contiguous from the start step")
-        return initials[0].belief, start, start + len(steps)
+        return self._span
+
+    def _unfold(self, constraint: Constraint) -> tuple[Belief, int, int]:
+        """The unfolding once ``constraint`` is live, or a usage error when it
+        names a step outside it (a :class:`Winnable` starts at the start)."""
+        if isinstance(constraint, Initial):
+            if self._span is not None:
+                raise SolverUsageError("exactly one initial-belief constraint is allowed")
+            return constraint.belief, constraint.step, constraint.step
+        belief, start, horizon = self._unfolding()
+        if isinstance(constraint, Transition):
+            if constraint.step != horizon + 1:
+                raise SolverUsageError(f"the next step to unfold is {horizon + 1}, "
+                                       f"not {constraint.step}")
+            return belief, start, constraint.step
+        first, last = ((constraint.plan.start_step, constraint.fail_step)
+                       if isinstance(constraint, Blocking) else (start, start)
+                       if isinstance(constraint, DeadAction)
+                       else (constraint.start_step, constraint.end_step))
+        if not start <= first <= last <= horizon or (
+                isinstance(constraint, Winnable) and first != start):
+            raise SolverUsageError(f"{type(constraint).__name__} over steps {first}..{last} "
+                                   f"do not fit the unfolded {start}..{horizon}")
+        return self._span
 
     def _admit(self, constraint: Constraint) -> object:
         """What the backend keeps next to ``constraint``: by default, nothing."""

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
 from .. import refsolver
-from ..encoding import (Blocking, Constraint, DeadAction, Goal, Initial, Transition,
+from ..encoding import (Blocking, Constraint, DeadAction, Goal, Initial, Transition, Winnable,
                         action_var_name, belief_var_name, observation_var_name, step_vars)
 from ..refsolver import SmtSyntaxError, numeral, render
 from .session import (
@@ -95,11 +95,13 @@ def default_solver_command() -> tuple[str, ...]:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None):
+def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None,
+          root: Optional[Belief] = None):
     """The constraint as one SMT-LIB term over the step variables of the run's
     model, shaped as :func:`refsolver.parse_tokens` reads its text; a goal
-    is lowered against the run's objective, and a lemma against its goal
-    scope's ``span``, (start step, horizon).
+    is lowered against the run's objective, a lemma against its goal
+    scope's ``span``, (start step, horizon), and a :class:`Winnable`
+    against the ``root`` belief at its start step.
 
     Normalization is division-free (``b_i * denom_i = u_i``, ``denom_i > 0``)
     so the whole theory stays in polynomial arithmetic.
@@ -116,12 +118,14 @@ def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None)
         return _blocking(constraint.plan, constraint.fail_step)
     if isinstance(constraint, DeadAction) and span is not None:
         return _dead_action(constraint, *span, n, run.objective)
+    if isinstance(constraint, Winnable) and root is not None:
+        return _winnable(constraint, root.indices, run)
     raise TypeError(f"cannot lower {constraint!r}")
 
 
-def serialize(constraint: Constraint, run: RunContext, span: Optional[tuple] = None) -> str:
+def serialize(constraint: Constraint, run: RunContext, *context) -> str:
     """The text of :func:`lower`'s term, as a solver process is sent it."""
-    return render(lower(constraint, run, span))
+    return render(lower(constraint, run, *context))
 
 
 def _app(op: str, args: Sequence):
@@ -236,6 +240,27 @@ def _dead_action(lemma: DeadAction, start: int, end: int, n: int,
                         ("=", action_var_name(j + 1), lemma.action),
                         ("not", _goal(start, j, n, objective))))
                for j in range(max(start, end - lemma.budget), end)]
+    return _app("and", clauses) if clauses else True
+
+
+def _winnable(lemma: Winnable, root: tuple[int, ...], run: RunContext):
+    """``(or <goal(b_i) per earlier step i whose layer may hold one> (and (not
+    <b_j has support S>)...))`` per step j before the horizon whose layer,
+    the supports reachable from the root's through ones that can still win,
+    holds supports S that cannot win in the steps left; or ``true``.  The
+    goal implies each clause (see the README)."""
+    layer, guards, clauses = {root}, [], []
+    for j in range(lemma.start_step, lemma.end_step):
+        b, left = step_vars(j, len(run.model.states), True).belief_vars, lemma.end_step - j
+        hopeless = sorted(s for s in layer if not run.wins(s, left))
+        if hopeless:
+            off = [("not", _app("and", [("=", _app("+", [b[i] for i in s]), _ONE),
+                                        *(("<", _ZERO, b[i]) for i in s if len(s) > 1)]))
+                   for s in hopeless]
+            clauses.append(_app("or", [*guards, _app("and", off)]))
+        if any(run.wins(s, 0) for s in layer):  # may hold a goal
+            guards.append(_app("and", [_predicate(p, b) for p in run.objective.goal]))
+        layer = {s2 for s in layer if run.wins(s, left) for s2 in run.model.support_successors(s)}
     return _app("and", clauses) if clauses else True
 
 
@@ -564,8 +589,8 @@ class SmtLibSession(SolverSession):
 
     def _admit(self, constraint: Constraint) -> Optional[tuple]:
         # Incrementally nothing; from scratch, what each check replays.
-        span = (self._unfolding()[1:],) if isinstance(constraint, DeadAction) else ()
-        assertion = ("assert", lower(constraint, self.run, *span))
+        root, *span = self._unfolding()
+        assertion = ("assert", lower(constraint, self.run, tuple(span), root))
         declarations = _declarations(constraint, len(self.model.states))
         self._send_incremental([*declarations, assertion])
         return None if self.config.incremental else (declarations, assertion)

@@ -121,8 +121,9 @@ def bps(
     policy exists within the bound.  Unknown solver verdicts and backend
     failures raise :class:`SynthesisError`.  ``run.memo`` keeps every tree
     by (belief, budget) and ``run.refuted`` each belief's largest budget with
-    none, answering any budget up to it with no check.  Each check's goal
-    scope first gets every lemma of ``run.dead_actions`` it lacks.  Every
+    none, answering any budget up to it with no check.  A goal scope holds
+    the goal, the :class:`~.encoding.Winnable` lemma it implies and, before
+    each check, every lemma of ``run.dead_actions`` it lacks.  Every
     check and every block is recorded in ``run.stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
@@ -144,6 +145,7 @@ def bps(
                 session.add(encoding.transition_constraint(k - 1, k))
             session.push()
             session.add(encoding.goal_constraint(start_step, k))
+            session.add(encoding.Winnable(start_step, k))
             asserted = 0
             while True:
                 for lemma in run.dead_actions[asserted:]:

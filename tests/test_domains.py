@@ -166,6 +166,12 @@ def test_a_negative_obstacle_count_is_named():
         small_kitchen(obstacles=-1)
 
 
+@pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "True"), ("1", "'1'")])
+def test_a_non_integer_obstacle_count_is_named(value, shown):
+    with pytest.raises(ModelError, match=rf"^obstacles must be an integer, got {shown}$"):
+        small_kitchen(obstacles=value)
+
+
 @pytest.mark.parametrize("label, value, shown", [("delta1", 2, "2"), ("delta1", -1, "-1"),
                                                   ("delta2", "3/2", "3/2"), ("delta2", -1, "-1")])
 def test_kitchen_tolerances_outside_the_unit_interval_are_named(label, value, shown):

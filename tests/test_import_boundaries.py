@@ -5,7 +5,8 @@ anchor that rests on the model operations alone, the dense oracle is the
 yardstick the belief kernel is measured against, and the reference term
 evaluator is the one the bundled solver's compiled closures are measured
 against; each promise holds only while the imports (and calls) below stay
-out.
+out.  Neither the validator nor the dense oracle reads the support
+abstraction that the smtlib backend's lemmas are built from.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "safereach"
 KERNEL = {"successors", "available_actions"}
 KERNEL_READERS = {"belief_update", "observation_probability", "unnormalized_update"}
+SUPPORT_TABLE = {"support_successors", "wins", "mass_class"}
 
 
 def tree_of(path: Path) -> ast.Module:
@@ -73,3 +77,28 @@ def test_term_reference_borrows_only_the_solvers_error_and_conflict_marker():
             names = {alias.name for alias in node.names}
             borrowed |= names if node.module == "safereach.refsolver" else names & {"refsolver"}
     assert borrowed == {"SmtSyntaxError", "CONFLICT"}
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    """Every attribute, bare name and imported name in the module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+    return out
+
+
+def test_support_table_names_are_seen():
+    tree = ast.parse("from safereach.core import mass_class\nrun.wins(s, 2)\n"
+                     "model.support_successors(s)")
+    assert names_used(tree) >= SUPPORT_TABLE
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "validate.py", ROOT / "tests" / "oracles.py"],
+                         ids=["validator", "dense oracle"])
+def test_trust_anchors_read_no_support_table(path):
+    assert not names_used(tree_of(path)) & SUPPORT_TABLE

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
@@ -285,19 +286,67 @@ def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent):
     assert sorts == {"Int", "Real"}
 
 
-def test_a_goal_added_before_its_transitions_names_an_undeclared_constant(pickup, pool):
-    """A constraint may name only steps already unfolded: a goal over step 1
-    added before the transition into it is the bundled solver's error, and
-    the next check is unknown."""
+MODES = ["enum", "smtlib-inc", "smtlib-scratch"]
+
+
+@contextlib.contextmanager
+def session_in(mode, run):
+    """An open session of the mode; an smtlib one on a pool of its own."""
+    if mode == "enum":
+        with EnumerativeSession(run) as session:
+            yield session
+        return
+    with SolverPool(SolverConfig(incremental=mode == "smtlib-inc")) as pool, \
+            SmtLibSession(run, pool) as session:
+        yield session
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["goal", "winnable", "late winnable", "block", "lemma",
+                                  "transition"])
+def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, kind):
+    """Every mode refuses, when it is added, a constraint over a step that the
+    live unfolding (here steps 0..1) does not hold, and keeps going."""
     model, b_init, objective = pickup
-    with SmtLibSession(RunContext(model, objective), pool) as session:
+    plan = CandidatePlan(0, (b_init, b_init, b_init), (0, 0), (0, 0))
+    bad = {"goal": enc.goal_constraint(0, 2), "winnable": enc.Winnable(0, 2),
+           "late winnable": enc.Winnable(1, 1),  # a Winnable starts at the initial belief
+           "block": enc.blocking_constraint(plan, 2),
+           "lemma": enc.DeadAction(b_init, 0, 1, 0),
+           "transition": enc.transition_constraint(2, 3)}[kind]
+    with session_in(mode, RunContext(model, objective)) as session:
+        if kind == "lemma":  # a lemma needs only the initial belief
+            with pytest.raises(SolverUsageError, match="initial-belief"):
+                session.add(bad)
+        session.add(enc.initial_constraint(0, b_init))
+        session.add(enc.transition_constraint(0, 1))
+        session.push()
+        if kind != "lemma":
+            with pytest.raises(SolverUsageError, match="do not fit the unfolded 0..1|not 3"):
+                session.add(bad)
+        session.add(enc.goal_constraint(0, 1))
+        assert isinstance(session.check(), Sat)
+        session.pop()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_pop_shrinks_the_unfolding_constraints_are_checked_against(pickup, mode):
+    model, b_init, objective = pickup
+    with session_in(mode, RunContext(model, objective)) as session:
         session.add(enc.initial_constraint(0, b_init))
         session.push()
-        session.add(enc.goal_constraint(0, 1))
         session.add(enc.transition_constraint(0, 1))
-        result = session.check()
-    assert isinstance(result, Unknown)
-    assert "undeclared constant b_1_" in result.reason
+        session.add(enc.goal_constraint(0, 1))
+        with pytest.raises(SolverUsageError, match="next step to unfold is 2, not 1"):
+            session.add(enc.transition_constraint(0, 1))
+        session.pop()
+        with pytest.raises(SolverUsageError, match="do not fit the unfolded 0..0"):
+            session.add(enc.goal_constraint(0, 1))
+        session.add(enc.transition_constraint(0, 1))
+        session.push()
+        session.add(enc.goal_constraint(0, 1))
+        assert isinstance(session.check(), Sat)
+        session.pop()
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +583,8 @@ def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backen
     model, b_init, objective = pickup
     session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
                else SmtLibSession(RunContext(model, objective), pool))
-    with session:
+    with session, pytest.raises(SolverUsageError):
+        # refused when added, not at the next check
         if shape != "no initial":
             session.add(enc.initial_constraint(0, b_init))
         if shape == "two initials":
@@ -542,8 +592,7 @@ def test_unfolding_must_be_one_initial_and_contiguous_transitions(pickup, backen
         session.add(enc.transition_constraint(0, 1))
         if shape == "gap in transitions":
             session.add(enc.transition_constraint(2, 3))
-        with pytest.raises(SolverUsageError):
-            session.check()
+        session.check()
 
 
 def test_sat_plans_span_the_unfolding_on_both_backends(pickup, pool):

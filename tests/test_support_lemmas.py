@@ -1,0 +1,142 @@
+"""The support abstraction and the ``Winnable`` lemma it lowers to.
+
+``RunContext.wins`` judges a belief by its support alone, so it must never
+refute a belief from which the objective can be met; and the lemma, being
+implied by the goal, must leave every smtlib check's verdict and model as
+they are.  A classifier that misreads a mixed support must break both.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from safereach import build_kitchen, core
+from safereach import encoding as enc
+from safereach.core import RunContext
+from safereach.solver import Sat, SmtLibSession, Unsat
+from safereach.synthesis import SynthesisConfig, synthesis_run
+
+from oracles import brute_force_feasible, dense_matrix_update, random_instance
+
+DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
+SEEDS = range(200)
+
+
+def random_problems():
+    for seed in SEEDS:
+        model, b_init, objective, horizon = random_instance(random.Random(seed))
+        yield f"seed {seed}", (model, b_init, objective), horizon
+
+
+def kitchen_problems():
+    """Kitchen rungs whose checks stay cheap without the lemma."""
+    yield "2x2 det h4", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **DET), 4
+    yield "2x2 noisy h3", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), 3
+    yield "3x2 det h3", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **DET), 3
+
+
+def smtlib_checks(monkeypatch, problem, horizon, lemma):
+    """The smtlib run's result and every check's outcome, in order, with the
+    ``Winnable`` lemma asserted or dropped."""
+    outcomes = []
+    check, add = SmtLibSession.check, SmtLibSession.add
+
+    def recording(session):
+        outcomes.append(check(session))
+        return outcomes[-1]
+
+    def adding(session, constraint):
+        if lemma or not isinstance(constraint, enc.Winnable):
+            add(session, constraint)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SmtLibSession, "check", recording)
+        patch.setattr(SmtLibSession, "add", adding)
+        result = synthesis_run(*problem, SynthesisConfig(horizon=horizon, backend="smtlib"))
+    return result, outcomes
+
+
+def test_every_check_answers_the_same_with_the_lemma(monkeypatch):
+    for label, problem, horizon in [*random_problems(), *kitchen_problems()]:
+        with_lemma = smtlib_checks(monkeypatch, problem, horizon, lemma=True)
+        without = smtlib_checks(monkeypatch, problem, horizon, lemma=False)
+        assert with_lemma[1] == without[1], label
+        assert with_lemma[0].verdict == without[0].verdict, label
+        assert with_lemma[0].policy == without[0].policy, label
+
+
+class Posteriors(dict):
+    """Belief -> every posterior of it, by the dense oracle, each computed once."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, belief):
+        model = self.model
+        self[belief] = [child for a in range(len(model.actions))
+                        if all(a in model.allowed_actions(s) for s in belief.support())
+                        for o in range(len(model.observations))
+                        if (child := dense_matrix_update(belief, a, o, model)) is not None]
+        return self[belief]
+
+
+def reachable(posteriors, b_init, horizon):
+    """Each belief reachable from ``b_init``, with the most steps left after it."""
+    left, layer = {b_init: horizon}, {b_init}
+    for steps in range(horizon - 1, -1, -1):
+        layer = {child for belief in layer for child in posteriors[belief]}
+        for belief in layer:
+            left.setdefault(belief, steps)
+    return left
+
+
+def path_exists(posteriors, objective, belief, steps, memo):
+    """Does some path of at most ``steps`` steps meet the objective from the belief?"""
+    key = (belief, steps)
+    if key not in memo:
+        memo[key] = objective.is_goal(belief) or (
+            steps > 0 and objective.is_safe(belief) and any(
+                path_exists(posteriors, objective, child, steps - 1, memo)
+                for child in posteriors[belief]))
+    return memo[key]
+
+
+def test_wins_never_refutes_a_belief_the_oracles_solve():
+    """No start belief is refuted at a budget with a policy from it, and no
+    reachable belief at one with a satisfying path from it, which every
+    policy has and which is all the support game keeps of the objective."""
+    solved = 0
+    problems = [(*case, True) for case in random_problems()]
+    problems += [(*case, False) for case in kitchen_problems()]
+    for label, (model, b_init, objective), horizon, every_belief in problems:
+        posteriors = Posteriors(model)
+        beliefs = reachable(posteriors, b_init, horizon) if every_belief else {}
+        run, policies, paths = RunContext(model, objective), {}, {}
+        for steps in range(horizon + 1):
+            if brute_force_feasible(model, objective, b_init, steps, policies):
+                assert run.wins(b_init.indices, steps), (label, steps)
+        for belief, left in beliefs.items():
+            for steps in range(left + 1):
+                if path_exists(posteriors, objective, belief, steps, paths):
+                    assert run.wins(belief.indices, steps), (label, belief, steps)
+                    solved += 1
+    assert solved > 1000
+
+
+def test_a_mixed_support_read_as_mass_zero_gives_a_wrong_unsat(monkeypatch):
+    """Mutation: with the classifier reading every mixed support as mass 0,
+    the lemma rules out a goal some seed can reach, so the first check that
+    moves answers ``unsat`` where it has a model without the lemma."""
+    classify = core.mass_class
+    monkeypatch.setattr(core, "mass_class", lambda support, states:
+                        classify(support, states) % 2)
+    for label, problem, horizon in random_problems():
+        _, with_lemma = smtlib_checks(monkeypatch, problem, horizon, lemma=True)
+        _, without = smtlib_checks(monkeypatch, problem, horizon, lemma=False)
+        moved = [(a, b) for a, b in zip(with_lemma, without) if a != b][:1]
+        if moved and isinstance(moved[0][0], Unsat) and isinstance(moved[0][1], Sat):
+            return
+    pytest.fail("no seed noticed a mixed support read as mass 0")
