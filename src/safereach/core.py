@@ -316,10 +316,6 @@ class Pomdp:
     def allowed_actions(self, s: int) -> frozenset[int]:
         return self._allowed[s]
 
-    def action_states(self, a: int) -> frozenset[int]:
-        """States in which action ``a`` exists."""
-        return frozenset(s for s, allowed in enumerate(self._allowed) if a in allowed)
-
     # -- the belief-successor kernel ---------------------------------------
 
     def available_actions(self, belief: Belief) -> list[int]:

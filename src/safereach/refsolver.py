@@ -36,7 +36,7 @@ standard input, and the package's in-process endpoint on the terms sent.
 The module intentionally imports nothing from the rest of this package: it
 is the independent half of the solver-vs-enumeration differential tests.
 It keeps no mutable state, so sessions may run in any threads, one owner
-each, and the search checks each ``check-sat``'s deadline at every node.
+each; a read's deadline is checked per command, after root propagation and per node.
 Run as a program, by file path (``python refsolver.py``) or with the
 command ``safereach.solver.default_solver_command()`` returns, it stops a
 search, and exits, once the process that started it is gone.
@@ -50,6 +50,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import reduce
 
 
 # --------------------------------------------------------------------------
@@ -187,10 +188,11 @@ class CommandReader:
 # A compiled term is a closure ``fn(env)`` that returns the term's value
 # under the partial assignment ``env``, ``None`` while it is unknown, built
 # once when the assertion arrives instead of re-dispatching on the term's
-# shape at every search node.
+# shape at every search node; a leaf gets none, its parent reads it.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_VALUES = (int, Fraction, bool)  # the types of a leaf that is a value
 
 # What an equation step returns when no value of its unknown can satisfy it.
 CONFLICT = object()
@@ -217,42 +219,38 @@ def numeral(term):
     return None
 
 
-def _variable(name):
-    def fn(env):
-        return env.get(name)
-    return fn
+def _closure(x):
+    """A compiled operand as a closure: a leaf, a name or a value, gets one."""
+    if callable(x):
+        return x
+    return (lambda env: env.get(x)) if type(x) is str else (lambda env: x)
 
 
-def _constant(value):
-    def fn(env):
-        return value
-    return fn
+def _how(x):
+    """How a parent reads an operand: 2 calls it, 1 gets its name, 0 is its value."""
+    return 2 if callable(x) else 1 if type(x) is str else 0
 
 
-def _and(fns):
-    def fn(env):
-        unknown = False
-        for f in fns:
-            v = f(env)
-            if v is False:
-                return False
-            if v is None:
-                unknown = True
-        return None if unknown else True
-    return fn
+def _read(x, env):
+    """A compiled operand's value under ``env``."""
+    return env.get(x) if type(x) is str else x(env) if callable(x) else x
 
 
-def _or(fns):
-    def fn(env):
-        unknown = False
-        for f in fns:
-            v = f(env)
-            if v is True:
-                return True
-            if v is None:
-                unknown = True
-        return None if unknown else False
-    return fn
+def _junction(decisive: bool):
+    """``and`` (``decisive`` False) or ``or`` (True): the first operand that
+    is ``decisive`` decides it, else an unknown one leaves it unknown."""
+    def build(fns):
+        def fn(env):
+            unknown = False
+            for f in fns:
+                v = f(env)
+                if v is decisive:
+                    return decisive
+                if v is None:
+                    unknown = True
+            return None if unknown else not decisive
+        return fn
+    return build
 
 
 def _not(fns):
@@ -265,12 +263,13 @@ def _not(fns):
 
 
 def _comparison(op):
-    def build(fns):
-        left, right = fns
+    def build(args):
+        left, right = args
+        l_how, r_how = _how(left), _how(right)
 
         def fn(env):
-            a = left(env)
-            b = right(env)
+            a = left(env) if l_how == 2 else env.get(left) if l_how else left
+            b = right(env) if r_how == 2 else env.get(right) if r_how else right
             if a is None or b is None:
                 return None
             return op(a, b)
@@ -293,33 +292,42 @@ def _exact_sum(vals):
     return num if den == 1 else Fraction(num, den)
 
 
-def _sum(fns):
+def _sum(args):
+    names = [x for x in args if type(x) is str]  # read in one pass: the order does not matter
+    fns, values = [x for x in args if callable(x)], [x for x in args if type(x) in _VALUES]
+
     def fn(env):
         vals = [f(env) for f in fns]
+        vals += map(env.get, names)
         for v in vals:
             if v is None:
                 return None
-        return _exact_sum(vals)
+        return _exact_sum(vals + values)
     return fn
 
 
-def _product(fns):
+def _product(args):
     # A known 0 factor decides the product whatever the other factors are.
+    if len(args) == 2:
+        return _times(*args)
+
     def fn(env):
-        vals = []
-        for f in fns:
-            v = f(env)
-            if v == 0:
-                return 0
-            vals.append(v)
-        out = vals[0]
-        if out is None:
-            return None
-        for v in vals[1:]:
-            if v is None:
-                return None
-            out = out * v
-        return out
+        vals = [_read(x, env) for x in args]
+        return 0 if 0 in vals else None if None in vals else reduce(operator.mul, vals)
+    return fn
+
+
+def _times(left, right):
+    l_how, r_how = _how(left), _how(right)
+
+    def fn(env):
+        a = left(env) if l_how == 2 else env.get(left) if l_how else left
+        if a == 0:
+            return 0
+        b = right(env) if r_how == 2 else env.get(right) if r_how else right
+        if b == 0:
+            return 0
+        return None if a is None or b is None else a * b
     return fn
 
 
@@ -327,37 +335,35 @@ def _product(fns):
 _COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 _BUILDERS = {
-    "and": _and, "or": _or, "not": _not, "+": _sum, "*": _product,
+    "and": _junction(False), "or": _junction(True), "not": _not, "+": _sum, "*": _product,
     **{head: _comparison(op) for head, op in _COMPARISONS.items()},
 }
 
 
 def _pin(term) -> bool:
     """``(= x k)`` for a variable ``x`` and a numeral ``k``."""
-    return (isinstance(term, tuple) and len(term) == 3 and term[0] == "="
-            and isinstance(term[1], str) and type(term[2]) in (int, Fraction))
+    return (type(term) is tuple and len(term) == 3 and term[0] == "="
+            and type(term[1]) is str and type(term[2]) in (int, Fraction))
 
 
 def _selector(cond):
-    """The variables and numerals of a selector condition: ``(= x k)`` gives
-    ``((x,), (k,))`` and ``(and (= x k) (= y m))`` gives ``((x, y), (k, m))``;
+    """The variables and the key of a selector condition: ``(= x k)`` gives
+    ``((x,), k)`` and ``(and (= x k) (= y m))`` gives ``((x, y), (k, m))``;
     any other condition gives ``None``."""
-    if _pin(cond):
-        return (cond[1],), (cond[2],)
-    if (isinstance(cond, tuple) and len(cond) == 3 and cond[0] == "and"
-            and _pin(cond[1]) and _pin(cond[2])):
-        return (cond[1][1], cond[2][1]), (cond[1][2], cond[2][2])
-    return None
+    if type(cond) is tuple and len(cond) == 3 and cond[0] == "and":
+        x, y = cond[1], cond[2]
+        return ((x[1], y[1]), (x[2], y[2])) if _pin(x) and _pin(y) else None
+    return ((cond[1],), cond[2]) if _pin(cond) else None
 
 
-def _single_table(name, table, default):
+def _single_table(names, table, default):
     """An ``ite`` chain over ``(= name k)``: the first case whose ``k`` equals
     the value wins, an unknown value leaves the chain unknown."""
+    (name,) = names
+
     def fn(env):
         v = env.get(name)
-        if v is None:
-            return None
-        return table.get(v, default)(env)
+        return None if v is None else table.get(v, default)
     return fn
 
 
@@ -374,12 +380,10 @@ def _pair_table(names, table, default):
         xv = env.get(x)
         yv = env.get(y)
         if xv is None:
-            if yv is None or yv in ys:
-                return None
-            return default(env)
+            return None if yv is None or yv in ys else default
         if yv is None:
-            return None if xv in xs else default(env)
-        return table.get((xv, yv), default)(env)
+            return None if xv in xs else default
+        return table.get((xv, yv), default)
     return fn
 
 
@@ -388,18 +392,17 @@ def _no_progress(target, env):
     return None
 
 
-def _solve_variable(name):
-    def solve(target, env):
-        return (name, target)
-    return solve
+def _solve(sub, target, env):
+    """Solving an operand for ``target``: ``sub`` is its solver, or its name."""
+    return (sub, target) if type(sub) is str else sub(target, env)
 
 
-def _solve_product(fns, subs):
+def _solve_product(args, subs):
     def solve(target, env):
         known = _ONE
         unknown = None
-        for f, sub in zip(fns, subs):
-            v = f(env)
+        for x, sub in zip(args, subs):
+            v = _read(x, env)
             if v is None:
                 if unknown is not None:
                     return None
@@ -412,16 +415,16 @@ def _solve_product(fns, subs):
             return None
         if not known.numerator:
             return None if target == 0 else CONFLICT
-        return unknown(target / known, env)
+        return _solve(unknown, target / known, env)
     return solve
 
 
-def _solve_sum(fns, subs):
+def _solve_sum(args, subs):
     def solve(target, env):
         known = _ZERO
         unknown = None
-        for f, sub in zip(fns, subs):
-            v = f(env)
+        for x, sub in zip(args, subs):
+            v = _read(x, env)
             if v is None:
                 if unknown is not None:
                     return None
@@ -430,7 +433,7 @@ def _solve_sum(fns, subs):
                 known += v
         if unknown is None:
             return None
-        return unknown(target - known, env)
+        return _solve(unknown, target - known, env)
     return solve
 
 
@@ -441,13 +444,15 @@ def _equation(left, right, solve_left, solve_right):
     """The propagation step of ``(= l r)``: its truth value once both sides
     are known, else what solving the unknown side for the known one gives
     (``None``, ``CONFLICT`` or ``(name, value)``)."""
+    l_how, r_how = _how(left), _how(right)
+
     def step(env):
-        lv = left(env)
-        rv = right(env)
+        lv = left(env) if l_how == 2 else env.get(left) if l_how else left
+        rv = right(env) if r_how == 2 else env.get(right) if r_how else right
         if lv is None:
-            return None if rv is None else solve_left(rv, env)
+            return None if rv is None else _solve(solve_left, rv, env)
         if rv is None:
-            return solve_right(lv, env)
+            return _solve(solve_right, lv, env)
         return rv == lv
     return step
 
@@ -458,13 +463,13 @@ class Compiler:
 
     A term is compiled when every subterm uses the operators the driver
     writes: ``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``, ``<`` and
-    ``<=``, and ``ite`` chains over one selector or a selector pair, which
-    become dict lookups, over variables, bools and numerals, which are
-    folded once by :func:`numeral`.  Any other term, a malformed one
-    included, is outside the fragment: :meth:`term` and :meth:`constraint`
-    return ``None`` for it.  A node is ``(closure, solver)``, built in one
-    walk that adds every variable it meets to :attr:`names`; equal subterms
-    are not shared.
+    ``<=``, and ``ite`` chains over one selector or a selector pair, over
+    variables, bools and numerals, which are folded once by :func:`numeral`.
+    Any other term, a malformed one included, is outside the fragment:
+    :meth:`term` and :meth:`constraint` return ``None`` for it.  A node is
+    ``(closure, solver)``, built in one walk that adds every variable it
+    meets to :attr:`names`; equal subterms are not shared.  A leaf's closure
+    is its name or value; a selector chain is one lookup in a dict of values.
     """
 
     def __init__(self) -> None:
@@ -483,7 +488,7 @@ class Compiler:
     def _compile(self, term, equation: bool):
         try:
             if not equation:
-                return self._node(term, False)[0]
+                return _closure(self._node(term, False)[0])
             left, solve_left = self._node(term[1], True)
             right, solve_right = self._node(term[2], True)
             return _equation(left, right, solve_left, solve_right)
@@ -491,47 +496,54 @@ class Compiler:
             return None
 
     def _node(self, term, solving: bool):
-        """``(closure, solver)`` of ``term``.  With ``solving``, the solver
+        """``(closure, solver)`` of ``term``, a leaf's closure its name or
+        value and a variable's solver its name.  With ``solving``, the solver
         ``solve(target, env)`` gives the ``(name, value)`` that makes ``term``
         equal ``target`` when one variable is unknown in it, reached through
         known operands of ``*`` and ``+``; ``CONFLICT`` when no value can;
         ``None`` for no progress.  Without ``solving`` it makes no progress.
         Raises :class:`_Outside` for a term the fragment does not cover."""
-        if isinstance(term, str):
+        kind = type(term)
+        if kind is str:
             self.names.add(term)
-            return _variable(term), _solve_variable(term) if solving else _no_progress
-        head = term[0] if isinstance(term, tuple) and term else None
+            return term, term if solving else _no_progress
+        if kind in _VALUES:
+            return term, _no_progress
+        head = term[0] if kind is tuple and term else None
         build = _BUILDERS.get(head)
         if build is not None and (head not in _COMPARISONS or len(term) == 3):
             solving = solving and head in _SOLVERS
             parts = [self._node(arg, solving) for arg in term[1:]]
-            fns = [fn for fn, _ in parts]
+            args = [_closure(fn) if head in ("and", "or", "not") else fn for fn, _ in parts]
             if solving:
-                return build(fns), _SOLVERS[head](fns, [solve for _, solve in parts])
-            return build(fns), _no_progress
-        selector = _selector(term[1]) if head == "ite" else None
+                return build(args), _SOLVERS[head](args, [solve for _, solve in parts])
+            return build(args), _no_progress
+        selector = _selector(term[1]) if head == "ite" and len(term) == 4 else None
         if selector is not None:
-            return self._table(term, selector[0]), _no_progress
-        value = term if type(term) is bool else numeral(term)
+            return self._table(term, selector), _no_progress
+        value = numeral(term)
         if value is None:
             raise _Outside
-        return _constant(value), _no_progress
+        return value, _no_progress
 
-    def _table(self, term, names):
+    def _table(self, term, selector):
+        """The chain at ``term``; every case, shadowed ones too, names variables."""
+        names = selector[0]
         self.names.update(names)
         table: dict = {}
         rest = term
-        while isinstance(rest, tuple) and len(rest) == 4 and rest[0] == "ite":
-            selector = _selector(rest[1])
-            if selector is None or selector[0] != names:
-                break
-            fn = self._node(rest[2], False)[0]
-            table.setdefault(selector[1] if len(names) == 2 else selector[1][0], fn)
+        while selector is not None and selector[0] == names:
+            case = rest[2] if type(rest[2]) in _VALUES else self._node(rest[2], False)[0]
+            table.setdefault(selector[1], case)
             rest = rest[3]
-        default = self._node(rest, False)[0]
-        if len(names) == 2:
-            return _pair_table(names, table, default)
-        return _single_table(names[0], table, default)
+            selector = (_selector(rest[1]) if type(rest) is tuple and len(rest) == 4
+                        and rest[0] == "ite" else None)
+        default = rest if type(rest) in _VALUES else self._node(rest, False)[0]
+        pick = _pair_table if len(names) == 2 else _single_table
+        if all(type(value) in _VALUES for value in (*table.values(), default)):
+            return pick(names, table, default)
+        pick = pick(names, {key: _closure(case) for key, case in table.items()}, _closure(default))
+        return lambda env: None if (fn := pick(env)) is None else fn(env)
 
 
 class Constraint:
@@ -699,6 +711,7 @@ class Search:
         self._push_level()
         if not self._propagate([]):
             return "unsat", {}
+        self._check_deadline()
         todo = [n for n in self.int_vars if n not in self.env]
         for name in todo:
             if name not in self.bounds:
@@ -717,8 +730,7 @@ class Search:
         lo, hi = self.bounds[name]
         for value in range(lo, hi + 1):
             self.nodes += 1
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise TimeoutError("check-sat passed its deadline")
+            self._check_deadline()
             if self.nodes % PARENT_POLL_NODES == 0:
                 self._check_parent()
             self._push_level()
@@ -729,6 +741,10 @@ class Search:
                     return found
             self._pop_level()
         return None
+
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeoutError("check-sat passed its deadline")
 
     def _check_parent(self) -> None:
         if self.parent is not None and os.getppid() != self.parent:
@@ -821,8 +837,9 @@ class Session:
         """Run the commands ``next_command()`` gives, handing each answer
         term to ``answer``, until it gives ``None`` (True: the session goes
         on), or until ``(exit)`` or tokens that make no command (False: it
-        ends).  A ``check-sat`` still searching at ``deadline``, a
-        ``time.monotonic()`` reading, raises :class:`TimeoutError`."""
+        ends).  Past ``deadline``, a ``time.monotonic()`` reading, the next
+        command, or a ``check-sat`` still searching, raises
+        :class:`TimeoutError`."""
         while True:
             try:
                 cmd = next_command()
@@ -838,6 +855,8 @@ class Session:
                     return True
                 if cmd == ("exit",):
                     return False
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError("a command came past its deadline")
                 reply = self._answer(cmd, deadline)
             if reply is not None:
                 answer(reply)

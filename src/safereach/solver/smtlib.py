@@ -148,7 +148,8 @@ def _transition(step: int, model: Pomdp):
     Encodes u_i(s') = Z(s', a_i, o_i) * sum_s T(s, a_i, s') * b_{i-1}(s),
     denom_i = sum u_i, denom_i > 0 and b_i(s') * denom_i = u_i(s'), with the
     selector domains, per-action availability and the (redundant but
-    solver-friendly) simplex constraints on b_i.
+    solver-friendly) simplex constraints on b_i.  Each ``(s, a)`` row is
+    read once, so the term takes time linear in the model's nonzero entries.
     """
     n = len(model.states)
     n_actions = len(model.actions)
@@ -158,24 +159,25 @@ def _transition(step: int, model: Pomdp):
     a, o = cur.action_var, cur.observation_var
     parts: list = [("<=", 0, a), ("<", a, n_actions),
                    ("<=", 0, o), ("<", o, len(model.observations))]
+    into: list[dict] = [{} for _ in range(n)]  # into[s2][s]: the cases of T(s, ., s2)
+    where: list[list] = [[] for _ in range(n_actions)]  # the states an action exists in
+    for s in range(n):
+        for act in model.allowed_actions(s):
+            where[act].append(prev[s])
+        for act in range(n_actions):
+            for s2, p in model.trans_dist(s, act).items():
+                if p:
+                    into[s2].setdefault(s, []).append((("=", a, act), p))
 
     # An action may be selected only when the previous belief's support lies
     # entirely inside the states where the action exists.
-    if model.availability is not None:
-        everywhere = frozenset(range(n))
-        for act in range(n_actions):
-            states = model.action_states(act)
-            if states != everywhere:
-                mass = _app("+", [prev[s] for s in sorted(states)]) if states else _ZERO
-                parts.append(("or", ("not", ("=", a, act)), ("=", mass, _ONE)))
+    for act, states in enumerate(where):
+        if len(states) != n:
+            mass = _app("+", states) if states else _ZERO
+            parts.append(("or", ("not", ("=", a, act)), ("=", mass, _ONE)))
 
     for s2 in range(n):
-        pushed = []
-        for s in range(n):
-            cases = [(("=", a, act), model.trans_dist(s, act)[s2])
-                     for act in range(n_actions) if model.trans_dist(s, act).get(s2)]
-            if cases:
-                pushed.append(("*", _ite_chain(cases), prev[s]))
+        pushed = [("*", _ite_chain(cases), prev[s]) for s, cases in into[s2].items()]
         observed = [(("and", ("=", a, act), ("=", o, obs)), p)
                     for act in range(n_actions)
                     for obs, p in sorted(model.obs_dist(s2, act).items()) if p]

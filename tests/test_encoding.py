@@ -6,12 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from safereach import encoding as enc
+from safereach import build_pickup_example, encoding as enc
 from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
                             SafeReachObjective, belief_update)
 from safereach.domains import build_kitchen
+from safereach.refsolver import render
 from safereach.solver import Sat, enumerative_check
-from safereach.solver.smtlib import serialize
+from safereach.solver.smtlib import _app, _ite_chain, lower, serialize
 
 from oracles import (
     enumerate_plans,
@@ -20,6 +21,8 @@ from oracles import (
     satisfies_bounded,
     transition_env,
 )
+
+DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
 
 
 def run_of(model, objective=None):
@@ -168,6 +171,92 @@ def test_availability_encoded_as_support_implication():
     narrow = belief_update(mixed, 1, 0, model)  # defined pointwise...
     env = transition_env(mixed, narrow, 1, 0, model, 0, 1)
     assert not eval_term(term, env)  # ...but the selector may not pick it
+
+
+def dense_transition(step, model):
+    """The transition term built densely: every (s, s2) pair asks every
+    action's row for s2, and each action's states are gathered apart.  The
+    reference the sparse lowering must equal term for term."""
+    n, n_actions = len(model.states), len(model.actions)
+    prev = enc.step_vars(step - 1, n, start=True).belief_vars
+    cur = enc.step_vars(step, n)
+    a, o = cur.action_var, cur.observation_var
+    parts = [("<=", 0, a), ("<", a, n_actions), ("<=", 0, o), ("<", o, len(model.observations))]
+    if model.availability is not None:
+        everywhere = frozenset(range(n))
+        for act in range(n_actions):
+            states = frozenset(s for s in range(n) if act in model.allowed_actions(s))
+            if states != everywhere:
+                mass = _app("+", [prev[s] for s in sorted(states)]) if states else F(0)
+                parts.append(("or", ("not", ("=", a, act)), ("=", mass, F(1))))
+    for s2 in range(n):
+        pushed = []
+        for s in range(n):
+            cases = [(("=", a, act), model.trans_dist(s, act)[s2])
+                     for act in range(n_actions) if model.trans_dist(s, act).get(s2)]
+            if cases:
+                pushed.append(("*", _ite_chain(cases), prev[s]))
+        observed = [(("and", ("=", a, act), ("=", o, obs)), p)
+                    for act in range(n_actions)
+                    for obs, p in sorted(model.obs_dist(s2, act).items()) if p]
+        rhs = ("*", _ite_chain(observed), _app("+", pushed)) if pushed and observed else F(0)
+        parts.append(("=", cur.unnorm_vars[s2], rhs))
+    denom = cur.denom_var
+    parts.append(("=", denom, _app("+", cur.unnorm_vars)))
+    parts.append(("<", F(0), denom))
+    parts.extend(("=", ("*", b, denom), u) for b, u in zip(cur.belief_vars, cur.unnorm_vars))
+    parts.append(("=", _app("+", cur.belief_vars), F(1)))
+    parts.extend(("<=", F(0), b) for b in cur.belief_vars)
+    return _app("and", parts)
+
+
+KITCHEN_BUILDS = {
+    "2x2-det": ((2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), DET),
+    "2x2-noisy": ((2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), {}),
+    "3x2-det": ((3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), DET),
+    "3x2-noisy": ((3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), {}),
+    "3x2-sensor-only": ((3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), {"p_fail": 0}),
+    "4x3-M2-det": ((4, 3, [(1, 0), (1, 1), (2, 1), (2, 2)], (3, 0), (0, 0)),
+                   {**DET, "obstacles": 2}),
+}
+
+
+def sparse_lowering_cases():
+    yield "pickup", build_pickup_example()[0]
+    for label, (args, kwargs) in KITCHEN_BUILDS.items():
+        yield f"kitchen-{label}", build_kitchen(*args, **kwargs)[0]
+    for seed in range(200):
+        yield f"random-{seed}", random_instance(random.Random(seed))[0]
+
+
+def test_the_sparse_transition_is_the_dense_term():
+    masked = 0
+    for label, model in sparse_lowering_cases():
+        masked += model.availability is not None
+        for step in (1, 2):
+            term = lower(enc.Transition(step), run_of(model))
+            reference = dense_transition(step, model)
+            assert term == reference, (label, step)
+            # Equal tuples can still differ in type: 1 == F(1).
+            assert render(term) == render(reference), (label, step)
+    assert masked >= len(KITCHEN_BUILDS)  # availability masks are covered
+
+
+def test_lowering_a_transition_reads_each_row_once(monkeypatch):
+    args, kwargs = KITCHEN_BUILDS["4x3-M2-det"]
+    model = build_kitchen(*args, **kwargs)[0]
+    assert (len(model.states), len(model.actions)) == (84, 10)
+    reads = {}
+    trans_dist = Pomdp.trans_dist
+
+    def counting(self, s, a):
+        reads[(s, a)] = reads.get((s, a), 0) + 1
+        return trans_dist(self, s, a)
+
+    monkeypatch.setattr(Pomdp, "trans_dist", counting)
+    lower(enc.Transition(1), run_of(model))
+    assert sum(reads.values()) <= 840
+    assert max(reads.values()) == 1
 
 
 # --------------------------------------------------------------------------

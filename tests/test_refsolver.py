@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -357,6 +358,26 @@ def test_get_model_after_the_assertion_stack_changed_is_an_error():
             "sat", "((define-fun x () Int 0))"]
 
 
+def test_a_read_past_its_deadline_times_out_even_with_no_search_node():
+    """Every selector is pinned, so the check visits no search node; a
+    deadline already past still ends it, before its first command and after
+    the root propagation."""
+    commands = [("declare-const", "i", "Int"), ("assert", ("=", "i", 1)), ("check-sat",)]
+    answers = []
+    queued = iter(commands)
+    assert Session().run(lambda: next(queued, None), answers.append, time.monotonic() + 60)
+    assert answers == ["sat"]
+    past = time.monotonic() - 1
+    queued = iter(commands)
+    with pytest.raises(TimeoutError):
+        Session().run(lambda: next(queued, None), answers.append, past)
+    assert answers == ["sat"]  # nothing more was answered
+    search = Search({"i": "Int"}, refsolver.compile_assertion(("=", "i", 1)), deadline=past)
+    with pytest.raises(TimeoutError):
+        search.run()
+    assert search.nodes == 0
+
+
 # --------------------------------------------------------------------------
 # The compiled terms against the reference in tests/oracles.py
 # --------------------------------------------------------------------------
@@ -462,6 +483,7 @@ def test_selector_tables_follow_the_first_case_and_the_default():
     assert Compiler().term(CHAIN_SWITCH)({"i": 1}) is None  # the j case is unknown
 
 
+
 numerals = st.one_of(st.integers(-1, 2), st.sampled_from([F(0), F(1, 2), F(-3, 2), F(2)]),
                      st.booleans())
 leaves = st.one_of(st.sampled_from(VARIABLES), numerals)
@@ -501,6 +523,38 @@ envs = st.fixed_dictionaries({}, optional={
     "i": st.integers(-1, 3), "j": st.integers(-1, 3),
     "x": st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1, 3)]),
     "y": st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3)])})
+
+
+@st.composite
+def numeral_chains(draw):
+    """An ite chain whose cases and default are all numerals, Int and Real,
+    0 included, over one selector or a pair, with keys drawn from a small
+    range so that some repeat and shadow a later case."""
+    names = draw(st.sampled_from([("i",), ("j",), ("x",), ("i", "j"), ("j", "i"), ("i", "x")]))
+    values = st.one_of(st.integers(-1, 2), st.sampled_from([F(0), F(1, 2), F(-3, 2), F(1)]))
+    cases = []
+    for _ in range(draw(st.integers(1, 6))):
+        pins = [pin(name, draw(st.one_of(keys, st.sampled_from([F(0), F(1)]))))
+                for name in names]
+        cases.append((pins[0] if len(pins) == 1 else ("and", *pins), draw(values)))
+    return ite_chain(cases, draw(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeral_chains(), envs)
+def test_numeral_chains_are_value_tables_that_match_evaluate(chain, env):
+    table = compiled(lambda: Compiler().term(chain))
+    assert same_value(table(env), evaluate(chain, env)), (chain, env)
+    (constraint,) = refsolver.compile_assertion(("=", "y", chain))
+    assert constraint.names == sorted(term_vars(("=", "y", chain), set()))
+    assert same_value(constraint.test(env), reference_step(("=", "y", chain), env))
+
+
+def test_a_chain_names_the_variables_of_its_shadowed_cases():
+    chain = ite_chain([(pin("i", 0), 1), (pin("i", 0), "x"), (pin("i", 1), 2)], 0)
+    (constraint,) = refsolver.compile_assertion(("<", chain, "y"))
+    assert constraint.names == ["i", "x", "y"]
+    assert constraint.test({"i": 0, "y": F(2)}) is True  # the first case wins, x unread
 
 
 # The next two properties draw any term, many of them outside the fragment:
