@@ -257,6 +257,11 @@ class Pomdp:
             for s, acts in self.availability.items():
                 if not 0 <= s < n or any(not 0 <= a < na for a in acts):
                     raise ModelError("availability references unknown state or action")
+        for kind, rows, size in (("T", self.transition, n), ("Z", self.observe, no)):
+            for (s, a), row in rows.items():  # every row, its action available or not
+                outside = [key for key in row if not 0 <= key < size]
+                if outside or not (0 <= s < n and 0 <= a < na):
+                    raise ModelError(f"{kind}{(s, a)} names {outside or (s, a)}, out of range")
         reachable_pairs = set()
         for s in range(n):
             for a in self.allowed_actions(s):
@@ -264,7 +269,7 @@ class Pomdp:
                 if dist is None:
                     raise ModelError(
                         f"missing transition distribution for ({self.states[s]}, {self.actions[a]})")
-                self._check_dist(dist, n, f"T({self.states[s]}, {self.actions[a]})")
+                self._check_dist(dist, f"T({self.states[s]}, {self.actions[a]})")
                 for s2, p in dist.items():
                     if p > 0:
                         reachable_pairs.add((s2, a))
@@ -273,14 +278,12 @@ class Pomdp:
             if dist is None:
                 raise ModelError(
                     f"missing observation distribution for ({self.states[s2]}, {self.actions[a]})")
-            self._check_dist(dist, no, f"Z({self.states[s2]}, {self.actions[a]})")
+            self._check_dist(dist, f"Z({self.states[s2]}, {self.actions[a]})")
 
     @staticmethod
-    def _check_dist(dist: Mapping[int, Fraction], size: int, label: str) -> None:
+    def _check_dist(dist: Mapping[int, Fraction], label: str) -> None:
         total = Fraction(0)
         for key, p in dist.items():
-            if not 0 <= key < size:
-                raise ModelError(f"{label} references index {key} out of range")
             if not 0 <= p <= 1:
                 raise ModelError(f"{label} has entry {p} outside [0, 1]")
             total += p
@@ -321,36 +324,38 @@ class Pomdp:
     def available_actions(self, belief: Belief) -> list[int]:
         """Actions allowed in every support state, ascending: an action is
         choosable at a belief only when every state it may be in allows it."""
-        allowed = self._allowed
-        common = allowed[belief.indices[0]]
-        for s in belief.indices[1:]:
-            common = common & allowed[s]
-        return sorted(common)
+        return sorted(frozenset.intersection(*(self._allowed[s] for s in belief.indices)))
 
-    def _compile(self, action: int) -> tuple:
+    def _compiled(self, action: int) -> tuple:
         """Every state's transition row as ``(successor, numerator)`` pairs
         and every state's observation row as ``(observation, numerator)``
-        pairs, zero entries dropped, each kind over one denominator."""
-        n = len(self.states)
+        pairs, zero entries dropped, each kind over one denominator; then, as
+        bit masks, each state's successors and each observation's states."""
+        found = self._columns.get(action)
+        if found is None:
+            n = len(self.states)
 
-        def columns(rows):
-            den = math.lcm(*(p.denominator for row in rows for p in row.values() if p))
-            return den, tuple(tuple((key, p.numerator * (den // p.denominator))
-                                    for key, p in row.items() if p) for row in rows)
+            def columns(rows):
+                den = math.lcm(*(p.denominator for row in rows for p in row.values() if p))
+                return den, tuple(tuple((key, p.numerator * (den // p.denominator))
+                                        for key, p in row.items() if p) for row in rows)
 
-        t_den, t_cols = columns([self.trans_dist(s, action) for s in range(n)])
-        z_den, z_cols = columns([self.obs_dist(s2, action) for s2 in range(n)])
-        return t_cols, z_cols, t_den * z_den
+            t_den, t_cols = columns([self.trans_dist(s, action) for s in range(n)])
+            z_den, z_cols = columns([self.obs_dist(s2, action) for s2 in range(n)])
+            gives = [0] * len(self.observations)
+            for s2, row in enumerate(z_cols):
+                for o, _ in row:
+                    gives[o] |= 1 << s2
+            into = [sum(1 << s2 for s2, _ in row) for row in t_cols]
+            found = self._columns[action] = (t_cols, z_cols, t_den * z_den, into, gives)
+        return found
 
     def _split(self, belief: Belief, action: int) -> tuple[int, list[tuple[int, int, Belief]]]:
         """Push the belief through T once and split it by observation: the
         scale a mass is a probability over, and each possible observation,
         ascending, with its mass (positive) and posterior (numerators that
         sum to the mass, so :class:`Belief`'s checks are skipped)."""
-        compiled = self._columns.get(action)
-        if compiled is None:
-            compiled = self._columns[action] = self._compile(action)
-        t_cols, z_cols, scale = compiled
+        t_cols, z_cols, scale, _, _ = self._compiled(action)
         pushed: dict[int, int] = {}
         for s, w in zip(belief.indices, belief.nums):
             for s2, p in t_cols[s]:
@@ -379,13 +384,25 @@ class Pomdp:
 
     def support_successors(self, support: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
         """Each posterior support, over all available actions and possible
-        observations, of a belief with this support; any such belief gives the same."""
+        observations, of a belief with this support (any such belief gives the same)."""
         found = self._supports.get(support)
         if found is None:
-            uniform = Belief._sparse(len(self.states), support, [1] * len(support), len(support))
-            found = self._supports[support] = frozenset(
-                posterior.indices for action in self.available_actions(uniform)
-                for _, _, posterior in self._split(uniform, action)[1])
+            masks = set()
+            for action in frozenset.intersection(*(self._allowed[s] for s in support)):
+                _, _, _, into, gives = self._compiled(action)
+                pushed = 0
+                for s in support:
+                    pushed |= into[s]
+                for states in gives:
+                    masks.add(pushed & states)
+            found = set()
+            for mask in masks - {0}:
+                indices = []
+                while mask:  # each set bit, lowest first
+                    indices.append((mask & -mask).bit_length() - 1)
+                    mask &= mask - 1
+                found.add(tuple(indices))
+            found = self._supports[support] = frozenset(found)
         return found
 
 
@@ -398,9 +415,9 @@ class RunContext:
     posterior and start belief to the run's one copy of it and its class
     (:meth:`classify`).  ``memo`` holds ``bps`` trees by (belief, budget),
     ``refuted`` each belief's largest budget with none and ``dead_actions``
-    the :class:`~safereach.encoding.DeadAction` lemmas, both true at smaller
-    budgets, and ``fruitless`` the enumerative backend's (belief, steps
-    remaining) facts; :meth:`wins` judges supports.  A context belongs to one
+    the :class:`~safereach.encoding.DeadAction` lemmas, indexed in ``dead``,
+    both true at smaller budgets; ``fruitless`` holds the enumerative backend's
+    (belief, steps remaining) facts, and :meth:`wins` judges supports.  A context belongs to one
     run; the model's columns and support graph outlive it.  It first checks the objective.
     """
 
@@ -417,12 +434,13 @@ class RunContext:
         self.memo: dict[tuple[Belief, int], PolicyTree] = {}
         self.refuted: dict[Belief, int] = {}
         self.dead_actions: list = []  # of encoding.DeadAction, oldest first
+        self.dead: dict[Belief, dict[int, int]] = {}  # belief -> action -> largest budget
         self.fruitless: set[tuple[Belief, int]] = set()
         self.classes: dict[Belief, tuple[Belief, bool, bool]] = {}
         self._successors: dict[tuple[Belief, int], tuple] = {}
         self._rows = [[(p.state_set, p.possible()) for p in preds]
                       for preds in (objective.goal, objective.safe)]
-        self._wins: dict[tuple[tuple[int, ...], int], bool] = {}
+        self._wins: dict[tuple[int, ...], list] = {}  # support -> [lose, win] budgets
 
     def successors(self, belief: Belief, action: int) -> tuple[tuple[int, Belief, bool, bool], ...]:
         """``(observation, posterior, is_goal, is_safe)`` for each possible
@@ -445,14 +463,17 @@ class RunContext:
     def wins(self, support: tuple[int, ...], steps: int) -> bool:
         """Whether a support path reaches a goal-possible support within ``steps``
         through safe-possible ones, judging each predicate alone on its
-        :func:`mass_class`; if not, no belief with this support can win."""
-        key = (support, steps)
-        if key not in self._wins:
+        :func:`mass_class`; if not, no belief with this support can win.  Kept
+        per support as the largest losing and smallest winning budget."""
+        bounds = self._wins.get(support)
+        if bounds is None:
             goal, safe = (all(row[mass_class(support, states)] for states, row in rows)
                           for rows in self._rows)
-            self._wins[key] = goal or (steps > 0 and safe and any(
-                self.wins(s2, steps - 1) for s2 in self.model.support_successors(support)))
-        return self._wins[key]
+            bounds = self._wins[support] = [-1, 0] if goal else [0 if safe else math.inf, math.inf]
+        if bounds[0] < steps < bounds[1]:  # in the gap: settle it, and narrow the gap
+            won = any(self.wins(s2, steps - 1) for s2 in self.model.support_successors(support))
+            bounds[won] = steps
+        return steps >= bounds[1]
 
 
 def unnormalized_update(

@@ -14,15 +14,15 @@ Determinism: candidates are explored action index ascending, then
 observation index ascending, so the first satisfying plan is the
 lexicographically smallest one.  Successors come from the session's
 :class:`~safereach.core.RunContext` with each posterior's step-free class,
-which the search reads with its own ``step < horizon`` test, never
-re-evaluating a predicate.  The run's ``fruitless`` set of (belief,
-steps-remaining) pairs prunes repeated subtrees of branches that have not
-reached the goal yet.  As the goal ends at the horizon, only the blocks live
-in a subtree can change its answer, and entries are only recorded on
-blocking-free subtrees; so they stay sound under any blocking set and at any
-horizon.  A live :class:`~safereach.encoding.DeadAction` skips its pair at a
-node not yet fired with at most its budget left, at one lookup per node; as
-it can empty a subtree, ``fruitless`` is shared only under the run's lemmas.
+read with the search's own ``step < horizon`` test.  A node not yet fired is
+skipped when its support cannot win in the steps left (``RunContext.wins``):
+the support game over-approximates the belief space, so only subtrees with
+no satisfying path go and the first plan is the same.  The run's
+``fruitless`` (belief, steps-remaining) pairs, recorded only on unfired
+blocking-free subtrees, prune repeats soundly under any blocks and horizon.
+A live :class:`~safereach.encoding.DeadAction` skips its pair at such a node
+with at most its budget left, by one lookup (``run.dead`` indexes the run's
+lemmas); as it can empty a subtree, ``fruitless`` is shared only under those.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ class EnumerativeSession(SolverSession):
 
     def _assemble(self):
         belief, start, horizon = self._unfolding()
-        goals = [c for c, _ in self._live() if isinstance(c, Goal)]
-        blocks = [c for c, _ in self._live() if isinstance(c, Blocking)]
-        lemmas = [c for c, _ in self._live() if isinstance(c, DeadAction)]
+        live = {Goal: [], Blocking: [], DeadAction: []}
+        for c, _ in self._live():
+            live.get(type(c), []).append(c)
+        goals, blocks, lemmas = live.values()
         for g in goals:
             if g.start_step != start or g.end_step != horizon:
                 raise SolverUsageError("goal constraint must span the whole unfolding")
@@ -67,12 +68,11 @@ class EnumerativeSession(SolverSession):
     def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
                 blocks: Sequence[Blocking], lemmas: Sequence[DeadAction]):
         run = self.run
-        fruitless = run.fruitless if lemmas == run.dead_actions else set()
-        dead: dict[Belief, dict[int, int]] = {}  # belief -> action -> largest budget
-        for lemma in lemmas:
-            budgets = dead.setdefault(lemma.belief, {})
-            budgets[lemma.action] = max(lemma.budget, budgets.get(lemma.action, -1))
-        available_actions = run.model.available_actions
+        own = lemmas == run.dead_actions  # the run's lemmas, indexed as they were learned
+        fruitless, dead = (run.fruitless, run.dead) if own else (set(), {})
+        for lemma in [] if own else sorted(lemmas, key=lambda lemma: lemma.budget):
+            dead.setdefault(lemma.belief, {})[lemma.action] = lemma.budget  # the largest last
+        available_actions, wins = run.model.available_actions, run.wins
 
         def status(is_goal: bool, is_safe: bool, step: int) -> Optional[bool]:
             """True at a goal belief, False on a safe one with steps left,
@@ -87,8 +87,8 @@ class EnumerativeSession(SolverSession):
             if step == horizon:
                 return list(trail)  # a branch only gets here once it has fired
             key = (belief, horizon - step)
-            if not fired and key in fruitless:
-                return None
+            if not fired and (key in fruitless or not wins(belief.indices, horizon - step)):
+                return None  # no path from here meets the goal in the steps left
             dead_here = dead.get(belief) if dead and not fired else None
             i = step - start
             for a in available_actions(belief):

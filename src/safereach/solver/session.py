@@ -14,6 +14,8 @@ from typing import Iterator, Optional, Union, get_args
 from ..core import Belief, CandidatePlan, RunContext
 from ..encoding import Blocking, Constraint, DeadAction, Initial, Transition, Winnable
 
+_CONSTRAINTS = get_args(Constraint)
+
 
 class SolverError(RuntimeError):
     """Backend failure; the session is dead once this is raised."""
@@ -94,7 +96,7 @@ class SolverSession(ABC):
         """Assert a constraint into the current (top) scope.  It may name only
         steps already unfolded (:meth:`_unfold`): its initial belief comes first."""
         self._guard()
-        if not isinstance(constraint, get_args(Constraint)):
+        if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
         self._span = self._unfold(constraint)
         self._frames[-1].append((constraint, self._admit(constraint)))

@@ -202,7 +202,7 @@ def policy_generation(
     observations get no branch (the belief update is undefined there); every
     one of each walked step is counted in ``run.stats`` and logged.  A
     branch failing at step ``i`` kills its (belief, action) pair at budget
-    ``bound - i + 1``, the steps left before the step, in ``run.dead_actions``.
+    ``bound - i + 1``, the steps left before it, in ``run.dead_actions`` and ``run.dead``.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(run.model.observations)
@@ -222,6 +222,8 @@ def policy_generation(
             if branch is None:
                 lemma = encoding.DeadAction(prev_belief, action, bound - i + 1, obs)
                 run.dead_actions.append(lemma)
+                budgets = run.dead.setdefault(prev_belief, {})
+                budgets[action] = max(lemma.budget, budgets.get(action, -1))
                 return None, encoding.blocking_constraint(plan, i)
             children[obs] = branch
         subtree = PolicyTree(prev_belief, action, children, False)

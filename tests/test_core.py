@@ -145,6 +145,20 @@ def test_pomdp_rejects_bad_distributions():
               observe={(0, 0): {0: F(1)}})
 
 
+@pytest.mark.parametrize("kind, row", [
+    ("T", {2: F(1)}), ("T", {-1: F(1)}), ("Z", {1: F(1)}), ("Z", {-1: F(1)})])
+def test_rows_of_unavailable_actions_are_range_checked(kind, row):
+    # State 1 does not allow action 1, yet the model has rows for the pair;
+    # an index out of range there fails at construction, naming the row,
+    # and never reaches the SMT lowering, which indexes its lists by it.
+    transition = {(0, 0): {0: F(1)}, (1, 0): {1: F(1)}, (0, 1): {0: F(1)}}
+    observe = {(0, 0): {0: F(1)}, (1, 0): {0: F(1)}, (0, 1): {0: F(1)}}
+    (transition if kind == "T" else observe)[(1, 1)] = row
+    with pytest.raises(ModelError, match=rf"{kind}\(1, 1\) names \[-?\d\], out of range"):
+        Pomdp(("a", "b"), ("both", "only_a"), ("o",), transition, observe,
+              availability={0: frozenset({0, 1}), 1: frozenset({0})})
+
+
 def test_predicate_validation():
     with pytest.raises(ModelError):
         LinearBeliefPredicate(frozenset(), ">", F(1, 2))

@@ -1,21 +1,26 @@
-"""The support abstraction and the ``Winnable`` lemma it lowers to.
+"""The support abstraction, the ``Winnable`` lemma it lowers to and the
+enumerative search's prune.
 
 ``RunContext.wins`` judges a belief by its support alone, so it must never
 refute a belief from which the objective can be met; and the lemma, being
 implied by the goal, must leave every smtlib check's verdict and model as
-they are.  A classifier that misreads a mixed support must break both.
+they are, as the prune must every enum check's.  A classifier that misreads
+a mixed support must break both.  The table ``wins`` keeps per support must
+answer as a plain recursion over the support graph does.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from safereach import build_kitchen, core
 from safereach import encoding as enc
 from safereach.core import RunContext
-from safereach.solver import Sat, SmtLibSession, Unsat
+from safereach.solver import EnumerativeSession, Sat, SmtLibSession, Unsat
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
 from oracles import brute_force_feasible, dense_matrix_update, random_instance
@@ -35,6 +40,16 @@ def kitchen_problems():
     yield "2x2 det h4", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **DET), 4
     yield "2x2 noisy h3", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), 3
     yield "3x2 det h3", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **DET), 3
+
+
+def enum_rungs():
+    """Kitchen rungs the enum search prunes, each cheap without the prune."""
+    shadow = [(1, 0), (1, 1), (2, 1), (2, 2)]
+    yield "2x2 det h4", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **DET), 4
+    yield "3x2 det h6", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **DET), 6
+    yield "3x2 noisy h6", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), 6
+    yield "3x3 det h7", build_kitchen(3, 3, [(1, 0), (1, 1), (1, 2)], (2, 0), (0, 0), **DET), 7
+    yield "4x3 M2 det h5", build_kitchen(4, 3, shadow, (3, 0), (0, 0), obstacles=2, **DET), 5
 
 
 def smtlib_checks(monkeypatch, problem, horizon, lemma):
@@ -140,3 +155,123 @@ def test_a_mixed_support_read_as_mass_zero_gives_a_wrong_unsat(monkeypatch):
         if moved and isinstance(moved[0][0], Unsat) and isinstance(moved[0][1], Sat):
             return
     pytest.fail("no seed noticed a mixed support read as mass 0")
+
+
+def enum_checks(monkeypatch, problem, horizon, prune):
+    """The enum run's result and every check's outcome, in order, with the
+    support prune on or with ``RunContext.wins`` answering True throughout."""
+    outcomes = []
+    check = EnumerativeSession.check
+
+    def recording(session):
+        outcomes.append(check(session))
+        return outcomes[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EnumerativeSession, "check", recording)
+        if not prune:
+            patch.setattr(RunContext, "wins", lambda run, support, steps: True)
+        result = synthesis_run(*problem, SynthesisConfig(horizon=horizon))
+    return result, outcomes
+
+
+def test_every_enum_check_answers_the_same_with_the_prune(monkeypatch):
+    for label, problem, horizon in [*random_problems(), *enum_rungs()]:
+        pruned = enum_checks(monkeypatch, problem, horizon, prune=True)
+        unpruned = enum_checks(monkeypatch, problem, horizon, prune=False)
+        assert pruned[1] == unpruned[1], label
+        assert pruned[0].verdict == unpruned[0].verdict, label
+        assert pruned[0].policy == unpruned[0].policy, label
+
+
+def test_a_mixed_support_read_as_mass_zero_prunes_a_plan(monkeypatch):
+    """Mutation: with the classifier reading every mixed support as mass 0,
+    the prune cuts a satisfying path some seed has, so the first enum check
+    that moves answers ``unsat`` where the unpruned search finds a plan."""
+    classify = core.mass_class
+    monkeypatch.setattr(core, "mass_class", lambda support, states:
+                        classify(support, states) % 2)
+    for label, problem, horizon in random_problems():
+        _, pruned = enum_checks(monkeypatch, problem, horizon, prune=True)
+        _, unpruned = enum_checks(monkeypatch, problem, horizon, prune=False)
+        moved = [(a, b) for a, b in zip(pruned, unpruned) if a != b][:1]
+        if moved and isinstance(moved[0][0], Unsat) and isinstance(moved[0][1], Sat):
+            return
+    pytest.fail("no seed noticed a mixed support read as mass 0")
+
+
+def test_noisy_3x2_h8_is_refuted_without_a_belief_update(monkeypatch):
+    """Work pin: each of the 9 checks finds the start belief's support
+    hopeless, so the run never asks for a posterior (278,984 lookups of
+    ``RunContext.successors`` without the prune)."""
+    lookups = []
+    successors = RunContext.successors
+
+    def counting(run, belief, action):
+        lookups.append((belief, action))
+        return successors(run, belief, action)
+
+    monkeypatch.setattr(RunContext, "successors", counting)
+    problem = build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0))
+    result = synthesis_run(*problem, SynthesisConfig(horizon=8))
+    assert result.verdict == "no-policy-within-bound"
+    assert result.stats.solver_calls == 9
+    assert len(lookups) == 0
+
+
+_HOLDS = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+
+
+def can_hold(pred, support):
+    """Can the predicate hold at some belief with this support?  Its state
+    set's mass there is 0, 1 or anything strictly between, so it is tried
+    at 0, at 1, or at t/2 and (1 + t)/2, whichever of those lie inside."""
+    inside = sum(1 for s in support if s in pred.state_set)
+    t = pred.threshold
+    masses = ([Fraction(0)] if not inside else [Fraction(1)] if inside == len(support)
+              else [m for m in (t / 2, (1 + t) / 2) if 0 < m < 1])
+    return any(_HOLDS[pred.comparator](m, t) for m in masses)
+
+
+def graph_successors(model, support):
+    """Each posterior support, read off the model's rows: the successors of
+    the support under each action every support state allows, split by the
+    observations possible at them."""
+    out = set()
+    for a in range(len(model.actions)):
+        if all(a in model.allowed_actions(s) for s in support):
+            pushed = {s2 for s in support for s2, p in model.trans_dist(s, a).items() if p}
+            for o in range(len(model.observations)):
+                post = tuple(sorted(s2 for s2 in pushed if model.obs_dist(s2, a).get(o)))
+                if post:
+                    out.add(post)
+    return out
+
+
+def reference_wins(model, objective, support, steps, memo):
+    key = (support, steps)
+    if key not in memo:
+        memo[key] = all(can_hold(p, support) for p in objective.goal) or (
+            steps > 0 and all(can_hold(p, support) for p in objective.safe) and any(
+                reference_wins(model, objective, s2, steps - 1, memo)
+                for s2 in graph_successors(model, support)))
+    return memo[key]
+
+
+def test_the_wins_table_answers_as_the_plain_recursion():
+    """Every support reachable within the horizon, at every budget up to it,
+    asked in a shuffled order so the table's bounds are met from both sides."""
+    asked = 0
+    for label, (model, b_init, objective), horizon in [*random_problems(), *enum_rungs()]:
+        reachable, layer = {b_init.indices}, {b_init.indices}
+        for _ in range(horizon):
+            layer = {s2 for s in layer for s2 in graph_successors(model, s)} - reachable
+            reachable |= layer
+        queries = sorted((s, k) for s in reachable for k in range(horizon + 1))
+        random.Random(label).shuffle(queries)
+        run, memo = RunContext(model, objective), {}
+        for support, steps in queries:
+            assert run.wins(support, steps) == reference_wins(
+                model, objective, support, steps, memo), (label, support, steps)
+        asked += len(queries)
+    assert asked > 5_000
