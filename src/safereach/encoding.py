@@ -3,10 +3,10 @@
 A constraint is plain, immutable data saying what it asserts: the belief at
 the start step, the belief transition into one step, the bounded
 safe-reachability goal of the run's objective over a span of steps, a
-blocked plan prefix, a learned lemma, or what the goal implies at each step.
-The builders check their arguments and return that data; the enumerative
-backend interprets it directly, and the SMT-LIB backend lowers it to a term
-(:func:`safereach.solver.smtlib.lower`).
+learned lemma, or what the goal implies at each step; a :class:`Blocking`
+is only a record.  The builders check their arguments and return that data;
+the enumerative backend interprets it directly, and the SMT-LIB backend
+lowers it to a term (:func:`safereach.solver.smtlib.lower`).
 
 The step variables are named here, and :func:`step_vars` is the lowering's
 one source of them: belief components as reals and, for non-start steps,
@@ -106,10 +106,10 @@ class Goal:
 
 @dataclass(frozen=True)
 class Blocking:
-    """Negated prefix of a candidate whose branch completion failed: no plan
-    starts from the same belief, repeats the same action/observation/belief
-    sequence up to step ``fail_step - 1`` and then chooses the same action
-    at ``fail_step``."""
+    """Record of a candidate whose completion failed at ``fail_step``, sent to
+    no solver: the :class:`DeadAction` learned with it bans the prefix's last
+    action at its belief with as many steps left, from any prefix, so it
+    implies the block, and the horizon pop frees both."""
 
     plan: CandidatePlan
     fail_step: int
@@ -137,7 +137,7 @@ class Winnable:
     end_step: int
 
 
-Constraint = Union[Initial, Transition, Goal, Blocking, DeadAction, Winnable]
+Constraint = Union[Initial, Transition, Goal, DeadAction, Winnable]
 
 
 def initial_constraint(step: int, b_init: Belief) -> Initial:

@@ -17,12 +17,14 @@ lexicographically smallest one.  Successors come from the session's
 read with the search's own ``step < horizon`` test.  A node not yet fired is
 skipped when its support cannot win in the steps left (``RunContext.wins``):
 the support game over-approximates the belief space, so only subtrees with
-no satisfying path go and the first plan is the same.  The run's
-``fruitless`` (belief, steps-remaining) pairs, recorded only on unfired
-blocking-free subtrees, prune repeats soundly under any blocks and horizon.
-A live :class:`~safereach.encoding.DeadAction` skips its pair at such a node
-with at most its budget left, by one lookup (``run.dead`` indexes the run's
-lemmas); as it can empty a subtree, ``fruitless`` is shared only under those.
+no satisfying path go and the first plan is the same.  A live
+:class:`~safereach.encoding.DeadAction` skips its pair at such a node with at
+most its budget left, by one lookup (``run.dead`` indexes the run's lemmas).
+No block is sent: its lemma implies it, and the horizon pop frees both.  The
+run's ``fruitless`` (belief, steps-remaining) pairs are recorded on every
+unfired subtree with no path: lemmas only grow and are keyed by steps left,
+so such a subtree stays without one.  As a lemma can empty a subtree,
+``fruitless`` is shared only under the run's own lemmas.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import Belief, CandidatePlan, Pomdp, RunContext, SafeReachObjective
-from ..encoding import (Blocking, DeadAction, Goal, goal_constraint, initial_constraint,
+from ..encoding import (DeadAction, Goal, goal_constraint, initial_constraint,
                         transition_constraint)
 from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 
@@ -42,31 +44,25 @@ class EnumerativeSession(SolverSession):
 
     def _assemble(self):
         belief, start, horizon = self._unfolding()
-        live = {Goal: [], Blocking: [], DeadAction: []}
-        for c, _ in self._live():
-            live.get(type(c), []).append(c)
-        goals, blocks, lemmas = live.values()
-        for g in goals:
-            if g.start_step != start or g.end_step != horizon:
-                raise SolverUsageError("goal constraint must span the whole unfolding")
-        for bl in blocks:
-            if bl.plan.start_step != start:  # adding it checked its other steps
-                raise SolverUsageError("blocking constraint does not match the unfolding")
-        return belief, start, horizon, bool(goals), blocks, lemmas
+        live = [c for c, _ in self._live()]
+        goals = [c for c in live if isinstance(c, Goal)]
+        if any((g.start_step, g.end_step) != (start, horizon) for g in goals):
+            raise SolverUsageError("goal constraint must span the whole unfolding")
+        return belief, start, horizon, bool(goals), [c for c in live if isinstance(c, DeadAction)]
 
     # -- the search ------------------------------------------------------------
 
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, goal, blocks, lemmas = self._assemble()
-        trail = self._search(belief, start, horizon, goal, blocks, lemmas)
+        belief, start, horizon, goal, lemmas = self._assemble()
+        trail = self._search(belief, start, horizon, goal, lemmas)
         if trail is None:
             return Unsat()
         actions, observations, posteriors = zip(*trail) if trail else ((), (), ())
         return Sat(CandidatePlan(start, (belief, *posteriors), actions, observations))
 
     def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
-                blocks: Sequence[Blocking], lemmas: Sequence[DeadAction]):
+                lemmas: Sequence[DeadAction]):
         run = self.run
         own = lemmas == run.dead_actions  # the run's lemmas, indexed as they were learned
         fruitless, dead = (run.fruitless, run.dead) if own else (set(), {})
@@ -83,44 +79,33 @@ class EnumerativeSession(SolverSession):
                 return False
             return None
 
-        def recurse(belief: Belief, step: int, trail: list, live: list, fired: bool):
+        def recurse(belief: Belief, step: int, trail: list, fired: bool):
             if step == horizon:
                 return list(trail)  # a branch only gets here once it has fired
             key = (belief, horizon - step)
             if not fired and (key in fruitless or not wins(belief.indices, horizon - step)):
                 return None  # no path from here meets the goal in the steps left
             dead_here = dead.get(belief) if dead and not fired else None
-            i = step - start
             for a in available_actions(belief):
                 if dead_here is not None and dead_here.get(a, -1) >= horizon - step:
                     continue  # a dead pair with at most its budget left
-                if any(bl.fail_step == step + 1 and bl.plan.actions[i] == a for bl in live):
-                    continue  # the blocked prefix ends exactly here
                 for o, b2, is_goal, is_safe in run.successors(belief, a):
                     fired2 = fired or status(is_goal, is_safe, step + 1)
                     if fired2 is None:
                         continue
-                    next_live = [
-                        bl for bl in live
-                        if bl.fail_step > step + 1
-                        and bl.plan.actions[i] == a
-                        and bl.plan.observations[i] == o
-                        and bl.plan.beliefs[i + 1] == b2
-                    ]
                     trail.append((a, o, b2))
-                    found = recurse(b2, step + 1, trail, next_live, fired2)
+                    found = recurse(b2, step + 1, trail, fired2)
                     trail.pop()
                     if found is not None:
                         return found
-            if not fired and not live:
+            if not fired:
                 fruitless.add(key)
             return None
 
         fired = not goal or status(*run.classify(b0)[1:], start)
         if fired is None:
             return None
-        live = [bl for bl in blocks if bl.plan.beliefs[0] == b0]
-        return recurse(b0, start, [], live, fired)
+        return recurse(b0, start, [], fired)
 
 
 def enumerative_check(
@@ -129,7 +114,6 @@ def enumerative_check(
     start: int,
     horizon: int,
     objective: SafeReachObjective,
-    blocks: Sequence[Blocking] = (),
 ) -> SatResult:
     """One-shot satisfiability of the bounded structure, for tests and tools."""
     session = EnumerativeSession(RunContext(model, objective))
@@ -137,6 +121,4 @@ def enumerative_check(
     for step in range(start + 1, horizon + 1):
         session.add(transition_constraint(step - 1, step))
     session.add(goal_constraint(start, horizon))
-    for bl in blocks:
-        session.add(bl)
     return session.check()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union, get_args
 
 from ..core import Belief, CandidatePlan, RunContext
-from ..encoding import Blocking, Constraint, DeadAction, Initial, Transition, Winnable
+from ..encoding import Constraint, DeadAction, Initial, Transition, Winnable
 
 _CONSTRAINTS = get_args(Constraint)
 
@@ -153,9 +153,7 @@ class SolverSession(ABC):
                 raise SolverUsageError(f"the next step to unfold is {horizon + 1}, "
                                        f"not {constraint.step}")
             return belief, start, constraint.step
-        first, last = ((constraint.plan.start_step, constraint.fail_step)
-                       if isinstance(constraint, Blocking) else (start, start)
-                       if isinstance(constraint, DeadAction)
+        first, last = ((start, start) if isinstance(constraint, DeadAction)
                        else (constraint.start_step, constraint.end_step))
         if not start <= first <= last <= horizon or (
                 isinstance(constraint, Winnable) and first != start):

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
 from .. import refsolver
-from ..encoding import (Blocking, Constraint, DeadAction, Goal, Initial, Transition, Winnable,
+from ..encoding import (Constraint, DeadAction, Goal, Initial, Transition, Winnable,
                         action_var_name, belief_var_name, observation_var_name, step_vars)
 from ..refsolver import SmtSyntaxError, numeral, render
 from .session import (
@@ -114,8 +114,6 @@ def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None,
         return _transition(constraint.step, run.model)
     if isinstance(constraint, Goal):
         return _goal(constraint.start_step, constraint.end_step, n, run.objective)
-    if isinstance(constraint, Blocking):
-        return _blocking(constraint.plan, constraint.fail_step)
     if isinstance(constraint, DeadAction) and span is not None:
         return _dead_action(constraint, *span, n, run.objective)
     if isinstance(constraint, Winnable) and root is not None:
@@ -216,22 +214,6 @@ def _goal(start: int, end: int, n: int, objective: SafeReachObjective):
             clauses.extend(_predicate(p, earlier) for p in objective.safe)
         disjuncts.append(_app("and", clauses))
     return _app("or", disjuncts)
-
-
-def _blocking(plan: CandidatePlan, fail_step: int) -> tuple:
-    """Belief equality is kept even though beliefs are determined by the
-    prefix; it is redundant but exact."""
-    s = plan.start_step
-    n = len(plan.beliefs[0])
-    clauses = _pins(step_vars(s, n, start=True).belief_vars, plan.beliefs[0])
-    for step in range(s + 1, fail_step):
-        names, idx = step_vars(step, n), step - s - 1
-        clauses.append(("=", names.action_var, plan.actions[idx]))
-        clauses.append(("=", names.observation_var, plan.observations[idx]))
-        clauses.extend(_pins(names.belief_vars, plan.beliefs[idx + 1]))
-    fail_action = step_vars(fail_step, n).action_var
-    clauses.append(("=", fail_action, plan.actions[fail_step - s - 1]))
-    return ("not", _app("and", clauses))
 
 
 def _dead_action(lemma: DeadAction, start: int, end: int, n: int,

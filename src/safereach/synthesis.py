@@ -2,17 +2,17 @@
 
 The outer loop grows a horizon k from the start step, keeping the
 initial-belief and transition constraints in the persistent solver scope and
-the goal (and any blocking) constraints inside a pushed scope.  Each
-satisfying check answers with a candidate plan; policy generation then
-tries to complete it into a full observation-branching tree by recursively
-synthesizing every off-plan branch.  A failed branch produces a blocking
-constraint that rules the candidate's prefix out for the current horizon;
-when the horizon grows the scope is popped, so previously blocked prefixes
-are revisited with the larger budget.
+the goal and its lemmas inside a pushed scope.  Each satisfying check
+answers with a candidate plan; policy generation then tries to complete it
+into a full observation-branching tree by recursively synthesizing every
+off-plan branch.  A failed branch blocks the candidate's prefix for the
+current horizon by the :class:`~.encoding.DeadAction` lemma it learns, which
+implies the block; when the horizon grows the scope is popped, freeing both,
+so previously blocked prefixes are revisited with the larger budget.
 
 Branch synthesis is bounded by the current horizon k (the bound the outer
 loop hands to policy generation), not by the overall bound h; that is what
-makes popping blocking constraints meaningful.
+makes popping a lemma meaningful.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ def bps(
     by (belief, budget) and ``run.refuted`` each belief's largest budget with
     none, answering any budget up to it with no check.  A goal scope holds
     the goal, the :class:`~.encoding.Winnable` lemma it implies and, before
-    each check, every lemma of ``run.dead_actions`` it lacks.  Every
-    check and every block is recorded in ``run.stats`` here, and nowhere else.
+    each check, every lemma of ``run.dead_actions`` it lacks; a block is sent
+    no solver, as its lemma implies it.  Every check and every block is
+    recorded in ``run.stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
         return None
@@ -170,7 +171,6 @@ def bps(
                     run.memo[memo_key] = tree
                     return tree
                 assert blocking is not None
-                session.add(blocking)
                 cut = blocking.fail_step - start_step
                 stats.blocking_events.append(BlockEvent(
                     horizon=k, fail_step=blocking.fail_step, start_belief=b_init,
@@ -197,12 +197,13 @@ def policy_generation(
     each step the belief is pushed forward once (``run.successors``)
     and every other possible observation spawns a recursive synthesis problem
     from its posterior, bounded by ``bound``, the current horizon.  On the
-    first branch that cannot be completed, returns the blocking constraint
-    for the failing step, for the caller to assert.  Zero-probability
+    first branch that cannot be completed, returns the block at the failing
+    step, for the caller to record.  Zero-probability
     observations get no branch (the belief update is undefined there); every
     one of each walked step is counted in ``run.stats`` and logged.  A
     branch failing at step ``i`` kills its (belief, action) pair at budget
-    ``bound - i + 1``, the steps left before it, in ``run.dead_actions`` and ``run.dead``.
+    ``bound - i + 1``, the steps left there, in ``run.dead_actions`` and
+    ``run.dead``: a lemma that implies the block.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(run.model.observations)
@@ -256,8 +257,8 @@ def synthesis_run(
     pool = SolverPool(config.solver)
     if config.backend == "enum":
         # Enum sessions share the run's one context: its successor cache and
-        # fruitless facts are horizon- and blocking-independent, so sharing
-        # them is sound and saves work.
+        # fruitless facts are horizon-independent, and the lemmas they rest
+        # on only grow, so sharing them is sound and saves work.
         factory: SessionFactory = lambda: EnumerativeSession(run)
     else:
         factory = lambda: SmtLibSession(run, pool)

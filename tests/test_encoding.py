@@ -11,7 +11,7 @@ from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp,
                             SafeReachObjective, belief_update)
 from safereach.domains import build_kitchen
 from safereach.refsolver import render
-from safereach.solver import Sat, enumerative_check
+from safereach.solver import EnumerativeSession, Sat, enumerative_check
 from safereach.solver.smtlib import _app, _ite_chain, lower, serialize
 
 from oracles import (
@@ -304,39 +304,8 @@ def test_goal_satisfiability_monotone_in_horizon(seed):
 
 
 # --------------------------------------------------------------------------
-# Blocking constraint
+# Blocks: a record no solver is sent, implied by the lemma learned with it
 # --------------------------------------------------------------------------
-
-def test_blocking_first_action_has_empty_middle(pickup):
-    model, b_init, _ = pickup
-    plan = CandidatePlan(0, (b_init, belief_update(b_init, 0, 0, model)), (0,), (0,))
-    constraint = enc.blocking_constraint(plan, 1)
-    assert constraint == enc.Blocking(plan, 1)
-    term = serialize(constraint, run_of(model))
-    assert term.startswith("(not ")
-    # blocked: same start belief, same first action
-    env = {enc.belief_var_name(0, j): b_init[j] for j in range(3)}
-    env[enc.action_var_name(1)] = 0
-    assert not eval_term(term, env)
-    env[enc.action_var_name(1)] = 1
-    assert eval_term(term, env)
-
-
-def test_blocking_middle_pins_actions_observations_and_beliefs(pickup):
-    model, b_init, _ = pickup
-    b1 = belief_update(b_init, 1, 0, model)
-    b2 = belief_update(b1, 1, 0, model)
-    plan = CandidatePlan(0, (b_init, b1, b2), (1, 1), (0, 0))
-    term = serialize(enc.blocking_constraint(plan, 2), run_of(model))
-    env = {enc.belief_var_name(0, j): b_init[j] for j in range(3)}
-    env.update({enc.belief_var_name(1, j): b1[j] for j in range(3)})
-    env[enc.action_var_name(1)] = 1
-    env[enc.observation_var_name(1)] = 0
-    env[enc.action_var_name(2)] = 1
-    assert not eval_term(term, env)        # exact prefix is forbidden
-    env[enc.observation_var_name(1)] = 1   # different middle observation escapes
-    assert eval_term(term, env)
-
 
 def test_blocking_fail_step_must_lie_in_span(pickup):
     model, b_init, _ = pickup
@@ -349,12 +318,28 @@ def test_blocking_fail_step_must_lie_in_span(pickup):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_blocked_prefixes_never_reappear(seed):
-    model, b_init, objective, _ = random_instance(random.Random(seed), max_states=3)
-    result = enumerative_check(model, b_init, 0, 2, objective)
-    if not isinstance(result, Sat):
-        return
-    plan = result.plan
-    blocks = [enc.Blocking(plan, 1)]
-    again = enumerative_check(model, b_init, 0, 2, objective, blocks=blocks)
-    if isinstance(again, Sat):
-        assert again.plan.actions[0] != plan.actions[0]
+    """A block at step 1 of horizon 2 is implied by the dead pair of the
+    plan's first action at its start belief with 2 steps left: once that
+    lemma is live, no plan starts with the blocked prefix.  Each seed draws
+    20 problems; a start belief that is a goal binds no lemma, and bps never
+    blocks such a plan."""
+    blocked = 0
+    for index in range(seed * 20, seed * 20 + 20):
+        model, b_init, objective, _ = random_instance(random.Random(index), max_states=3)
+        run = RunContext(model, objective)
+        with EnumerativeSession(run) as session:
+            session.add(enc.initial_constraint(0, b_init))
+            session.add(enc.transition_constraint(0, 1))
+            session.add(enc.transition_constraint(1, 2))
+            session.add(enc.goal_constraint(0, 2))
+            result = session.check()
+            if not isinstance(result, Sat) or run.classify(b_init)[1]:
+                continue
+            plan = result.plan
+            session.add(enc.DeadAction(plan.beliefs[0], plan.actions[0], 2,
+                                       plan.observations[0]))
+            again = session.check()
+        if isinstance(again, Sat):
+            assert again.plan.actions[0] != plan.actions[0], index
+        blocked += 1
+    assert blocked

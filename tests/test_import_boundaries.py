@@ -6,7 +6,8 @@ yardstick the belief kernel is measured against, and the reference term
 evaluator is the one the bundled solver's compiled closures are measured
 against; each promise holds only while the imports (and calls) below stay
 out.  Neither the validator nor the dense oracle reads the support
-abstraction that the smtlib backend's lemmas are built from.
+abstraction that the smtlib backend's lemmas are built from, and no solver
+backend reads a block: the lemma learned with it implies it.
 """
 
 from __future__ import annotations
@@ -102,3 +103,9 @@ def test_support_table_names_are_seen():
                          ids=["validator", "dense oracle"])
 def test_trust_anchors_read_no_support_table(path):
     assert not names_used(tree_of(path)) & SUPPORT_TABLE
+
+
+def test_no_solver_backend_names_a_block():
+    modules = sorted((PACKAGE / "solver").glob("*.py"))
+    assert len(modules) >= 4
+    assert [path.name for path in modules if "Blocking" in names_used(tree_of(path))] == []

@@ -661,7 +661,7 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     A pruning change moves these counts on purpose."""
     from safereach import build_kitchen
     from safereach.core import RunContext
-    from safereach.encoding import Blocking, DeadAction, Goal, Initial, Transition
+    from safereach.encoding import DeadAction, Goal, Initial, Transition
     from safereach.solver import smtlib
 
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
@@ -681,10 +681,10 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     def send(command):
         session.run(iter([command, None]).__next__, answers.append)
 
-    def assert_(constraint):
+    def assert_(constraint, *span):
         for declaration in smtlib._declarations(constraint, len(model.states)):
             send(declaration)
-        send(("assert", smtlib.lower(constraint, run)))
+        send(("assert", smtlib.lower(constraint, run, *span)))
 
     def model_text():
         """The model answer in the layout the program once wrote it in, one
@@ -703,7 +703,7 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
             send(smtlib.POP)
     first = model_text()
     plan = smtlib._decode_plan(smtlib.parse_model(answers[-1]), 0, 2, model)
-    assert_(Blocking(plan, 2))
+    assert_(DeadAction(plan.beliefs[1], plan.actions[1], 1, plan.observations[1]), (0, 2))
     send(smtlib.CHECK_SAT)
     second = model_text()
 
@@ -724,16 +724,15 @@ def _encoder_traffic():
     """``(run, constraints, path)`` for pickup, kitchen 2x2 det and noisy and
     20 random instances: every kind of constraint the encoder lowers over
     steps 0..2, and the first two-step path of the oracle's enumeration as
-    ``(actions, observations, beliefs)``, which the blocking constraint
-    blocks.  Of the two lemmas, one has eligible steps and one lowers to
-    ``true``."""
+    ``(actions, observations, beliefs)``.  Of the two lemmas, one has
+    eligible steps and one lowers to ``true``."""
     import random
 
     from oracles import enumerate_plans, random_instance
 
     from safereach import build_kitchen, build_pickup_example
-    from safereach.core import CandidatePlan, RunContext
-    from safereach.encoding import Blocking, DeadAction, Goal, Initial, Transition
+    from safereach.core import RunContext
+    from safereach.encoding import DeadAction, Goal, Initial, Transition
 
     kitchen = (2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     rng = random.Random(7)
@@ -744,9 +743,8 @@ def _encoder_traffic():
     assert any(model.availability is not None for model, _, _ in problems)
     for model, b_init, objective in problems:
         actions, observations, beliefs = path = next(enumerate_plans(model, b_init, 2))
-        plan = CandidatePlan(0, beliefs, actions, observations)
         constraints = (Initial(0, b_init), Transition(1), Transition(2), Goal(0, 2),
-                       Blocking(plan, 2), DeadAction(beliefs[1], actions[1], 2, observations[1]),
+                       DeadAction(beliefs[1], actions[1], 2, observations[1]),
                        DeadAction(b_init, 0, 0, 0))
         yield RunContext(model, objective), constraints, path
 
@@ -771,8 +769,7 @@ def test_the_encoders_terms_and_their_text_are_one_problem():
     term with the same text.  An assertion compiles, from its term as the
     bundled solver is handed it and from its text as a solver process reads
     it, to conjuncts with the same names, integer bounds and values on the
-    oracle's path, where the unfolding holds and the blocked path is
-    blocked."""
+    oracle's path, where the unfolding holds."""
     from oracles import satisfies_bounded, transition_env
 
     from safereach.solver import smtlib
@@ -797,10 +794,9 @@ def test_the_encoders_terms_and_their_text_are_one_problem():
             assert conjuncts(parse(text)[1], env) == from_term, text
             values.append([value for _, _, value in from_term])
             commands.extend(smtlib._declarations(constraint, len(run.model.states)))
-        initial, first, second, goal, blocking, eligible, true = values
+        initial, first, second, goal, eligible, true = values
         assert all(initial + first + second)
         assert goal == [satisfies_bounded(beliefs, run.objective)]
-        assert blocking == [False]
         lemma_forms.add((len(eligible), tuple(true)))
     assert {count for count, _ in lemma_forms} == {2} and {t for _, t in lemma_forms} == {(True,)}
     for command in commands:

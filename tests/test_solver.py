@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -64,14 +65,14 @@ def test_popped_scope_leaves_no_trace(pickup, backend, pool):
         session.push()
         session.add(enc.goal_constraint(0, 1))
         plan = session.check().plan
-        session.add(enc.blocking_constraint(plan, 1))
+        session.add(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
         blocked = session.check().plan
         assert blocked.actions[0] != plan.actions[0]
         session.pop()
         session.push()
         session.add(enc.goal_constraint(0, 1))
         fresh = session.check().plan
-        assert fresh == plan  # the block is gone with its scope
+        assert fresh == plan  # the lemma is gone with its scope
         session.pop()
 
 
@@ -104,7 +105,10 @@ def test_transition_outside_scope_persists_across_horizons(pickup):
 
 def test_random_scope_sequences_agree_across_backends(pool):
     """Differential: 100 random interleavings of push/assert/check/pop give
-    the same verdict and the same plan on both backends."""
+    the same verdict and the same plan on both backends.  A lemma, at the
+    budget of a block on one step of the last plan, is added only while a
+    goal is live, as ``bps`` adds it: with no goal the enum search counts
+    the goal as fired from the start, where no lemma binds."""
     for seed in range(100):
         rng = random.Random(seed)
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
@@ -114,20 +118,25 @@ def test_random_scope_sequences_agree_across_backends(pool):
         for session in (enum, smt):
             load_session(session, b_init, horizon)
         depth = 0
-        plan = None
-        for _ in range(8):
-            op = rng.choice(["push", "pop", "goal", "block", "check"])
+        goal_depth = plan = None  # the depth of the oldest live goal's scope
+        for _ in range(16):
+            op = rng.choice(["push", "pop", "goal", "lemma", "check"])
             if op == "push":
                 enum.push(), smt.push()
                 depth += 1
             elif op == "pop" and depth:
                 enum.pop(), smt.pop()
                 depth -= 1
+                if goal_depth is not None and goal_depth > depth:
+                    goal_depth = None
             elif op == "goal" and depth:
                 c = enc.goal_constraint(0, horizon)
                 enum.add(c), smt.add(c)
-            elif op == "block" and depth and plan is not None:
-                c = enc.blocking_constraint(plan, rng.randint(1, plan.end_step))
+                goal_depth = depth if goal_depth is None else goal_depth
+            elif op == "lemma" and goal_depth is not None and plan is not None:
+                j = rng.randrange(len(plan.actions))
+                c = enc.DeadAction(plan.beliefs[j], plan.actions[j], horizon - j,
+                                   plan.observations[j])
                 enum.add(c), smt.add(c)
             elif op == "check":
                 a, b = enum.check(), smt.check()
@@ -199,7 +208,7 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sen
             session.push()
             session.add(enc.goal_constraint(0, 1))
             plan = session.check().plan
-            session.add(enc.blocking_constraint(plan, 1))
+            session.add(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
             assert isinstance(session.check(), Sat)
         assert len(lowered) == 5  # once per add, never on replay
         # From scratch, each check replays into the one process, reset.
@@ -306,12 +315,13 @@ def session_in(mode, run):
                                   "transition"])
 def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, kind):
     """Every mode refuses, when it is added, a constraint over a step that the
-    live unfolding (here steps 0..1) does not hold, and keeps going."""
+    live unfolding (here steps 0..1) does not hold, and keeps going.  A
+    block, even over steps unfolded, is no constraint: its lemma implies it."""
     model, b_init, objective = pickup
     plan = CandidatePlan(0, (b_init, b_init, b_init), (0, 0), (0, 0))
     bad = {"goal": enc.goal_constraint(0, 2), "winnable": enc.Winnable(0, 2),
            "late winnable": enc.Winnable(1, 1),  # a Winnable starts at the initial belief
-           "block": enc.blocking_constraint(plan, 2),
+           "block": enc.blocking_constraint(plan, 1),
            "lemma": enc.DeadAction(b_init, 0, 1, 0),
            "transition": enc.transition_constraint(2, 3)}[kind]
     with session_in(mode, RunContext(model, objective)) as session:
@@ -321,7 +331,11 @@ def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, 
         session.add(enc.initial_constraint(0, b_init))
         session.add(enc.transition_constraint(0, 1))
         session.push()
-        if kind != "lemma":
+        if kind == "block":
+            assert enc.Blocking not in get_args(enc.Constraint)
+            with pytest.raises(SolverUsageError, match="unsupported constraint"):
+                session.add(bad)
+        elif kind != "lemma":
             with pytest.raises(SolverUsageError, match="do not fit the unfolded 0..1|not 3"):
                 session.add(bad)
         session.add(enc.goal_constraint(0, 1))
@@ -393,13 +407,6 @@ def smt_plans(run, unfolding, scopes, horizon, pool):
     return found
 
 
-def _blocks(blocking, plan):
-    cut = blocking.fail_step - blocking.plan.start_step
-    actions, observations = plan
-    return (actions[:cut] == blocking.plan.actions[:cut]
-            and observations[:cut - 1] == blocking.plan.observations[:cut - 1])
-
-
 def _takes_dead_pair(lemma, horizon, objective, actions, beliefs):
     """Does the path take the lemma's action at its belief, at a step j with
     ``horizon - j <= budget``, before the goal has fired?"""
@@ -412,7 +419,7 @@ def _takes_dead_pair(lemma, horizon, objective, actions, beliefs):
 
 
 def _agreement_problems():
-    """(name, model, initial belief, objective, horizon, fail step to block)."""
+    """(name, model, initial belief, objective, horizon, step of the lemma's action)."""
     for seed in range(50):
         model, b_init, objective, _ = random_instance(random.Random(seed))
         for horizon in (1, 2):
@@ -421,12 +428,12 @@ def _agreement_problems():
 
 
 def test_smt_unfolding_admits_exactly_the_oracle_plans(pool):
-    """Every plan the SMT-LIB unfolding admits, alone, with one blocked
-    prefix and with one dead-pair lemma, is a plan of the dense oracle that
-    the constraint allows, and the other way round; the enum backend answers
-    with the smallest of them.  The lemma sits on the blocked step, with a
-    budget that leaves that step one short of eligible, just eligible or
-    eligible with one to spare."""
+    """Every plan the SMT-LIB unfolding admits, alone and with one dead-pair
+    lemma, is a plan of the dense oracle that the lemma allows, and the
+    other way round; the enum backend answers with the smallest of them.
+    The lemma sits on one step of the smallest plan, with a budget that
+    leaves that step one short of eligible, just eligible or eligible with
+    one to spare."""
     smallest = lambda plans: min(plans, key=lambda plan: tuple(zip(*plan)))
     for index, (name, model, b_init, objective, horizon, fail_step) \
             in enumerate(_agreement_problems()):
@@ -435,38 +442,34 @@ def test_smt_unfolding_admits_exactly_the_oracle_plans(pool):
         result = enumerative_check(model, b_init, 0, horizon, objective)
         if not expected:
             assert isinstance(result, Unsat), label
-            # Nothing to block: block the first path, goal or not.
+            # No plan: put the lemma on the first path, goal or not.
             actions, observations, beliefs = next(enumerate_plans(model, b_init, horizon))
             plan = CandidatePlan(0, beliefs, actions, observations)
         else:
             plan = result.plan
             assert (plan.actions, plan.observations) == smallest(expected), label
-        blocking = enc.blocking_constraint(plan, fail_step)
         step = fail_step - 1
         lemma = enc.DeadAction(plan.beliefs[step], plan.actions[step],
                                horizon - fail_step + index % 3, plan.observations[step])
         unfolding = [enc.initial_constraint(0, b_init),
                      *(enc.transition_constraint(i - 1, i) for i in range(1, horizon + 1)),
                      enc.goal_constraint(0, horizon)]
-        admitted, admitted_blocked, admitted_alive = smt_plans(
-            RunContext(model, objective), unfolding, [[], [blocking], [lemma]], horizon, pool)
+        admitted, admitted_alive = smt_plans(
+            RunContext(model, objective), unfolding, [[], [lemma]], horizon, pool)
         assert admitted == expected, label
-        unblocked = {plan for plan in expected if not _blocks(blocking, plan)}
-        assert admitted_blocked == unblocked, label
         alive = {(actions, observations)
                  for actions, observations, beliefs in enumerate_plans(model, b_init, horizon)
                  if satisfies_bounded(beliefs, objective)
                  and not _takes_dead_pair(lemma, horizon, objective, actions, beliefs)}
         assert admitted_alive == alive, label
-        for constraint, allowed in ((blocking, unblocked), (lemma, alive)):
-            with EnumerativeSession(RunContext(model, objective)) as session:
-                load_session(session, b_init, horizon, goal=True)
-                session.add(constraint)
-                result = session.check()
-            if allowed:
-                assert (result.plan.actions, result.plan.observations) == smallest(allowed), label
-            else:
-                assert isinstance(result, Unsat), label
+        with EnumerativeSession(RunContext(model, objective)) as session:
+            load_session(session, b_init, horizon, goal=True)
+            session.add(lemma)
+            result = session.check()
+        if alive:
+            assert (result.plan.actions, result.plan.observations) == smallest(alive), label
+        else:
+            assert isinstance(result, Unsat), label
 
 
 @pytest.mark.parametrize("backend", ["enum", "smtlib"])
@@ -512,10 +515,14 @@ def test_enumerative_first_plan_is_lexicographic(pickup):
 
 
 def test_enumerative_after_block_picks_right_hand(pickup):
+    """Blocking the left hand at horizon 1 is its dead pair with 1 step left."""
     model, b_init, objective = pickup
     first = enumerative_check(model, b_init, 0, 1, objective).plan
-    plan = enumerative_check(model, b_init, 0, 1, objective,
-                             blocks=[enc.Blocking(first, 1)]).plan
+    with EnumerativeSession(RunContext(model, objective)) as session:
+        load_session(session, b_init, 1, goal=True)
+        session.add(enc.DeadAction(b_init, first.actions[0], 1,
+                                   model.observations.index("o_neg")))
+        plan = session.check().plan
     assert (plan.actions, plan.observations) == ((1,), (0,))
 
 
@@ -534,8 +541,9 @@ def test_unreachable_goal_stays_unsat():
 
 
 def test_shared_fruitless_cache_keeps_every_plan():
-    """A subtree cached as fruitless under a block must not hide a plan from
-    a later session that shares the run context but has no block."""
+    """A subtree cached as fruitless under a private lemma, one the run has
+    not learned, must not hide a plan from a later session that shares the
+    run context but holds no lemma."""
     cases = 0
     for seed in range(60):
         model, b_init, objective, h = random_instance(random.Random(seed))
@@ -548,7 +556,8 @@ def test_shared_fruitless_cache_keeps_every_plan():
                     continue
                 plan = first.plan
                 blocked.push()
-                blocked.add(enc.blocking_constraint(plan, plan.end_step))
+                blocked.add(enc.DeadAction(plan.beliefs[-2], plan.actions[-1], 1,
+                                           plan.observations[-1]))
                 blocked.check()
                 blocked.pop()
             with EnumerativeSession(run) as fresh:

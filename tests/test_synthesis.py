@@ -120,7 +120,7 @@ def test_pickup_synthesizes_right_hand_policy(pickup, backend):
     assert {model.observations[o] for o in policy.children} == {"o_pos", "o_neg"}
     for child in policy.children.values():
         assert child.goal_reached and child.is_leaf()
-    # the left hand was proposed first and rejected through a blocking constraint
+    # the left hand was proposed first and blocked
     assert any(e.actions[0] == model.action_index("pick_left")
                for e in result.stats.blocking_events)
     # hand-enumerated counts for this run
@@ -260,6 +260,38 @@ def test_blocks_are_not_reproposed_within_a_horizon(pickup):
     events = [(e.horizon, e.start_belief.probs, e.actions, e.observations)
               for e in result.stats.blocking_events]
     assert len(events) == len(set(events))
+
+
+def test_each_block_is_carried_by_the_lemma_learned_with_it(monkeypatch):
+    """For every block ``policy_generation`` returns on the golden enum runs
+    (200 random problems and four kitchens), the lemma it appended last is
+    the blocked prefix's last pair, at budget ``bound - i + 1``, the steps
+    left there; no belief of the prefix before step ``i`` is a goal, so the
+    lemma binds that prefix; and ``run.dead`` holds it.  No block is sent
+    to a solver, so this is what keeps ``bps`` from proposing the candidate
+    again at this horizon."""
+    import golden
+
+    generate, blocks = synthesis.policy_generation, []
+
+    def checked(run, plan, bound, session_factory):
+        tree, blocking = generate(run, plan, bound, session_factory)
+        if blocking is not None:
+            i = blocking.fail_step
+            j = i - 1 - plan.start_step
+            lemma = run.dead_actions[-1]
+            assert (lemma.belief, lemma.action, lemma.budget) \
+                == (plan.beliefs[j], plan.actions[j], bound - i + 1), blocking
+            assert not any(run.classify(belief)[1] for belief in plan.beliefs[:j + 1])
+            assert run.dead[lemma.belief][lemma.action] >= lemma.budget
+            blocks.append(blocking)
+        return tree, blocking
+
+    monkeypatch.setattr(synthesis, "policy_generation", checked)
+    for group in ("enum-random", "enum-kitchen"):
+        for name, thunk in golden.runs(group):
+            assert thunk().verdict != "error", name
+    assert len(blocks) >= 50 and any(bl.fail_step > bl.plan.start_step + 1 for bl in blocks)
 
 
 # --------------------------------------------------------------------------
