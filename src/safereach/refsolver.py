@@ -14,18 +14,26 @@ declaration order with exact ``Fraction`` arithmetic and three-valued
 constraint evaluation for pruning.
 
 Each assertion is compiled once, when it is asserted, and kept in its
-``push`` frame, so ``pop`` drops it and ``reset`` clears it.  The compiled
-closures are the one interpreter (:class:`Compiler`): each top-level
-conjunct becomes one step over the partial assignment, built in one walk
-that also collects the variables the search watches it on.  A conjunct
-compiles when it uses only the operators the driver writes (``and``,
-``or``, ``not``, ``+``, ``*``, binary ``=``, ``<`` and ``<=``, and ``ite``
-chains over one selector ``(= x k)`` or a selector pair, which become dict
-lookups) over variables, bools and numerals (:func:`numeral`).  Any other
-conjunct, such as ``=>``, ``-`` over variables or ``>``, is outside the
-fragment: ``check-sat`` answers ``unknown`` while one is live, rather than
-a wrong answer.  An assertion that names an undeclared constant is
-answered with an error and not kept.
+``push`` frame, so ``pop`` drops it and ``reset`` clears it.  A session
+keeps one :class:`Search` until ``reset``: each frame's declarations,
+constraints, watch lists, integer bounds and root propagation, on a trail
+level of its own, so ``pop`` restores the level below exactly and
+``check-sat`` propagates only the assertions since the last one.  A
+``check-sat`` that follows a ``sat`` answer with only assertions between
+starts its search at that model's integer assignment: every earlier one was
+refuted under a subset of the live assertions.  A declaration, ``push``,
+``pop`` or ``reset`` drops that point, as does a search that met an
+inconclusive leaf.  The compiled closures are the one interpreter
+(:class:`Compiler`): each top-level conjunct becomes one step over the
+partial assignment, built in one walk that also collects the variables the
+search watches it on.  A conjunct compiles when it uses only the operators
+the driver writes (``and``, ``or``, ``not``, ``+``, ``*``, binary ``=``,
+``<`` and ``<=``, and ``ite`` chains over one selector ``(= x k)`` or a
+selector pair, which become dict lookups) over variables, bools and numerals
+(:func:`numeral`).  Any other conjunct, such as ``=>``, ``-`` over variables
+or ``>``, is outside the fragment: ``check-sat`` answers ``unknown`` while
+one is live, rather than a wrong answer.  An assertion that names an
+undeclared constant is answered with an error and not kept.
 
 Commands and answers are terms; text is what a pipe carries.  The program
 reads its commands with :class:`CommandReader`, which :func:`parse_tokens`
@@ -605,49 +613,96 @@ PARENT_POLL_NODES = 1000
 
 
 class Search:
-    def __init__(self, decls: dict[str, str], constraints: list[Constraint],
+    """The search state of a session, kept from one ``check-sat`` to the next.
+
+    A frame's new constraints are propagated on its own trail level, by
+    :meth:`run` or when the next frame opens, so no lower frame's propagation
+    fires a higher frame's constraints.  :meth:`run` searches above the top
+    level and unwinds back to it, also when it is cut off.
+    """
+
+    def __init__(self, decls: dict[str, str] | None = None, constraints=(),
                  parent: int | None = None, deadline: float | None = None) -> None:
-        self.decls = decls
         # The driver's pid; the search exits once this process's parent changes.
         self.parent = parent
         # A time.monotonic() reading; the search raises TimeoutError past it.
         self.deadline = deadline
         self.nodes = 0
-        self.constraints = constraints
-        self.tests = [c.test for c in constraints]
-        self.watch: dict[str, list[int]] = {name: [] for name in decls}
-        for cid, c in enumerate(constraints):
-            for name in c.names:
-                if name in self.watch:
-                    self.watch[name].append(cid)
+        self.decls: dict[str, str] = {}
+        self.int_vars: list[str] = []
+        self.tests: list = []
+        self.watch: dict[str, list[int]] = {}
+        self.lo, self.hi = {}, {}  # the integer bounds, by name
         self.env: dict[str, object] = {}
         self.satisfied: set[int] = set()
-        self.trail: list[tuple[list[str], list[int]]] = []
+        # One level per frame, its root propagation, then one per search node.
+        self.trail: list[tuple[list[str], list[int]]] = [([], [])]
+        # Per frame: its declared names, its first constraint, the bounds below it.
+        self.frames: list[tuple[list[str], int, dict, dict]] = [([], 0, {}, {})]
+        self.settled = 0  # the constraints before this one are propagated
+        self.failed: int | None = None  # the lowest frame whose root propagation failed
+        self.resume: dict | None = None  # the last sat model: where the next search starts
         self.inconclusive = False
-        self.int_vars = [n for n in decls if decls[n] == "Int"]
-        self.bounds = self._int_bounds()
+        for name, sort in (decls or {}).items():
+            self.declare(name, sort)
+        self.add(constraints)
 
-    def _int_bounds(self) -> dict[str, tuple[int, int]]:
-        # A top-level pin (= x k) needs no bound: run() assigns it by
-        # propagation before the search reads any bound.
-        lo: dict[str, int] = {}
-        hi: dict[str, int] = {}
-        for constraint in self.constraints:
-            if constraint.bound is None:
-                continue
-            head, av, bv = constraint.bound
-            if isinstance(bv, str):
-                base = av if head == "<=" else av + 1
-                lo[bv] = max(lo.get(bv, base), base)
-            else:
-                cap = bv if head == "<=" else bv - 1
-                hi[av] = min(hi.get(av, cap), cap)
-        return {name: (lo[name], hi[name]) for name in self.int_vars if name in lo and name in hi}
+    # -- the frames ------------------------------------------------------------
+
+    def declare(self, name: str, sort: str) -> None:
+        self.decls[name] = sort
+        self.watch[name] = []
+        if sort == "Int":
+            self.int_vars.append(name)
+        self.frames[-1][0].append(name)
+        self.resume = None
+
+    def add(self, constraints) -> None:
+        """Keep ``constraints``, over declared names, in the top frame."""
+        for c in constraints:
+            for name in c.names:
+                self.watch[name].append(len(self.tests))
+            self.tests.append(c.test)
+            if c.bound is not None:
+                head, av, bv = c.bound
+                if isinstance(bv, str):
+                    base = av if head == "<=" else av + 1
+                    self.lo[bv] = max(self.lo.get(bv, base), base)
+                else:
+                    cap = bv if head == "<=" else bv - 1
+                    self.hi[av] = min(self.hi.get(av, cap), cap)
+
+    def push(self) -> None:
+        self._settle()
+        self.frames.append(([], len(self.tests), dict(self.lo), dict(self.hi)))
+        self.trail.append(([], []))
+        self.resume = None
+
+    def pop(self, count: int) -> None:
+        for _ in range(count):
+            names, first, self.lo, self.hi = self.frames.pop()
+            self._pop_level()
+            del self.tests[first:]
+            for name in names:
+                del self.decls[name], self.watch[name]
+            for cids in self.watch.values():
+                while cids and cids[-1] >= first:
+                    cids.pop()
+            self.settled = first
+        self.int_vars = [name for name in self.int_vars if name in self.decls]
+        if self.failed is not None and self.failed >= len(self.frames):
+            self.failed = None
+        self.resume = None
+
+    def _settle(self) -> None:
+        """Propagate the constraints added since the last settling, on the top frame's level."""
+        pending = {cid for cid in range(self.settled, len(self.tests))
+                   if self.tests[cid] is not None}
+        self.settled = len(self.tests)
+        if pending and self.failed is None and not self._propagate(pending):
+            self.failed = len(self.frames) - 1
 
     # -- trail management --------------------------------------------------
-
-    def _push_level(self) -> None:
-        self.trail.append(([], []))
 
     def _pop_level(self) -> None:
         names, cids = self.trail.pop()
@@ -657,17 +712,14 @@ class Search:
             self.satisfied.discard(cid)
 
     def _assign(self, name: str, value) -> bool:
-        sort = self.decls.get(name)
-        if sort == "Int":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    return False
-                value = int(value)
-            elif type(value) is bool:
+        if type(value) is bool:
+            return False  # no value of a number constant
+        sort = self.decls[name]
+        if sort == "Int" and type(value) is Fraction:
+            if value.denominator != 1:
                 return False
+            value = int(value)
         elif sort == "Real" and type(value) is not Fraction:
-            if type(value) is bool:
-                return False
             value = Fraction(value)
         self.env[name] = value
         self.trail[-1][0].append(name)
@@ -675,14 +727,10 @@ class Search:
 
     # -- propagation --------------------------------------------------------
 
-    def _propagate(self, seeds: list[str]) -> bool:
-        """Run the steps of constraints touching newly assigned vars; returns False on conflict."""
-        queue = set()
-        for name in seeds:
-            queue.update(self.watch.get(name, ()))
-        if not seeds:
-            queue = set(range(len(self.constraints)))
-        env, tests, satisfied = self.env, self.tests, self.satisfied
+    def _propagate(self, queue: set[int]) -> bool:
+        """Run the steps of the queued constraints and of those watching a
+        variable this assigns; returns False on conflict."""
+        env, tests, satisfied, watch = self.env, self.tests, self.satisfied, self.watch
         done = self.trail[-1][1]
         while queue:
             cid = queue.pop()
@@ -702,41 +750,59 @@ class Search:
                     # Solved exactly for its unknown: the equation now holds.
                     satisfied.add(cid)
                     done.append(cid)
-                    queue.update(self.watch.get(name, ()))
+                    queue.update(watch[name])
         return True
 
     # -- search --------------------------------------------------------------
 
     def run(self) -> tuple[str, dict]:
-        self._push_level()
-        if not self._propagate([]):
+        """The answer to ``check-sat`` over the live frames, with its model."""
+        self.nodes = 0
+        if None in self.tests:
+            return "unknown", {}  # a conjunct outside the fragment
+        self._settle()
+        if self.failed is not None:
             return "unsat", {}
         self._check_deadline()
-        todo = [n for n in self.int_vars if n not in self.env]
-        for name in todo:
-            if name not in self.bounds:
-                return "unknown", {}
-        verdict = self._dfs(todo, 0)
-        if verdict is not None:
-            return "sat", verdict
-        return ("unknown", {}) if self.inconclusive else ("unsat", {})
+        if any(name not in self.env and not (name in self.lo and name in self.hi)
+               for name in self.int_vars):
+            return "unknown", {}  # an integer with no bounds to search
+        resume, self.resume = self.resume, None
+        self.inconclusive = False
+        root = len(self.trail)
+        try:
+            model = self._dfs(0, resume)
+        finally:
+            while len(self.trail) > root:
+                self._pop_level()
+        if model is None:
+            return ("unknown", {}) if self.inconclusive else ("unsat", {})
+        if not self.inconclusive:
+            self.resume = model
+        return "sat", model
 
-    def _dfs(self, todo: list[str], depth: int):
-        if depth == len(todo):
+    def _dfs(self, depth: int, resume: dict | None):
+        """The first model from ``int_vars[depth]`` on, in ascending order,
+        that does not come before ``resume``'s integer assignment."""
+        if depth == len(self.int_vars):
             return self._leaf()
-        name = todo[depth]
-        if name in self.env:  # pinned by propagation
-            return self._dfs(todo, depth + 1)
-        lo, hi = self.bounds[name]
-        for value in range(lo, hi + 1):
+        name = self.int_vars[depth]
+        at = None if resume is None else resume[name]
+        pinned = self.env.get(name)
+        if pinned is not None:  # by propagation
+            if at is not None and pinned < at:
+                return None  # every assignment below comes before the resume point
+            return self._dfs(depth + 1, resume if pinned == at else None)
+        lo, hi = self.lo[name], self.hi[name]
+        for value in range(lo if at is None else max(lo, at), hi + 1):
             self.nodes += 1
             self._check_deadline()
             if self.nodes % PARENT_POLL_NODES == 0:
                 self._check_parent()
-            self._push_level()
+            self.trail.append(([], []))
             self._assign(name, value)
-            if self._propagate([name]):
-                found = self._dfs(todo, depth + 1)
+            if self._propagate(set(self.watch[name])):
+                found = self._dfs(depth + 1, resume if value == at else None)
                 if found is not None:
                     return found
             self._pop_level()
@@ -751,10 +817,8 @@ class Search:
             os._exit(1)  # orphaned: nobody is left to read the answer
 
     def _leaf(self):
-        trial = dict(self.env)
-        for name, sort in self.decls.items():
-            if name not in trial:
-                trial[name] = 0 if sort == "Int" else Fraction(0)
+        trial = {name: 0 if sort == "Int" else _ZERO for name, sort in self.decls.items()}
+        trial.update(self.env)
         for cid, test in enumerate(self.tests):
             if cid not in self.satisfied and test(trial) is not True:
                 self.inconclusive = True
@@ -817,21 +881,11 @@ class Session:
         self.reset()
 
     def reset(self) -> None:
-        # One frame per push level: its declarations and its assertions,
-        # compiled, so pop drops both.
-        self.frames: list[tuple[dict[str, str], list[Constraint]]] = [({}, [])]
+        # Every push frame, with its root propagation, until the next reset.
+        self.search = Search(parent=self.parent)
         # The model of the last sat check; any change to the assertion stack
         # since then drops it, so get-model answers with an error.
         self.last_model: dict | None = None
-
-    def all_decls(self) -> dict[str, str]:
-        return {name: sort for decls, _ in self.frames for name, sort in decls.items()}
-
-    def declared(self, name: str) -> bool:
-        return any(name in decls for decls, _ in self.frames)
-
-    def all_constraints(self) -> list[Constraint]:
-        return [c for _, constraints in self.frames for c in constraints]
 
     def run(self, next_command, answer, deadline: float | None = None) -> bool:
         """Run the commands ``next_command()`` gives, handing each answer
@@ -878,42 +932,38 @@ class Session:
                 return _error("only 0-ary functions supported")
             if sort not in ("Int", "Real"):
                 return _error(f"unsupported sort {sort}")
-            if self.declared(name):
+            if name in self.search.decls:
                 return _error(f"{name} is already declared")  # and change nothing
-            self.frames[-1][0][name] = sort
+            self.search.declare(name, sort)
             self.last_model = None
         elif head == "assert":
             constraints = compile_assertion(cmd[1])
             names = {name for c in constraints for name in c.names}
-            undeclared = sorted(name for name in names if not self.declared(name))
+            undeclared = sorted(name for name in names if name not in self.search.decls)
             if undeclared:
                 return _error(f"undeclared constant {undeclared[0]}")  # and keep nothing
-            self.frames[-1][1].extend(constraints)
+            self.search.add(constraints)
             self.last_model = None
         elif head == "push":
             for _ in range(cmd[1] if len(cmd) > 1 else 1):
-                self.frames.append(({}, []))
+                self.search.push()
             self.last_model = None
         elif head == "pop":
             count = cmd[1] if len(cmd) > 1 else 1
-            if count >= len(self.frames):
+            if count >= len(self.search.frames):
                 return _error("pop on empty stack")  # and change nothing
-            del self.frames[len(self.frames) - count:]
+            self.search.pop(count)
             self.last_model = None
         elif head == "check-sat":
-            constraints = self.all_constraints()
-            if any(c.test is None for c in constraints):
-                verdict, model = "unknown", {}  # a conjunct outside the fragment
-            else:
-                verdict, model = Search(self.all_decls(), constraints, self.parent,
-                                        deadline).run()
+            self.search.deadline = deadline
+            verdict, model = self.search.run()
             self.last_model = model if verdict == "sat" else None
             return verdict
         elif head == "get-model":
             if self.last_model is None:
                 return _error("no model available")
             return tuple(("define-fun", name, (), sort, self.last_model[name])
-                         for name, sort in sorted(self.all_decls().items()))
+                         for name, sort in sorted(self.search.decls.items()))
         elif head == "get-info":
             return (cmd[1], '"bounded-enumeration solver"')
         elif head == "echo":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union, get_args
 
 from ..core import Belief, CandidatePlan, RunContext
-from ..encoding import Constraint, DeadAction, Initial, Transition, Winnable
+from ..encoding import Constraint, DeadAction, Goal, Initial, Transition, Winnable
 
 _CONSTRAINTS = get_args(Constraint)
 
@@ -89,23 +89,29 @@ class SolverSession(ABC):
         self.model = run.model
         self._frames: list[list[tuple[Constraint, object]]] = [[]]
         self._span: Optional[tuple[Belief, int, int]] = None
-        self._spans: list = []  # the span at each open scope's push
+        self._goal = False  # whether a Goal is live
+        self._saved: list = []  # the span and goal at each open scope's push
         self._closed = False
 
     def add(self, constraint: Constraint) -> None:
         """Assert a constraint into the current (top) scope.  It may name only
-        steps already unfolded (:meth:`_unfold`): its initial belief comes first."""
+        steps already unfolded (:meth:`_unfold`): its initial belief comes first.
+        A lemma, a :class:`DeadAction` or :class:`Winnable`, needs a live goal."""
         self._guard()
         if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
-        self._span = self._unfold(constraint)
+        span = self._unfold(constraint)
+        if isinstance(constraint, (DeadAction, Winnable)) and not self._goal:
+            raise SolverUsageError(f"{type(constraint).__name__} added with no live Goal")
+        self._span = span
+        self._goal = self._goal or isinstance(constraint, Goal)
         self._frames[-1].append((constraint, self._admit(constraint)))
 
     def push(self) -> None:
         """Open a new scope."""
         self._guard()
         self._frames.append([])
-        self._spans.append(self._span)
+        self._saved.append((self._span, self._goal))
         self._pushed()
 
     def pop(self) -> None:
@@ -114,7 +120,7 @@ class SolverSession(ABC):
         if len(self._frames) <= 1:
             raise SolverUsageError("pop with no matching push")
         self._frames.pop()
-        self._span = self._spans.pop()
+        self._span, self._goal = self._saved.pop()
         self._popped()
 
     @abstractmethod

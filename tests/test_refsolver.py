@@ -108,6 +108,7 @@ def test_push_pop_scope_isolation():
 (assert (and (<= 0 a) (< a 2)))
 (push 1)
 (assert (= a 1))
+(pop 0)
 (check-sat)
 (pop 1)
 (assert (= a 0))
@@ -658,7 +659,9 @@ def test_each_compiled_conjunct_steps_like_the_reference(parts, environments):
 def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     """The assertions the incremental driver's first solver process gets for
     kitchen 2x2 det h4, fed in-process: nodes per check and models are fixed.
-    A pruning change moves these counts on purpose."""
+    The check after the lemma resumes at the previous model, so it walks
+    none of the assignments before it.  A pruning change moves these counts
+    on purpose."""
     from safereach import build_kitchen
     from safereach.core import RunContext
     from safereach.encoding import DeadAction, Goal, Initial, Transition
@@ -707,13 +710,169 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     send(smtlib.CHECK_SAT)
     second = model_text()
 
-    assert nodes == [0, 34, 118, 119]
+    assert nodes == [0, 34, 118, 5]
     verdicts = [answer for answer in answers if answer in ("sat", "unsat")]
     assert verdicts == ["unsat", "unsat", "sat", "sat"]
     assert (plan.actions, plan.observations) == ((3, 8), (2, 0))
     assert "(define-fun a_2 () Int 9)" in second
     assert hashlib.sha256(first.encode()).hexdigest()[:16] == "80eb4c1f5182a79b"
     assert hashlib.sha256(second.encode()).hexdigest()[:16] == "9433a431821a62da"
+
+
+# --------------------------------------------------------------------------
+# One long-lived session against a fresh one at every check
+# --------------------------------------------------------------------------
+
+CHECK_AND_MODEL = (("check-sat",), ("get-model",))
+
+
+def ask(session: Session, commands, deadline: float | None = None) -> list:
+    """The answers of ``session`` to ``commands``."""
+    answers, queued = [], iter(commands)
+    session.run(lambda: next(queued, None), answers.append, deadline)
+    return answers
+
+
+def bps_streams(problems, monkeypatch) -> list[list]:
+    """The commands ``bps`` sends each solver endpoint while it solves each
+    of ``problems``, ``(model, b_init, objective, horizon)``, on smtlib."""
+    from safereach import SynthesisConfig, synthesis_run
+    from safereach.solver import smtlib
+
+    streams: dict = {}  # by endpoint, which it keeps alive
+    send = smtlib._SmtProcess.send
+
+    def recording_send(proc, command):
+        streams.setdefault(proc, []).append(command)
+        send(proc, command)
+
+    monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
+    for model, b_init, objective, horizon in problems:
+        synthesis_run(model, b_init, objective, SynthesisConfig(horizon=horizon, backend="smtlib"))
+    monkeypatch.undo()
+    return list(streams.values())
+
+
+class Replay:
+    """Feeds commands to one long-lived session and keeps the live
+    declarations and assertions; :meth:`check` answers a check on both it
+    and a fresh session given only those, with no push or pop."""
+
+    def __init__(self) -> None:
+        self.session = Session()
+        self.frames: list[list] = [[]]
+
+    def feed(self, command) -> None:
+        head = command[0]
+        if head in ("declare-const", "assert"):
+            self.frames[-1].append(command)
+        elif head == "push":
+            self.frames.extend([] for _ in range(command[1]))
+        elif head == "pop":
+            del self.frames[len(self.frames) - command[1]:]
+        elif head == "reset":
+            self.frames = [[]]
+        assert ask(self.session, [command]) == []  # no command of these is answered
+
+    def check(self) -> list:
+        """The long-lived session's verdict and model, which must be the fresh one's."""
+        answers = ask(self.session, CHECK_AND_MODEL)
+        live = [command for frame in self.frames for command in frame]
+        assert answers == ask(Session(), [*live, *CHECK_AND_MODEL]), live[-3:]
+        return answers
+
+
+def probe_after_sat(replay: Replay, model) -> bool:
+    """After a sat check: an assertion its model still satisfies must give
+    that model again, and a check after a pop must be the fresh one's.  In
+    between, a pushed frame asserts what the model violates: True when that
+    frame still has a model."""
+    ints = [(name, value) for _, name, _, sort, value in model if sort == "Int"]
+    if not ints:
+        return False
+    name, value = ints[-1]
+    assert value >= 0  # a selector, which the encoder bounds below by 0
+    replay.feed(("assert", ("<=", 0, name)))
+    assert replay.check() == ["sat", model]
+    replay.feed(("push", 1))
+    replay.feed(("assert", ("<", value, name)))
+    moved = replay.check()[0] == "sat"
+    replay.feed(("pop", 1))
+    assert replay.check() == ["sat", model]
+    return moved
+
+
+def test_a_long_lived_session_answers_every_check_as_a_fresh_one(monkeypatch):
+    """The commands ``bps`` sends, on seeds 0-199 and kitchen 2x2 det h4 and
+    3x2 det h3: at every check, the session that kept its frames' root
+    propagation, and resumes after a sat answer, gives the verdict and model
+    of a fresh session given the live commands alone.  Each sat answer is
+    also probed (:func:`probe_after_sat`)."""
+    import random
+
+    from oracles import random_instance
+
+    from safereach import build_kitchen
+
+    det = {"obstacles": 1, "p_fail": 0, "p_fp": 0, "p_fn": 0}
+    problems = [random_instance(random.Random(seed)) for seed in range(200)]
+    problems += [(*build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **det), 4),
+                 (*build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **det), 3)]
+    checks = probes = moved = 0
+    for stream in bps_streams(problems, monkeypatch):
+        replay = Replay()
+        for command in stream:
+            if command == ("check-sat",):
+                checks += 1
+                verdict, model = replay.check()
+                if verdict == "sat":
+                    probes += 1
+                    moved += probe_after_sat(replay, model)
+            elif command != ("get-model",):
+                replay.feed(command)
+    assert checks > 500 and probes > 100 and moved > 10, (checks, probes, moved)
+
+
+def test_a_search_cut_off_by_its_deadline_leaves_the_session_sound(monkeypatch):
+    """A check whose deadline passes mid-search unwinds the trail to the top
+    frame's root, and the same session, given a new deadline, then answers
+    the check as a fresh session does."""
+    from safereach import build_kitchen
+    from safereach.core import RunContext
+    from safereach.encoding import Goal, Initial, Transition
+    from safereach.solver import smtlib
+
+    model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
+                                             obstacles=1, p_fail=0, p_fp=0, p_fn=0)
+    run = RunContext(model, objective)
+    commands = []
+    for constraint in (Initial(0, b_init), Transition(1), Transition(2)):
+        commands += smtlib._declarations(constraint, len(model.states))
+        commands.append(("assert", smtlib.lower(constraint, run)))
+    commands += [smtlib.PUSH, ("assert", smtlib.lower(Goal(0, 2), run))]
+    session = Session()
+    assert ask(session, commands) == []
+    check_deadline = Search._check_deadline
+    cut_at = []  # the trail's levels above the root where the deadline passed
+
+    def expiring(search):
+        if search.nodes and len(search.trail) - len(search.frames) == 2:
+            cut_at.append(len(search.trail) - len(search.frames))
+            search.deadline = time.monotonic() - 1
+        check_deadline(search)
+
+    monkeypatch.setattr(Search, "_check_deadline", expiring)
+    with pytest.raises(TimeoutError):
+        ask(session, [smtlib.CHECK_SAT], time.monotonic() + 60)
+    monkeypatch.undo()
+    search = session.search
+    assert cut_at == [2] and len(search.trail) == len(search.frames) == 2
+
+    fresh = Session()
+    answers = ask(fresh, [*commands, *CHECK_AND_MODEL])
+    assert answers[0] == "sat"
+    assert (search.env, search.satisfied) == (fresh.search.env, fresh.search.satisfied)
+    assert ask(session, CHECK_AND_MODEL, time.monotonic() + 60) == answers
 
 
 # --------------------------------------------------------------------------

@@ -344,6 +344,29 @@ def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, 
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind", ["lemma", "winnable"])
+def test_a_lemma_with_no_live_goal_is_a_usage_error(pickup, mode, kind):
+    """Every mode refuses a lemma while no goal is live, before a goal's push
+    and after its pop alike, and keeps going: the backends would read a
+    lemma with no goal differently."""
+    model, b_init, objective = pickup
+    lemma = enc.DeadAction(b_init, 0, 1, 0) if kind == "lemma" else enc.Winnable(0, 1)
+    with session_in(mode, RunContext(model, objective)) as session:
+        session.add(enc.initial_constraint(0, b_init))
+        session.add(enc.transition_constraint(0, 1))
+        for _ in range(2):
+            session.push()
+            with pytest.raises(SolverUsageError, match="no live Goal"):
+                session.add(lemma)
+            session.add(enc.goal_constraint(0, 1))
+            session.add(lemma)
+            assert isinstance(session.check(), (Sat, Unsat))
+            session.pop()
+        with pytest.raises(SolverUsageError, match="no live Goal"):
+            session.add(lemma)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_a_pop_shrinks_the_unfolding_constraints_are_checked_against(pickup, mode):
     model, b_init, objective = pickup
     with session_in(mode, RunContext(model, objective)) as session:
@@ -1158,6 +1181,10 @@ def test_a_timed_out_forked_solver_is_reaped(spawned):
     with SolverPool(config) as pool:
         with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 4, goal=True)
+            # One answered round trip runs the queued declarations and
+            # assertions, so the timed window below covers the check alone.
+            session._proc.send(("echo", '"loaded"'))
+            assert session._proc.read(time.monotonic() + 60) == "loaded"
             started = time.monotonic()
             result = session.check()
             elapsed = time.monotonic() - started
