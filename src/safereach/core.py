@@ -226,7 +226,8 @@ class Pomdp:
     The model is its own belief-successor kernel, :meth:`_split`, which
     reads each action's transition and observation rows as sparse integer
     columns over one denominator, compiled on the action's first use and
-    kept, as :attr:`Belief.probs` is kept, and so is its support graph.
+    kept, as :attr:`Belief.probs` is kept, and so are its support graph and
+    each state set's :meth:`distances`.
     """
 
     states: tuple[str, ...]
@@ -246,6 +247,7 @@ class Pomdp:
                                        for s in range(len(self.states))))
         setter(self, "_columns", {})
         setter(self, "_supports", {})
+        setter(self, "_distances", {})
         self._validate()
 
     def _validate(self) -> None:
@@ -405,6 +407,28 @@ class Pomdp:
             found = self._supports[support] = frozenset(found)
         return found
 
+    def distances(self, states: frozenset[int]) -> tuple:
+        """Each state's fewest steps into ``states`` over the actions it allows
+        (``math.inf`` when it has none), by a backward search over the
+        compiled successor masks."""
+        found = self._distances.get(states)
+        if found is None:
+            n = len(self.states)
+            reach = [0] * n  # each state's successors under any action it allows
+            for s, allowed in enumerate(self._allowed):
+                for action in allowed:
+                    reach[s] |= self._compiled(action)[3][s]
+            found = [0 if s in states else math.inf for s in range(n)]
+            frontier, steps = sum(1 << s for s in states), 0
+            while frontier:
+                steps += 1
+                layer = [s for s in range(n) if found[s] == math.inf and reach[s] & frontier]
+                for s in layer:
+                    found[s] = steps
+                frontier = sum(1 << s for s in layer)
+            found = self._distances[states] = tuple(found)
+        return found
+
 
 class RunContext:
     """One synthesis run: its model, the one ``objective`` all its goals
@@ -418,7 +442,8 @@ class RunContext:
     the :class:`~safereach.encoding.DeadAction` lemmas, indexed in ``dead``,
     both true at smaller budgets; ``fruitless`` holds the enumerative backend's
     (belief, steps remaining) facts, and :meth:`wins` judges supports.  A context belongs to one
-    run; the model's columns and support graph outlive it.  It first checks the objective.
+    run; the model's columns, support graph and distances outlive it.  It first checks the
+    objective.
     """
 
     def __init__(self, model: Pomdp, objective: SafeReachObjective) -> None:
@@ -441,6 +466,7 @@ class RunContext:
         self._rows = [[(p.state_set, p.possible()) for p in preds]
                       for preds in (objective.goal, objective.safe)]
         self._wins: dict[tuple[int, ...], list] = {}  # support -> [lose, win] budgets
+        self._far = [p.state_set for p in objective.goal if not p.possible()[0]]
 
     def successors(self, belief: Belief, action: int) -> tuple[tuple[int, Belief, bool, bool], ...]:
         """``(observation, posterior, is_goal, is_safe)`` for each possible
@@ -464,12 +490,23 @@ class RunContext:
         """Whether a support path reaches a goal-possible support within ``steps``
         through safe-possible ones, judging each predicate alone on its
         :func:`mass_class`; if not, no belief with this support can win.  Kept
-        per support as the largest losing and smallest winning budget."""
+        per support as the largest losing and smallest winning budget.  A goal
+        predicate that mass 0 cannot meet needs one of its states, so a
+        support none of whose states reaches them in ``r`` steps
+        (:meth:`Pomdp.distances`) loses at ``r``: its entry starts there."""
         bounds = self._wins.get(support)
         if bounds is None:
             goal, safe = (all(row[mass_class(support, states)] for states, row in rows)
                           for rows in self._rows)
-            bounds = self._wins[support] = [-1, 0] if goal else [0 if safe else math.inf, math.inf]
+            if goal:
+                bounds = [-1, 0]
+            elif safe:
+                far = max((min(map(self.model.distances(states).__getitem__, support))
+                           for states in self._far), default=0)
+                bounds = [max(far - 1, 0), math.inf]
+            else:
+                bounds = [math.inf, math.inf]
+            self._wins[support] = bounds
         if bounds[0] < steps < bounds[1]:  # in the gap: settle it, and narrow the gap
             won = any(self.wins(s2, steps - 1) for s2 in self.model.support_successors(support))
             bounds[won] = steps

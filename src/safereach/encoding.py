@@ -3,10 +3,11 @@
 A constraint is plain, immutable data saying what it asserts: the belief at
 the start step, the belief transition into one step, the bounded
 safe-reachability goal of the run's objective over a span of steps, a
-learned lemma, or what the goal implies at each step; a :class:`Blocking`
-is only a record.  The builders check their arguments and return that data;
-the enumerative backend interprets it directly, and the SMT-LIB backend
-lowers it to a term (:func:`safereach.solver.smtlib.lower`).
+learned lemma, the run's first lemmas by count, or what the goal implies at
+each step; a :class:`Blocking` is only a record.  The builders check their
+arguments and return that data; the enumerative backend interprets it
+directly, and the SMT-LIB backend lowers it to terms
+(:func:`safereach.solver.smtlib.lower`).
 
 The step variables are named here, and :func:`step_vars` is the lowering's
 one source of them: belief components as reals and, for non-start steps,
@@ -128,6 +129,15 @@ class DeadAction:
 
 
 @dataclass(frozen=True)
+class Learned:
+    """The run's first ``count`` lemmas (``RunContext.dead_actions``), each a
+    :class:`DeadAction`; a session holds each from the first ``Learned`` that
+    counts it, so one is added only when the run's count has grown."""
+
+    count: int
+
+
+@dataclass(frozen=True)
 class Winnable:
     """Implied by the goal over the same span, from the initial belief at ``start_step``:
     until a goal belief, each belief before ``end_step`` has a support that can
@@ -137,7 +147,7 @@ class Winnable:
     end_step: int
 
 
-Constraint = Union[Initial, Transition, Goal, DeadAction, Winnable]
+Constraint = Union[Initial, Transition, Goal, DeadAction, Learned, Winnable]
 
 
 def initial_constraint(step: int, b_init: Belief) -> Initial:

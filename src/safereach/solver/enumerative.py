@@ -17,14 +17,18 @@ lexicographically smallest one.  Successors come from the session's
 read with the search's own ``step < horizon`` test.  A node not yet fired is
 skipped when its support cannot win in the steps left (``RunContext.wins``):
 the support game over-approximates the belief space, so only subtrees with
-no satisfying path go and the first plan is the same.  A live
-:class:`~safereach.encoding.DeadAction` skips its pair at such a node with at
-most its budget left, by one lookup (``run.dead`` indexes the run's lemmas).
-No block is sent: its lemma implies it, and the horizon pop frees both.  The
-run's ``fruitless`` (belief, steps-remaining) pairs are recorded on every
-unfired subtree with no path: lemmas only grow and are keyed by steps left,
-so such a subtree stays without one.  As a lemma can empty a subtree,
-``fruitless`` is shared only under the run's own lemmas.
+no satisfying path go and the first plan is the same.  A live lemma skips its
+pair at such a node with at most its budget left, by one lookup: in
+``run.dead``, the run's own index, when the live
+:class:`~safereach.encoding.Learned` counts all the run's lemmas and no
+:class:`~safereach.encoding.DeadAction` was added on its own, as ``bps``
+sends them, so a check costs nothing per lemma; otherwise in an index of the
+lemmas the session holds, built for the check.  No block is sent:
+its lemma implies it, and the horizon pop frees both.  The run's
+``fruitless`` (belief, steps-remaining) pairs are recorded on every unfired
+subtree with no path: lemmas only grow and are keyed by steps left, so such
+a subtree stays without one.  As a lemma can empty a subtree, ``fruitless``
+is shared only under the run's own lemmas.
 """
 
 from __future__ import annotations
@@ -54,19 +58,21 @@ class EnumerativeSession(SolverSession):
 
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, goal, lemmas = self._assemble()
-        trail = self._search(belief, start, horizon, goal, lemmas)
+        belief, start, horizon, goal, private = self._assemble()
+        trail = self._search(belief, start, horizon, goal, private)
         if trail is None:
             return Unsat()
         actions, observations, posteriors = zip(*trail) if trail else ((), (), ())
         return Sat(CandidatePlan(start, (belief, *posteriors), actions, observations))
 
     def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
-                lemmas: Sequence[DeadAction]):
+                private: Sequence[DeadAction]):
         run = self.run
-        own = lemmas == run.dead_actions  # the run's lemmas, indexed as they were learned
+        # All the run's lemmas and no other: read its index, as it was learned.
+        own = not private and self._learned == len(run.dead_actions)
         fruitless, dead = (run.fruitless, run.dead) if own else (set(), {})
-        for lemma in [] if own else sorted(lemmas, key=lambda lemma: lemma.budget):
+        lemmas = [] if own else [*run.dead_actions[:self._learned], *private]
+        for lemma in sorted(lemmas, key=lambda lemma: lemma.budget):
             dead.setdefault(lemma.belief, {})[lemma.action] = lemma.budget  # the largest last
         available_actions, wins = run.model.available_actions, run.wins
 

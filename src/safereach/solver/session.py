@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union, get_args
 
 from ..core import Belief, CandidatePlan, RunContext
-from ..encoding import Constraint, DeadAction, Goal, Initial, Transition, Winnable
+from ..encoding import Constraint, DeadAction, Goal, Initial, Learned, Transition, Winnable
 
 _CONSTRAINTS = get_args(Constraint)
 
@@ -90,28 +90,37 @@ class SolverSession(ABC):
         self._frames: list[list[tuple[Constraint, object]]] = [[]]
         self._span: Optional[tuple[Belief, int, int]] = None
         self._goal = False  # whether a Goal is live
-        self._saved: list = []  # the span and goal at each open scope's push
+        self._learned = 0  # the count of the newest live Learned
+        self._saved: list = []  # the span, goal and count at each open scope's push
         self._closed = False
 
     def add(self, constraint: Constraint) -> None:
         """Assert a constraint into the current (top) scope.  It may name only
         steps already unfolded (:meth:`_unfold`): its initial belief comes first.
-        A lemma, a :class:`DeadAction` or :class:`Winnable`, needs a live goal."""
+        A lemma, a :class:`DeadAction`, :class:`Learned` or :class:`Winnable`,
+        needs a live goal; a :class:`Learned` counts at most the run's lemmas
+        and at least as many as the one live before it, which :meth:`_admit`
+        reads as ``_learned``."""
         self._guard()
         if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
         span = self._unfold(constraint)
-        if isinstance(constraint, (DeadAction, Winnable)) and not self._goal:
+        if isinstance(constraint, (DeadAction, Learned, Winnable)) and not self._goal:
             raise SolverUsageError(f"{type(constraint).__name__} added with no live Goal")
+        learned = constraint.count if isinstance(constraint, Learned) else self._learned
+        if not self._learned <= learned <= len(self.run.dead_actions):
+            raise SolverUsageError(f"Learned({learned}) with {self._learned} live "
+                                   f"of the run's {len(self.run.dead_actions)} lemmas")
         self._span = span
         self._goal = self._goal or isinstance(constraint, Goal)
         self._frames[-1].append((constraint, self._admit(constraint)))
+        self._learned = learned
 
     def push(self) -> None:
         """Open a new scope."""
         self._guard()
         self._frames.append([])
-        self._saved.append((self._span, self._goal))
+        self._saved.append((self._span, self._goal, self._learned))
         self._pushed()
 
     def pop(self) -> None:
@@ -120,7 +129,7 @@ class SolverSession(ABC):
         if len(self._frames) <= 1:
             raise SolverUsageError("pop with no matching push")
         self._frames.pop()
-        self._span, self._goal = self._saved.pop()
+        self._span, self._goal, self._learned = self._saved.pop()
         self._popped()
 
     @abstractmethod
@@ -159,7 +168,7 @@ class SolverSession(ABC):
                 raise SolverUsageError(f"the next step to unfold is {horizon + 1}, "
                                        f"not {constraint.step}")
             return belief, start, constraint.step
-        first, last = ((start, start) if isinstance(constraint, DeadAction)
+        first, last = ((start, start) if isinstance(constraint, (DeadAction, Learned))
                        else (constraint.start_step, constraint.end_step))
         if not start <= first <= last <= horizon or (
                 isinstance(constraint, Winnable) and first != start):

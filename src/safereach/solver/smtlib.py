@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
 from .. import refsolver
-from ..encoding import (Constraint, DeadAction, Goal, Initial, Transition, Winnable,
+from ..encoding import (Constraint, DeadAction, Goal, Initial, Learned, Transition, Winnable,
                         action_var_name, belief_var_name, observation_var_name, step_vars)
 from ..refsolver import SmtSyntaxError, numeral, render
 from .session import (
@@ -572,12 +572,15 @@ class SmtLibSession(SolverSession):
     # -- SolverSession hooks -----------------------------------------------
 
     def _admit(self, constraint: Constraint) -> Optional[tuple]:
-        # Incrementally nothing; from scratch, what each check replays.
+        # Incrementally nothing; from scratch, what each check replays.  A
+        # Learned asserts each run lemma since the last one live, as itself.
         root, *span = self._unfolding()
-        assertion = ("assert", lower(constraint, self.run, tuple(span), root))
+        lemmas = (self.run.dead_actions[self._learned:constraint.count]
+                  if isinstance(constraint, Learned) else [constraint])
+        assertions = [("assert", lower(c, self.run, tuple(span), root)) for c in lemmas]
         declarations = _declarations(constraint, len(self.model.states))
-        self._send_incremental([*declarations, assertion])
-        return None if self.config.incremental else (declarations, assertion)
+        self._send_incremental([*declarations, *assertions])
+        return None if self.config.incremental else (declarations, assertions)
 
     def _pushed(self) -> None:
         self._send_incremental([PUSH])
@@ -595,8 +598,9 @@ class SmtLibSession(SolverSession):
                 for _, (declarations, _) in self._live():
                     for command in declarations:
                         proc.send(command)
-                for _, (_, assertion) in self._live():
-                    proc.send(assertion)
+                for _, (_, assertions) in self._live():
+                    for assertion in assertions:
+                        proc.send(assertion)
             result = self._check_on(proc, deadline, start, horizon)
         except TimeoutError:
             self._die()

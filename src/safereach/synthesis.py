@@ -123,8 +123,9 @@ def bps(
     by (belief, budget) and ``run.refuted`` each belief's largest budget with
     none, answering any budget up to it with no check.  A goal scope holds
     the goal, the :class:`~.encoding.Winnable` lemma it implies and, before
-    each check, every lemma of ``run.dead_actions`` it lacks; a block is sent
-    no solver, as its lemma implies it.  Every check and every block is
+    each check at which ``run.dead_actions`` has grown, one
+    :class:`~.encoding.Learned` that counts all of them; a block is sent no
+    solver, as its lemma implies it.  Every check and every block is
     recorded in ``run.stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
@@ -149,9 +150,9 @@ def bps(
             session.add(encoding.Winnable(start_step, k))
             asserted = 0
             while True:
-                for lemma in run.dead_actions[asserted:]:
-                    session.add(lemma)
-                asserted = len(run.dead_actions)
+                if len(run.dead_actions) > asserted:
+                    asserted = len(run.dead_actions)
+                    session.add(encoding.Learned(asserted))
                 outcome = session.check()
                 stats.check_trace.append((start_step, k, _VERDICT_KIND[type(outcome)]))
                 if isinstance(outcome, Unsat):

@@ -38,7 +38,7 @@ from safereach.solver import (
 )
 from safereach.solver import smtlib
 from safereach.solver.smtlib import HEADER, ModelValueError, lower, parse_model, serialize
-from safereach.synthesis import SynthesisConfig, synthesis_run
+from safereach.synthesis import SynthesisConfig, bps, synthesis_run
 
 from oracles import all_plans, enumerate_plans, random_instance, satisfies_bounded, term_vars
 
@@ -252,7 +252,8 @@ def test_from_scratch_replays_the_live_incremental_text_over_whole_runs(problem,
         result = synthesis_run(model, b_init, objective, config)
         assert result.verdict == "valid"
         assert len(result.stats.blocking_events) == 1
-        assert len({c for c in added if isinstance(c, enc.DeadAction)}) == 1
+        assert {c for c in added if isinstance(c, (enc.DeadAction, enc.Learned))} \
+            == {enc.Learned(1)}  # the run's one lemma, sent by count
         checks = _live_at_checks(sent)
         assert len(checks) == result.stats.solver_calls
         return checks
@@ -364,6 +365,75 @@ def test_a_lemma_with_no_live_goal_is_a_usage_error(pickup, mode, kind):
             session.pop()
         with pytest.raises(SolverUsageError, match="no live Goal"):
             session.add(lemma)
+
+
+def learned_run(model, b_init, objective):
+    """A run that has learned pickup's one lemma, by ``bps`` at horizon 3."""
+    run = RunContext(model, objective)
+    assert bps(run, b_init, 0, 3, lambda: EnumerativeSession(run)) is not None
+    assert len(run.dead_actions) == 1
+    return run
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_learned_count_the_scope_cannot_hold_is_a_usage_error(pickup, mode):
+    """Every mode refuses, and keeps going after, a ``Learned`` with no live
+    goal, one counting more lemmas than the run has, and one counting fewer
+    than a ``Learned`` live in scope, its own or one below; the same count
+    again adds nothing.  It then checks as the run's lemma added itself does."""
+    model, b_init, objective = pickup
+    run = learned_run(model, b_init, objective)
+    with session_in(mode, run) as session:
+        load_session(session, b_init, 1)
+        with pytest.raises(SolverUsageError, match="no live Goal"):
+            session.add(enc.Learned(1))
+        session.push()
+        session.add(enc.goal_constraint(0, 1))
+        with pytest.raises(SolverUsageError, match=r"Learned\(2\) with 0 live of the run's 1"):
+            session.add(enc.Learned(2))
+        session.add(enc.Learned(1))
+        with pytest.raises(SolverUsageError, match=r"Learned\(0\) with 1 live"):
+            session.add(enc.Learned(0))
+        session.push()
+        with pytest.raises(SolverUsageError, match=r"Learned\(0\) with 1 live"):
+            session.add(enc.Learned(0))
+        session.add(enc.Learned(1))
+        by_count = session.check()
+    with session_in(mode, run) as session:
+        load_session(session, b_init, 1, goal=True)
+        session.add(run.dead_actions[0])
+        assert session.check() == by_count
+
+
+def test_a_learned_count_sends_each_lemma_as_itself(pickup, sent):
+    """``Learned(1)`` then ``Learned(2)`` assert the run's two lemmas one at
+    a time, in each goal scope, as adding each ``DeadAction`` does: the same
+    commands incrementally, and from scratch each check replays the text
+    live in the incremental session."""
+    model, b_init, objective = pickup
+    lemmas = [enc.DeadAction(b_init, 0, 1, 1), enc.DeadAction(b_init, 1, 1, 0)]
+
+    def drive(incremental, by_count):
+        sent.clear()
+        run = RunContext(model, objective)
+        run.dead_actions.extend(lemmas)
+        verdicts = []
+        with SolverPool(SolverConfig(incremental=incremental)) as pool, \
+                SmtLibSession(run, pool) as session:
+            load_session(session, b_init, 1)
+            for _ in range(2):
+                session.push()
+                session.add(enc.goal_constraint(0, 1))
+                for count in (1, 2):
+                    session.add(enc.Learned(count) if by_count else lemmas[count - 1])
+                    verdicts.append(session.check())
+                session.pop()
+        return verdicts, _live_at_checks(sent)
+
+    verdicts, incremental = drive(True, by_count=True)
+    assert [type(v) for v in verdicts] == [Sat, Unsat] * 2
+    assert drive(True, by_count=False) == (verdicts, incremental)
+    assert drive(False, by_count=True) == (verdicts, [_replay(live) for live in incremental])
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -275,3 +275,27 @@ def test_the_wins_table_answers_as_the_plain_recursion():
                 model, objective, support, steps, memo), (label, support, steps)
         asked += len(queries)
     assert asked > 5_000
+
+
+def test_the_distance_bound_never_refutes_a_support_the_plain_recursion_wins():
+    """A support's entry starts at the largest budget its distance bound
+    refutes (``Pomdp.distances``), and the plain recursion, which reads no
+    distance, wins at no budget up to it.  Read with no recursion, by a
+    query at budget 0; a support the bound puts out of reach for good is
+    checked at twice the horizon and two more.  Over a hundred bounds are
+    tight: the recursion wins one step above them."""
+    tight = 0
+    for label, (model, b_init, objective), horizon in [*random_problems(), *enum_rungs()]:
+        reachable, layer = {b_init.indices}, {b_init.indices}
+        for _ in range(horizon):
+            layer = {s2 for s in layer for s2 in graph_successors(model, s)} - reachable
+            reachable |= layer
+        run, memo = RunContext(model, objective), {}
+        for support in sorted(reachable):
+            run.wins(support, 0)
+            budget = min(run._wins[support][0], 2 * horizon + 2)
+            if budget > 0:
+                assert not reference_wins(model, objective, support, budget, memo), (
+                    label, support, budget)
+                tight += reference_wins(model, objective, support, budget + 1, memo)
+    assert tight > 100

@@ -18,7 +18,7 @@ from safereach.core import (
     belief_update,
 )
 from safereach.domains import build_kitchen
-from safereach.solver import EnumerativeSession, SolverConfig, smtlib
+from safereach.solver import EnumerativeSession, SolverConfig, SolverSession, smtlib
 from safereach.synthesis import (
     SynthesisConfig,
     VERDICT_NO_POLICY,
@@ -514,6 +514,35 @@ def test_no_belief_is_classified_twice_in_a_run(rung, monkeypatch):
     distinct = set(seen)
     assert len(distinct) == len(context.classes) > 0
     assert len(seen) == len(objective.goal + objective.safe) * len(distinct)
+
+
+# Work pins on fresh models: checks, plans, blocks, supports built
+# (``model._supports``) and lemma-carrying session adds (``DeadAction`` and
+# ``Learned``).  A PR that moves one names the old and the new value.
+FRESH_WORK = [
+    (*KITCHEN_LADDER[0][:2], (29, 8, 4, 15, 23)),
+    (*KITCHEN_LADDER[1][:2], (32, 10, 5, 23, 26)),
+    (*KITCHEN_LADDER[2][:2], (15, 3, 2, 8, 8)),
+    ((5, 3, [(x, y) for x in (1, 2, 3) for y in range(3)], (4, 0), 1), 10,
+     (1009, 400, 303, 792, 1001)),
+]
+
+
+@pytest.mark.parametrize("geometry, horizon, work", FRESH_WORK,
+                         ids=["3x2-det-h6", "3x3-det-h7", "4x3-M2-det-h5", "5x3-det-h10"])
+def test_the_work_of_a_run_on_a_fresh_model(geometry, horizon, work, monkeypatch):
+    adds = []
+    add = SolverSession.add
+
+    def counting(session, constraint):
+        adds.append(isinstance(constraint, (encoding.DeadAction, encoding.Learned)))
+        add(session, constraint)
+
+    monkeypatch.setattr(SolverSession, "add", counting)
+    model, b_init, objective = det_kitchen(*geometry)
+    stats = run(model, b_init, objective, horizon).stats
+    assert (stats.solver_calls, stats.plans_checked, len(stats.blocking_events),
+            len(model._supports), sum(adds)) == work
 
 
 def test_pickup_learns_its_dead_pair_at_the_budget_it_failed_with(pickup):
