@@ -440,7 +440,8 @@ class RunContext:
     (:meth:`classify`).  ``memo`` holds ``bps`` trees by (belief, budget),
     ``refuted`` each belief's largest budget with none and ``dead_actions``
     the :class:`~safereach.encoding.DeadAction` lemmas, indexed in ``dead``,
-    both true at smaller budgets; ``fruitless`` holds the enumerative backend's
+    both true at smaller budgets and written by :meth:`learn` alone; every
+    backend reads them from here.  ``fruitless`` holds the enumerative backend's
     (belief, steps remaining) facts, and :meth:`wins` judges supports.  A context belongs to one
     run; the model's columns, support graph and distances outlive it.  It first checks the
     objective.
@@ -467,6 +468,13 @@ class RunContext:
                       for preds in (objective.goal, objective.safe)]
         self._wins: dict[tuple[int, ...], list] = {}  # support -> [lose, win] budgets
         self._far = [p.state_set for p in objective.goal if not p.possible()[0]]
+
+    def learn(self, lemma) -> None:
+        """Keep a :class:`~safereach.encoding.DeadAction` in ``dead_actions``
+        and its largest budget per (belief, action) in ``dead``."""
+        self.dead_actions.append(lemma)
+        budgets = self.dead.setdefault(lemma.belief, {})
+        budgets[lemma.action] = max(lemma.budget, budgets.get(lemma.action, -1))
 
     def successors(self, belief: Belief, action: int) -> tuple[tuple[int, Belief, bool, bool], ...]:
         """``(observation, posterior, is_goal, is_safe)`` for each possible

@@ -1,10 +1,10 @@
 """Symbolic encoding of the bounded goal-constrained search space.
 
 A constraint is plain, immutable data saying what it asserts: the belief at
-the start step, the belief transition into one step, the bounded
-safe-reachability goal of the run's objective over a span of steps, a
-learned lemma, the run's first lemmas by count, or what the goal implies at
-each step; a :class:`Blocking` is only a record.  The builders check their
+the start step, the belief transition into one step, or the bounded
+safe-reachability goal of the run's objective over a span of steps.  A
+:class:`Blocking` and a learned :class:`DeadAction` are records the run
+keeps; each backend reads the run's lemmas itself.  The builders check their
 arguments and return that data; the enumerative backend interprets it
 directly, and the SMT-LIB backend lowers it to terms
 (:func:`safereach.solver.smtlib.lower`).
@@ -110,7 +110,7 @@ class Blocking:
     """Record of a candidate whose completion failed at ``fail_step``, sent to
     no solver: the :class:`DeadAction` learned with it bans the prefix's last
     action at its belief with as many steps left, from any prefix, so it
-    implies the block, and the horizon pop frees both."""
+    implies the block; a larger horizon leaves the prefix more steps than that."""
 
     plan: CandidatePlan
     fail_step: int
@@ -118,7 +118,8 @@ class Blocking:
 
 @dataclass(frozen=True)
 class DeadAction:
-    """Learned: no policy from ``belief`` within ``budget`` steps starts with
+    """Learned, and kept by the run (``RunContext.learn``), not sent as a
+    constraint: no policy from ``belief`` within ``budget`` steps starts with
     ``action``, as its branch under ``witness_observation`` has none within
     ``budget - 1``; so no plan takes it before the goal with that few left."""
 
@@ -128,26 +129,7 @@ class DeadAction:
     witness_observation: int
 
 
-@dataclass(frozen=True)
-class Learned:
-    """The run's first ``count`` lemmas (``RunContext.dead_actions``), each a
-    :class:`DeadAction`; a session holds each from the first ``Learned`` that
-    counts it, so one is added only when the run's count has grown."""
-
-    count: int
-
-
-@dataclass(frozen=True)
-class Winnable:
-    """Implied by the goal over the same span, from the initial belief at ``start_step``:
-    until a goal belief, each belief before ``end_step`` has a support that can
-    still win (:meth:`~safereach.core.RunContext.wins`) in the steps left."""
-
-    start_step: int
-    end_step: int
-
-
-Constraint = Union[Initial, Transition, Goal, DeadAction, Learned, Winnable]
+Constraint = Union[Initial, Transition, Goal]
 
 
 def initial_constraint(step: int, b_init: Belief) -> Initial:

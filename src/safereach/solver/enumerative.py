@@ -17,27 +17,21 @@ lexicographically smallest one.  Successors come from the session's
 read with the search's own ``step < horizon`` test.  A node not yet fired is
 skipped when its support cannot win in the steps left (``RunContext.wins``):
 the support game over-approximates the belief space, so only subtrees with
-no satisfying path go and the first plan is the same.  A live lemma skips its
-pair at such a node with at most its budget left, by one lookup: in
-``run.dead``, the run's own index, when the live
-:class:`~safereach.encoding.Learned` counts all the run's lemmas and no
-:class:`~safereach.encoding.DeadAction` was added on its own, as ``bps``
-sends them, so a check costs nothing per lemma; otherwise in an index of the
-lemmas the session holds, built for the check.  No block is sent:
-its lemma implies it, and the horizon pop frees both.  The run's
-``fruitless`` (belief, steps-remaining) pairs are recorded on every unfired
-subtree with no path: lemmas only grow and are keyed by steps left, so such
-a subtree stays without one.  As a lemma can empty a subtree, ``fruitless``
-is shared only under the run's own lemmas.
+no satisfying path go and the first plan is the same.  While a goal is live,
+each of the run's lemmas skips its pair at such a node with at most its
+budget left, by one lookup in ``run.dead``, so a check costs nothing per
+lemma.  No block is sent: its lemma implies it, and a larger horizon leaves
+more steps than its budget.  The run's ``fruitless`` (belief, steps-remaining)
+pairs are recorded on every unfired subtree with no path: lemmas only grow
+and are keyed by steps left, so such a subtree stays without one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core import Belief, CandidatePlan, Pomdp, RunContext, SafeReachObjective
-from ..encoding import (DeadAction, Goal, goal_constraint, initial_constraint,
-                        transition_constraint)
+from ..encoding import Goal, goal_constraint, initial_constraint, transition_constraint
 from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
 
 
@@ -48,32 +42,25 @@ class EnumerativeSession(SolverSession):
 
     def _assemble(self):
         belief, start, horizon = self._unfolding()
-        live = [c for c, _ in self._live()]
-        goals = [c for c in live if isinstance(c, Goal)]
+        goals = [c for c, _ in self._live() if isinstance(c, Goal)]
         if any((g.start_step, g.end_step) != (start, horizon) for g in goals):
             raise SolverUsageError("goal constraint must span the whole unfolding")
-        return belief, start, horizon, bool(goals), [c for c in live if isinstance(c, DeadAction)]
+        return belief, start, horizon, bool(goals)
 
     # -- the search ------------------------------------------------------------
 
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, goal, private = self._assemble()
-        trail = self._search(belief, start, horizon, goal, private)
+        belief, start, horizon, goal = self._assemble()
+        trail = self._search(belief, start, horizon, goal)
         if trail is None:
             return Unsat()
         actions, observations, posteriors = zip(*trail) if trail else ((), (), ())
         return Sat(CandidatePlan(start, (belief, *posteriors), actions, observations))
 
-    def _search(self, b0: Belief, start: int, horizon: int, goal: bool,
-                private: Sequence[DeadAction]):
+    def _search(self, b0: Belief, start: int, horizon: int, goal: bool):
         run = self.run
-        # All the run's lemmas and no other: read its index, as it was learned.
-        own = not private and self._learned == len(run.dead_actions)
-        fruitless, dead = (run.fruitless, run.dead) if own else (set(), {})
-        lemmas = [] if own else [*run.dead_actions[:self._learned], *private]
-        for lemma in sorted(lemmas, key=lambda lemma: lemma.budget):
-            dead.setdefault(lemma.belief, {})[lemma.action] = lemma.budget  # the largest last
+        fruitless, dead = run.fruitless, run.dead
         available_actions, wins = run.model.available_actions, run.wins
 
         def status(is_goal: bool, is_safe: bool, step: int) -> Optional[bool]:

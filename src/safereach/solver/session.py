@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union, get_args
 
 from ..core import Belief, CandidatePlan, RunContext
-from ..encoding import Constraint, DeadAction, Goal, Initial, Learned, Transition, Winnable
+from ..encoding import Constraint, Goal, Initial, Transition
 
 _CONSTRAINTS = get_args(Constraint)
 
@@ -76,7 +76,8 @@ class SolverSession(ABC):
     The scope stack lives here: each added constraint next to whatever
     :meth:`_admit` returns for it.  A backend hears of every push and pop
     through :meth:`_pushed` and :meth:`_popped`, and reads the unfolding the
-    live constraints describe from :meth:`_unfolding`.
+    live constraints describe from :meth:`_unfolding`.  The run's lemmas and
+    support game are no constraints: each backend reads them from ``run``.
 
     Sessions are single-owner: never share one across threads.  Distinct
     sessions may be opened from any thread and run concurrently; the SMT-LIB
@@ -90,37 +91,26 @@ class SolverSession(ABC):
         self._frames: list[list[tuple[Constraint, object]]] = [[]]
         self._span: Optional[tuple[Belief, int, int]] = None
         self._goal = False  # whether a Goal is live
-        self._learned = 0  # the count of the newest live Learned
-        self._saved: list = []  # the span, goal and count at each open scope's push
+        self._saved: list = []  # the span and goal at each open scope's push
         self._closed = False
 
     def add(self, constraint: Constraint) -> None:
-        """Assert a constraint into the current (top) scope.  It may name only
-        steps already unfolded (:meth:`_unfold`): its initial belief comes first.
-        A lemma, a :class:`DeadAction`, :class:`Learned` or :class:`Winnable`,
-        needs a live goal; a :class:`Learned` counts at most the run's lemmas
-        and at least as many as the one live before it, which :meth:`_admit`
-        reads as ``_learned``."""
+        """Assert an initial belief, a transition or a goal into the current
+        (top) scope.  It may name only steps already unfolded (:meth:`_unfold`):
+        its initial belief comes first.  Anything else, a learned
+        :class:`~safereach.encoding.DeadAction` too, is a usage error."""
         self._guard()
         if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
-        span = self._unfold(constraint)
-        if isinstance(constraint, (DeadAction, Learned, Winnable)) and not self._goal:
-            raise SolverUsageError(f"{type(constraint).__name__} added with no live Goal")
-        learned = constraint.count if isinstance(constraint, Learned) else self._learned
-        if not self._learned <= learned <= len(self.run.dead_actions):
-            raise SolverUsageError(f"Learned({learned}) with {self._learned} live "
-                                   f"of the run's {len(self.run.dead_actions)} lemmas")
-        self._span = span
+        self._span = self._unfold(constraint)
         self._goal = self._goal or isinstance(constraint, Goal)
         self._frames[-1].append((constraint, self._admit(constraint)))
-        self._learned = learned
 
     def push(self) -> None:
         """Open a new scope."""
         self._guard()
         self._frames.append([])
-        self._saved.append((self._span, self._goal, self._learned))
+        self._saved.append((self._span, self._goal))
         self._pushed()
 
     def pop(self) -> None:
@@ -129,7 +119,7 @@ class SolverSession(ABC):
         if len(self._frames) <= 1:
             raise SolverUsageError("pop with no matching push")
         self._frames.pop()
-        self._span, self._goal, self._learned = self._saved.pop()
+        self._span, self._goal = self._saved.pop()
         self._popped()
 
     @abstractmethod
@@ -157,7 +147,7 @@ class SolverSession(ABC):
 
     def _unfold(self, constraint: Constraint) -> tuple[Belief, int, int]:
         """The unfolding once ``constraint`` is live, or a usage error when it
-        names a step outside it (a :class:`Winnable` starts at the start)."""
+        names a step outside it."""
         if isinstance(constraint, Initial):
             if self._span is not None:
                 raise SolverUsageError("exactly one initial-belief constraint is allowed")
@@ -168,10 +158,8 @@ class SolverSession(ABC):
                 raise SolverUsageError(f"the next step to unfold is {horizon + 1}, "
                                        f"not {constraint.step}")
             return belief, start, constraint.step
-        first, last = ((start, start) if isinstance(constraint, (DeadAction, Learned))
-                       else (constraint.start_step, constraint.end_step))
-        if not start <= first <= last <= horizon or (
-                isinstance(constraint, Winnable) and first != start):
+        first, last = constraint.start_step, constraint.end_step
+        if not start <= first <= last <= horizon:
             raise SolverUsageError(f"{type(constraint).__name__} over steps {first}..{last} "
                                    f"do not fit the unfolded {start}..{horizon}")
         return self._span

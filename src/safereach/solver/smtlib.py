@@ -44,8 +44,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
 from .. import refsolver
-from ..encoding import (Constraint, DeadAction, Goal, Initial, Learned, Transition, Winnable,
-                        action_var_name, belief_var_name, observation_var_name, step_vars)
+from ..encoding import (Constraint, DeadAction, Goal, Initial, Transition, action_var_name,
+                        belief_var_name, observation_var_name, step_vars)
 from ..refsolver import SmtSyntaxError, numeral, render
 from .session import (
     PlanDecodeError,
@@ -95,13 +95,12 @@ def default_solver_command() -> tuple[str, ...]:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None,
-          root: Optional[Belief] = None):
-    """The constraint as one SMT-LIB term over the step variables of the run's
-    model, shaped as :func:`refsolver.parse_tokens` reads its text; a goal
-    is lowered against the run's objective, a lemma against its goal
-    scope's ``span``, (start step, horizon), and a :class:`Winnable`
-    against the ``root`` belief at its start step.
+def lower(constraint: Union[Constraint, DeadAction], run: RunContext,
+          span: Optional[tuple] = None):
+    """The constraint or run lemma as one SMT-LIB term over the step variables
+    of the run's model, shaped as :func:`refsolver.parse_tokens` reads its
+    text; a goal is lowered against the run's objective, and a
+    :class:`DeadAction` against its goal scope's ``span``, (start step, horizon).
 
     Normalization is division-free (``b_i * denom_i = u_i``, ``denom_i > 0``)
     so the whole theory stays in polynomial arithmetic.
@@ -116,12 +115,10 @@ def lower(constraint: Constraint, run: RunContext, span: Optional[tuple] = None,
         return _goal(constraint.start_step, constraint.end_step, n, run.objective)
     if isinstance(constraint, DeadAction) and span is not None:
         return _dead_action(constraint, *span, n, run.objective)
-    if isinstance(constraint, Winnable) and root is not None:
-        return _winnable(constraint, root.indices, run)
     raise TypeError(f"cannot lower {constraint!r}")
 
 
-def serialize(constraint: Constraint, run: RunContext, *context) -> str:
+def serialize(constraint: Union[Constraint, DeadAction], run: RunContext, *context) -> str:
     """The text of :func:`lower`'s term, as a solver process is sent it."""
     return render(lower(constraint, run, *context))
 
@@ -227,15 +224,15 @@ def _dead_action(lemma: DeadAction, start: int, end: int, n: int,
     return _app("and", clauses) if clauses else True
 
 
-def _winnable(lemma: Winnable, root: tuple[int, ...], run: RunContext):
+def _winnable(goal: Goal, root: tuple[int, ...], run: RunContext):
     """``(or <goal(b_i) per earlier step i whose layer may hold one> (and (not
-    <b_j has support S>)...))`` per step j before the horizon whose layer,
-    the supports reachable from the root's through ones that can still win,
-    holds supports S that cannot win in the steps left; or ``true``.  The
-    goal implies each clause (see the README)."""
+    <b_j has support S>)...))`` per step j of the goal's span before its end
+    whose layer, the supports reachable from the ``root`` support at its start
+    through ones that can still win, holds supports S that cannot win in the
+    steps left; or ``true``.  The goal implies each clause (see the README)."""
     layer, guards, clauses = {root}, [], []
-    for j in range(lemma.start_step, lemma.end_step):
-        b, left = step_vars(j, len(run.model.states), True).belief_vars, lemma.end_step - j
+    for j in range(goal.start_step, goal.end_step):
+        b, left = step_vars(j, len(run.model.states), True).belief_vars, goal.end_step - j
         hopeless = sorted(s for s in layer if not run.wins(s, left))
         if hopeless:
             off = [("not", _app("and", [("=", _app("+", [b[i] for i in s]), _ONE),
@@ -534,6 +531,7 @@ class SmtLibSession(SolverSession):
         self._pool = pool
         self._proc: Optional[_SmtProcess] = None
         self._dead = False
+        self._held = [0]  # per open scope: how many of the run's lemmas are live in it
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -571,26 +569,34 @@ class SmtLibSession(SolverSession):
 
     # -- SolverSession hooks -----------------------------------------------
 
-    def _admit(self, constraint: Constraint) -> Optional[tuple]:
-        # Incrementally nothing; from scratch, what each check replays.  A
-        # Learned asserts each run lemma since the last one live, as itself.
+    def _admit(self, constraint: Union[Constraint, DeadAction]) -> Optional[tuple]:
+        """Send the constraint's declarations and assertion, and return them
+        from scratch, for each check to replay; incrementally, nothing.  A goal
+        from the unfolding's start step is followed by the support game's
+        clause that it implies (:func:`_winnable`)."""
         root, *span = self._unfolding()
-        lemmas = (self.run.dead_actions[self._learned:constraint.count]
-                  if isinstance(constraint, Learned) else [constraint])
-        assertions = [("assert", lower(c, self.run, tuple(span), root)) for c in lemmas]
+        assertions = [("assert", lower(constraint, self.run, tuple(span)))]
+        if isinstance(constraint, Goal) and constraint.start_step == span[0]:
+            assertions.append(("assert", _winnable(constraint, root.indices, self.run)))
         declarations = _declarations(constraint, len(self.model.states))
         self._send_incremental([*declarations, *assertions])
         return None if self.config.incremental else (declarations, assertions)
 
     def _pushed(self) -> None:
+        self._held.append(self._held[-1])
         self._send_incremental([PUSH])
 
     def _popped(self) -> None:
+        self._held.pop()
         self._send_incremental([POP])
 
     def check(self) -> SatResult:
         self._guard()
         _, start, horizon = self._unfolding()
+        if self._goal:  # the run's lemmas no live scope holds, into the top one
+            lemmas = self.run.dead_actions[self._held[-1]:]
+            self._frames[-1].extend((lemma, self._admit(lemma)) for lemma in lemmas)
+            self._held[-1] += len(lemmas)
         deadline = time.monotonic() + self.config.check_timeout
         try:
             proc = self._ensure_process()

@@ -2,17 +2,18 @@
 
 The outer loop grows a horizon k from the start step, keeping the
 initial-belief and transition constraints in the persistent solver scope and
-the goal and its lemmas inside a pushed scope.  Each satisfying check
+the goal inside a pushed scope.  Each satisfying check
 answers with a candidate plan; policy generation then tries to complete it
 into a full observation-branching tree by recursively synthesizing every
 off-plan branch.  A failed branch blocks the candidate's prefix for the
 current horizon by the :class:`~.encoding.DeadAction` lemma it learns, which
-implies the block; when the horizon grows the scope is popped, freeing both,
-so previously blocked prefixes are revisited with the larger budget.
+implies the block; a lemma binds only with at most its budget left, so when
+the horizon grows, previously blocked prefixes are revisited with the larger
+budget.
 
 Branch synthesis is bounded by the current horizon k (the bound the outer
 loop hands to policy generation), not by the overall bound h; that is what
-makes popping a lemma meaningful.
+makes a lemma's budget meaningful.
 """
 
 from __future__ import annotations
@@ -122,11 +123,9 @@ def bps(
     failures raise :class:`SynthesisError`.  ``run.memo`` keeps every tree
     by (belief, budget) and ``run.refuted`` each belief's largest budget with
     none, answering any budget up to it with no check.  A goal scope holds
-    the goal, the :class:`~.encoding.Winnable` lemma it implies and, before
-    each check at which ``run.dead_actions`` has grown, one
-    :class:`~.encoding.Learned` that counts all of them; a block is sent no
-    solver, as its lemma implies it.  Every check and every block is
-    recorded in ``run.stats`` here, and nowhere else.
+    the goal alone: each backend reads the run's lemmas and support game
+    itself, and a block is sent no solver, as its lemma implies it.  Every
+    check and every block is recorded in ``run.stats`` here, and nowhere else.
     """
     if start_step > horizon_bound:
         return None
@@ -147,12 +146,7 @@ def bps(
                 session.add(encoding.transition_constraint(k - 1, k))
             session.push()
             session.add(encoding.goal_constraint(start_step, k))
-            session.add(encoding.Winnable(start_step, k))
-            asserted = 0
             while True:
-                if len(run.dead_actions) > asserted:
-                    asserted = len(run.dead_actions)
-                    session.add(encoding.Learned(asserted))
                 outcome = session.check()
                 stats.check_trace.append((start_step, k, _VERDICT_KIND[type(outcome)]))
                 if isinstance(outcome, Unsat):
@@ -203,8 +197,8 @@ def policy_generation(
     observations get no branch (the belief update is undefined there); every
     one of each walked step is counted in ``run.stats`` and logged.  A
     branch failing at step ``i`` kills its (belief, action) pair at budget
-    ``bound - i + 1``, the steps left there, in ``run.dead_actions`` and
-    ``run.dead``: a lemma that implies the block.
+    ``bound - i + 1``, the steps left there, by ``run.learn``: a lemma that
+    implies the block.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(run.model.observations)
@@ -222,10 +216,7 @@ def policy_generation(
                 continue
             branch = bps(run, branch_belief, i, bound, session_factory)
             if branch is None:
-                lemma = encoding.DeadAction(prev_belief, action, bound - i + 1, obs)
-                run.dead_actions.append(lemma)
-                budgets = run.dead.setdefault(prev_belief, {})
-                budgets[action] = max(lemma.budget, budgets.get(action, -1))
+                run.learn(encoding.DeadAction(prev_belief, action, bound - i + 1, obs))
                 return None, encoding.blocking_constraint(plan, i)
             children[obs] = branch
         subtree = PolicyTree(prev_belief, action, children, False)

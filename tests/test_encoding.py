@@ -319,8 +319,8 @@ def test_blocking_fail_step_must_lie_in_span(pickup):
 @pytest.mark.parametrize("seed", range(6))
 def test_blocked_prefixes_never_reappear(seed):
     """A block at step 1 of horizon 2 is implied by the dead pair of the
-    plan's first action at its start belief with 2 steps left: once that
-    lemma is live, no plan starts with the blocked prefix.  Each seed draws
+    plan's first action at its start belief with 2 steps left: once the run
+    has learned that lemma, no plan starts with the blocked prefix.  Each seed draws
     20 problems; a start belief that is a goal binds no lemma, and bps never
     blocks such a plan."""
     blocked = 0
@@ -336,8 +336,7 @@ def test_blocked_prefixes_never_reappear(seed):
             if not isinstance(result, Sat) or run.classify(b_init)[1]:
                 continue
             plan = result.plan
-            session.add(enc.DeadAction(plan.beliefs[0], plan.actions[0], 2,
-                                       plan.observations[0]))
+            run.learn(enc.DeadAction(plan.beliefs[0], plan.actions[0], 2, plan.observations[0]))
             again = session.check()
         if isinstance(again, Sat):
             assert again.plan.actions[0] != plan.actions[0], index

@@ -99,9 +99,13 @@ def test_support_table_names_are_seen():
     assert names_used(tree) >= SUPPORT_TABLE
 
 
-@pytest.mark.parametrize("path", [PACKAGE / "validate.py", ROOT / "tests" / "oracles.py"],
-                         ids=["validator", "dense oracle"])
+@pytest.mark.parametrize("path", [PACKAGE / "validate.py", ROOT / "tests" / "oracles.py",
+                                  PACKAGE / "synthesis.py"],
+                         ids=["validator", "dense oracle", "bps"])
 def test_trust_anchors_read_no_support_table(path):
+    """The trust anchors, the validator and the dense oracle, judge no
+    belief by its support; nor does ``bps``, which sends a session only the
+    goal: each backend reads the support game from the run itself."""
     assert not names_used(tree_of(path)) & SUPPORT_TABLE
 
 

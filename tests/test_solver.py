@@ -57,23 +57,27 @@ def load_session(session, b_init, horizon, goal=False):
 
 @pytest.mark.parametrize("backend", ["enum", "smtlib"])
 def test_popped_scope_leaves_no_trace(pickup, backend, pool):
+    """A popped transition is gone with its scope; a lemma the run learns
+    is no constraint of a scope, and binds in every later goal scope."""
     model, b_init, objective = pickup
-    session = (EnumerativeSession(RunContext(model, objective)) if backend == "enum"
-               else SmtLibSession(RunContext(model, objective), pool))
+    run = RunContext(model, objective)
+    session = EnumerativeSession(run) if backend == "enum" else SmtLibSession(run, pool)
     with session:
-        load_session(session, b_init, 1)
+        session.add(enc.initial_constraint(0, b_init))
         session.push()
+        session.add(enc.transition_constraint(0, 1))
         session.add(enc.goal_constraint(0, 1))
         plan = session.check().plan
-        session.add(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
+        run.learn(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
         blocked = session.check().plan
         assert blocked.actions[0] != plan.actions[0]
         session.pop()
-        session.push()
-        session.add(enc.goal_constraint(0, 1))
-        fresh = session.check().plan
-        assert fresh == plan  # the lemma is gone with its scope
-        session.pop()
+        session.add(enc.transition_constraint(0, 1))  # step 1 is no longer unfolded
+        for _ in range(2):
+            session.push()
+            session.add(enc.goal_constraint(0, 1))
+            assert session.check().plan == blocked
+            session.pop()
 
 
 def test_pop_on_empty_stack_is_usage_error(pickup, pool):
@@ -106,9 +110,9 @@ def test_transition_outside_scope_persists_across_horizons(pickup):
 def test_random_scope_sequences_agree_across_backends(pool):
     """Differential: 100 random interleavings of push/assert/check/pop give
     the same verdict and the same plan on both backends.  A lemma, at the
-    budget of a block on one step of the last plan, is added only while a
-    goal is live, as ``bps`` adds it: with no goal the enum search counts
-    the goal as fired from the start, where no lemma binds."""
+    budget of a block on one step of the last plan, is learned on the run
+    both sessions share, goal or no goal: each backend reads it while a goal
+    is live, and with none no lemma binds."""
     for seed in range(100):
         rng = random.Random(seed)
         model, b_init, objective, _ = random_instance(rng, max_states=3, max_horizon=2)
@@ -117,8 +121,7 @@ def test_random_scope_sequences_agree_across_backends(pool):
         enum, smt = EnumerativeSession(run), SmtLibSession(run, pool)
         for session in (enum, smt):
             load_session(session, b_init, horizon)
-        depth = 0
-        goal_depth = plan = None  # the depth of the oldest live goal's scope
+        depth, plan = 0, None
         for _ in range(16):
             op = rng.choice(["push", "pop", "goal", "lemma", "check"])
             if op == "push":
@@ -127,17 +130,13 @@ def test_random_scope_sequences_agree_across_backends(pool):
             elif op == "pop" and depth:
                 enum.pop(), smt.pop()
                 depth -= 1
-                if goal_depth is not None and goal_depth > depth:
-                    goal_depth = None
             elif op == "goal" and depth:
                 c = enc.goal_constraint(0, horizon)
                 enum.add(c), smt.add(c)
-                goal_depth = depth if goal_depth is None else goal_depth
-            elif op == "lemma" and goal_depth is not None and plan is not None:
+            elif op == "lemma" and plan is not None:
                 j = rng.randrange(len(plan.actions))
-                c = enc.DeadAction(plan.beliefs[j], plan.actions[j], horizon - j,
-                                   plan.observations[j])
-                enum.add(c), smt.add(c)
+                run.learn(enc.DeadAction(plan.beliefs[j], plan.actions[j], horizon - j,
+                                         plan.observations[j]))
             elif op == "check":
                 a, b = enum.check(), smt.check()
                 assert type(a) is type(b), f"seed {seed}: {a} vs {b}"
@@ -208,9 +207,9 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sen
             session.push()
             session.add(enc.goal_constraint(0, 1))
             plan = session.check().plan
-            session.add(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
+            session.run.learn(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
             assert isinstance(session.check(), Sat)
-        assert len(lowered) == 5  # once per add, never on replay
+        assert len(lowered) == 5  # once per add or lemma, never on replay
         # From scratch, each check replays into the one process, reset.
         assert len(spawned) == 1
         return _live_at_checks(sent)
@@ -238,7 +237,8 @@ def test_from_scratch_replays_the_live_incremental_text_over_whole_runs(problem,
                                                                        sent):
     """Over a whole smtlib run with a blocked candidate and a learned lemma,
     every from-scratch check replays exactly the text live in the incremental
-    session at that check, declarations first."""
+    session at that check, declarations first.  ``bps`` adds only initial
+    beliefs, transitions and goals."""
     (_, model, b_init, objective, horizon), = [p for p in _whole_runs() if p[0] == problem]
     added = []
     add = SmtLibSession.add
@@ -252,8 +252,7 @@ def test_from_scratch_replays_the_live_incremental_text_over_whole_runs(problem,
         result = synthesis_run(model, b_init, objective, config)
         assert result.verdict == "valid"
         assert len(result.stats.blocking_events) == 1
-        assert {c for c in added if isinstance(c, (enc.DeadAction, enc.Learned))} \
-            == {enc.Learned(1)}  # the run's one lemma, sent by count
+        assert {type(c) for c in added} == {enc.Initial, enc.Transition, enc.Goal}
         checks = _live_at_checks(sent)
         assert len(checks) == result.stats.solver_calls
         return checks
@@ -312,31 +311,27 @@ def session_in(mode, run):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kind", ["goal", "winnable", "late winnable", "block", "lemma",
-                                  "transition"])
+@pytest.mark.parametrize("kind", ["goal", "block", "lemma", "transition"])
 def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, kind):
     """Every mode refuses, when it is added, a constraint over a step that the
     live unfolding (here steps 0..1) does not hold, and keeps going.  A
-    block, even over steps unfolded, is no constraint: its lemma implies it."""
+    block or a lemma, even over steps unfolded, is no constraint: the run
+    keeps the lemma, and the lemma implies the block."""
     model, b_init, objective = pickup
     plan = CandidatePlan(0, (b_init, b_init, b_init), (0, 0), (0, 0))
-    bad = {"goal": enc.goal_constraint(0, 2), "winnable": enc.Winnable(0, 2),
-           "late winnable": enc.Winnable(1, 1),  # a Winnable starts at the initial belief
+    bad = {"goal": enc.goal_constraint(0, 2),
            "block": enc.blocking_constraint(plan, 1),
            "lemma": enc.DeadAction(b_init, 0, 1, 0),
            "transition": enc.transition_constraint(2, 3)}[kind]
     with session_in(mode, RunContext(model, objective)) as session:
-        if kind == "lemma":  # a lemma needs only the initial belief
-            with pytest.raises(SolverUsageError, match="initial-belief"):
-                session.add(bad)
         session.add(enc.initial_constraint(0, b_init))
         session.add(enc.transition_constraint(0, 1))
         session.push()
-        if kind == "block":
-            assert enc.Blocking not in get_args(enc.Constraint)
+        if kind in ("block", "lemma"):
+            assert get_args(enc.Constraint) == (enc.Initial, enc.Transition, enc.Goal)
             with pytest.raises(SolverUsageError, match="unsupported constraint"):
                 session.add(bad)
-        elif kind != "lemma":
+        else:
             with pytest.raises(SolverUsageError, match="do not fit the unfolded 0..1|not 3"):
                 session.add(bad)
         session.add(enc.goal_constraint(0, 1))
@@ -345,95 +340,64 @@ def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, 
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kind", ["lemma", "winnable"])
-def test_a_lemma_with_no_live_goal_is_a_usage_error(pickup, mode, kind):
-    """Every mode refuses a lemma while no goal is live, before a goal's push
-    and after its pop alike, and keeps going: the backends would read a
-    lemma with no goal differently."""
+def test_a_run_lemma_binds_on_no_backend_while_no_goal_is_live(pickup, mode):
+    """Every mode reads the run's lemmas only while a goal is live: lemmas
+    that ban every action at the start make the goal scope unsat, and leave
+    the unfolding satisfiable before its push and after its pop alike."""
     model, b_init, objective = pickup
-    lemma = enc.DeadAction(b_init, 0, 1, 0) if kind == "lemma" else enc.Winnable(0, 1)
-    with session_in(mode, RunContext(model, objective)) as session:
-        session.add(enc.initial_constraint(0, b_init))
-        session.add(enc.transition_constraint(0, 1))
-        for _ in range(2):
-            session.push()
-            with pytest.raises(SolverUsageError, match="no live Goal"):
-                session.add(lemma)
-            session.add(enc.goal_constraint(0, 1))
-            session.add(lemma)
-            assert isinstance(session.check(), (Sat, Unsat))
-            session.pop()
-        with pytest.raises(SolverUsageError, match="no live Goal"):
-            session.add(lemma)
-
-
-def learned_run(model, b_init, objective):
-    """A run that has learned pickup's one lemma, by ``bps`` at horizon 3."""
     run = RunContext(model, objective)
-    assert bps(run, b_init, 0, 3, lambda: EnumerativeSession(run)) is not None
-    assert len(run.dead_actions) == 1
-    return run
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_a_learned_count_the_scope_cannot_hold_is_a_usage_error(pickup, mode):
-    """Every mode refuses, and keeps going after, a ``Learned`` with no live
-    goal, one counting more lemmas than the run has, and one counting fewer
-    than a ``Learned`` live in scope, its own or one below; the same count
-    again adds nothing.  It then checks as the run's lemma added itself does."""
-    model, b_init, objective = pickup
-    run = learned_run(model, b_init, objective)
+    for action in range(len(model.actions)):
+        run.learn(enc.DeadAction(b_init, action, 1, 0))
     with session_in(mode, run) as session:
         load_session(session, b_init, 1)
-        with pytest.raises(SolverUsageError, match="no live Goal"):
-            session.add(enc.Learned(1))
-        session.push()
-        session.add(enc.goal_constraint(0, 1))
-        with pytest.raises(SolverUsageError, match=r"Learned\(2\) with 0 live of the run's 1"):
-            session.add(enc.Learned(2))
-        session.add(enc.Learned(1))
-        with pytest.raises(SolverUsageError, match=r"Learned\(0\) with 1 live"):
-            session.add(enc.Learned(0))
-        session.push()
-        with pytest.raises(SolverUsageError, match=r"Learned\(0\) with 1 live"):
-            session.add(enc.Learned(0))
-        session.add(enc.Learned(1))
-        by_count = session.check()
-    with session_in(mode, run) as session:
-        load_session(session, b_init, 1, goal=True)
-        session.add(run.dead_actions[0])
-        assert session.check() == by_count
+        for _ in range(2):
+            assert isinstance(session.check(), Sat)
+            session.push()
+            session.add(enc.goal_constraint(0, 1))
+            assert isinstance(session.check(), Unsat)
+            session.pop()
+        assert isinstance(session.check(), Sat)
 
 
-def test_a_learned_count_sends_each_lemma_as_itself(pickup, sent):
-    """``Learned(1)`` then ``Learned(2)`` assert the run's two lemmas one at
-    a time, in each goal scope, as adding each ``DeadAction`` does: the same
-    commands incrementally, and from scratch each check replays the text
-    live in the incremental session."""
+def test_a_run_lemma_is_asserted_once_per_goal_scope_before_the_next_check(pickup, sent):
+    """A lemma the run learns between two checks is asserted once, before
+    the next ``check-sat``, as ``lower`` writes it, and again in each later
+    goal scope; from scratch each check replays the text live in the
+    incremental session."""
     model, b_init, objective = pickup
     lemmas = [enc.DeadAction(b_init, 0, 1, 1), enc.DeadAction(b_init, 1, 1, 0)]
+    texts = {render(("assert", lower(lemma, RunContext(model, objective), (0, 1)))): i
+             for i, lemma in enumerate(lemmas)}
 
-    def drive(incremental, by_count):
+    def drive(incremental):
         sent.clear()
         run = RunContext(model, objective)
-        run.dead_actions.extend(lemmas)
         verdicts = []
         with SolverPool(SolverConfig(incremental=incremental)) as pool, \
                 SmtLibSession(run, pool) as session:
             load_session(session, b_init, 1)
-            for _ in range(2):
+            for scope in range(2):
                 session.push()
                 session.add(enc.goal_constraint(0, 1))
-                for count in (1, 2):
-                    session.add(enc.Learned(count) if by_count else lemmas[count - 1])
-                    verdicts.append(session.check())
+                for lemma in lemmas:
+                    if not scope:
+                        run.learn(lemma)
+                    verdicts.append(type(session.check()))
                 session.pop()
-        return verdicts, _live_at_checks(sent)
+        per_check, since = [], []  # the lemmas asserted before each check-sat
+        for _, command in sent:
+            if command == smtlib.CHECK_SAT:
+                per_check.append(since)
+                since = []
+            elif command[0] == "assert" and render(command) in texts:
+                since.append(texts[render(command)])
+        return verdicts, per_check, _live_at_checks(sent)
 
-    verdicts, incremental = drive(True, by_count=True)
-    assert [type(v) for v in verdicts] == [Sat, Unsat] * 2
-    assert drive(True, by_count=False) == (verdicts, incremental)
-    assert drive(False, by_count=True) == (verdicts, [_replay(live) for live in incremental])
+    verdicts, per_check, incremental = drive(True)
+    assert verdicts == [Sat, Unsat, Unsat, Unsat]
+    assert per_check == [[0], [1], [0, 1], []]
+    assert drive(False) == (verdicts, [[0], [0, 1], [0, 1], [0, 1]],
+                            [_replay(live) for live in incremental])
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -555,9 +519,10 @@ def test_smt_unfolding_admits_exactly_the_oracle_plans(pool):
                  if satisfies_bounded(beliefs, objective)
                  and not _takes_dead_pair(lemma, horizon, objective, actions, beliefs)}
         assert admitted_alive == alive, label
-        with EnumerativeSession(RunContext(model, objective)) as session:
+        run = RunContext(model, objective)
+        run.learn(lemma)
+        with EnumerativeSession(run) as session:
             load_session(session, b_init, horizon, goal=True)
-            session.add(lemma)
             result = session.check()
         if alive:
             assert (result.plan.actions, result.plan.observations) == smallest(alive), label
@@ -575,20 +540,18 @@ def test_a_dead_pair_binds_only_before_the_goal_fires(backend, pool):
                   observe={(1, 0): {0: F(1)}})
     objective = SafeReachObjective((LinearBeliefPredicate(frozenset({1}), ">", F(1, 2)),), ())
     start, done = Belief.point(0, 2), Belief.point(1, 2)
-    run = RunContext(model, objective)
-    session = EnumerativeSession(run) if backend == "enum" else SmtLibSession(run, pool)
-    with session:
-        load_session(session, start, 3, goal=True)
-        for lemma, verdict in ((enc.DeadAction(done, 0, 3, 0), Sat),
-                               (enc.DeadAction(start, 0, 3, 0), Unsat),
-                               (enc.DeadAction(start, 0, 2, 0), Sat)):
-            session.push()
-            session.add(lemma)
+    for lemma, verdict in ((enc.DeadAction(done, 0, 3, 0), Sat),
+                           (enc.DeadAction(start, 0, 3, 0), Unsat),
+                           (enc.DeadAction(start, 0, 2, 0), Sat)):
+        run = RunContext(model, objective)
+        run.learn(lemma)
+        session = EnumerativeSession(run) if backend == "enum" else SmtLibSession(run, pool)
+        with session:
+            load_session(session, start, 3, goal=True)
             result = session.check()
-            session.pop()
-            assert isinstance(result, verdict), lemma
-            if verdict is Sat:
-                assert result.plan.beliefs == (start, done, done, done)
+        assert isinstance(result, verdict), lemma
+        if verdict is Sat:
+            assert result.plan.beliefs == (start, done, done, done)
 
 
 # --------------------------------------------------------------------------
@@ -611,10 +574,10 @@ def test_enumerative_after_block_picks_right_hand(pickup):
     """Blocking the left hand at horizon 1 is its dead pair with 1 step left."""
     model, b_init, objective = pickup
     first = enumerative_check(model, b_init, 0, 1, objective).plan
-    with EnumerativeSession(RunContext(model, objective)) as session:
+    run = RunContext(model, objective)
+    run.learn(enc.DeadAction(b_init, first.actions[0], 1, model.observations.index("o_neg")))
+    with EnumerativeSession(run) as session:
         load_session(session, b_init, 1, goal=True)
-        session.add(enc.DeadAction(b_init, first.actions[0], 1,
-                                   model.observations.index("o_neg")))
         plan = session.check().plan
     assert (plan.actions, plan.observations) == ((1,), (0,))
 
@@ -631,35 +594,6 @@ def test_unreachable_goal_stays_unsat():
     for k in range(4):
         assert isinstance(
             enumerative_check(trap, Belief.point(0, 2), 0, k, objv), Unsat)
-
-
-def test_shared_fruitless_cache_keeps_every_plan():
-    """A subtree cached as fruitless under a private lemma, one the run has
-    not learned, must not hide a plan from a later session that shares the
-    run context but holds no lemma."""
-    cases = 0
-    for seed in range(60):
-        model, b_init, objective, h = random_instance(random.Random(seed))
-        for k in range(1, h + 1):
-            run = RunContext(model, objective)
-            with EnumerativeSession(run) as blocked:
-                load_session(blocked, b_init, k, goal=True)
-                first = blocked.check()
-                if not isinstance(first, Sat):
-                    continue
-                plan = first.plan
-                blocked.push()
-                blocked.add(enc.DeadAction(plan.beliefs[-2], plan.actions[-1], 1,
-                                           plan.observations[-1]))
-                blocked.check()
-                blocked.pop()
-            with EnumerativeSession(run) as fresh:
-                load_session(fresh, b_init, k, goal=True)
-                again = fresh.check()
-            assert isinstance(again, Sat), f"seed {seed}, horizon {k}"
-            assert again.plan == plan, f"seed {seed}, horizon {k}"
-            cases += 1
-    assert cases >= 50
 
 
 def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
@@ -1241,11 +1175,13 @@ def test_bundled_solver_stops_when_its_driver_dies():
         "pid = child.pid\n")
 
 
-def test_a_timed_out_forked_solver_is_reaped(spawned):
+def test_a_timed_out_forked_solver_is_reaped(spawned, monkeypatch):
     """The bundled solver stops its search at the check's deadline, and the
-    pool then hands out a working solver in its place."""
+    pool then hands out a working solver in its place.  The goal goes without
+    the support game's clause, which settles this check in a millisecond."""
     from safereach.domains import build_kitchen
 
+    monkeypatch.setattr(smtlib, "_winnable", lambda *args: True)
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     config = SolverConfig(check_timeout=0.2)  # the noisy h4 check searches for seconds
     with SolverPool(config) as pool:

@@ -1,8 +1,8 @@
-"""The support abstraction, the ``Winnable`` lemma it lowers to and the
-enumerative search's prune.
+"""The support abstraction, the clause the smtlib backend asserts with each
+goal from it (``smtlib._winnable``), and the enumerative search's prune.
 
 ``RunContext.wins`` judges a belief by its support alone, so it must never
-refute a belief from which the objective can be met; and the lemma, being
+refute a belief from which the objective can be met; and the clause, being
 implied by the goal, must leave every smtlib check's verdict and model as
 they are, as the prune must every enum check's.  A classifier that misreads
 a mixed support must break both.  The table ``wins`` keeps per support must
@@ -18,9 +18,8 @@ from fractions import Fraction
 import pytest
 
 from safereach import build_kitchen, core
-from safereach import encoding as enc
 from safereach.core import RunContext
-from safereach.solver import EnumerativeSession, Sat, SmtLibSession, Unsat
+from safereach.solver import EnumerativeSession, Sat, SmtLibSession, Unsat, smtlib
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
 from oracles import brute_force_feasible, dense_matrix_update, random_instance
@@ -54,21 +53,18 @@ def enum_rungs():
 
 def smtlib_checks(monkeypatch, problem, horizon, lemma):
     """The smtlib run's result and every check's outcome, in order, with the
-    ``Winnable`` lemma asserted or dropped."""
+    support game's clause asserted or dropped (asserted as ``true``)."""
     outcomes = []
-    check, add = SmtLibSession.check, SmtLibSession.add
+    check = SmtLibSession.check
 
     def recording(session):
         outcomes.append(check(session))
         return outcomes[-1]
 
-    def adding(session, constraint):
-        if lemma or not isinstance(constraint, enc.Winnable):
-            add(session, constraint)
-
     with monkeypatch.context() as patch:
         patch.setattr(SmtLibSession, "check", recording)
-        patch.setattr(SmtLibSession, "add", adding)
+        if not lemma:
+            patch.setattr(smtlib, "_winnable", lambda *args: True)
         result = synthesis_run(*problem, SynthesisConfig(horizon=horizon, backend="smtlib"))
     return result, outcomes
 

@@ -267,14 +267,16 @@ def test_each_block_is_carried_by_the_lemma_learned_with_it(monkeypatch):
     (200 random problems and four kitchens), the lemma it appended last is
     the blocked prefix's last pair, at budget ``bound - i + 1``, the steps
     left there; no belief of the prefix before step ``i`` is a goal, so the
-    lemma binds that prefix; and ``run.dead`` holds it.  No block is sent
-    to a solver, so this is what keeps ``bps`` from proposing the candidate
-    again at this horizon."""
+    lemma binds that prefix.  No block is sent to a solver, so this is what
+    keeps ``bps`` from proposing the candidate again at this horizon.  At the
+    end of each run, ``run.dead``, which the enum search reads, is exactly
+    the largest budget per pair of ``run.dead_actions``."""
     import golden
 
-    generate, blocks = synthesis.policy_generation, []
+    generate, blocks, runs = synthesis.policy_generation, [], {}
 
     def checked(run, plan, bound, session_factory):
+        runs[id(run)] = run
         tree, blocking = generate(run, plan, bound, session_factory)
         if blocking is not None:
             i = blocking.fail_step
@@ -283,14 +285,20 @@ def test_each_block_is_carried_by_the_lemma_learned_with_it(monkeypatch):
             assert (lemma.belief, lemma.action, lemma.budget) \
                 == (plan.beliefs[j], plan.actions[j], bound - i + 1), blocking
             assert not any(run.classify(belief)[1] for belief in plan.beliefs[:j + 1])
-            assert run.dead[lemma.belief][lemma.action] >= lemma.budget
             blocks.append(blocking)
         return tree, blocking
 
     monkeypatch.setattr(synthesis, "policy_generation", checked)
     for group in ("enum-random", "enum-kitchen"):
         for name, thunk in golden.runs(group):
+            runs.clear()
             assert thunk().verdict != "error", name
+            for run in runs.values():
+                dead: dict = {}
+                for lemma in run.dead_actions:
+                    budgets = dead.setdefault(lemma.belief, {})
+                    budgets[lemma.action] = max(lemma.budget, budgets.get(lemma.action, -1))
+                assert run.dead == dead, name
     assert len(blocks) >= 50 and any(bl.fail_step > bl.plan.start_step + 1 for bl in blocks)
 
 
@@ -517,14 +525,14 @@ def test_no_belief_is_classified_twice_in_a_run(rung, monkeypatch):
 
 
 # Work pins on fresh models: checks, plans, blocks, supports built
-# (``model._supports``) and lemma-carrying session adds (``DeadAction`` and
-# ``Learned``).  A PR that moves one names the old and the new value.
+# (``model._supports``) and session adds.  A change that moves one names the
+# old and the new value.
 FRESH_WORK = [
-    (*KITCHEN_LADDER[0][:2], (29, 8, 4, 15, 23)),
-    (*KITCHEN_LADDER[1][:2], (32, 10, 5, 23, 26)),
-    (*KITCHEN_LADDER[2][:2], (15, 3, 2, 8, 8)),
+    (*KITCHEN_LADDER[0][:2], (29, 8, 4, 15, 50)),
+    (*KITCHEN_LADDER[1][:2], (32, 10, 5, 23, 54)),
+    (*KITCHEN_LADDER[2][:2], (15, 3, 2, 8, 26)),
     ((5, 3, [(x, y) for x in (1, 2, 3) for y in range(3)], (4, 0), 1), 10,
-     (1009, 400, 303, 792, 1001)),
+     (1009, 400, 303, 792, 1412)),
 ]
 
 
@@ -535,14 +543,14 @@ def test_the_work_of_a_run_on_a_fresh_model(geometry, horizon, work, monkeypatch
     add = SolverSession.add
 
     def counting(session, constraint):
-        adds.append(isinstance(constraint, (encoding.DeadAction, encoding.Learned)))
+        adds.append(constraint)
         add(session, constraint)
 
     monkeypatch.setattr(SolverSession, "add", counting)
     model, b_init, objective = det_kitchen(*geometry)
     stats = run(model, b_init, objective, horizon).stats
     assert (stats.solver_calls, stats.plans_checked, len(stats.blocking_events),
-            len(model._supports), sum(adds)) == work
+            len(model._supports), len(adds)) == work
 
 
 def test_pickup_learns_its_dead_pair_at_the_budget_it_failed_with(pickup):
