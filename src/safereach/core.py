@@ -643,8 +643,9 @@ class SynthesisStats:
     """What one synthesis run did, recursion included.
 
     ``check_trace`` holds one ``(start step, horizon, verdict)`` entry per
-    solver check and ``blocking_events`` one entry per blocked candidate;
-    the check, plan and per-horizon counts are read off these two lists.
+    session check, the smtlib ones the support game answers with no solver
+    call included, and ``blocking_events`` one per blocked candidate; the
+    check (``solver_calls``), plan and per-horizon counts are read off these.
     """
 
     interactions: int = 0

@@ -90,7 +90,7 @@ class SolverSession(ABC):
         self.model = run.model
         self._frames: list[list[tuple[Constraint, object]]] = [[]]
         self._span: Optional[tuple[Belief, int, int]] = None
-        self._goal = False  # whether a Goal is live
+        self._goal: Optional[Goal] = None  # the live goal, the latest added if several
         self._saved: list = []  # the span and goal at each open scope's push
         self._closed = False
 
@@ -103,7 +103,7 @@ class SolverSession(ABC):
         if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
         self._span = self._unfold(constraint)
-        self._goal = self._goal or isinstance(constraint, Goal)
+        self._goal = constraint if isinstance(constraint, Goal) else self._goal
         self._frames[-1].append((constraint, self._admit(constraint)))
 
     def push(self) -> None:

@@ -1,18 +1,18 @@
 """SMT backend: SMT-LIB v2, to the bundled solver or to a solver process.
 
 The only backend that speaks SMT, and the one place SMT-LIB is written:
-each added constraint is lowered once to a term (:func:`lower`), its
-``assert`` command, after the ``declare-const`` commands of the variables
-it introduces: an initial belief declares its step's beliefs, a transition
-its step's selectors as ``Int`` and the rest as ``Real``.  Drives the
-bundled reference solver, or any conforming solver binary (``z3 -in``
-works), with ``push``/``pop`` scopes, reads a pipe's answers with the
+each added constraint is lowered once, at its first send, to a term
+(:func:`lower`), its ``assert`` command, after the ``declare-const`` commands
+of the variables it introduces: an initial belief declares its step's
+beliefs, a transition its step's selectors as ``Int`` and the rest as
+``Real``.  Drives the bundled reference solver, or any conforming solver
+binary (``z3 -in`` works), with ``push``/``pop`` scopes, sent only at a
+check the support game cannot answer, reads a pipe's answers with the
 reference solver's reader, takes models' values as exact rationals, and
-decodes them into the candidate plan a satisfying check answers with.
-It is the only module besides :mod:`safereach.encoding` that knows the
-variable names.  In non-incremental mode every check replays the kept
-commands of all live assertions into a solver that has just been reset,
-for the from-scratch comparison.
+decodes them into the candidate plan a satisfying check answers with.  It
+is the only module besides :mod:`safereach.encoding` that knows the variable
+names.  In non-incremental mode every such check replays the kept commands
+of all live assertions into a solver just reset, for the from-scratch one.
 
 Commands and answers are terms; text is what a pipe carries.  An endpoint is
 a :class:`_SmtProcess`, which is sent commands and reads answers; its transport
@@ -23,10 +23,10 @@ terms; :class:`_SolverProcess` execs an explicit solver command as given,
 writes it each command as the text :func:`refsolver.render` makes of it, and
 reads its answers with :class:`refsolver.CommandReader`.  Every
 session draws its endpoint from the run's one :class:`SolverPool`, which
-keeps the idle ones: a session holds one while it is open (or, from
-scratch, for one check) and hands it back after ``(reset)`` and the
-header, and one that timed out, failed or answered with a model that does
-not decode is closed instead.
+keeps the idle ones: a session holds one from its first check that reaches
+a solver until it closes (or, from scratch, for one check) and hands it
+back after ``(reset)`` and the header, and one that timed out, failed or
+answered with a model that does not decode is closed instead.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import time
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from itertools import chain
+from typing import Mapping, Optional, Sequence, Union
 
 from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Pomdp,
                     RunContext, SafeReachObjective)
@@ -523,7 +524,13 @@ class SolverPool:
 
 class SmtLibSession(SolverSession):
     """Drives one solver endpoint incrementally, or one per check from scratch,
-    drawn from the run's ``pool``, which outlives it and whose config it runs."""
+    drawn from the run's ``pool``, which outlives it and whose config it runs.
+
+    An added constraint, a push or a pop is only recorded.  A check whose
+    goal the support game refutes at the root answers ``unsat`` with no
+    endpoint, as the solver would at the root of the goal's clause
+    (:func:`_winnable`); any other takes one, if the session holds none, and
+    sends it what it lacks (:meth:`_send_live`)."""
 
     def __init__(self, run: RunContext, pool: SolverPool) -> None:
         super().__init__(run)
@@ -532,6 +539,8 @@ class SmtLibSession(SolverSession):
         self._proc: Optional[_SmtProcess] = None
         self._dead = False
         self._held = [0]  # per open scope: how many of the run's lemmas are live in it
+        self._sent = [0]  # per scope the endpoint holds, the base one first: the entries sent
+        self._kept = 1  # how many of those scopes are still open
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -542,7 +551,11 @@ class SmtLibSession(SolverSession):
 
     def _ensure_process(self) -> _SmtProcess:
         if self._proc is None:
-            self._proc = self._pool.take()
+            try:
+                self._proc = self._pool.take()
+            except BaseException:
+                self._die()
+                raise
         return self._proc
 
     def _release(self) -> None:
@@ -557,56 +570,69 @@ class SmtLibSession(SolverSession):
             self._proc.close()
             self._proc = None
 
-    def _send_incremental(self, commands: Iterable[tuple]) -> None:
-        if self.config.incremental:
-            try:
-                proc = self._ensure_process()
-                for command in commands:
+    def _commands(self, constraint: Union[Constraint, DeadAction], entry: list) -> tuple:
+        """A live constraint's declarations and assertions, lowered at the first
+        call against its unfolding and kept on its ``entry``.  A goal from the
+        start step is followed by the game's clause it implies (:func:`_winnable`)."""
+        if entry[1] is None:
+            root, *span = entry[0]
+            assertions = [("assert", lower(constraint, self.run, tuple(span)))]
+            if isinstance(constraint, Goal) and constraint.start_step == span[0]:
+                assertions.append(("assert", _winnable(constraint, root.indices, self.run)))
+            entry[1] = (_declarations(constraint, len(self.model.states)), assertions)
+        return entry[1]
+
+    def _send_live(self, proc: _SmtProcess) -> None:
+        """Bring the endpoint up to date: from scratch, just reset, it is sent every
+        live declaration, then every assertion.  Incrementally it is sent a pop
+        for each scope it holds popped since the last call, then what each live
+        scope gained, after a push for each scope it does not hold yet."""
+        if not self.config.incremental:
+            live = [self._commands(*item) for item in self._live()]
+            for command in chain(*[d for d, _ in live], *[a for _, a in live]):
+                proc.send(command)
+            return
+        for _ in self._sent[self._kept:]:
+            proc.send(POP)
+        del self._sent[self._kept:]
+        for depth, frame in enumerate(self._frames):
+            if depth == len(self._sent):
+                proc.send(PUSH)
+                self._sent.append(0)
+            for item in frame[self._sent[depth]:]:
+                for command in chain(*self._commands(*item)):
                     proc.send(command)
-            except BaseException:
-                self._die()
-                raise
+            self._sent[depth] = len(frame)
+        self._kept = len(self._frames)
 
     # -- SolverSession hooks -----------------------------------------------
 
-    def _admit(self, constraint: Union[Constraint, DeadAction]) -> Optional[tuple]:
-        """Send the constraint's declarations and assertion, and return them
-        from scratch, for each check to replay; incrementally, nothing.  A goal
-        from the unfolding's start step is followed by the support game's
-        clause that it implies (:func:`_winnable`)."""
-        root, *span = self._unfolding()
-        assertions = [("assert", lower(constraint, self.run, tuple(span)))]
-        if isinstance(constraint, Goal) and constraint.start_step == span[0]:
-            assertions.append(("assert", _winnable(constraint, root.indices, self.run)))
-        declarations = _declarations(constraint, len(self.model.states))
-        self._send_incremental([*declarations, *assertions])
-        return None if self.config.incremental else (declarations, assertions)
+    def _admit(self, constraint: Union[Constraint, DeadAction]) -> list:
+        """The unfolding to lower the constraint against, and its commands once lowered."""
+        return [self._unfolding(), None]
 
     def _pushed(self) -> None:
         self._held.append(self._held[-1])
-        self._send_incremental([PUSH])
 
     def _popped(self) -> None:
         self._held.pop()
-        self._send_incremental([POP])
+        self._kept = min(self._kept, len(self._frames))
 
     def check(self) -> SatResult:
         self._guard()
-        _, start, horizon = self._unfolding()
-        if self._goal:  # the run's lemmas no live scope holds, into the top one
+        root, start, horizon = self._unfolding()
+        goal = self._goal
+        if goal is not None:
+            if goal.start_step == start and not self.run.wins(root.indices, goal.end_step - start):
+                return Unsat()  # the goal's clause is false under the initial pins
+            # The run's lemmas no live scope holds, into the top one.
             lemmas = self.run.dead_actions[self._held[-1]:]
             self._frames[-1].extend((lemma, self._admit(lemma)) for lemma in lemmas)
             self._held[-1] += len(lemmas)
+        proc = self._ensure_process()
         deadline = time.monotonic() + self.config.check_timeout
         try:
-            proc = self._ensure_process()
-            if not self.config.incremental:
-                for _, (declarations, _) in self._live():
-                    for command in declarations:
-                        proc.send(command)
-                for _, (_, assertions) in self._live():
-                    for assertion in assertions:
-                        proc.send(assertion)
+            self._send_live(proc)
             result = self._check_on(proc, deadline, start, horizon)
         except TimeoutError:
             self._die()

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # make `oracles` importable
 
 from safereach import build_pickup_example
+from safereach.core import RunContext
 from safereach.refsolver import render
 from safereach.solver import smtlib
 
@@ -80,6 +81,25 @@ def spawned(monkeypatch):
     monkeypatch.setattr(smtlib._SmtProcess, "__init__", recording_spawn)
     monkeypatch.setattr(smtlib._SmtProcess, "send", recording_send)
     return processes
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """For each smtlib check, in order, whether it reaches a solver: it does
+    unless the support game, played on a run context of its own, refutes the
+    live goal's whole span from the initial belief's support."""
+    reaches = []
+    check = smtlib.SmtLibSession.check
+
+    def recording_check(session):
+        root, start, _ = session._unfolding()
+        goal, game = session._goal, RunContext(session.model, session.run.objective)
+        reaches.append(goal is None or goal.start_step != start
+                       or game.wins(root.indices, goal.end_step - start))
+        return check(session)
+
+    monkeypatch.setattr(smtlib.SmtLibSession, "check", recording_check)
+    return reaches
 
 
 @pytest.fixture

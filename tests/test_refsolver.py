@@ -803,7 +803,7 @@ def probe_after_sat(replay: Replay, model) -> bool:
 
 
 def test_a_long_lived_session_answers_every_check_as_a_fresh_one(monkeypatch):
-    """The commands ``bps`` sends, on seeds 0-199 and kitchen 2x2 det h4 and
+    """The commands ``bps`` sends, on seeds 0-399 and kitchen 2x2 det h4 and
     3x2 det h3: at every check, the session that kept its frames' root
     propagation, and resumes after a sat answer, gives the verdict and model
     of a fresh session given the live commands alone.  Each sat answer is
@@ -815,7 +815,7 @@ def test_a_long_lived_session_answers_every_check_as_a_fresh_one(monkeypatch):
     from safereach import build_kitchen
 
     det = {"obstacles": 1, "p_fail": 0, "p_fp": 0, "p_fn": 0}
-    problems = [random_instance(random.Random(seed)) for seed in range(200)]
+    problems = [random_instance(random.Random(seed)) for seed in range(400)]
     problems += [(*build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **det), 4),
                  (*build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **det), 3)]
     checks = probes = moved = 0

@@ -185,7 +185,10 @@ def _replay(live):
     return sorted(live, key=lambda line: line.startswith("(assert"))
 
 
-def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sent):
+def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sent, reached):
+    """The support game refutes the h0 goal from the initial support, so its
+    check reaches no solver and the goal is never lowered; the two h1 checks
+    do, and each from-scratch one replays the incremental one's live text."""
     model, b_init, objective = pickup
     lowered = []
     monkeypatch.setattr(smtlib, "lower", lambda constraint, run, *span:
@@ -195,6 +198,7 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sen
         spawned.clear()
         sent.clear()
         lowered.clear()
+        reached.clear()
         config = SolverConfig(incremental=incremental)
         with SolverPool(config) as pool, \
                 SmtLibSession(RunContext(model, objective), pool) as session:
@@ -209,14 +213,17 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sen
             plan = session.check().plan
             session.run.learn(enc.DeadAction(b_init, plan.actions[0], 1, plan.observations[0]))
             assert isinstance(session.check(), Sat)
-        assert len(lowered) == 5  # once per add or lemma, never on replay
+        assert reached == [False, True, True]
+        # Once per constraint or lemma sent, never on replay: the initial
+        # belief, the transition, the h1 goal and the lemma.
+        assert len(lowered) == 4
         # From scratch, each check replays into the one process, reset.
         assert len(spawned) == 1
         return _live_at_checks(sent)
 
     incremental = drive(True)
     from_scratch = drive(False)
-    assert len(incremental) == 3
+    assert len(incremental) == sum(reached) == 2
     assert from_scratch == [_replay(live) for live in incremental]
 
 
@@ -234,11 +241,12 @@ def _whole_runs():
 
 @pytest.mark.parametrize("problem", ["pickup", "kitchen"])
 def test_from_scratch_replays_the_live_incremental_text_over_whole_runs(problem, monkeypatch,
-                                                                       sent):
+                                                                       sent, reached):
     """Over a whole smtlib run with a blocked candidate and a learned lemma,
-    every from-scratch check replays exactly the text live in the incremental
-    session at that check, declarations first.  ``bps`` adds only initial
-    beliefs, transitions and goals."""
+    every from-scratch check that reaches the solver replays exactly the text
+    live in the incremental session at that check, declarations first; the
+    support game answers the rest.  ``bps`` adds only initial beliefs,
+    transitions and goals."""
     (_, model, b_init, objective, horizon), = [p for p in _whole_runs() if p[0] == problem]
     added = []
     add = SmtLibSession.add
@@ -248,28 +256,32 @@ def test_from_scratch_replays_the_live_incremental_text_over_whole_runs(problem,
     def live(incremental):
         sent.clear()
         added.clear()
+        reached.clear()
         config = SynthesisConfig(horizon, "smtlib", SolverConfig(incremental=incremental))
         result = synthesis_run(model, b_init, objective, config)
         assert result.verdict == "valid"
         assert len(result.stats.blocking_events) == 1
         assert {type(c) for c in added} == {enc.Initial, enc.Transition, enc.Goal}
         checks = _live_at_checks(sent)
-        assert len(checks) == result.stats.solver_calls
+        assert len(reached) == result.stats.solver_calls
+        assert len(checks) == sum(reached) < len(reached)
         return checks
 
     incremental = live(True)
     assert live(False) == [_replay(text) for text in incremental]
 
 
-def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent):
+def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent, reached):
     """In every command stream a whole smtlib run sends, in either mode,
     each name an assertion uses is declared once, on its endpoint's live
     scopes, before the first assertion that names it; the selectors ``a_*``
-    and ``o_*``, and only they, are ``Int``."""
-    sorts = set()
+    and ``o_*``, and only they, are ``Int``.  A run whose every check the
+    support game answers asserts nothing."""
+    sorts, silent = set(), 0
     for (name, model, b_init, objective, horizon), incremental \
             in itertools.product(_whole_runs(), (True, False)):
         sent.clear()
+        reached.clear()
         config = SynthesisConfig(horizon, "smtlib", SolverConfig(incremental=incremental))
         assert synthesis_run(model, b_init, objective, config).verdict != "error", name
         stacks, asserted = {}, 0
@@ -291,8 +303,36 @@ def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent):
                 asserted += 1
                 for var in term_vars(command[1], set()):
                     assert any(var in frame for frame in stack), (name, var)
-        assert asserted, name
-    assert sorts == {"Int", "Real"}
+        assert bool(asserted) == any(reached), name
+        silent += not asserted
+    assert sorts == {"Int", "Real"} and silent
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "from-scratch"])
+def test_a_check_the_support_game_refutes_sends_nothing(pickup, incremental, spawned, reached):
+    """Kitchen 3x2 det h3, whose every check the support game refutes at the
+    root, takes no endpoint.  In pickup h3 the h0 goal scope is pushed and
+    popped before any check reaches the solver, so the first endpoint is
+    sent no pop before its first check-sat, and incrementally one push, for
+    the h1 goal, after the step-1 transition; from scratch, none."""
+    from safereach import build_kitchen
+
+    kitchen = build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), p_fail=0, p_fp=0, p_fn=0)
+    config = SynthesisConfig(3, "smtlib", SolverConfig(incremental=incremental))
+    result = synthesis_run(*kitchen, config)
+    assert result.verdict == "no-policy-within-bound"
+    assert reached == [False] * 4 and result.stats.solver_calls == 4
+    assert spawned == []
+    reached.clear()
+    result = synthesis_run(*pickup, config)
+    assert result.verdict == "valid"
+    assert reached[:2] == [False, True] and result.stats.check_trace[0] == (0, 0, "unsat")
+    lines = spawned[0].lines
+    first = lines[:lines.index(render(smtlib.CHECK_SAT))]
+    assert render(smtlib.POP) not in first
+    pushes = [i for i, line in enumerate(first) if line == render(smtlib.PUSH)]
+    assert len(pushes) == incremental
+    assert all(first.index("(declare-const a_1 Int)") < i for i in pushes)
 
 
 MODES = ["enum", "smtlib-inc", "smtlib-scratch"]
@@ -711,10 +751,11 @@ def test_a_solver_that_answers_unknown_makes_the_run_an_error(pickup):
             SmtLibSession(RunContext(model, objective), pool) as session:
         load_session(session, b_init, 1, goal=True)
         assert session.check() == Unknown("solver returned unknown")
+    # The support game answers the h0 check, so h1 is the first the solver does.
     result = synthesis_run(model, b_init, objective,
                            SynthesisConfig(horizon=1, backend="smtlib", solver=solver))
     assert result.verdict == "error"
-    assert result.error == "solver returned unknown at horizon 0: solver returned unknown"
+    assert result.error == "solver returned unknown at horizon 1: solver returned unknown"
 
 
 def test_an_unexpected_check_sat_reply_closes_the_endpoint(pickup, spawned):
@@ -1006,16 +1047,19 @@ def test_an_error_left_on_a_pooled_process_fails_the_next_check(pickup):
 
 def test_a_session_takes_every_setting_from_its_pool(pickup, spawned):
     model, b_init, objective = pickup
-    # The pool's command is the one the session's endpoint runs ...
+    # The pool's command is the one the session's endpoint runs, started at
+    # the first check that reaches a solver ...
     with SolverPool(SolverConfig(command=("no-such-solver",))) as pool:
         session = SmtLibSession(RunContext(model, objective), pool)
+        load_session(session, b_init, 1, goal=True)
+        assert spawned == []
         with pytest.raises(SolverError, match="cannot start solver"):
-            load_session(session, b_init, 1, goal=True)
+            session.check()
         session.close()
     assert [type(proc) for proc in spawned] == [smtlib._SolverProcess]
     spawned.clear()
-    # ... and its mode is the session's: from scratch, nothing is sent
-    # before a check, and each check takes an endpoint and hands it back.
+    # ... and its mode is the session's: from scratch, each check takes an
+    # endpoint and hands it back.
     with SolverPool(SolverConfig(incremental=False)) as pool, \
             SmtLibSession(RunContext(model, objective), pool) as session:
         load_session(session, b_init, 1, goal=True)
@@ -1049,11 +1093,13 @@ def _folded(term):
 
 
 def test_the_bundled_solver_answers_the_same_in_this_process_and_over_a_pipe(spawned,
-                                                                             monkeypatch):
+                                                                             monkeypatch,
+                                                                             reached):
     """Handed terms in this process, or sent their text as a program of its
     own, the bundled solver gives the same verdict, policy and check trace,
     each endpoint is sent the same lines, and every read returns the same
-    answer term, up to how a numeral is written."""
+    answer term, up to how a numeral is written.  A run whose every check
+    the support game answers starts no endpoint either way."""
     answers: dict = {}
     for endpoint in (smtlib._InProcessSolver, smtlib._SolverProcess):
         def recording_read(proc, deadline, read=endpoint.read):
@@ -1067,6 +1113,7 @@ def test_the_bundled_solver_answers_the_same_in_this_process_and_over_a_pipe(spa
         for command in (None, smtlib.default_solver_command()):
             spawned.clear()
             answers.clear()
+            reached.clear()
             solver = SolverConfig(command=command, incremental=incremental)
             result = synthesis_run(*problem, SynthesisConfig(horizon=horizon, backend="smtlib",
                                                              solver=solver))
@@ -1076,7 +1123,7 @@ def test_the_bundled_solver_answers_the_same_in_this_process_and_over_a_pipe(spa
                          [answers.get(proc, []) for proc in spawned]))
         in_process, over_a_pipe = runs
         assert in_process == over_a_pipe, label
-        assert in_process[3] and all(in_process[3]), label
+        assert bool(in_process[3]) == any(reached) and all(in_process[3]), label
         compared += sum(in_process[4], [])
     assert {"sat", "unsat"} <= set(compared)
     assert any(type(answer) is tuple and answer[0][0] == "define-fun" for answer in compared)
@@ -1177,18 +1224,20 @@ def test_bundled_solver_stops_when_its_driver_dies():
 
 def test_a_timed_out_forked_solver_is_reaped(spawned, monkeypatch):
     """The bundled solver stops its search at the check's deadline, and the
-    pool then hands out a working solver in its place.  The goal goes without
-    the support game's clause, which settles this check in a millisecond."""
+    pool then hands out a working solver in its place.  The support game is
+    off, as it refutes this check at the root, and its clause would settle
+    it in a millisecond."""
     from safereach.domains import build_kitchen
 
-    monkeypatch.setattr(smtlib, "_winnable", lambda *args: True)
+    monkeypatch.setattr(RunContext, "wins", lambda run, support, steps: True)
     model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     config = SolverConfig(check_timeout=0.2)  # the noisy h4 check searches for seconds
     with SolverPool(config) as pool:
         with SmtLibSession(RunContext(model, objective), pool) as session:
             load_session(session, b_init, 4, goal=True)
-            # One answered round trip runs the queued declarations and
-            # assertions, so the timed window below covers the check alone.
+            # One answered round trip runs the declarations and assertions
+            # sent, so the timed window below covers the check alone.
+            session._send_live(session._ensure_process())
             session._proc.send(("echo", '"loaded"'))
             assert session._proc.read(time.monotonic() + 60) == "loaded"
             started = time.monotonic()

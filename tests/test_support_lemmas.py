@@ -1,16 +1,19 @@
 """The support abstraction, the clause the smtlib backend asserts with each
-goal from it (``smtlib._winnable``), and the enumerative search's prune.
+goal from it (``smtlib._winnable``), the smtlib checks it answers with no
+solver call, and the enumerative search's prune.
 
 ``RunContext.wins`` judges a belief by its support alone, so it must never
 refute a belief from which the objective can be met; and the clause, being
-implied by the goal, must leave every smtlib check's verdict and model as
-they are, as the prune must every enum check's.  A classifier that misreads
+implied by the goal, and the checks refuted at the root must leave every
+smtlib check's verdict and model as they are, as the prune must every enum
+check's.  A classifier that misreads
 a mixed support must break both.  The table ``wins`` keeps per support must
 answer as a plain recursion over the support graph does.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -19,7 +22,7 @@ import pytest
 
 from safereach import build_kitchen, core
 from safereach.core import RunContext
-from safereach.solver import EnumerativeSession, Sat, SmtLibSession, Unsat, smtlib
+from safereach.solver import EnumerativeSession, Sat, SmtLibSession, SolverConfig, Unsat
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
 from oracles import brute_force_feasible, dense_matrix_update, random_instance
@@ -51,9 +54,10 @@ def enum_rungs():
     yield "4x3 M2 det h5", build_kitchen(4, 3, shadow, (3, 0), (0, 0), obstacles=2, **DET), 5
 
 
-def smtlib_checks(monkeypatch, problem, horizon, lemma):
+def smtlib_checks(monkeypatch, problem, horizon, lemma, incremental=True):
     """The smtlib run's result and every check's outcome, in order, with the
-    support game's clause asserted or dropped (asserted as ``true``)."""
+    support game on, or with ``RunContext.wins`` answering True throughout:
+    then no check is answered at the root and the clause is ``true``."""
     outcomes = []
     check = SmtLibSession.check
 
@@ -64,18 +68,21 @@ def smtlib_checks(monkeypatch, problem, horizon, lemma):
     with monkeypatch.context() as patch:
         patch.setattr(SmtLibSession, "check", recording)
         if not lemma:
-            patch.setattr(smtlib, "_winnable", lambda *args: True)
-        result = synthesis_run(*problem, SynthesisConfig(horizon=horizon, backend="smtlib"))
+            patch.setattr(RunContext, "wins", lambda run, support, steps: True)
+        solver = SolverConfig(incremental=incremental)
+        result = synthesis_run(*problem, SynthesisConfig(horizon, "smtlib", solver))
     return result, outcomes
 
 
 def test_every_check_answers_the_same_with_the_lemma(monkeypatch):
-    for label, problem, horizon in [*random_problems(), *kitchen_problems()]:
-        with_lemma = smtlib_checks(monkeypatch, problem, horizon, lemma=True)
-        without = smtlib_checks(monkeypatch, problem, horizon, lemma=False)
-        assert with_lemma[1] == without[1], label
-        assert with_lemma[0].verdict == without[0].verdict, label
-        assert with_lemma[0].policy == without[0].policy, label
+    """With the support game on, as with a bare solver, incrementally and from scratch."""
+    for (label, problem, horizon), incremental in itertools.product(
+            [*random_problems(), *kitchen_problems()], (True, False)):
+        with_lemma = smtlib_checks(monkeypatch, problem, horizon, True, incremental)
+        without = smtlib_checks(monkeypatch, problem, horizon, False, incremental)
+        assert with_lemma[1] == without[1], (label, incremental)
+        assert with_lemma[0].verdict == without[0].verdict, (label, incremental)
+        assert with_lemma[0].policy == without[0].policy, (label, incremental)
 
 
 class Posteriors(dict):
