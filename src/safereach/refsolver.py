@@ -9,9 +9,10 @@ Completeness is limited by design: every integer variable must have finite
 bounds derivable from top-level ``(<= c v)`` / ``(< v c)``-style assertions,
 and real variables must be determined by equation propagation (forms
 ``x = e``, ``x * e1 = e2``, ``x + e1 = e2`` with the rest known) once the
-integers are fixed.  The search enumerates integer assignments in ascending
-declaration order with exact ``Fraction`` arithmetic and three-valued
-constraint evaluation for pruning.
+integers are fixed, as must ``Bool`` constants (``p = e``), which are no
+search variables either.  The search enumerates integer assignments in
+ascending declaration order with exact ``Fraction`` arithmetic and
+three-valued constraint evaluation for pruning.
 
 Each assertion is compiled once, when it is asserted, and kept in its
 ``push`` frame, so ``pop`` drops it and ``reset`` clears it.  A session
@@ -608,6 +609,9 @@ def compile_assertion(term) -> list[Constraint]:
 # The search
 # --------------------------------------------------------------------------
 
+# The value a leaf gives a constant that nothing assigned, by its sort.
+_DEFAULTS = {"Int": 0, "Real": _ZERO, "Bool": False}
+
 # Search nodes between two looks at whether the driver is still there.
 PARENT_POLL_NODES = 1000
 
@@ -712,9 +716,9 @@ class Search:
             self.satisfied.discard(cid)
 
     def _assign(self, name: str, value) -> bool:
-        if type(value) is bool:
-            return False  # no value of a number constant
         sort = self.decls[name]
+        if (type(value) is bool) != (sort == "Bool"):
+            return False  # a bool is the value of a Bool constant and of nothing else
         if sort == "Int" and type(value) is Fraction:
             if value.denominator != 1:
                 return False
@@ -817,7 +821,7 @@ class Search:
             os._exit(1)  # orphaned: nobody is left to read the answer
 
     def _leaf(self):
-        trial = {name: 0 if sort == "Int" else _ZERO for name, sort in self.decls.items()}
+        trial = {name: _DEFAULTS[sort] for name, sort in self.decls.items()}
         trial.update(self.env)
         for cid, test in enumerate(self.tests):
             if cid not in self.satisfied and test(trial) is not True:
@@ -930,7 +934,7 @@ class Session:
             sort = cmd[-1]
             if head == "declare-fun" and cmd[2] != ():
                 return _error("only 0-ary functions supported")
-            if sort not in ("Int", "Real"):
+            if sort not in _DEFAULTS:
                 return _error(f"unsupported sort {sort}")
             if name in self.search.decls:
                 return _error(f"{name} is already declared")  # and change nothing

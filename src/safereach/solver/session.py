@@ -97,8 +97,9 @@ class SolverSession(ABC):
     def add(self, constraint: Constraint) -> None:
         """Assert an initial belief, a transition or a goal into the current
         (top) scope.  It may name only steps already unfolded (:meth:`_unfold`):
-        its initial belief comes first.  Anything else, a learned
-        :class:`~safereach.encoding.DeadAction` too, is a usage error."""
+        its initial belief comes first, and a goal starts at its start step.
+        Anything else, a learned :class:`~safereach.encoding.DeadAction` too,
+        is a usage error."""
         self._guard()
         if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
@@ -162,6 +163,9 @@ class SolverSession(ABC):
         if not start <= first <= last <= horizon:
             raise SolverUsageError(f"{type(constraint).__name__} over steps {first}..{last} "
                                    f"do not fit the unfolded {start}..{horizon}")
+        if first != start:
+            raise SolverUsageError(f"a goal starts at the unfolding's start step {start}, "
+                                   f"not {first}")
         return self._span
 
     def _admit(self, constraint: Constraint) -> object:

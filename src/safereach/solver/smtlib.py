@@ -4,12 +4,20 @@ The only backend that speaks SMT, and the one place SMT-LIB is written:
 each added constraint is lowered once, at its first send, to a term
 (:func:`lower`), its ``assert`` command, after the ``declare-const`` commands
 of the variables it introduces: an initial belief declares its step's
-beliefs, a transition its step's selectors as ``Int`` and the rest as
-``Real``.  Drives the bundled reference solver, or any conforming solver
-binary (``z3 -in`` works), with ``push``/``pop`` scopes, sent only at a
-check the support game cannot answer, reads a pipe's answers with the
-reference solver's reader, takes models' values as exact rationals, and
-decodes them into the candidate plan a satisfying check answers with.  It
+beliefs, a transition its step's selectors as ``Int``, its chain's flags
+``p_j`` and ``f_j`` as ``Bool`` and the rest as ``Real``.  Each unnormalized
+belief of a transition is one table over the selector pair whose cases are
+linear sums, and the transition is followed by its chain (:func:`_chain`),
+which defines ``p_j`` (every belief before step j is safe) and ``f_j`` (the
+goal has fired by step j) from the step before.  A goal, which starts at the
+unfolding's start step, is the one flag ``f_k`` (at the start step, the start
+belief's goal test), and a lemma clause's guard ``(not f_j)``, so goal and
+lemma text is linear in the span.  Drives the bundled reference solver, or
+any conforming solver binary (``z3 -in`` works), with ``push``/``pop``
+scopes, sent only at a check the support game cannot answer, reads a pipe's
+answers with the reference solver's reader, takes models' values as exact
+rationals, and decodes them into the candidate plan a satisfying check
+answers with.  It
 is the only module besides :mod:`safereach.encoding` that knows the variable
 names.  In non-incremental mode every such check replays the kept commands
 of all live assertions into a solver just reset, for the from-scratch one.
@@ -102,6 +110,8 @@ def lower(constraint: Union[Constraint, DeadAction], run: RunContext,
     of the run's model, shaped as :func:`refsolver.parse_tokens` reads its
     text; a goal is lowered against the run's objective, and a
     :class:`DeadAction` against its goal scope's ``span``, (start step, horizon).
+    A goal, and a lemma's guard, read the fired flags each transition's chain
+    (:func:`_chain`) defines.
 
     Normalization is division-free (``b_i * denom_i = u_i``, ``denom_i > 0``)
     so the whole theory stays in polynomial arithmetic.
@@ -113,7 +123,7 @@ def lower(constraint: Union[Constraint, DeadAction], run: RunContext,
     if isinstance(constraint, Transition):
         return _transition(constraint.step, run.model)
     if isinstance(constraint, Goal):
-        return _goal(constraint.start_step, constraint.end_step, n, run.objective)
+        return _fired(constraint.end_step, constraint.start_step, n, run.objective)
     if isinstance(constraint, DeadAction) and span is not None:
         return _dead_action(constraint, *span, n, run.objective)
     raise TypeError(f"cannot lower {constraint!r}")
@@ -133,19 +143,27 @@ def _pins(names: Sequence[str], belief: Belief) -> list[tuple]:
     return [("=", name, p) for name, p in zip(names, belief.probs)]
 
 
-def _ite_chain(cases: Sequence[tuple[tuple, Fraction]]):
+def _ite_chain(cases: Sequence[tuple[tuple, object]]):
     """The value of the first case whose condition holds, else 0."""
     return reduce(lambda rest, case: ("ite", *case, rest), reversed(cases), _ZERO)
+
+
+def _scaled(coefficient: Fraction, name: str):
+    """``(* c name)``, or the bare name for a unit coefficient."""
+    return name if coefficient == 1 else ("*", coefficient, name)
 
 
 def _transition(step: int, model: Pomdp):
     """Division-free unfolding of the belief transition into ``step``.
 
-    Encodes u_i(s') = Z(s', a_i, o_i) * sum_s T(s, a_i, s') * b_{i-1}(s),
-    denom_i = sum u_i, denom_i > 0 and b_i(s') * denom_i = u_i(s'), with the
-    selector domains, per-action availability and the (redundant but
-    solver-friendly) simplex constraints on b_i.  Each ``(s, a)`` row is
-    read once, so the term takes time linear in the model's nonzero entries.
+    Encodes u_i(s') = sum_s Z(s', a_i, o_i) T(s, a_i, s') b_{i-1}(s) as one
+    table over the selector pair, ``(ite (and (= a_i act) (= o_i obs)) <sum>
+    ... 0)``, whose cases are linear sums over the nonzero entries, a unit
+    coefficient written as the bare variable; then denom_i = sum u_i,
+    denom_i > 0 and b_i(s') * denom_i = u_i(s'), with the selector domains,
+    per-action availability and the (redundant but solver-friendly) simplex
+    constraints on b_i.  Each ``(s, a)`` row is read once, so the term takes
+    time linear in the model's nonzero entries.
     """
     n = len(model.states)
     n_actions = len(model.actions)
@@ -155,7 +173,7 @@ def _transition(step: int, model: Pomdp):
     a, o = cur.action_var, cur.observation_var
     parts: list = [("<=", 0, a), ("<", a, n_actions),
                    ("<=", 0, o), ("<", o, len(model.observations))]
-    into: list[dict] = [{} for _ in range(n)]  # into[s2][s]: the cases of T(s, ., s2)
+    into: list[dict] = [{} for _ in range(n)]  # into[s2][act][s]: T(s, act, s2)
     where: list[list] = [[] for _ in range(n_actions)]  # the states an action exists in
     for s in range(n):
         for act in model.allowed_actions(s):
@@ -163,7 +181,7 @@ def _transition(step: int, model: Pomdp):
         for act in range(n_actions):
             for s2, p in model.trans_dist(s, act).items():
                 if p:
-                    into[s2].setdefault(s, []).append((("=", a, act), p))
+                    into[s2].setdefault(act, {})[s] = p
 
     # An action may be selected only when the previous belief's support lies
     # entirely inside the states where the action exists.
@@ -173,12 +191,15 @@ def _transition(step: int, model: Pomdp):
             parts.append(("or", ("not", ("=", a, act)), ("=", mass, _ONE)))
 
     for s2 in range(n):
-        pushed = [("*", _ite_chain(cases), prev[s]) for s, cases in into[s2].items()]
-        observed = [(("and", ("=", a, act), ("=", o, obs)), p)
-                    for act in range(n_actions)
-                    for obs, p in sorted(model.obs_dist(s2, act).items()) if p]
-        rhs = ("*", _ite_chain(observed), _app("+", pushed)) if pushed and observed else _ZERO
-        parts.append(("=", cur.unnorm_vars[s2], rhs))
+        cases = []
+        for act in range(n_actions):
+            pushed = into[s2].get(act)
+            if pushed:
+                for obs, z in sorted(model.obs_dist(s2, act).items()):
+                    if z:
+                        terms = [_scaled(z * p, prev[s]) for s, p in pushed.items()]
+                        cases.append((("and", ("=", a, act), ("=", o, obs)), _app("+", terms)))
+        parts.append(("=", cur.unnorm_vars[s2], _ite_chain(cases)))
 
     denom = cur.denom_var
     parts.append(("=", denom, _app("+", cur.unnorm_vars)))
@@ -201,60 +222,92 @@ def _predicate(pred: LinearBeliefPredicate, beliefs: Sequence[str]) -> tuple:
     return ("<=", mass, threshold)
 
 
-def _goal(start: int, end: int, n: int, objective: SafeReachObjective):
-    """One disjunct per step i: the step-i belief is a goal belief and every
-    belief strictly before i is safe."""
-    steps = [step_vars(i, n, start=True).belief_vars for i in range(start, end + 1)]
-    disjuncts = []
-    for i, beliefs in enumerate(steps):
-        clauses = [_predicate(p, beliefs) for p in objective.goal]
-        for earlier in steps[:i]:
-            clauses.extend(_predicate(p, earlier) for p in objective.safe)
-        disjuncts.append(_app("and", clauses))
-    return _app("or", disjuncts)
+def _safe_var_name(step: int) -> str:
+    """``p_j``: every belief before step j is safe."""
+    return f"p_{step}"
+
+
+def _fired_var_name(step: int) -> str:
+    """``f_j``: some belief up to step j is a goal belief, every one before it safe."""
+    return f"f_{step}"
+
+
+def _holds(preds: Sequence[LinearBeliefPredicate], beliefs: Sequence[str]) -> list[tuple]:
+    return [_predicate(p, beliefs) for p in preds]
+
+
+def _fired(step: int, start: int, n: int, objective: SafeReachObjective):
+    """The goal over ``start..step``: ``f_step``, or at the start step the
+    start belief's goal test itself."""
+    if step > start:
+        return _fired_var_name(step)
+    return _app("and", _holds(objective.goal, step_vars(start, n, True).belief_vars))
+
+
+def _chain(step: int, start: int, n: int, objective: SafeReachObjective):
+    """The definitions of the transition into ``step``, sent after it:
+    ``(= p_j (and p_{j-1} <safe(b_{j-1})>))`` and ``(= f_j (or f_{j-1} (and p_j
+    <goal(b_j)>)))``.  The chain starts at the first transition: at j =
+    start + 1, p_j is the start belief's safe test and f_{j-1} its goal test.
+    A goal over start..k is then the one flag f_k, and each clause that
+    reads a flag is of constant size."""
+    earlier = [] if step == start + 1 else [_safe_var_name(step - 1)]
+    earlier += _holds(objective.safe, step_vars(step - 1, n, True).belief_vars)
+    p, f = _safe_var_name(step), _fired_var_name(step)
+    goal = _app("and", [p, *_holds(objective.goal, step_vars(step, n, True).belief_vars)])
+    return ("and", ("=", p, _app("and", earlier) if earlier else True),
+            ("=", f, ("or", _fired(step - 1, start, n, objective), goal)))
 
 
 def _dead_action(lemma: DeadAction, start: int, end: int, n: int,
                  objective: SafeReachObjective):
-    """``(not (and <pins of b_j> (= a_{j+1} action) (not <goal over start..j>)))``
-    per step j with ``end - j <= budget``, or ``true``; filler after a goal is free."""
-    clauses = [("not", ("and", *_pins(step_vars(j, n, True).belief_vars, lemma.belief),
+    """``(not (and <pins of b_j> (= a_{j+1} action) (not f_j)))`` per step j
+    with ``end - j <= budget``, or ``true``; filler after a goal is free.
+    Only the lemma belief's support is pinned: b_j is a distribution, so
+    those pins fix the rest at 0."""
+    belief = lemma.belief
+    clauses = [("not", ("and", *(("=", belief_var_name(j, i), belief.probs[i])
+                                 for i in belief.indices),
                         ("=", action_var_name(j + 1), lemma.action),
-                        ("not", _goal(start, j, n, objective))))
+                        ("not", _fired(j, start, n, objective))))
                for j in range(max(start, end - lemma.budget), end)]
     return _app("and", clauses) if clauses else True
 
 
 def _winnable(goal: Goal, root: tuple[int, ...], run: RunContext):
-    """``(or <goal(b_i) per earlier step i whose layer may hold one> (and (not
-    <b_j has support S>)...))`` per step j of the goal's span before its end
-    whose layer, the supports reachable from the ``root`` support at its start
-    through ones that can still win, holds supports S that cannot win in the
-    steps left; or ``true``.  The goal implies each clause (see the README)."""
-    layer, guards, clauses = {root}, [], []
-    for j in range(goal.start_step, goal.end_step):
-        b, left = step_vars(j, len(run.model.states), True).belief_vars, goal.end_step - j
+    """``(or f_{j-1} (and (not <b_j has support S>)...))`` per step j of the
+    goal's span before its end whose layer, the supports reachable from the
+    ``root`` support at its start through ones that can still win, holds
+    supports S that cannot win in the steps left; the guard only once an
+    earlier layer may hold a goal.  Or ``true``.  The goal implies each
+    clause (see the README)."""
+    n, start = len(run.model.states), goal.start_step
+    layer, guarded, clauses = {root}, False, []
+    for j in range(start, goal.end_step):
+        b, left = step_vars(j, n, True).belief_vars, goal.end_step - j
         hopeless = sorted(s for s in layer if not run.wins(s, left))
         if hopeless:
             off = [("not", _app("and", [("=", _app("+", [b[i] for i in s]), _ONE),
                                         *(("<", _ZERO, b[i]) for i in s if len(s) > 1)]))
                    for s in hopeless]
-            clauses.append(_app("or", [*guards, _app("and", off)]))
-        if any(run.wins(s, 0) for s in layer):  # may hold a goal
-            guards.append(_app("and", [_predicate(p, b) for p in run.objective.goal]))
+            guard = [_fired(j - 1, start, n, run.objective)] if guarded else []
+            clauses.append(_app("or", [*guard, _app("and", off)]))
+        guarded = guarded or any(run.wins(s, 0) for s in layer)  # may hold a goal
         layer = {s2 for s in layer if run.wins(s, left) for s2 in run.model.support_successors(s)}
     return _app("and", clauses) if clauses else True
 
 
 def _declarations(constraint: Constraint, n: int) -> list[tuple]:
     """The ``declare-const`` commands, sorted by name, of the variables an
-    initial belief or a transition introduces at its step; selectors are ``Int``."""
+    initial belief or a transition introduces at its step; selectors are
+    ``Int``, and the chain's flags ``Bool``."""
     if isinstance(constraint, Initial):
         sorts = dict.fromkeys(step_vars(constraint.step, n, start=True).belief_vars, "Real")
     elif isinstance(constraint, Transition):
         v = step_vars(constraint.step, n)
         sorts = {**dict.fromkeys((*v.belief_vars, *v.unnorm_vars, v.denom_var), "Real"),
-                 v.action_var: "Int", v.observation_var: "Int"}
+                 v.action_var: "Int", v.observation_var: "Int",
+                 _safe_var_name(v.step): "Bool", _fired_var_name(v.step): "Bool"}
     else:
         return []
     return [("declare-const", name, sort) for name, sort in sorted(sorts.items())]
@@ -264,19 +317,24 @@ def _declarations(constraint: Constraint, n: int) -> list[tuple]:
 # Response parsing
 # --------------------------------------------------------------------------
 
-def parse_model(answer) -> dict[str, Union[Fraction, int]]:
+def parse_model(answer) -> dict[str, Union[Fraction, int, bool]]:
     """The values of a ``get-model`` answer term (with or without the
-    ``model`` keyword)."""
+    ``model`` keyword); a ``Bool`` is ``true`` or ``false``."""
     if not isinstance(answer, tuple):
         raise SolverError(f"unexpected get-model response: {answer!r}")
     entries = answer[1:] if answer and answer[0] == "model" else answer
-    model: dict[str, Union[Fraction, int]] = {}
+    model: dict[str, Union[Fraction, int, bool]] = {}
     for entry in entries:
         if not (isinstance(entry, tuple) and entry and entry[0] == "define-fun"):
             continue
         if len(entry) != 5:
             raise SolverError(f"malformed model entry: {entry!r}")
         _, name, _args, sort, term = entry
+        if sort == "Bool":
+            if type(term) is not bool:
+                raise ModelValueError(f"non-boolean model value for {name}: {term!r}")
+            model[name] = term
+            continue
         value = numeral(term)
         if value is None:
             raise ModelValueError(f"non-rational model value for {name}: {term!r}")
@@ -572,14 +630,19 @@ class SmtLibSession(SolverSession):
 
     def _commands(self, constraint: Union[Constraint, DeadAction], entry: list) -> tuple:
         """A live constraint's declarations and assertions, lowered at the first
-        call against its unfolding and kept on its ``entry``.  A goal from the
-        start step is followed by the game's clause it implies (:func:`_winnable`)."""
+        call against its unfolding and kept on its ``entry``.  A transition is
+        followed by its chain's definitions (:func:`_chain`), a goal by the
+        game's clause it implies (:func:`_winnable`)."""
         if entry[1] is None:
-            root, *span = entry[0]
-            assertions = [("assert", lower(constraint, self.run, tuple(span)))]
-            if isinstance(constraint, Goal) and constraint.start_step == span[0]:
+            root, start, horizon = entry[0]
+            n = len(self.model.states)
+            assertions = [("assert", lower(constraint, self.run, (start, horizon)))]
+            if isinstance(constraint, Transition):
+                assertions.append(("assert", _chain(constraint.step, start, n,
+                                                    self.run.objective)))
+            elif isinstance(constraint, Goal):
                 assertions.append(("assert", _winnable(constraint, root.indices, self.run)))
-            entry[1] = (_declarations(constraint, len(self.model.states)), assertions)
+            entry[1] = (_declarations(constraint, n), assertions)
         return entry[1]
 
     def _send_live(self, proc: _SmtProcess) -> None:
@@ -623,7 +686,7 @@ class SmtLibSession(SolverSession):
         root, start, horizon = self._unfolding()
         goal = self._goal
         if goal is not None:
-            if goal.start_step == start and not self.run.wins(root.indices, goal.end_step - start):
+            if not self.run.wins(root.indices, goal.end_step - start):
                 return Unsat()  # the goal's clause is false under the initial pins
             # The run's lemmas no live scope holds, into the top one.
             lemmas = self.run.dead_actions[self._held[-1]:]

@@ -6,17 +6,18 @@ from itertools import combinations
 
 import pytest
 
-from safereach import build_pickup_example, encoding as enc
+from safereach import build_pickup_example, encoding as enc, refsolver
 from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
                             SafeReachObjective, belief_update)
 from safereach.domains import build_kitchen
-from safereach.refsolver import render
+from safereach.refsolver import Session, render, tokenize
 from safereach.solver import EnumerativeSession, Sat, enumerative_check
-from safereach.solver.smtlib import _app, _ite_chain, lower, serialize
+from safereach.solver.smtlib import _app, _chain, _ite_chain, lower, serialize
 
 from oracles import (
     enumerate_plans,
     eval_term,
+    evaluate,
     random_instance,
     satisfies_bounded,
     transition_env,
@@ -174,9 +175,9 @@ def test_availability_encoded_as_support_implication():
 
 
 def dense_transition(step, model):
-    """The transition term built densely: every (s, s2) pair asks every
-    action's row for s2, and each action's states are gathered apart.  The
-    reference the sparse lowering must equal term for term."""
+    """The transition term built densely: every (action, observation) pair
+    asks every state's row for s2, and each action's states are gathered
+    apart.  The reference the sparse lowering must equal term for term."""
     n, n_actions = len(model.states), len(model.actions)
     prev = enc.step_vars(step - 1, n, start=True).belief_vars
     cur = enc.step_vars(step, n)
@@ -190,17 +191,18 @@ def dense_transition(step, model):
                 mass = _app("+", [prev[s] for s in sorted(states)]) if states else F(0)
                 parts.append(("or", ("not", ("=", a, act)), ("=", mass, F(1))))
     for s2 in range(n):
-        pushed = []
-        for s in range(n):
-            cases = [(("=", a, act), model.trans_dist(s, act)[s2])
-                     for act in range(n_actions) if model.trans_dist(s, act).get(s2)]
-            if cases:
-                pushed.append(("*", _ite_chain(cases), prev[s]))
-        observed = [(("and", ("=", a, act), ("=", o, obs)), p)
-                    for act in range(n_actions)
-                    for obs, p in sorted(model.obs_dist(s2, act).items()) if p]
-        rhs = ("*", _ite_chain(observed), _app("+", pushed)) if pushed and observed else F(0)
-        parts.append(("=", cur.unnorm_vars[s2], rhs))
+        cases = []
+        for act in range(n_actions):
+            for obs in range(len(model.observations)):
+                z = model.obs_dist(s2, act).get(obs, F(0))
+                terms = []
+                for s in range(n):
+                    c = z * model.trans_dist(s, act).get(s2, F(0))
+                    if c:
+                        terms.append(prev[s] if c == 1 else ("*", c, prev[s]))
+                if terms:
+                    cases.append((("and", ("=", a, act), ("=", o, obs)), _app("+", terms)))
+        parts.append(("=", cur.unnorm_vars[s2], _ite_chain(cases)))
     denom = cur.denom_var
     parts.append(("=", denom, _app("+", cur.unnorm_vars)))
     parts.append(("<", F(0), denom))
@@ -242,6 +244,24 @@ def test_the_sparse_transition_is_the_dense_term():
     assert masked >= len(KITCHEN_BUILDS)  # availability masks are covered
 
 
+def subterms(term):
+    yield term
+    if isinstance(term, tuple):
+        for arg in term[1:]:
+            yield from subterms(arg)
+
+
+def test_no_transition_conjunct_multiplies_an_ite_by_a_variable():
+    """Each selector table's cases are linear sums: a product is a numeral
+    times a variable, or a belief times its step's denominator."""
+    for label, model in sparse_lowering_cases():
+        for step in (1, 2):
+            for term in subterms(lower(enc.Transition(step), run_of(model))):
+                if isinstance(term, tuple) and term[0] == "*":
+                    assert len(term) == 3 and not any(isinstance(arg, tuple)
+                                                       for arg in term[1:]), (label, term)
+
+
 def test_lowering_a_transition_reads_each_row_once(monkeypatch):
     args, kwargs = KITCHEN_BUILDS["4x3-M2-det"]
     model = build_kitchen(*args, **kwargs)[0]
@@ -275,17 +295,108 @@ def test_goal_at_start_step_is_single_membership(pickup):
 def test_goal_two_step_structure_and_models(pickup):
     model, b_init, objective = pickup
     term = serialize(enc.goal_constraint(0, 1), run_of(model, objective))
+    assert term == "f_1"  # the flag the step-1 transition's chain defines
+    chain = _chain(1, 0, 3, objective)
     # oracle: enumerate all four (action, observation) assignments
     satisfying = []
     for actions, observations, beliefs in enumerate_plans(model, b_init, 1):
         env = {enc.belief_var_name(0, j): beliefs[0][j] for j in range(3)}
         env.update({enc.belief_var_name(1, j): beliefs[1][j] for j in range(3)})
+        for _, name, definition in chain[1:]:
+            env[name] = evaluate(definition, env)
         if eval_term(term, env):
             satisfying.append((actions[0], observations[0]))
             assert satisfies_bounded(beliefs, objective)
         else:
             assert not satisfies_bounded(beliefs, objective)
     assert satisfying == [(0, 0), (1, 0), (1, 1)]
+
+
+# --------------------------------------------------------------------------
+# Fired/safe chains: p_j, every belief before step j is safe; f_j, the goal
+# has fired by step j
+# --------------------------------------------------------------------------
+
+def ask(session, *commands) -> list:
+    answers, queued = [], iter(commands)
+    session.run(lambda: next(queued, None), answers.append)
+    return answers
+
+
+def belief_commands(step, belief):
+    names = enc.step_vars(step, len(belief.probs), start=True).belief_vars
+    return [*(("declare-const", name, "Real") for name in names),
+            *(("assert", ("=", name, p)) for name, p in zip(names, belief.probs))]
+
+
+def chains_match_the_oracle(model, b_init, objective, horizon) -> int:
+    """Walks every belief sequence of up to ``horizon`` steps, pinning each
+    belief and defining each step's chain in one bundled-solver session:
+    at every step j the flags propagate, with no search node, to
+    ``p_j = all beliefs before j are safe`` and to the goal over 0..j of
+    :func:`oracles.satisfies_bounded`.  Returns the number of steps walked."""
+    run, n = run_of(model, objective), len(model.states)
+    session = Session()
+    ask(session, *belief_commands(0, b_init))
+
+    def visit(beliefs) -> int:
+        j = len(beliefs) - 1
+        verdict, answer = ask(session, ("check-sat",), ("get-model",))
+        assert verdict == "sat" and session.search.nodes == 0
+        values = {name: value for _, name, _, _, value in answer}
+        assert evaluate(lower(enc.Goal(0, j), run), values) \
+            == satisfies_bounded(beliefs, objective), beliefs
+        if j:
+            assert values[f"p_{j}"] == all(map(objective.is_safe, beliefs[:-1])), beliefs
+        if j == horizon:
+            return 1
+        walked = 1
+        # The flags read only the beliefs: each distinct posterior is one path.
+        children = dict.fromkeys(child for a in model.available_actions(beliefs[-1])
+                                 for _, child, *_ in run.successors(beliefs[-1], a))
+        for child in children:
+            ask(session, ("push", 1), *belief_commands(j + 1, child),
+                ("declare-const", f"p_{j + 1}", "Bool"), ("declare-const", f"f_{j + 1}", "Bool"),
+                ("assert", _chain(j + 1, 0, n, objective)))
+            walked += visit((*beliefs, child))
+            ask(session, ("pop", 1))
+        return walked
+
+    return visit((b_init,))
+
+
+def test_propagated_fired_flags_are_the_bounded_goal_on_random_paths():
+    walked = 0
+    for seed in range(200):
+        model, b_init, objective, horizon = random_instance(random.Random(seed))
+        walked += chains_match_the_oracle(model, b_init, objective, horizon)
+    assert walked > 15000
+
+
+@pytest.mark.parametrize("label, horizon", [("2x2-det", 4), ("2x2-noisy", 4), ("3x2-det", 4),
+                                            ("3x2-noisy", 3)])
+def test_propagated_fired_flags_are_the_bounded_goal_on_kitchen_paths(label, horizon):
+    args, kwargs = KITCHEN_BUILDS[label]
+    assert chains_match_the_oracle(*build_kitchen(*args, **kwargs), horizon) > 10
+
+
+def test_goal_lemma_and_chain_text_grows_linearly_in_the_span():
+    """On kitchen 3x2, the conjuncts of the goal over 0..k, of a lemma
+    eligible at every step and of the chains of steps 1..k take a number of
+    tokens whose first differences over k = 1..10 are all equal: each step
+    adds the same text."""
+    args, kwargs = KITCHEN_BUILDS["3x2-det"]
+    model, b_init, objective = build_kitchen(*args, **kwargs)
+    run, n = run_of(model, objective), len(model.states)
+    lemma = enc.DeadAction(b_init, 0, 10, 0)
+    sizes = []
+    for k in range(1, 11):
+        terms = [lower(enc.Goal(0, k), run), lower(lemma, run, (0, k)),
+                 *(_chain(j, 0, n, objective) for j in range(1, k + 1))]
+        sizes.append(sum(len(tokenize(render(part)))
+                         for term in terms for part in refsolver._conjuncts(term, [])))
+    steps = [later - earlier for earlier, later in zip(sizes, sizes[1:])]
+    assert len(set(steps)) == 1, steps
 
 
 def test_goal_requires_contiguous_steps():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import time
 from fractions import Fraction as F
 
@@ -175,7 +176,7 @@ def test_error_responses():
 """)
     assert lines[0].startswith("(error")
     lines = run_script("""
-(declare-const x Bool)
+(declare-const x String)
 """)
     assert lines[0].startswith("(error")
     # An unterminated quote is answered, not a crash of the command loop.
@@ -293,6 +294,47 @@ def test_a_bool_is_no_value_of_a_number_constant(sort):
     """Solving ``(= x true)`` for ``x`` gives a bool, which no number equals."""
     assert run_script(f"(declare-const x {sort})(assert (= x true))(check-sat)(get-model)") \
         == ["unsat", '(error "no model available")']
+
+
+def test_a_bool_definition_propagates_with_no_search_node():
+    """``(= f (or ...))`` over known operands assigns the Bool ``f`` by
+    propagation: the check searches no node, and the model lists ``f``."""
+    session = Session()
+    answers = ask(session, [*(("declare-const", name, "Bool") for name in ("f", "g", "p")),
+                            ("declare-const", "x", "Real"), ("assert", ("=", "x", F(1, 2))),
+                            ("assert", ("=", "p", ("<", F(0), "x"))),
+                            ("assert", ("=", "f", ("or", "g", ("and", "p", ("<", "x", 1))))),
+                            ("assert", ("=", "g", False)), ("assert", "f"), *CHECK_AND_MODEL])
+    assert session.search.nodes == 0
+    assert answers == ["sat", (("define-fun", "f", (), "Bool", True),
+                               ("define-fun", "g", (), "Bool", False),
+                               ("define-fun", "p", (), "Bool", True),
+                               ("define-fun", "x", (), "Real", F(1, 2)))]
+    # A Bool nothing assigns is false at a leaf, and a Bool no number.
+    assert run_script("(declare-const b Bool)(check-sat)(get-model)") \
+        == ["sat", "((define-fun b () Bool false))"]
+    assert run_script("(declare-const b Bool)(assert (= b 1.0))(check-sat)") == ["unsat"]
+
+
+BOOL_DEFINITIONS = [
+    ("=", "f", ("or", "g", ("and", "p", "q"))), ("=", "p", ("and", "q", "r")),
+    ("=", "p", ("and", "q", ("<", "x", F(1, 2)))), ("=", "f", ("or", ("<=", F(1), "y"), "g")),
+    ("=", "p", True), ("=", "f", ("or", ("and", "q", "r"), ("and", "p", "g"))),
+]
+BOOL_ENVS = [dict(zip(names, values)) for names in [("f", "g", "p", "q", "r")]
+             for values in itertools.product((None, True, False), repeat=5)]
+
+
+@pytest.mark.parametrize("term", BOOL_DEFINITIONS, ids=repr)
+def test_compiled_bool_definitions_step_like_the_reference(term):
+    """A chain's definition, compiled, steps as :func:`evaluate` then
+    :func:`solve_equation` do, under every three-valued assignment of its flags."""
+    (constraint,) = refsolver.compile_assertion(term)
+    assert constraint.test is not None
+    for flags in BOOL_ENVS:
+        for numbers in ({}, {"x": F(0), "y": F(1)}, {"x": F(1), "y": F(0)}):
+            env = {name: v for name, v in {**flags, **numbers}.items() if v is not None}
+            assert same_value(constraint.test(env), reference_step(term, env)), (term, env)
 
 
 def test_render_numeral_shapes():
@@ -688,6 +730,8 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
         for declaration in smtlib._declarations(constraint, len(model.states)):
             send(declaration)
         send(("assert", smtlib.lower(constraint, run, *span)))
+        if isinstance(constraint, Transition):
+            send(("assert", smtlib._chain(constraint.step, 0, len(model.states), objective)))
 
     def model_text():
         """The model answer in the layout the program once wrote it in, one
@@ -715,8 +759,14 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     assert verdicts == ["unsat", "unsat", "sat", "sat"]
     assert (plan.actions, plan.observations) == ((3, 8), (2, 0))
     assert "(define-fun a_2 () Int 9)" in second
-    assert hashlib.sha256(first.encode()).hexdigest()[:16] == "80eb4c1f5182a79b"
-    assert hashlib.sha256(second.encode()).hexdigest()[:16] == "9433a431821a62da"
+    assert "(define-fun f_2 () Bool true)" in first
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest(first) == "e45c866ab5c089be"
+    assert digest(second) == "2033265735dce303"
+    # Without the chain's flags, the models are those of the per-clause goal.
+    numbers = lambda text: "".join(line for line in text.splitlines(True) if " Bool " not in line)
+    assert digest(numbers(first)) == "80eb4c1f5182a79b"
+    assert digest(numbers(second)) == "9433a431821a62da"
 
 
 # --------------------------------------------------------------------------
@@ -849,6 +899,9 @@ def test_a_search_cut_off_by_its_deadline_leaves_the_session_sound(monkeypatch):
     for constraint in (Initial(0, b_init), Transition(1), Transition(2)):
         commands += smtlib._declarations(constraint, len(model.states))
         commands.append(("assert", smtlib.lower(constraint, run)))
+        if isinstance(constraint, Transition):
+            commands.append(("assert", smtlib._chain(constraint.step, 0, len(model.states),
+                                                     objective)))
     commands += [smtlib.PUSH, ("assert", smtlib.lower(Goal(0, 2), run))]
     session = Session()
     assert ask(session, commands) == []
@@ -908,6 +961,13 @@ def _encoder_traffic():
         yield RunContext(model, objective), constraints, path
 
 
+def _chains(run) -> list:
+    """The chains the transitions into steps 1 and 2 define, from step 0."""
+    from safereach.solver import smtlib
+
+    return [smtlib._chain(step, 0, len(run.model.states), run.objective) for step in (1, 2)]
+
+
 def test_the_encoders_traffic_stays_compiled():
     """Every conjunct ``smtlib.lower`` writes is compiled: none is outside
     the fragment, which would make every check answer unknown.  An encoder
@@ -917,8 +977,8 @@ def test_the_encoders_traffic_stays_compiled():
 
     outside = []
     for run, constraints, _ in _encoder_traffic():
-        for constraint in constraints:
-            term = smtlib.lower(constraint, run, (0, 2))
+        terms = [smtlib.lower(constraint, run, (0, 2)) for constraint in constraints]
+        for term in terms + _chains(run):
             outside.extend(c for c in refsolver.compile_assertion(term) if c.test is None)
     assert outside == []
 
@@ -928,7 +988,7 @@ def test_the_encoders_terms_and_their_text_are_one_problem():
     term with the same text.  An assertion compiles, from its term as the
     bundled solver is handed it and from its text as a solver process reads
     it, to conjuncts with the same names, integer bounds and values on the
-    oracle's path, where the unfolding holds."""
+    oracle's path, where the unfolding and its chains hold."""
     from oracles import satisfies_bounded, transition_env
 
     from safereach.solver import smtlib
@@ -944,17 +1004,22 @@ def test_the_encoders_terms_and_their_text_are_one_problem():
                                 run.model, 0, 1),
                **transition_env(beliefs[1], beliefs[2], actions[1], observations[1],
                                 run.model, 1, 2)}
+        for step in (1, 2):  # the chain's flags, from first principles
+            env[f"p_{step}"] = all(map(run.objective.is_safe, beliefs[:step]))
+            env[f"f_{step}"] = satisfies_bounded(beliefs[:step + 1], run.objective)
         values = []
-        for constraint in constraints:
-            assertion = ("assert", smtlib.lower(constraint, run, (0, 2)))
+        terms = [smtlib.lower(constraint, run, (0, 2)) for constraint in constraints]
+        for term in terms + _chains(run):
+            assertion = ("assert", term)
             text = render(assertion)
             assert render(parse(text)) == text
             from_term = conjuncts(assertion[1], env)
             assert conjuncts(parse(text)[1], env) == from_term, text
             values.append([value for _, _, value in from_term])
+        for constraint in constraints:
             commands.extend(smtlib._declarations(constraint, len(run.model.states)))
-        initial, first, second, goal, eligible, true = values
-        assert all(initial + first + second)
+        initial, first, second, goal, eligible, true, *chains = values
+        assert all(initial + first + second) and chains == [[True, True]] * 2
         assert goal == [satisfies_bounded(beliefs, run.objective)]
         lemma_forms.add((len(eligible), tuple(true)))
     assert {count for count, _ in lemma_forms} == {2} and {t for _, t in lemma_forms} == {(True,)}

@@ -275,7 +275,8 @@ def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent, reached
     """In every command stream a whole smtlib run sends, in either mode,
     each name an assertion uses is declared once, on its endpoint's live
     scopes, before the first assertion that names it; the selectors ``a_*``
-    and ``o_*``, and only they, are ``Int``.  A run whose every check the
+    and ``o_*``, and only they, are ``Int``, and the chain's flags ``p_*``
+    and ``f_*``, and only they, ``Bool``.  A run whose every check the
     support game answers asserts nothing."""
     sorts, silent = set(), 0
     for (name, model, b_init, objective, horizon), incremental \
@@ -297,6 +298,7 @@ def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent, reached
                 _, var, sort = command
                 assert not any(var in frame for frame in stack), (name, command)
                 assert (sort == "Int") == var.startswith(("a_", "o_")), (name, command)
+                assert (sort == "Bool") == var.startswith(("p_", "f_")), (name, command)
                 stack[-1].add(var)
                 sorts.add(sort)
             elif command[0] == "assert":
@@ -305,7 +307,7 @@ def test_each_name_is_declared_once_by_the_step_that_introduces_it(sent, reached
                     assert any(var in frame for frame in stack), (name, var)
         assert bool(asserted) == any(reached), name
         silent += not asserted
-    assert sorts == {"Int", "Real"} and silent
+    assert sorts == {"Int", "Real", "Bool"} and silent
 
 
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "from-scratch"])
@@ -375,6 +377,22 @@ def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, 
             with pytest.raises(SolverUsageError, match="do not fit the unfolded 0..1|not 3"):
                 session.add(bad)
         session.add(enc.goal_constraint(0, 1))
+        assert isinstance(session.check(), Sat)
+        session.pop()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_goal_that_does_not_start_at_the_unfolding_start_is_a_usage_error(pickup, mode):
+    """A goal's span starts at the unfolding's start step in every mode: one
+    that starts later is refused when it is added, and the session goes on."""
+    model, b_init, objective = pickup
+    with session_in(mode, RunContext(model, objective)) as session:
+        load_session(session, b_init, 2)
+        session.push()
+        with pytest.raises(SolverUsageError, match="starts at the unfolding's start step 0, "
+                                                   "not 1"):
+            session.add(enc.goal_constraint(1, 2))
+        session.add(enc.goal_constraint(0, 2))
         assert isinstance(session.check(), Sat)
         session.pop()
 
@@ -466,14 +484,16 @@ def test_a_pop_shrinks_the_unfolding_constraints_are_checked_against(pickup, mod
 
 def smt_plans(run, unfolding, scopes, horizon, pool):
     """For each scope, a list of constraints, the (actions, observations)
-    pairs the SMT-LIB terms of ``unfolding`` admit with that scope pushed:
-    check, assert the found pair away inside the scope, check again until
+    pairs the SMT-LIB terms of ``unfolding``, each transition's chain
+    (``smtlib._chain``) included, admit with that scope pushed: check,
+    assert the found pair away inside the scope, check again until
     ``unsat``.  Lemmas are lowered against the whole unfolding."""
-    span = (0, horizon)
+    span, n = (0, horizon), len(run.model.states)
     asserts = [("assert", lower(c, run)) for c in unfolding]
+    asserts += [("assert", smtlib._chain(c.step, 0, n, run.objective))
+                for c in unfolding if isinstance(c, enc.Transition)]
     scoped = [[("assert", lower(c, run, span)) for c in scope] for scope in scopes]
-    declarations = [declaration for c in unfolding
-                    for declaration in smtlib._declarations(c, len(run.model.states))]
+    declarations = [declaration for c in unfolding for declaration in smtlib._declarations(c, n)]
     proc = pool.take()
     for command in [*declarations, *asserts]:
         proc.send(command)
@@ -872,6 +892,23 @@ def test_a_non_integer_selector_value_is_a_decode_error(pickup):
         smtlib._decode_plan(values, 0, 1, model)
     values["a_1"] = F(1)  # an integral Real still names an action
     assert smtlib._decode_plan(values, 0, 1, model).actions == (1,)
+
+
+def test_model_parser_reads_a_bool_and_decoding_skips_it(pickup):
+    text = ("((define-fun f_3 () Bool true) (define-fun p_1 () Bool false)"
+            " (define-fun a_1 () Int 1) (define-fun o_1 () Int 0))")
+    values = parse_model(refsolver.CommandReader(io.StringIO(text)).next_command())
+    assert values == {"f_3": True, "p_1": False, "a_1": 1, "o_1": 0}
+    for j in range(3):
+        values[enc.belief_var_name(0, j)] = values[enc.belief_var_name(1, j)] = F(j == 0)
+    assert smtlib._decode_plan(values, 0, 1, pickup[0]).actions == (1,)
+
+
+@pytest.mark.parametrize("value", ["1", "0.0", "(- 1)", "x"])
+def test_model_parser_rejects_a_bool_that_is_neither_true_nor_false(value):
+    text = f"((define-fun f_3 () Bool {value}))"
+    with pytest.raises(ModelValueError, match="non-boolean model value for f_3"):
+        parse_model(refsolver.CommandReader(io.StringIO(text)).next_command())
 
 
 def test_model_parser_rejects_algebraic_values():
