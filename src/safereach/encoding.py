@@ -3,17 +3,18 @@
 A constraint is plain, immutable data saying what it asserts: the belief at
 the start step, the belief transition into one step, or the bounded
 safe-reachability goal of the run's objective over a span of steps.  A
-:class:`Blocking` and a learned :class:`DeadAction` are records the run
-keeps; each backend reads the run's lemmas itself.  The builders check their
-arguments and return that data; the enumerative backend interprets it
-directly, and the SMT-LIB backend lowers it to terms
+learned :class:`DeadAction` and a failed candidate's :class:`~.core.BlockEvent`
+are records the run keeps; each backend reads the run's lemmas itself.  The
+builders check their arguments and return that data; the enumerative backend
+interprets it directly, and the SMT-LIB backend lowers it to terms
 (:func:`safereach.solver.smtlib.lower`).
 
-The step variables are named here, and :func:`step_vars` is the lowering's
-one source of them: belief components as reals and, for non-start steps,
-the action and observation choice as bounded integers plus the
-normalization auxiliaries.  Names are functions of step and state index
-only, so identical inputs lower to identical terms.
+The step variables are named here, the lowering's one source of names:
+:func:`step_vars` gives belief components as reals and, for non-start steps,
+the action and observation choice as bounded integers plus the normalization
+auxiliaries; each transition's chain adds the flags :func:`safe_var_name` and
+:func:`fired_var_name`.  Names are functions of step and state index only, so
+identical inputs lower to identical terms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Belief, CandidatePlan
+from .core import Belief, BlockEvent, CandidatePlan
 
 
 # --------------------------------------------------------------------------
@@ -46,6 +47,16 @@ def unnorm_var_name(step: int, state_index: int) -> str:
 
 def denom_var_name(step: int) -> str:
     return f"denom_{step}"
+
+
+def safe_var_name(step: int) -> str:
+    """``p_j``: every belief before step j is safe."""
+    return f"p_{step}"
+
+
+def fired_var_name(step: int) -> str:
+    """``f_j``: some belief up to step j is a goal belief, every one before it safe."""
+    return f"f_{step}"
 
 
 @dataclass(frozen=True)
@@ -106,17 +117,6 @@ class Goal:
 
 
 @dataclass(frozen=True)
-class Blocking:
-    """Record of a candidate whose completion failed at ``fail_step``, sent to
-    no solver: the :class:`DeadAction` learned with it bans the prefix's last
-    action at its belief with as many steps left, from any prefix, so it
-    implies the block; a larger horizon leaves the prefix more steps than that."""
-
-    plan: CandidatePlan
-    fail_step: int
-
-
-@dataclass(frozen=True)
 class DeadAction:
     """Learned, and kept by the run (``RunContext.learn``), not sent as a
     constraint: no policy from ``belief`` within ``budget`` steps starts with
@@ -148,8 +148,14 @@ def goal_constraint(start_step: int, end_step: int) -> Goal:
     return Goal(start_step, end_step)
 
 
-def blocking_constraint(plan: CandidatePlan, fail_step: int) -> Blocking:
+def blocking_constraint(plan: CandidatePlan, fail_step: int, horizon: int) -> BlockEvent:
+    """The block of a candidate at ``horizon`` whose completion failed at
+    ``fail_step``, its prefix up to that step's action, sent to no solver: the
+    :class:`DeadAction` learned with it bans that action at its belief with as
+    many steps left, from any prefix, so it implies the block."""
     s = plan.start_step
     if not s + 1 <= fail_step <= plan.end_step:
         raise ValueError(f"fail step {fail_step} outside plan span {s + 1}..{plan.end_step}")
-    return Blocking(plan, fail_step)
+    cut = fail_step - s
+    return BlockEvent(horizon, fail_step, plan.beliefs[0], plan.actions[:cut],
+                      plan.observations[:cut - 1])

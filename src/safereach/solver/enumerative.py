@@ -6,7 +6,7 @@ action/observation sequences with exact belief updates.  A satisfying check
 answers with the plan the search holds, whose posteriors are the run's own
 cached beliefs; it never names an SMT variable.  It serves as the
 independent oracle for the symbolic pipeline and as a fast default backend.
-It takes the shape ``bps`` sends: goals spanning the whole unfolding, which
+Every goal spans the whole unfolding (the session refuses any other), so
 all say the same thing, as the objective is the run's (with none, any
 full-length path satisfies).
 
@@ -31,28 +31,17 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import Belief, CandidatePlan, Pomdp, RunContext, SafeReachObjective
-from ..encoding import Goal, goal_constraint, initial_constraint, transition_constraint
-from .session import Sat, SatResult, SolverSession, SolverUsageError, Unsat
+from ..encoding import goal_constraint, initial_constraint, transition_constraint
+from .session import Sat, SatResult, SolverSession, Unsat
 
 
 class EnumerativeSession(SolverSession):
     """Searches the bounded structure its constraints describe."""
 
-    # -- structure assembly --------------------------------------------------
-
-    def _assemble(self):
-        belief, start, horizon = self._unfolding()
-        goals = [c for c, _ in self._live() if isinstance(c, Goal)]
-        if any((g.start_step, g.end_step) != (start, horizon) for g in goals):
-            raise SolverUsageError("goal constraint must span the whole unfolding")
-        return belief, start, horizon, bool(goals)
-
-    # -- the search ------------------------------------------------------------
-
     def check(self) -> SatResult:
         self._guard()
-        belief, start, horizon, goal = self._assemble()
-        trail = self._search(belief, start, horizon, goal)
+        belief, start, horizon = self._unfolding()
+        trail = self._search(belief, start, horizon, self._goal is not None)
         if trail is None:
             return Unsat()
         actions, observations, posteriors = zip(*trail) if trail else ((), (), ())

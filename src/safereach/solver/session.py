@@ -76,8 +76,9 @@ class SolverSession(ABC):
     The scope stack lives here: each added constraint next to whatever
     :meth:`_admit` returns for it.  A backend hears of every push and pop
     through :meth:`_pushed` and :meth:`_popped`, and reads the unfolding the
-    live constraints describe from :meth:`_unfolding`.  The run's lemmas and
-    support game are no constraints: each backend reads them from ``run``.
+    live constraints describe from :meth:`_unfolding`, and the live goal, which
+    spans it, from ``_goal``.  The run's lemmas and support game are no
+    constraints: each backend reads them from ``run``.
 
     Sessions are single-owner: never share one across threads.  Distinct
     sessions may be opened from any thread and run concurrently; the SMT-LIB
@@ -97,9 +98,9 @@ class SolverSession(ABC):
     def add(self, constraint: Constraint) -> None:
         """Assert an initial belief, a transition or a goal into the current
         (top) scope.  It may name only steps already unfolded (:meth:`_unfold`):
-        its initial belief comes first, and a goal starts at its start step.
-        Anything else, a learned :class:`~safereach.encoding.DeadAction` too,
-        is a usage error."""
+        its initial belief comes first, a goal spans them all, and no step is
+        unfolded while a goal is live.  Anything else, a block or a learned
+        :class:`~safereach.encoding.DeadAction` too, is a usage error."""
         self._guard()
         if not isinstance(constraint, _CONSTRAINTS):
             raise SolverUsageError(f"unsupported constraint {constraint!r}")
@@ -148,7 +149,7 @@ class SolverSession(ABC):
 
     def _unfold(self, constraint: Constraint) -> tuple[Belief, int, int]:
         """The unfolding once ``constraint`` is live, or a usage error when it
-        names a step outside it."""
+        names a step outside it, unfolds one under a live goal, or is a short goal."""
         if isinstance(constraint, Initial):
             if self._span is not None:
                 raise SolverUsageError("exactly one initial-belief constraint is allowed")
@@ -158,6 +159,8 @@ class SolverSession(ABC):
             if constraint.step != horizon + 1:
                 raise SolverUsageError(f"the next step to unfold is {horizon + 1}, "
                                        f"not {constraint.step}")
+            if self._goal is not None:
+                raise SolverUsageError(f"step {constraint.step} is unfolded under a live goal")
             return belief, start, constraint.step
         first, last = constraint.start_step, constraint.end_step
         if not start <= first <= last <= horizon:
@@ -166,6 +169,8 @@ class SolverSession(ABC):
         if first != start:
             raise SolverUsageError(f"a goal starts at the unfolding's start step {start}, "
                                    f"not {first}")
+        if last != horizon:
+            raise SolverUsageError("goal constraint must span the whole unfolding")
         return self._span
 
     def _admit(self, constraint: Constraint) -> object:

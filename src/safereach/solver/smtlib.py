@@ -17,10 +17,10 @@ any conforming solver binary (``z3 -in`` works), with ``push``/``pop``
 scopes, sent only at a check the support game cannot answer, reads a pipe's
 answers with the reference solver's reader, takes models' values as exact
 rationals, and decodes them into the candidate plan a satisfying check
-answers with.  It
-is the only module besides :mod:`safereach.encoding` that knows the variable
-names.  In non-incremental mode every such check replays the kept commands
-of all live assertions into a solver just reset, for the from-scratch one.
+answers with.  It is the only module that knows the variable names besides
+:mod:`safereach.encoding`, which defines them.  In non-incremental mode every
+such check replays the kept commands of all live assertions into a solver
+just reset, for the from-scratch one.
 
 Commands and answers are terms; text is what a pipe carries.  An endpoint is
 a :class:`_SmtProcess`, which is sent commands and reads answers; its transport
@@ -54,7 +54,8 @@ from ..core import (Belief, CandidatePlan, LinearBeliefPredicate, ModelError, Po
                     RunContext, SafeReachObjective)
 from .. import refsolver
 from ..encoding import (Constraint, DeadAction, Goal, Initial, Transition, action_var_name,
-                        belief_var_name, observation_var_name, step_vars)
+                        belief_var_name, fired_var_name, observation_var_name,
+                        safe_var_name, step_vars)
 from ..refsolver import SmtSyntaxError, numeral, render
 from .session import (
     PlanDecodeError,
@@ -222,16 +223,6 @@ def _predicate(pred: LinearBeliefPredicate, beliefs: Sequence[str]) -> tuple:
     return ("<=", mass, threshold)
 
 
-def _safe_var_name(step: int) -> str:
-    """``p_j``: every belief before step j is safe."""
-    return f"p_{step}"
-
-
-def _fired_var_name(step: int) -> str:
-    """``f_j``: some belief up to step j is a goal belief, every one before it safe."""
-    return f"f_{step}"
-
-
 def _holds(preds: Sequence[LinearBeliefPredicate], beliefs: Sequence[str]) -> list[tuple]:
     return [_predicate(p, beliefs) for p in preds]
 
@@ -240,7 +231,7 @@ def _fired(step: int, start: int, n: int, objective: SafeReachObjective):
     """The goal over ``start..step``: ``f_step``, or at the start step the
     start belief's goal test itself."""
     if step > start:
-        return _fired_var_name(step)
+        return fired_var_name(step)
     return _app("and", _holds(objective.goal, step_vars(start, n, True).belief_vars))
 
 
@@ -251,9 +242,9 @@ def _chain(step: int, start: int, n: int, objective: SafeReachObjective):
     start + 1, p_j is the start belief's safe test and f_{j-1} its goal test.
     A goal over start..k is then the one flag f_k, and each clause that
     reads a flag is of constant size."""
-    earlier = [] if step == start + 1 else [_safe_var_name(step - 1)]
+    earlier = [] if step == start + 1 else [safe_var_name(step - 1)]
     earlier += _holds(objective.safe, step_vars(step - 1, n, True).belief_vars)
-    p, f = _safe_var_name(step), _fired_var_name(step)
+    p, f = safe_var_name(step), fired_var_name(step)
     goal = _app("and", [p, *_holds(objective.goal, step_vars(step, n, True).belief_vars)])
     return ("and", ("=", p, _app("and", earlier) if earlier else True),
             ("=", f, ("or", _fired(step - 1, start, n, objective), goal)))
@@ -307,7 +298,7 @@ def _declarations(constraint: Constraint, n: int) -> list[tuple]:
         v = step_vars(constraint.step, n)
         sorts = {**dict.fromkeys((*v.belief_vars, *v.unnorm_vars, v.denom_var), "Real"),
                  v.action_var: "Int", v.observation_var: "Int",
-                 _safe_var_name(v.step): "Bool", _fired_var_name(v.step): "Bool"}
+                 safe_var_name(v.step): "Bool", fired_var_name(v.step): "Bool"}
     else:
         return []
     return [("declare-const", name, sort) for name, sort in sorted(sorts.items())]
@@ -630,11 +621,12 @@ class SmtLibSession(SolverSession):
 
     def _commands(self, constraint: Union[Constraint, DeadAction], entry: list) -> tuple:
         """A live constraint's declarations and assertions, lowered at the first
-        call against its unfolding and kept on its ``entry``.  A transition is
-        followed by its chain's definitions (:func:`_chain`), a goal by the
-        game's clause it implies (:func:`_winnable`)."""
-        if entry[1] is None:
-            root, start, horizon = entry[0]
+        call against the session's unfolding, which no step joins while a goal
+        or lemma is live, and kept on its ``entry``.  A transition is followed
+        by its chain's definitions (:func:`_chain`), a goal by the game's
+        clause it implies (:func:`_winnable`)."""
+        if entry[0] is None:
+            root, start, horizon = self._unfolding()
             n = len(self.model.states)
             assertions = [("assert", lower(constraint, self.run, (start, horizon)))]
             if isinstance(constraint, Transition):
@@ -642,8 +634,8 @@ class SmtLibSession(SolverSession):
                                                     self.run.objective)))
             elif isinstance(constraint, Goal):
                 assertions.append(("assert", _winnable(constraint, root.indices, self.run)))
-            entry[1] = (_declarations(constraint, n), assertions)
-        return entry[1]
+            entry[0] = (_declarations(constraint, n), assertions)
+        return entry[0]
 
     def _send_live(self, proc: _SmtProcess) -> None:
         """Bring the endpoint up to date: from scratch, just reset, it is sent every
@@ -671,8 +663,8 @@ class SmtLibSession(SolverSession):
     # -- SolverSession hooks -----------------------------------------------
 
     def _admit(self, constraint: Union[Constraint, DeadAction]) -> list:
-        """The unfolding to lower the constraint against, and its commands once lowered."""
-        return [self._unfolding(), None]
+        """The slot for the constraint's commands, filled once they are lowered."""
+        return [None]
 
     def _pushed(self) -> None:
         self._held.append(self._held[-1])
@@ -684,9 +676,8 @@ class SmtLibSession(SolverSession):
     def check(self) -> SatResult:
         self._guard()
         root, start, horizon = self._unfolding()
-        goal = self._goal
-        if goal is not None:
-            if not self.run.wins(root.indices, goal.end_step - start):
+        if self._goal is not None:
+            if not self.run.wins(root.indices, horizon - start):
                 return Unsat()  # the goal's clause is false under the initial pins
             # The run's lemmas no live scope holds, into the top one.
             lemmas = self.run.dead_actions[self._held[-1]:]

@@ -160,17 +160,13 @@ def bps(
                     raise EncodingSoundnessError("plan start belief differs from b_init")
                 plan = _truncate_at_goal(plan, run)
                 stats.interactions += 1
-                tree, blocking = policy_generation(run, plan, k, session_factory)
+                tree, block = policy_generation(run, plan, k, session_factory)
                 if tree is not None:
                     stats.final_horizon = max(stats.final_horizon, k)
                     run.memo[memo_key] = tree
                     return tree
-                assert blocking is not None
-                cut = blocking.fail_step - start_step
-                stats.blocking_events.append(BlockEvent(
-                    horizon=k, fail_step=blocking.fail_step, start_belief=b_init,
-                    actions=plan.actions[:cut], observations=plan.observations[:cut - 1]))
-                log.debug("blocked prefix at horizon %d, fail step %d", k, blocking.fail_step)
+                stats.blocking_events.append(block)
+                log.debug("blocked prefix at horizon %d, fail step %d", k, block.fail_step)
             session.pop()
             stats.final_horizon = max(stats.final_horizon, k)
             k += 1
@@ -185,20 +181,20 @@ def policy_generation(
     plan: CandidatePlan,
     bound: int,
     session_factory: SessionFactory,
-) -> tuple[Optional[PolicyTree], Optional[encoding.Blocking]]:
+) -> tuple[Optional[PolicyTree], Optional[BlockEvent]]:
     """Complete a candidate plan into a policy tree, or say where it fails.
 
     Walks the plan from its last step down to the one after its start; at
     each step the belief is pushed forward once (``run.successors``)
     and every other possible observation spawns a recursive synthesis problem
     from its posterior, bounded by ``bound``, the current horizon.  On the
-    first branch that cannot be completed, returns the block at the failing
-    step, for the caller to record.  Zero-probability
-    observations get no branch (the belief update is undefined there); every
-    one of each walked step is counted in ``run.stats`` and logged.  A
-    branch failing at step ``i`` kills its (belief, action) pair at budget
-    ``bound - i + 1``, the steps left there, by ``run.learn``: a lemma that
-    implies the block.
+    first branch that cannot be completed, returns the plan's block at the
+    failing step (:func:`~.encoding.blocking_constraint`), for the caller to
+    record.  Zero-probability observations get no branch (the belief update
+    is undefined there); every one of each walked step is counted in
+    ``run.stats`` and logged.  A branch failing at step ``i`` kills its
+    (belief, action) pair at budget ``bound - i + 1``, the steps left there,
+    by ``run.learn``: a lemma that implies the block.
     """
     subtree = PolicyTree(plan.beliefs[-1], None, {}, True)
     n_obs = len(run.model.observations)
@@ -217,7 +213,7 @@ def policy_generation(
             branch = bps(run, branch_belief, i, bound, session_factory)
             if branch is None:
                 run.learn(encoding.DeadAction(prev_belief, action, bound - i + 1, obs))
-                return None, encoding.blocking_constraint(plan, i)
+                return None, encoding.blocking_constraint(plan, i, bound)
             children[obs] = branch
         subtree = PolicyTree(prev_belief, action, children, False)
     return subtree, None

@@ -422,9 +422,9 @@ def test_blocking_fail_step_must_lie_in_span(pickup):
     model, b_init, _ = pickup
     plan = CandidatePlan(0, (b_init, belief_update(b_init, 0, 0, model)), (0,), (0,))
     with pytest.raises(ValueError):
-        enc.blocking_constraint(plan, 0)
+        enc.blocking_constraint(plan, 0, 1)
     with pytest.raises(ValueError):
-        enc.blocking_constraint(plan, 2)
+        enc.blocking_constraint(plan, 2, 1)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -7,7 +7,8 @@ evaluator is the one the bundled solver's compiled closures are measured
 against; each promise holds only while the imports (and calls) below stay
 out.  Neither the validator nor the dense oracle reads the support
 abstraction that the smtlib backend's lemmas are built from, and no solver
-backend reads a block: the lemma learned with it implies it.
+backend reads a block: the lemma learned with it implies it.  Each name the
+lowering uses and each block record has one maker in the package.
 """
 
 from __future__ import annotations
@@ -112,4 +113,31 @@ def test_trust_anchors_read_no_support_table(path):
 def test_no_solver_backend_names_a_block():
     modules = sorted((PACKAGE / "solver").glob("*.py"))
     assert len(modules) >= 4
-    assert [path.name for path in modules if "Blocking" in names_used(tree_of(path))] == []
+    block = {"BlockEvent", "blocking_constraint"}
+    assert [path.name for path in modules if block & names_used(tree_of(path))] == []
+
+
+def package_modules() -> list[Path]:
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "encoding.py" in modules and PACKAGE / "solver" / "smtlib.py" in modules
+    return modules
+
+
+def test_only_the_encoding_defines_variable_names():
+    makers = {(path.name, node.name) for path in package_modules()
+              for node in ast.walk(tree_of(path))
+              if isinstance(node, ast.FunctionDef) and node.name.endswith("_var_name")}
+    assert {module for module, _ in makers} == {"encoding.py"}
+    assert {"safe_var_name", "fired_var_name"} <= {name for _, name in makers}
+
+
+def test_only_blocking_constraint_builds_a_block_event():
+    """``bps`` appends the record ``policy_generation`` returns, and builds none."""
+    builders = []
+    for path in package_modules():
+        for node in ast.walk(tree_of(path)):
+            if isinstance(node, ast.FunctionDef):
+                calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+                builders += [(path.name, node.name) for call in calls
+                             if "BlockEvent" in names_used(call.func)]
+    assert builders == [("encoding.py", "blocking_constraint")]

@@ -362,7 +362,7 @@ def test_a_constraint_naming_a_step_not_unfolded_is_a_usage_error(pickup, mode, 
     model, b_init, objective = pickup
     plan = CandidatePlan(0, (b_init, b_init, b_init), (0, 0), (0, 0))
     bad = {"goal": enc.goal_constraint(0, 2),
-           "block": enc.blocking_constraint(plan, 1),
+           "block": enc.blocking_constraint(plan, 1, 2),
            "lemma": enc.DeadAction(b_init, 0, 1, 0),
            "transition": enc.transition_constraint(2, 3)}[kind]
     with session_in(mode, RunContext(model, objective)) as session:
@@ -395,6 +395,28 @@ def test_a_goal_that_does_not_start_at_the_unfolding_start_is_a_usage_error(pick
         session.add(enc.goal_constraint(0, 2))
         assert isinstance(session.check(), Sat)
         session.pop()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_backend_refuses_a_malformed_goal_scope_when_it_is_added(pickup, mode):
+    """A goal spans the whole unfolding, and no step is unfolded under a live
+    goal: every mode refuses a goal that ends before the horizon, and a
+    transition added after a goal, when it is added, and its next check
+    answers as that of a session that never saw them."""
+    model, b_init, objective = pickup
+    with session_in(mode, RunContext(model, objective)) as session:
+        load_session(session, b_init, 2, goal=True)
+        expected = session.check()
+    assert isinstance(expected, Sat)
+    with session_in(mode, RunContext(model, objective)) as session:
+        load_session(session, b_init, 2)
+        with pytest.raises(SolverUsageError, match="goal constraint must span the whole "
+                                                   "unfolding"):
+            session.add(enc.goal_constraint(0, 1))
+        session.add(enc.goal_constraint(0, 2))
+        with pytest.raises(SolverUsageError, match="step 3 is unfolded under a live goal"):
+            session.add(enc.transition_constraint(2, 3))
+        assert session.check() == expected
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -667,9 +689,8 @@ def test_enumerative_searches_one_goal_over_the_whole_unfolding(pickup):
         assert isinstance(session.check(), Sat)
         session.pop()
         session.push()
-        session.add(enc.goal_constraint(0, 1))
         with pytest.raises(SolverUsageError, match="span the whole unfolding"):
-            session.check()
+            session.add(enc.goal_constraint(0, 1))
         session.pop()
 
 

@@ -10,6 +10,7 @@ import pytest
 from safereach import encoding, synthesis, validate
 from safereach.core import (
     Belief,
+    BlockEvent,
     LinearBeliefPredicate,
     ModelError,
     Pomdp,
@@ -299,7 +300,7 @@ def test_each_block_is_carried_by_the_lemma_learned_with_it(monkeypatch):
                     budgets = dead.setdefault(lemma.belief, {})
                     budgets[lemma.action] = max(lemma.budget, budgets.get(lemma.action, -1))
                 assert run.dead == dead, name
-    assert len(blocks) >= 50 and any(bl.fail_step > bl.plan.start_step + 1 for bl in blocks)
+    assert len(blocks) >= 50 and any(len(bl.actions) > 1 for bl in blocks)
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +316,9 @@ def test_policy_generation_reports_failing_branch(pickup):
     left, pos = 0, 0
     plan = CandidatePlan(
         0, (b_init, belief_update(b_init, left, pos, model)), (left,), (pos,))
-    tree, blocking = policy_generation(run, plan, 1, factory)
+    tree, block = policy_generation(run, plan, 1, factory)
     assert tree is None
-    assert blocking == encoding.blocking_constraint(plan, 1)
+    assert block == BlockEvent(1, 1, b_init, (left,), ())
 
 
 def test_zero_probability_branches_are_skipped_and_counted(pickup):
