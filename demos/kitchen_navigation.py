@@ -11,25 +11,16 @@ what the incremental solver buys on the SMT-LIB backend.
 
 import time
 
-from safereach import (
-    SolverConfig,
-    SynthesisConfig,
-    build_kitchen,
-    synthesis_run,
-    validate_policy,
-)
+from safereach import SolverConfig, SynthesisConfig, synthesis_run, validate_policy
+from safereach.domains import KITCHEN_LADDER, kitchen_rung
 
-WIDTH, HEIGHT = 3, 2
-SHADOW = [(1, 0), (1, 1)]
-STORAGE, START = (2, 0), (0, 0)
+RUNG = "3x2-M1-det"  # deterministic moves and looks
 HORIZON = 6
 
-model, b_init, objective = build_kitchen(
-    WIDTH, HEIGHT, SHADOW, STORAGE, START, obstacles=1,
-    p_fail=0, p_fp=0, p_fn=0)
+model, b_init, objective = kitchen_rung(RUNG)
+width, height, shadow, storage, *_ = KITCHEN_LADDER[RUNG]
 
-print(f"grid {WIDTH}x{HEIGHT}, shadow cells {SHADOW}, storage {STORAGE}, "
-      f"start {START}")
+print(f"grid {width}x{height}, shadow cells {list(shadow)}, storage {storage}, start (0, 0)")
 print(f"joint states after reachability pruning: {len(model.states)}")
 print(f"actions ({len(model.actions)}): {', '.join(model.actions)}")
 print()
@@ -63,8 +54,7 @@ print()
 
 # Incremental vs from-scratch solving on the SMT-LIB backend, smaller
 # instance so the from-scratch replay stays quick.
-small = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), obstacles=1,
-                      p_fail=0, p_fp=0, p_fn=0)
+small = kitchen_rung("2x2-M1-det")
 for incremental in (True, False):
     config = SynthesisConfig(
         horizon=4, backend="smtlib",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Belief,
@@ -109,7 +109,11 @@ def build_kitchen(
     sets the absorbing collision flag; holding the cup absorbs too.  The
     initial belief is the start cell with a uniform obstacle placement.
     Only states reachable from the initial support are kept.
+    :data:`KITCHEN_LADDER` names the kitchens that tests and demos run.
     """
+    for size, label in ((width, "width"), (height, "height")):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ModelError(f"{label} must be an integer >= 1, got {size!r}")
     p_fail, p_fp, p_fn = as_fraction(p_fail), as_fraction(p_fp), as_fraction(p_fn)
     delta1, delta2 = as_fraction(delta1), as_fraction(delta2)
     for p, label in ((p_fail, "p_fail"), (p_fp, "p_fp"), (p_fn, "p_fn")):
@@ -252,3 +256,52 @@ def build_kitchen(
         safe=(LinearBeliefPredicate(collided_set, "<", delta2),),
     )
     return model, b_init, objective
+
+
+# "det" turns all noise off; "sensor" only move failures, so looks keep the
+# builder's false-positive and false-negative rates; "noisy" keeps every default.
+KITCHEN_NOISE = {"det": {"p_fail": 0, "p_fp": 0, "p_fn": 0}, "sensor": {"p_fail": 0}, "noisy": {}}
+
+
+class KitchenRung(NamedTuple):
+    """A named kitchen (start (0, 0), default tolerances) and its enum rows."""
+
+    width: int
+    height: int
+    shadow: tuple[Cell, ...]
+    storage: Cell
+    obstacles: int
+    noise: str
+    rows: tuple[tuple[int, bool, int], ...]  # (horizon, valid, checks)
+
+
+def _columns(xs: Sequence[int], rows: int) -> tuple[Cell, ...]:
+    return tuple((x, y) for x in xs for y in range(rows))
+
+
+# Each verdict is an enum run's on a fresh model, its policy passed by the validator,
+# and checks are its ``solver_calls``.  Brute force agreed with every row through
+# 4x3-M2-det h5 once, when the table was written (see CHANGES.md), and not later ones.
+KITCHEN_LADDER = {name: KitchenRung(*rung) for name, rung in {
+    "2x2-M1-det": (2, 2, ((0, 1), (1, 1)), (1, 0), 1, "det", ((4, True, 6),)),
+    "2x2-M1-noisy": (2, 2, ((0, 1), (1, 1)), (1, 0), 1, "noisy", ((4, False, 5),)),
+    "3x2-M1-det": (3, 2, ((1, 0), (1, 1)), (2, 0), 1, "det", ((3, False, 4), (6, True, 29))),
+    "3x2-M1-noisy": (3, 2, ((1, 0), (1, 1)), (2, 0), 1, "noisy", ((6, False, 7),)),
+    "3x2-M1-sensor": (3, 2, ((1, 0), (1, 1)), (2, 0), 1, "sensor",
+                      ((5, False, 27), (7, False, 164), (8, False, 345))),
+    "3x3-M1-det": (3, 3, _columns([1], 3), (2, 0), 1, "det", ((7, True, 32),)),
+    "3x3-M1-sensor-detour": (3, 3, ((1, 0), (1, 1)), (2, 0), 1, "sensor", ((7, True, 57),)),
+    "4x3-M2-det": (4, 3, ((1, 0), (1, 1), (2, 1), (2, 2)), (3, 0), 2, "det",
+                   ((5, False, 15), (7, False, 32), (9, False, 131))),
+    "4x3-M2-sensor-detour": (4, 3, _columns([1, 2], 2), (3, 0), 2, "sensor", ((8, True, 33),)),
+    "4x4-M1-det": (4, 4, _columns([1, 2], 4), (3, 0), 1, "det", ((9, True, 333),)),
+    "5x3-M1-det": (5, 3, _columns([1, 2, 3], 3), (4, 0), 1, "det", ((10, True, 1009),)),
+    "5x4-M2-sensor-detour": (5, 4, _columns([1, 3], 3), (4, 0), 2, "sensor", ((11, True, 482),)),
+}.items()}
+
+
+def kitchen_rung(name: str) -> tuple[Pomdp, Belief, SafeReachObjective]:
+    """A freshly built model, initial belief and objective for a ladder rung."""
+    rung = KITCHEN_LADDER[name]
+    return build_kitchen(rung.width, rung.height, rung.shadow, rung.storage, (0, 0),
+                         rung.obstacles, **KITCHEN_NOISE[rung.noise])

@@ -37,30 +37,18 @@ DIGESTS = HERE / "golden_digests.json"
 
 RANDOM_SEEDS = range(200)
 
-# (label, width, height, shadow cells, storage cell, obstacles, deterministic, horizon)
-KITCHENS = (
-    ("kitchen-3x2-M1-det-h6", 3, 2, ((1, 0), (1, 1)), (2, 0), 1, True, 6),
-    ("kitchen-3x3-M1-det-h7", 3, 3, ((1, 0), (1, 1), (1, 2)), (2, 0), 1, True, 7),
-    ("kitchen-4x3-M2-det-h5", 4, 3, ((1, 0), (1, 1), (2, 1), (2, 2)), (3, 0), 2, True, 5),
-    ("kitchen-3x2-M1-noisy-h6", 3, 2, ((1, 0), (1, 1)), (2, 0), 1, False, 6),
-)
-DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
+# (ladder rung, horizon); each run is named kitchen-<rung>-h<horizon>
+KITCHENS = (("3x2-M1-det", 6), ("3x3-M1-det", 7), ("4x3-M2-det", 5), ("3x2-M1-noisy", 6))
 
 GROUPS = ("enum-random", "enum-kitchen", "smtlib")
 OUTCOME = "outcome"  # the key of the outcome digests in the file
-
-
-def _kitchen(width, height, shadow, storage, obstacles, det):
-    from safereach import build_kitchen
-
-    return build_kitchen(width, height, list(shadow), storage, (0, 0),
-                         obstacles=obstacles, **(DET if det else {}))
 
 
 def runs(group: str) -> Iterator[tuple[str, Callable]]:
     """(name, thunk returning a SynthesisResult) for every run of a group."""
     from oracles import random_instance
     from safereach import SolverConfig, SynthesisConfig, build_pickup_example, synthesis_run
+    from safereach.domains import kitchen_rung
 
     def run(problem, horizon, backend="enum", incremental=True):
         config = SynthesisConfig(horizon=horizon, backend=backend,
@@ -72,12 +60,11 @@ def runs(group: str) -> Iterator[tuple[str, Callable]]:
             model, b_init, objective, horizon = random_instance(random.Random(seed))
             yield f"random-{seed:03d}", run((model, b_init, objective), horizon)
     elif group == "enum-kitchen":
-        for label, *geometry, horizon in KITCHENS:
-            yield label, run(_kitchen(*geometry), horizon)
+        for rung, horizon in KITCHENS:
+            yield f"kitchen-{rung}-h{horizon}", run(kitchen_rung(rung), horizon)
     elif group == "smtlib":
         problems = (("pickup-h3", build_pickup_example(), 3),
-                    ("kitchen-2x2-M1-det-h4",
-                     _kitchen(2, 2, ((0, 1), (1, 1)), (1, 0), 1, True), 4))
+                    ("kitchen-2x2-M1-det-h4", kitchen_rung("2x2-M1-det"), 4))
         for label, problem, horizon in problems:
             for incremental in (True, False):
                 mode = "inc" if incremental else "scratch"

@@ -287,7 +287,8 @@ def assert_named_error(argv, message, capsys, caplog):
     (("--obstacle-counts", "5"), "cannot place 5 obstacles in 2 shadow cells"),
     (("--p-fail", "abc"), "cannot parse exact rational from 'abc'"),
     (("--kitchen-storage", "9,9"), "storage cell (9, 9) is outside the 3x2 grid"),
-], ids=["obstacles", "p-fail", "storage"])
+    (("--kitchen-width", "0"), "width must be an integer >= 1, got 0"),
+], ids=["obstacles", "p-fail", "storage", "width"])
 def test_bench_bad_kitchen_parameter_is_a_named_error(argv, message, capsys, caplog):
     assert_named_error(("bench", "--horizons", "1", *argv), message, capsys, caplog)
 

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from safereach.core import ModelError, belief_update
-from safereach.domains import build_kitchen, build_pickup_example
-from safereach.synthesis import SynthesisConfig, synthesis_run
+from safereach.domains import KITCHEN_LADDER, build_kitchen, build_pickup_example, kitchen_rung
+from safereach.synthesis import SynthesisConfig, VERDICT_NO_POLICY, VERDICT_VALID, synthesis_run
 from safereach.validate import validate_policy
 
 from oracles import brute_force_feasible
@@ -159,6 +159,9 @@ def test_kitchen_geometry_errors():
         small_kitchen(start_cell=(0, 1))  # inside the shadow region
     with pytest.raises(ModelError):
         small_kitchen(p_fail=1)
+    for label, value in (("width", 2.5), ("height", 0), ("width", True)):
+        with pytest.raises(ModelError, match=rf"^{label} must be an integer >= 1, got {value}$"):
+            small_kitchen(**{label: value})
 
 
 def test_a_negative_obstacle_count_is_named():
@@ -190,3 +193,14 @@ def test_kitchen_moves_off_grid_bounce():
     o_null = model.observation_index("o_null")
     bounced = belief_update(b_init, move_south, o_null, model)
     assert bounced == b_init
+
+
+@pytest.mark.parametrize("rung", KITCHEN_LADDER)
+def test_each_ladder_row_has_its_recorded_verdict_and_checks(rung):
+    """Each row's enum run on a fresh model has its recorded verdict and checks."""
+    for horizon, valid, checks in KITCHEN_LADDER[rung].rows:
+        model, b_init, objective = kitchen_rung(rung)
+        assert not model._supports
+        result = synthesis_run(model, b_init, objective, SynthesisConfig(horizon=horizon))
+        assert (result.verdict, result.stats.solver_calls) \
+            == (VERDICT_VALID if valid else VERDICT_NO_POLICY, checks), f"h{horizon}"

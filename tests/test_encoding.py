@@ -9,7 +9,7 @@ import pytest
 from safereach import build_pickup_example, encoding as enc, refsolver
 from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
                             SafeReachObjective, belief_update)
-from safereach.domains import build_kitchen
+from safereach.domains import build_kitchen, kitchen_rung
 from safereach.refsolver import Session, render, tokenize
 from safereach.solver import EnumerativeSession, Sat, enumerative_check
 from safereach.solver.smtlib import _app, _chain, _ite_chain, lower, serialize
@@ -22,8 +22,6 @@ from oracles import (
     satisfies_bounded,
     transition_env,
 )
-
-DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
 
 
 def run_of(model, objective=None):
@@ -212,21 +210,14 @@ def dense_transition(step, model):
     return _app("and", parts)
 
 
-KITCHEN_BUILDS = {
-    "2x2-det": ((2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), DET),
-    "2x2-noisy": ((2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), {}),
-    "3x2-det": ((3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), DET),
-    "3x2-noisy": ((3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), {}),
-    "3x2-sensor-only": ((3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), {"p_fail": 0}),
-    "4x3-M2-det": ((4, 3, [(1, 0), (1, 1), (2, 1), (2, 2)], (3, 0), (0, 0)),
-                   {**DET, "obstacles": 2}),
-}
+KITCHEN_RUNGS = ("2x2-M1-det", "2x2-M1-noisy", "3x2-M1-det", "3x2-M1-noisy", "3x2-M1-sensor",
+                 "4x3-M2-det")
 
 
 def sparse_lowering_cases():
     yield "pickup", build_pickup_example()[0]
-    for label, (args, kwargs) in KITCHEN_BUILDS.items():
-        yield f"kitchen-{label}", build_kitchen(*args, **kwargs)[0]
+    for rung in KITCHEN_RUNGS:
+        yield f"kitchen-{rung}", kitchen_rung(rung)[0]
     for seed in range(200):
         yield f"random-{seed}", random_instance(random.Random(seed))[0]
 
@@ -241,7 +232,7 @@ def test_the_sparse_transition_is_the_dense_term():
             assert term == reference, (label, step)
             # Equal tuples can still differ in type: 1 == F(1).
             assert render(term) == render(reference), (label, step)
-    assert masked >= len(KITCHEN_BUILDS)  # availability masks are covered
+    assert masked >= len(KITCHEN_RUNGS)  # availability masks are covered
 
 
 def subterms(term):
@@ -263,8 +254,7 @@ def test_no_transition_conjunct_multiplies_an_ite_by_a_variable():
 
 
 def test_lowering_a_transition_reads_each_row_once(monkeypatch):
-    args, kwargs = KITCHEN_BUILDS["4x3-M2-det"]
-    model = build_kitchen(*args, **kwargs)[0]
+    model = kitchen_rung("4x3-M2-det")[0]
     assert (len(model.states), len(model.actions)) == (84, 10)
     reads = {}
     trans_dist = Pomdp.trans_dist
@@ -373,11 +363,11 @@ def test_propagated_fired_flags_are_the_bounded_goal_on_random_paths():
     assert walked > 15000
 
 
-@pytest.mark.parametrize("label, horizon", [("2x2-det", 4), ("2x2-noisy", 4), ("3x2-det", 4),
-                                            ("3x2-noisy", 3)])
-def test_propagated_fired_flags_are_the_bounded_goal_on_kitchen_paths(label, horizon):
-    args, kwargs = KITCHEN_BUILDS[label]
-    assert chains_match_the_oracle(*build_kitchen(*args, **kwargs), horizon) > 10
+@pytest.mark.parametrize("rung, horizon", [("2x2-M1-det", 4), ("2x2-M1-noisy", 4),
+                                           ("3x2-M1-det", 4), ("3x2-M1-noisy", 3)],
+                         ids=["2x2-det-4", "2x2-noisy-4", "3x2-det-4", "3x2-noisy-3"])
+def test_propagated_fired_flags_are_the_bounded_goal_on_kitchen_paths(rung, horizon):
+    assert chains_match_the_oracle(*kitchen_rung(rung), horizon) > 10
 
 
 def test_goal_lemma_and_chain_text_grows_linearly_in_the_span():
@@ -385,8 +375,7 @@ def test_goal_lemma_and_chain_text_grows_linearly_in_the_span():
     eligible at every step and of the chains of steps 1..k take a number of
     tokens whose first differences over k = 1..10 are all equal: each step
     adds the same text."""
-    args, kwargs = KITCHEN_BUILDS["3x2-det"]
-    model, b_init, objective = build_kitchen(*args, **kwargs)
+    model, b_init, objective = kitchen_rung("3x2-M1-det")
     run, n = run_of(model, objective), len(model.states)
     lemma = enc.DeadAction(b_init, 0, 10, 0)
     sizes = []

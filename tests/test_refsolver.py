@@ -704,13 +704,12 @@ def test_search_work_on_kitchen_2x2_det_h4_is_pinned(monkeypatch):
     The check after the lemma resumes at the previous model, so it walks
     none of the assignments before it.  A pruning change moves these counts
     on purpose."""
-    from safereach import build_kitchen
     from safereach.core import RunContext
+    from safereach.domains import kitchen_rung
     from safereach.encoding import DeadAction, Goal, Initial, Transition
     from safereach.solver import smtlib
 
-    model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
-                                             obstacles=1, p_fail=0, p_fp=0, p_fn=0)
+    model, b_init, objective = kitchen_rung("2x2-M1-det")
     run = RunContext(model, objective)
     session, answers = Session(), []
     nodes: list[int] = []
@@ -862,12 +861,10 @@ def test_a_long_lived_session_answers_every_check_as_a_fresh_one(monkeypatch):
 
     from oracles import random_instance
 
-    from safereach import build_kitchen
+    from safereach.domains import kitchen_rung
 
-    det = {"obstacles": 1, "p_fail": 0, "p_fp": 0, "p_fn": 0}
     problems = [random_instance(random.Random(seed)) for seed in range(400)]
-    problems += [(*build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **det), 4),
-                 (*build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **det), 3)]
+    problems += [(*kitchen_rung("2x2-M1-det"), 4), (*kitchen_rung("3x2-M1-det"), 3)]
     checks = probes = moved = 0
     for stream in bps_streams(problems, monkeypatch):
         replay = Replay()
@@ -887,13 +884,12 @@ def test_a_search_cut_off_by_its_deadline_leaves_the_session_sound(monkeypatch):
     """A check whose deadline passes mid-search unwinds the trail to the top
     frame's root, and the same session, given a new deadline, then answers
     the check as a fresh session does."""
-    from safereach import build_kitchen
     from safereach.core import RunContext
+    from safereach.domains import kitchen_rung
     from safereach.encoding import Goal, Initial, Transition
     from safereach.solver import smtlib
 
-    model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
-                                             obstacles=1, p_fail=0, p_fp=0, p_fn=0)
+    model, b_init, objective = kitchen_rung("2x2-M1-det")
     run = RunContext(model, objective)
     commands = []
     for constraint in (Initial(0, b_init), Transition(1), Transition(2)):
@@ -942,15 +938,13 @@ def _encoder_traffic():
 
     from oracles import enumerate_plans, random_instance
 
-    from safereach import build_kitchen, build_pickup_example
+    from safereach import build_pickup_example
     from safereach.core import RunContext
+    from safereach.domains import kitchen_rung
     from safereach.encoding import DeadAction, Goal, Initial, Transition
 
-    kitchen = (2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
     rng = random.Random(7)
-    problems = [build_pickup_example(),
-                build_kitchen(*kitchen, obstacles=1, p_fail=0, p_fp=0, p_fn=0),
-                build_kitchen(*kitchen, obstacles=1),
+    problems = [build_pickup_example(), kitchen_rung("2x2-M1-det"), kitchen_rung("2x2-M1-noisy"),
                 *(random_instance(rng)[:3] for _ in range(20))]
     assert any(model.availability is not None for model, _, _ in problems)
     for model, b_init, objective in problems:

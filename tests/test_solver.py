@@ -21,6 +21,7 @@ from safereach import build_pickup_example, cli, refsolver
 from safereach import encoding as enc
 from safereach.core import (Belief, CandidatePlan, LinearBeliefPredicate, Pomdp, RunContext,
                             SafeReachObjective)
+from safereach.domains import kitchen_rung
 from safereach.refsolver import render
 from safereach.solver import (
     EnumerativeSession,
@@ -230,11 +231,8 @@ def test_from_scratch_replays_incremental_text(pickup, monkeypatch, spawned, sen
 def _whole_runs():
     """``(name, model, b_init, objective, horizon)`` of pickup h3, kitchen
     2x2 det h4 and five random problems."""
-    from safereach import build_kitchen
-
     yield "pickup", *build_pickup_example(), 3
-    yield "kitchen", *build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), obstacles=1,
-                                    p_fail=0, p_fp=0, p_fn=0), 4
+    yield "kitchen", *kitchen_rung("2x2-M1-det"), 4
     for seed in range(5):
         yield seed, *random_instance(random.Random(seed))
 
@@ -317,9 +315,7 @@ def test_a_check_the_support_game_refutes_sends_nothing(pickup, incremental, spa
     popped before any check reaches the solver, so the first endpoint is
     sent no pop before its first check-sat, and incrementally one push, for
     the h1 goal, after the step-1 transition; from scratch, none."""
-    from safereach import build_kitchen
-
-    kitchen = build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), p_fail=0, p_fp=0, p_fn=0)
+    kitchen = kitchen_rung("3x2-M1-det")
     config = SynthesisConfig(3, "smtlib", SolverConfig(incremental=incremental))
     result = synthesis_run(*kitchen, config)
     assert result.verdict == "no-policy-within-bound"
@@ -992,13 +988,6 @@ _SLEEPER = (sys.executable, "-c", "import time; time.sleep(30)")
 _CRASHER = (sys.executable, "-c", "import sys; sys.stderr.write('boom\\n'); sys.exit(3)")
 
 
-def _kitchen_2x2_det():
-    from safereach.domains import build_kitchen
-
-    return build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), obstacles=1,
-                         p_fail=0, p_fp=0, p_fn=0)
-
-
 # --------------------------------------------------------------------------
 # Solver process pool
 # --------------------------------------------------------------------------
@@ -1023,7 +1012,7 @@ def test_a_run_spawns_its_peak_session_nesting(pickup, problem, horizon, spawned
 
     monkeypatch.setattr(SmtLibSession, "__init__", counting_init)
     monkeypatch.setattr(SmtLibSession, "close", counting_close)
-    model, b_init, objective = pickup if problem == "pickup" else _kitchen_2x2_det()
+    model, b_init, objective = pickup if problem == "pickup" else kitchen_rung("2x2-M1-det")
     for incremental in (True, False):
         spawned.clear()
         peak[0] = 0
@@ -1129,10 +1118,7 @@ def test_a_session_takes_every_setting_from_its_pool(pickup, spawned):
 
 def _transport_problems():
     """(label, problem, horizon, incremental) for the transport comparison."""
-    from safereach.domains import build_kitchen
-
-    kitchen = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
-                            obstacles=1, p_fail=0, p_fp=0, p_fn=0)
+    kitchen = kitchen_rung("2x2-M1-det")
     yield "pickup-h3", build_pickup_example(), 3, True
     for incremental in (True, False):
         yield f"kitchen-2x2-det-h4-incremental={incremental}", kitchen, 4, incremental
@@ -1197,7 +1183,7 @@ def test_an_in_process_run_writes_and_parses_no_text(monkeypatch):
         for name, value in list(vars(module).items()):  # every module's binding
             if any(value is original for original in originals):
                 monkeypatch.setattr(module, name, no_text)
-    model, b_init, objective = _kitchen_2x2_det()
+    model, b_init, objective = kitchen_rung("2x2-M1-det")
     config = SynthesisConfig(horizon=4, backend="smtlib")
     assert synthesis_run(model, b_init, objective, config).verdict == "valid"
 
@@ -1285,10 +1271,8 @@ def test_a_timed_out_forked_solver_is_reaped(spawned, monkeypatch):
     pool then hands out a working solver in its place.  The support game is
     off, as it refutes this check at the root, and its clause would settle
     it in a millisecond."""
-    from safereach.domains import build_kitchen
-
     monkeypatch.setattr(RunContext, "wins", lambda run, support, steps: True)
-    model, b_init, objective = build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0))
+    model, b_init, objective = kitchen_rung("2x2-M1-noisy")
     config = SolverConfig(check_timeout=0.2)  # the noisy h4 check searches for seconds
     with SolverPool(config) as pool:
         with SmtLibSession(RunContext(model, objective), pool) as session:

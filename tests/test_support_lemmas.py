@@ -20,14 +20,14 @@ from fractions import Fraction
 
 import pytest
 
-from safereach import build_kitchen, core
+from safereach import core
 from safereach.core import RunContext
+from safereach.domains import kitchen_rung
 from safereach.solver import EnumerativeSession, Sat, SmtLibSession, SolverConfig, Unsat
 from safereach.synthesis import SynthesisConfig, synthesis_run
 
 from oracles import brute_force_feasible, dense_matrix_update, random_instance
 
-DET = {"p_fail": 0, "p_fp": 0, "p_fn": 0}
 SEEDS = range(200)
 
 
@@ -39,19 +39,15 @@ def random_problems():
 
 def kitchen_problems():
     """Kitchen rungs whose checks stay cheap without the lemma."""
-    yield "2x2 det h4", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **DET), 4
-    yield "2x2 noisy h3", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0)), 3
-    yield "3x2 det h3", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **DET), 3
+    for rung, horizon in (("2x2-M1-det", 4), ("2x2-M1-noisy", 3), ("3x2-M1-det", 3)):
+        yield f"{rung} h{horizon}", kitchen_rung(rung), horizon
 
 
 def enum_rungs():
     """Kitchen rungs the enum search prunes, each cheap without the prune."""
-    shadow = [(1, 0), (1, 1), (2, 1), (2, 2)]
-    yield "2x2 det h4", build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0), **DET), 4
-    yield "3x2 det h6", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), **DET), 6
-    yield "3x2 noisy h6", build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0)), 6
-    yield "3x3 det h7", build_kitchen(3, 3, [(1, 0), (1, 1), (1, 2)], (2, 0), (0, 0), **DET), 7
-    yield "4x3 M2 det h5", build_kitchen(4, 3, shadow, (3, 0), (0, 0), obstacles=2, **DET), 5
+    for rung, horizon in (("2x2-M1-det", 4), ("3x2-M1-det", 6), ("3x2-M1-noisy", 6),
+                          ("3x3-M1-det", 7), ("4x3-M2-det", 5)):
+        yield f"{rung} h{horizon}", kitchen_rung(rung), horizon
 
 
 def smtlib_checks(monkeypatch, problem, horizon, lemma, incremental=True):
@@ -215,7 +211,7 @@ def test_noisy_3x2_h8_is_refuted_without_a_belief_update(monkeypatch):
         return successors(run, belief, action)
 
     monkeypatch.setattr(RunContext, "successors", counting)
-    problem = build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0))
+    problem = kitchen_rung("3x2-M1-noisy")
     result = synthesis_run(*problem, SynthesisConfig(horizon=8))
     assert result.verdict == "no-policy-within-bound"
     assert result.stats.solver_calls == 9

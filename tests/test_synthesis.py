@@ -18,7 +18,7 @@ from safereach.core import (
     SafeReachObjective,
     belief_update,
 )
-from safereach.domains import build_kitchen
+from safereach.domains import KITCHEN_LADDER, kitchen_rung
 from safereach.solver import EnumerativeSession, SolverConfig, SolverSession, smtlib
 from safereach.synthesis import (
     SynthesisConfig,
@@ -334,26 +334,27 @@ def test_zero_probability_branches_are_skipped_and_counted(pickup):
     # Every impossible observation of each walked step counts, the steps
     # where a branch fails included, whatever the failing observation's index.
     assert run(*pickup, 3).stats.zero_probability_skips == 2
-    assert run(*kitchen_3x2_det(), 6).stats.zero_probability_skips == 33
+    assert run(*kitchen_rung("3x2-M1-det"), 6).stats.zero_probability_skips == 33
 
 
 # --------------------------------------------------------------------------
 # Memoization, term-free enum runs and equivalence with the brute-force oracle
 # --------------------------------------------------------------------------
 
-def kitchen_3x2_det():
-    return build_kitchen(3, 2, [(1, 0), (1, 1)], (2, 0), (0, 0), obstacles=1,
-                         p_fail=0, p_fp=0, p_fn=0)
+def recorded(rung, horizon):
+    """The kitchen ladder's ``(valid, checks)`` for the rung at the horizon."""
+    return {h: (valid, checks) for h, valid, checks in KITCHEN_LADDER[rung].rows}[horizon]
 
 
 def test_memoized_synthesis_reuses_branch_results():
     # Each (belief, budget) pair is synthesized once per run, and each
     # learned fact prunes later searches; without reuse this instance takes
     # 83 checks and 30 plans, and with the memo alone 43 and 22.
-    model, b_init, objective = kitchen_3x2_det()
+    model, b_init, objective = kitchen_rung("3x2-M1-det")
     result = run(model, b_init, objective, 6)
     assert result.verdict == VERDICT_VALID
-    assert (result.stats.solver_calls, result.stats.plans_checked) == (29, 8)
+    assert (result.stats.solver_calls, result.stats.plans_checked) == \
+        (recorded("3x2-M1-det", 6)[1], 8)
     assert validate_policy(result.policy, model, objective, 6).valid
 
 
@@ -396,7 +397,7 @@ def test_each_belief_is_pushed_forward_once(monkeypatch):
     monkeypatch.setattr(Pomdp, "successors", counting_kernel)
     monkeypatch.setattr(synthesis, "policy_generation", walking)
     monkeypatch.setattr(validate, "validate_policy", validating_policy)
-    model, b_init, objective = kitchen_3x2_det()
+    model, b_init, objective = kitchen_rung("3x2-M1-det")
     result = run(model, b_init, objective, 6)
     assert result.verdict == VERDICT_VALID
 
@@ -429,7 +430,7 @@ def test_caches_live_and_die_with_one_run(monkeypatch):
 
     monkeypatch.setattr(RunContext, "successors", counting_lookup)
     monkeypatch.setattr(Pomdp, "_split", counting_kernel)
-    model, b_init, objective = kitchen_3x2_det()
+    model, b_init, objective = kitchen_rung("3x2-M1-det")
     for _ in range(2):
         counts.append([0, 0])
         assert run(model, b_init, objective, 6).verdict == VERDICT_VALID
@@ -442,7 +443,7 @@ def test_each_action_is_compiled_once_per_model(monkeypatch):
     # The model keeps its compiled columns: runs, the validator and the
     # public belief update all share them, so each transition row is read
     # once, when its action is first used.
-    model, b_init, objective = kitchen_3x2_det()
+    model, b_init, objective = kitchen_rung("3x2-M1-det")
     reads = {}
     trans_dist = Pomdp.trans_dist
 
@@ -461,21 +462,6 @@ def test_each_action_is_compiled_once_per_model(monkeypatch):
     assert max(reads.values()) == 1
 
 
-# The deterministic kitchen ladder: (width, height, shadow, storage, obstacles),
-# horizon, and the verdict brute_force_feasible gives (the two larger rungs
-# take it 7 s and 20 s, so their verdicts are written down here).
-KITCHEN_LADDER = (
-    ((3, 2, [(1, 0), (1, 1)], (2, 0), 1), 6, None),
-    ((3, 3, [(1, 0), (1, 1), (1, 2)], (2, 0), 1), 7, True),
-    ((4, 3, [(1, 0), (1, 1), (2, 1), (2, 2)], (3, 0), 2), 5, False),
-)
-
-
-def det_kitchen(width, height, shadow, storage, obstacles):
-    return build_kitchen(width, height, shadow, storage, (0, 0), obstacles=obstacles,
-                         p_fail=0, p_fp=0, p_fn=0)
-
-
 def enum_bps(model, b_init, objective, horizon):
     """``bps`` alone on the enum backend, with no validation: its policy
     and the run whose caches it filled."""
@@ -486,8 +472,10 @@ def enum_bps(model, b_init, objective, horizon):
 
 def test_the_run_cache_classes_every_posterior_as_the_objective_does():
     problems = [random_instance(random.Random(seed)) for seed in range(50)]
-    problems += [(*det_kitchen(*geometry), horizon) for geometry, horizon, _ in KITCHEN_LADDER]
-    feasible = [None] * 50 + [verdict for _, _, verdict in KITCHEN_LADDER]
+    rungs = (("3x2-M1-det", 6), ("3x3-M1-det", 7), ("4x3-M2-det", 5))
+    problems += [(*kitchen_rung(rung), horizon) for rung, horizon in rungs]
+    # The oracle takes the two larger rungs 7 s and 20 s, so they use the ladder.
+    feasible = [None] * 51 + [recorded(*rung)[0] for rung in rungs[1:]]
     for i, (model, b_init, objective, horizon) in enumerate(problems):
         policy, context = enum_bps(model, b_init, objective, horizon)
         if feasible[i] is None:
@@ -504,12 +492,12 @@ def test_the_run_cache_classes_every_posterior_as_the_objective_does():
                 assert context.classes[posterior][0] is posterior
 
 
-@pytest.mark.parametrize("rung", [0, 2], ids=["3x2-det-h6", "4x3-M2-det-h5"])
-def test_no_belief_is_classified_twice_in_a_run(rung, monkeypatch):
+@pytest.mark.parametrize("rung, horizon", [("3x2-M1-det", 6), ("4x3-M2-det", 5)],
+                         ids=["3x2-det-h6", "4x3-M2-det-h5"])
+def test_no_belief_is_classified_twice_in_a_run(rung, horizon, monkeypatch):
     # The work counter: every predicate is evaluated once per distinct
     # belief the search meets, however often it meets it.
-    geometry, horizon, verdict = KITCHEN_LADDER[rung]
-    model, b_init, objective = det_kitchen(*geometry)
+    model, b_init, objective = kitchen_rung(rung)
     seen = []
     holds = LinearBeliefPredicate.holds
 
@@ -519,27 +507,26 @@ def test_no_belief_is_classified_twice_in_a_run(rung, monkeypatch):
 
     monkeypatch.setattr(LinearBeliefPredicate, "holds", counting)
     policy, context = enum_bps(model, b_init, objective, horizon)
-    assert (policy is not None) == (verdict is not False)
+    assert (policy is not None) == recorded(rung, horizon)[0]
     distinct = set(seen)
     assert len(distinct) == len(context.classes) > 0
     assert len(seen) == len(objective.goal + objective.safe) * len(distinct)
 
 
-# Work pins on fresh models: checks, plans, blocks, supports built
-# (``model._supports``) and session adds.  A change that moves one names the
-# old and the new value.
+# Work pins on fresh models: the checks the ladder records, then plans, blocks,
+# supports built (``model._supports``) and session adds.  A change that moves
+# one names the old and the new value.
 FRESH_WORK = [
-    (*KITCHEN_LADDER[0][:2], (29, 8, 4, 15, 50)),
-    (*KITCHEN_LADDER[1][:2], (32, 10, 5, 23, 54)),
-    (*KITCHEN_LADDER[2][:2], (15, 3, 2, 8, 26)),
-    ((5, 3, [(x, y) for x in (1, 2, 3) for y in range(3)], (4, 0), 1), 10,
-     (1009, 400, 303, 792, 1412)),
+    ("3x2-M1-det", 6, (8, 4, 15, 50)),
+    ("3x3-M1-det", 7, (10, 5, 23, 54)),
+    ("4x3-M2-det", 5, (3, 2, 8, 26)),
+    ("5x3-M1-det", 10, (400, 303, 792, 1412)),
 ]
 
 
-@pytest.mark.parametrize("geometry, horizon, work", FRESH_WORK,
+@pytest.mark.parametrize("rung, horizon, work", FRESH_WORK,
                          ids=["3x2-det-h6", "3x3-det-h7", "4x3-M2-det-h5", "5x3-det-h10"])
-def test_the_work_of_a_run_on_a_fresh_model(geometry, horizon, work, monkeypatch):
+def test_the_work_of_a_run_on_a_fresh_model(rung, horizon, work, monkeypatch):
     adds = []
     add = SolverSession.add
 
@@ -548,10 +535,10 @@ def test_the_work_of_a_run_on_a_fresh_model(geometry, horizon, work, monkeypatch
         add(session, constraint)
 
     monkeypatch.setattr(SolverSession, "add", counting)
-    model, b_init, objective = det_kitchen(*geometry)
+    model, b_init, objective = kitchen_rung(rung)
     stats = run(model, b_init, objective, horizon).stats
     assert (stats.solver_calls, stats.plans_checked, len(stats.blocking_events),
-            len(model._supports), len(adds)) == work
+            len(model._supports), len(adds)) == (recorded(rung, horizon)[1], *work)
 
 
 def test_pickup_learns_its_dead_pair_at_the_budget_it_failed_with(pickup):
@@ -571,7 +558,7 @@ def test_kitchen_learns_each_dead_pair_at_the_budget_it_failed_with():
     """Each pair dies at the steps left at its belief before the failing
     step.  The second ``look_east`` pair's branch has a policy with one step
     more than the lemma leaves it, so that lemma one budget higher is false."""
-    model, b_init, objective = kitchen_3x2_det()
+    model, b_init, objective = kitchen_rung("3x2-M1-det")
     policy, context = enum_bps(model, b_init, objective, 6)
     assert policy is not None
     assert [(model.actions[lemma.action], lemma.budget) for lemma in context.dead_actions] \
@@ -590,7 +577,7 @@ def test_every_learned_fact_holds_by_the_oracle(pickup):
     A delayed-goal and a kitchen lemma are tight, so a fact recorded one
     budget too high fails here."""
     problems = [random_instance(random.Random(seed)) for seed in range(200)]
-    problems += [(*pickup, 3), (*delayed_goal_model(), 2), (*kitchen_3x2_det(), 6)]
+    problems += [(*pickup, 3), (*delayed_goal_model(), 2), (*kitchen_rung("3x2-M1-det"), 6)]
     lemmas = 0
     for i, (model, b_init, objective, horizon) in enumerate(problems):
         _, context = enum_bps(model, b_init, objective, horizon)
@@ -630,7 +617,7 @@ def test_enum_backend_never_builds_a_term(pickup, monkeypatch):
         for name, value in list(vars(module).items()):  # every module's binding
             if any(value is original for original in originals):
                 monkeypatch.setattr(module, name, no_terms)
-    for (model, b_init, objective), horizon in ((pickup, 3), (kitchen_3x2_det(), 6)):
+    for (model, b_init, objective), horizon in ((pickup, 3), (kitchen_rung("3x2-M1-det"), 6)):
         assert run(model, b_init, objective, horizon).verdict == VERDICT_VALID
 
 
@@ -701,9 +688,7 @@ def test_an_unreachable_state_changes_no_run(backend, seeds):
     trace, and the policy only by that state's zero entry; the kitchen has
     action masks, which the padding state must extend."""
     problems = [(f"seed {seed}", random_instance(random.Random(seed))) for seed in seeds]
-    problems.append(("kitchen 2x2 det", (*build_kitchen(2, 2, [(0, 1), (1, 1)], (1, 0), (0, 0),
-                                                       obstacles=1, p_fail=0, p_fp=0, p_fn=0),
-                                         4)))
+    problems.append(("kitchen 2x2 det", (*kitchen_rung("2x2-M1-det"), 4)))
     for name, (model, b_init, objective, horizon) in problems:
         plain = run(model, b_init, objective, horizon, backend=backend)
         padded = run(*pad_with_unreachable_state(model, b_init, objective), horizon,
